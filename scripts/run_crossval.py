@@ -15,7 +15,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from privcell.config import load_experiment  # noqa: E402
+from privcell.config import COMPLETING, ITERATIVE, METHODS, load_experiment  # noqa: E402
 from privcell.fw import nuclear_norm_budget  # noqa: E402
 from privcell.harness import cross_validate, draw_beta, prepare  # noqa: E402
 
@@ -23,7 +23,7 @@ from privcell.harness import cross_validate, draw_beta, prepare  # noqa: E402
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(ROOT / "configs" / "desk.yaml"))
-    ap.add_argument("--method", default="fw", choices=("fw", "svd", "npfw", "npsvd"))
+    ap.add_argument("--method", default="fw", choices=COMPLETING)
     ap.add_argument("--trials", type=int, default=10)
     ap.add_argument("--iters-grid", default="4,8,12,16,20")
     ap.add_argument("--nuc-fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
@@ -32,7 +32,7 @@ def main():
     exp = load_experiment(args.config)
     scen = exp.scenario
 
-    if args.method in ("fw", "npfw"):
+    if METHODS[args.method].completion == ITERATIVE:
         grid = [int(v) for v in args.iters_grid.split(",")]
         best, scores = cross_validate(exp, args.method, "fw_iters", grid, args.trials)
         print(f"\nround count ({args.method}, {args.trials} trials):")

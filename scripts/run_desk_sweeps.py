@@ -18,14 +18,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from privcell.config import load_experiment  # noqa: E402
+from privcell.config import METHODS, load_experiment  # noqa: E402
 from privcell.harness import emit_csv, run_sweep  # noqa: E402
 
 EPS_VALUES = (0.1, 0.5, 1.0, 5.0, 10.0)
 TAU_VALUES = (20.0, 40.0, 80.0, 160.0)
 
 SWEEPS = {
-    "epsilon": (EPS_VALUES, ("fw", "svd", "npfw", "npsvd", "po")),
+    "epsilon": (EPS_VALUES, tuple(METHODS)),
     "tau_d": (TAU_VALUES, ("fw", "svd", "po")),
 }
 
@@ -35,7 +35,6 @@ def main():
     ap.add_argument("--config", default=str(ROOT / "configs" / "desk.yaml"))
     ap.add_argument("--sweep", choices=("epsilon", "tau_d", "both"), default="both")
     ap.add_argument("--trials", type=int, help="override the config trial count")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out-dir", default=str(ROOT / "results"))
     args = ap.parse_args()
 
@@ -50,8 +49,7 @@ def main():
         t0 = time.perf_counter()
         for method in methods:
             records += run_sweep(
-                exp, method=method, axis=axis, values=values,
-                trials=args.trials, workers=args.workers,
+                exp, method=method, axis=axis, values=values, trials=args.trials
             )
             print(f"  {axis}/{method} done ({time.perf_counter() - t0:.0f}s)")
         out = out_dir / f"desk_{axis}.csv"

@@ -9,9 +9,9 @@ message limited to noisy Gram releases or locally detected payload.
 from .channel import Scenario, SignalBlock
 from .config import ExperimentConfig, RunConfig, load_experiment
 from .errors import PrivCellError
-from .fw import CompletionResult, FwConfig, run_fw
+from .fw import FwConfig, run_fw
 from .harness import MetricsRecord, cross_validate, emit_csv, run_sweep
-from .privacy import PrivacyBudget, frob_bound, fw_noise_scale, svd_noise_scale
+from .privacy import CompletionResult, frob_bound, fw_noise_scale, svd_noise_scale
 from .svdmc import SvdConfig, run_svd
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "ExperimentConfig",
     "FwConfig",
     "MetricsRecord",
-    "PrivacyBudget",
     "PrivCellError",
     "RunConfig",
     "Scenario",

@@ -6,7 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .config import METHODS, load_experiment
+from .config import COMPLETING, METHODS, load_experiment
 from .errors import ConfigError, PrivCellError
 from .harness import (
     cross_validate,
@@ -37,18 +37,17 @@ def build_parser():
 
     sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep and write a CSV")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--method", choices=METHODS)
+    sim.add_argument("--method", choices=tuple(METHODS))
     sim.add_argument("--sweep", choices=("epsilon", "tau_d"))
     sim.add_argument("--values", type=_floats)
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--workers", type=int)
     sim.add_argument("--units", choices=("normalized", "physical"))
 
     cv = sub.add_parser("crossval", help="grid-search nuc_bound or fw_iters")
     cv.add_argument("--config", required=True)
-    cv.add_argument("--method", choices=("fw", "svd", "npfw", "npsvd"))
+    cv.add_argument("--method", choices=COMPLETING)
     cv.add_argument("--param", required=True, choices=("nuc_bound", "fw_iters"))
     cv.add_argument("--values", required=True, type=_floats)
     cv.add_argument("--trials", type=int, default=10)
@@ -56,7 +55,7 @@ def build_parser():
 
     au = sub.add_parser("audit", help="run one trial and audit its transcript")
     au.add_argument("--config", required=True)
-    au.add_argument("--method", choices=("fw", "svd", "npfw", "npsvd", "po"), default="fw")
+    au.add_argument("--method", choices=tuple(METHODS))
     au.add_argument("--seed", type=int)
     au.add_argument("--out", help="where to dump the transcript (JSON lines)")
     return p
@@ -68,7 +67,7 @@ def _experiment(args):
     import dataclasses
 
     overrides = {}
-    for name in ("method", "trials", "workers", "units"):
+    for name in ("method", "trials", "units"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
@@ -115,11 +114,10 @@ def cmd_crossval(args):
 def cmd_audit(args):
     exp = _experiment(args)
     scen = exp.scenario
-    method = args.method
     net = Backhaul()
     beta = draw_beta(scen, scen.seed)
     prepared = prepare(scen, exp.run, beta)
-    run_trial(scen, exp.run, method, prepared, scen.seed, 0, exp.run.eps, net=net)
+    run_trial(scen, exp.run, exp.run.method, prepared, scen.seed, 0, exp.run.eps, net=net)
     report = audit_privacy_surface(
         net.transcript, tau_c=scen.tau_c, n_users=scen.K, n_payload=scen.tau_d
     )

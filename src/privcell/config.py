@@ -5,14 +5,52 @@ defaults, and sweep defaults in one flat mapping; the CLI can override
 the run-level fields.  Unknown keys are rejected so typos fail loudly.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import Optional
 
+import numpy as np
 import yaml
 
 from .channel import Scenario
 from .errors import ConfigError
 
 SCENARIO_KEYS = {f.name for f in fields(Scenario)}
+
+
+@dataclass(frozen=True)
+class Method:
+    """How a method completes the observed block and draws its release noise."""
+
+    completion: Optional[str]  # ITERATIVE, ONE_SHOT, or None (pilot-only)
+    private: bool  # release noise calibrated to (eps, delta), else zero
+    stage: Optional[str]  # seeding stage of the release noise
+
+
+ITERATIVE = "iterative"  # fw.run_fw: one Gram round per FW step
+ONE_SHOT = "one_shot"  # svdmc.run_svd: a single Gram round
+
+METHODS = {
+    "fw": Method(ITERATIVE, True, "dp_fw"),
+    "svd": Method(ONE_SHOT, True, "dp_svd"),
+    "npfw": Method(ITERATIVE, False, "dp_fw"),
+    "npsvd": Method(ONE_SHOT, False, "dp_svd"),
+    "po": Method(None, False, None),
+}
+COMPLETING = tuple(name for name, m in METHODS.items() if m.completion)
+
+
+def method_spec(name):
+    """The METHODS entry of `name`; a ConfigError for an unknown method."""
+    if name not in METHODS:
+        raise ConfigError(f"unknown method {name!r}, pick from {sorted(METHODS)}")
+    return METHODS[name]
+
+
+def whole(name, value):
+    """value as an int; a ConfigError unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -31,30 +69,24 @@ class RunConfig:
     values: tuple = ()
     trials: int = 50
     fixed_beta: bool = True
-    workers: int = 1
 
     def __post_init__(self):
+        for name in ("fw_iters", "np_fw_iters", "trials"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not 0 < self.delta < 1:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.fw_iters < 1 or self.np_fw_iters < 1:
-            raise ConfigError("iteration counts must be >= 1")
         if self.nuc_bound < 0 or self.clip_bound < 0:
             raise ConfigError("bound overrides must be non-negative (0 = derived)")
         if self.units not in ("normalized", "physical"):
             raise ConfigError(f"unknown units {self.units!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}, pick from {sorted(METHODS)}")
+        method_spec(self.method)
         if self.sweep not in ("epsilon", "tau_d"):
             raise ConfigError(f"unknown sweep axis {self.sweep!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
-
-METHODS = ("fw", "svd", "npfw", "npsvd", "po")
 
 RUN_KEYS = {f.name for f in fields(RunConfig)}
 

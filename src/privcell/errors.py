@@ -17,18 +17,6 @@ class ConfigError(PrivCellError, ValueError):
     """A config file or scenario field failed validation."""
 
 
-class ConvergenceError(PrivCellError, RuntimeError):
-    """An iterative routine ran out of iterations.
-
-    Carries the last observed residual so callers can decide whether the
-    partial answer is still usable.
-    """
-
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
-
-
 class DegenerateStepError(PrivCellError, RuntimeError):
     """An update step hit an exactly-zero denominator."""
 

@@ -94,25 +94,13 @@ def _observed_index(mask_cols, n_rf):
     return np.argsort(~mask_cols, axis=0, kind="stable")[:n_rf].T
 
 
-def pilot_only_lmmse(h_hat, y_m, omega_m, sigma2, t, tau_p):
-    """Regularised LS detection for one payload slot t (0-based).
+def pilot_only_detect_block(h_hat, y_m, omega_m, sigma2, tau_p, n_rf):
+    """Regularised LS detection of all payload slots of one AP at once.
 
-    Only the antennas observed in that slot enter; the Gram is
+    Per slot only the antennas observed in that slot enter; the Gram is
     regularised by the noise power, falling back to a pseudoinverse when
     sigma2 is zero.
     """
-    col = tau_p + t
-    obs = np.flatnonzero(omega_m[:, col])
-    f = np.asarray(h_hat)[obs, :]
-    yv = np.asarray(y_m)[obs, col]
-    if sigma2 > 0:
-        a = f.conj().T @ f + sigma2 * np.eye(f.shape[1])
-        return np.linalg.solve(a, f.conj().T @ yv)
-    return pinv(f) @ yv
-
-
-def pilot_only_detect_block(h_hat, y_m, omega_m, sigma2, tau_p, n_rf):
-    """All payload slots of one AP at once (batched version of the above)."""
     y_m = np.asarray(y_m)
     n_users = h_hat.shape[1]
     data_mask = omega_m[:, tau_p:]

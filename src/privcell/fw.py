@@ -13,15 +13,14 @@ Step sizes are fixed: a full first step, then 1/T.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
-from .linalg import apply_mask, hermitian_eig, hermitize, masked_frob_norm
-from .privacy import sample_hermitian_noise
-from .protocol import CPU, Backhaul, MessageKind, ap_name
+from .linalg import apply_mask, hermitian_eig, masked_frob_norm
+from .privacy import CompletionResult, gram_round, split_aps
+from .protocol import Backhaul, MessageKind
 
 
 @dataclass(frozen=True)
@@ -41,20 +40,6 @@ class FwConfig:
             raise ArgumentError(f"clip_bound must be positive, got {self.clip_bound}")
         if self.noise_scale < 0:
             raise ArgumentError(f"noise_scale must be non-negative, got {self.noise_scale}")
-
-
-@dataclass
-class CompletionResult:
-    """Output of one distributed completion run."""
-
-    x_hat: np.ndarray  # stacked completed matrix (M*N_a, tau_c)
-    rounds: int
-    transcript: list
-    ledger: object
-    masked_norms: np.ndarray  # (rounds, M) observed-part norms after update
-    clip_events: int
-    lam_path: Optional[np.ndarray] = None  # lifted top value per round
-    iterates: Optional[list] = None  # stacked iterate after each round
 
 
 def nuclear_norm_budget(beta, tau_c, n_antennas):
@@ -80,24 +65,15 @@ def ap_residual(x_m, y_m, omega_m):
     return apply_mask(x_m, omega_m) - y_m
 
 
-def ap_release_gram(j_m, noise_scale, seed):
-    """Privatised Gram of the local residual; exactly Hermitian."""
-    return hermitize(j_m.conj().T @ j_m) + sample_hermitian_noise(
-        j_m.shape[1], noise_scale, seed
-    )
-
-
-def cpu_aggregate_eig(grams, noise_scale, n_aps, tau_c):
-    """Aggregate released Grams and lift the top eigenvalue.
+def cpu_aggregate_eig(w, noise_scale, n_aps):
+    """Top eigenpair of the aggregated releases, eigenvalue lifted.
 
     Returns (v_top, lam_lifted): the phase-canonical top eigenvector of
-    the symmetrized sum, and the square root of its (clamped) top
+    the symmetrized sum w, and the square root of its (clamped) top
     eigenvalue plus the noise-inflation allowance
     sqrt(noise_scale) * (M * tau_c)^(1/4).
     """
-    w = np.zeros((tau_c, tau_c), dtype=complex)
-    for g in grams:  # ascending AP order; keep the reduction order fixed
-        w = w + g
+    tau_c = w.shape[0]
     pair = hermitian_eig(w, 1)[0]
     lam = math.sqrt(max(pair.value, 0.0))
     lam_lifted = lam + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
@@ -121,42 +97,6 @@ def ap_update(x_m, j_m, v_top, lam_lifted, eta, cfg, omega_m):
     return clip_observed(x_new, omega_m, cfg.clip_bound)
 
 
-def run_round_fw(x_blocks, y_blocks, omega_blocks, cfg, net, round_index, entropy):
-    """One full release/broadcast/update round over the backhaul.
-
-    Returns (new x_blocks, lifted top value, clip count, observed norms).
-    """
-    n_aps = len(x_blocks)
-    tau_c = y_blocks[0].shape[1]
-    residuals = []
-    for m in range(n_aps):
-        j_m = ap_residual(x_blocks[m], y_blocks[m], omega_blocks[m])
-        residuals.append(j_m)
-        seed = np.random.SeedSequence([*entropy, m, round_index])
-        net.send(
-            MessageKind.GRAM_RELEASE,
-            ap_name(m),
-            CPU,
-            round_index,
-            ap_release_gram(j_m, cfg.noise_scale, seed),
-        )
-    grams = net.round_payloads(MessageKind.GRAM_RELEASE, round_index)
-    v_top, lam_lifted = cpu_aggregate_eig(grams, cfg.noise_scale, n_aps, tau_c)
-    net.broadcast(MessageKind.EIG_BROADCAST, round_index, (v_top, lam_lifted))
-    eta = step_size(round_index, cfg.iterations)
-    new_blocks = []
-    clips = 0
-    norms = np.empty(n_aps)
-    for m in range(n_aps):
-        x_new, clipped = ap_update(
-            x_blocks[m], residuals[m], v_top, lam_lifted, eta, cfg, omega_blocks[m]
-        )
-        clips += int(clipped)
-        norms[m] = masked_frob_norm(x_new, omega_blocks[m])
-        new_blocks.append(x_new)
-    return new_blocks, lam_lifted, clips, norms
-
-
 def run_fw(y, omega, n_aps, cfg, seed, net=None):
     """Run the full distributed completion on a stacked observation matrix.
 
@@ -170,37 +110,33 @@ def run_fw(y, omega, n_aps, cfg, seed, net=None):
 
     Returns a CompletionResult.
     """
-    y = np.asarray(y, dtype=complex)
-    if y.shape != omega.shape:
-        raise ShapeError(f"omega shape {omega.shape} does not match y {y.shape}")
-    if y.shape[0] % n_aps != 0:
-        raise ShapeError(f"{y.shape[0]} rows do not split over {n_aps} APs")
-    entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    y_blocks, omega_blocks = split_aps(y, omega, n_aps)
     if net is None:
         net = Backhaul()
-    n_ant = y.shape[0] // n_aps
-    y_blocks = [y[m * n_ant : (m + 1) * n_ant] for m in range(n_aps)]
-    omega_blocks = [omega[m * n_ant : (m + 1) * n_ant] for m in range(n_aps)]
     x_blocks = [np.zeros_like(b) for b in y_blocks]
-
     lam_path = np.empty(cfg.iterations)
     masked_norms = np.empty((cfg.iterations, n_aps))
     clip_events = 0
     iterates = [] if cfg.keep_iterates else None
     for n in range(1, cfg.iterations + 1):
-        x_blocks, lam_lifted, clips, norms = run_round_fw(
-            x_blocks, y_blocks, omega_blocks, cfg, net, n, entropy
+        residuals = [ap_residual(*b) for b in zip(x_blocks, y_blocks, omega_blocks)]
+        v_top, lam_lifted = gram_round(
+            net, n, residuals, cfg.noise_scale, seed, MessageKind.EIG_BROADCAST,
+            lambda w: cpu_aggregate_eig(w, cfg.noise_scale, n_aps), tail=(n,),
         )
+        eta = step_size(n, cfg.iterations)
+        for m in range(n_aps):
+            x_blocks[m], clipped = ap_update(
+                x_blocks[m], residuals[m], v_top, lam_lifted, eta, cfg, omega_blocks[m]
+            )
+            clip_events += int(clipped)
+            masked_norms[n - 1, m] = masked_frob_norm(x_blocks[m], omega_blocks[m])
         lam_path[n - 1] = lam_lifted
-        masked_norms[n - 1] = norms
-        clip_events += clips
         if iterates is not None:
             iterates.append(np.vstack(x_blocks))
     return CompletionResult(
         x_hat=np.vstack(x_blocks),
         rounds=cfg.iterations,
-        transcript=net.transcript,
-        ledger=net.ledger,
         masked_norms=masked_norms,
         clip_events=clip_events,
         lam_path=lam_path,

@@ -2,17 +2,15 @@
 
 A sweep fixes the large-scale fading once (by default), then runs
 independently seeded trials per axis value.  Per-trial seeds derive from
-(master seed, stage, trial index) only, so a sweep gives identical
-results whether trials run sequentially or across worker threads, and
-methods sharing a master seed see identical channels, masks, and
-receiver noise.
+(master seed, stage, trial index) only, so a trial gives identical
+results whatever ran before it, and methods sharing a master seed see
+identical channels, masks, and receiver noise.
 """
 
 import csv
 import dataclasses
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from . import estimation
 from .channel import gen_pilots, gen_topology, large_scale_fading, make_block
-from .config import METHODS, ExperimentConfig
+from .config import ITERATIVE, ExperimentConfig, method_spec, whole
 from .errors import ArgumentError, ConfigError, PrivCellError
 from .fw import FwConfig, nuclear_norm_budget, run_fw
 from .privacy import frob_bound, fw_noise_scale, svd_noise_scale
@@ -50,7 +48,6 @@ class TrialResult:
     nmse: float
     ser: float
     max_masked_norm: float = float("nan")  # FW only: peak observed-part norm
-    clip_bound: float = float("nan")
 
 
 @dataclass
@@ -115,32 +112,30 @@ def prepare(scenario, run, beta):
 
 
 def completion_config(method, prepared, scenario, run, eps):
-    if method == "fw":
-        mu = fw_noise_scale(prepared.clip_bound, run.fw_iters, scenario.M, eps, run.delta)
-        return FwConfig(run.fw_iters, prepared.nuc_bound, prepared.clip_bound, mu)
-    if method == "npfw":
-        return FwConfig(run.np_fw_iters, prepared.nuc_bound, prepared.clip_bound, 0.0)
-    if method == "svd":
-        nu = svd_noise_scale(prepared.clip_bound, scenario.M, eps, run.delta)
-        return SvdConfig.derive(scenario, nu)
-    if method == "npsvd":
-        return SvdConfig.derive(scenario, 0.0)
-    raise ArgumentError(f"no completion config for method {method!r}")
+    """FwConfig or SvdConfig of a completing method; zero noise unless private."""
+    spec = method_spec(method)
+    if spec.completion is None:
+        raise ArgumentError(f"method {method!r} runs no completion")
+    bound = prepared.clip_bound
+    if spec.completion == ITERATIVE:
+        iters = run.fw_iters if spec.private else run.np_fw_iters
+        mu = fw_noise_scale(bound, iters, scenario.M, eps, run.delta) if spec.private else 0.0
+        return FwConfig(iters, prepared.nuc_bound, bound, mu)
+    nu = svd_noise_scale(bound, scenario.M, eps, run.delta) if spec.private else 0.0
+    return SvdConfig.derive(scenario, nu)
 
 
-def _detect_and_combine(net, scenario, h_hats, x_datas, d_true):
-    """Per-AP detection, LocalDetection messages, CPU combining and slicing."""
-    locals_ = []
+def _detect_and_combine(net, scenario, detect, d_true):
+    """Per-AP detect(m) sent as LocalDetection, CPU combining and slicing."""
     for m in range(scenario.M):
-        d_m = estimation.detect_local(h_hats[m], x_datas[m])
-        net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d_m)
-        locals_.append(d_m)
+        net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, detect(m))
     soft = estimation.combine(net.round_payloads(MessageKind.LOCAL_DETECTION, 0))
     return estimation.ser(estimation.slice_qpsk(soft), d_true)
 
 
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
     """One end-to-end trial; returns a TrialResult."""
+    spec = method_spec(method)
     block = make_block(
         scenario, prepared.beta, prepared.pilots, master_seed, trial,
         sigma2=prepared.sigma2,
@@ -148,98 +143,66 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     if net is None:
         net = Backhaul()
     tau_p = scenario.tau_p
-    if method in ("fw", "npfw"):
-        cfg = completion_config(method, prepared, scenario, run, eps)
-        res = run_fw(
-            block.Y, block.omega, scenario.M, cfg,
-            entropy_for(master_seed, "dp_fw", trial), net=net,
-        )
-    elif method in ("svd", "npsvd"):
-        cfg = completion_config(method, prepared, scenario, run, eps)
-        res = run_svd(
-            block.Y, block.omega, scenario.M, cfg,
-            entropy_for(master_seed, "dp_svd", trial),
-            scenario.N_a / scenario.N_r, net=net,
-        )
-    elif method == "po":
-        res = None
-    else:
-        raise ArgumentError(f"unknown method {method!r}")
+    rows = [scenario.block(m) for m in range(scenario.M)]
+    if spec.completion is None:  # pilot-only: no completion traffic at all
+        h_hats = [estimation.pilot_only_ls(block.Y[r], prepared.pilots) for r in rows]
 
-    h_hats, x_datas = [], []
-    if method == "po":
-        for m in range(scenario.M):
-            sl = scenario.block(m)
-            h_m = estimation.pilot_only_ls(block.Y[sl], prepared.pilots)
-            d_m = estimation.pilot_only_detect_block(
-                h_m, block.Y[sl], block.omega[sl], prepared.sigma2, tau_p, scenario.N_r
+        def detect(m):
+            return estimation.pilot_only_detect_block(
+                h_hats[m], block.Y[rows[m]], block.omega[rows[m]], prepared.sigma2, tau_p,
+                scenario.N_r,
             )
-            net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d_m)
-            h_hats.append(h_m)
-        soft = estimation.combine(net.round_payloads(MessageKind.LOCAL_DETECTION, 0))
-        ser_val = estimation.ser(estimation.slice_qpsk(soft), block.D)
-        h_stack = np.vstack(h_hats)
-        return TrialResult(nmse=estimation.nmse(h_stack, block.H), ser=ser_val)
+    else:
+        cfg = completion_config(method, prepared, scenario, run, eps)
+        entropy = entropy_for(master_seed, spec.stage, trial)
+        if spec.completion == ITERATIVE:
+            res = run_fw(block.Y, block.omega, scenario.M, cfg, entropy, net=net)
+        else:
+            upsample = scenario.N_a / scenario.N_r
+            res = run_svd(block.Y, block.omega, scenario.M, cfg, entropy, upsample, net=net)
+        x_blocks = [res.x_hat[r] for r in rows]
+        h_hats = [estimation.estimate_channel(x[:, :tau_p], prepared.pilots) for x in x_blocks]
 
-    for m in range(scenario.M):
-        sl = scenario.block(m)
-        x_m = res.x_hat[sl]
-        h_hats.append(estimation.estimate_channel(x_m[:, :tau_p], prepared.pilots))
-        x_datas.append(x_m[:, tau_p:])
-    ser_val = _detect_and_combine(net, scenario, h_hats, x_datas, block.D)
-    h_stack = np.vstack(h_hats)
-    return TrialResult(
-        nmse=estimation.nmse(h_stack, block.H),
-        ser=ser_val,
-        max_masked_norm=float(res.masked_norms.max()) if method in ("fw", "npfw") else float("nan"),
-        clip_bound=prepared.clip_bound if method in ("fw", "npfw") else float("nan"),
+        def detect(m):
+            return estimation.detect_local(h_hats[m], x_blocks[m][:, tau_p:])
+
+    out = TrialResult(
+        nmse=estimation.nmse(np.vstack(h_hats), block.H),
+        ser=_detect_and_combine(net, scenario, detect, block.D),
     )
+    if spec.completion == ITERATIVE:
+        out.max_masked_norm = float(res.masked_norms.max())
+    return out
 
 
 def apply_axis(scenario, axis, value):
     if axis == "epsilon":
         return scenario, float(value)
     if axis == "tau_d":
-        return dataclasses.replace(scenario, tau_d=int(value)), None
+        return dataclasses.replace(scenario, tau_d=whole("tau_d", value)), None
     raise ArgumentError(f"unknown sweep axis {axis!r}")
 
 
-def _trial_task(scenario, run, method, prepared, master_seed, trial, eps):
-    try:
-        return run_trial(scenario, run, method, prepared, master_seed, trial, eps), None
-    except (PrivCellError, np.linalg.LinAlgError) as e:
-        return None, f"trial {trial}: {type(e).__name__}: {e}"
-
-
-def run_point(exp, method, axis, value, trials, master_seed, beta=None, workers=1):
+def run_point(exp, method, axis, value, trials, master_seed, beta=None):
     """All trials of one method at one axis value; returns a MetricsRecord."""
+    clipping = method_spec(method).completion == ITERATIVE
     scenario, eps_override = apply_axis(exp.scenario, axis, value)
     eps = eps_override if eps_override is not None else exp.run.eps
     t0 = time.perf_counter()
     if beta is None:
         beta = draw_beta(scenario, master_seed)
     prepared = prepare(scenario, exp.run, beta)
-
-    def task(trial):
-        return _trial_task(scenario, exp.run, method, prepared, master_seed, trial, eps)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, range(trials)))
-    else:
-        outcomes = [task(t) for t in range(trials)]
-
     results, failures = [], 0
-    for res, err in outcomes:  # trial-index order regardless of scheduling
-        if err is None:
-            results.append(res)
-        else:
+    for trial in range(trials):
+        try:
+            results.append(run_trial(scenario, exp.run, method, prepared, master_seed, trial, eps))
+        except (PrivCellError, np.linalg.LinAlgError) as e:
             failures += 1
-            log.warning("excluded %s", err)
+            log.warning("excluded trial %d: %s: %s", trial, type(e).__name__, e)
     nm = float(np.mean([r.nmse for r in results])) if results else float("nan")
     sr = float(np.mean([r.ser for r in results])) if results else float("nan")
     extras = {}
-    if method in ("fw", "npfw") and results:
+    if clipping and results:
         extras["max_masked_norm"] = max(r.max_masked_norm for r in results)
         extras["clip_bound"] = prepared.clip_bound
     return MetricsRecord(
@@ -256,7 +219,7 @@ def run_point(exp, method, axis, value, trials, master_seed, beta=None, workers=
     )
 
 
-def run_sweep(exp, method=None, axis=None, values=None, trials=None, master_seed=None, workers=None):
+def run_sweep(exp, method=None, axis=None, values=None, trials=None, master_seed=None):
     """Sweep one method over an axis; arguments default to the config."""
     run = exp.run
     method = method or run.method
@@ -264,16 +227,11 @@ def run_sweep(exp, method=None, axis=None, values=None, trials=None, master_seed
     values = values if values is not None else run.values
     trials = trials or run.trials
     master_seed = master_seed if master_seed is not None else exp.scenario.seed
-    workers = workers or run.workers
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}")
+    method_spec(method)
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     beta = draw_beta(exp.scenario, master_seed) if run.fixed_beta else None
-    return [
-        run_point(exp, method, axis, v, trials, master_seed, beta=beta, workers=workers)
-        for v in values
-    ]
+    return [run_point(exp, method, axis, v, trials, master_seed, beta=beta) for v in values]
 
 
 def cross_validate(exp, method, param, grid, trials, master_seed=None):
@@ -291,7 +249,7 @@ def cross_validate(exp, method, param, grid, trials, master_seed=None):
     scores = []
     for value in grid:
         run = dataclasses.replace(
-            exp.run, **{param: int(value) if param == "fw_iters" else float(value)}
+            exp.run, **{param: whole(param, value) if param == "fw_iters" else float(value)}
         )
         cv_exp = ExperimentConfig(scenario=exp.scenario, run=run)
         rec = run_point(cv_exp, method, "epsilon", run.eps, trials, cv_seed)

@@ -1,16 +1,14 @@
 """Small dense linear-algebra layer used by the completion algorithms.
 
 Everything works on complex128 ndarrays.  The Hermitian eigensolver is
-LAPACK-backed; top_eigpair is an independent power-iteration route kept
-around as a cross-check and as a cheap fast path for well-separated
-spectra.
+LAPACK-backed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ShapeError, ArgumentError
+from .errors import ArgumentError, ShapeError
 
 
 @dataclass
@@ -60,38 +58,6 @@ def hermitian_eig(a, k=None):
     return [EigPair(float(vals[i]), canonical_phase(vecs[:, i])) for i in order]
 
 
-def top_eigpair(a, tol=1e-10, max_iter=5000):
-    """Dominant eigenpair by shifted power iteration.
-
-    Meant for Hermitian matrices whose largest eigenvalue is positive; the
-    internal shift makes the iteration target the algebraically largest
-    eigenvalue rather than the largest in magnitude.
-    """
-    a = hermitize(a)
-    n = a.shape[0]
-    shift = float(np.linalg.norm(a))
-    if shift == 0.0:
-        return EigPair(0.0, canonical_phase(np.eye(n, dtype=complex)[:, 0]))
-    b = a + shift * np.eye(n)
-    # deterministic start, a ramp to dodge exact-orthogonality accidents
-    v = (1.0 + np.arange(n) / n).astype(complex)
-    v /= np.linalg.norm(v)
-    resid = np.inf
-    for _ in range(max_iter):
-        w = b @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise ConvergenceError("power iteration collapsed to zero", residual=resid)
-        v = w / nw
-        lam = float(np.real(np.vdot(v, a @ v)))
-        resid = float(np.linalg.norm(a @ v - lam * v))
-        if resid <= tol * max(1.0, abs(lam)):
-            return EigPair(lam, canonical_phase(v))
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations", residual=resid
-    )
-
-
 def pinv(a, rcond=1e-12):
     """Moore-Penrose pseudoinverse (SVD-based)."""
     a = np.asarray(a)
@@ -102,23 +68,6 @@ def pinv(a, rcond=1e-12):
 
 def frob_norm(a):
     return float(np.linalg.norm(a))
-
-
-def spec_norm(a):
-    """Largest singular value."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ShapeError(f"spec_norm expects a 2-D array, got shape {a.shape}")
-    return float(np.linalg.norm(a, 2))
-
-
-def frob_inner(a, b):
-    """trace(A^H B) for same-shape matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def masked_frob_norm(a, mask):

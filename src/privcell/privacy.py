@@ -1,9 +1,13 @@
-"""Calibration and sampling for the private Gram releases.
+"""The private Gram release round, with its calibration and noise.
 
 Each AP only ever reports tau_c x tau_c Gram matrices of its local
 residual (or trimmed observation).  Privacy against everything the CPU
 and other APs see is bought by adding a Hermitian complex Gaussian
-matrix to every release.  The two release schedules are:
+matrix to every release.  Both completions run on the same round
+(`gram_round`, the private Frank-Wolfe mechanism of Jain, Thakkar and
+Thakurta, 2018): every AP releases, the CPU sums the releases in
+ascending AP order and broadcasts what it derives from the sum.  The
+two release schedules are:
 
   * iterative: T releases per AP across the FW-style completion; the
     per-release scale comes from advanced composition over T rounds,
@@ -17,34 +21,25 @@ the aggregate per-entry variance is M times the per-AP variance.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ShapeError
+from .linalg import hermitize
+from .protocol import CPU, MessageKind, ap_name
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    eps: float
-    delta: float
-    releases: int = 1  # releases per AP the budget is spread over
+@dataclass
+class CompletionResult:
+    """Output of one distributed completion run."""
 
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ArgumentError(f"eps must be positive, got {self.eps}")
-        if not 0 < self.delta < 1:
-            raise ArgumentError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.releases < 1:
-            raise ArgumentError(f"releases must be >= 1, got {self.releases}")
-
-
-@dataclass(frozen=True)
-class NoiseScale:
-    """A calibrated per-entry standard deviation for one release schedule."""
-
-    bound: float  # the sensitivity anchor (observed-signal norm bound)
-    scale: float  # per-AP per-entry std of the Hermitian noise
-    mechanism: str  # "iterative" | "one_shot"
+    x_hat: np.ndarray  # stacked completed matrix (M*N_a, tau_c)
+    rounds: int
+    masked_norms: np.ndarray  # (rounds, M) per-AP block norms after each round
+    clip_events: int = 0
+    lam_path: Optional[np.ndarray] = None  # lifted top value per round
+    iterates: Optional[list] = None  # stacked iterate after each round
 
 
 def frob_bound(beta, n_users, n_antennas, tau_c, sigma2):
@@ -92,24 +87,6 @@ def svd_noise_scale(bound, n_aps, eps, delta):
     return bound**2 * math.sqrt((2.0 / n_aps) * math.log(1.25 / delta)) / eps
 
 
-def compose(eps_per, delta_per, releases, delta_slack):
-    """Advanced composition of `releases` (eps_per, delta_per) mechanisms.
-
-    Returns the total (eps, delta) at slack delta_slack.
-    """
-    if eps_per < 0 or delta_per < 0:
-        raise ArgumentError("per-release budget must be non-negative")
-    if not 0 < delta_slack < 1:
-        raise ArgumentError(f"delta_slack must lie in (0, 1), got {delta_slack}")
-    t = int(releases)
-    if t < 1:
-        raise ArgumentError(f"releases must be >= 1, got {releases}")
-    eps_total = eps_per * math.sqrt(2.0 * t * math.log(1.0 / delta_slack)) + t * eps_per * (
-        math.expm1(eps_per)
-    )
-    return eps_total, t * delta_per + delta_slack
-
-
 def sample_hermitian_noise(dim, scale, seed):
     """Hermitian noise matrix with exact symmetry.
 
@@ -143,3 +120,43 @@ def _check_budget(eps, delta):
         raise ArgumentError(f"eps must be positive, got {eps}")
     if not 0 < delta < 1:
         raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
+
+
+def release_gram(block, noise_scale, seed):
+    """One AP's release: hermitize(B^H B) plus Hermitian noise; exactly Hermitian."""
+    return hermitize(block.conj().T @ block) + sample_hermitian_noise(
+        block.shape[1], noise_scale, seed
+    )
+
+
+def split_aps(y, omega, n_aps):
+    """The row blocks of y (as complex) and omega that each AP owns."""
+    y = np.asarray(y, dtype=complex)
+    if y.shape != omega.shape:
+        raise ShapeError(f"omega shape {omega.shape} does not match y {y.shape}")
+    if y.shape[0] % n_aps != 0:
+        raise ShapeError(f"{y.shape[0]} rows do not split over {n_aps} APs")
+    n_ant = y.shape[0] // n_aps
+    rows = [slice(m * n_ant, (m + 1) * n_ant) for m in range(n_aps)]
+    return [y[r] for r in rows], [omega[r] for r in rows]
+
+
+def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
+    """One release -> aggregate -> broadcast round over the backhaul.
+
+    AP m releases release_gram(blocks[m]) with noise seeded by
+    SeedSequence([*seed, m, *tail]); the CPU sums the releases in
+    ascending AP order, broadcasts cpu(sum) as `kind` and returns it.
+    """
+    entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    for m, block in enumerate(blocks):
+        noise_seed = np.random.SeedSequence([*entropy, m, *tail])
+        gram = release_gram(block, noise_scale, noise_seed)
+        net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, gram)
+    tau_c = blocks[0].shape[1]
+    w = np.zeros((tau_c, tau_c), dtype=complex)
+    for g in net.round_payloads(MessageKind.GRAM_RELEASE, round_index):
+        w = w + g  # fixed reduction order keeps results bitwise reproducible
+    payload = cpu(w)
+    net.broadcast(kind, round_index, payload)
+    return payload

@@ -197,9 +197,3 @@ def dump_transcript(transcript, path):
                 )
                 + "\n"
             )
-
-
-def load_transcript_meta(path):
-    """Read back the metadata records written by dump_transcript."""
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

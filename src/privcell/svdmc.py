@@ -7,16 +7,14 @@ onto the broadcast basis and compensate the switch undersampling by
 N_a / N_r.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .fw import CompletionResult
-from .linalg import hermitian_eig, hermitize
-from .privacy import sample_hermitian_noise
-from .protocol import CPU, Backhaul, MessageKind, ap_name
+from .linalg import hermitian_eig
+from .privacy import CompletionResult, gram_round, split_aps
+from .protocol import Backhaul, MessageKind
 
 
 @dataclass(frozen=True)
@@ -52,20 +50,9 @@ def trim(y_m, threshold):
     return out
 
 
-def ap_release_gram(y_trimmed, noise_scale, seed):
-    """Privatised Gram of the trimmed observation; exactly Hermitian."""
-    return hermitize(y_trimmed.conj().T @ y_trimmed) + sample_hermitian_noise(
-        y_trimmed.shape[1], noise_scale, seed
-    )
-
-
-def cpu_topk(grams, rank, tau_c):
-    """Top-`rank` orthonormal eigenbasis of the symmetrized aggregate."""
-    w = np.zeros((tau_c, tau_c), dtype=complex)
-    for g in grams:  # ascending AP order
-        w = w + g
-    pairs = hermitian_eig(w, rank)
-    return np.column_stack([p.vector for p in pairs])
+def cpu_topk(w, rank):
+    """Top-`rank` orthonormal eigenbasis of the aggregated releases."""
+    return np.column_stack([p.vector for p in hermitian_eig(w, rank)])
 
 
 def ap_complete(y_trimmed, basis, upsample):
@@ -75,28 +62,6 @@ def ap_complete(y_trimmed, basis, upsample):
             f"basis rows {basis.shape[0]} do not match block columns {y_trimmed.shape[1]}"
         )
     return upsample * ((y_trimmed @ basis) @ basis.conj().T)
-
-
-def run_round_svd(y_blocks, cfg, upsample, net, entropy):
-    """The single release/broadcast/complete round over the backhaul."""
-    n_aps = len(y_blocks)
-    tau_c = y_blocks[0].shape[1]
-    trimmed = []
-    for m in range(n_aps):
-        y_t = trim(y_blocks[m], cfg.trim_threshold)
-        trimmed.append(y_t)
-        seed = np.random.SeedSequence([*entropy, m])
-        net.send(
-            MessageKind.GRAM_RELEASE,
-            ap_name(m),
-            CPU,
-            1,
-            ap_release_gram(y_t, cfg.noise_scale, seed),
-        )
-    grams = net.round_payloads(MessageKind.GRAM_RELEASE, 1)
-    basis = cpu_topk(grams, cfg.rank, tau_c)
-    net.broadcast(MessageKind.BASIS_BROADCAST, 1, basis)
-    return [ap_complete(y_t, basis, upsample) for y_t in trimmed]
 
 
 def run_svd(y, omega, n_aps, cfg, seed, upsample, net=None):
@@ -112,24 +77,17 @@ def run_svd(y, omega, n_aps, cfg, seed, upsample, net=None):
         upsample: N_a / N_r compensation factor.
         net: optional Backhaul to append to.
     """
-    y = np.asarray(y, dtype=complex)
-    if y.shape != omega.shape:
-        raise ShapeError(f"omega shape {omega.shape} does not match y {y.shape}")
-    if y.shape[0] % n_aps != 0:
-        raise ShapeError(f"{y.shape[0]} rows do not split over {n_aps} APs")
     if upsample <= 0:
         raise ArgumentError(f"upsample must be positive, got {upsample}")
-    entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    if net is None:
-        net = Backhaul()
-    n_ant = y.shape[0] // n_aps
-    y_blocks = [y[m * n_ant : (m + 1) * n_ant] for m in range(n_aps)]
-    x_blocks = run_round_svd(y_blocks, cfg, upsample, net, entropy)
+    y_blocks, _ = split_aps(y, omega, n_aps)
+    trimmed = [trim(b, cfg.trim_threshold) for b in y_blocks]
+    basis = gram_round(
+        Backhaul() if net is None else net, 1, trimmed, cfg.noise_scale, seed,
+        MessageKind.BASIS_BROADCAST, lambda w: cpu_topk(w, cfg.rank),
+    )
+    x_blocks = [ap_complete(y_t, basis, upsample) for y_t in trimmed]
     return CompletionResult(
         x_hat=np.vstack(x_blocks),
         rounds=1,
-        transcript=net.transcript,
-        ledger=net.ledger,
         masked_norms=np.array([[float(np.linalg.norm(b)) for b in x_blocks]]),
-        clip_events=0,
     )

@@ -63,3 +63,20 @@ def centralized_svd(y, threshold, rank, upsample):
     vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
     basis = vecs[:, np.argsort(vals)[::-1][:rank]]
     return upsample * (yt @ basis @ basis.conj().T)
+
+
+def pilot_only_lmmse(h_hat, y_m, omega_m, sigma2, t, tau_p):
+    """Per-slot reference for the batched pilot-only detector, slot t (0-based).
+
+    Only the antennas observed in that slot enter; the Gram is
+    regularised by the noise power, falling back to a pseudoinverse when
+    sigma2 is zero.
+    """
+    col = tau_p + t
+    obs = np.flatnonzero(omega_m[:, col])
+    f = np.asarray(h_hat)[obs, :]
+    yv = np.asarray(y_m)[obs, col]
+    if sigma2 > 0:
+        a = f.conj().T @ f + sigma2 * np.eye(f.shape[1])
+        return np.linalg.solve(a, f.conj().T @ yv)
+    return np.linalg.pinv(f, rcond=1e-12) @ yv

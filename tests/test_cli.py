@@ -5,6 +5,7 @@ import json
 import pytest
 
 from privcell import cli
+from privcell.config import METHODS
 from privcell.harness import read_csv
 
 TOY = """\
@@ -114,3 +115,59 @@ def test_crossval_prefers_more_iterations(tmp_path, capsys):
     )
     assert rc == cli.EXIT_OK
     assert "best fw_iters=40" in capsys.readouterr().out
+
+
+# Gram rounds per trial on the toy config: fw_iters, the default
+# np_fw_iters, one for the one-shot methods, none for pilot-only.
+TOY_ROUNDS = {"fw": 4, "npfw": 200, "svd": 1, "npsvd": 1, "po": 0}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_every_method_audits_and_simulates(method, toy_config, tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    rc = cli.main(["audit", "--config", str(toy_config), "--method", method, "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    assert "audit: PASS" in capsys.readouterr().out
+    rounds, n_aps = TOY_ROUNDS[method], 2
+    # M releases and one broadcast per round, then M local detections
+    assert len(out.read_text().splitlines()) == n_aps * rounds + rounds + n_aps
+
+    csv_out = tmp_path / "sweep.csv"
+    rc = cli.main(
+        ["simulate", "--config", str(toy_config), "--method", method,
+         "--values", "1", "--out", str(csv_out)]
+    )
+    assert rc == cli.EXIT_OK
+    row = read_csv(csv_out)[0]
+    assert row["method"] == method
+    assert row["failures"] == 0
+
+
+def test_fractional_tau_d_sweep_value_exits_2(toy_config, tmp_path, capsys):
+    out = tmp_path / "tau.csv"
+    rc = cli.main(
+        ["simulate", "--config", str(toy_config), "--method", "po",
+         "--sweep", "tau_d", "--values", "20.7", "--out", str(out)]
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert "tau_d must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractional_fw_iters_crossval_value_exits_2(toy_config, capsys):
+    rc = cli.main(
+        ["crossval", "--config", str(toy_config), "--method", "fw",
+         "--param", "fw_iters", "--values", "8.5", "--trials", "1"]
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert "fw_iters must be a whole number" in capsys.readouterr().err
+
+
+def test_fractional_fw_iters_in_yaml_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(TOY.replace("fw_iters: 4", "fw_iters: 8.5"))
+    rc = cli.main(
+        ["simulate", "--config", str(cfg), "--values", "1", "--out", str(tmp_path / "o.csv")]
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert "fw_iters" in capsys.readouterr().err

@@ -65,8 +65,10 @@ def test_run_validation():
         RunConfig(nuc_bound=-0.1)
     with pytest.raises(ConfigError):
         RunConfig(trials=0)
-    with pytest.raises(ConfigError):
-        RunConfig(workers=0)
+    for name in ("fw_iters", "np_fw_iters", "trials"):
+        for bad in (8.5, 8.0, "8", None):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(**{name: bad})
     assert set(METHODS) == {"fw", "svd", "npfw", "npsvd", "po"}
 
 

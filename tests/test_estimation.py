@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import pilot_only_lmmse
 from privcell.channel import crandn, gen_pilots
 from privcell.errors import MetricUndefinedError, ShapeError
 from privcell.estimation import (
@@ -9,7 +10,6 @@ from privcell.estimation import (
     estimate_channel,
     nmse,
     pilot_only_detect_block,
-    pilot_only_lmmse,
     pilot_only_ls,
     ser,
     slice_qpsk,

@@ -5,7 +5,6 @@ from oracles import centralized_fw
 from privcell.errors import ArgumentError, DegenerateStepError, ShapeError
 from privcell.fw import (
     FwConfig,
-    ap_release_gram,
     ap_residual,
     ap_update,
     clip_observed,
@@ -14,6 +13,7 @@ from privcell.fw import (
     run_fw,
     step_size,
 )
+from privcell.privacy import release_gram
 from privcell.protocol import Backhaul, MessageKind
 
 
@@ -76,33 +76,37 @@ def test_residual_cases(rng):
 
 def test_release_gram_hand_value():
     j = np.array([[1.0, 1.0j], [2.0, 0.0]])
-    g = ap_release_gram(j, 0.0, 0)
+    g = release_gram(j, 0.0, 0)
     np.testing.assert_allclose(g, np.array([[5.0, 1.0j], [-1.0j, 1.0]]), atol=1e-14)
+    # the first FW round releases exactly this Gram of the residual -y
+    net = Backhaul()
+    run_fw(-j, np.ones(j.shape, dtype=bool), 1, FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
+    np.testing.assert_array_equal(net.transcript[0].payload, g)
 
 
 def test_release_gram_psd_when_noiseless(rng):
     j = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-    g = ap_release_gram(j, 0.0, 0)
+    g = release_gram(j, 0.0, 0)
     assert np.array_equal(g, g.conj().T)
     assert np.linalg.eigvalsh(g).min() >= -1e-10
 
 
 def test_release_gram_pure_noise():
-    g = ap_release_gram(np.zeros((3, 6), dtype=complex), 1.5, 99)
+    g = release_gram(np.zeros((3, 6), dtype=complex), 1.5, 99)
     assert np.array_equal(g, g.conj().T)
     assert np.linalg.norm(g) > 0
 
 
 def test_aggregate_eig_matches_svd(rng):
     j = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    v, lam = cpu_aggregate_eig([ap_release_gram(j, 0.0, 0)], 0.0, 1, 6)
+    v, lam = cpu_aggregate_eig(release_gram(j, 0.0, 0), 0.0, 1)
     _, s, vh = np.linalg.svd(j)
     assert lam == pytest.approx(s[0], rel=1e-10)
     assert abs(np.vdot(v, vh[0].conj())) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_aggregate_eig_clamps_negative():
-    lifted = cpu_aggregate_eig([-3.0 * np.eye(4)], 0.5, 2, 4)[1]
+    lifted = cpu_aggregate_eig(-3.0 * np.eye(4), 0.5, 2)[1]
     assert lifted == pytest.approx(np.sqrt(0.5) * (2 * 4) ** 0.25)
 
 

@@ -71,13 +71,6 @@ def test_run_point_deterministic(toy_exp):
     assert a.ser == b.ser
 
 
-def test_run_point_workers_match_serial(toy_exp):
-    serial = run_point(toy_exp, "fw", "epsilon", 1.0, 3, 11, workers=1)
-    threaded = run_point(toy_exp, "fw", "epsilon", 1.0, 3, 11, workers=3)
-    assert serial.nmse == threaded.nmse
-    assert serial.ser == threaded.ser
-
-
 def test_run_point_fw_extras(toy_exp):
     rec = run_point(toy_exp, "fw", "epsilon", 1.0, 2, 11)
     assert rec.extras is not None

@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from privcell.errors import ArgumentError, ConvergenceError, ShapeError
+from privcell.errors import ArgumentError, ShapeError
 from privcell.linalg import (
     apply_mask,
     canonical_phase,
-    frob_inner,
     frob_norm,
     hermitian_eig,
     hermitize,
     masked_frob_norm,
     pinv,
-    spec_norm,
-    top_eigpair,
 )
 
 
@@ -83,42 +80,6 @@ def test_eig_k_out_of_range():
         hermitian_eig(np.eye(3), 0)
 
 
-def test_top_eigpair_diagonal():
-    p = top_eigpair(np.diag([5.0, 2.0, 1.0]))
-    assert p.value == pytest.approx(5.0, rel=1e-9)
-    np.testing.assert_allclose(np.abs(p.vector), [1, 0, 0], atol=1e-7)
-
-
-def test_top_eigpair_rank_one(rng):
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    p = top_eigpair(np.outer(v, v.conj()))
-    assert p.value == pytest.approx(1.0, rel=1e-9)
-    # up to phase
-    assert abs(np.vdot(p.vector, v)) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_top_eigpair_matches_lapack(rng):
-    """Power-iteration route agrees with the LAPACK route on a PSD draw."""
-    b = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    a = b @ b.conj().T
-    p = top_eigpair(a)
-    q = hermitian_eig(a, 1)[0]
-    assert p.value == pytest.approx(q.value, rel=1e-7)
-
-
-def test_top_eigpair_zero_matrix():
-    p = top_eigpair(np.zeros((3, 3)))
-    assert p.value == 0.0
-
-
-def test_top_eigpair_convergence_error_carries_residual(rng):
-    a = random_hermitian(8, rng)
-    with pytest.raises(ConvergenceError) as exc:
-        top_eigpair(a, tol=0.0, max_iter=2)
-    assert exc.value.residual is not None
-
-
 def test_pinv_identity():
     np.testing.assert_allclose(pinv(np.eye(4)), np.eye(4), atol=1e-12)
 
@@ -146,15 +107,8 @@ def test_norms_and_inner():
     assert frob_norm(np.zeros((4, 4))) == 0.0
     assert frob_norm(np.eye(9)) == pytest.approx(3.0)
     a = np.array([[1 + 1j, 2], [0, 1j]])
-    ip = frob_inner(a, a)
-    assert ip.imag == pytest.approx(0.0, abs=1e-15)
-    assert ip.real == pytest.approx(frob_norm(a) ** 2)
-    assert spec_norm(np.diag([3.0, 7.0])) == pytest.approx(7.0)
-
-
-def test_frob_inner_shape_mismatch():
-    with pytest.raises(ShapeError):
-        frob_inner(np.zeros((2, 2)), np.zeros((2, 3)))
+    # squared Frobenius norm is the trace inner product of a with itself
+    assert frob_norm(a) ** 2 == pytest.approx(np.trace(a.conj().T @ a).real)
 
 
 def test_masked_norm_and_mask(rng):

@@ -5,23 +5,14 @@ import pytest
 
 from privcell.errors import ArgumentError
 from privcell.privacy import (
-    PrivacyBudget,
-    compose,
     frob_bound,
     fw_noise_scale,
+    gram_round,
+    release_gram,
     sample_hermitian_noise,
     svd_noise_scale,
 )
-
-
-def test_budget_validation():
-    PrivacyBudget(1.0, 0.1)
-    with pytest.raises(ArgumentError):
-        PrivacyBudget(0.0, 0.1)
-    with pytest.raises(ArgumentError):
-        PrivacyBudget(1.0, 1.0)
-    with pytest.raises(ArgumentError):
-        PrivacyBudget(1.0, 0.1, releases=0)
+from privcell.protocol import Backhaul, MessageKind
 
 
 # ---------------------------------------------------------------- bound
@@ -93,39 +84,22 @@ def test_scale_validation():
         svd_noise_scale(1.0, 0, 1.0, 0.1)
 
 
-# ---------------------------------------------------------------- composition
+# ---------------------------------------------------------------- release round
 
-def test_compose_zero_budget():
-    eps, delta = compose(0.0, 0.0, 10, 0.05)
-    assert eps == 0.0
-    assert delta == pytest.approx(0.05)
+@pytest.mark.parametrize("tail", [(), (3,)])
+def test_gram_round_sums_releases_in_ap_order(rng, tail):
+    blocks = [rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)) for _ in range(3)]
+    entropy = (8, 9)
+    net = Backhaul()
+    got = gram_round(net, 2, blocks, 0.4, entropy, MessageKind.BASIS_BROADCAST, lambda w: w, tail)
+    want = np.zeros((4, 4), dtype=complex)
+    for m, b in enumerate(blocks):
+        want = want + release_gram(b, 0.4, np.random.SeedSequence([*entropy, m, *tail]))
+    np.testing.assert_array_equal(got, want)
+    assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
+    assert all(m.round_index == 2 for m in net.transcript)
+    assert net.transcript[-1].kind is MessageKind.BASIS_BROADCAST
 
-
-def test_compose_single_release():
-    e, d = compose(0.3, 0.01, 1, 0.01)
-    want = 0.3 * math.sqrt(2 * math.log(1 / 0.01)) + 0.3 * (math.e**0.3 - 1)
-    assert e == pytest.approx(want, rel=1e-12)
-    assert d == pytest.approx(0.02)
-
-
-def test_compose_split_budget_reassembles():
-    """Splitting eps' across sqrt(8 T ln(1/d')) releases recovers eps'/2
-    in the first-order term."""
-    eps_target, d_slack, t = 1.0, 0.1, 12
-    eps_per = eps_target / math.sqrt(8 * t * math.log(1 / d_slack))
-    total, _ = compose(eps_per, 0.0, t, d_slack)
-    first_order = total - t * eps_per * math.expm1(eps_per)
-    assert first_order == pytest.approx(eps_target / 2, rel=1e-12)
-    assert total <= eps_target
-
-
-def test_compose_validation():
-    with pytest.raises(ArgumentError):
-        compose(-0.1, 0.0, 1, 0.1)
-    with pytest.raises(ArgumentError):
-        compose(0.1, 0.0, 0, 0.1)
-    with pytest.raises(ArgumentError):
-        compose(0.1, 0.0, 1, 0.0)
 
 
 # ---------------------------------------------------------------- sampling

@@ -8,7 +8,6 @@ from privcell.estimation import ser, slice_qpsk
 from privcell.fw import clip_observed
 from privcell.linalg import frob_norm, hermitize, masked_frob_norm, pinv
 from privcell.privacy import (
-    compose,
     frob_bound,
     fw_noise_scale,
     sample_hermitian_noise,
@@ -48,18 +47,6 @@ def test_noise_scales_halve_exactly_when_eps_doubles(eps, bound, iters, aps):
     assert svd_noise_scale(bound, aps, 2 * eps, 0.1) == svd_noise_scale(
         bound, aps, eps, 0.1
     ) / 2
-
-
-@COMMON
-@given(
-    n_releases=st.integers(min_value=1, max_value=30),
-    eps_per=st.floats(min_value=1e-3, max_value=0.5),
-)
-def test_composed_budget_grows_with_release_count(n_releases, eps_per):
-    eps_lo, delta_lo = compose(eps_per, 1e-6, n_releases, 1e-6)
-    eps_hi, delta_hi = compose(eps_per, 1e-6, n_releases + 1, 1e-6)
-    assert eps_hi > eps_lo
-    assert delta_hi > delta_lo
 
 
 @COMMON

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from privcell.protocol import (
     audit_privacy_surface,
     dump_transcript,
     is_ap,
-    load_transcript_meta,
     payload_nbytes,
 )
 
@@ -152,7 +153,7 @@ def test_transcript_dump_and_load(tmp_path):
     net.broadcast(MessageKind.EIG_BROADCAST, 1, (np.ones(3, dtype=complex), 1.0))
     path = tmp_path / "transcript.jsonl"
     dump_transcript(net.transcript, path)
-    meta = load_transcript_meta(path)
+    meta = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(meta) == 2
     assert meta[0] == {
         "round": 1, "sender": "ap0", "receiver": "cpu",

@@ -5,7 +5,7 @@ from oracles import centralized_svd
 from privcell.channel import Scenario, crandn, sample_switch
 from privcell.errors import ArgumentError, ShapeError
 from privcell.protocol import Backhaul, MessageKind
-from privcell.svdmc import SvdConfig, ap_complete, ap_release_gram, cpu_topk, run_svd, trim
+from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd, trim
 
 
 def low_rank(seed, rows, tau_c, rank):
@@ -51,16 +51,17 @@ def test_trim_is_noop_for_switch_sampled_blocks():
 
 
 def test_release_gram_hand_value():
-    j = np.array([[1.0, 1.0j], [2.0, 0.0]])
-    g = ap_release_gram(j, 0.0, 0)
-    np.testing.assert_allclose(g, np.array([[5.0, 1.0j], [-1.0j, 1.0]]), atol=1e-14)
-    noisy = ap_release_gram(j, 1.0, 3)
-    assert np.array_equal(noisy, noisy.conj().T)
+    """The one-shot round releases the Gram of the trimmed block."""
+    j = np.array([[1.0, 1.0j, 0.0], [2.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
+    net = Backhaul()
+    run_svd(j, j != 0, 1, SvdConfig(1, 0.0, 2.0), 0, upsample=1.0, net=net)
+    want = np.array([[5.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]])  # row 2 trimmed
+    np.testing.assert_allclose(net.transcript[0].payload, want, atol=1e-14)
 
 
 def test_topk_projects_onto_row_space():
     y = low_rank(2, rows=10, tau_c=8, rank=3)
-    basis = cpu_topk([y.conj().T @ y], 3, 8)
+    basis = cpu_topk(y.conj().T @ y, 3)
     np.testing.assert_allclose(
         basis.conj().T @ basis, np.eye(3), atol=1e-10
     )
@@ -73,18 +74,18 @@ def test_topk_projects_onto_row_space():
 
 def test_topk_complete_basis_is_identity(rng):
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    basis = cpu_topk([a @ a.conj().T], 5, 5)
+    basis = cpu_topk(a @ a.conj().T, 5)
     np.testing.assert_allclose(basis @ basis.conj().T, np.eye(5), atol=1e-10)
 
 
 def test_complete_block():
     y = low_rank(3, rows=4, tau_c=6, rank=2)
-    basis = cpu_topk([y.conj().T @ y], 2, 6)
+    basis = cpu_topk(y.conj().T @ y, 2)
     out = ap_complete(y, basis, 1.0)
     np.testing.assert_allclose(out, y, atol=1e-8)
     np.testing.assert_allclose(ap_complete(y, basis, 2.0), 2.0 * out, rtol=1e-12)
     # basis orthogonal to the rows kills the block
-    ortho = cpu_topk([y.conj().T @ y], 6, 6)[:, 2:]
+    ortho = cpu_topk(y.conj().T @ y, 6)[:, 2:]
     assert np.linalg.norm(ap_complete(y, ortho, 1.0)) <= 1e-8
     with pytest.raises(ShapeError):
         ap_complete(y, basis[:4], 1.0)

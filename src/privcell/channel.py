@@ -27,6 +27,13 @@ log = logging.getLogger(__name__)
 MIN_DIST_M = 1.0  # distances are floored here before the path-loss law
 
 
+def check_real(name, value):
+    """A ConfigError unless value is a finite real number (a bool is not one)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """Physical parameters of one experiment."""
@@ -51,6 +58,8 @@ class Scenario:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        for name in ("R_km", "pl_a", "pl_b", "sigma_sh_db", "sigma2"):
+            check_real(name, getattr(self, name))
         if self.N_r > self.N_a:
             raise ConfigError(f"N_r={self.N_r} exceeds N_a={self.N_a}")
         if self.tau_p < self.K:

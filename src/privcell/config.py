@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .channel import Scenario
+from .channel import Scenario, check_real
 from .errors import ConfigError
 
 SCENARIO_KEYS = {f.name for f in fields(Scenario)}
@@ -75,6 +75,8 @@ class RunConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("eps", "delta", "nuc_bound", "clip_bound"):
+            check_real(name, getattr(self, name))
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not 0 < self.delta < 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
-from .linalg import apply_mask, hermitian_eig, masked_frob_norm
+from .linalg import hermitian_eig, observed_norms
 from .privacy import CompletionResult, gram_round, split_aps
 from .protocol import Backhaul, MessageKind
 
@@ -60,9 +60,9 @@ def step_size(round_index, iterations):
     return 1.0 if round_index == 1 else 1.0 / iterations
 
 
-def ap_residual(x_m, y_m, omega_m):
-    """Masked-iterate-minus-observation; supported on the observed set."""
-    return apply_mask(x_m, omega_m) - y_m
+def ap_residual(x, y, omega):
+    """Every AP's masked iterate minus its observation; zero off the observed set."""
+    return np.where(omega, x, 0.0) - y
 
 
 def cpu_aggregate_eig(w, noise_scale, n_aps):
@@ -80,21 +80,22 @@ def cpu_aggregate_eig(w, noise_scale, n_aps):
     return pair.vector, lam_lifted
 
 
-def clip_observed(x_m, omega_m, bound):
-    """Scale the whole block so its observed-entry norm is within bound."""
-    mn = masked_frob_norm(x_m, omega_m)
-    if mn <= bound:
-        return x_m, False
-    return x_m * (bound / mn), True
+def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega):
+    """Every AP's local FW step against the broadcast direction, then clip.
 
-
-def ap_update(x_m, j_m, v_top, lam_lifted, eta, cfg, omega_m):
-    """One local FW step against the broadcast direction, then clip."""
+    An AP whose observed-entry norm exceeds cfg.clip_bound has its whole
+    block scaled onto the bound.  Returns (x_new, norms after clip, clipped).
+    """
     if lam_lifted == 0.0:
         raise DegenerateStepError("lifted top value is exactly zero")
-    step = np.outer(j_m @ v_top, v_top.conj())
-    x_new = (1.0 - eta) * x_m - (eta * cfg.nuclear_bound / lam_lifted) * step
-    return clip_observed(x_new, omega_m, cfg.clip_bound)
+    step = (j @ v_top)[..., None] * v_top.conj()
+    x_new = (1.0 - eta) * x - (eta * cfg.nuclear_bound / lam_lifted) * step
+    norms = observed_norms(x_new, omega)
+    clipped = ~(norms <= cfg.clip_bound)  # a NaN norm counts as over the bound
+    for m in np.flatnonzero(clipped):
+        x_new[m] *= cfg.clip_bound / norms[m]
+        norms[m] = np.linalg.norm(x_new[m][omega[m]])
+    return x_new, norms, clipped
 
 
 def run_fw(y, omega, n_aps, cfg, seed, net=None):
@@ -110,32 +111,28 @@ def run_fw(y, omega, n_aps, cfg, seed, net=None):
 
     Returns a CompletionResult.
     """
-    y_blocks, omega_blocks = split_aps(y, omega, n_aps)
+    y, omega = split_aps(y, omega, n_aps)
     if net is None:
         net = Backhaul()
-    x_blocks = [np.zeros_like(b) for b in y_blocks]
+    x = np.zeros_like(y)
     lam_path = np.empty(cfg.iterations)
     masked_norms = np.empty((cfg.iterations, n_aps))
     clip_events = 0
     iterates = [] if cfg.keep_iterates else None
     for n in range(1, cfg.iterations + 1):
-        residuals = [ap_residual(*b) for b in zip(x_blocks, y_blocks, omega_blocks)]
+        j = ap_residual(x, y, omega)
         v_top, lam_lifted = gram_round(
-            net, n, residuals, cfg.noise_scale, seed, MessageKind.EIG_BROADCAST,
+            net, n, j, cfg.noise_scale, seed, MessageKind.EIG_BROADCAST,
             lambda w: cpu_aggregate_eig(w, cfg.noise_scale, n_aps), tail=(n,),
         )
         eta = step_size(n, cfg.iterations)
-        for m in range(n_aps):
-            x_blocks[m], clipped = ap_update(
-                x_blocks[m], residuals[m], v_top, lam_lifted, eta, cfg, omega_blocks[m]
-            )
-            clip_events += int(clipped)
-            masked_norms[n - 1, m] = masked_frob_norm(x_blocks[m], omega_blocks[m])
+        x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, omega)
+        clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
         if iterates is not None:
-            iterates.append(np.vstack(x_blocks))
+            iterates.append(x.reshape(-1, x.shape[2]))
     return CompletionResult(
-        x_hat=np.vstack(x_blocks),
+        x_hat=x.reshape(-1, x.shape[2]),
         rounds=cfg.iterations,
         masked_norms=masked_norms,
         clip_events=clip_events,

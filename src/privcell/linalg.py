@@ -24,10 +24,12 @@ def _check_square(a):
     return a
 
 
-def hermitize(a):
-    """(A + A^H)/2.  Exact no-op (bitwise) on an already-Hermitian input."""
+def hermitize(a, out=None):
+    """(A + A^H)/2, into `out` if given (it may be `a`); bitwise no-op on Hermitian A."""
     a = _check_square(a)
-    return 0.5 * (a + a.conj().T)
+    out = np.add(a, a.conj().T, out=out)  # a ufunc buffers any overlap of out with a
+    out *= 0.5
+    return out
 
 
 def canonical_phase(v):
@@ -70,17 +72,8 @@ def frob_norm(a):
     return float(np.linalg.norm(a))
 
 
-def masked_frob_norm(a, mask):
-    """Frobenius norm restricted to entries where mask is True."""
-    a = np.asarray(a)
-    if a.shape != mask.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match {a.shape}")
-    return float(np.linalg.norm(a[mask]))
-
-
-def apply_mask(a, mask):
-    """Zero out entries where mask is False."""
-    a = np.asarray(a)
-    if a.shape != mask.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match {a.shape}")
-    return np.where(mask, a, 0.0)
+def observed_norms(x, omega):
+    """Per-AP Frobenius norm over the observed entries of an (M, N_a, tau_c) stack."""
+    if x.shape != omega.shape:
+        raise ShapeError(f"mask shape {omega.shape} does not match {x.shape}")
+    return np.array([np.linalg.norm(x_m[o_m]) for x_m, o_m in zip(x, omega)])

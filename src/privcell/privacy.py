@@ -19,6 +19,7 @@ Scales are stated per AP; M released matrices are summed at the CPU, so
 the aggregate per-entry variance is M times the per-AP variance.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,7 +37,7 @@ class CompletionResult:
 
     x_hat: np.ndarray  # stacked completed matrix (M*N_a, tau_c)
     rounds: int
-    masked_norms: np.ndarray  # (rounds, M) per-AP block norms after each round
+    masked_norms: np.ndarray  # (rounds, M) per-AP observed-entry norms after each round
     clip_events: int = 0
     lam_path: Optional[np.ndarray] = None  # lifted top value per round
     iterates: Optional[list] = None  # stacked iterate after each round
@@ -87,6 +88,14 @@ def svd_noise_scale(bound, n_aps, eps, delta):
     return bound**2 * math.sqrt((2.0 / n_aps) * math.log(1.25 / delta)) / eps
 
 
+@functools.lru_cache(maxsize=16)
+def _hermitian_slots(dim):
+    """Upper re/im, lower re/im and diagonal slots in the float view of a dim x dim matrix."""
+    i, j = np.triu_indices(dim, k=1)
+    up, lo = 2 * (i * dim + j), 2 * (j * dim + i)
+    return up, up + 1, lo, lo + 1, 2 * (dim + 1) * np.arange(dim)
+
+
 def sample_hermitian_noise(dim, scale, seed):
     """Hermitian noise matrix with exact symmetry.
 
@@ -103,15 +112,15 @@ def sample_hermitian_noise(dim, scale, seed):
     g = np.zeros((dim, dim), dtype=complex)
     if scale == 0.0:
         return g
-    rng = np.random.default_rng(seed)
-    iu = np.triu_indices(dim, k=1)
-    n_off = iu[0].size
-    comp = scale / math.sqrt(2.0)
-    re = rng.standard_normal(n_off) * comp
-    im = rng.standard_normal(n_off) * comp
-    g[iu] = re + 1j * im
-    g = g + g.conj().T
-    g[np.diag_indices(dim)] = rng.standard_normal(dim) * scale
+    up_re, up_im, lo_re, lo_im, diag = _hermitian_slots(dim)
+    n_off = up_re.size
+    z = np.random.default_rng(seed).standard_normal(2 * n_off + dim)
+    off = z[: 2 * n_off] * (scale / math.sqrt(2.0)) + 0.0  # -0 -> +0, as in U + U^H
+    flat = g.reshape(-1).view(np.float64)
+    flat[up_re] = flat[lo_re] = off[:n_off]
+    flat[up_im] = off[n_off:]
+    flat[lo_im] = np.subtract(0.0, off[n_off:])
+    flat[diag] = z[2 * n_off :] * scale
     return g
 
 
@@ -122,41 +131,38 @@ def _check_budget(eps, delta):
         raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
 
 
-def release_gram(block, noise_scale, seed):
-    """One AP's release: hermitize(B^H B) plus Hermitian noise; exactly Hermitian."""
-    return hermitize(block.conj().T @ block) + sample_hermitian_noise(
-        block.shape[1], noise_scale, seed
-    )
-
-
 def split_aps(y, omega, n_aps):
-    """The row blocks of y (as complex) and omega that each AP owns."""
+    """y (as complex) and omega as (M, N_a, tau_c) stacks of the AP row blocks."""
     y = np.asarray(y, dtype=complex)
     if y.shape != omega.shape:
         raise ShapeError(f"omega shape {omega.shape} does not match y {y.shape}")
     if y.shape[0] % n_aps != 0:
         raise ShapeError(f"{y.shape[0]} rows do not split over {n_aps} APs")
-    n_ant = y.shape[0] // n_aps
-    rows = [slice(m * n_ant, (m + 1) * n_ant) for m in range(n_aps)]
-    return [y[r] for r in rows], [omega[r] for r in rows]
+    shape = (n_aps, y.shape[0] // n_aps, y.shape[1])
+    return y.reshape(shape), omega.reshape(shape)
 
 
 def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     """One release -> aggregate -> broadcast round over the backhaul.
 
-    AP m releases release_gram(blocks[m]) with noise seeded by
-    SeedSequence([*seed, m, *tail]); the CPU sums the releases in
-    ascending AP order, broadcasts cpu(sum) as `kind` and returns it.
+    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m releases
+    hermitize(B_m^H B_m) plus, when noise_scale > 0, Hermitian noise seeded
+    by SeedSequence([*seed, m, *tail]); each release is a view into this
+    round's own stack of Grams.  The CPU sums the releases in ascending AP
+    order, broadcasts cpu(sum) as `kind` and returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    for m, block in enumerate(blocks):
-        noise_seed = np.random.SeedSequence([*entropy, m, *tail])
-        gram = release_gram(block, noise_scale, noise_seed)
+    grams = blocks.conj().transpose(0, 2, 1) @ blocks
+    tau_c = grams.shape[1]
+    for m, gram in enumerate(grams):
+        hermitize(gram, out=gram)
+        if noise_scale > 0:
+            noise_seed = np.random.SeedSequence([*entropy, m, *tail])
+            gram += sample_hermitian_noise(tau_c, noise_scale, noise_seed)
         net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, gram)
-    tau_c = blocks[0].shape[1]
     w = np.zeros((tau_c, tau_c), dtype=complex)
     for g in net.round_payloads(MessageKind.GRAM_RELEASE, round_index):
-        w = w + g  # fixed reduction order keeps results bitwise reproducible
+        w += g  # fixed reduction order keeps results bitwise reproducible
     payload = cpu(w)
     net.broadcast(kind, round_index, payload)
     return payload

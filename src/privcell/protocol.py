@@ -13,7 +13,7 @@ broadcast is counted once, not per recipient.
 """
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -94,6 +94,7 @@ class Backhaul:
     def __init__(self):
         self.transcript = []
         self.ledger = OverheadLedger()
+        self._payloads = defaultdict(list)  # (kind, round) -> payloads in send order
 
     def send(self, kind, sender, receiver, round_index, payload):
         if is_ap(sender):
@@ -118,18 +119,15 @@ class Backhaul:
         )
         self.transcript.append(msg)
         self.ledger.record(msg)
+        self._payloads[(kind, round_index)].append(payload)
         return msg
 
     def broadcast(self, kind, round_index, payload):
         return self.send(kind, CPU, ALL_APS, round_index, payload)
 
     def round_payloads(self, kind, round_index):
-        """Payloads of one kind in one round, in transcript (AP) order."""
-        return [
-            m.payload
-            for m in self.transcript
-            if m.kind is kind and m.round_index == round_index
-        ]
+        """Payloads of one kind in one round, in send (AP) order; [] if none was sent."""
+        return list(self._payloads.get((kind, round_index), ()))
 
 
 @dataclass

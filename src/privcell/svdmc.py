@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, observed_norms
 from .privacy import CompletionResult, gram_round, split_aps
 from .protocol import Backhaul, MessageKind
 
@@ -41,12 +41,11 @@ class SvdConfig:
         )
 
 
-def trim(y_m, threshold):
+def trim(y, threshold):
     """Zero out rows whose nonzero count strictly exceeds the threshold."""
-    y_m = np.asarray(y_m)
-    counts = np.count_nonzero(y_m, axis=1)
-    out = y_m.copy()
-    out[counts > threshold] = 0.0
+    y = np.asarray(y)
+    out = y.copy()
+    out[np.count_nonzero(y, axis=-1) > threshold] = 0.0
     return out
 
 
@@ -56,11 +55,9 @@ def cpu_topk(w, rank):
 
 
 def ap_complete(y_trimmed, basis, upsample):
-    """Project onto the broadcast basis and undo the switch undersampling."""
-    if basis.shape[0] != y_trimmed.shape[1]:
-        raise ShapeError(
-            f"basis rows {basis.shape[0]} do not match block columns {y_trimmed.shape[1]}"
-        )
+    """Project each AP's block onto the broadcast basis and undo the switch undersampling."""
+    if basis.shape[0] != y_trimmed.shape[-1]:
+        raise ShapeError(f"basis has {basis.shape[0]} rows, blocks {y_trimmed.shape[-1]} columns")
     return upsample * ((y_trimmed @ basis) @ basis.conj().T)
 
 
@@ -69,8 +66,8 @@ def run_svd(y, omega, n_aps, cfg, seed, upsample, net=None):
 
     Args:
         y: (M*N_a, tau_c) observed matrix, zeros off the observed set.
-        omega: matching boolean observation mask (kept for interface parity;
-            trimming works off the stored zeros).
+        omega: matching boolean observation mask (trimming works off the
+            stored zeros; omega only selects the entries masked_norms covers).
         n_aps: number of row blocks (APs).
         cfg: SvdConfig.
         seed: int or tuple of ints for the per-AP release noise.
@@ -79,15 +76,13 @@ def run_svd(y, omega, n_aps, cfg, seed, upsample, net=None):
     """
     if upsample <= 0:
         raise ArgumentError(f"upsample must be positive, got {upsample}")
-    y_blocks, _ = split_aps(y, omega, n_aps)
-    trimmed = [trim(b, cfg.trim_threshold) for b in y_blocks]
+    y, omega = split_aps(y, omega, n_aps)
+    trimmed = trim(y, cfg.trim_threshold)
     basis = gram_round(
         Backhaul() if net is None else net, 1, trimmed, cfg.noise_scale, seed,
         MessageKind.BASIS_BROADCAST, lambda w: cpu_topk(w, cfg.rank),
     )
-    x_blocks = [ap_complete(y_t, basis, upsample) for y_t in trimmed]
+    x = ap_complete(trimmed, basis, upsample)
     return CompletionResult(
-        x_hat=np.vstack(x_blocks),
-        rounds=1,
-        masked_norms=np.array([[float(np.linalg.norm(b)) for b in x_blocks]]),
+        x_hat=x.reshape(-1, x.shape[2]), rounds=1, masked_norms=observed_norms(x, omega)[None]
     )

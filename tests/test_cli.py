@@ -163,6 +163,20 @@ def test_fractional_fw_iters_crossval_value_exits_2(toy_config, capsys):
     assert "fw_iters must be a whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, name",
+    [("eps: .nan", "eps"), ("eps: abc", "eps"), ("R_km: .nan", "R_km")],
+)
+def test_non_numeric_float_field_exits_2(tmp_path, capsys, line, name):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(TOY + line + "\n")
+    out = tmp_path / "o.csv"
+    rc = cli.main(["simulate", "--config", str(cfg), "--values", "1", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{name} must be a finite real number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fractional_fw_iters_in_yaml_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(TOY.replace("fw_iters: 4", "fw_iters: 8.5"))

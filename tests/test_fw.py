@@ -7,13 +7,12 @@ from privcell.fw import (
     FwConfig,
     ap_residual,
     ap_update,
-    clip_observed,
     cpu_aggregate_eig,
     nuclear_norm_budget,
     run_fw,
     step_size,
 )
-from privcell.privacy import release_gram
+from privcell.privacy import gram_round, sample_hermitian_noise
 from privcell.protocol import Backhaul, MessageKind
 
 
@@ -32,6 +31,26 @@ def make_instance(seed, n_aps=3, n_ant=2, tau_c=8, density=0.5):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
+
+
+def ref_release(block, noise_scale, seed):
+    """Per-AP reference release: (B^H B + (B^H B)^H) / 2 plus Hermitian noise."""
+    g = block.conj().T @ block
+    return 0.5 * (g + g.conj().T) + sample_hermitian_noise(block.shape[1], noise_scale, seed)
+
+
+def ref_update(x_m, j_m, v, lam, eta, nuclear_bound, clip_bound, omega_m):
+    """Per-AP reference FW step and clip of the whole block onto the bound."""
+    x_new = (1.0 - eta) * x_m - (eta * nuclear_bound / lam) * np.outer(j_m @ v, v.conj())
+    mn = np.linalg.norm(x_new[omega_m])
+    return (x_new, False) if mn <= clip_bound else (x_new * (clip_bound / mn), True)
+
+
+def one_ap_release(j, noise_scale, seed):
+    """What a lone AP with block j sends in one Gram round."""
+    net = Backhaul()
+    gram_round(net, 1, j[None], noise_scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
+    return net.transcript[0].payload
 
 
 # ---------------------------------------------------------------- pieces
@@ -72,12 +91,16 @@ def test_residual_cases(rng):
     assert np.all(ap_residual(y, y, omega) == 0)
     j = ap_residual(rng.standard_normal((2, 5)) + 0j, y, omega)
     assert np.all(j[~omega] == 0)
+    # on an (M, N_a, tau_c) stack each slice is that AP's own residual
+    x3, y3, o3 = (np.stack([a, 2 * a]) for a in (j, y, omega))
+    np.testing.assert_array_equal(ap_residual(x3, y3, o3)[1], ap_residual(2 * j, 2 * y, omega))
 
 
 def test_release_gram_hand_value():
     j = np.array([[1.0, 1.0j], [2.0, 0.0]])
-    g = release_gram(j, 0.0, 0)
+    g = one_ap_release(j, 0.0, 0)
     np.testing.assert_allclose(g, np.array([[5.0, 1.0j], [-1.0j, 1.0]]), atol=1e-14)
+    np.testing.assert_array_equal(g, ref_release(j, 0.0, 0))
     # the first FW round releases exactly this Gram of the residual -y
     net = Backhaul()
     run_fw(-j, np.ones(j.shape, dtype=bool), 1, FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
@@ -86,20 +109,21 @@ def test_release_gram_hand_value():
 
 def test_release_gram_psd_when_noiseless(rng):
     j = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-    g = release_gram(j, 0.0, 0)
+    g = one_ap_release(j, 0.0, 0)
     assert np.array_equal(g, g.conj().T)
     assert np.linalg.eigvalsh(g).min() >= -1e-10
 
 
 def test_release_gram_pure_noise():
-    g = release_gram(np.zeros((3, 6), dtype=complex), 1.5, 99)
+    g = one_ap_release(np.zeros((3, 6), dtype=complex), 1.5, 99)
     assert np.array_equal(g, g.conj().T)
     assert np.linalg.norm(g) > 0
+    np.testing.assert_array_equal(g, ref_release(np.zeros((3, 6)), 1.5, np.random.SeedSequence([99, 0])))
 
 
 def test_aggregate_eig_matches_svd(rng):
     j = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    v, lam = cpu_aggregate_eig(release_gram(j, 0.0, 0), 0.0, 1)
+    v, lam = cpu_aggregate_eig(one_ap_release(j, 0.0, 0), 0.0, 1)
     _, s, vh = np.linalg.svd(j)
     assert lam == pytest.approx(s[0], rel=1e-10)
     assert abs(np.vdot(v, vh[0].conj())) == pytest.approx(1.0, abs=1e-8)
@@ -111,27 +135,38 @@ def test_aggregate_eig_clamps_negative():
 
 
 def test_clip_observed(rng):
-    x = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    omega = rng.random((2, 6)) < 0.5
-    mn = np.linalg.norm(x[omega])
-    same, flag = clip_observed(x, omega, mn * 1.01)
-    assert not flag and same is x
-    scaled, flag = clip_observed(x, omega, mn / 2)
-    assert flag
-    assert np.linalg.norm(scaled[omega]) == pytest.approx(mn / 2, rel=1e-12)
+    """The batched step clips exactly the APs over the bound, as the per-AP reference does."""
+    x = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
+    j = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
+    omega = rng.random((4, 2, 6)) < 0.5
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v /= np.linalg.norm(v)
+    ref = [ref_update(x[m], j[m], v, 3.0, 0.25, 2.0, np.inf, omega[m])[0] for m in range(4)]
+    bound = float(np.median([np.linalg.norm(r[o]) for r, o in zip(ref, omega)]))
+    cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=bound, noise_scale=0.0)
+    got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, omega)
+    assert 0 < clipped.sum() < 4
+    for m in range(4):
+        want, flag = ref_update(x[m], j[m], v, 3.0, 0.25, 2.0, bound, omega[m])
+        np.testing.assert_array_equal(got[m], want)
+        assert clipped[m] == flag
+        assert norms[m] == np.linalg.norm(want[omega[m]])
+        assert norms[m] <= bound * (1 + 1e-12)
     # whole block scales together, not just the observed part
-    np.testing.assert_allclose(scaled, x * (mn / 2 / mn), rtol=1e-12)
+    m = int(np.flatnonzero(clipped)[0])
+    np.testing.assert_allclose(got[m], ref[m] * (bound / np.linalg.norm(ref[m][omega[m]])), rtol=1e-12)
 
 
 def test_update_is_rank_one_step(rng):
     cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=100.0, noise_scale=0.0)
     y, omega, _ = make_instance(3, n_aps=1)
+    y, omega = y[None], omega[None]
     j = ap_residual(np.zeros_like(y), y, omega)
-    v = rng.standard_normal(y.shape[1]) + 1j * rng.standard_normal(y.shape[1])
+    v = rng.standard_normal(y.shape[2]) + 1j * rng.standard_normal(y.shape[2])
     v /= np.linalg.norm(v)
-    x1, clipped = ap_update(np.zeros_like(y), j, v, 3.0, 1.0, cfg, omega)
-    assert not clipped
-    sv = np.linalg.svd(x1, compute_uv=False)
+    x1, _norms, clipped = ap_update(np.zeros_like(y), j, v, 3.0, 1.0, cfg, omega)
+    assert not clipped.any()
+    sv = np.linalg.svd(x1[0], compute_uv=False)
     assert sv[1] <= 1e-12 * max(sv[0], 1.0)
 
 
@@ -140,7 +175,7 @@ def test_update_degenerate_lambda(rng):
     y, omega, _ = make_instance(3, n_aps=1)
     v = np.ones(y.shape[1], dtype=complex)
     with pytest.raises(DegenerateStepError):
-        ap_update(np.zeros_like(y), -y, v, 0.0, 1.0, cfg, omega)
+        ap_update(np.zeros_like(y[None]), -y[None], v, 0.0, 1.0, cfg, omega[None])
 
 
 # ---------------------------------------------------------------- runs
@@ -206,6 +241,35 @@ def test_run_telemetry_and_transcript():
     assert net.ledger.count(MessageKind.GRAM_RELEASE) == 15
     assert net.ledger.count(MessageKind.EIG_BROADCAST) == 5
     assert res.iterates is None
+
+
+def test_transcript_after_batched_run():
+    """Each release of a noisy multi-round run is the per-AP reference release
+    of that AP's residual, in memory of its own round; the inputs stay as given."""
+    y, omega, _ = make_instance(13, n_aps=3, n_ant=2, tau_c=8)
+    y_in, omega_in = y.copy(), omega.copy()
+    entropy = (5, 1, 2)
+    cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3, keep_iterates=True)
+    net = Backhaul()
+    res = run_fw(y, omega, 3, cfg, entropy, net=net)
+    assert res.clip_events > 0
+    releases = [m for m in net.transcript if m.kind is MessageKind.GRAM_RELEASE]
+    assert len(releases) == 12
+    x_prev = np.zeros_like(y)
+    for n in range(1, 5):
+        residual = np.where(omega, x_prev, 0.0) - y
+        for m in range(3):
+            msg = releases[3 * (n - 1) + m]
+            assert (msg.sender, msg.round_index) == (f"ap{m}", n)
+            seed = np.random.SeedSequence([*entropy, m, n])
+            np.testing.assert_array_equal(msg.payload, ref_release(residual[2 * m:2 * m + 2], 0.3, seed))
+        x_prev = res.iterates[n - 1]
+    for a in releases:
+        for b in releases:
+            if a.round_index != b.round_index:
+                assert not np.shares_memory(a.payload, b.payload)
+    np.testing.assert_array_equal(y, y_in)
+    np.testing.assert_array_equal(omega, omega_in)
 
 
 def test_run_deterministic():

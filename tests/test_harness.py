@@ -71,6 +71,21 @@ def test_run_point_deterministic(toy_exp):
     assert a.ser == b.ser
 
 
+@pytest.mark.parametrize("method", ["fw", "npfw", "svd", "po"])
+def test_trial_results_do_not_depend_on_trial_order(toy_exp, method):
+    """Each trial's (nmse, ser) is bitwise the same whatever ran before it."""
+    sc = toy_exp.scenario
+    prepared = prepare(sc, toy_exp.run, draw_beta(sc, 5))
+
+    def trial(t):
+        res = run_trial(sc, toy_exp.run, method, prepared, 5, t, 1.0)
+        return res.nmse, res.ser
+
+    forward = {t: trial(t) for t in (0, 1, 2)}
+    backward = {t: trial(t) for t in (2, 1, 0)}
+    assert forward == backward
+
+
 def test_run_point_fw_extras(toy_exp):
     rec = run_point(toy_exp, "fw", "epsilon", 1.0, 2, 11)
     assert rec.extras is not None

@@ -3,12 +3,11 @@ import pytest
 
 from privcell.errors import ArgumentError, ShapeError
 from privcell.linalg import (
-    apply_mask,
     canonical_phase,
     frob_norm,
     hermitian_eig,
     hermitize,
-    masked_frob_norm,
+    observed_norms,
     pinv,
 )
 
@@ -23,6 +22,21 @@ def test_hermitize_is_hermitian_and_idempotent(rng):
     h = hermitize(a)
     assert np.array_equal(h, h.conj().T)
     assert np.array_equal(hermitize(h), h)  # bitwise no-op on Hermitian input
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4)])
+def test_hermitize_leaves_its_input_alone(rng, shape):
+    """A 1x1 or C-contiguous input is read, never written, unless it is `out`."""
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert a.flags.c_contiguous
+    kept = a.copy()
+    h = hermitize(a)
+    np.testing.assert_array_equal(a, kept)
+    assert not np.shares_memory(h, a)
+    np.testing.assert_array_equal(h, 0.5 * (kept + kept.conj().T))
+    assert hermitize(a, out=a) is a  # in place, as a Gram round does inside its stack
+    np.testing.assert_array_equal(a, h)
+    np.testing.assert_array_equal(np.signbit(a.imag), np.signbit(h.imag))
 
 
 def test_hermitize_rejects_nonsquare():
@@ -112,13 +126,12 @@ def test_norms_and_inner():
 
 
 def test_masked_norm_and_mask(rng):
-    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    mask = rng.random((3, 4)) < 0.5
-    assert masked_frob_norm(a, mask) == pytest.approx(np.linalg.norm(a[mask]))
-    masked = apply_mask(a, mask)
-    assert np.all(masked[~mask] == 0)
-    np.testing.assert_array_equal(masked[mask], a[mask])
+    a = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    mask = rng.random((2, 3, 4)) < 0.5
+    got = observed_norms(a, mask)
+    # one np.linalg.norm per AP over its observed entries, bit for bit
+    assert got.tolist() == [np.linalg.norm(a[m][mask[m]]) for m in range(2)]
+    # entries off the mask do not count
+    np.testing.assert_array_equal(observed_norms(np.where(mask, a, 9.0), mask), got)
     with pytest.raises(ShapeError):
-        masked_frob_norm(a, mask[:, :2])
-    with pytest.raises(ShapeError):
-        apply_mask(a, mask[:2])
+        observed_norms(a, mask[:, :, :2])

@@ -8,7 +8,6 @@ from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
     gram_round,
-    release_gram,
     sample_hermitian_noise,
     svd_noise_scale,
 )
@@ -86,15 +85,23 @@ def test_scale_validation():
 
 # ---------------------------------------------------------------- release round
 
+def ref_release(block, noise_scale, seed):
+    """Per-AP reference release: (B^H B + (B^H B)^H) / 2 plus Hermitian noise."""
+    g = block.conj().T @ block
+    return 0.5 * (g + g.conj().T) + sample_hermitian_noise(block.shape[1], noise_scale, seed)
+
+
 @pytest.mark.parametrize("tail", [(), (3,)])
 def test_gram_round_sums_releases_in_ap_order(rng, tail):
-    blocks = [rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)) for _ in range(3)]
+    blocks = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
     entropy = (8, 9)
     net = Backhaul()
     got = gram_round(net, 2, blocks, 0.4, entropy, MessageKind.BASIS_BROADCAST, lambda w: w, tail)
     want = np.zeros((4, 4), dtype=complex)
     for m, b in enumerate(blocks):
-        want = want + release_gram(b, 0.4, np.random.SeedSequence([*entropy, m, *tail]))
+        release = ref_release(b, 0.4, np.random.SeedSequence([*entropy, m, *tail]))
+        np.testing.assert_array_equal(net.transcript[m].payload, release)
+        want = want + release
     np.testing.assert_array_equal(got, want)
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
     assert all(m.round_index == 2 for m in net.transcript)
@@ -133,6 +140,34 @@ def test_noise_scales_linearly():
     unit = sample_hermitian_noise(15, 1.0, 5)
     scaled = sample_hermitian_noise(15, 4.0, 5)
     np.testing.assert_allclose(scaled, 4.0 * unit, rtol=1e-12)
+
+
+def ref_hermitian_noise(dim, scale, seed):
+    """Straight-line copy of the three-call draw order: upper-real, upper-imag, diagonal."""
+    g = np.zeros((dim, dim), dtype=complex)
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(dim, k=1)
+    comp = scale / math.sqrt(2.0)
+    re = rng.standard_normal(iu[0].size) * comp
+    im = rng.standard_normal(iu[0].size) * comp
+    g[iu] = re + 1j * im
+    g = g + g.conj().T
+    g[np.diag_indices(dim)] = rng.standard_normal(dim) * scale
+    return g
+
+
+@pytest.mark.parametrize("dim", [1, 2, 24, 60, 164])
+@pytest.mark.parametrize("scale", [1.0, 3.7e5, 5e-324])  # 5e-324 rounds many draws to +-0
+def test_noise_matches_three_call_draw_order(dim, scale):
+    seed = np.random.SeedSequence([dim, 17])
+    got = sample_hermitian_noise(dim, scale, seed)
+    want = ref_hermitian_noise(dim, scale, seed)
+    np.testing.assert_array_equal(got, want)
+    if scale < 1e-300 and dim > 1:
+        assert (got.real == 0).any()  # the signed-zero case is exercised
+    for part in ("real", "imag"):
+        a, b = getattr(got, part), getattr(want, part)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_noise_validation():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privcell.estimation import ser, slice_qpsk
-from privcell.fw import clip_observed
-from privcell.linalg import frob_norm, hermitize, masked_frob_norm, pinv
+from privcell.fw import FwConfig, ap_update
+from privcell.linalg import frob_norm, hermitize, pinv
 from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
@@ -90,17 +90,22 @@ def test_pinv_satisfies_penrose_conditions(rows, cols, seed):
 @given(seed=seeds, bound=st.floats(min_value=0.05, max_value=20.0))
 def test_clip_keeps_observed_energy_inside_bound(seed, bound):
     rng = np.random.default_rng(seed)
-    x = _complex_matrix(rng, 4, 6)
-    omega = rng.random((4, 6)) < 0.6
-    clipped, did_clip = clip_observed(x, omega, bound)
-    assert masked_frob_norm(clipped, omega) <= bound * (1 + 1e-12)
-    assert did_clip == (masked_frob_norm(x, omega) > bound)
-    # scaling is a single nonnegative factor applied to the whole block
-    if frob_norm(x) > 0:
-        ratios = clipped[np.abs(x) > 1e-12] / x[np.abs(x) > 1e-12]
-        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
-        assert 0 <= ratios[0].real <= 1 + 1e-12
-        assert abs(ratios[0].imag) < 1e-12
+    x = np.stack([_complex_matrix(rng, 4, 6) for _ in range(3)])
+    omega = rng.random((3, 4, 6)) < 0.6
+    # eta = 0 and a zero residual: the step leaves x as it is, only the clip acts
+    cfg = FwConfig(1, 1.0, bound, 0.0)
+    clipped, norms, did_clip = ap_update(x, np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, omega)
+    for m in range(3):
+        assert np.linalg.norm(clipped[m][omega[m]]) <= bound * (1 + 1e-12)
+        assert norms[m] == np.linalg.norm(clipped[m][omega[m]])
+        assert did_clip[m] == (np.linalg.norm(x[m][omega[m]]) > bound)
+        # scaling is a single nonnegative factor applied to the whole block
+        if frob_norm(x[m]) > 0:
+            big = np.abs(x[m]) > 1e-12
+            ratios = clipped[m][big] / x[m][big]
+            np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
+            assert 0 <= ratios[0].real <= 1 + 1e-12
+            assert abs(ratios[0].imag) < 1e-12
 
 
 # ---------------------------------------------------------------- trimming

@@ -97,6 +97,27 @@ def test_ledger_accounting():
     assert len(net.round_payloads(MessageKind.GRAM_RELEASE, 2)) == 3
 
 
+def test_round_payloads_index_by_kind_and_round():
+    net = Backhaul()
+    sent = {}
+    for rnd in (1, 2, 3):
+        for m in range(3):
+            g = hermitian(2) + rnd * 10 + m
+            net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, rnd, g)
+            sent.setdefault((MessageKind.GRAM_RELEASE, rnd), []).append(g)
+            d = np.full((2, 3), complex(rnd, m))
+            net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, rnd, d)
+            sent.setdefault((MessageKind.LOCAL_DETECTION, rnd), []).append(d)
+        net.broadcast(MessageKind.EIG_BROADCAST, rnd, (np.ones(2, dtype=complex), 1.0))
+    for (kind, rnd), want in sent.items():
+        got = net.round_payloads(kind, rnd)
+        assert len(got) == 3
+        assert all(a is b for a, b in zip(got, want))  # ascending AP order
+    assert net.round_payloads(MessageKind.GRAM_RELEASE, 4) == []
+    assert net.round_payloads(MessageKind.BASIS_BROADCAST, 1) == []
+    assert len(net.round_payloads(MessageKind.EIG_BROADCAST, 2)) == 1
+
+
 def test_audit_passes_on_clean_transcript():
     net = Backhaul()
     net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(5))

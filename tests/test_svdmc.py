@@ -116,6 +116,18 @@ def test_run_transcript_counts():
     assert senders == {"ap0", "ap1", "ap2", "ap3"}
 
 
+def test_run_reports_observed_entry_norms():
+    rng = np.random.default_rng(4)
+    y = low_rank(11, rows=8, tau_c=6, rank=2)
+    omega = rng.random(y.shape) < 0.5
+    y = np.where(omega, y, 0.0)
+    res = run_svd(y, omega, 4, SvdConfig(2, 0.0, 10.0), 0, upsample=2.0)
+    want = [np.linalg.norm(res.x_hat[2 * m:2 * m + 2][omega[2 * m:2 * m + 2]]) for m in range(4)]
+    assert res.masked_norms.tolist() == [want]
+    # the completed blocks are dense, so the full-block norms would differ
+    assert all(w < np.linalg.norm(res.x_hat[2 * m:2 * m + 2]) for m, w in enumerate(want))
+
+
 def test_run_deterministic():
     y = low_rank(10, rows=6, tau_c=5, rank=2)
     omega = np.ones(y.shape, dtype=bool)

@@ -16,6 +16,7 @@ Conventions:
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ MIN_DIST_M = 1.0  # distances are floored here before the path-loss law
 def check_real(name, value):
     """A ConfigError unless value is a finite real number (a bool is not one)."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and math.isfinite(value)):
+    if not (real and abs(value) <= sys.float_info.max):  # also no int too large for a float
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 

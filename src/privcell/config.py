@@ -77,6 +77,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         for name in ("eps", "delta", "nuc_bound", "clip_bound"):
             check_real(name, getattr(self, name))
+        for v in self.values:
+            check_real("values", v)
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not 0 < self.delta < 1:

@@ -38,8 +38,8 @@ class FwConfig:
             raise ArgumentError(f"nuclear_bound must be positive, got {self.nuclear_bound}")
         if self.clip_bound <= 0:
             raise ArgumentError(f"clip_bound must be positive, got {self.clip_bound}")
-        if self.noise_scale < 0:
-            raise ArgumentError(f"noise_scale must be non-negative, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < math.inf:  # a NaN scale must never mean "no noise"
+            raise ArgumentError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
 def nuclear_norm_budget(beta, tau_c, n_antennas):
@@ -112,8 +112,7 @@ def run_fw(y, omega, n_aps, cfg, seed, net=None):
     Returns a CompletionResult.
     """
     y, omega = split_aps(y, omega, n_aps)
-    if net is None:
-        net = Backhaul()
+    net = Backhaul() if net is None else net
     x = np.zeros_like(y)
     lam_path = np.empty(cfg.iterations)
     masked_norms = np.empty((cfg.iterations, n_aps))

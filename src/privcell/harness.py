@@ -140,8 +140,7 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         scenario, prepared.beta, prepared.pilots, master_seed, trial,
         sigma2=prepared.sigma2,
     )
-    if net is None:
-        net = Backhaul()
+    net = Backhaul() if net is None else net
     tau_p = scenario.tau_p
     rows = [scenario.block(m) for m in range(scenario.M)]
     if spec.completion is None:  # pilot-only: no completion traffic at all

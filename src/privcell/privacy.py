@@ -107,8 +107,8 @@ def sample_hermitian_noise(dim, scale, seed):
     """
     if dim < 1:
         raise ArgumentError(f"dim must be >= 1, got {dim}")
-    if scale < 0:
-        raise ArgumentError(f"scale must be non-negative, got {scale}")
+    if not 0 <= scale < math.inf:
+        raise ArgumentError(f"scale must be finite and >= 0, got {scale}")
     g = np.zeros((dim, dim), dtype=complex)
     if scale == 0.0:
         return g
@@ -125,8 +125,8 @@ def sample_hermitian_noise(dim, scale, seed):
 
 
 def _check_budget(eps, delta):
-    if eps <= 0:
-        raise ArgumentError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ArgumentError(f"eps must be positive and finite, got {eps}")
     if not 0 < delta < 1:
         raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
 
@@ -146,7 +146,7 @@ def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     """One release -> aggregate -> broadcast round over the backhaul.
 
     blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m releases
-    hermitize(B_m^H B_m) plus, when noise_scale > 0, Hermitian noise seeded
+    hermitize(B_m^H B_m) plus, unless noise_scale == 0, Hermitian noise seeded
     by SeedSequence([*seed, m, *tail]); each release is a view into this
     round's own stack of Grams.  The CPU sums the releases in ascending AP
     order, broadcasts cpu(sum) as `kind` and returns it.
@@ -156,7 +156,7 @@ def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     tau_c = grams.shape[1]
     for m, gram in enumerate(grams):
         hermitize(gram, out=gram)
-        if noise_scale > 0:
+        if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises
             noise_seed = np.random.SeedSequence([*entropy, m, *tail])
             gram += sample_hermitian_noise(tau_c, noise_scale, noise_seed)
         net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, gram)

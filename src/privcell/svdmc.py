@@ -26,8 +26,8 @@ class SvdConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ArgumentError(f"rank must be >= 1, got {self.rank}")
-        if self.noise_scale < 0:
-            raise ArgumentError(f"noise_scale must be non-negative, got {self.noise_scale}")
+        if not 0 <= self.noise_scale < np.inf:  # a NaN scale must never mean "no noise"
+            raise ArgumentError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.trim_threshold < 0:
             raise ArgumentError(f"trim_threshold must be non-negative, got {self.trim_threshold}")
 
@@ -43,9 +43,8 @@ class SvdConfig:
 
 def trim(y, threshold):
     """Zero out rows whose nonzero count strictly exceeds the threshold."""
-    y = np.asarray(y)
-    out = y.copy()
-    out[np.count_nonzero(y, axis=-1) > threshold] = 0.0
+    out = np.asarray(y).copy()
+    out[np.count_nonzero(out, axis=-1) > threshold] = 0.0
     return out
 
 

@@ -165,7 +165,8 @@ def test_fractional_fw_iters_crossval_value_exits_2(toy_config, capsys):
 
 @pytest.mark.parametrize(
     "line, name",
-    [("eps: .nan", "eps"), ("eps: abc", "eps"), ("R_km: .nan", "R_km")],
+    [("eps: .nan", "eps"), ("eps: abc", "eps"), ("R_km: .nan", "R_km"),
+     ("eps: 1" + "0" * 400, "eps"), ("values: [.nan]", "values")],
 )
 def test_non_numeric_float_field_exits_2(tmp_path, capsys, line, name):
     cfg = tmp_path / "bad.yaml"
@@ -174,6 +175,19 @@ def test_non_numeric_float_field_exits_2(tmp_path, capsys, line, name):
     rc = cli.main(["simulate", "--config", str(cfg), "--values", "1", "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
     assert f"{name} must be a finite real number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, value", [("svd", "nan"), ("fw", "nan"), ("svd", "inf")])
+def test_non_finite_sweep_value_exits_2(toy_config, tmp_path, capsys, method, value):
+    """No run labelled private goes out with a NaN or infinite budget."""
+    out = tmp_path / "o.csv"
+    rc = cli.main(
+        ["simulate", "--config", str(toy_config), "--method", method,
+         "--values", value, "--out", str(out)]
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert "values must be a finite real number" in capsys.readouterr().err
     assert not out.exists()
 
 

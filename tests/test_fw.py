@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import centralized_fw
+from test_privacy import ref_release
 from privcell.errors import ArgumentError, DegenerateStepError, ShapeError
 from privcell.fw import (
     FwConfig,
@@ -12,7 +13,7 @@ from privcell.fw import (
     run_fw,
     step_size,
 )
-from privcell.privacy import gram_round, sample_hermitian_noise
+from privcell.privacy import gram_round
 from privcell.protocol import Backhaul, MessageKind
 
 
@@ -31,12 +32,6 @@ def make_instance(seed, n_aps=3, n_ant=2, tau_c=8, density=0.5):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)
-
-
-def ref_release(block, noise_scale, seed):
-    """Per-AP reference release: (B^H B + (B^H B)^H) / 2 plus Hermitian noise."""
-    g = block.conj().T @ block
-    return 0.5 * (g + g.conj().T) + sample_hermitian_noise(block.shape[1], noise_scale, seed)
 
 
 def ref_update(x_m, j_m, v, lam, eta, nuclear_bound, clip_bound, omega_m):

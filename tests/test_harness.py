@@ -110,6 +110,13 @@ def test_run_point_counts_failures(toy_exp, monkeypatch):
     assert np.isfinite(rec.nmse)
 
 
+@pytest.mark.parametrize("method", ["fw", "svd"])
+def test_run_point_nan_epsilon_fails_every_trial(toy_exp, method):
+    rec = run_point(toy_exp, method, "epsilon", float("nan"), 2, 11)
+    assert (rec.trials, rec.failures) == (0, 2)
+    assert np.isnan(rec.nmse)
+
+
 def test_apply_axis():
     from privcell.channel import Scenario
 

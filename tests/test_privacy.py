@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privcell.errors import ArgumentError
+from privcell.fw import FwConfig
 from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
@@ -12,6 +13,7 @@ from privcell.privacy import (
     svd_noise_scale,
 )
 from privcell.protocol import Backhaul, MessageKind
+from privcell.svdmc import SvdConfig
 
 
 # ---------------------------------------------------------------- bound
@@ -83,6 +85,21 @@ def test_scale_validation():
         svd_noise_scale(1.0, 0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_budget_or_scale_is_rejected(bad):
+    """A NaN or infinite eps or noise scale is an error, never a noiseless release."""
+    with pytest.raises(ArgumentError):
+        fw_noise_scale(1.0, 4, 2, bad, 0.1)
+    with pytest.raises(ArgumentError):
+        svd_noise_scale(1.0, 2, bad, 0.1)
+    with pytest.raises(ArgumentError):
+        sample_hermitian_noise(3, bad, 0)
+    with pytest.raises(ArgumentError):
+        FwConfig(1, 1.0, 1.0, bad)
+    with pytest.raises(ArgumentError):
+        SvdConfig(2, bad, 1.0)
+
+
 # ---------------------------------------------------------------- release round
 
 def ref_release(block, noise_scale, seed):
@@ -106,6 +123,14 @@ def test_gram_round_sums_releases_in_ap_order(rng, tail):
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
     assert all(m.round_index == 2 for m in net.transcript)
     assert net.transcript[-1].kind is MessageKind.BASIS_BROADCAST
+
+
+def test_gram_round_at_nan_scale_sends_nothing(rng):
+    blocks = rng.standard_normal((2, 2, 3)) + 0j
+    net = Backhaul()
+    with pytest.raises(ArgumentError):
+        gram_round(net, 1, blocks, math.nan, 5, MessageKind.EIG_BROADCAST, lambda w: w)
+    assert net.transcript == []
 
 
 

@@ -7,11 +7,15 @@ the derived bound.  Prints one table per parameter.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+# one BLAS thread, set before numpy loads: the bitwise determinism contract
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 

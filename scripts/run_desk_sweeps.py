@@ -11,12 +11,16 @@ plotted without special cases.  Expect a few minutes at 50 trials.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+# one BLAS thread, set before numpy loads: the bitwise determinism contract
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 from privcell.config import METHODS, load_experiment  # noqa: E402
 from privcell.harness import emit_csv, run_sweep  # noqa: E402

@@ -77,6 +77,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         for name in ("eps", "delta", "nuc_bound", "clip_bound"):
             check_real(name, getattr(self, name))
+        if not isinstance(self.values, (list, tuple)):
+            raise ConfigError(f"values must be a list of numbers, got {self.values!r}")
         for v in self.values:
             check_real("values", v)
         if self.eps <= 0:

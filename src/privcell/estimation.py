@@ -16,14 +16,12 @@ from .linalg import frob_norm, pinv
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def estimate_channel(x_pilot, pilots, rcond=1e-12):
-    """Channel estimate from pilot columns: X_p @ pinv(P)."""
+def estimate_channel(x_pilot, pilot_pinv):
+    """Channel estimate from pilot columns: X_p @ pinv(P), pinv(P) given."""
     x_pilot = np.asarray(x_pilot)
-    if x_pilot.shape[1] != pilots.shape[1]:
-        raise ShapeError(
-            f"pilot block has {x_pilot.shape[1]} columns, pilots {pilots.shape[1]}"
-        )
-    return x_pilot @ pinv(pilots, rcond=rcond)
+    if x_pilot.shape[1] != pilot_pinv.shape[0]:
+        raise ShapeError(f"{x_pilot.shape[1]} pilot columns, pinv(P) has {pilot_pinv.shape[0]} rows")
+    return x_pilot @ pilot_pinv
 
 
 def detect_local(h_hat, x_data, rcond=1e-12):
@@ -97,21 +95,16 @@ def _observed_index(mask_cols, n_rf):
 def pilot_only_detect_block(h_hat, y_m, omega_m, sigma2, tau_p, n_rf):
     """Regularised LS detection of all payload slots of one AP at once.
 
-    Per slot only the antennas observed in that slot enter; the Gram is
-    regularised by the noise power, falling back to a pseudoinverse when
-    sigma2 is zero.
+    Per slot only the N_r observed antennas enter.  With noise the solve
+    has size min(N_r, K): F^H (F F^H + s2 I)^-1 y when N_r < K (push-through),
+    else (F^H F + s2 I)^-1 F^H y.  A pseudoinverse is used when sigma2 is zero.
     """
-    y_m = np.asarray(y_m)
-    n_users = h_hat.shape[1]
-    data_mask = omega_m[:, tau_p:]
-    idx = _observed_index(data_mask, n_rf)  # (tau_d, N_r)
+    idx = _observed_index(omega_m[:, tau_p:], n_rf)  # (tau_d, N_r)
     f = np.asarray(h_hat)[idx]  # (tau_d, N_r, K)
-    y_data = y_m[:, tau_p:]
-    yv = np.take_along_axis(y_data, idx.T, axis=0).T  # (tau_d, N_r)
-    fh = f.conj().transpose(0, 2, 1)  # (tau_d, K, N_r)
-    rhs = np.einsum("tkn,tn->tk", fh, yv)
+    yv = np.take_along_axis(np.asarray(y_m)[:, tau_p:], idx.T, axis=0).T[..., None]
     if sigma2 > 0:
-        gram = fh @ f + sigma2 * np.eye(n_users)
-        return np.linalg.solve(gram, rhs[..., None])[..., 0].T  # (K, tau_d)
-    sol = np.linalg.pinv(f) @ yv[..., None]
-    return sol[..., 0].T
+        fh = f.conj().transpose(0, 2, 1)  # (tau_d, K, N_r)
+        if n_rf < f.shape[2]:
+            return (fh @ np.linalg.solve(f @ fh + sigma2 * np.eye(n_rf), yv))[..., 0].T
+        return np.linalg.solve(fh @ f + sigma2 * np.eye(f.shape[2]), fh @ yv)[..., 0].T
+    return (np.linalg.pinv(f) @ yv)[..., 0].T  # (K, tau_d)

@@ -21,6 +21,7 @@ from .channel import gen_pilots, gen_topology, large_scale_fading, make_block
 from .config import ITERATIVE, ExperimentConfig, method_spec, whole
 from .errors import ArgumentError, ConfigError, PrivCellError
 from .fw import FwConfig, nuclear_norm_budget, run_fw
+from .linalg import pinv
 from .privacy import frob_bound, fw_noise_scale, svd_noise_scale
 from .protocol import CPU, Backhaul, MessageKind, ap_name
 from .seeding import derive_master, entropy_for, rng_for
@@ -38,6 +39,7 @@ class Prepared:
     beta: np.ndarray  # (K, M), possibly rescaled
     sigma2: float  # noise power in the same units as beta
     pilots: np.ndarray
+    pilot_pinv: np.ndarray  # pinv(pilots), shared by every AP and trial
     clip_bound: float
     nuc_bound: float
     unit_scale: float  # beta multiplier applied for normalized units
@@ -101,10 +103,12 @@ def prepare(scenario, run, beta):
     nuc = run.nuc_bound * np.sqrt(scale) if run.nuc_bound else nuclear_norm_budget(
         beta, scenario.tau_c, scenario.N_a
     )
+    pilots = gen_pilots(scenario.K, scenario.tau_p)
     return Prepared(
         beta=beta,
         sigma2=sigma2,
-        pilots=gen_pilots(scenario.K, scenario.tau_p),
+        pilots=pilots,
+        pilot_pinv=pinv(pilots),
         clip_bound=clip,
         nuc_bound=nuc,
         unit_scale=scale,
@@ -160,7 +164,7 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
             upsample = scenario.N_a / scenario.N_r
             res = run_svd(block.Y, block.omega, scenario.M, cfg, entropy, upsample, net=net)
         x_blocks = [res.x_hat[r] for r in rows]
-        h_hats = [estimation.estimate_channel(x[:, :tau_p], prepared.pilots) for x in x_blocks]
+        h_hats = [estimation.estimate_channel(x[:, :tau_p], prepared.pilot_pinv) for x in x_blocks]
 
         def detect(m):
             return estimation.detect_local(h_hats[m], x_blocks[m][:, tau_p:])

@@ -178,6 +178,17 @@ def test_non_numeric_float_field_exits_2(tmp_path, capsys, line, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["values: 1", "values: abc", "values: {a: 1}"])
+def test_scalar_values_in_yaml_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(TOY + line + "\n")
+    out = tmp_path / "o.csv"
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "values must be a list of numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method, value", [("svd", "nan"), ("fw", "nan"), ("svd", "inf")])
 def test_non_finite_sweep_value_exits_2(toy_config, tmp_path, capsys, method, value):
     """No run labelled private goes out with a NaN or infinite budget."""

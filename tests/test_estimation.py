@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import pilot_only_lmmse
-from privcell.channel import crandn, gen_pilots
+from privcell.channel import crandn, gen_pilots, make_block
+from privcell.config import load_experiment
 from privcell.errors import MetricUndefinedError, ShapeError
 from privcell.estimation import (
     combine,
@@ -14,6 +19,8 @@ from privcell.estimation import (
     ser,
     slice_qpsk,
 )
+from privcell.harness import draw_beta, prepare
+from privcell.linalg import pinv
 
 
 # ---------------------------------------------------------------- channel
@@ -21,13 +28,13 @@ from privcell.estimation import (
 def test_estimate_channel_exact(rng):
     p = gen_pilots(2, 4)
     h = crandn(rng, (6, 2))
-    np.testing.assert_allclose(estimate_channel(h @ p, p), h, atol=1e-10)
+    np.testing.assert_allclose(estimate_channel(h @ p, pinv(p)), h, atol=1e-10)
 
 
 def test_estimate_channel_zero(rng):
     p = gen_pilots(2, 4)
     np.testing.assert_allclose(
-        estimate_channel(np.zeros((6, 4)), p), np.zeros((6, 2)), atol=1e-14
+        estimate_channel(np.zeros((6, 4)), pinv(p)), np.zeros((6, 2)), atol=1e-14
     )
 
 
@@ -35,9 +42,9 @@ def test_estimate_channel_is_correlation_for_orthonormal_pilots(rng):
     # pinv of an orthonormal-row matrix is its conjugate transpose
     p = gen_pilots(3, 5)
     x = crandn(rng, (4, 5))
-    np.testing.assert_allclose(estimate_channel(x, p), x @ p.conj().T, atol=1e-10)
+    np.testing.assert_allclose(estimate_channel(x, pinv(p)), x @ p.conj().T, atol=1e-10)
     with pytest.raises(ShapeError):
-        estimate_channel(x[:, :4], p)
+        estimate_channel(x[:, :4], pinv(p))
 
 
 # ---------------------------------------------------------------- detection
@@ -180,3 +187,66 @@ def test_detect_block_matches_per_slot(sigma2, rng):
     for t in range(tau_d):
         want = pilot_only_lmmse(h, y, omega, sigma2, t, tau_p)
         np.testing.assert_allclose(got[:, t], want, atol=1e-9)
+
+
+def assert_matches_reference(got, h, y, omega, sigma2, tau_p):
+    """Every slot of a detected block against the per-slot K x K reference.
+
+    Relative tolerance 1e-9, in the 2-norm of the slot's K soft outputs.
+    Where the reference's Gram F^H F + s2 I is worse conditioned than
+    that allows (N_r < K with s2 far below |F|^2, so F^H F is singular),
+    the reference's own rounding, 4 eps cond, is the tolerance instead.
+    Returns the reference block.
+    """
+    want = np.stack(
+        [pilot_only_lmmse(h, y, omega, sigma2, t, tau_p) for t in range(got.shape[1])], axis=1
+    )
+    for t in range(got.shape[1]):
+        f = h[omega[:, tau_p + t]]
+        cond = (np.linalg.norm(f, 2) ** 2 + sigma2) / sigma2
+        tol = max(1e-9, 4 * np.finfo(float).eps * cond)
+        assert np.linalg.norm(got[:, t] - want[:, t]) <= tol * np.linalg.norm(want[:, t]), t
+    return want
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n_rf=st.integers(1, 6),
+    n_users=st.integers(1, 6),
+    spare=st.integers(0, 3),
+    tau_p=st.integers(1, 3),
+    tau_d=st.integers(1, 8),
+    log_ratio=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_detect_block_matches_kxk_reference(n_rf, n_users, spare, tau_p, tau_d, log_ratio, seed):
+    """N_r < K, = K and > K; s2 from 1e-6 to 1e6 times the mean |F|^2."""
+    rng = np.random.default_rng(seed)
+    n_ant, tau_c = n_rf + spare, tau_p + tau_d
+    h = crandn(rng, (n_ant, n_users))
+    omega = np.zeros((n_ant, tau_c), dtype=bool)
+    for t in range(tau_c):
+        omega[rng.choice(n_ant, n_rf, replace=False), t] = True
+    y = np.where(omega, crandn(rng, (n_ant, tau_c)), 0.0)
+    sigma2 = 10.0**log_ratio * np.mean(np.abs(h) ** 2)
+    got = pilot_only_detect_block(h, y, omega, sigma2, tau_p, n_rf)
+    assert got.shape == (n_users, tau_d)
+    assert_matches_reference(got, h, y, omega, sigma2, tau_p)
+
+
+def test_detect_block_at_m100_k25_keeps_every_decision():
+    """The m100_k25 shape (K 25, N_r 2, N_a 4) at the profile's normalised s2."""
+    exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "m100_k25.yaml")
+    scen = exp.scenario
+    prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
+    block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, sigma2=prep.sigma2)
+    gots, wants = [], []
+    for m in range(scen.M):
+        y, omega = block.Y[scen.block(m)], block.omega[scen.block(m)]
+        h = pilot_only_ls(y, prep.pilots)
+        got = pilot_only_detect_block(h, y, omega, prep.sigma2, scen.tau_p, scen.N_r)
+        want = assert_matches_reference(got, h, y, omega, prep.sigma2, scen.tau_p)
+        np.testing.assert_array_equal(slice_qpsk(got), slice_qpsk(want))
+        gots.append(got)
+        wants.append(want)
+    np.testing.assert_array_equal(slice_qpsk(combine(gots)), slice_qpsk(combine(wants)))

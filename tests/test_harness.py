@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from privcell import harness
+from privcell.channel import make_block
 from privcell.config import ExperimentConfig, RunConfig
 from privcell.errors import ArgumentError, ConfigError, PrivCellError
+from privcell.estimation import nmse
 from privcell.harness import (
     cross_validate,
     draw_beta,
@@ -59,6 +61,41 @@ def test_prepare_derives_bounds_when_unset(tiny):
     prep = prepare(tiny, RunConfig(), beta)
     assert prep.clip_bound > 0
     assert prep.nuc_bound > 0
+
+
+def test_prepare_holds_the_pilot_pseudoinverse(tiny):
+    prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
+    np.testing.assert_array_equal(prep.pilot_pinv, np.linalg.pinv(prep.pilots, rcond=1e-12))
+
+
+@pytest.mark.parametrize("method", ["svd", "npsvd"])
+def test_run_trial_channel_estimate_is_per_ap_pilot_product(tiny, method, monkeypatch):
+    """Each AP's estimate is its own x[:, :tau_p] @ pinv(P), bit for bit."""
+    scen = dataclasses.replace(tiny, tau_p=3)  # K=2 < tau_p: a non-square pinv
+    run = RunConfig(trials=1)
+    prep = prepare(scen, run, draw_beta(scen, 5))
+    completed, estimates = [], []
+
+    def record(fn, into):
+        def wrapped(*args, **kwargs):
+            into.append(fn(*args, **kwargs))
+            return into[-1]
+        return wrapped
+
+    monkeypatch.setattr(harness, "run_svd", record(harness.run_svd, completed))
+    monkeypatch.setattr(
+        harness.estimation, "estimate_channel",
+        record(harness.estimation.estimate_channel, estimates),
+    )
+    res = run_trial(scen, run, method, prep, 7, 0, 1.0)
+    x_hat = completed[0].x_hat
+    want = [x_hat[scen.block(m)][:, : scen.tau_p] @ np.linalg.pinv(prep.pilots, rcond=1e-12)
+            for m in range(scen.M)]
+    assert len(estimates) == scen.M
+    for got, ref in zip(estimates, want):
+        np.testing.assert_array_equal(got, ref)
+    block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
+    assert res.nmse == nmse(np.vstack(want), block.H)
 
 
 # ---------------------------------------------------------------- run_point

@@ -42,7 +42,6 @@ class Prepared:
     pilot_pinv: np.ndarray  # pinv(pilots), shared by every AP and trial
     clip_bound: float
     nuc_bound: float
-    unit_scale: float  # beta multiplier applied for normalized units
 
 
 @dataclass
@@ -111,7 +110,6 @@ def prepare(scenario, run, beta):
         pilot_pinv=pinv(pilots),
         clip_bound=clip,
         nuc_bound=nuc,
-        unit_scale=scale,
     )
 
 
@@ -131,9 +129,10 @@ def completion_config(method, prepared, scenario, run, eps):
 
 def _detect_and_combine(net, scenario, detect, d_true):
     """Per-AP detect(m) sent as LocalDetection, CPU combining and slicing."""
-    for m in range(scenario.M):
-        net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, detect(m))
-    soft = estimation.combine(net.round_payloads(MessageKind.LOCAL_DETECTION, 0))
+    detections = [detect(m) for m in range(scenario.M)]
+    for m, d in enumerate(detections):
+        net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d)
+    soft = estimation.combine(detections)
     return estimation.ser(estimation.slice_qpsk(soft), d_true)
 
 
@@ -272,19 +271,3 @@ def emit_csv(records, path):
         for rec in records:
             w.writerow(rec.row())
 
-
-def read_csv(path):
-    """Round-trip reader for emit_csv output (used by tests and scripts)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ConfigError(f"{path} does not carry the expected header")
-    out = []
-    for row in rows[1:]:
-        rec = dict(zip(CSV_HEADER, row))
-        for k in ("axis_value", "nmse", "ser", "seconds"):
-            rec[k] = float(rec[k])
-        for k in ("trials", "failures", "seed"):
-            rec[k] = int(rec[k])
-        out.append(rec)
-    return out

@@ -16,7 +16,9 @@ two release schedules are:
   * one-shot: a single release per AP for the spectral completion.
 
 Scales are stated per AP; M released matrices are summed at the CPU, so
-the aggregate per-entry variance is M times the per-AP variance.
+the aggregate per-entry variance is M times the per-AP variance.  That
+per-AP calibration holds only if the CPU sees nothing but the sum, and
+`gram_round` keeps it so: no release outlives its round.
 """
 
 import functools
@@ -148,21 +150,21 @@ def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m releases
     hermitize(B_m^H B_m) plus, unless noise_scale == 0, Hermitian noise seeded
     by SeedSequence([*seed, m, *tail]); each release is a view into this
-    round's own stack of Grams.  The CPU sums the releases in ascending AP
-    order, broadcasts cpu(sum) as `kind` and returns it.
+    round's own stack of Grams.  The CPU adds each release into a running sum
+    as it arrives, in ascending AP order, and holds nothing but that sum, as
+    under secure aggregation; it broadcasts cpu(sum) as `kind` and returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     grams = blocks.conj().transpose(0, 2, 1) @ blocks
     tau_c = grams.shape[1]
+    w = np.zeros((tau_c, tau_c), dtype=complex)
     for m, gram in enumerate(grams):
         hermitize(gram, out=gram)
         if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises
             noise_seed = np.random.SeedSequence([*entropy, m, *tail])
             gram += sample_hermitian_noise(tau_c, noise_scale, noise_seed)
         net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, gram)
-    w = np.zeros((tau_c, tau_c), dtype=complex)
-    for g in net.round_payloads(MessageKind.GRAM_RELEASE, round_index):
-        w += g  # fixed reduction order keeps results bitwise reproducible
+        w += gram  # fixed reduction order keeps results bitwise reproducible
     payload = cpu(w)
     net.broadcast(kind, round_index, payload)
     return payload

@@ -3,20 +3,22 @@
 The only things an AP may ever put on the wire toward the CPU are
 privatised Gram releases and locally detected payload estimates; the CPU
 talks back only through eigenpair or basis broadcasts.  `Backhaul.send`
-enforces the direction/kind rules at submission time, and
-`audit_privacy_surface` re-checks a finished transcript structurally
-(shapes and exact Hermitian symmetry of everything that left an AP), so
-a raw observation matrix cannot slip through either layer.
+enforces the direction/kind rules at submission time and records, for
+every AP message, the payload's shape and, for a Gram release, whether it
+is exactly Hermitian.  The transcript holds this metadata only: no
+payload outlives its `send`.  `audit_privacy_surface` checks a finished
+transcript against those recorded shapes and verdicts (square, exactly
+Hermitian Gram releases; detection blocks of the expected shape), so a
+raw observation matrix cannot slip through either layer.  There is no
+later recheck of the payloads themselves.
 
 Byte accounting: 16 bytes per complex entry, 8 per real scalar.  A
 broadcast is counted once, not per recipient.
 """
 
 import json
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
 
 import numpy as np
 
@@ -50,12 +52,19 @@ def is_ap(name):
 
 @dataclass(frozen=True)
 class Message:
+    """Metadata of one sent message; the payload itself is not kept.
+
+    shape and hermitian are what `send` saw of an AP payload.  Their
+    defaults fail the audit, so a record not made by `send` cannot pass it.
+    """
+
     kind: MessageKind
     sender: str
     receiver: str
     round_index: int
-    payload: Any
     nbytes: int
+    shape: tuple = ()  # payload shape of an AP message
+    hermitian: bool = False  # a Gram release exactly equal to its conjugate transpose
 
 
 def payload_nbytes(kind, payload):
@@ -67,25 +76,10 @@ def payload_nbytes(kind, payload):
 
 @dataclass
 class OverheadLedger:
-    """Running byte/message counts for one transcript."""
+    """Running byte totals for one transcript."""
 
-    unicast_bytes: Counter = field(default_factory=Counter)  # per sender
+    total_unicast_bytes: int = 0
     broadcast_bytes: int = 0
-    kind_counts: Counter = field(default_factory=Counter)  # (kind, round)
-
-    def record(self, msg):
-        self.kind_counts[(msg.kind, msg.round_index)] += 1
-        if msg.receiver == ALL_APS:
-            self.broadcast_bytes += msg.nbytes
-        else:
-            self.unicast_bytes[msg.sender] += msg.nbytes
-
-    @property
-    def total_unicast_bytes(self):
-        return sum(self.unicast_bytes.values())
-
-    def count(self, kind):
-        return sum(n for (k, _), n in self.kind_counts.items() if k is kind)
 
 
 class Backhaul:
@@ -94,9 +88,9 @@ class Backhaul:
     def __init__(self):
         self.transcript = []
         self.ledger = OverheadLedger()
-        self._payloads = defaultdict(list)  # (kind, round) -> payloads in send order
 
     def send(self, kind, sender, receiver, round_index, payload):
+        """Check direction and kind, then record the message's metadata; the payload is not kept."""
         if is_ap(sender):
             if receiver != CPU:
                 raise ProtocolError(f"AP {sender} may only address the CPU")
@@ -109,25 +103,20 @@ class Backhaul:
                 raise ProtocolError(f"kind {kind.value} not allowed from the CPU")
         else:
             raise ProtocolError(f"unknown sender {sender!r}")
-        msg = Message(
-            kind=kind,
-            sender=sender,
-            receiver=receiver,
-            round_index=round_index,
-            payload=payload,
-            nbytes=payload_nbytes(kind, payload),
-        )
+        nbytes = payload_nbytes(kind, payload)
+        if sender == CPU:
+            msg = Message(kind, sender, receiver, round_index, nbytes)
+            self.ledger.broadcast_bytes += nbytes
+        else:
+            p = np.asarray(payload)
+            hermitian = kind is MessageKind.GRAM_RELEASE and np.array_equal(p, p.conj().T)
+            msg = Message(kind, sender, receiver, round_index, nbytes, p.shape, hermitian)
+            self.ledger.total_unicast_bytes += nbytes
         self.transcript.append(msg)
-        self.ledger.record(msg)
-        self._payloads[(kind, round_index)].append(payload)
         return msg
 
     def broadcast(self, kind, round_index, payload):
         return self.send(kind, CPU, ALL_APS, round_index, payload)
-
-    def round_payloads(self, kind, round_index):
-        """Payloads of one kind in one round, in send (AP) order; [] if none was sent."""
-        return list(self._payloads.get((kind, round_index), ()))
 
 
 @dataclass
@@ -142,7 +131,8 @@ class AuditReport:
 def audit_privacy_surface(transcript, tau_c=None, n_users=None, n_payload=None):
     """Structural check that no raw observation ever reached the CPU.
 
-    Every AP-originated message must be a square, exactly Hermitian Gram
+    Reads the shapes and Hermitian verdicts `send` recorded.  Every
+    AP-originated message must be a square, exactly Hermitian Gram
     release (of side tau_c when given) or a detection block of shape
     (n_users, n_payload) when those are given.  Returns an AuditReport
     listing offending message indices.
@@ -150,25 +140,24 @@ def audit_privacy_surface(transcript, tau_c=None, n_users=None, n_payload=None):
     failures = []
     for i, msg in enumerate(transcript):
         if is_ap(msg.sender):
+            shape = msg.shape
             if msg.receiver != CPU:
                 failures.append((i, f"AP message to {msg.receiver!r}"))
             elif msg.kind is MessageKind.GRAM_RELEASE:
-                p = np.asarray(msg.payload)
-                if p.ndim != 2 or p.shape[0] != p.shape[1]:
-                    failures.append((i, f"gram release of shape {p.shape} is not square"))
-                elif tau_c is not None and p.shape[0] != tau_c:
-                    failures.append((i, f"gram release side {p.shape[0]} != {tau_c}"))
-                elif not np.array_equal(p, p.conj().T):
+                if len(shape) != 2 or shape[0] != shape[1]:
+                    failures.append((i, f"gram release of shape {shape} is not square"))
+                elif tau_c is not None and shape[0] != tau_c:
+                    failures.append((i, f"gram release side {shape[0]} != {tau_c}"))
+                elif not msg.hermitian:
                     failures.append((i, "gram release is not Hermitian"))
             elif msg.kind is MessageKind.LOCAL_DETECTION:
-                p = np.asarray(msg.payload)
-                if p.ndim != 2:
-                    failures.append((i, f"detection payload has ndim {p.ndim}"))
-                elif n_users is not None and n_payload is not None and p.shape != (
+                if len(shape) != 2:
+                    failures.append((i, f"detection payload has ndim {len(shape)}"))
+                elif n_users is not None and n_payload is not None and shape != (
                     n_users,
                     n_payload,
                 ):
-                    failures.append((i, f"detection payload shape {p.shape}"))
+                    failures.append((i, f"detection payload shape {shape}"))
             else:
                 failures.append((i, f"kind {msg.kind.value} not allowed from an AP"))
         elif msg.sender == CPU:

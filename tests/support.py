@@ -1,0 +1,45 @@
+"""Test-only helpers: a CSV reader for emit_csv output and a payload-keeping backhaul."""
+
+import csv
+
+from privcell.errors import ConfigError
+from privcell.harness import CSV_HEADER
+from privcell.protocol import Backhaul
+
+
+def read_csv(path):
+    """Round-trip reader for harness.emit_csv output."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise ConfigError(f"{path} does not carry the expected header")
+    out = []
+    for row in rows[1:]:
+        rec = dict(zip(CSV_HEADER, row))
+        for k in ("axis_value", "nmse", "ser", "seconds"):
+            rec[k] = float(rec[k])
+        for k in ("trials", "failures", "seed"):
+            rec[k] = int(rec[k])
+        out.append(rec)
+    return out
+
+
+class RecordingBackhaul(Backhaul):
+    """A Backhaul that also keeps every payload it accepts, in send order.
+
+    payloads[i] is the payload of transcript[i], the very object sent.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = []
+
+    def send(self, kind, sender, receiver, round_index, payload):
+        msg = super().send(kind, sender, receiver, round_index, payload)
+        self.payloads.append(payload)
+        return msg
+
+
+def kind_count(transcript, kind):
+    """Number of transcript records of one message kind."""
+    return sum(msg.kind is kind for msg in transcript)

@@ -22,6 +22,7 @@ from mpmath import mp
 from scipy import stats
 
 from oracles import centralized_fw, centralized_svd
+from support import kind_count
 from privcell.channel import make_block
 from privcell.config import load_experiment
 from privcell.fw import FwConfig, run_fw
@@ -31,11 +32,9 @@ from privcell.privacy import fw_noise_scale, sample_hermitian_noise, svd_noise_s
 from privcell.protocol import (
     CPU,
     Backhaul,
-    Message,
     MessageKind,
     ap_name,
     audit_privacy_surface,
-    payload_nbytes,
 )
 from privcell.seeding import entropy_for
 from privcell.svdmc import SvdConfig, run_svd
@@ -378,9 +377,9 @@ def test_criterion_09_protocol_accounting(desk, desk_beta):
         m.sender for m in net_svd.transcript if m.kind is MessageKind.GRAM_RELEASE
     )
     assert all(fw_per_ap[ap_name(m)] == iters for m in range(scen.M))
-    assert net_fw.ledger.count(MessageKind.EIG_BROADCAST) == iters
+    assert kind_count(net_fw.transcript, MessageKind.EIG_BROADCAST) == iters
     assert all(svd_per_ap[ap_name(m)] == 1 for m in range(scen.M))
-    assert net_svd.ledger.count(MessageKind.BASIS_BROADCAST) == 1
+    assert kind_count(net_svd.transcript, MessageKind.BASIS_BROADCAST) == 1
 
     assert net_fw.ledger.broadcast_bytes == iters * (tau_c * 16 + 8)
     assert net_svd.ledger.broadcast_bytes == scen.K * tau_c * 16
@@ -394,14 +393,13 @@ def test_criterion_09_protocol_accounting(desk, desk_beta):
     clean_svd = audit_privacy_surface(net_svd.transcript, tau_c=tau_c)
     assert clean_fw.ok and clean_svd.ok
 
-    raw = block.Y[scen.block(0)]
-    bad = Message(
-        MessageKind.GRAM_RELEASE, ap_name(0), CPU, 1, raw,
-        payload_nbytes(MessageKind.GRAM_RELEASE, raw),
-    )
-    tampered = audit_privacy_surface(net_fw.transcript + [bad], tau_c=tau_c)
+    raw = block.Y[scen.block(0)]  # an AP's observed block, sent as if it were a release
+    n_clean = len(net_fw.transcript)
+    net_fw.send(MessageKind.GRAM_RELEASE, ap_name(0), CPU, 1, raw)
+    tampered = audit_privacy_surface(net_fw.transcript, tau_c=tau_c)
     assert not tampered.ok
-    assert tampered.failures[-1][0] == len(net_fw.transcript)
+    assert [i for i, _ in tampered.failures] == [n_clean]
+    assert "square" in tampered.failures[0][1]
 
     print(
         f"criterion 9: PASS - iterative {iters} unicasts/AP and {iters} broadcasts, "

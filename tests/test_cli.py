@@ -6,7 +6,7 @@ import pytest
 
 from privcell import cli
 from privcell.config import METHODS
-from privcell.harness import read_csv
+from support import read_csv
 
 TOY = """\
 M: 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import centralized_fw
+from support import RecordingBackhaul, kind_count
 from test_privacy import ref_release
 from privcell.errors import ArgumentError, DegenerateStepError, ShapeError
 from privcell.fw import (
@@ -43,9 +44,9 @@ def ref_update(x_m, j_m, v, lam, eta, nuclear_bound, clip_bound, omega_m):
 
 def one_ap_release(j, noise_scale, seed):
     """What a lone AP with block j sends in one Gram round."""
-    net = Backhaul()
+    net = RecordingBackhaul()
     gram_round(net, 1, j[None], noise_scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
-    return net.transcript[0].payload
+    return net.payloads[0]
 
 
 # ---------------------------------------------------------------- pieces
@@ -97,9 +98,9 @@ def test_release_gram_hand_value():
     np.testing.assert_allclose(g, np.array([[5.0, 1.0j], [-1.0j, 1.0]]), atol=1e-14)
     np.testing.assert_array_equal(g, ref_release(j, 0.0, 0))
     # the first FW round releases exactly this Gram of the residual -y
-    net = Backhaul()
+    net = RecordingBackhaul()
     run_fw(-j, np.ones(j.shape, dtype=bool), 1, FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
-    np.testing.assert_array_equal(net.transcript[0].payload, g)
+    np.testing.assert_array_equal(net.payloads[0], g)
 
 
 def test_release_gram_psd_when_noiseless(rng):
@@ -233,8 +234,8 @@ def test_run_telemetry_and_transcript():
     assert np.all(res.masked_norms <= 1.5 + 1e-9)
     assert res.clip_events > 0
     assert res.lam_path.shape == (5,)
-    assert net.ledger.count(MessageKind.GRAM_RELEASE) == 15
-    assert net.ledger.count(MessageKind.EIG_BROADCAST) == 5
+    assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 15
+    assert kind_count(net.transcript, MessageKind.EIG_BROADCAST) == 5
     assert res.iterates is None
 
 
@@ -245,24 +246,27 @@ def test_transcript_after_batched_run():
     y_in, omega_in = y.copy(), omega.copy()
     entropy = (5, 1, 2)
     cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3, keep_iterates=True)
-    net = Backhaul()
+    net = RecordingBackhaul()
     res = run_fw(y, omega, 3, cfg, entropy, net=net)
     assert res.clip_events > 0
-    releases = [m for m in net.transcript if m.kind is MessageKind.GRAM_RELEASE]
+    releases = [
+        (msg, p) for msg, p in zip(net.transcript, net.payloads)
+        if msg.kind is MessageKind.GRAM_RELEASE
+    ]
     assert len(releases) == 12
     x_prev = np.zeros_like(y)
     for n in range(1, 5):
         residual = np.where(omega, x_prev, 0.0) - y
         for m in range(3):
-            msg = releases[3 * (n - 1) + m]
+            msg, payload = releases[3 * (n - 1) + m]
             assert (msg.sender, msg.round_index) == (f"ap{m}", n)
             seed = np.random.SeedSequence([*entropy, m, n])
-            np.testing.assert_array_equal(msg.payload, ref_release(residual[2 * m:2 * m + 2], 0.3, seed))
+            np.testing.assert_array_equal(payload, ref_release(residual[2 * m:2 * m + 2], 0.3, seed))
         x_prev = res.iterates[n - 1]
-    for a in releases:
-        for b in releases:
+    for a, pa in releases:
+        for b, pb in releases:
             if a.round_index != b.round_index:
-                assert not np.shares_memory(a.payload, b.payload)
+                assert not np.shares_memory(pa, pb)
     np.testing.assert_array_equal(y, y_in)
     np.testing.assert_array_equal(omega, omega_in)
 

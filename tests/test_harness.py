@@ -1,13 +1,15 @@
 """Sweep plumbing: seeding discipline, units, CSV round trips."""
 
 import dataclasses
+from enum import Enum
 
 import numpy as np
 import pytest
 
+from support import read_csv
 from privcell import harness
-from privcell.channel import make_block
-from privcell.config import ExperimentConfig, RunConfig
+from privcell.channel import Scenario, make_block
+from privcell.config import METHODS, ExperimentConfig, RunConfig
 from privcell.errors import ArgumentError, ConfigError, PrivCellError
 from privcell.estimation import nmse
 from privcell.harness import (
@@ -15,11 +17,11 @@ from privcell.harness import (
     draw_beta,
     emit_csv,
     prepare,
-    read_csv,
     run_point,
     run_sweep,
     run_trial,
 )
+from privcell.protocol import Backhaul, audit_privacy_surface
 
 
 @pytest.fixture
@@ -36,14 +38,13 @@ def test_prepare_normalized_rescales_to_unit_median(tiny):
     beta = draw_beta(tiny, 5)
     prep = prepare(tiny, RunConfig(units="normalized"), beta)
     assert np.median(prep.beta) == pytest.approx(1.0)
-    assert prep.unit_scale == pytest.approx(1.0 / np.median(beta))
-    assert prep.sigma2 == pytest.approx(tiny.sigma2 * prep.unit_scale)
+    assert prep.sigma2 == pytest.approx(tiny.sigma2 / np.median(beta))
 
 
 def test_prepare_physical_keeps_units(tiny):
     beta = draw_beta(tiny, 5)
     prep = prepare(tiny, RunConfig(units="physical"), beta)
-    assert prep.unit_scale == 1.0
+    assert prep.sigma2 == tiny.sigma2
     np.testing.assert_array_equal(prep.beta, beta)
 
 
@@ -52,8 +53,9 @@ def test_prepare_override_scales_with_sqrt(tiny):
     beta = draw_beta(tiny, 5)
     run = RunConfig(units="normalized", clip_bound=2.0, nuc_bound=3.0)
     prep = prepare(tiny, run, beta)
-    assert prep.clip_bound == pytest.approx(2.0 * np.sqrt(prep.unit_scale))
-    assert prep.nuc_bound == pytest.approx(3.0 * np.sqrt(prep.unit_scale))
+    unit_scale = 1.0 / np.median(beta)
+    assert prep.clip_bound == pytest.approx(2.0 * np.sqrt(unit_scale))
+    assert prep.nuc_bound == pytest.approx(3.0 * np.sqrt(unit_scale))
 
 
 def test_prepare_derives_bounds_when_unset(tiny):
@@ -96,6 +98,73 @@ def test_run_trial_channel_estimate_is_per_ap_pilot_product(tiny, method, monkey
         np.testing.assert_array_equal(got, ref)
     block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
     assert res.nmse == nmse(np.vstack(want), block.H)
+
+
+# ---------------------------------------------------------------- backhaul
+
+
+def _holds_array(obj, seen=None):
+    """Whether any np.ndarray can be reached from obj through its attributes and items."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        return True
+    if obj is None or isinstance(obj, (str, bytes, int, float, complex, Enum)) or id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    else:
+        children = list(vars(obj).values())
+    return any(_holds_array(c, seen) for c in children)
+
+
+@pytest.mark.parametrize("method", ["fw", "svd", "po"])
+def test_backhaul_keeps_no_payload_after_a_trial(tiny, method):
+    run = RunConfig(trials=1, fw_iters=3)
+    prep = prepare(tiny, run, draw_beta(tiny, 5))
+    net = Backhaul()
+    run_trial(tiny, run, method, prep, 7, 0, 1.0, net=net)
+    assert len(net.transcript) == {"fw": 3 * (tiny.M + 1), "svd": tiny.M + 1, "po": 0}[method] + tiny.M
+    assert not _holds_array(net)
+    assert not _holds_array(net.ledger)
+    assert not any(_holds_array(msg) for msg in net.transcript)
+    assert audit_privacy_surface(
+        net.transcript, tau_c=tiny.tau_c, n_users=tiny.K, n_payload=tiny.tau_d
+    ).ok
+
+
+EDGE_SCENARIO = Scenario(M=3, K=2, N_a=4, N_r=2, tau_p=3, tau_d=5, R_km=0.5, seed=21)
+EDGES = {
+    "N_r=1": {"N_r": 1},
+    "K=tau_p": {"K": 3},
+    "tau_d=1": {"tau_d": 1},
+    "M=1": {"M": 1},
+    "sigma2=0": {"sigma2": 0.0},
+    "physical": {},
+}
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("edge", list(EDGES))
+def test_scenario_edges_run_every_method(edge, method):
+    """Each edge of the scenario space gives finite metrics, the protocol's
+    message count and a clean audit, whatever the method."""
+    scen = dataclasses.replace(EDGE_SCENARIO, **EDGES[edge])
+    run = RunConfig(
+        trials=1, fw_iters=3, np_fw_iters=5,
+        units="physical" if edge == "physical" else "normalized",
+    )
+    prep = prepare(scen, run, draw_beta(scen, scen.seed))
+    net = Backhaul()
+    res = run_trial(scen, run, method, prep, scen.seed, 0, 1.0, net=net)
+    assert np.isfinite(res.nmse) and np.isfinite(res.ser)
+    rounds = {"fw": run.fw_iters, "npfw": run.np_fw_iters, "svd": 1, "npsvd": 1, "po": 0}[method]
+    assert len(net.transcript) == scen.M * rounds + rounds + scen.M
+    assert audit_privacy_surface(
+        net.transcript, tau_c=scen.tau_c, n_users=scen.K, n_payload=scen.tau_d
+    ).ok
 
 
 # ---------------------------------------------------------------- run_point

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from support import RecordingBackhaul
 from privcell.errors import ArgumentError
 from privcell.fw import FwConfig
 from privcell.privacy import (
@@ -112,12 +113,12 @@ def ref_release(block, noise_scale, seed):
 def test_gram_round_sums_releases_in_ap_order(rng, tail):
     blocks = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
     entropy = (8, 9)
-    net = Backhaul()
+    net = RecordingBackhaul()
     got = gram_round(net, 2, blocks, 0.4, entropy, MessageKind.BASIS_BROADCAST, lambda w: w, tail)
     want = np.zeros((4, 4), dtype=complex)
     for m, b in enumerate(blocks):
         release = ref_release(b, 0.4, np.random.SeedSequence([*entropy, m, *tail]))
-        np.testing.assert_array_equal(net.transcript[m].payload, release)
+        np.testing.assert_array_equal(net.payloads[m], release)
         want = want + release
     np.testing.assert_array_equal(got, want)
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]

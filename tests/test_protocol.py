@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from support import kind_count
 from privcell.errors import ProtocolError
 from privcell.protocol import (
     ALL_APS,
@@ -88,34 +89,24 @@ def test_ledger_accounting():
             net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, rnd, hermitian(4))
         net.broadcast(MessageKind.EIG_BROADCAST, rnd, (np.ones(4, dtype=complex), 1.0))
     led = net.ledger
-    assert led.count(MessageKind.GRAM_RELEASE) == 6
-    assert led.count(MessageKind.EIG_BROADCAST) == 2
-    assert led.kind_counts[(MessageKind.GRAM_RELEASE, 1)] == 3
-    assert led.unicast_bytes["ap0"] == 2 * 16 * 16
+    assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 6
+    assert kind_count(net.transcript, MessageKind.EIG_BROADCAST) == 2
+    assert sum(m.round_index == 2 for m in net.transcript if m.kind is MessageKind.GRAM_RELEASE) == 3
+    assert sum(m.nbytes for m in net.transcript if m.sender == "ap0") == 2 * 16 * 16
     assert led.total_unicast_bytes == 6 * 16 * 16
     assert led.broadcast_bytes == 2 * (4 * 16 + 8)
-    assert len(net.round_payloads(MessageKind.GRAM_RELEASE, 2)) == 3
 
 
-def test_round_payloads_index_by_kind_and_round():
+def test_send_records_metadata_only():
     net = Backhaul()
-    sent = {}
-    for rnd in (1, 2, 3):
-        for m in range(3):
-            g = hermitian(2) + rnd * 10 + m
-            net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, rnd, g)
-            sent.setdefault((MessageKind.GRAM_RELEASE, rnd), []).append(g)
-            d = np.full((2, 3), complex(rnd, m))
-            net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, rnd, d)
-            sent.setdefault((MessageKind.LOCAL_DETECTION, rnd), []).append(d)
-        net.broadcast(MessageKind.EIG_BROADCAST, rnd, (np.ones(2, dtype=complex), 1.0))
-    for (kind, rnd), want in sent.items():
-        got = net.round_payloads(kind, rnd)
-        assert len(got) == 3
-        assert all(a is b for a, b in zip(got, want))  # ascending AP order
-    assert net.round_payloads(MessageKind.GRAM_RELEASE, 4) == []
-    assert net.round_payloads(MessageKind.BASIS_BROADCAST, 1) == []
-    assert len(net.round_payloads(MessageKind.EIG_BROADCAST, 2)) == 1
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(5))
+    net.send(MessageKind.LOCAL_DETECTION, "ap1", CPU, 0, np.zeros((2, 6), dtype=complex))
+    net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
+    gram, detection, basis = net.transcript
+    assert (gram.shape, gram.hermitian) == ((5, 5), True)
+    assert (detection.shape, detection.hermitian) == ((2, 6), False)
+    assert basis == Message(MessageKind.BASIS_BROADCAST, CPU, ALL_APS, 1, 5 * 2 * 16)
+    assert not hasattr(gram, "payload")
 
 
 def test_audit_passes_on_clean_transcript():
@@ -129,16 +120,14 @@ def test_audit_passes_on_clean_transcript():
 
 
 def test_audit_flags_injected_raw_signal():
-    """A raw observation block smuggled past send() must be caught."""
+    """A raw observation block sent as a Gram release must be caught."""
     net = Backhaul()
     net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(5))
     raw = np.ones((2, 5), dtype=complex)  # antennas x slots, not a Gram
-    net.transcript.append(
-        Message(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, raw, raw.size * 16)
-    )
+    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, raw)
     report = audit_privacy_surface(net.transcript, tau_c=5)
     assert not report.ok
-    assert report.failures[0][0] == 1
+    assert [i for i, _ in report.failures] == [1]
     assert "square" in report.failures[0][1]
 
 
@@ -146,17 +135,13 @@ def test_audit_flags_non_hermitian_and_wrong_side():
     net = Backhaul()
     skewed = hermitian(5)
     skewed[0, 1] += 1.0  # break the symmetry only
-    net.transcript.append(
-        Message(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, skewed, skewed.size * 16)
-    )
-    net.transcript.append(
-        Message(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, hermitian(4), 4 * 4 * 16)
-    )
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, skewed)
+    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, hermitian(4))
     report = audit_privacy_surface(net.transcript, tau_c=5)
     assert not report.ok
-    reasons = [r for _, r in report.failures]
-    assert any("Hermitian" in r for r in reasons)
-    assert any("side" in r for r in reasons)
+    (i_skew, skew_reason), (i_side, side_reason) = report.failures
+    assert i_skew == 0 and "Hermitian" in skew_reason
+    assert i_side == 1 and "side" in side_reason
 
 
 def test_audit_flags_wrong_detection_shape():
@@ -166,6 +151,27 @@ def test_audit_flags_wrong_detection_shape():
     assert ok.ok
     bad = audit_privacy_surface(net.transcript, n_users=2, n_payload=6)
     assert not bad.ok
+    assert bad.failures == [(0, "detection payload shape (3, 6)")]
+
+
+def test_audit_flags_hand_built_records():
+    """Records that bypass send(): a wrong direction, a wrong kind, and a
+    release with no recorded shape or verdict are all flagged."""
+    net = Backhaul()
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(3))
+    net.transcript += [
+        Message(MessageKind.GRAM_RELEASE, "ap0", "ap1", 1, 9 * 16, (3, 3), True),
+        Message(MessageKind.EIG_BROADCAST, "ap0", CPU, 1, 3 * 16 + 8, (3,)),
+        Message(MessageKind.GRAM_RELEASE, "ap2", CPU, 1, 9 * 16),
+        Message(MessageKind.LOCAL_DETECTION, CPU, ALL_APS, 0, 16),
+    ]
+    report = audit_privacy_surface(net.transcript, tau_c=3)
+    assert [i for i, _ in report.failures] == [1, 2, 3, 4]
+    reasons = [r for _, r in report.failures]
+    assert "AP message to 'ap1'" in reasons[0]
+    assert "not allowed from an AP" in reasons[1]
+    assert "square" in reasons[2]
+    assert "not allowed from the CPU" in reasons[3]
 
 
 def test_transcript_dump_and_load(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import centralized_svd
+from support import RecordingBackhaul, kind_count
 from privcell.channel import Scenario, crandn, sample_switch
 from privcell.errors import ArgumentError, ShapeError
 from privcell.protocol import Backhaul, MessageKind
@@ -53,10 +54,10 @@ def test_trim_is_noop_for_switch_sampled_blocks():
 def test_release_gram_hand_value():
     """The one-shot round releases the Gram of the trimmed block."""
     j = np.array([[1.0, 1.0j, 0.0], [2.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
-    net = Backhaul()
+    net = RecordingBackhaul()
     run_svd(j, j != 0, 1, SvdConfig(1, 0.0, 2.0), 0, upsample=1.0, net=net)
     want = np.array([[5.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]])  # row 2 trimmed
-    np.testing.assert_allclose(net.transcript[0].payload, want, atol=1e-14)
+    np.testing.assert_allclose(net.payloads[0], want, atol=1e-14)
 
 
 def test_topk_projects_onto_row_space():
@@ -110,8 +111,8 @@ def test_run_transcript_counts():
     assert res.rounds == 1
     assert res.clip_events == 0
     assert res.masked_norms.shape == (1, 4)
-    assert net.ledger.count(MessageKind.GRAM_RELEASE) == 4
-    assert net.ledger.count(MessageKind.BASIS_BROADCAST) == 1
+    assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 4
+    assert kind_count(net.transcript, MessageKind.BASIS_BROADCAST) == 1
     senders = {m.sender for m in net.transcript if m.kind is MessageKind.GRAM_RELEASE}
     assert senders == {"ap0", "ap1", "ap2", "ap3"}
 

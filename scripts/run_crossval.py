@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Grid-search the completion knobs on a held-out seed family.
 
-Scores the iterative method's round count over a small grid, and the
-nuclear-norm budget over a 10-point uniform grid given as a fraction of
-the derived bound.  Prints one table per parameter.
+Scores the private iterative method's round count over a small grid,
+and an iterative method's nuclear-norm budget over a 10-point uniform
+grid given as a fraction of the derived bound.  Prints one table per
+parameter the method reads, and none for a method that reads neither.
 """
 
 import argparse
@@ -19,7 +20,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from privcell.config import COMPLETING, ITERATIVE, METHODS, load_experiment  # noqa: E402
+from privcell.config import COMPLETING, load_experiment, tunable  # noqa: E402
 from privcell.fw import nuclear_norm_budget  # noqa: E402
 from privcell.harness import cross_validate, draw_beta, prepare  # noqa: E402
 
@@ -35,8 +36,11 @@ def main():
 
     exp = load_experiment(args.config)
     scen = exp.scenario
+    params = tunable(args.method)
+    if not params:
+        print(f"{args.method} reads neither nuc_bound nor fw_iters: nothing to tune")
 
-    if METHODS[args.method].completion == ITERATIVE:
+    if "fw_iters" in params:
         grid = [int(v) for v in args.iters_grid.split(",")]
         best, scores = cross_validate(exp, args.method, "fw_iters", grid, args.trials)
         print(f"\nround count ({args.method}, {args.trials} trials):")
@@ -44,6 +48,8 @@ def main():
             mark = " <-" if value == best else ""
             print(f"  T={value:<4d} nmse={score:.6f}{mark}")
 
+    if "nuc_bound" not in params:
+        return
     # nuclear-norm budget, expressed against the derived bound so the
     # fractions carry over between unit conventions
     beta = draw_beta(scen, scen.seed)

@@ -1,17 +1,19 @@
 """Cell-free uplink model: geometry, fading, pilots, payload, switches.
 
-One coherence block works on a stacked receive matrix of shape
-(M*N_a, tau_c): M access points with N_a antennas each listen to K
-single-antenna users for tau_c = tau_p + tau_d slots.  Each AP has only
-N_r RF chains behind a switch, so per slot it observes N_r of its N_a
-antenna outputs; the unobserved entries are structural zeros.
+One coherence block is a low-rank receive matrix split across the
+access points: M APs with N_a antennas each listen to K single-antenna
+users for tau_c = tau_p + tau_d slots.  Each AP has only N_r RF chains
+behind a switch, so per slot it observes N_r of its N_a antenna outputs;
+the unobserved entries are structural zeros.
 
 Conventions:
   * a complex Gaussian CN(0, s2) draw has real/imag parts N(0, s2/2);
   * large-scale gain beta = 10**(-(PL(d) + sigma_sh * z) / 10) with
     PL(d) = pl_a + pl_b * log10(d), d in metres, z standard normal
     (real draw by default; see shadow_convention);
-  * AP m owns the stacked row block m*N_a : (m+1)*N_a.
+  * the block is drawn as one (M*N_a, ·) matrix, AP m owning rows
+    m*N_a : (m+1)*N_a, and `make_block` hands it out as (M, N_a, ·)
+    stacks, AP m at index m.
 """
 
 import logging
@@ -94,12 +96,6 @@ class Scenario:
     def n_rows(self):
         return self.M * self.N_a
 
-    def block(self, m):
-        """Row slice of AP m inside the stacked matrix."""
-        if not 0 <= m < self.M:
-            raise ShapeError(f"AP index {m} out of range")
-        return slice(m * self.N_a, (m + 1) * self.N_a)
-
 
 @dataclass
 class Topology:
@@ -109,19 +105,12 @@ class Topology:
 
 @dataclass
 class SignalBlock:
-    """Everything one coherence block produces, pilot columns first."""
+    """What one coherence block leaves for the APs and the metrics, pilot columns first."""
 
-    P: np.ndarray  # (K, tau_p) pilot matrix, orthonormal rows
     D: np.ndarray  # (K, tau_d) payload symbols
-    H: np.ndarray  # (M*N_a, K) stacked channel
-    X: np.ndarray  # (M*N_a, tau_c) noiseless H @ [P D]
-    R: np.ndarray  # X plus receiver noise
-    Y: np.ndarray  # switch-sampled R, zeros off the observed set
-    omega: np.ndarray  # bool (M*N_a, tau_c), True where observed
-
-    @property
-    def S(self):
-        return np.hstack([self.P, self.D])
+    H: np.ndarray  # (M, N_a, K) channel of each AP
+    Y: np.ndarray  # (M, N_a, tau_c) switch-sampled receive, zeros off the observed set
+    omega: np.ndarray  # bool (M, N_a, tau_c), True where observed
 
 
 def crandn(rng, shape, s2=1.0):
@@ -246,6 +235,8 @@ def make_block(scenario, beta, P, master_seed, trial, sigma2=None):
     tau_d, so the pilot part of a block is identical across payload-length
     sweeps at the same master seed and trial.  sigma2 overrides the
     scenario's noise power (the harness passes the unit-rescaled value).
+    Everything is drawn on the (M*N_a, ·) matrix and reshaped into AP
+    stacks at the end.
     """
     from .seeding import rng_for
 
@@ -260,13 +251,10 @@ def make_block(scenario, beta, P, master_seed, trial, sigma2=None):
     R_d = transmit(H, D, sigma2, rng_for(master_seed, "noise_data", trial))
     Y_p, om_p = sample_switch(R_p, scenario, rng_for(master_seed, "mask_pilot", trial))
     Y_d, om_d = sample_switch(R_d, scenario, rng_for(master_seed, "mask_data", trial))
-    X = np.hstack([H @ P, H @ D])
+    aps = (scenario.M, scenario.N_a, -1)
     return SignalBlock(
-        P=P,
         D=D,
-        H=H,
-        X=X,
-        R=np.hstack([R_p, R_d]),
-        Y=np.hstack([Y_p, Y_d]),
-        omega=np.hstack([om_p, om_d]),
+        H=H.reshape(aps),
+        Y=np.hstack([Y_p, Y_d]).reshape(aps),
+        omega=np.hstack([om_p, om_d]).reshape(aps),
     )

@@ -6,7 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .config import COMPLETING, METHODS, load_experiment
+from .config import COMPLETING, METHODS, TUNABLE, load_experiment
 from .errors import ConfigError, PrivCellError
 from .harness import (
     cross_validate,
@@ -48,7 +48,7 @@ def build_parser():
     cv = sub.add_parser("crossval", help="grid-search nuc_bound or fw_iters")
     cv.add_argument("--config", required=True)
     cv.add_argument("--method", choices=COMPLETING)
-    cv.add_argument("--param", required=True, choices=("nuc_bound", "fw_iters"))
+    cv.add_argument("--param", required=True, choices=TUNABLE)
     cv.add_argument("--values", required=True, type=_floats)
     cv.add_argument("--trials", type=int, default=10)
     cv.add_argument("--seed", type=int)

@@ -37,6 +37,7 @@ METHODS = {
     "po": Method(None, False, None),
 }
 COMPLETING = tuple(name for name, m in METHODS.items() if m.completion)
+TUNABLE = ("nuc_bound", "fw_iters")  # RunConfig keys cross-validation can search
 
 
 def method_spec(name):
@@ -44,6 +45,14 @@ def method_spec(name):
     if name not in METHODS:
         raise ConfigError(f"unknown method {name!r}, pick from {sorted(METHODS)}")
     return METHODS[name]
+
+
+def tunable(name):
+    """The TUNABLE keys method `name` reads: nuc_bound if iterative, fw_iters if also private."""
+    spec = method_spec(name)
+    if spec.completion != ITERATIVE:
+        return ()
+    return TUNABLE if spec.private else TUNABLE[:1]
 
 
 def whole(name, value):
@@ -68,7 +77,6 @@ class RunConfig:
     sweep: str = "epsilon"  # epsilon | tau_d
     values: tuple = ()
     trials: int = 50
-    fixed_beta: bool = True
 
     def __post_init__(self):
         for name in ("fw_iters", "np_fw_iters", "trials"):

@@ -1,4 +1,4 @@
-"""Iterative private completion of the stacked observation matrix.
+"""Iterative private completion of the APs' observed blocks.
 
 Distributed Frank-Wolfe over a nuclear-norm ball.  Per round, every AP
 forms the residual between its current masked iterate and its observed
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
 from .linalg import hermitian_eig, observed_norms
-from .privacy import CompletionResult, gram_round, split_aps
+from .privacy import CompletionResult, ap_stack, gram_round
 from .protocol import Backhaul, MessageKind
 
 
@@ -74,10 +74,10 @@ def cpu_aggregate_eig(w, noise_scale, n_aps):
     sqrt(noise_scale) * (M * tau_c)^(1/4).
     """
     tau_c = w.shape[0]
-    pair = hermitian_eig(w, 1)[0]
-    lam = math.sqrt(max(pair.value, 0.0))
+    values, vectors = hermitian_eig(w, 1)
+    lam = math.sqrt(max(values[0], 0.0))
     lam_lifted = lam + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
-    return pair.vector, lam_lifted
+    return vectors[:, 0], lam_lifted
 
 
 def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega):
@@ -98,20 +98,20 @@ def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega):
     return x_new, norms, clipped
 
 
-def run_fw(y, omega, n_aps, cfg, seed, net=None):
-    """Run the full distributed completion on a stacked observation matrix.
+def run_fw(y, omega, cfg, seed, net=None):
+    """Run the full distributed completion on the APs' observed blocks.
 
     Args:
-        y: (M*N_a, tau_c) observed matrix, zeros off the observed set.
+        y: (M, N_a, tau_c) stack of the APs' blocks, zeros off the observed set.
         omega: matching boolean observation mask.
-        n_aps: number of row blocks (APs).
         cfg: FwConfig.
         seed: int or tuple of ints; per-release noise seeds derive from it.
         net: optional Backhaul to append to (a fresh one by default).
 
     Returns a CompletionResult.
     """
-    y, omega = split_aps(y, omega, n_aps)
+    y = ap_stack(y, omega)
+    n_aps = y.shape[0]
     net = Backhaul() if net is None else net
     x = np.zeros_like(y)
     lam_path = np.empty(cfg.iterations)
@@ -129,9 +129,9 @@ def run_fw(y, omega, n_aps, cfg, seed, net=None):
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
         if iterates is not None:
-            iterates.append(x.reshape(-1, x.shape[2]))
+            iterates.append(x)
     return CompletionResult(
-        x_hat=x.reshape(-1, x.shape[2]),
+        x_hat=x,
         rounds=cfg.iterations,
         masked_norms=masked_norms,
         clip_events=clip_events,

@@ -1,7 +1,8 @@
 """Monte-Carlo harness: sweeps, cross-validation, CSV output.
 
-A sweep fixes the large-scale fading once (by default), then runs
-independently seeded trials per axis value.  Per-trial seeds derive from
+A sweep point draws the large-scale fading from trial-independent
+streams, so every axis value sees the same deployment, then runs
+independently seeded trials.  Per-trial seeds derive from
 (master seed, stage, trial index) only, so a trial gives identical
 results whatever ran before it, and methods sharing a master seed see
 identical channels, masks, and receiver noise.
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import estimation
 from .channel import gen_pilots, gen_topology, large_scale_fading, make_block
-from .config import ITERATIVE, ExperimentConfig, method_spec, whole
+from .config import ITERATIVE, ExperimentConfig, method_spec, tunable, whole
 from .errors import ArgumentError, ConfigError, PrivCellError
 from .fw import FwConfig, nuclear_norm_budget, run_fw
 from .linalg import pinv
@@ -65,24 +66,13 @@ class MetricsRecord:
     extras: Optional[dict] = None  # diagnostics, not serialised
 
     def row(self):
-        return [
-            self.method,
-            self.axis,
-            self.axis_value,
-            self.nmse,
-            self.ser,
-            self.trials,
-            self.failures,
-            self.seed,
-            self.seconds,
-        ]
+        return [getattr(self, name) for name in CSV_HEADER]
 
 
-def draw_beta(scenario, master_seed, trial=None):
-    """Large-scale gains; trial=None keys the streams trial-independently."""
-    idx = () if trial is None else (trial,)
-    topo = gen_topology(scenario, rng_for(master_seed, "topology", *idx))
-    return large_scale_fading(topo, scenario, rng_for(master_seed, "shadowing", *idx))
+def draw_beta(scenario, master_seed):
+    """Large-scale gains (K, M), from streams keyed by the master seed alone."""
+    topo = gen_topology(scenario, rng_for(master_seed, "topology"))
+    return large_scale_fading(topo, scenario, rng_for(master_seed, "shadowing"))
 
 
 def prepare(scenario, run, beta):
@@ -145,31 +135,25 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     )
     net = Backhaul() if net is None else net
     tau_p = scenario.tau_p
-    rows = [scenario.block(m) for m in range(scenario.M)]
     if spec.completion is None:  # pilot-only: no completion traffic at all
-        h_hats = [estimation.pilot_only_ls(block.Y[r], prepared.pilots) for r in rows]
+        h_hats = [estimation.pilot_only_ls(y, prepared.pilots) for y in block.Y]
 
         def detect(m):
             return estimation.pilot_only_detect_block(
-                h_hats[m], block.Y[rows[m]], block.omega[rows[m]], prepared.sigma2, tau_p,
-                scenario.N_r,
+                h_hats[m], block.Y[m], block.omega[m], prepared.sigma2, tau_p, scenario.N_r
             )
     else:
         cfg = completion_config(method, prepared, scenario, run, eps)
         entropy = entropy_for(master_seed, spec.stage, trial)
-        if spec.completion == ITERATIVE:
-            res = run_fw(block.Y, block.omega, scenario.M, cfg, entropy, net=net)
-        else:
-            upsample = scenario.N_a / scenario.N_r
-            res = run_svd(block.Y, block.omega, scenario.M, cfg, entropy, upsample, net=net)
-        x_blocks = [res.x_hat[r] for r in rows]
-        h_hats = [estimation.estimate_channel(x[:, :tau_p], prepared.pilot_pinv) for x in x_blocks]
+        complete = run_fw if spec.completion == ITERATIVE else run_svd
+        res = complete(block.Y, block.omega, cfg, entropy, net=net)
+        h_hats = [estimation.estimate_channel(x[:, :tau_p], prepared.pilot_pinv) for x in res.x_hat]
 
         def detect(m):
-            return estimation.detect_local(h_hats[m], x_blocks[m][:, tau_p:])
+            return estimation.detect_local(h_hats[m], res.x_hat[m][:, tau_p:])
 
     out = TrialResult(
-        nmse=estimation.nmse(np.vstack(h_hats), block.H),
+        nmse=estimation.nmse(np.stack(h_hats), block.H),
         ser=_detect_and_combine(net, scenario, detect, block.D),
     )
     if spec.completion == ITERATIVE:
@@ -232,18 +216,18 @@ def run_sweep(exp, method=None, axis=None, values=None, trials=None, master_seed
     method_spec(method)
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    beta = draw_beta(exp.scenario, master_seed) if run.fixed_beta else None
-    return [run_point(exp, method, axis, v, trials, master_seed, beta=beta) for v in values]
+    return [run_point(exp, method, axis, v, trials, master_seed) for v in values]
 
 
 def cross_validate(exp, method, param, grid, trials, master_seed=None):
     """Pick the grid value minimising mean NMSE on a held-out seed family.
 
     Ties break toward the earlier grid entry, so pass the grid sorted
-    ascending to prefer the smaller value.
+    ascending to prefer the smaller value.  A param the method never
+    reads is a ConfigError: every grid value would score the same.
     """
-    if param not in ("nuc_bound", "fw_iters"):
-        raise ArgumentError(f"cannot cross-validate {param!r}")
+    if param not in tunable(method):
+        raise ConfigError(f"method {method!r} does not read {param!r}, so every value would score the same")
     if not grid:
         raise ArgumentError("empty cross-validation grid")
     base = master_seed if master_seed is not None else exp.scenario.seed

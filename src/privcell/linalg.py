@@ -4,17 +4,9 @@ Everything works on complex128 ndarrays.  The Hermitian eigensolver is
 LAPACK-backed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-
-
-@dataclass
-class EigPair:
-    value: float
-    vector: np.ndarray  # unit-norm 1-D complex vector
 
 
 def _check_square(a):
@@ -45,9 +37,10 @@ def canonical_phase(v):
 def hermitian_eig(a, k=None):
     """Largest k eigenpairs of a (near-)Hermitian matrix, descending.
 
-    The input is symmetrized internally, eigenvectors are orthonormal and
-    phase-canonicalised, and ties are broken by the solver's original
-    ascending index (stable).
+    Returns (values, vectors): values (k,), and vectors (n, k) whose
+    column i belongs to values[i].  The input is symmetrized internally,
+    eigenvectors are orthonormal and phase-canonicalised, and ties are
+    broken by the solver's original ascending index (stable).
     """
     a = _check_square(a)
     n = a.shape[0]
@@ -57,7 +50,7 @@ def hermitian_eig(a, k=None):
         raise ArgumentError(f"k={k} out of range for dimension {n}")
     vals, vecs = np.linalg.eigh(hermitize(a))
     order = np.argsort(-vals, kind="stable")[:k]
-    return [EigPair(float(vals[i]), canonical_phase(vecs[:, i])) for i in order]
+    return vals[order], np.column_stack([canonical_phase(vecs[:, i]) for i in order])
 
 
 def pinv(a, rcond=1e-12):

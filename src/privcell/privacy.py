@@ -37,12 +37,12 @@ from .protocol import CPU, MessageKind, ap_name
 class CompletionResult:
     """Output of one distributed completion run."""
 
-    x_hat: np.ndarray  # stacked completed matrix (M*N_a, tau_c)
+    x_hat: np.ndarray  # (M, N_a, tau_c) completed blocks, AP m at index m
     rounds: int
     masked_norms: np.ndarray  # (rounds, M) per-AP observed-entry norms after each round
     clip_events: int = 0
     lam_path: Optional[np.ndarray] = None  # lifted top value per round
-    iterates: Optional[list] = None  # stacked iterate after each round
+    iterates: Optional[list] = None  # (M, N_a, tau_c) iterate after each round
 
 
 def frob_bound(beta, n_users, n_antennas, tau_c, sigma2):
@@ -133,15 +133,12 @@ def _check_budget(eps, delta):
         raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
 
 
-def split_aps(y, omega, n_aps):
-    """y (as complex) and omega as (M, N_a, tau_c) stacks of the AP row blocks."""
+def ap_stack(y, omega):
+    """y as complex, once it and omega are matching (M, N_a, tau_c) AP stacks."""
     y = np.asarray(y, dtype=complex)
-    if y.shape != omega.shape:
-        raise ShapeError(f"omega shape {omega.shape} does not match y {y.shape}")
-    if y.shape[0] % n_aps != 0:
-        raise ShapeError(f"{y.shape[0]} rows do not split over {n_aps} APs")
-    shape = (n_aps, y.shape[0] // n_aps, y.shape[1])
-    return y.reshape(shape), omega.reshape(shape)
+    if y.ndim != 3 or y.shape != omega.shape:
+        raise ShapeError(f"y {y.shape} and omega {omega.shape} are not matching (M, N_a, tau_c) stacks")
+    return y
 
 
 def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 from .linalg import hermitian_eig, observed_norms
-from .privacy import CompletionResult, gram_round, split_aps
+from .privacy import CompletionResult, ap_stack, gram_round
 from .protocol import Backhaul, MessageKind
 
 
@@ -22,6 +22,7 @@ class SvdConfig:
     rank: int  # broadcast basis size (number of users)
     noise_scale: float  # per-release Hermitian noise std (0 = non-private)
     trim_threshold: float  # rows with more nonzeros than this get zeroed
+    upsample: float  # N_a / N_r, undoes the switch undersampling
 
     def __post_init__(self):
         if self.rank < 1:
@@ -30,14 +31,17 @@ class SvdConfig:
             raise ArgumentError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if self.trim_threshold < 0:
             raise ArgumentError(f"trim_threshold must be non-negative, got {self.trim_threshold}")
+        if not self.upsample > 0:
+            raise ArgumentError(f"upsample must be positive, got {self.upsample}")
 
     @classmethod
     def derive(cls, scenario, noise_scale):
-        """Threshold 2 * N_r * tau_c / N_a, twice the expected row density."""
+        """Threshold 2 * N_r * tau_c / N_a, twice the expected row density; upsample N_a / N_r."""
         return cls(
             rank=scenario.K,
             noise_scale=noise_scale,
             trim_threshold=2.0 * scenario.N_r * scenario.tau_c / scenario.N_a,
+            upsample=scenario.N_a / scenario.N_r,
         )
 
 
@@ -50,7 +54,7 @@ def trim(y, threshold):
 
 def cpu_topk(w, rank):
     """Top-`rank` orthonormal eigenbasis of the aggregated releases."""
-    return np.column_stack([p.vector for p in hermitian_eig(w, rank)])
+    return hermitian_eig(w, rank)[1]
 
 
 def ap_complete(y_trimmed, basis, upsample):
@@ -60,28 +64,24 @@ def ap_complete(y_trimmed, basis, upsample):
     return upsample * ((y_trimmed @ basis) @ basis.conj().T)
 
 
-def run_svd(y, omega, n_aps, cfg, seed, upsample, net=None):
-    """Run the one-shot spectral completion on a stacked observation matrix.
+def run_svd(y, omega, cfg, seed, net=None):
+    """Run the one-shot spectral completion on the APs' observed blocks.
 
     Args:
-        y: (M*N_a, tau_c) observed matrix, zeros off the observed set.
+        y: (M, N_a, tau_c) stack of the APs' blocks, zeros off the observed set.
         omega: matching boolean observation mask (trimming works off the
             stored zeros; omega only selects the entries masked_norms covers).
-        n_aps: number of row blocks (APs).
         cfg: SvdConfig.
         seed: int or tuple of ints for the per-AP release noise.
-        upsample: N_a / N_r compensation factor.
         net: optional Backhaul to append to.
+
+    Returns a CompletionResult.
     """
-    if upsample <= 0:
-        raise ArgumentError(f"upsample must be positive, got {upsample}")
-    y, omega = split_aps(y, omega, n_aps)
+    y = ap_stack(y, omega)
     trimmed = trim(y, cfg.trim_threshold)
     basis = gram_round(
         Backhaul() if net is None else net, 1, trimmed, cfg.noise_scale, seed,
         MessageKind.BASIS_BROADCAST, lambda w: cpu_topk(w, cfg.rank),
     )
-    x = ap_complete(trimmed, basis, upsample)
-    return CompletionResult(
-        x_hat=x.reshape(-1, x.shape[2]), rounds=1, masked_norms=observed_norms(x, omega)[None]
-    )
+    x = ap_complete(trimmed, basis, cfg.upsample)
+    return CompletionResult(x_hat=x, rounds=1, masked_norms=observed_norms(x, omega)[None])

@@ -138,19 +138,17 @@ def test_criterion_01_oracle_equivalence(desk, desk_beta):
 
     iters = 6
     cfg = FwConfig(iters, prep.nuc_bound, prep.clip_bound, 0.0, keep_iterates=True)
-    res = run_fw(block.Y, block.omega, scen.M, cfg, entropy_for(scen.seed, "dp_fw", 0))
-    ref = centralized_fw(block.Y, block.omega, scen.M, iters, prep.nuc_bound, prep.clip_bound)
+    y, omega = (a.reshape(scen.n_rows, scen.tau_c) for a in (block.Y, block.omega))
+    res = run_fw(block.Y, block.omega, cfg, entropy_for(scen.seed, "dp_fw", 0))
+    ref = centralized_fw(y, omega, scen.M, iters, prep.nuc_bound, prep.clip_bound)
     worst_fw = max(
-        frob_norm(a - b) / frob_norm(b) for a, b in zip(res.iterates, ref)
+        frob_norm(a.reshape(b.shape) - b) / frob_norm(b) for a, b in zip(res.iterates, ref)
     )
 
     scfg = SvdConfig.derive(scen, 0.0)
-    sres = run_svd(
-        block.Y, block.omega, scen.M, scfg,
-        entropy_for(scen.seed, "dp_svd", 0), scen.N_a / scen.N_r,
-    )
-    sref = centralized_svd(block.Y, scfg.trim_threshold, scfg.rank, scen.N_a / scen.N_r)
-    rel_svd = frob_norm(sres.x_hat - sref) / frob_norm(sref)
+    sres = run_svd(block.Y, block.omega, scfg, entropy_for(scen.seed, "dp_svd", 0))
+    sref = centralized_svd(y, scfg.trim_threshold, scfg.rank, scen.N_a / scen.N_r)
+    rel_svd = frob_norm(sres.x_hat.reshape(sref.shape) - sref) / frob_norm(sref)
 
     elapsed = time.perf_counter() - t0
     ok = worst_fw <= 1e-9 and rel_svd <= 1e-9 and elapsed < 60
@@ -226,13 +224,14 @@ def test_criterion_04_nonprivate_completion():
     v = np.linalg.qr(rng.standard_normal((tau_c, 2)) + 1j * rng.standard_normal((tau_c, 2)))[0]
     svals = np.array([3.0, 2.0])
     truth = (u * svals) @ v.conj().T
+    truth = truth.reshape(n_aps, rows // n_aps, tau_c)  # the APs' blocks
     omega = np.ones(truth.shape, dtype=bool)
 
     cfg = FwConfig(200, float(svals.sum()), 10 * frob_norm(truth), 0.0)
-    rel_fw = frob_norm(run_fw(truth, omega, n_aps, cfg, 1).x_hat - truth) / frob_norm(truth)
+    rel_fw = frob_norm(run_fw(truth, omega, cfg, 1).x_hat - truth) / frob_norm(truth)
 
-    scfg = SvdConfig(rank=2, noise_scale=0.0, trim_threshold=tau_c)
-    rel_svd = frob_norm(run_svd(truth, omega, n_aps, scfg, 2, 1.0).x_hat - truth) / frob_norm(truth)
+    scfg = SvdConfig(rank=2, noise_scale=0.0, trim_threshold=tau_c, upsample=1.0)
+    rel_svd = frob_norm(run_svd(truth, omega, scfg, 2).x_hat - truth) / frob_norm(truth)
 
     elapsed = time.perf_counter() - t0
     ok = rel_fw <= 1e-2 and rel_svd <= 1e-8 and elapsed < 120
@@ -359,15 +358,15 @@ def test_criterion_09_protocol_accounting(desk, desk_beta):
 
     net_fw = Backhaul()
     run_fw(
-        block.Y, block.omega, scen.M,
+        block.Y, block.omega,
         completion_config("fw", prep, scen, run, 1.0),
         entropy_for(scen.seed, "dp_fw", 0), net=net_fw,
     )
     net_svd = Backhaul()
     run_svd(
-        block.Y, block.omega, scen.M,
+        block.Y, block.omega,
         completion_config("svd", prep, scen, run, 1.0),
-        entropy_for(scen.seed, "dp_svd", 0), scen.N_a / scen.N_r, net=net_svd,
+        entropy_for(scen.seed, "dp_svd", 0), net=net_svd,
     )
 
     fw_per_ap = Counter(
@@ -393,7 +392,7 @@ def test_criterion_09_protocol_accounting(desk, desk_beta):
     clean_svd = audit_privacy_surface(net_svd.transcript, tau_c=tau_c)
     assert clean_fw.ok and clean_svd.ok
 
-    raw = block.Y[scen.block(0)]  # an AP's observed block, sent as if it were a release
+    raw = block.Y[0]  # an AP's observed block, sent as if it were a release
     n_clean = len(net_fw.transcript)
     net_fw.send(MessageKind.GRAM_RELEASE, ap_name(0), CPU, 1, raw)
     tampered = audit_privacy_surface(net_fw.transcript, tau_c=tau_c)

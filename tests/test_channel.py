@@ -42,10 +42,6 @@ def test_scenario_validation():
 def test_scenario_derived_fields(tiny):
     assert tiny.tau_c == tiny.tau_p + tiny.tau_d
     assert tiny.n_rows == tiny.M * tiny.N_a
-    assert tiny.block(0) == slice(0, tiny.N_a)
-    assert tiny.block(2) == slice(2 * tiny.N_a, 3 * tiny.N_a)
-    with pytest.raises(ShapeError):
-        tiny.block(tiny.M)
 
 
 # ---------------------------------------------------------------- geometry
@@ -267,12 +263,16 @@ def test_switch_shape_check(tiny, rng):
 def test_make_block_shapes(tiny):
     p = gen_pilots(tiny.K, tiny.tau_p)
     blk = make_block(tiny, np.full((tiny.K, tiny.M), 1e-10), p, 7, 0)
-    assert blk.H.shape == (tiny.n_rows, tiny.K)
-    assert blk.Y.shape == (tiny.n_rows, tiny.tau_c)
+    assert blk.H.shape == (tiny.M, tiny.N_a, tiny.K)
+    assert blk.Y.shape == (tiny.M, tiny.N_a, tiny.tau_c)
     assert blk.omega.shape == blk.Y.shape
-    assert blk.S.shape == (tiny.K, tiny.tau_c)
-    np.testing.assert_array_equal(blk.S, np.hstack([blk.P, blk.D]))
-    np.testing.assert_allclose(blk.X, blk.H @ blk.S, atol=1e-12)
+    assert blk.D.shape == (tiny.K, tiny.tau_d)
+    # each AP sees N_r antennas per slot, and its own H[m] times [P D] there
+    np.testing.assert_array_equal(blk.omega.sum(axis=1), tiny.N_r)
+    assert np.all(blk.Y[~blk.omega] == 0)
+    noiseless = make_block(tiny, np.full((tiny.K, tiny.M), 1e-10), p, 7, 0, sigma2=0.0)
+    x = np.stack([h @ np.hstack([p, noiseless.D]) for h in noiseless.H])
+    np.testing.assert_allclose(noiseless.Y, np.where(noiseless.omega, x, 0.0), atol=1e-12)
 
 
 def test_make_block_deterministic(tiny):
@@ -293,8 +293,8 @@ def test_make_block_pilot_part_ignores_payload_length(tiny):
     a = make_block(tiny, beta, p, 7, 0)
     b = make_block(longer, beta, p, 7, 0)
     tp = tiny.tau_p
-    np.testing.assert_array_equal(a.Y[:, :tp], b.Y[:, :tp])
-    np.testing.assert_array_equal(a.omega[:, :tp], b.omega[:, :tp])
+    np.testing.assert_array_equal(a.Y[..., :tp], b.Y[..., :tp])
+    np.testing.assert_array_equal(a.omega[..., :tp], b.omega[..., :tp])
     np.testing.assert_array_equal(a.H, b.H)
 
 
@@ -302,4 +302,10 @@ def test_make_block_sigma2_override(tiny):
     p = gen_pilots(tiny.K, tiny.tau_p)
     beta = np.full((tiny.K, tiny.M), 1e-10)
     blk = make_block(tiny, beta, p, 7, 0, sigma2=0.0)
-    np.testing.assert_array_equal(blk.R, blk.X)
+    # no receiver noise: Y is the switch-sampled H [P D], bit for bit
+    h = blk.H.reshape(tiny.n_rows, tiny.K)
+    x = np.hstack([h @ p, h @ blk.D]).reshape(blk.Y.shape)
+    np.testing.assert_array_equal(blk.Y, np.where(blk.omega, x, 0.0))
+    noisy = make_block(tiny, beta, p, 7, 0)
+    np.testing.assert_array_equal(noisy.omega, blk.omega)
+    assert not np.array_equal(noisy.Y, blk.Y)

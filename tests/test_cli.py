@@ -117,6 +117,21 @@ def test_crossval_prefers_more_iterations(tmp_path, capsys):
     assert "best fw_iters=40" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "method, param, values",
+    [("svd", "nuc_bound", "0.5,5,50"), ("npsvd", "nuc_bound", "0.5,5,50"),
+     ("npfw", "fw_iters", "1,8,40")],
+)
+def test_crossval_param_the_method_never_reads_exits_2(toy_config, capsys, method, param, values):
+    rc = cli.main(
+        ["crossval", "--config", str(toy_config), "--method", method,
+         "--param", param, "--values", values, "--trials", "1"]
+    )
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"method {method!r} does not read {param!r}" in err
+
+
 # Gram rounds per trial on the toy config: fw_iters, the default
 # np_fw_iters, one for the one-shot methods, none for pilot-only.
 TOY_ROUNDS = {"fw": 4, "npfw": 200, "svd": 1, "npsvd": 1, "po": 0}

@@ -241,8 +241,7 @@ def test_detect_block_at_m100_k25_keeps_every_decision():
     prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
     block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, sigma2=prep.sigma2)
     gots, wants = [], []
-    for m in range(scen.M):
-        y, omega = block.Y[scen.block(m)], block.omega[scen.block(m)]
+    for y, omega in zip(block.Y, block.omega):
         h = pilot_only_ls(y, prep.pilots)
         got = pilot_only_detect_block(h, y, omega, prep.sigma2, scen.tau_p, scen.N_r)
         want = assert_matches_reference(got, h, y, omega, prep.sigma2, scen.tau_p)

@@ -19,7 +19,7 @@ from privcell.protocol import Backhaul, MessageKind
 
 
 def make_instance(seed, n_aps=3, n_ant=2, tau_c=8, density=0.5):
-    """Random masked observation with a planted low-rank part."""
+    """Random masked observation with a planted low-rank part, as (M, N_a, tau_c) stacks."""
     rng = np.random.default_rng(seed)
     rows = n_aps * n_ant
     truth = np.outer(
@@ -28,7 +28,12 @@ def make_instance(seed, n_aps=3, n_ant=2, tau_c=8, density=0.5):
     )
     omega = rng.random((rows, tau_c)) < density
     y = np.where(omega, truth + 0.05 * rng.standard_normal((rows, tau_c)), 0.0)
-    return y, omega, truth
+    return tuple(a.reshape(n_aps, n_ant, tau_c) for a in (y, omega, truth))
+
+
+def flat(a):
+    """An (M, N_a, tau_c) stack as the (M*N_a, tau_c) matrix the oracles take."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def rel_err(a, b):
@@ -99,7 +104,7 @@ def test_release_gram_hand_value():
     np.testing.assert_array_equal(g, ref_release(j, 0.0, 0))
     # the first FW round releases exactly this Gram of the residual -y
     net = RecordingBackhaul()
-    run_fw(-j, np.ones(j.shape, dtype=bool), 1, FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
+    run_fw(-j[None], np.ones((1, *j.shape), dtype=bool), FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
     np.testing.assert_array_equal(net.payloads[0], g)
 
 
@@ -156,7 +161,6 @@ def test_clip_observed(rng):
 def test_update_is_rank_one_step(rng):
     cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=100.0, noise_scale=0.0)
     y, omega, _ = make_instance(3, n_aps=1)
-    y, omega = y[None], omega[None]
     j = ap_residual(np.zeros_like(y), y, omega)
     v = rng.standard_normal(y.shape[2]) + 1j * rng.standard_normal(y.shape[2])
     v /= np.linalg.norm(v)
@@ -169,9 +173,9 @@ def test_update_is_rank_one_step(rng):
 def test_update_degenerate_lambda(rng):
     cfg = FwConfig(4, 2.0, 100.0, 0.0)
     y, omega, _ = make_instance(3, n_aps=1)
-    v = np.ones(y.shape[1], dtype=complex)
+    v = np.ones(y.shape[2], dtype=complex)
     with pytest.raises(DegenerateStepError):
-        ap_update(np.zeros_like(y[None]), -y[None], v, 0.0, 1.0, cfg, omega[None])
+        ap_update(np.zeros_like(y), -y, v, 0.0, 1.0, cfg, omega)
 
 
 # ---------------------------------------------------------------- runs
@@ -181,11 +185,11 @@ def test_zero_noise_matches_centralized_oracle():
     y, omega, _ = make_instance(11, n_aps=3, n_ant=2, tau_c=8)
     cfg = FwConfig(6, nuclear_bound=5.0, clip_bound=4.0, noise_scale=0.0,
                    keep_iterates=True)
-    res = run_fw(y, omega, 3, cfg, 0)
-    ref = centralized_fw(y, omega, 3, 6, 5.0, 4.0)
+    res = run_fw(y, omega, cfg, 0)
+    ref = centralized_fw(flat(y), flat(omega), 3, 6, 5.0, 4.0)
     assert len(res.iterates) == 6
     for got, want in zip(res.iterates, ref):
-        assert rel_err(got, want) <= 1e-9
+        assert rel_err(flat(got), want) <= 1e-9
 
 
 def test_noisy_run_matches_centralized_with_shared_draws():
@@ -193,10 +197,10 @@ def test_noisy_run_matches_centralized_with_shared_draws():
     entropy = (77, 9, 0)
     cfg = FwConfig(5, nuclear_bound=5.0, clip_bound=6.0, noise_scale=0.3,
                    keep_iterates=True)
-    res = run_fw(y, omega, 3, cfg, entropy)
-    ref = centralized_fw(y, omega, 3, 5, 5.0, 6.0, noise_scale=0.3, entropy=entropy)
+    res = run_fw(y, omega, cfg, entropy)
+    ref = centralized_fw(flat(y), flat(omega), 3, 5, 5.0, 6.0, noise_scale=0.3, entropy=entropy)
     for got, want in zip(res.iterates, ref):
-        assert rel_err(got, want) <= 1e-9
+        assert rel_err(flat(got), want) <= 1e-9
 
 
 def test_noiseless_rank_one_converges():
@@ -210,16 +214,15 @@ def test_noiseless_rank_one_converges():
     nuc = np.linalg.svd(truth, compute_uv=False)[0]  # nuclear norm of rank one
     cfg = FwConfig(50, nuclear_bound=float(nuc),
                    clip_bound=float(np.linalg.norm(truth)) + 1.0, noise_scale=0.0)
-    res = run_fw(truth, omega, 4, cfg, 0)
-    assert rel_err(res.x_hat, truth) <= 0.05
+    res = run_fw(truth.reshape(4, 2, tau_c), omega.reshape(4, 2, tau_c), cfg, 0)
+    assert rel_err(flat(res.x_hat), truth) <= 0.05
 
 
 def test_single_round_output_rank(rng):
     y, omega, _ = make_instance(9, n_aps=2, n_ant=3, tau_c=7)
     cfg = FwConfig(1, 4.0, 50.0, 0.0)
-    res = run_fw(y, omega, 2, cfg, 0)
-    for m in range(2):
-        block = res.x_hat[m * 3:(m + 1) * 3]
+    res = run_fw(y, omega, cfg, 0)
+    for block in res.x_hat:
         sv = np.linalg.svd(block, compute_uv=False)
         assert sv[1] <= 1e-10 * max(sv[0], 1.0)
 
@@ -228,7 +231,7 @@ def test_run_telemetry_and_transcript():
     y, omega, _ = make_instance(4)
     cfg = FwConfig(5, 5.0, 1.5, 0.2)  # tight clip bound, forces rescaling
     net = Backhaul()
-    res = run_fw(y, omega, 3, cfg, 0, net=net)
+    res = run_fw(y, omega, cfg, 0, net=net)
     assert res.rounds == 5
     assert res.masked_norms.shape == (5, 3)
     assert np.all(res.masked_norms <= 1.5 + 1e-9)
@@ -247,7 +250,7 @@ def test_transcript_after_batched_run():
     entropy = (5, 1, 2)
     cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3, keep_iterates=True)
     net = RecordingBackhaul()
-    res = run_fw(y, omega, 3, cfg, entropy, net=net)
+    res = run_fw(y, omega, cfg, entropy, net=net)
     assert res.clip_events > 0
     releases = [
         (msg, p) for msg, p in zip(net.transcript, net.payloads)
@@ -261,7 +264,7 @@ def test_transcript_after_batched_run():
             msg, payload = releases[3 * (n - 1) + m]
             assert (msg.sender, msg.round_index) == (f"ap{m}", n)
             seed = np.random.SeedSequence([*entropy, m, n])
-            np.testing.assert_array_equal(payload, ref_release(residual[2 * m:2 * m + 2], 0.3, seed))
+            np.testing.assert_array_equal(payload, ref_release(residual[m], 0.3, seed))
         x_prev = res.iterates[n - 1]
     for a, pa in releases:
         for b, pb in releases:
@@ -274,10 +277,10 @@ def test_transcript_after_batched_run():
 def test_run_deterministic():
     y, omega, _ = make_instance(6)
     cfg = FwConfig(3, 5.0, 4.0, 0.7)
-    a = run_fw(y, omega, 3, cfg, 123)
-    b = run_fw(y, omega, 3, cfg, 123)
+    a = run_fw(y, omega, cfg, 123)
+    b = run_fw(y, omega, cfg, 123)
     np.testing.assert_array_equal(a.x_hat, b.x_hat)
-    c = run_fw(y, omega, 3, cfg, 124)
+    c = run_fw(y, omega, cfg, 124)
     assert not np.array_equal(a.x_hat, c.x_hat)
 
 
@@ -285,6 +288,6 @@ def test_run_shape_checks():
     y, omega, _ = make_instance(6)
     cfg = FwConfig(2, 5.0, 4.0, 0.0)
     with pytest.raises(ShapeError):
-        run_fw(y, omega[:, :4], 3, cfg, 0)
+        run_fw(y, omega[..., :4], cfg, 0)
     with pytest.raises(ShapeError):
-        run_fw(y, omega, 4, cfg, 0)  # 6 rows do not split over 4 APs
+        run_fw(flat(y), flat(omega), cfg, 0)  # one matrix, not a stack of AP blocks

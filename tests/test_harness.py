@@ -5,6 +5,8 @@ from enum import Enum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import read_csv
 from privcell import harness
@@ -90,14 +92,13 @@ def test_run_trial_channel_estimate_is_per_ap_pilot_product(tiny, method, monkey
         record(harness.estimation.estimate_channel, estimates),
     )
     res = run_trial(scen, run, method, prep, 7, 0, 1.0)
-    x_hat = completed[0].x_hat
-    want = [x_hat[scen.block(m)][:, : scen.tau_p] @ np.linalg.pinv(prep.pilots, rcond=1e-12)
-            for m in range(scen.M)]
+    want = [x[:, : scen.tau_p] @ np.linalg.pinv(prep.pilots, rcond=1e-12)
+            for x in completed[0].x_hat]
     assert len(estimates) == scen.M
     for got, ref in zip(estimates, want):
         np.testing.assert_array_equal(got, ref)
     block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
-    assert res.nmse == nmse(np.vstack(want), block.H)
+    assert res.nmse == nmse(np.stack(want), block.H)
 
 
 # ---------------------------------------------------------------- backhaul
@@ -148,13 +149,17 @@ EDGES = {
 
 @pytest.mark.parametrize("method", list(METHODS))
 @pytest.mark.parametrize("edge", list(EDGES))
-def test_scenario_edges_run_every_method(edge, method):
-    """Each edge of the scenario space gives finite metrics, the protocol's
-    message count and a clean audit, whatever the method."""
-    scen = dataclasses.replace(EDGE_SCENARIO, **EDGES[edge])
+@settings(deadline=None, max_examples=3)
+@given(others=st.sets(st.sampled_from(list(EDGES))))
+def test_scenario_edges_run_every_method(edge, method, others):
+    """Each edge of the scenario space, combined with any set of the others,
+    gives finite metrics, the protocol's message count and a clean audit,
+    whatever the method."""
+    edges = {edge, *others}
+    scen = dataclasses.replace(EDGE_SCENARIO, **{k: v for e in edges for k, v in EDGES[e].items()})
     run = RunConfig(
         trials=1, fw_iters=3, np_fw_iters=5,
-        units="physical" if edge == "physical" else "normalized",
+        units="physical" if "physical" in edges else "normalized",
     )
     prep = prepare(scen, run, draw_beta(scen, scen.seed))
     net = Backhaul()
@@ -294,9 +299,9 @@ def test_run_sweep_unknown_method(toy_exp):
         run_sweep(toy_exp, method="ridge")
 
 
-def test_run_sweep_fixed_beta_shares_draw(toy_exp):
-    """With fixed_beta the epsilon sweep reuses one geometry, so the
-    non-private methods give the same numbers at every axis value."""
+def test_run_sweep_shares_one_draw(toy_exp):
+    """Every sweep point draws the same geometry, so the non-private
+    methods give the same numbers at every epsilon."""
     exp = dataclasses.replace(
         toy_exp, run=dataclasses.replace(toy_exp.run, values=(0.5, 5.0))
     )
@@ -318,14 +323,18 @@ def test_cross_validate_prefers_longer_runs(full_obs):
 
 def test_cross_validate_single_point(full_obs):
     exp = ExperimentConfig(scenario=full_obs, run=RunConfig(trials=1))
-    best, scores = cross_validate(exp, "npsvd", "nuc_bound", [0.7], trials=1)
+    best, scores = cross_validate(exp, "npfw", "nuc_bound", [0.7], trials=1)
     assert best == 0.7
     assert len(scores) == 1
 
 
 def test_cross_validate_validation(toy_exp):
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         cross_validate(toy_exp, "fw", "delta", [0.1], trials=1)
+    # a knob the method never reads would score every grid value the same
+    for method, param in (("npfw", "fw_iters"), ("svd", "nuc_bound"), ("po", "nuc_bound")):
+        with pytest.raises(ConfigError, match="does not read"):
+            cross_validate(toy_exp, method, param, [1.0, 2.0], trials=1)
     with pytest.raises(ArgumentError):
         cross_validate(toy_exp, "fw", "fw_iters", [], trials=1)
 

@@ -98,7 +98,7 @@ def test_non_finite_budget_or_scale_is_rejected(bad):
     with pytest.raises(ArgumentError):
         FwConfig(1, 1.0, 1.0, bad)
     with pytest.raises(ArgumentError):
-        SvdConfig(2, bad, 1.0)
+        SvdConfig(2, bad, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------- release round

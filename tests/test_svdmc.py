@@ -16,17 +16,26 @@ def low_rank(seed, rows, tau_c, rank):
     return a @ b
 
 
+def stacks(a, n_aps):
+    """A (rows, tau_c) matrix as the (M, rows / M, tau_c) stack of its AP blocks."""
+    return a.reshape(n_aps, -1, a.shape[-1])
+
+
 def test_config_validation_and_derive(tiny):
     with pytest.raises(ArgumentError):
-        SvdConfig(0, 0.0, 1.0)
+        SvdConfig(0, 0.0, 1.0, 1.0)
     with pytest.raises(ArgumentError):
-        SvdConfig(2, -1.0, 1.0)
+        SvdConfig(2, -1.0, 1.0, 1.0)
     with pytest.raises(ArgumentError):
-        SvdConfig(2, 0.0, -1.0)
+        SvdConfig(2, 0.0, -1.0, 1.0)
+    for upsample in (0.0, -1.0, float("nan")):
+        with pytest.raises(ArgumentError):
+            SvdConfig(2, 0.0, 1.0, upsample)
     cfg = SvdConfig.derive(tiny, 0.5)
     assert cfg.rank == tiny.K
     assert cfg.noise_scale == 0.5
     assert cfg.trim_threshold == pytest.approx(2 * tiny.N_r * tiny.tau_c / tiny.N_a)
+    assert cfg.upsample == tiny.N_a / tiny.N_r
 
 
 def test_trim_rule():
@@ -55,7 +64,7 @@ def test_release_gram_hand_value():
     """The one-shot round releases the Gram of the trimmed block."""
     j = np.array([[1.0, 1.0j, 0.0], [2.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
     net = RecordingBackhaul()
-    run_svd(j, j != 0, 1, SvdConfig(1, 0.0, 2.0), 0, upsample=1.0, net=net)
+    run_svd(j[None], j[None] != 0, SvdConfig(1, 0.0, 2.0, 1.0), 0, net=net)
     want = np.array([[5.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]])  # row 2 trimmed
     np.testing.assert_allclose(net.payloads[0], want, atol=1e-14)
 
@@ -97,17 +106,17 @@ def test_run_matches_centralized_oracle():
     y = low_rank(8, rows=12, tau_c=10, rank=3)
     y = np.where(rng.random(y.shape) < 0.6, y, 0.0)
     omega = y != 0
-    cfg = SvdConfig(rank=3, noise_scale=0.0, trim_threshold=7.0)
-    res = run_svd(y, omega, 4, cfg, 0, upsample=2.0)
+    cfg = SvdConfig(rank=3, noise_scale=0.0, trim_threshold=7.0, upsample=2.0)
+    res = run_svd(stacks(y, 4), stacks(omega, 4), cfg, 0)
     want = centralized_svd(y, 7.0, 3, 2.0)
-    assert np.linalg.norm(res.x_hat - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
+    assert np.linalg.norm(res.x_hat.reshape(want.shape) - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
 
 
 def test_run_transcript_counts():
-    y = low_rank(9, rows=8, tau_c=6, rank=2)
+    y = stacks(low_rank(9, rows=8, tau_c=6, rank=2), 4)
     omega = np.ones(y.shape, dtype=bool)
     net = Backhaul()
-    res = run_svd(y, omega, 4, SvdConfig(2, 0.4, 10.0), 5, upsample=1.0, net=net)
+    res = run_svd(y, omega, SvdConfig(2, 0.4, 10.0, 1.0), 5, net=net)
     assert res.rounds == 1
     assert res.clip_events == 0
     assert res.masked_norms.shape == (1, 4)
@@ -119,34 +128,23 @@ def test_run_transcript_counts():
 
 def test_run_reports_observed_entry_norms():
     rng = np.random.default_rng(4)
-    y = low_rank(11, rows=8, tau_c=6, rank=2)
+    y = stacks(low_rank(11, rows=8, tau_c=6, rank=2), 4)
     omega = rng.random(y.shape) < 0.5
     y = np.where(omega, y, 0.0)
-    res = run_svd(y, omega, 4, SvdConfig(2, 0.0, 10.0), 0, upsample=2.0)
-    want = [np.linalg.norm(res.x_hat[2 * m:2 * m + 2][omega[2 * m:2 * m + 2]]) for m in range(4)]
+    res = run_svd(y, omega, SvdConfig(2, 0.0, 10.0, 2.0), 0)
+    want = [np.linalg.norm(x[o]) for x, o in zip(res.x_hat, omega)]
     assert res.masked_norms.tolist() == [want]
     # the completed blocks are dense, so the full-block norms would differ
-    assert all(w < np.linalg.norm(res.x_hat[2 * m:2 * m + 2]) for m, w in enumerate(want))
+    assert all(w < np.linalg.norm(x) for x, w in zip(res.x_hat, want))
 
 
 def test_run_deterministic():
-    y = low_rank(10, rows=6, tau_c=5, rank=2)
+    y = stacks(low_rank(10, rows=6, tau_c=5, rank=2), 2)
     omega = np.ones(y.shape, dtype=bool)
-    cfg = SvdConfig(2, 0.8, 10.0)
-    a = run_svd(y, omega, 2, cfg, 42, upsample=1.0)
-    b = run_svd(y, omega, 2, cfg, 42, upsample=1.0)
+    cfg = SvdConfig(2, 0.8, 10.0, 1.0)
+    a = run_svd(y, omega, cfg, 42)
+    b = run_svd(y, omega, cfg, 42)
     np.testing.assert_array_equal(a.x_hat, b.x_hat)
-    c = run_svd(y, omega, 2, cfg, 43, upsample=1.0)
+    c = run_svd(y, omega, cfg, 43)
     assert not np.array_equal(a.x_hat, c.x_hat)
 
-
-def test_run_argument_checks():
-    y = low_rank(10, rows=6, tau_c=5, rank=2)
-    omega = np.ones(y.shape, dtype=bool)
-    cfg = SvdConfig(2, 0.0, 10.0)
-    with pytest.raises(ArgumentError):
-        run_svd(y, omega, 2, cfg, 0, upsample=0.0)
-    with pytest.raises(ShapeError):
-        run_svd(y, omega[:4], 2, cfg, 0, upsample=1.0)
-    with pytest.raises(ShapeError):
-        run_svd(y, omega, 4, cfg, 0, upsample=1.0)

@@ -148,3 +148,14 @@ def test_run_deterministic():
     c = run_svd(y, omega, cfg, 43)
     assert not np.array_equal(a.x_hat, c.x_hat)
 
+
+def test_run_argument_checks():
+    y = stacks(low_rank(10, rows=6, tau_c=5, rank=2), 2)
+    omega = np.ones(y.shape, dtype=bool)
+    cfg = SvdConfig(2, 0.0, 10.0, 1.0)
+    with pytest.raises(ArgumentError):
+        run_svd(y, omega, SvdConfig(2, 0.0, 10.0, 0.0), 0)
+    with pytest.raises(ShapeError):
+        run_svd(y, omega[..., :4], cfg, 0)
+    with pytest.raises(ShapeError):
+        run_svd(y.reshape(6, 5), omega.reshape(6, 5), cfg, 0)  # one matrix, not a stack of AP blocks

@@ -11,19 +11,19 @@ Conventions:
   * large-scale gain beta = 10**(-(PL(d) + sigma_sh * z) / 10) with
     PL(d) = pl_a + pl_b * log10(d), d in metres, z standard normal
     (real draw by default; see shadow_convention);
-  * the block is drawn as one (M*N_a, ·) matrix, AP m owning rows
-    m*N_a : (m+1)*N_a, and `make_block` hands it out as (M, N_a, ·)
-    stacks, AP m at index m.
+  * every per-AP array is an (M, N_a, ·) stack, AP m at index m, from
+    the channel draw on.
 """
 
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .seeding import rng_for
 
 log = logging.getLogger(__name__)
 
@@ -91,10 +91,6 @@ class Scenario:
     @property
     def tau_c(self):
         return self.tau_p + self.tau_d
-
-    @property
-    def n_rows(self):
-        return self.M * self.N_a
 
 
 @dataclass
@@ -171,13 +167,12 @@ def large_scale_fading(topology, scenario, rng):
 
 
 def gen_channels(beta, scenario, rng):
-    """Stacked channel H of shape (M*N_a, K): sqrt(beta) times CN(0,1) fading."""
+    """Channel stack H of shape (M, N_a, K): sqrt(beta) times CN(0,1) fading."""
     beta = np.asarray(beta)
     if beta.shape != (scenario.K, scenario.M):
         raise ShapeError(f"beta shape {beta.shape}, expected {(scenario.K, scenario.M)}")
-    g = crandn(rng, (scenario.n_rows, scenario.K))
-    amp = np.sqrt(np.repeat(beta.T, scenario.N_a, axis=0))  # (M*N_a, K)
-    return g * amp
+    g = crandn(rng, (scenario.M, scenario.N_a, scenario.K))
+    return g * np.sqrt(beta.T)[:, None, :]
 
 
 def gen_pilots(K, tau_p):
@@ -201,30 +196,26 @@ def gen_payload(K, tau_d, model, rng):
 
 
 def transmit(H, S, sigma2, rng):
-    """Noisy receive matrix R = H S + N with N i.i.d. CN(0, sigma2)."""
+    """Noisy receive R = H S + N, N i.i.d. CN(0, sigma2), for H (..., N_a, K)."""
     H = np.asarray(H)
     S = np.asarray(S)
-    if H.shape[1] != S.shape[0]:
+    if H.shape[-1] != S.shape[0]:
         raise ShapeError(f"H {H.shape} and S {S.shape} do not chain")
-    return H @ S + crandn(rng, (H.shape[0], S.shape[1]), sigma2)
+    return H @ S + crandn(rng, H.shape[:-1] + S.shape[1:], sigma2)
 
 
 def sample_switch(R, scenario, rng):
-    """Per-AP per-slot switch sampling: keep N_r of N_a antennas, uniformly.
+    """Per-AP per-slot switch sampling of an (M, N_a, n) stack: keep N_r of N_a antennas, uniformly.
 
     Returns (Y, omega): Y equals R on the observed set and is exactly zero
     elsewhere; omega is the boolean observation mask.
     """
     R = np.asarray(R)
-    n_slots = R.shape[1]
-    if R.shape[0] != scenario.n_rows:
-        raise ShapeError(f"R has {R.shape[0]} rows, expected {scenario.n_rows}")
-    u = rng.random((scenario.M, scenario.N_a, n_slots))
-    order = np.argsort(u, axis=1)
-    sel = order[:, : scenario.N_r, :]
-    m3 = np.zeros((scenario.M, scenario.N_a, n_slots), dtype=bool)
-    np.put_along_axis(m3, sel, True, axis=1)
-    omega = m3.reshape(scenario.n_rows, n_slots)
+    if R.ndim != 3 or R.shape[:2] != (scenario.M, scenario.N_a):
+        raise ShapeError(f"R has shape {R.shape}, expected ({scenario.M}, {scenario.N_a}, n)")
+    sel = np.argsort(rng.random(R.shape), axis=1)[:, : scenario.N_r, :]
+    omega = np.zeros(R.shape, dtype=bool)
+    np.put_along_axis(omega, sel, True, axis=1)
     return np.where(omega, R, 0.0), omega
 
 
@@ -235,11 +226,7 @@ def make_block(scenario, beta, P, master_seed, trial, sigma2=None):
     tau_d, so the pilot part of a block is identical across payload-length
     sweeps at the same master seed and trial.  sigma2 overrides the
     scenario's noise power (the harness passes the unit-rescaled value).
-    Everything is drawn on the (M*N_a, ·) matrix and reshaped into AP
-    stacks at the end.
     """
-    from .seeding import rng_for
-
     if sigma2 is None:
         sigma2 = scenario.sigma2
     H = gen_channels(beta, scenario, rng_for(master_seed, "channel", trial))
@@ -251,10 +238,9 @@ def make_block(scenario, beta, P, master_seed, trial, sigma2=None):
     R_d = transmit(H, D, sigma2, rng_for(master_seed, "noise_data", trial))
     Y_p, om_p = sample_switch(R_p, scenario, rng_for(master_seed, "mask_pilot", trial))
     Y_d, om_d = sample_switch(R_d, scenario, rng_for(master_seed, "mask_data", trial))
-    aps = (scenario.M, scenario.N_a, -1)
     return SignalBlock(
         D=D,
-        H=H.reshape(aps),
-        Y=np.hstack([Y_p, Y_d]).reshape(aps),
-        omega=np.hstack([om_p, om_d]).reshape(aps),
+        H=H,
+        Y=np.concatenate([Y_p, Y_d], axis=-1),
+        omega=np.concatenate([om_p, om_d], axis=-1),
     )

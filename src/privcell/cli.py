@@ -25,9 +25,12 @@ EXIT_RUNTIME = 3
 
 def _floats(text):
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        values = tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad value list {text!r}: {e}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty value list {text!r}")
+    return values
 
 
 def build_parser():

@@ -17,30 +17,28 @@ SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def estimate_channel(x_pilot, pilot_pinv):
-    """Channel estimate from pilot columns: X_p @ pinv(P), pinv(P) given."""
+    """Channel estimate from pilot columns: X_p @ pinv(P), pinv(P) given, per AP of a stack."""
     x_pilot = np.asarray(x_pilot)
-    if x_pilot.shape[1] != pilot_pinv.shape[0]:
-        raise ShapeError(f"{x_pilot.shape[1]} pilot columns, pinv(P) has {pilot_pinv.shape[0]} rows")
+    if x_pilot.shape[-1] != pilot_pinv.shape[0]:
+        raise ShapeError(f"{x_pilot.shape[-1]} pilot columns, pinv(P) has {pilot_pinv.shape[0]} rows")
     return x_pilot @ pilot_pinv
 
 
 def detect_local(h_hat, x_data, rcond=1e-12):
-    """Least-squares payload estimate: pinv(H_hat) @ X_d."""
+    """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack."""
     h_hat = np.asarray(h_hat)
     x_data = np.asarray(x_data)
-    if h_hat.shape[0] != x_data.shape[0]:
+    if h_hat.shape[-2] != x_data.shape[-2]:
         raise ShapeError(f"row mismatch {h_hat.shape} vs {x_data.shape}")
     return pinv(h_hat, rcond=rcond) @ x_data
 
 
 def combine(d_locals):
-    """Average the per-AP detections (ascending AP order)."""
-    if not d_locals:
+    """Average the (M, K, tau_d) stack of per-AP detections over its AP axis."""
+    d_locals = np.asarray(d_locals)
+    if len(d_locals) == 0:
         raise ShapeError("no local detections to combine")
-    acc = np.zeros_like(np.asarray(d_locals[0], dtype=complex))
-    for d in d_locals:
-        acc = acc + d
-    return acc / len(d_locals)
+    return np.mean(d_locals, axis=0)
 
 
 def slice_qpsk(soft):
@@ -77,34 +75,37 @@ def nmse(h_hat, h_true):
     return (frob_norm(h_hat - h_true) / denom) ** 2
 
 
-def pilot_only_ls(y_m, pilots):
-    """Correlation channel estimate from observed pilot slots: Y_p @ P^H."""
-    y_m = np.asarray(y_m)
+def pilot_only_ls(y, pilots):
+    """Correlation channel estimate from observed pilot slots: Y_p @ P^H, per AP of a stack."""
+    y = np.asarray(y)
     tau_p = pilots.shape[1]
-    if y_m.shape[1] < tau_p:
-        raise ShapeError(f"block has {y_m.shape[1]} columns, needs >= {tau_p}")
-    return y_m[:, :tau_p] @ pilots.conj().T
+    if y.shape[-1] < tau_p:
+        raise ShapeError(f"block has {y.shape[-1]} columns, needs >= {tau_p}")
+    return y[..., :tau_p] @ pilots.conj().T
 
 
-def _observed_index(mask_cols, n_rf):
-    """(n_slots, N_r) ascending antenna indices of the observed rows."""
-    # stable sort puts True (observed) first while keeping index order
-    return np.argsort(~mask_cols, axis=0, kind="stable")[:n_rf].T
+def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
+    """Regularised LS detection of all payload slots of each AP at once.
 
-
-def pilot_only_detect_block(h_hat, y_m, omega_m, sigma2, tau_p, n_rf):
-    """Regularised LS detection of all payload slots of one AP at once.
-
-    Per slot only the N_r observed antennas enter.  With noise the solve
-    has size min(N_r, K): F^H (F F^H + s2 I)^-1 y when N_r < K (push-through),
-    else (F^H F + s2 I)^-1 F^H y.  A pseudoinverse is used when sigma2 is zero.
+    Per slot only the N_r observed antennas enter, in ascending index
+    order.  With noise the solve has size min(N_r, K):
+    F^H (F F^H + s2 I)^-1 y when N_r < K (push-through), else
+    (F^H F + s2 I)^-1 F^H y.  A pseudoinverse is used when sigma2 is zero.
+    Leading AP axes of h_hat (..., N_a, K), y and omega (..., N_a, tau_c)
+    broadcast; the result is (..., K, tau_d).
     """
-    idx = _observed_index(omega_m[:, tau_p:], n_rf)  # (tau_d, N_r)
-    f = np.asarray(h_hat)[idx]  # (tau_d, N_r, K)
-    yv = np.take_along_axis(np.asarray(y_m)[:, tau_p:], idx.T, axis=0).T[..., None]
+    # stable sort puts True (observed) first while keeping index order
+    idx = np.argsort(~np.asarray(omega)[..., tau_p:], axis=-2, kind="stable")[..., :n_rf, :]
+    yv = np.take_along_axis(np.asarray(y)[..., tau_p:], idx, axis=-2)  # (..., N_r, tau_d)
+    yv = np.swapaxes(yv, -1, -2)[..., None]  # (..., tau_d, N_r, 1)
+    idx = np.swapaxes(idx, -1, -2)[..., None]  # (..., tau_d, N_r, 1)
+    f = np.take_along_axis(np.asarray(h_hat)[..., None, :, :], idx, axis=-2)  # (..., tau_d, N_r, K)
     if sigma2 > 0:
-        fh = f.conj().transpose(0, 2, 1)  # (tau_d, K, N_r)
-        if n_rf < f.shape[2]:
-            return (fh @ np.linalg.solve(f @ fh + sigma2 * np.eye(n_rf), yv))[..., 0].T
-        return np.linalg.solve(fh @ f + sigma2 * np.eye(f.shape[2]), fh @ yv)[..., 0].T
-    return (np.linalg.pinv(f) @ yv)[..., 0].T  # (K, tau_d)
+        fh = np.swapaxes(f.conj(), -1, -2)  # (..., tau_d, K, N_r)
+        if n_rf < f.shape[-1]:
+            d = fh @ np.linalg.solve(f @ fh + sigma2 * np.eye(n_rf), yv)
+        else:
+            d = np.linalg.solve(fh @ f + sigma2 * np.eye(f.shape[-1]), fh @ yv)
+    else:
+        d = np.linalg.pinv(f) @ yv
+    return np.swapaxes(d[..., 0], -1, -2)  # (..., K, tau_d)

@@ -117,17 +117,8 @@ def completion_config(method, prepared, scenario, run, eps):
     return SvdConfig.derive(scenario, nu)
 
 
-def _detect_and_combine(net, scenario, detect, d_true):
-    """Per-AP detect(m) sent as LocalDetection, CPU combining and slicing."""
-    detections = [detect(m) for m in range(scenario.M)]
-    for m, d in enumerate(detections):
-        net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d)
-    soft = estimation.combine(detections)
-    return estimation.ser(estimation.slice_qpsk(soft), d_true)
-
-
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
-    """One end-to-end trial; returns a TrialResult."""
+    """One end-to-end trial on (M, ·, ·) AP stacks; returns a TrialResult."""
     spec = method_spec(method)
     block = make_block(
         scenario, prepared.beta, prepared.pilots, master_seed, trial,
@@ -136,25 +127,22 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     net = Backhaul() if net is None else net
     tau_p = scenario.tau_p
     if spec.completion is None:  # pilot-only: no completion traffic at all
-        h_hats = [estimation.pilot_only_ls(y, prepared.pilots) for y in block.Y]
-
-        def detect(m):
-            return estimation.pilot_only_detect_block(
-                h_hats[m], block.Y[m], block.omega[m], prepared.sigma2, tau_p, scenario.N_r
-            )
+        h_hat = estimation.pilot_only_ls(block.Y, prepared.pilots)
+        d = estimation.pilot_only_detect_block(
+            h_hat, block.Y, block.omega, prepared.sigma2, tau_p, scenario.N_r
+        )
     else:
         cfg = completion_config(method, prepared, scenario, run, eps)
         entropy = entropy_for(master_seed, spec.stage, trial)
         complete = run_fw if spec.completion == ITERATIVE else run_svd
         res = complete(block.Y, block.omega, cfg, entropy, net=net)
-        h_hats = [estimation.estimate_channel(x[:, :tau_p], prepared.pilot_pinv) for x in res.x_hat]
-
-        def detect(m):
-            return estimation.detect_local(h_hats[m], res.x_hat[m][:, tau_p:])
-
+        h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
+        d = estimation.detect_local(h_hat, res.x_hat[..., tau_p:])
+    for m, d_m in enumerate(d):
+        net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d_m)
     out = TrialResult(
-        nmse=estimation.nmse(np.stack(h_hats), block.H),
-        ser=_detect_and_combine(net, scenario, detect, block.D),
+        nmse=estimation.nmse(h_hat, block.H),
+        ser=estimation.ser(estimation.slice_qpsk(estimation.combine(d)), block.D),
     )
     if spec.completion == ITERATIVE:
         out.max_masked_norm = float(res.masked_norms.max())

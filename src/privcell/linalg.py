@@ -54,10 +54,10 @@ def hermitian_eig(a, k=None):
 
 
 def pinv(a, rcond=1e-12):
-    """Moore-Penrose pseudoinverse (SVD-based)."""
+    """Moore-Penrose pseudoinverse (SVD-based) of a matrix or of each matrix of a stack."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.size == 0:
-        raise ShapeError(f"pinv expects a non-empty 2-D array, got shape {a.shape}")
+    if a.ndim < 2 or a.size == 0:
+        raise ShapeError(f"pinv expects a non-empty matrix or stack, got shape {a.shape}")
     return np.linalg.pinv(a, rcond=rcond)
 
 

@@ -30,8 +30,8 @@ STAGES = {
 }
 
 
-def seed_for(master_seed, stage, *indices):
-    """SeedSequence for one substream.
+def entropy_for(master_seed, stage, *indices):
+    """The raw entropy tuple of one substream, for callers that extend it.
 
     Args:
         master_seed: non-negative int, the run's master seed.
@@ -42,19 +42,17 @@ def seed_for(master_seed, stage, *indices):
         raise ValueError("master seed must be non-negative")
     if stage not in STAGES:
         raise KeyError(f"unknown seeding stage {stage!r}")
-    return np.random.SeedSequence([int(master_seed), STAGES[stage], *map(int, indices)])
+    return (int(master_seed), STAGES[stage], *map(int, indices))
+
+
+def seed_for(master_seed, stage, *indices):
+    """SeedSequence for one substream (see entropy_for)."""
+    return np.random.SeedSequence(entropy_for(master_seed, stage, *indices))
 
 
 def rng_for(master_seed, stage, *indices):
-    """Generator for one substream (see seed_for)."""
+    """Generator for one substream (see entropy_for)."""
     return np.random.default_rng(seed_for(master_seed, stage, *indices))
-
-
-def entropy_for(master_seed, stage, *indices):
-    """The raw entropy tuple of a substream, for callers that extend it."""
-    if master_seed < 0:
-        raise ValueError("master seed must be non-negative")
-    return (int(master_seed), STAGES[stage], *map(int, indices))
 
 
 def derive_master(master_seed, stage):

@@ -138,7 +138,7 @@ def test_criterion_01_oracle_equivalence(desk, desk_beta):
 
     iters = 6
     cfg = FwConfig(iters, prep.nuc_bound, prep.clip_bound, 0.0, keep_iterates=True)
-    y, omega = (a.reshape(scen.n_rows, scen.tau_c) for a in (block.Y, block.omega))
+    y, omega = (a.reshape(scen.M * scen.N_a, scen.tau_c) for a in (block.Y, block.omega))
     res = run_fw(block.Y, block.omega, cfg, entropy_for(scen.seed, "dp_fw", 0))
     ref = centralized_fw(y, omega, scen.M, iters, prep.nuc_bound, prep.clip_bound)
     worst_fw = max(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from privcell.channel import (
     sample_switch,
     transmit,
 )
+from privcell.config import load_experiment
 from privcell.errors import ConfigError, ShapeError
+from privcell.harness import draw_beta, prepare
+from privcell.seeding import rng_for
 
 
 # ---------------------------------------------------------------- scenario
@@ -41,7 +45,6 @@ def test_scenario_validation():
 
 def test_scenario_derived_fields(tiny):
     assert tiny.tau_c == tiny.tau_p + tiny.tau_d
-    assert tiny.n_rows == tiny.M * tiny.N_a
 
 
 # ---------------------------------------------------------------- geometry
@@ -162,8 +165,8 @@ def test_channel_zero_beta_row(tiny):
     beta = np.ones((tiny.K, tiny.M))
     beta[1, :] = 0.0
     h = gen_channels(beta, tiny, np.random.default_rng(0))
-    assert np.all(h[:, 1] == 0)
-    assert np.any(h[:, 0] != 0)
+    assert np.all(h[..., 1] == 0)
+    assert np.any(h[..., 0] != 0)
 
 
 def test_channel_deterministic(tiny):
@@ -227,17 +230,16 @@ def test_transmit_rank_bound(rng):
 # ---------------------------------------------------------------- switch
 
 def test_switch_full_observation(full_obs, rng):
-    r = crandn(rng, (full_obs.n_rows, full_obs.tau_c))
+    r = crandn(rng, (full_obs.M, full_obs.N_a, full_obs.tau_c))
     y, omega = sample_switch(r, full_obs, rng)
     assert omega.all()
     np.testing.assert_array_equal(y, r)
 
 
 def test_switch_count_per_slot(tiny, rng):
-    r = crandn(rng, (tiny.n_rows, tiny.tau_c))
+    r = crandn(rng, (tiny.M, tiny.N_a, tiny.tau_c))
     y, omega = sample_switch(r, tiny, rng)
-    per_ap = omega.reshape(tiny.M, tiny.N_a, tiny.tau_c)
-    np.testing.assert_array_equal(per_ap.sum(axis=1), tiny.N_r)
+    np.testing.assert_array_equal(omega.sum(axis=1), tiny.N_r)
     assert np.all(y[~omega] == 0)
     np.testing.assert_array_equal(y[omega], r[omega])
 
@@ -245,17 +247,17 @@ def test_switch_count_per_slot(tiny, rng):
 def test_switch_selection_frequency():
     sc = Scenario(M=2, K=2, N_a=4, N_r=2, tau_p=2, tau_d=4)
     n_slots = 10000
-    r = np.ones((sc.n_rows, n_slots))
+    r = np.ones((sc.M, sc.N_a, n_slots))
     _, omega = sample_switch(r, sc, np.random.default_rng(21))
     p = sc.N_r / sc.N_a
     se = math.sqrt(p * (1 - p) / n_slots)
-    freq = omega.mean(axis=1)
+    freq = omega.mean(axis=-1)
     assert np.all(np.abs(freq - p) < 3 * se)
 
 
 def test_switch_shape_check(tiny, rng):
     with pytest.raises(ShapeError):
-        sample_switch(np.zeros((tiny.n_rows + 1, 4)), tiny, rng)
+        sample_switch(np.zeros((tiny.M, tiny.N_a + 1, 4)), tiny, rng)
 
 
 # ---------------------------------------------------------------- blocks
@@ -303,9 +305,48 @@ def test_make_block_sigma2_override(tiny):
     beta = np.full((tiny.K, tiny.M), 1e-10)
     blk = make_block(tiny, beta, p, 7, 0, sigma2=0.0)
     # no receiver noise: Y is the switch-sampled H [P D], bit for bit
-    h = blk.H.reshape(tiny.n_rows, tiny.K)
-    x = np.hstack([h @ p, h @ blk.D]).reshape(blk.Y.shape)
+    x = np.concatenate([blk.H @ p, blk.H @ blk.D], axis=-1)
     np.testing.assert_array_equal(blk.Y, np.where(blk.omega, x, 0.0))
     noisy = make_block(tiny, beta, p, 7, 0)
     np.testing.assert_array_equal(noisy.omega, blk.omega)
     assert not np.array_equal(noisy.Y, blk.Y)
+
+
+def _flat_block(sc, beta, p, master_seed, trial, sigma2):
+    """make_block as one (M*N_a, ·) draw, AP m owning rows m*N_a : (m+1)*N_a."""
+    n_rows = sc.M * sc.N_a
+
+    def switch(r, rng):
+        sel = np.argsort(rng.random((sc.M, sc.N_a, r.shape[1])), axis=1)[:, : sc.N_r, :]
+        m3 = np.zeros((sc.M, sc.N_a, r.shape[1]), dtype=bool)
+        np.put_along_axis(m3, sel, True, axis=1)
+        omega = m3.reshape(n_rows, r.shape[1])
+        return np.where(omega, r, 0.0), omega
+
+    def noise(stage, cols):
+        return crandn(rng_for(master_seed, stage, trial), (n_rows, cols), sigma2)
+
+    g = crandn(rng_for(master_seed, "channel", trial), (n_rows, sc.K))
+    h = g * np.sqrt(np.repeat(beta.T, sc.N_a, axis=0))
+    d = gen_payload(sc.K, sc.tau_d, sc.signal_model, rng_for(master_seed, "payload", trial))
+    y_p, om_p = switch(h @ p + noise("noise_pilot", sc.tau_p), rng_for(master_seed, "mask_pilot", trial))
+    y_d, om_d = switch(h @ d + noise("noise_data", sc.tau_d), rng_for(master_seed, "mask_data", trial))
+    aps = (sc.M, sc.N_a, -1)
+    return h.reshape(aps), np.hstack([y_p, y_d]).reshape(aps), np.hstack([om_p, om_d]).reshape(aps), d
+
+
+def test_make_block_matches_flat_draw(tiny):
+    """The stacked draw gives the flat (M*N_a, ·) draw's H, Y, omega and D bit for bit."""
+    exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
+    desk = prepare(exp.scenario, exp.run, draw_beta(exp.scenario, exp.scenario.seed))
+    cases = [(exp.scenario, desk.beta, desk.pilots, desk.sigma2)]
+    for sc in (tiny, dataclasses.replace(tiny, N_r=tiny.N_a), dataclasses.replace(tiny, M=1)):
+        cases.append((sc, draw_beta(sc, 5), gen_pilots(sc.K, sc.tau_p), 0.3))
+    for sc, beta, p, sigma2 in cases:
+        for trial in range(3):
+            blk = make_block(sc, beta, p, sc.seed, trial, sigma2=sigma2)
+            h, y, omega, d = _flat_block(sc, beta, p, sc.seed, trial, sigma2)
+            np.testing.assert_array_equal(blk.H, h)
+            np.testing.assert_array_equal(blk.Y, y)
+            np.testing.assert_array_equal(blk.omega, omega)
+            np.testing.assert_array_equal(blk.D, d)

@@ -178,6 +178,21 @@ def test_fractional_fw_iters_crossval_value_exits_2(toy_config, capsys):
     assert "fw_iters must be a whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "crossval"])
+def test_empty_value_list_exits_2(toy_config, tmp_path, capsys, command):
+    """A --values list with no number in it is rejected, not replaced by the config's."""
+    out = tmp_path / "x.csv"
+    argv = {
+        "simulate": ["--method", "po", "--trials", "1", "--out", str(out)],
+        "crossval": ["--method", "fw", "--param", "fw_iters", "--trials", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(toy_config), "--values", ",", *argv])
+    assert exc.value.code == 2
+    assert "empty value list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line, name",
     [("eps: .nan", "eps"), ("eps: abc", "eps"), ("R_km: .nan", "R_km"),

@@ -8,12 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import read_csv
+from support import RecordingBackhaul, read_csv
 from privcell import harness
 from privcell.channel import Scenario, make_block
 from privcell.config import METHODS, ExperimentConfig, RunConfig
 from privcell.errors import ArgumentError, ConfigError, PrivCellError
-from privcell.estimation import nmse
+from privcell.estimation import (
+    detect_local,
+    estimate_channel,
+    nmse,
+    pilot_only_detect_block,
+    pilot_only_ls,
+    ser,
+    slice_qpsk,
+)
 from privcell.harness import (
     cross_validate,
     draw_beta,
@@ -23,7 +31,7 @@ from privcell.harness import (
     run_sweep,
     run_trial,
 )
-from privcell.protocol import Backhaul, audit_privacy_surface
+from privcell.protocol import Backhaul, MessageKind, audit_privacy_surface
 
 
 @pytest.fixture
@@ -94,8 +102,9 @@ def test_run_trial_channel_estimate_is_per_ap_pilot_product(tiny, method, monkey
     res = run_trial(scen, run, method, prep, 7, 0, 1.0)
     want = [x[:, : scen.tau_p] @ np.linalg.pinv(prep.pilots, rcond=1e-12)
             for x in completed[0].x_hat]
-    assert len(estimates) == scen.M
-    for got, ref in zip(estimates, want):
+    assert len(estimates) == 1  # one call on the stack
+    assert len(estimates[0]) == scen.M
+    for got, ref in zip(estimates[0], want):
         np.testing.assert_array_equal(got, ref)
     block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
     assert res.nmse == nmse(np.stack(want), block.H)
@@ -170,6 +179,50 @@ def test_scenario_edges_run_every_method(edge, method, others):
     assert audit_privacy_surface(
         net.transcript, tau_c=scen.tau_c, n_users=scen.K, n_payload=scen.tau_d
     ).ok
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
+    """The stacked estimate, detection and average give the per-AP loop's numbers bit for bit."""
+    run = RunConfig(trials=1, fw_iters=3, np_fw_iters=5)
+    completed = []
+
+    def record(fn):
+        def wrapped(*args, **kwargs):
+            completed.append(fn(*args, **kwargs))
+            return completed[-1]
+        return wrapped
+
+    monkeypatch.setattr(harness, "run_fw", record(harness.run_fw))
+    monkeypatch.setattr(harness, "run_svd", record(harness.run_svd))
+    # N_r < K, N_r = K, and no receiver noise: each branch of the pilot-only detector
+    for scen in (tiny, EDGE_SCENARIO, dataclasses.replace(EDGE_SCENARIO, sigma2=0.0)):
+        prep = prepare(scen, run, draw_beta(scen, scen.seed))
+        net = RecordingBackhaul()
+        res = run_trial(scen, run, method, prep, 7, 0, 1.0, net=net)
+        block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
+        tp = scen.tau_p
+        h_hats, ds = [], []
+        for m in range(scen.M):
+            if method == "po":
+                h_hats.append(pilot_only_ls(block.Y[m], prep.pilots))
+                ds.append(pilot_only_detect_block(
+                    h_hats[m], block.Y[m], block.omega[m], prep.sigma2, tp, scen.N_r
+                ))
+            else:
+                x = completed[-1].x_hat[m]
+                h_hats.append(estimate_channel(x[:, :tp], prep.pilot_pinv))
+                ds.append(detect_local(h_hats[m], x[:, tp:]))
+        acc = np.zeros_like(ds[0])
+        for d in ds:
+            acc = acc + d
+        sent = [p for msg, p in zip(net.transcript, net.payloads)
+                if msg.kind is MessageKind.LOCAL_DETECTION]
+        assert len(sent) == scen.M
+        for got, want in zip(sent, ds):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(res.nmse, nmse(np.stack(h_hats), block.H))
+        assert res.ser == ser(slice_qpsk(acc / scen.M), block.D)
 
 
 # ---------------------------------------------------------------- run_point

@@ -53,7 +53,7 @@ def test_trim_is_noop_for_switch_sampled_blocks():
     # expected row density N_r*tau_c/N_a sits well under the 2x threshold
     sc = Scenario(M=2, K=2, N_a=4, N_r=2, tau_p=2, tau_d=98)
     rng = np.random.default_rng(1)
-    r = crandn(rng, (sc.n_rows, sc.tau_c))
+    r = crandn(rng, (sc.M, sc.N_a, sc.tau_c))
     y, _ = sample_switch(r, sc, rng)
     cfg = SvdConfig.derive(sc, 0.0)
     assert cfg.trim_threshold == pytest.approx(100.0)

@@ -11,6 +11,7 @@ identical channels, masks, and receiver noise.
 import csv
 import dataclasses
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +21,7 @@ import numpy as np
 from . import estimation
 from .channel import gen_pilots, gen_topology, large_scale_fading, make_block
 from .config import ITERATIVE, ExperimentConfig, method_spec, tunable, whole
-from .errors import ArgumentError, ConfigError, PrivCellError
+from .errors import ArgumentError, ConfigError, MetricUndefinedError, PrivCellError
 from .fw import FwConfig, nuclear_norm_budget, run_fw
 from .linalg import pinv
 from .privacy import frob_bound, fw_noise_scale, svd_noise_scale
@@ -158,7 +159,11 @@ def apply_axis(scenario, axis, value):
 
 
 def run_point(exp, method, axis, value, trials, master_seed, beta=None):
-    """All trials of one method at one axis value; returns a MetricsRecord."""
+    """All trials of one method at one axis value; returns a MetricsRecord.
+
+    A trial that raises a PrivCellError or LinAlgError, or whose NMSE or SER
+    is not finite, is logged and counted as a failure, never averaged in.
+    """
     clipping = method_spec(method).completion == ITERATIVE
     scenario, eps_override = apply_axis(exp.scenario, axis, value)
     eps = eps_override if eps_override is not None else exp.run.eps
@@ -169,7 +174,10 @@ def run_point(exp, method, axis, value, trials, master_seed, beta=None):
     results, failures = [], 0
     for trial in range(trials):
         try:
-            results.append(run_trial(scenario, exp.run, method, prepared, master_seed, trial, eps))
+            res = run_trial(scenario, exp.run, method, prepared, master_seed, trial, eps)
+            if not (math.isfinite(res.nmse) and math.isfinite(res.ser)):
+                raise MetricUndefinedError(f"non-finite result nmse={res.nmse!r} ser={res.ser!r}")
+            results.append(res)
         except (PrivCellError, np.linalg.LinAlgError) as e:
             failures += 1
             log.warning("excluded trial %d: %s: %s", trial, type(e).__name__, e)
@@ -212,7 +220,9 @@ def cross_validate(exp, method, param, grid, trials, master_seed=None):
 
     Ties break toward the earlier grid entry, so pass the grid sorted
     ascending to prefer the smaller value.  A param the method never
-    reads is a ConfigError: every grid value would score the same.
+    reads is a ConfigError: every grid value would score the same.  If
+    every trial at every grid value fails, no value can be picked and a
+    PrivCellError names the grid.
     """
     if param not in tunable(method):
         raise ConfigError(f"method {method!r} does not read {param!r}, so every value would score the same")
@@ -229,6 +239,8 @@ def cross_validate(exp, method, param, grid, trials, master_seed=None):
         rec = run_point(cv_exp, method, "epsilon", run.eps, trials, cv_seed)
         scores.append(rec.nmse)
         log.info("crossval %s=%s -> nmse %.6g", param, value, rec.nmse)
+    if all(math.isnan(score) for score in scores):
+        raise PrivCellError(f"every trial failed at every {param} value in {grid}; nothing to pick")
     best = int(np.nanargmin(scores))
     return grid[best], list(zip(grid, scores))
 

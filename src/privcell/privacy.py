@@ -3,11 +3,16 @@
 Each AP only ever reports tau_c x tau_c Gram matrices of its local
 residual (or trimmed observation).  Privacy against everything the CPU
 and other APs see is bought by adding a Hermitian complex Gaussian
-matrix to every release.  Both completions run on the same round
+matrix to every release.  A release is Hermitian by construction, so it
+travels in packed form: tau_c^2 float64s, the real parts of the strict
+upper triangle (row-major), then their imaginary parts, then the real
+diagonal (`pack_hermitian` / `unpack_hermitian`; the layout is fixed in
+`_hermitian_slots`).  The noise is drawn in that same order and added
+straight onto the packed Gram.  Both completions run on the same round
 (`gram_round`, the private Frank-Wolfe mechanism of Jain, Thakkar and
 Thakurta, 2018): every AP releases, the CPU sums the releases in
-ascending AP order and broadcasts what it derives from the sum.  The
-two release schedules are:
+ascending AP order, unpacks the sum once and broadcasts what it derives
+from it.  The two release schedules are:
 
   * iterative: T releases per AP across the FW-style completion; the
     per-release scale comes from advanced composition over T rounds,
@@ -92,14 +97,65 @@ def svd_noise_scale(bound, n_aps, eps, delta):
 
 @functools.lru_cache(maxsize=16)
 def _hermitian_slots(dim):
-    """Upper re/im, lower re/im and diagonal slots in the float view of a dim x dim matrix."""
+    """Where the packed layout sits in the float view of a dim x dim complex matrix.
+
+    Returns (packed, lower).  packed lists the dim^2 slots in wire order:
+    the real parts of the strict upper triangle (row-major), then their
+    imaginary parts, then the real diagonal.  lower lists the mirrored
+    real, then imaginary, slots of the strict lower triangle.
+    """
     i, j = np.triu_indices(dim, k=1)
     up, lo = 2 * (i * dim + j), 2 * (j * dim + i)
-    return up, up + 1, lo, lo + 1, 2 * (dim + 1) * np.arange(dim)
+    return np.concatenate([up, up + 1, 2 * (dim + 1) * np.arange(dim)]), np.concatenate([lo, lo + 1])
+
+
+def pack_hermitian(h):
+    """The packed wire form of a dim x dim Hermitian h: a fresh vector of dim^2 float64s.
+
+    Only the upper triangle and the diagonal's real parts are read (see
+    `_hermitian_slots` for the order).
+    """
+    h = np.ascontiguousarray(h, dtype=complex)
+    packed, _ = _hermitian_slots(h.shape[0])
+    return h.reshape(-1).view(np.float64)[packed]
+
+
+def unpack_hermitian(p):
+    """The exactly Hermitian matrix of a packed release p.
+
+    The lower triangle's imaginary parts are 0.0 - upper (so a zero is
+    +0.0) and the diagonal's imaginary parts are +0.0.
+    """
+    dim = math.isqrt(p.size)
+    if p.ndim != 1 or dim * dim != p.size:
+        raise ShapeError(f"a packed Hermitian release is 1-D of square length, got shape {p.shape}")
+    packed, lower = _hermitian_slots(dim)
+    n_off = lower.size // 2
+    h = np.zeros((dim, dim), dtype=complex)
+    flat = h.reshape(-1).view(np.float64)
+    flat[packed] = p
+    flat[lower[:n_off]] = p[:n_off]
+    flat[lower[n_off:]] = np.subtract(0.0, p[n_off : 2 * n_off])
+    return h
+
+
+def _packed_noise(dim, scale, seed):
+    """One Hermitian noise draw in packed form, as the scaled standard normals.
+
+    The dim^2 normals are drawn in wire order (upper-real, upper-imag,
+    diagonal); off-diagonal parts get std scale/sqrt(2), the diagonal scale.
+    """
+    if not 0 <= scale < math.inf:
+        raise ArgumentError(f"scale must be finite and >= 0, got {scale}")
+    z = np.random.default_rng(seed).standard_normal(dim * dim)
+    n_off = dim * (dim - 1)
+    z[:n_off] *= scale / math.sqrt(2.0)
+    z[n_off:] *= scale
+    return z
 
 
 def sample_hermitian_noise(dim, scale, seed):
-    """Hermitian noise matrix with exact symmetry.
+    """Hermitian noise matrix with exact symmetry: the unpacked form of one packed draw.
 
     Strict upper triangle: i.i.d. complex Gaussian with total variance
     scale^2 per entry; diagonal: i.i.d. real N(0, scale^2); lower
@@ -109,21 +165,11 @@ def sample_hermitian_noise(dim, scale, seed):
     """
     if dim < 1:
         raise ArgumentError(f"dim must be >= 1, got {dim}")
-    if not 0 <= scale < math.inf:
-        raise ArgumentError(f"scale must be finite and >= 0, got {scale}")
-    g = np.zeros((dim, dim), dtype=complex)
     if scale == 0.0:
-        return g
-    up_re, up_im, lo_re, lo_im, diag = _hermitian_slots(dim)
-    n_off = up_re.size
-    z = np.random.default_rng(seed).standard_normal(2 * n_off + dim)
-    off = z[: 2 * n_off] * (scale / math.sqrt(2.0)) + 0.0  # -0 -> +0, as in U + U^H
-    flat = g.reshape(-1).view(np.float64)
-    flat[up_re] = flat[lo_re] = off[:n_off]
-    flat[up_im] = off[n_off:]
-    flat[lo_im] = np.subtract(0.0, off[n_off:])
-    flat[diag] = z[2 * n_off :] * scale
-    return g
+        return np.zeros((dim, dim), dtype=complex)
+    z = _packed_noise(dim, scale, seed)  # a NaN or negative scale raises here
+    z[: dim * (dim - 1)] += 0.0  # -0 -> +0, as in U + U^H
+    return unpack_hermitian(z)
 
 
 def _check_budget(eps, delta):
@@ -144,24 +190,26 @@ def ap_stack(y, omega):
 def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     """One release -> aggregate -> broadcast round over the backhaul.
 
-    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m releases
-    hermitize(B_m^H B_m) plus, unless noise_scale == 0, Hermitian noise seeded
-    by SeedSequence([*seed, m, *tail]); each release is a view into this
-    round's own stack of Grams.  The CPU adds each release into a running sum
-    as it arrives, in ascending AP order, and holds nothing but that sum, as
-    under secure aggregation; it broadcasts cpu(sum) as `kind` and returns it.
+    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m hermitizes
+    B_m^H B_m, packs it into a fresh vector (`pack_hermitian`) and, unless
+    noise_scale == 0, adds the packed Hermitian noise seeded by
+    SeedSequence([*seed, m, *tail]) onto it; that vector is its release.  The
+    CPU adds each release into a packed running sum as it arrives, in
+    ascending AP order, and holds nothing but that sum, as under secure
+    aggregation; it unpacks the sum once, broadcasts cpu(sum) as `kind` and
+    returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     grams = blocks.conj().transpose(0, 2, 1) @ blocks
     tau_c = grams.shape[1]
-    w = np.zeros((tau_c, tau_c), dtype=complex)
+    w = np.zeros(tau_c * tau_c)
     for m, gram in enumerate(grams):
         hermitize(gram, out=gram)
+        release = pack_hermitian(gram)
         if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises
-            noise_seed = np.random.SeedSequence([*entropy, m, *tail])
-            gram += sample_hermitian_noise(tau_c, noise_scale, noise_seed)
-        net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, gram)
-        w += gram  # fixed reduction order keeps results bitwise reproducible
-    payload = cpu(w)
+            release += _packed_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
+        net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, release)
+        w += release  # fixed reduction order keeps results bitwise reproducible
+    payload = cpu(unpack_hermitian(w))
     net.broadcast(kind, round_index, payload)
     return payload

@@ -5,18 +5,24 @@ privatised Gram releases and locally detected payload estimates; the CPU
 talks back only through eigenpair or basis broadcasts.  `Backhaul.send`
 enforces the direction/kind rules at submission time and records, for
 every AP message, the payload's shape and, for a Gram release, whether it
-is exactly Hermitian.  The transcript holds this metadata only: no
-payload outlives its `send`.  `audit_privacy_surface` checks a finished
-transcript against those recorded shapes and verdicts (square, exactly
-Hermitian Gram releases; detection blocks of the expected shape), so a
-raw observation matrix cannot slip through either layer.  There is no
+has the packed Hermitian form: a real (float64) 1-D vector whose length
+is a perfect square, tau_c^2.  Any such vector unpacks to an exactly
+Hermitian tau_c x tau_c matrix (`privacy.unpack_hermitian`), so the
+verdict is structural and costs nothing per entry.  The transcript holds
+this metadata only: no payload outlives its `send`.
+`audit_privacy_surface` checks a finished transcript against those
+recorded shapes and verdicts (packed Gram releases of length tau_c^2;
+detection blocks of the expected shape), so a raw observation matrix, or
+a full complex matrix, cannot slip through either layer.  There is no
 later recheck of the payloads themselves.
 
-Byte accounting: 16 bytes per complex entry, 8 per real scalar.  A
-broadcast is counted once, not per recipient.
+Byte accounting: 16 bytes per complex entry, 8 per real entry or scalar,
+so a packed tau_c x tau_c release costs 8 tau_c^2 bytes.  A broadcast is
+counted once, not per recipient.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,14 +70,20 @@ class Message:
     round_index: int
     nbytes: int
     shape: tuple = ()  # payload shape of an AP message
-    hermitian: bool = False  # a Gram release exactly equal to its conjugate transpose
+    hermitian: bool = False  # a Gram release in packed Hermitian form (see is_packed_hermitian)
 
 
 def payload_nbytes(kind, payload):
     if kind is MessageKind.EIG_BROADCAST:
         vec, _scalar = payload
         return vec.size * BYTES_COMPLEX + BYTES_REAL
-    return np.asarray(payload).size * BYTES_COMPLEX
+    p = np.asarray(payload)
+    return p.size * (BYTES_COMPLEX if np.iscomplexobj(p) else BYTES_REAL)
+
+
+def is_packed_hermitian(p):
+    """Whether p has the packed Hermitian release form: float64, 1-D, of nonzero square length."""
+    return p.dtype == np.float64 and p.ndim == 1 and p.size > 0 and math.isqrt(p.size) ** 2 == p.size
 
 
 @dataclass
@@ -109,7 +121,7 @@ class Backhaul:
             self.ledger.broadcast_bytes += nbytes
         else:
             p = np.asarray(payload)
-            hermitian = kind is MessageKind.GRAM_RELEASE and np.array_equal(p, p.conj().T)
+            hermitian = kind is MessageKind.GRAM_RELEASE and is_packed_hermitian(p)
             msg = Message(kind, sender, receiver, round_index, nbytes, p.shape, hermitian)
             self.ledger.total_unicast_bytes += nbytes
         self.transcript.append(msg)
@@ -131,9 +143,9 @@ class AuditReport:
 def audit_privacy_surface(transcript, tau_c=None, n_users=None, n_payload=None):
     """Structural check that no raw observation ever reached the CPU.
 
-    Reads the shapes and Hermitian verdicts `send` recorded.  Every
-    AP-originated message must be a square, exactly Hermitian Gram
-    release (of side tau_c when given) or a detection block of shape
+    Reads the shapes and packed-form verdicts `send` recorded.  Every
+    AP-originated message must be a Gram release in packed Hermitian form
+    (of length tau_c^2 when tau_c is given) or a detection block of shape
     (n_users, n_payload) when those are given.  Returns an AuditReport
     listing offending message indices.
     """
@@ -144,12 +156,11 @@ def audit_privacy_surface(transcript, tau_c=None, n_users=None, n_payload=None):
             if msg.receiver != CPU:
                 failures.append((i, f"AP message to {msg.receiver!r}"))
             elif msg.kind is MessageKind.GRAM_RELEASE:
-                if len(shape) != 2 or shape[0] != shape[1]:
-                    failures.append((i, f"gram release of shape {shape} is not square"))
-                elif tau_c is not None and shape[0] != tau_c:
-                    failures.append((i, f"gram release side {shape[0]} != {tau_c}"))
-                elif not msg.hermitian:
-                    failures.append((i, "gram release is not Hermitian"))
+                if not msg.hermitian:
+                    why = "is not packed Hermitian (a real vector of square length)"
+                    failures.append((i, f"gram release of shape {shape} {why}"))
+                elif tau_c is not None and shape != (tau_c * tau_c,):
+                    failures.append((i, f"gram release side {math.isqrt(shape[0])} != {tau_c}"))
             elif msg.kind is MessageKind.LOCAL_DETECTION:
                 if len(shape) != 2:
                     failures.append((i, f"detection payload has ndim {len(shape)}"))

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from privcell import cli
+from privcell import cli, harness
 from privcell.config import METHODS
+from privcell.errors import DegenerateStepError
 from support import read_csv
 
 TOY = """\
@@ -130,6 +131,21 @@ def test_crossval_param_the_method_never_reads_exits_2(toy_config, capsys, metho
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"method {method!r} does not read {param!r}" in err
+
+
+def test_crossval_where_every_trial_fails_exits_3(toy_config, capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateStepError("lifted top value is exactly zero")
+
+    monkeypatch.setattr(harness, "run_trial", degenerate)
+    rc = cli.main(
+        ["crossval", "--config", str(toy_config), "--method", "fw",
+         "--param", "fw_iters", "--values", "1,8", "--trials", "2"]
+    )
+    assert rc == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "every fw_iters value in [1.0, 8.0]" in err
+    assert "Traceback" not in err
 
 
 # Gram rounds per trial on the toy config: fw_iters, the default

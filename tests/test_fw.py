@@ -14,7 +14,7 @@ from privcell.fw import (
     run_fw,
     step_size,
 )
-from privcell.privacy import gram_round
+from privcell.privacy import gram_round, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 
 
@@ -48,10 +48,10 @@ def ref_update(x_m, j_m, v, lam, eta, nuclear_bound, clip_bound, omega_m):
 
 
 def one_ap_release(j, noise_scale, seed):
-    """What a lone AP with block j sends in one Gram round."""
+    """What a lone AP with block j sends in one Gram round, unpacked."""
     net = RecordingBackhaul()
     gram_round(net, 1, j[None], noise_scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
-    return net.payloads[0]
+    return unpack_hermitian(net.payloads[0])
 
 
 # ---------------------------------------------------------------- pieces
@@ -105,7 +105,7 @@ def test_release_gram_hand_value():
     # the first FW round releases exactly this Gram of the residual -y
     net = RecordingBackhaul()
     run_fw(-j[None], np.ones((1, *j.shape), dtype=bool), FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
-    np.testing.assert_array_equal(net.payloads[0], g)
+    np.testing.assert_array_equal(unpack_hermitian(net.payloads[0]), g)
 
 
 def test_release_gram_psd_when_noiseless(rng):
@@ -264,7 +264,7 @@ def test_transcript_after_batched_run():
             msg, payload = releases[3 * (n - 1) + m]
             assert (msg.sender, msg.round_index) == (f"ap{m}", n)
             seed = np.random.SeedSequence([*entropy, m, n])
-            np.testing.assert_array_equal(payload, ref_release(residual[m], 0.3, seed))
+            np.testing.assert_array_equal(unpack_hermitian(payload), ref_release(residual[m], 0.3, seed))
         x_prev = res.iterates[n - 1]
     for a, pa in releases:
         for b, pb in releases:

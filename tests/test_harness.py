@@ -12,7 +12,7 @@ from support import RecordingBackhaul, read_csv
 from privcell import harness
 from privcell.channel import Scenario, make_block
 from privcell.config import METHODS, ExperimentConfig, RunConfig
-from privcell.errors import ArgumentError, ConfigError, PrivCellError
+from privcell.errors import ArgumentError, ConfigError, DegenerateStepError, PrivCellError
 from privcell.estimation import (
     detect_local,
     estimate_channel,
@@ -274,6 +274,30 @@ def test_run_point_counts_failures(toy_exp, monkeypatch):
     assert np.isfinite(rec.nmse)
 
 
+@pytest.mark.parametrize("field", ["nmse", "ser"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_run_point_counts_non_finite_results_as_failures(toy_exp, monkeypatch, caplog, field, bad):
+    """A trial whose NMSE or SER is not finite is a logged failure, not part of the mean."""
+    calls = {"n": 0}
+    real = harness.run_trial
+
+    def poisoned(*args, **kwargs):
+        calls["n"] += 1
+        res = real(*args, **kwargs)
+        if calls["n"] == 2:
+            setattr(res, field, bad)
+        return res
+
+    want = run_point(toy_exp, "po", "epsilon", 1.0, 3, 11)
+    monkeypatch.setattr(harness, "run_trial", poisoned)
+    with caplog.at_level("WARNING", logger="privcell.harness"):
+        rec = run_point(toy_exp, "po", "epsilon", 1.0, 3, 11)
+    assert (rec.trials, rec.failures) == (2, 1)
+    assert np.isfinite(rec.nmse) and np.isfinite(rec.ser)
+    assert rec.nmse != want.nmse or rec.ser != want.ser  # trial 1 left the mean
+    assert "excluded trial 1" in caplog.text and "non-finite" in caplog.text
+
+
 @pytest.mark.parametrize("method", ["fw", "svd"])
 def test_run_point_nan_epsilon_fails_every_trial(toy_exp, method):
     rec = run_point(toy_exp, method, "epsilon", float("nan"), 2, 11)
@@ -379,6 +403,15 @@ def test_cross_validate_single_point(full_obs):
     best, scores = cross_validate(exp, "npfw", "nuc_bound", [0.7], trials=1)
     assert best == 0.7
     assert len(scores) == 1
+
+
+def test_cross_validate_names_the_grid_when_every_trial_fails(toy_exp, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateStepError("lifted top value is exactly zero")
+
+    monkeypatch.setattr(harness, "run_trial", degenerate)
+    with pytest.raises(PrivCellError, match=r"every fw_iters value in \[2, 4\]"):
+        cross_validate(toy_exp, "fw", "fw_iters", [2, 4], 2)
 
 
 def test_cross_validate_validation(toy_exp):

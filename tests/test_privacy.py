@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from support import RecordingBackhaul
-from privcell.errors import ArgumentError
+from privcell.errors import ArgumentError, ShapeError
 from privcell.fw import FwConfig
 from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
     gram_round,
+    pack_hermitian,
     sample_hermitian_noise,
     svd_noise_scale,
+    unpack_hermitian,
 )
+from privcell.linalg import hermitize
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig
 
@@ -118,12 +121,60 @@ def test_gram_round_sums_releases_in_ap_order(rng, tail):
     want = np.zeros((4, 4), dtype=complex)
     for m, b in enumerate(blocks):
         release = ref_release(b, 0.4, np.random.SeedSequence([*entropy, m, *tail]))
-        np.testing.assert_array_equal(net.payloads[m], release)
+        np.testing.assert_array_equal(unpack_hermitian(net.payloads[m]), release)
         want = want + release
     np.testing.assert_array_equal(got, want)
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
     assert all(m.round_index == 2 for m in net.transcript)
     assert net.transcript[-1].kind is MessageKind.BASIS_BROADCAST
+
+
+def ref_full_matrix_sum(blocks, noise_scale, entropy, tail):
+    """The full-matrix round: each AP's hermitized complex Gram plus the scattered
+    three-call noise matrix, added into a complex running sum AP by AP."""
+    grams = blocks.conj().transpose(0, 2, 1) @ blocks
+    tau_c = grams.shape[1]
+    w = np.zeros((tau_c, tau_c), dtype=complex)
+    for m, gram in enumerate(grams):
+        hermitize(gram, out=gram)
+        if noise_scale != 0.0:
+            gram += ref_hermitian_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
+        w += gram
+    return w
+
+
+@pytest.mark.parametrize("tau_c", [1, 2, 24, 60])
+@pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
+@pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
+def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
+    """The unpacked sum of the packed releases equals the full-matrix sum, sign bits included."""
+    rng = np.random.default_rng([tau_c, 31])
+    blocks = rng.standard_normal((5, 3, tau_c)) + 1j * rng.standard_normal((5, 3, tau_c))
+    if kind == "real":
+        blocks = blocks.real + 0j
+    elif kind == "zero-heavy":
+        blocks = np.where(rng.random(blocks.shape) < 0.15, blocks, -0.0 * blocks)
+    entropy, tail = (4, tau_c), (2,)
+    seen = []
+    gram_round(
+        Backhaul(), 2, blocks.copy(), scale, entropy, MessageKind.EIG_BROADCAST,
+        lambda w: seen.append(w) or (np.ones(tau_c, dtype=complex), 1.0), tail,
+    )
+    want = ref_full_matrix_sum(blocks, scale, entropy, tail)
+    assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+
+
+def test_pack_reads_upper_triangle_in_draw_order():
+    h = np.array([[1.0, 2 + 3j, 4 - 5j], [2 - 3j, 6.0, 7 + 8j], [4 + 5j, 7 - 8j, 9.0]])
+    np.testing.assert_array_equal(pack_hermitian(h), [2, 4, 7, 3, -5, 8, 1, 6, 9])
+    np.testing.assert_array_equal(unpack_hermitian(pack_hermitian(h)), h)
+
+
+def test_unpack_rejects_non_square_length():
+    with pytest.raises(ShapeError):
+        unpack_hermitian(np.zeros(5))
+    with pytest.raises(ShapeError):
+        unpack_hermitian(np.zeros((2, 2)))
 
 
 def test_gram_round_at_nan_scale_sends_nothing(rng):

@@ -10,8 +10,10 @@ from privcell.linalg import frob_norm, hermitize, pinv
 from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
+    pack_hermitian,
     sample_hermitian_noise,
     svd_noise_scale,
+    unpack_hermitian,
 )
 from privcell.svdmc import trim
 
@@ -35,6 +37,34 @@ def _complex_matrix(rng, rows, cols):
 def test_noise_release_is_exactly_hermitian(dim, scale, seed):
     e = sample_hermitian_noise(dim, scale, seed)
     np.testing.assert_array_equal(e, e.conj().T)
+
+
+@COMMON
+@given(
+    dim=st.integers(min_value=1, max_value=40),
+    seed=seeds,
+    kind=st.sampled_from(["complex", "real", "zero-heavy", "negative-zero"]),
+)
+def test_packed_release_round_trip(dim, seed, kind):
+    """unpack(pack(h)) is h byte for byte, sign bits included, for an exactly
+    Hermitian h built as U + U^H + D (U strictly upper, D real diagonal),
+    and pack(unpack(p)) is p for any packed vector."""
+    rng = np.random.default_rng(seed)
+    a = _complex_matrix(rng, dim, dim)
+    if kind == "real":
+        a = a.real + 0j
+    elif kind == "zero-heavy":
+        a = np.where(rng.random((dim, dim)) < 0.2, a, 0j)
+    elif kind == "negative-zero":
+        a = np.where(rng.random((dim, dim)) < 0.5, a, -0.0 * a)
+    u = np.triu(a, 1)
+    h = u + u.conj().T + np.diag(a.diagonal().real)
+    np.testing.assert_array_equal(h, h.conj().T)
+    p = pack_hermitian(h)
+    assert p.dtype == np.float64 and p.shape == (dim * dim,)
+    assert unpack_hermitian(p).tobytes() == h.tobytes()
+    q = np.where(rng.random(dim * dim) < 0.3, -0.0, rng.standard_normal(dim * dim))
+    assert pack_hermitian(unpack_hermitian(q)).tobytes() == q.tobytes()
 
 
 @COMMON

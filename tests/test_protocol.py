@@ -5,6 +5,7 @@ import pytest
 
 from support import kind_count
 from privcell.errors import ProtocolError
+from privcell.privacy import pack_hermitian
 from privcell.protocol import (
     ALL_APS,
     BYTES_COMPLEX,
@@ -17,6 +18,7 @@ from privcell.protocol import (
     audit_privacy_surface,
     dump_transcript,
     is_ap,
+    is_packed_hermitian,
     payload_nbytes,
 )
 
@@ -27,6 +29,11 @@ def hermitian(n, seed=0):
     return a + a.conj().T
 
 
+def packed(n, seed=0):
+    """A Gram release as it goes on the wire: the packed form of hermitian(n)."""
+    return pack_hermitian(hermitian(n, seed))
+
+
 def test_names():
     assert ap_name(3) == "ap3"
     assert is_ap("ap0") and is_ap("ap17")
@@ -35,7 +42,7 @@ def test_names():
 
 def test_direction_rules():
     net = Backhaul()
-    g = hermitian(4)
+    g = packed(4)
     net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, g)
     net.broadcast(MessageKind.EIG_BROADCAST, 1, (np.ones(4, dtype=complex), 2.0))
     with pytest.raises(ProtocolError):
@@ -52,6 +59,9 @@ def test_direction_rules():
 
 def test_payload_byte_counts():
     tau_c, k = 10, 3
+    assert payload_nbytes(
+        MessageKind.GRAM_RELEASE, np.zeros(tau_c * tau_c)
+    ) == tau_c * tau_c * BYTES_REAL
     assert payload_nbytes(
         MessageKind.GRAM_RELEASE, np.zeros((tau_c, tau_c), dtype=complex)
     ) == tau_c * tau_c * BYTES_COMPLEX
@@ -86,24 +96,24 @@ def test_ledger_accounting():
     net = Backhaul()
     for rnd in (1, 2):
         for m in range(3):
-            net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, rnd, hermitian(4))
+            net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, rnd, packed(4))
         net.broadcast(MessageKind.EIG_BROADCAST, rnd, (np.ones(4, dtype=complex), 1.0))
     led = net.ledger
     assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 6
     assert kind_count(net.transcript, MessageKind.EIG_BROADCAST) == 2
     assert sum(m.round_index == 2 for m in net.transcript if m.kind is MessageKind.GRAM_RELEASE) == 3
-    assert sum(m.nbytes for m in net.transcript if m.sender == "ap0") == 2 * 16 * 16
-    assert led.total_unicast_bytes == 6 * 16 * 16
+    assert sum(m.nbytes for m in net.transcript if m.sender == "ap0") == 2 * 16 * 8
+    assert led.total_unicast_bytes == 6 * 16 * 8
     assert led.broadcast_bytes == 2 * (4 * 16 + 8)
 
 
 def test_send_records_metadata_only():
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(5))
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(5))
     net.send(MessageKind.LOCAL_DETECTION, "ap1", CPU, 0, np.zeros((2, 6), dtype=complex))
     net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
     gram, detection, basis = net.transcript
-    assert (gram.shape, gram.hermitian) == ((5, 5), True)
+    assert (gram.shape, gram.hermitian, gram.nbytes) == ((25,), True, 25 * 8)
     assert (detection.shape, detection.hermitian) == ((2, 6), False)
     assert basis == Message(MessageKind.BASIS_BROADCAST, CPU, ALL_APS, 1, 5 * 2 * 16)
     assert not hasattr(gram, "payload")
@@ -111,7 +121,7 @@ def test_send_records_metadata_only():
 
 def test_audit_passes_on_clean_transcript():
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(5))
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(5))
     net.send(MessageKind.LOCAL_DETECTION, "ap0", CPU, 0, np.zeros((2, 6), dtype=complex))
     net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
     report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
@@ -122,7 +132,7 @@ def test_audit_passes_on_clean_transcript():
 def test_audit_flags_injected_raw_signal():
     """A raw observation block sent as a Gram release must be caught."""
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(5))
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(5))
     raw = np.ones((2, 5), dtype=complex)  # antennas x slots, not a Gram
     net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, raw)
     report = audit_privacy_surface(net.transcript, tau_c=5)
@@ -132,16 +142,49 @@ def test_audit_flags_injected_raw_signal():
 
 
 def test_audit_flags_non_hermitian_and_wrong_side():
+    """A full complex matrix is not a packed release; a packed one of the
+    wrong tau_c is flagged by its side."""
     net = Backhaul()
     skewed = hermitian(5)
     skewed[0, 1] += 1.0  # break the symmetry only
     net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, skewed)
-    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, hermitian(4))
+    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, packed(4))
     report = audit_privacy_surface(net.transcript, tau_c=5)
     assert not report.ok
     (i_skew, skew_reason), (i_side, side_reason) = report.failures
     assert i_skew == 0 and "Hermitian" in skew_reason
     assert i_side == 1 and "side" in side_reason
+
+
+@pytest.mark.parametrize(
+    "payload, why",
+    [
+        (hermitian(4), "a full complex matrix, even an exactly Hermitian one"),
+        (np.zeros(15), "a real vector whose length is not a square"),
+        (np.zeros(16, dtype=complex), "a complex vector of square length"),
+        (np.zeros((4, 4)), "a real square matrix"),
+        (np.zeros(16, dtype=np.float32), "a vector of the wrong float width"),
+        (np.zeros(0), "an empty vector"),
+    ],
+)
+def test_send_records_only_the_packed_form_as_hermitian(payload, why):
+    net = Backhaul()
+    msg = net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, payload)
+    assert not msg.hermitian, why
+    assert not is_packed_hermitian(payload)
+    report = audit_privacy_surface(net.transcript)
+    assert [i for i, _ in report.failures] == [0]
+    assert "square" in report.failures[0][1]
+
+
+def test_audit_checks_packed_length_against_tau_c():
+    net = Backhaul()
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(4))
+    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, packed(5))
+    assert all(msg.hermitian for msg in net.transcript)
+    assert audit_privacy_surface(net.transcript).ok  # no tau_c: any square length
+    report = audit_privacy_surface(net.transcript, tau_c=4)
+    assert report.failures == [(1, "gram release side 5 != 4")]
 
 
 def test_audit_flags_wrong_detection_shape():
@@ -158,9 +201,9 @@ def test_audit_flags_hand_built_records():
     """Records that bypass send(): a wrong direction, a wrong kind, and a
     release with no recorded shape or verdict are all flagged."""
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(3))
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(3))
     net.transcript += [
-        Message(MessageKind.GRAM_RELEASE, "ap0", "ap1", 1, 9 * 16, (3, 3), True),
+        Message(MessageKind.GRAM_RELEASE, "ap0", "ap1", 1, 9 * 8, (9,), True),
         Message(MessageKind.EIG_BROADCAST, "ap0", CPU, 1, 3 * 16 + 8, (3,)),
         Message(MessageKind.GRAM_RELEASE, "ap2", CPU, 1, 9 * 16),
         Message(MessageKind.LOCAL_DETECTION, CPU, ALL_APS, 0, 16),
@@ -176,7 +219,7 @@ def test_audit_flags_hand_built_records():
 
 def test_transcript_dump_and_load(tmp_path):
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, hermitian(3))
+    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(3))
     net.broadcast(MessageKind.EIG_BROADCAST, 1, (np.ones(3, dtype=complex), 1.0))
     path = tmp_path / "transcript.jsonl"
     dump_transcript(net.transcript, path)
@@ -184,6 +227,6 @@ def test_transcript_dump_and_load(tmp_path):
     assert len(meta) == 2
     assert meta[0] == {
         "round": 1, "sender": "ap0", "receiver": "cpu",
-        "kind": "GramRelease", "bytes": 9 * 16,
+        "kind": "GramRelease", "bytes": 9 * 8,
     }
     assert meta[1]["receiver"] == ALL_APS

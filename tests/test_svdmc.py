@@ -5,6 +5,7 @@ from oracles import centralized_svd
 from support import RecordingBackhaul, kind_count
 from privcell.channel import Scenario, crandn, sample_switch
 from privcell.errors import ArgumentError, ShapeError
+from privcell.privacy import unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd, trim
 
@@ -66,7 +67,7 @@ def test_release_gram_hand_value():
     net = RecordingBackhaul()
     run_svd(j[None], j[None] != 0, SvdConfig(1, 0.0, 2.0, 1.0), 0, net=net)
     want = np.array([[5.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]])  # row 2 trimmed
-    np.testing.assert_allclose(net.payloads[0], want, atol=1e-14)
+    np.testing.assert_allclose(unpack_hermitian(net.payloads[0]), want, atol=1e-14)
 
 
 def test_topk_projects_onto_row_space():

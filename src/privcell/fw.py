@@ -89,7 +89,8 @@ def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega):
     if lam_lifted == 0.0:
         raise DegenerateStepError("lifted top value is exactly zero")
     step = (j @ v_top)[..., None] * v_top.conj()
-    x_new = (1.0 - eta) * x - (eta * cfg.nuclear_bound / lam_lifted) * step
+    x_new = (1.0 - eta) * x
+    x_new -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
     norms = observed_norms(x_new, omega)
     clipped = ~(norms <= cfg.clip_bound)  # a NaN norm counts as over the bound
     for m in np.flatnonzero(clipped):

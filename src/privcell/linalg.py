@@ -16,12 +16,10 @@ def _check_square(a):
     return a
 
 
-def hermitize(a, out=None):
-    """(A + A^H)/2, into `out` if given (it may be `a`); bitwise no-op on Hermitian A."""
+def hermitize(a):
+    """(A + A^H)/2 as a fresh matrix; on Hermitian A, the values of A."""
     a = _check_square(a)
-    out = np.add(a, a.conj().T, out=out)  # a ufunc buffers any overlap of out with a
-    out *= 0.5
-    return out
+    return (a + a.conj().T) * 0.5
 
 
 def canonical_phase(v):
@@ -66,7 +64,9 @@ def frob_norm(a):
 
 
 def observed_norms(x, omega):
-    """Per-AP Frobenius norm over the observed entries of an (M, N_a, tau_c) stack."""
+    """Per-AP Frobenius norm over the observed entries of an (M, N_a, tau_c) stack, as `np.linalg.norm`."""
     if x.shape != omega.shape:
         raise ShapeError(f"mask shape {omega.shape} does not match {x.shape}")
-    return np.array([np.linalg.norm(x_m[o_m]) for x_m, o_m in zip(x, omega)])
+    v, ends = x[omega], np.cumsum(omega.sum(axis=(1, 2))).tolist()
+    re, im = v.real, v.imag
+    return np.sqrt([re[a:b].dot(re[a:b]) + im[a:b].dot(im[a:b]) for a, b in zip([0, *ends], ends)])

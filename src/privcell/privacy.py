@@ -7,8 +7,9 @@ matrix to every release.  A release is Hermitian by construction, so it
 travels in packed form: tau_c^2 float64s, the real parts of the strict
 upper triangle (row-major), then their imaginary parts, then the real
 diagonal (`pack_hermitian` / `unpack_hermitian`; the layout is fixed in
-`_hermitian_slots`).  The noise is drawn in that same order and added
-straight onto the packed Gram.  Both completions run on the same round
+`_hermitian_slots`).  Each AP packs its release straight from its raw
+Gram; the noise is drawn in that same order and added straight onto it.
+Both completions run on the same round
 (`gram_round`, the private Frank-Wolfe mechanism of Jain, Thakkar and
 Thakurta, 2018): every AP releases, the CPU sums the releases in
 ascending AP order, unpacks the sum once and broadcasts what it derives
@@ -34,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .linalg import hermitize
 from .protocol import CPU, MessageKind, ap_name
 
 
@@ -97,27 +97,31 @@ def svd_noise_scale(bound, n_aps, eps, delta):
 
 @functools.lru_cache(maxsize=16)
 def _hermitian_slots(dim):
-    """Where the packed layout sits in the float view of a dim x dim complex matrix.
+    """Where the packed layout reads a dim x dim matrix: (upper, lower) flat indices.
 
-    Returns (packed, lower).  packed lists the dim^2 slots in wire order:
-    the real parts of the strict upper triangle (row-major), then their
-    imaginary parts, then the real diagonal.  lower lists the mirrored
-    real, then imaginary, slots of the strict lower triangle.
+    upper lists the strict upper triangle row-major, lower the mirror of
+    each entry.  The wire order is the real parts at upper, then their
+    imaginary parts, then the real diagonal.
     """
     i, j = np.triu_indices(dim, k=1)
-    up, lo = 2 * (i * dim + j), 2 * (j * dim + i)
-    return np.concatenate([up, up + 1, 2 * (dim + 1) * np.arange(dim)]), np.concatenate([lo, lo + 1])
+    return i * dim + j, j * dim + i
 
 
 def pack_hermitian(h):
-    """The packed wire form of a dim x dim Hermitian h: a fresh vector of dim^2 float64s.
+    """The packed wire form of (h + h^H)/2 for a square h: a fresh vector of dim^2 float64s.
 
-    Only the upper triangle and the diagonal's real parts are read (see
-    `_hermitian_slots` for the order).
+    Formed on the packed slots alone (order: `_hermitian_slots`): a
+    Hermitian h packs to exactly itself, any h to the values of `linalg.hermitize(h)`.
     """
-    h = np.ascontiguousarray(h, dtype=complex)
-    packed, _ = _hermitian_slots(h.shape[0])
-    return h.reshape(-1).view(np.float64)[packed]
+    h = np.asarray(h, dtype=complex)
+    upper, lower = _hermitian_slots(len(h))
+    u, l, d, n_off = h.reshape(-1)[upper], h.reshape(-1)[lower], h.diagonal().real, upper.size
+    p = np.empty(len(h) ** 2)
+    np.add(u.real, l.real, out=p[:n_off])  # real parts: upper + lower
+    np.subtract(u.imag, l.imag, out=p[n_off : 2 * n_off])  # imaginary parts: upper - lower
+    np.add(d, d, out=p[2 * n_off :])  # diagonal: d + d
+    p *= 0.5
+    return p
 
 
 def unpack_hermitian(p):
@@ -129,13 +133,12 @@ def unpack_hermitian(p):
     dim = math.isqrt(p.size)
     if p.ndim != 1 or dim * dim != p.size:
         raise ShapeError(f"a packed Hermitian release is 1-D of square length, got shape {p.shape}")
-    packed, lower = _hermitian_slots(dim)
-    n_off = lower.size // 2
-    h = np.zeros((dim, dim), dtype=complex)
-    flat = h.reshape(-1).view(np.float64)
-    flat[packed] = p
-    flat[lower[:n_off]] = p[:n_off]
-    flat[lower[n_off:]] = np.subtract(0.0, p[n_off : 2 * n_off])
+    upper, lower = _hermitian_slots(dim)
+    h, n_off = np.zeros((dim, dim), dtype=complex), upper.size
+    re, im = h.reshape(-1).real, h.reshape(-1).imag
+    re[upper] = re[lower] = p[:n_off]
+    im[upper], im[lower] = p[n_off : 2 * n_off], np.subtract(0.0, p[n_off : 2 * n_off])
+    re[:: dim + 1] = p[2 * n_off :]
     return h
 
 
@@ -190,22 +193,21 @@ def ap_stack(y, omega):
 def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     """One release -> aggregate -> broadcast round over the backhaul.
 
-    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m hermitizes
-    B_m^H B_m, packs it into a fresh vector (`pack_hermitian`) and, unless
-    noise_scale == 0, adds the packed Hermitian noise seeded by
-    SeedSequence([*seed, m, *tail]) onto it; that vector is its release.  The
-    CPU adds each release into a packed running sum as it arrives, in
-    ascending AP order, and holds nothing but that sum, as under secure
-    aggregation; it unpacks the sum once, broadcasts cpu(sum) as `kind` and
-    returns it.
+    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m forms
+    B_m^H B_m in one tau_c x tau_c buffer all APs reuse, packs it into a
+    fresh vector (`pack_hermitian`) and, unless noise_scale == 0, adds the
+    packed Hermitian noise seeded by SeedSequence([*seed, m, *tail]) onto it;
+    that vector is its release.  The CPU adds each release into a packed
+    running sum as it arrives, in ascending AP order, and holds nothing but
+    that sum, as under secure aggregation; it unpacks the sum once,
+    broadcasts cpu(sum) as `kind` and returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    grams = blocks.conj().transpose(0, 2, 1) @ blocks
-    tau_c = grams.shape[1]
+    tau_c = blocks.shape[2]
+    gram = np.empty((tau_c, tau_c), dtype=complex)
     w = np.zeros(tau_c * tau_c)
-    for m, gram in enumerate(grams):
-        hermitize(gram, out=gram)
-        release = pack_hermitian(gram)
+    for m, block in enumerate(blocks):
+        release = pack_hermitian(np.matmul(block.conj().T, block, out=gram))
         if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises
             release += _packed_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
         net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, release)

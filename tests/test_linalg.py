@@ -26,7 +26,7 @@ def test_hermitize_is_hermitian_and_idempotent(rng):
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 4)])
 def test_hermitize_leaves_its_input_alone(rng, shape):
-    """A 1x1 or C-contiguous input is read, never written, unless it is `out`."""
+    """A 1x1 or C-contiguous input is read, never written."""
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert a.flags.c_contiguous
     kept = a.copy()
@@ -34,9 +34,6 @@ def test_hermitize_leaves_its_input_alone(rng, shape):
     np.testing.assert_array_equal(a, kept)
     assert not np.shares_memory(h, a)
     np.testing.assert_array_equal(h, 0.5 * (kept + kept.conj().T))
-    assert hermitize(a, out=a) is a  # in place, as a Gram round does inside its stack
-    np.testing.assert_array_equal(a, h)
-    np.testing.assert_array_equal(np.signbit(a.imag), np.signbit(h.imag))
 
 
 def test_hermitize_rejects_nonsquare():
@@ -134,3 +131,15 @@ def test_masked_norm_and_mask(rng):
     np.testing.assert_array_equal(observed_norms(np.where(mask, a, 9.0), mask), got)
     with pytest.raises(ShapeError):
         observed_norms(a, mask[:, :, :2])
+
+
+def test_observed_norms_split_by_ap_counts(rng):
+    """The one gather is split at each AP's count: an AP with nothing observed reads 0.0,
+    and every other AP its own np.linalg.norm, bit for bit."""
+    a = rng.standard_normal((6, 4, 60)) + 1j * rng.standard_normal((6, 4, 60))
+    mask = rng.random(a.shape) < 0.5
+    mask[[0, 3]] = False
+    mask[5] = True
+    got = observed_norms(a, mask)
+    assert got[0] == got[3] == 0.0
+    assert got.tolist() == [np.linalg.norm(a[m][mask[m]]) for m in range(6)]

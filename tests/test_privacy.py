@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,20 +137,21 @@ def ref_full_matrix_sum(blocks, noise_scale, entropy, tail):
     tau_c = grams.shape[1]
     w = np.zeros((tau_c, tau_c), dtype=complex)
     for m, gram in enumerate(grams):
-        hermitize(gram, out=gram)
+        gram[...] = hermitize(gram)
         if noise_scale != 0.0:
             gram += ref_hermitian_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
         w += gram
     return w
 
 
-@pytest.mark.parametrize("tau_c", [1, 2, 24, 60])
+@pytest.mark.parametrize("tau_c", [1, 2, 24, 60, 164])
 @pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
 @pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
 def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
     """The unpacked sum of the packed releases equals the full-matrix sum, sign bits included."""
     rng = np.random.default_rng([tau_c, 31])
-    blocks = rng.standard_normal((5, 3, tau_c)) + 1j * rng.standard_normal((5, 3, tau_c))
+    n_aps = 20 if tau_c == 164 else 5  # 20 APs at tau_c 164: the desk-fw-tau round at tau_d 160
+    blocks = rng.standard_normal((n_aps, 3, tau_c)) + 1j * rng.standard_normal((n_aps, 3, tau_c))
     if kind == "real":
         blocks = blocks.real + 0j
     elif kind == "zero-heavy":
@@ -168,6 +170,44 @@ def test_pack_reads_upper_triangle_in_draw_order():
     h = np.array([[1.0, 2 + 3j, 4 - 5j], [2 - 3j, 6.0, 7 + 8j], [4 + 5j, 7 - 8j, 9.0]])
     np.testing.assert_array_equal(pack_hermitian(h), [2, 4, 7, 3, -5, 8, 1, 6, 9])
     np.testing.assert_array_equal(unpack_hermitian(pack_hermitian(h)), h)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 60])
+def test_pack_of_a_raw_matrix_is_the_pack_of_its_hermitized_copy(dim):
+    """Packing forms (h + h^H)/2 on the packed entries: the values of `hermitize`'s
+    full matrix, subnormals included, and its bytes wherever the value is not zero;
+    h itself is left alone."""
+    rng = np.random.default_rng([dim, 7])
+    parts = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.5, -2.0], (2, dim, dim))
+    g = parts[0] * np.where(rng.random((dim, dim)) < 0.5, 1.0, rng.standard_normal((dim, dim))) + 0j
+    g.imag = parts[1]
+    kept = g.copy()
+    got = pack_hermitian(g)
+    h = hermitize(g)
+    i, j = np.triu_indices(dim, k=1)
+    want = np.concatenate([h[i, j].real, h[i, j].imag, h.diagonal().real])
+    np.testing.assert_array_equal(got, want)
+    assert got[want != 0].tobytes() == want[want != 0].tobytes()
+    np.testing.assert_array_equal(got, pack_hermitian(h))
+    assert g.tobytes() == kept.tobytes()
+
+
+def test_gram_round_memory_does_not_grow_with_the_ap_count():
+    """Each AP's Gram lives in one reused buffer, not in an (M, tau_c, tau_c) stack."""
+    def round_(blocks):
+        gram_round(Backhaul(), 1, blocks, 0.5, 3, MessageKind.BASIS_BROADCAST, lambda w: w)
+
+    round_(np.ones((5, 2, 60), dtype=complex))  # fill the caches before measuring
+    peaks = []
+    for n_aps in (5, 80):
+        blocks = np.ones((n_aps, 2, 60), dtype=complex)
+        tracemalloc.start()
+        try:
+            round_(blocks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 60 * 60 * 16  # one tau_c x tau_c complex matrix
 
 
 def test_unpack_rejects_non_square_length():

@@ -51,7 +51,7 @@ def main():
     if "nuc_bound" not in params:
         return
     # nuclear-norm budget, expressed against the derived bound so the
-    # fractions carry over between unit conventions
+    # fractions do not depend on the scale of the gains
     beta = draw_beta(scen, scen.seed)
     derived = prepare(scen, exp.run, beta).nuc_bound
     physical = nuclear_norm_budget(beta, scen.tau_c, scen.N_a)

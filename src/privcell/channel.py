@@ -9,8 +9,7 @@ the unobserved entries are structural zeros.
 Conventions:
   * a complex Gaussian CN(0, s2) draw has real/imag parts N(0, s2/2);
   * large-scale gain beta = 10**(-(PL(d) + sigma_sh * z) / 10) with
-    PL(d) = pl_a + pl_b * log10(d), d in metres, z standard normal
-    (real draw by default; see shadow_convention);
+    PL(d) = pl_a + pl_b * log10(d), d in metres, z standard normal;
   * every per-AP array is an (M, N_a, ·) stack, AP m at index m, from
     the channel draw on.
 """
@@ -37,6 +36,12 @@ def check_real(name, value):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
+def check_int(name, value, minimum):
+    """A ConfigError unless value is an integer >= minimum (a bool is not one)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """Physical parameters of one experiment."""
@@ -53,14 +58,11 @@ class Scenario:
     sigma_sh_db: float = 8.0  # shadowing std, dB
     sigma2: float = 1.0e-13  # receiver noise power, W
     signal_model: str = "qpsk"  # payload alphabet: qpsk | gaussian
-    shadow_convention: str = "real"  # real | complex
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("M", "K", "N_a", "N_r", "tau_p", "tau_d"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        for name in ("M", "K", "N_a", "N_r", "tau_p", "tau_d", "seed"):
+            check_int(name, getattr(self, name), 0 if name == "seed" else 1)
         for name in ("R_km", "pl_a", "pl_b", "sigma_sh_db", "sigma2"):
             check_real(name, getattr(self, name))
         if self.N_r > self.N_a:
@@ -75,10 +77,6 @@ class Scenario:
             raise ConfigError(f"sigma_sh_db must be non-negative, got {self.sigma_sh_db}")
         if self.signal_model not in ("qpsk", "gaussian"):
             raise ConfigError(f"unknown signal_model {self.signal_model!r}")
-        if self.shadow_convention not in ("real", "complex"):
-            raise ConfigError(f"unknown shadow_convention {self.shadow_convention!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         # The analysis regime assumes more stacked antennas than slots.  Long
         # payload sweeps leave it on purpose, so this is advisory only.
         if self.M * self.N_a <= self.tau_c:
@@ -149,20 +147,16 @@ def gen_topology(scenario, rng):
 def large_scale_fading(topology, scenario, rng):
     """Per-link gains beta, shape (K, M).
 
-    Log-distance path loss plus log-normal shadowing.  With the default
-    "real" convention the shadowing deviate z is a standard real normal;
-    "complex" takes the real part of a unit complex normal instead
-    (variance 1/2), kept as an option because both readings circulate.
+    Log-distance path loss plus log-normal shadowing with a standard real
+    normal deviate z.  The other reading in circulation, the real part of
+    a unit complex normal, is this draw at sigma_sh_db / sqrt(2).
     """
     d = np.linalg.norm(
         topology.user_xy[:, None, :] - topology.ap_xy[None, :, :], axis=-1
     )
     d = np.maximum(d, MIN_DIST_M)
     pl_db = scenario.pl_a + scenario.pl_b * np.log10(d)
-    z = rng.standard_normal(d.shape)
-    if scenario.shadow_convention == "complex":
-        z = z / math.sqrt(2.0)
-    loss_db = pl_db + scenario.sigma_sh_db * z
+    loss_db = pl_db + scenario.sigma_sh_db * rng.standard_normal(d.shape)
     return 10.0 ** (-loss_db / 10.0)
 
 

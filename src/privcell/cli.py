@@ -1,6 +1,7 @@
 """Command-line front end: simulate, crossval, audit."""
 
 import argparse
+import dataclasses
 import logging
 import sys
 import tempfile
@@ -46,7 +47,6 @@ def build_parser():
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--units", choices=("normalized", "physical"))
 
     cv = sub.add_parser("crossval", help="grid-search nuc_bound or fw_iters")
     cv.add_argument("--config", required=True)
@@ -66,21 +66,12 @@ def build_parser():
 
 def _experiment(args):
     exp = load_experiment(args.config)
-    run = exp.run
-    import dataclasses
-
     overrides = {}
-    for name in ("method", "trials", "units"):
+    for name in ("method", "trials", "sweep", "values"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
-    if getattr(args, "sweep", None):
-        overrides["sweep"] = args.sweep
-    if getattr(args, "values", None):
-        overrides["values"] = args.values
-    if overrides:
-        run = dataclasses.replace(run, **overrides)
-        exp = dataclasses.replace(exp, run=run)
+    exp = dataclasses.replace(exp, run=dataclasses.replace(exp.run, **overrides))
     if getattr(args, "seed", None) is not None:
         exp = dataclasses.replace(
             exp, scenario=dataclasses.replace(exp.scenario, seed=args.seed)

@@ -8,10 +8,9 @@ the run-level fields.  Unknown keys are rejected so typos fail loudly.
 from dataclasses import dataclass, fields
 from typing import Optional
 
-import numpy as np
 import yaml
 
-from .channel import Scenario, check_real
+from .channel import Scenario, check_int, check_real
 from .errors import ConfigError
 
 SCENARIO_KEYS = {f.name for f in fields(Scenario)}
@@ -72,7 +71,6 @@ class RunConfig:
     np_fw_iters: int = 200  # non-private FW rounds
     nuc_bound: float = 0.0  # 0 = derive from the large-scale gains
     clip_bound: float = 0.0  # 0 = derive from the large-scale gains
-    units: str = "normalized"  # normalized | physical
     method: str = "fw"
     sweep: str = "epsilon"  # epsilon | tau_d
     values: tuple = ()
@@ -80,9 +78,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("fw_iters", "np_fw_iters", "trials"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+            check_int(name, getattr(self, name), 1)
         for name in ("eps", "delta", "nuc_bound", "clip_bound"):
             check_real(name, getattr(self, name))
         if not isinstance(self.values, (list, tuple)):
@@ -95,8 +91,6 @@ class RunConfig:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.nuc_bound < 0 or self.clip_bound < 0:
             raise ConfigError("bound overrides must be non-negative (0 = derived)")
-        if self.units not in ("normalized", "physical"):
-            raise ConfigError(f"unknown units {self.units!r}")
         method_spec(self.method)
         if self.sweep not in ("epsilon", "tau_d"):
             raise ConfigError(f"unknown sweep axis {self.sweep!r}")

@@ -24,13 +24,13 @@ def estimate_channel(x_pilot, pilot_pinv):
     return x_pilot @ pilot_pinv
 
 
-def detect_local(h_hat, x_data, rcond=1e-12):
+def detect_local(h_hat, x_data):
     """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack."""
     h_hat = np.asarray(h_hat)
     x_data = np.asarray(x_data)
     if h_hat.shape[-2] != x_data.shape[-2]:
         raise ShapeError(f"row mismatch {h_hat.shape} vs {x_data.shape}")
-    return pinv(h_hat, rcond=rcond) @ x_data
+    return pinv(h_hat) @ x_data
 
 
 def combine(d_locals):

@@ -69,9 +69,8 @@ def cpu_aggregate_eig(w, noise_scale, n_aps):
     """Top eigenpair of the aggregated releases, eigenvalue lifted.
 
     Returns (v_top, lam_lifted): the phase-canonical top eigenvector of
-    the symmetrized sum w, and the square root of its (clamped) top
-    eigenvalue plus the noise-inflation allowance
-    sqrt(noise_scale) * (M * tau_c)^(1/4).
+    the sum w, and the square root of its (clamped) top eigenvalue plus
+    the noise-inflation allowance sqrt(noise_scale) * (M * tau_c)^(1/4).
     """
     tau_c = w.shape[0]
     values, vectors = hermitian_eig(w, 1)

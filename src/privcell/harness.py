@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimation
-from .channel import gen_pilots, gen_topology, large_scale_fading, make_block
+from .channel import check_int, gen_pilots, gen_topology, large_scale_fading, make_block
 from .config import ITERATIVE, ExperimentConfig, method_spec, tunable, whole
 from .errors import ArgumentError, ConfigError, MetricUndefinedError, PrivCellError
 from .fw import FwConfig, nuclear_norm_budget, run_fw
@@ -38,8 +38,8 @@ CSV_HEADER = ("method", "axis", "axis_value", "nmse", "ser", "trials", "failures
 class Prepared:
     """Per-sweep-point fixed quantities (large-scale draw, pilots, bounds)."""
 
-    beta: np.ndarray  # (K, M), possibly rescaled
-    sigma2: float  # noise power in the same units as beta
+    beta: np.ndarray  # (K, M), rescaled to unit median
+    sigma2: float  # noise power on the same scale as beta
     pilots: np.ndarray
     pilot_pinv: np.ndarray  # pinv(pilots), shared by every AP and trial
     clip_bound: float
@@ -77,16 +77,12 @@ def draw_beta(scenario, master_seed):
 
 
 def prepare(scenario, run, beta):
-    """Fix units, pilots, and the derived bounds for one sweep point."""
+    """Rescale the gains to unit median; fix pilots and the derived bounds for one sweep point."""
     beta = np.asarray(beta, dtype=float)
-    scale = 1.0
-    sigma2 = scenario.sigma2
-    if run.units == "normalized":
-        med = float(np.median(beta))
-        if med > 0:
-            scale = 1.0 / med
-        beta = beta * scale
-        sigma2 = sigma2 * scale
+    med = float(np.median(beta))
+    scale = 1.0 / med if med > 0 else 1.0
+    beta = beta * scale
+    sigma2 = scenario.sigma2 * scale
     clip = run.clip_bound * np.sqrt(scale) if run.clip_bound else frob_bound(
         beta, scenario.K, scenario.N_a, scenario.tau_c, sigma2
     )
@@ -161,9 +157,11 @@ def apply_axis(scenario, axis, value):
 def run_point(exp, method, axis, value, trials, master_seed, beta=None):
     """All trials of one method at one axis value; returns a MetricsRecord.
 
-    A trial that raises a PrivCellError or LinAlgError, or whose NMSE or SER
-    is not finite, is logged and counted as a failure, never averaged in.
+    trials must be an integer >= 1, else a ConfigError.  A trial that
+    raises a PrivCellError or LinAlgError, or whose NMSE or SER is not
+    finite, is logged and counted as a failure, never averaged in.
     """
+    check_int("trials", trials, 1)
     clipping = method_spec(method).completion == ITERATIVE
     scenario, eps_override = apply_axis(exp.scenario, axis, value)
     eps = eps_override if eps_override is not None else exp.run.eps
@@ -207,7 +205,7 @@ def run_sweep(exp, method=None, axis=None, values=None, trials=None, master_seed
     method = method or run.method
     axis = axis or run.sweep
     values = values if values is not None else run.values
-    trials = trials or run.trials
+    trials = trials if trials is not None else run.trials
     master_seed = master_seed if master_seed is not None else exp.scenario.seed
     method_spec(method)
     if not values:

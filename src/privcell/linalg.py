@@ -9,19 +9,6 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 
 
-def _check_square(a):
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def hermitize(a):
-    """(A + A^H)/2 as a fresh matrix; on Hermitian A, the values of A."""
-    a = _check_square(a)
-    return (a + a.conj().T) * 0.5
-
-
 def canonical_phase(v):
     """Rotate v so its largest-magnitude entry is real and positive."""
     v = np.asarray(v)
@@ -32,21 +19,22 @@ def canonical_phase(v):
     return v * (np.conj(p) / np.abs(p))
 
 
-def hermitian_eig(a, k=None):
-    """Largest k eigenpairs of a (near-)Hermitian matrix, descending.
+def hermitian_eig(a, k):
+    """Largest k eigenpairs of a Hermitian matrix, descending.
 
     Returns (values, vectors): values (k,), and vectors (n, k) whose
-    column i belongs to values[i].  The input is symmetrized internally,
-    eigenvectors are orthonormal and phase-canonicalised, and ties are
-    broken by the solver's original ascending index (stable).
+    column i belongs to values[i].  Only the lower triangle is read, as
+    `np.linalg.eigh` does, so a is taken to be exactly Hermitian (as
+    `privacy.unpack_hermitian` returns it); eigenvectors are orthonormal
+    and phase-canonicalised, and ties are broken by the solver's original
+    ascending index (stable).
     """
-    a = _check_square(a)
-    n = a.shape[0]
-    if k is None:
-        k = n
-    if not 1 <= k <= n:
-        raise ArgumentError(f"k={k} out of range for dimension {n}")
-    vals, vecs = np.linalg.eigh(hermitize(a))
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not 1 <= k <= len(a):
+        raise ArgumentError(f"k={k} out of range for dimension {len(a)}")
+    vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")[:k]
     return vals[order], np.column_stack([canonical_phase(vecs[:, i]) for i in order])
 

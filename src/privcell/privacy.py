@@ -111,7 +111,7 @@ def pack_hermitian(h):
     """The packed wire form of (h + h^H)/2 for a square h: a fresh vector of dim^2 float64s.
 
     Formed on the packed slots alone (order: `_hermitian_slots`): a
-    Hermitian h packs to exactly itself, any h to the values of `linalg.hermitize(h)`.
+    Hermitian h packs to exactly itself.
     """
     h = np.asarray(h, dtype=complex)
     upper, lower = _hermitian_slots(len(h))
@@ -155,24 +155,6 @@ def _packed_noise(dim, scale, seed):
     z[:n_off] *= scale / math.sqrt(2.0)
     z[n_off:] *= scale
     return z
-
-
-def sample_hermitian_noise(dim, scale, seed):
-    """Hermitian noise matrix with exact symmetry: the unpacked form of one packed draw.
-
-    Strict upper triangle: i.i.d. complex Gaussian with total variance
-    scale^2 per entry; diagonal: i.i.d. real N(0, scale^2); lower
-    triangle: conjugate mirror.  The draw order (upper-real, upper-imag,
-    diagonal) is fixed, so for a given seed the matrix is proportional to
-    its unit-scale draw.  scale == 0 short-circuits to exact zeros.
-    """
-    if dim < 1:
-        raise ArgumentError(f"dim must be >= 1, got {dim}")
-    if scale == 0.0:
-        return np.zeros((dim, dim), dtype=complex)
-    z = _packed_noise(dim, scale, seed)  # a NaN or negative scale raises here
-    z[: dim * (dim - 1)] += 0.0  # -0 -> +0, as in U + U^H
-    return unpack_hermitian(z)
 
 
 def _check_budget(eps, delta):

@@ -3,14 +3,37 @@ distributed code paths.
 
 These are written against the math only: stacked matrices, explicit
 loops, numpy.linalg calls.  They deliberately share nothing with the
-package implementation except (for the common-random-numbers variant)
-the noise sampler, so that agreement between the two routes is evidence
-and not tautology.
+package implementation, the release noise included, so that agreement
+between the two routes is evidence and not tautology.
 """
+
+import math
 
 import numpy as np
 
-from privcell.privacy import sample_hermitian_noise
+
+def hermitize(a):
+    """(A + A^H)/2 as a fresh full matrix; on an exactly Hermitian A, A itself."""
+    return (a + a.conj().T) * 0.5
+
+
+def hermitian_noise(dim, scale, seed):
+    """Hermitian Gaussian noise drawn in three calls: upper-real, upper-imag, diagonal.
+
+    The strict upper triangle gets complex entries of total variance
+    scale^2, mirrored conjugated below; the diagonal is real N(0, scale^2).
+    This is the draw order the package's packed release noise follows.
+    """
+    g = np.zeros((dim, dim), dtype=complex)
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(dim, k=1)
+    comp = scale / math.sqrt(2.0)
+    re = rng.standard_normal(iu[0].size) * comp
+    im = rng.standard_normal(iu[0].size) * comp
+    g[iu] = re + 1j * im
+    g = g + g.conj().T
+    g[np.diag_indices(dim)] = rng.standard_normal(dim) * scale
+    return g
 
 
 def centralized_fw(y, omega, n_aps, iterations, nuclear_bound, clip_bound,
@@ -36,7 +59,7 @@ def centralized_fw(y, omega, n_aps, iterations, nuclear_bound, clip_bound,
             g = jm.conj().T @ jm
             g = 0.5 * (g + g.conj().T)
             if noise_scale > 0.0:
-                g = g + sample_hermitian_noise(
+                g = g + hermitian_noise(
                     tau_c, noise_scale, np.random.SeedSequence([*entropy, m, n])
                 )
             w = w + g

@@ -22,13 +22,13 @@ from mpmath import mp
 from scipy import stats
 
 from oracles import centralized_fw, centralized_svd
-from support import kind_count
+from support import RecordingBackhaul, kind_count
 from privcell.channel import make_block
 from privcell.config import load_experiment
 from privcell.fw import FwConfig, run_fw
 from privcell.harness import completion_config, draw_beta, prepare, run_point, run_trial
 from privcell.linalg import frob_norm
-from privcell.privacy import fw_noise_scale, sample_hermitian_noise, svd_noise_scale
+from privcell.privacy import fw_noise_scale, gram_round, svd_noise_scale, unpack_hermitian
 from privcell.protocol import (
     CPU,
     Backhaul,
@@ -191,16 +191,22 @@ def test_criterion_02_calibration_formulas():
 
 
 def test_criterion_03_noise_mechanism():
-    """Exact symmetry, per-entry variance at dim 200, and the 20-draw aggregate."""
+    """Exact symmetry, per-entry variance at dim 200, and the 20-draw aggregate.
+
+    The draws are the packed releases one Gram round sends for 20 zero
+    blocks (each release its noise alone, AP m's from SeedSequence([777, m])),
+    and the aggregate is the matrix the CPU unpacks from their sum.
+    """
     scale = 1.3
-    e = sample_hermitian_noise(200, scale, 424242)
+    net, seen = RecordingBackhaul(), []
+    blocks = np.zeros((20, 1, 200), dtype=complex)
+    gram_round(net, 1, blocks, scale, (777,), MessageKind.BASIS_BROADCAST, seen.append)
+    e = unpack_hermitian(net.payloads[0])
     np.testing.assert_array_equal(e, e.conj().T)
     iu = np.triu_indices(200, k=1)
     var_one = float(np.mean(np.abs(e[iu]) ** 2))
 
-    agg = np.zeros((200, 200), dtype=complex)
-    for m in range(20):
-        agg += sample_hermitian_noise(200, scale, np.random.SeedSequence([777, m]))
+    agg = seen[0]
     np.testing.assert_array_equal(agg, agg.conj().T)
     var_agg = float(np.mean(np.abs(agg[iu]) ** 2))
 

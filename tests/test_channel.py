@@ -120,27 +120,17 @@ def test_distance_floor():
 
 
 def test_shadowing_spread():
-    """log10(beta) scatters about the path-loss line with std sigma_sh/10."""
-    sc = Scenario(M=100, K=100, N_a=2, N_r=2, tau_p=100, tau_d=1, sigma_sh_db=8.0)
-    topo = gen_topology(sc, np.random.default_rng(3))
-    beta = large_scale_fading(topo, sc, np.random.default_rng(4))
-    d = np.linalg.norm(topo.user_xy[:, None] - topo.ap_xy[None, :], axis=-1)
-    d = np.maximum(d, MIN_DIST_M)
-    pl_db = sc.pl_a + sc.pl_b * np.log10(d)
-    resid = np.log10(beta) + pl_db / 10.0
-    assert resid.std() == pytest.approx(0.8, rel=0.05)
-
-
-def test_shadowing_complex_convention_shrinks_spread():
-    sc = Scenario(M=100, K=100, N_a=2, N_r=2, tau_p=100, tau_d=1,
-                  sigma_sh_db=8.0, shadow_convention="complex")
-    topo = gen_topology(sc, np.random.default_rng(3))
-    beta = large_scale_fading(topo, sc, np.random.default_rng(4))
-    d = np.maximum(
-        np.linalg.norm(topo.user_xy[:, None] - topo.ap_xy[None, :], axis=-1), MIN_DIST_M
-    )
-    resid = np.log10(beta) + (sc.pl_a + sc.pl_b * np.log10(d)) / 10.0
-    assert resid.std() == pytest.approx(0.8 / math.sqrt(2.0), rel=0.05)
+    """log10(beta) scatters about the path-loss line with std sigma_sh/10, also
+    at 8/sqrt(2) dB, the "complex" reading of 8 dB shadowing."""
+    for sigma_sh_db in (8.0, 8.0 / math.sqrt(2.0)):
+        sc = Scenario(M=100, K=100, N_a=2, N_r=2, tau_p=100, tau_d=1, sigma_sh_db=sigma_sh_db)
+        topo = gen_topology(sc, np.random.default_rng(3))
+        beta = large_scale_fading(topo, sc, np.random.default_rng(4))
+        d = np.linalg.norm(topo.user_xy[:, None] - topo.ap_xy[None, :], axis=-1)
+        d = np.maximum(d, MIN_DIST_M)
+        pl_db = sc.pl_a + sc.pl_b * np.log10(d)
+        resid = np.log10(beta) + pl_db / 10.0
+        assert resid.std() == pytest.approx(sigma_sh_db / 10.0, rel=0.05)
 
 
 # ---------------------------------------------------------------- signals

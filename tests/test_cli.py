@@ -1,6 +1,7 @@
 """End-to-end runs of the console entry points on toy configs."""
 
 import json
+import re
 
 import pytest
 
@@ -256,3 +257,30 @@ def test_fractional_fw_iters_in_yaml_exits_2(tmp_path, capsys):
     )
     assert rc == cli.EXIT_CONFIG
     assert "fw_iters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", "1.5"), ("seed", "true"), ("trials", "true"), ("seed", "abc"),
+     ("seed", ".nan"), ("M", "true"), ("fw_iters", "true")],
+)
+def test_non_integer_int_field_exits_2(tmp_path, capsys, key, value):
+    """An integer field given a fraction, a bool, a NaN or a word is rejected,
+    never rounded, read as 1 or left to fail mid-run."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(re.sub(rf"^{key}: .*$", f"{key}: {value}", TOY, flags=re.M))
+    out = tmp_path / "o.csv"
+    rc = cli.main(["simulate", "--config", str(cfg), "--values", "1", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{key} must be an integer >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["units: normalized", "shadow_convention: real"])
+def test_retired_config_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "old.yaml"
+    cfg.write_text(TOY + line + "\n")
+    rc = cli.main(["simulate", "--config", str(cfg), "--values", "1", "--out", str(tmp_path / "o.csv")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"unknown config keys: ['{line.split(':')[0]}']" in capsys.readouterr().err
+

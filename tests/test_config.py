@@ -22,7 +22,6 @@ def test_minimal_mapping():
     exp = experiment_from_mapping(dict(BASE))
     assert exp.scenario.M == 2
     assert exp.run.method == "fw"
-    assert exp.run.units == "normalized"
 
 
 def test_mapping_splits_scenario_and_run():
@@ -60,13 +59,11 @@ def test_run_validation():
     with pytest.raises(ConfigError):
         RunConfig(sweep="snr")
     with pytest.raises(ConfigError):
-        RunConfig(units="dbm")
-    with pytest.raises(ConfigError):
         RunConfig(nuc_bound=-0.1)
     with pytest.raises(ConfigError):
         RunConfig(trials=0)
     for name in ("fw_iters", "np_fw_iters", "trials"):
-        for bad in (8.5, 8.0, "8", None):
+        for bad in (8.5, 8.0, "8", None, True):
             with pytest.raises(ConfigError, match=name):
                 RunConfig(**{name: bad})
     assert set(METHODS) == {"fw", "svd", "npfw", "npsvd", "po"}

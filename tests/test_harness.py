@@ -1,4 +1,4 @@
-"""Sweep plumbing: seeding discipline, units, CSV round trips."""
+"""Sweep plumbing: seeding discipline, gain normalization, CSV round trips."""
 
 import dataclasses
 from enum import Enum
@@ -46,22 +46,15 @@ def toy_exp(tiny):
 
 def test_prepare_normalized_rescales_to_unit_median(tiny):
     beta = draw_beta(tiny, 5)
-    prep = prepare(tiny, RunConfig(units="normalized"), beta)
+    prep = prepare(tiny, RunConfig(), beta)
     assert np.median(prep.beta) == pytest.approx(1.0)
     assert prep.sigma2 == pytest.approx(tiny.sigma2 / np.median(beta))
-
-
-def test_prepare_physical_keeps_units(tiny):
-    beta = draw_beta(tiny, 5)
-    prep = prepare(tiny, RunConfig(units="physical"), beta)
-    assert prep.sigma2 == tiny.sigma2
-    np.testing.assert_array_equal(prep.beta, beta)
 
 
 def test_prepare_override_scales_with_sqrt(tiny):
     """Explicit bounds are given in physical units and follow the amplitude scale."""
     beta = draw_beta(tiny, 5)
-    run = RunConfig(units="normalized", clip_bound=2.0, nuc_bound=3.0)
+    run = RunConfig(clip_bound=2.0, nuc_bound=3.0)
     prep = prepare(tiny, run, beta)
     unit_scale = 1.0 / np.median(beta)
     assert prep.clip_bound == pytest.approx(2.0 * np.sqrt(unit_scale))
@@ -152,7 +145,6 @@ EDGES = {
     "tau_d=1": {"tau_d": 1},
     "M=1": {"M": 1},
     "sigma2=0": {"sigma2": 0.0},
-    "physical": {},
 }
 
 
@@ -166,10 +158,7 @@ def test_scenario_edges_run_every_method(edge, method, others):
     whatever the method."""
     edges = {edge, *others}
     scen = dataclasses.replace(EDGE_SCENARIO, **{k: v for e in edges for k, v in EDGES[e].items()})
-    run = RunConfig(
-        trials=1, fw_iters=3, np_fw_iters=5,
-        units="physical" if "physical" in edges else "normalized",
-    )
+    run = RunConfig(trials=1, fw_iters=3, np_fw_iters=5)
     prep = prepare(scen, run, draw_beta(scen, scen.seed))
     net = Backhaul()
     res = run_trial(scen, run, method, prep, scen.seed, 0, 1.0, net=net)
@@ -333,26 +322,16 @@ def test_pilot_only_nmse_ignores_payload_length(tiny):
     assert nmses[0] == nmses[1]
 
 
-def test_units_do_not_move_fw_nmse(tiny):
-    """Normalized and physical units describe the same experiment: every
-    derived quantity scales consistently, so the NMSE ratio cancels."""
+@pytest.mark.parametrize("method", ["fw", "svd"])
+def test_gain_scale_does_not_move_nmse(tiny, method):
+    """Gains and noise power given in another power unit describe the same
+    experiment: prepare rescales both to unit median gain, so the NMSE holds."""
     beta = draw_beta(tiny, 13)
-    out = {}
-    for units in ("normalized", "physical"):
-        run = RunConfig(units=units, fw_iters=4)
-        prep = prepare(tiny, run, beta)
-        out[units] = run_trial(tiny, run, "fw", prep, 13, 0, 1.0).nmse
-    assert out["normalized"] == pytest.approx(out["physical"], rel=1e-8)
-
-
-def test_units_do_not_move_svd_nmse(tiny):
-    beta = draw_beta(tiny, 13)
-    out = {}
-    for units in ("normalized", "physical"):
-        run = RunConfig(units=units)
-        prep = prepare(tiny, run, beta)
-        out[units] = run_trial(tiny, run, "svd", prep, 13, 0, 1.0).nmse
-    assert out["normalized"] == pytest.approx(out["physical"], rel=1e-8)
+    run = RunConfig(fw_iters=4)
+    out = []
+    for scen, b in ((tiny, beta), (dataclasses.replace(tiny, sigma2=tiny.sigma2 * 1e10), beta * 1e10)):
+        out.append(run_trial(scen, run, method, prepare(scen, run, b), 13, 0, 1.0).nmse)
+    assert out[0] == pytest.approx(out[1], rel=1e-8)
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -384,6 +363,16 @@ def test_run_sweep_shares_one_draw(toy_exp):
     )
     recs = run_sweep(exp, method="npsvd")
     assert recs[0].nmse == recs[1].nmse
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_no_trials_is_a_config_error(toy_exp, trials):
+    """A trial count below 1 is rejected, never replaced by the config's or
+    reported as if every trial had failed."""
+    with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
+        run_sweep(toy_exp, method="po", trials=trials)
+    with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
+        cross_validate(toy_exp, "fw", "fw_iters", [2, 4], trials)
 
 
 # ---------------------------------------------------------------- crossval

@@ -6,7 +6,6 @@ from privcell.linalg import (
     canonical_phase,
     frob_norm,
     hermitian_eig,
-    hermitize,
     observed_norms,
     pinv,
 )
@@ -15,30 +14,6 @@ from privcell.linalg import (
 def random_hermitian(n, rng):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
-
-
-def test_hermitize_is_hermitian_and_idempotent(rng):
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = hermitize(a)
-    assert np.array_equal(h, h.conj().T)
-    assert np.array_equal(hermitize(h), h)  # bitwise no-op on Hermitian input
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (4, 4)])
-def test_hermitize_leaves_its_input_alone(rng, shape):
-    """A 1x1 or C-contiguous input is read, never written."""
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert a.flags.c_contiguous
-    kept = a.copy()
-    h = hermitize(a)
-    np.testing.assert_array_equal(a, kept)
-    assert not np.shares_memory(h, a)
-    np.testing.assert_array_equal(h, 0.5 * (kept + kept.conj().T))
-
-
-def test_hermitize_rejects_nonsquare():
-    with pytest.raises(ShapeError):
-        hermitize(np.zeros((2, 3)))
 
 
 def test_canonical_phase_largest_entry_real_positive(rng):
@@ -88,6 +63,11 @@ def test_eig_k_out_of_range():
         hermitian_eig(np.eye(3), 4)
     with pytest.raises(ArgumentError):
         hermitian_eig(np.eye(3), 0)
+
+
+def test_eig_rejects_nonsquare():
+    with pytest.raises(ShapeError):
+        hermitian_eig(np.zeros((2, 3)), 1)
 
 
 def test_pinv_identity():

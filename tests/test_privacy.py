@@ -4,19 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import hermitian_noise, hermitize
 from support import RecordingBackhaul
 from privcell.errors import ArgumentError, ShapeError
 from privcell.fw import FwConfig
+from privcell.linalg import canonical_phase, hermitian_eig
 from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
     gram_round,
     pack_hermitian,
-    sample_hermitian_noise,
     svd_noise_scale,
     unpack_hermitian,
 )
-from privcell.linalg import hermitize
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig
 
@@ -98,7 +98,7 @@ def test_non_finite_budget_or_scale_is_rejected(bad):
     with pytest.raises(ArgumentError):
         svd_noise_scale(1.0, 2, bad, 0.1)
     with pytest.raises(ArgumentError):
-        sample_hermitian_noise(3, bad, 0)
+        noise_releases(3, bad, (0,))
     with pytest.raises(ArgumentError):
         FwConfig(1, 1.0, 1.0, bad)
     with pytest.raises(ArgumentError):
@@ -110,7 +110,7 @@ def test_non_finite_budget_or_scale_is_rejected(bad):
 def ref_release(block, noise_scale, seed):
     """Per-AP reference release: (B^H B + (B^H B)^H) / 2 plus Hermitian noise."""
     g = block.conj().T @ block
-    return 0.5 * (g + g.conj().T) + sample_hermitian_noise(block.shape[1], noise_scale, seed)
+    return 0.5 * (g + g.conj().T) + hermitian_noise(block.shape[1], noise_scale, seed)
 
 
 @pytest.mark.parametrize("tail", [(), (3,)])
@@ -139,16 +139,13 @@ def ref_full_matrix_sum(blocks, noise_scale, entropy, tail):
     for m, gram in enumerate(grams):
         gram[...] = hermitize(gram)
         if noise_scale != 0.0:
-            gram += ref_hermitian_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
+            gram += hermitian_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
         w += gram
     return w
 
 
-@pytest.mark.parametrize("tau_c", [1, 2, 24, 60, 164])
-@pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
-@pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
-def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
-    """The unpacked sum of the packed releases equals the full-matrix sum, sign bits included."""
+def grid_round(tau_c, kind, scale):
+    """Blocks of one round of the grid, and the matrix the CPU unpacks from their sum."""
     rng = np.random.default_rng([tau_c, 31])
     n_aps = 20 if tau_c == 164 else 5  # 20 APs at tau_c 164: the desk-fw-tau round at tau_d 160
     blocks = rng.standard_normal((n_aps, 3, tau_c)) + 1j * rng.standard_normal((n_aps, 3, tau_c))
@@ -156,14 +153,39 @@ def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
         blocks = blocks.real + 0j
     elif kind == "zero-heavy":
         blocks = np.where(rng.random(blocks.shape) < 0.15, blocks, -0.0 * blocks)
-    entropy, tail = (4, tau_c), (2,)
     seen = []
     gram_round(
-        Backhaul(), 2, blocks.copy(), scale, entropy, MessageKind.EIG_BROADCAST,
-        lambda w: seen.append(w) or (np.ones(tau_c, dtype=complex), 1.0), tail,
+        Backhaul(), 2, blocks.copy(), scale, (4, tau_c), MessageKind.EIG_BROADCAST,
+        lambda w: seen.append(w) or (np.ones(tau_c, dtype=complex), 1.0), (2,),
     )
-    want = ref_full_matrix_sum(blocks, scale, entropy, tail)
-    assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+    return blocks, seen[0]
+
+
+@pytest.mark.parametrize("tau_c", [1, 2, 24, 60, 164])
+@pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
+@pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
+def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
+    """The unpacked sum of the packed releases equals the full-matrix sum, sign bits included."""
+    blocks, got = grid_round(tau_c, kind, scale)
+    want = ref_full_matrix_sum(blocks, scale, (4, tau_c), (2,))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tau_c", [1, 2, 24, 60, 164])
+@pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
+@pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
+def test_eig_of_the_unpacked_sum_matches_eigh_of_its_hermitized_copy(tau_c, kind, scale):
+    """hermitian_eig reads the unpacked sum as it is, and its eigenpairs equal, byte for
+    byte, those of eigh on a hermitized copy, ordered and phased as hermitian_eig orders
+    and phases them."""
+    w = grid_round(tau_c, kind, scale)[1]
+    vals, vecs = np.linalg.eigh(hermitize(w))
+    for k in sorted({1, tau_c}):
+        order = np.argsort(-vals, kind="stable")[:k]
+        want = np.column_stack([canonical_phase(vecs[:, i]) for i in order])
+        got_vals, got_vecs = hermitian_eig(w, k)
+        assert got_vals.tobytes() == vals[order].tobytes()
+        assert got_vecs.tobytes() == want.tobytes()
 
 
 def test_pack_reads_upper_triangle_in_draw_order():
@@ -226,69 +248,68 @@ def test_gram_round_at_nan_scale_sends_nothing(rng):
 
 
 
-# ---------------------------------------------------------------- sampling
+# ---------------------------------------------------------------- release noise
+
+
+def noise_releases(dim, scale, entropy, n_aps=1):
+    """The unpacked releases of one round over zero (n_aps, 1, dim) blocks: each
+    AP's noise alone, read from the packed payload it sent.  Release m is drawn
+    from SeedSequence([*entropy, m]).
+    """
+    net = RecordingBackhaul()
+    blocks = np.zeros((n_aps, 1, dim), dtype=complex)
+    gram_round(net, 1, blocks, scale, entropy, MessageKind.BASIS_BROADCAST, lambda w: w)
+    return [unpack_hermitian(p) for p in net.payloads[:n_aps]]
+
 
 def test_noise_zero_scale_is_zero():
-    g = sample_hermitian_noise(6, 0.0, 42)
+    g = noise_releases(6, 0.0, (42,))[0]
     assert np.array_equal(g, np.zeros((6, 6)))
 
 
 def test_noise_exact_hermitian():
-    g = sample_hermitian_noise(40, 2.5, 42)
+    g = noise_releases(40, 2.5, (42,))[0]
     assert np.array_equal(g, g.conj().T)
     assert np.all(np.diag(g).imag == 0)
 
 
 def test_noise_deterministic():
-    a = sample_hermitian_noise(10, 1.0, 7)
-    b = sample_hermitian_noise(10, 1.0, 7)
+    a = noise_releases(10, 1.0, (7,))[0]
+    b = noise_releases(10, 1.0, (7,))[0]
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, sample_hermitian_noise(10, 1.0, 8))
+    assert not np.array_equal(a, noise_releases(10, 1.0, (8,))[0])
 
 
 def test_noise_variances():
-    g = sample_hermitian_noise(200, 3.0, 11)
+    g = noise_releases(200, 3.0, (11,))[0]
     off = g[np.triu_indices(200, k=1)]
     assert np.mean(np.abs(off) ** 2) == pytest.approx(9.0, rel=0.05)
     assert np.var(np.diag(g).real) == pytest.approx(9.0, rel=0.10)
 
 
 def test_noise_scales_linearly():
-    unit = sample_hermitian_noise(15, 1.0, 5)
-    scaled = sample_hermitian_noise(15, 4.0, 5)
+    unit = noise_releases(15, 1.0, (5,))[0]
+    scaled = noise_releases(15, 4.0, (5,))[0]
     np.testing.assert_allclose(scaled, 4.0 * unit, rtol=1e-12)
-
-
-def ref_hermitian_noise(dim, scale, seed):
-    """Straight-line copy of the three-call draw order: upper-real, upper-imag, diagonal."""
-    g = np.zeros((dim, dim), dtype=complex)
-    rng = np.random.default_rng(seed)
-    iu = np.triu_indices(dim, k=1)
-    comp = scale / math.sqrt(2.0)
-    re = rng.standard_normal(iu[0].size) * comp
-    im = rng.standard_normal(iu[0].size) * comp
-    g[iu] = re + 1j * im
-    g = g + g.conj().T
-    g[np.diag_indices(dim)] = rng.standard_normal(dim) * scale
-    return g
 
 
 @pytest.mark.parametrize("dim", [1, 2, 24, 60, 164])
 @pytest.mark.parametrize("scale", [1.0, 3.7e5, 5e-324])  # 5e-324 rounds many draws to +-0
 def test_noise_matches_three_call_draw_order(dim, scale):
-    seed = np.random.SeedSequence([dim, 17])
-    got = sample_hermitian_noise(dim, scale, seed)
-    want = ref_hermitian_noise(dim, scale, seed)
-    np.testing.assert_array_equal(got, want)
-    if scale < 1e-300 and dim > 1:
-        assert (got.real == 0).any()  # the signed-zero case is exercised
-    for part in ("real", "imag"):
-        a, b = getattr(got, part), getattr(want, part)
-        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+    """Each release is its (zero) Gram plus the oracle's three-call noise draw, sign bits included."""
+    got = noise_releases(dim, scale, (dim, 17), n_aps=2)
+    for m, release in enumerate(got):
+        want = hermitize(np.zeros((dim, dim), dtype=complex)) + hermitian_noise(
+            dim, scale, np.random.SeedSequence([dim, 17, m])
+        )
+        np.testing.assert_array_equal(release, want)
+        if scale < 1e-300 and dim > 1:
+            assert (release.real == 0).any()  # the signed-zero case is exercised
+        for part in ("real", "imag"):
+            a, b = getattr(release, part), getattr(want, part)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_noise_validation():
     with pytest.raises(ArgumentError):
-        sample_hermitian_noise(0, 1.0, 0)
-    with pytest.raises(ArgumentError):
-        sample_hermitian_noise(3, -1.0, 0)
+        noise_releases(3, -1.0, (0,))

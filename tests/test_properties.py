@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 
 from privcell.estimation import ser, slice_qpsk
 from privcell.fw import FwConfig, ap_update
-from privcell.linalg import frob_norm, hermitize, pinv
+from support import RecordingBackhaul
+from privcell.linalg import frob_norm, pinv
 from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
+    gram_round,
     pack_hermitian,
-    sample_hermitian_noise,
     svd_noise_scale,
     unpack_hermitian,
 )
+from privcell.protocol import MessageKind
 from privcell.svdmc import trim
 
 COMMON = settings(deadline=None, max_examples=40)
@@ -35,7 +37,11 @@ def _complex_matrix(rng, rows, cols):
 @COMMON
 @given(dim=dims, scale=scales, seed=seeds)
 def test_noise_release_is_exactly_hermitian(dim, scale, seed):
-    e = sample_hermitian_noise(dim, scale, seed)
+    """The packed release an AP sends for a zero block, its noise alone, unpacks exactly Hermitian."""
+    net = RecordingBackhaul()
+    blocks = np.zeros((1, 1, dim), dtype=complex)
+    gram_round(net, 1, blocks, scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
+    e = unpack_hermitian(net.payloads[0])
     np.testing.assert_array_equal(e, e.conj().T)
 
 
@@ -89,16 +95,6 @@ def test_frob_bound_monotone_in_gains(seed, extra):
 
 
 # ---------------------------------------------------------------- linalg
-
-
-@COMMON
-@given(dim=dims, seed=seeds)
-def test_hermitize_is_idempotent(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = _complex_matrix(rng, dim, dim)
-    h = hermitize(a)
-    np.testing.assert_array_equal(h, h.conj().T)
-    np.testing.assert_array_equal(hermitize(h), h)
 
 
 @COMMON

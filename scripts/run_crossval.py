@@ -20,9 +20,18 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from privcell.config import COMPLETING, load_experiment, tunable  # noqa: E402
+from privcell.config import COMPLETING, load_experiment, tunable, whole, with_overrides  # noqa: E402
+from privcell.errors import ConfigError  # noqa: E402
 from privcell.fw import nuclear_norm_budget  # noqa: E402
 from privcell.harness import cross_validate, draw_beta, prepare  # noqa: E402
+
+
+def numbers(name, text):
+    """The comma-separated numbers of text; a ConfigError names the flag otherwise."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{name} must be comma-separated numbers, got {text!r}") from None
 
 
 def main():
@@ -34,15 +43,16 @@ def main():
     ap.add_argument("--nuc-fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     args = ap.parse_args()
 
-    exp = load_experiment(args.config)
+    exp = with_overrides(load_experiment(args.config), method=args.method, trials=args.trials)
+    iters_grid = [whole("fw_iters", v) for v in numbers("--iters-grid", args.iters_grid)]
+    fractions = numbers("--nuc-fractions", args.nuc_fractions)
     scen = exp.scenario
     params = tunable(args.method)
     if not params:
         print(f"{args.method} reads neither nuc_bound nor fw_iters: nothing to tune")
 
     if "fw_iters" in params:
-        grid = [int(v) for v in args.iters_grid.split(",")]
-        best, scores = cross_validate(exp, args.method, "fw_iters", grid, args.trials)
+        best, scores = cross_validate(exp, "fw_iters", iters_grid)
         print(f"\nround count ({args.method}, {args.trials} trials):")
         for value, score in scores:
             mark = " <-" if value == best else ""
@@ -55,9 +65,8 @@ def main():
     beta = draw_beta(scen, scen.seed)
     derived = prepare(scen, exp.run, beta).nuc_bound
     physical = nuclear_norm_budget(beta, scen.tau_c, scen.N_a)
-    fractions = [float(v) for v in args.nuc_fractions.split(",")]
     grid = [f * physical for f in fractions]
-    best, scores = cross_validate(exp, args.method, "nuc_bound", grid, args.trials)
+    best, scores = cross_validate(exp, "nuc_bound", grid)
     print(f"\nnuclear budget ({args.method}, derived bound {derived:.3f} in working units):")
     for frac, (value, score) in zip(fractions, scores):
         mark = " <-" if value == best else ""
@@ -67,4 +76,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        sys.exit(2)

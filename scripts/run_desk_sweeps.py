@@ -22,7 +22,8 @@ sys.path.insert(0, str(ROOT / "src"))
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-from privcell.config import METHODS, load_experiment  # noqa: E402
+from privcell.config import METHODS, load_experiment, with_overrides  # noqa: E402
+from privcell.errors import ConfigError  # noqa: E402
 from privcell.harness import emit_csv, run_sweep  # noqa: E402
 
 EPS_VALUES = (0.1, 0.5, 1.0, 5.0, 10.0)
@@ -42,7 +43,7 @@ def main():
     ap.add_argument("--out-dir", default=str(ROOT / "results"))
     args = ap.parse_args()
 
-    exp = load_experiment(args.config)
+    exp = with_overrides(load_experiment(args.config), trials=args.trials)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -53,7 +54,7 @@ def main():
         t0 = time.perf_counter()
         for method in methods:
             records += run_sweep(
-                exp, method=method, axis=axis, values=values, trials=args.trials
+                with_overrides(exp, method=method, sweep=axis, values=values)
             )
             print(f"  {axis}/{method} done ({time.perf_counter() - t0:.0f}s)")
         out = out_dir / f"desk_{axis}.csv"
@@ -62,4 +63,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        sys.exit(2)

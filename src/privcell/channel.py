@@ -57,7 +57,6 @@ class Scenario:
     pl_b: float = 36.7  # path-loss slope, dB per decade
     sigma_sh_db: float = 8.0  # shadowing std, dB
     sigma2: float = 1.0e-13  # receiver noise power, W
-    signal_model: str = "qpsk"  # payload alphabet: qpsk | gaussian
     seed: int = 0
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class Scenario:
             raise ConfigError(f"sigma2 must be non-negative, got {self.sigma2}")
         if self.sigma_sh_db < 0:
             raise ConfigError(f"sigma_sh_db must be non-negative, got {self.sigma_sh_db}")
-        if self.signal_model not in ("qpsk", "gaussian"):
-            raise ConfigError(f"unknown signal_model {self.signal_model!r}")
         # The analysis regime assumes more stacked antennas than slots.  Long
         # payload sweeps leave it on purpose, so this is advisory only.
         if self.M * self.N_a <= self.tau_c:
@@ -178,15 +175,11 @@ def gen_pilots(K, tau_p):
     return np.exp(-2j * np.pi * k * t / tau_p) / math.sqrt(tau_p)
 
 
-def gen_payload(K, tau_d, model, rng):
-    """Payload symbol matrix (K, tau_d)."""
-    if model == "qpsk":
-        re = 2 * rng.integers(0, 2, size=(K, tau_d)) - 1
-        im = 2 * rng.integers(0, 2, size=(K, tau_d)) - 1
-        return (re + 1j * im) / math.sqrt(2.0)
-    if model == "gaussian":
-        return crandn(rng, (K, tau_d))
-    raise ConfigError(f"unknown signal model {model!r}")
+def gen_payload(K, tau_d, rng):
+    """Unit-power QPSK payload symbol matrix (K, tau_d)."""
+    re = 2 * rng.integers(0, 2, size=(K, tau_d)) - 1
+    im = 2 * rng.integers(0, 2, size=(K, tau_d)) - 1
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
 def transmit(H, S, sigma2, rng):
@@ -213,21 +206,17 @@ def sample_switch(R, scenario, rng):
     return np.where(omega, R, 0.0), omega
 
 
-def make_block(scenario, beta, P, master_seed, trial, sigma2=None):
+def make_block(scenario, beta, P, master_seed, trial, sigma2):
     """Draw one coherence block from the per-trial substreams.
 
     Pilot-slot noise and masks come from streams keyed independently of
     tau_d, so the pilot part of a block is identical across payload-length
-    sweeps at the same master seed and trial.  sigma2 overrides the
-    scenario's noise power (the harness passes the unit-rescaled value).
+    sweeps at the same master seed and trial.  sigma2 is the receiver
+    noise power on the scale of beta (the harness passes the unit-rescaled
+    value).
     """
-    if sigma2 is None:
-        sigma2 = scenario.sigma2
     H = gen_channels(beta, scenario, rng_for(master_seed, "channel", trial))
-    D = gen_payload(
-        scenario.K, scenario.tau_d, scenario.signal_model,
-        rng_for(master_seed, "payload", trial),
-    )
+    D = gen_payload(scenario.K, scenario.tau_d, rng_for(master_seed, "payload", trial))
     R_p = transmit(H, P, sigma2, rng_for(master_seed, "noise_pilot", trial))
     R_d = transmit(H, D, sigma2, rng_for(master_seed, "noise_data", trial))
     Y_p, om_p = sample_switch(R_p, scenario, rng_for(master_seed, "mask_pilot", trial))

@@ -1,15 +1,19 @@
 """Command-line front end: simulate, crossval, audit."""
 
 import argparse
-import dataclasses
 import logging
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from .config import COMPLETING, METHODS, TUNABLE, load_experiment
-from .errors import ConfigError, PrivCellError
-from .harness import (
+# one BLAS thread, set before numpy loads: the bitwise determinism contract
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+from .config import COMPLETING, METHODS, TUNABLE, load_experiment, with_overrides  # noqa: E402
+from .errors import ConfigError, PrivCellError  # noqa: E402
+from .harness import (  # noqa: E402
     cross_validate,
     draw_beta,
     emit_csv,
@@ -17,7 +21,7 @@ from .harness import (
     run_sweep,
     run_trial,
 )
-from .protocol import Backhaul, audit_privacy_surface, dump_transcript
+from .protocol import Backhaul, audit_privacy_surface, dump_transcript  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,6 +38,14 @@ def _floats(text):
     return values
 
 
+def _out_path(text):
+    """text, if its directory exists and takes new files; checked before any trial runs."""
+    folder = Path(text).parent
+    if Path(text).is_dir() or not folder.is_dir() or not os.access(folder, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: not a file in a writable directory")
+    return text
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="privcell", description=__doc__)
     p.add_argument("-v", "--verbose", action="store_true")
@@ -46,7 +58,7 @@ def build_parser():
     sim.add_argument("--values", type=_floats)
     sim.add_argument("--trials", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--out", required=True)
+    sim.add_argument("--out", required=True, type=_out_path)
 
     cv = sub.add_parser("crossval", help="grid-search nuc_bound or fw_iters")
     cv.add_argument("--config", required=True)
@@ -60,28 +72,18 @@ def build_parser():
     au.add_argument("--config", required=True)
     au.add_argument("--method", choices=tuple(METHODS))
     au.add_argument("--seed", type=int)
-    au.add_argument("--out", help="where to dump the transcript (JSON lines)")
+    au.add_argument("--out", type=_out_path, help="where to dump the transcript (JSON lines)")
     return p
 
 
-def _experiment(args):
-    exp = load_experiment(args.config)
-    overrides = {}
-    for name in ("method", "trials", "sweep", "values"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    exp = dataclasses.replace(exp, run=dataclasses.replace(exp.run, **overrides))
-    if getattr(args, "seed", None) is not None:
-        exp = dataclasses.replace(
-            exp, scenario=dataclasses.replace(exp.scenario, seed=args.seed)
-        )
-    return exp
+def _experiment(args, *names):
+    """The config file's experiment with the named flags and --seed applied."""
+    flags = {name: getattr(args, name) for name in (*names, "method", "seed")}
+    return with_overrides(load_experiment(args.config), **flags)
 
 
 def cmd_simulate(args):
-    exp = _experiment(args)
-    records = run_sweep(exp)
+    records = run_sweep(_experiment(args, "sweep", "values", "trials"))
     emit_csv(records, args.out)
     for rec in records:
         print(
@@ -94,11 +96,8 @@ def cmd_simulate(args):
 
 
 def cmd_crossval(args):
-    exp = _experiment(args)
-    method = args.method or exp.run.method
-    best, scores = cross_validate(
-        exp, method, args.param, list(args.values), args.trials
-    )
+    exp = _experiment(args, "trials")
+    best, scores = cross_validate(exp, args.param, list(args.values))
     for value, score in scores:
         print(f"{args.param}={value:g} nmse={score:.6g}")
     print(f"best {args.param}={best:g}")
@@ -112,9 +111,7 @@ def cmd_audit(args):
     beta = draw_beta(scen, scen.seed)
     prepared = prepare(scen, exp.run, beta)
     run_trial(scen, exp.run, exp.run.method, prepared, scen.seed, 0, exp.run.eps, net=net)
-    report = audit_privacy_surface(
-        net.transcript, tau_c=scen.tau_c, n_users=scen.K, n_payload=scen.tau_d
-    )
+    report = audit_privacy_surface(net.transcript, scen.tau_c, scen.K, scen.tau_d)
     out = args.out or str(Path(tempfile.gettempdir()) / "privcell_transcript.jsonl")
     dump_transcript(net.transcript, out)
     print(f"transcript: {len(net.transcript)} messages -> {out}")

@@ -1,11 +1,12 @@
 """Flat key-value experiment configs (YAML mappings of scalars).
 
 A config file carries the physical scenario plus privacy budget, method
-defaults, and sweep defaults in one flat mapping; the CLI can override
-the run-level fields.  Unknown keys are rejected so typos fail loudly.
+defaults, and sweep defaults in one flat mapping; `with_overrides` is the
+one way the CLI and the scripts change the run-level fields and the seed.
+Unknown keys are rejected so typos fail loudly.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import yaml
@@ -81,10 +82,16 @@ class RunConfig:
             check_int(name, getattr(self, name), 1)
         for name in ("eps", "delta", "nuc_bound", "clip_bound"):
             check_real(name, getattr(self, name))
+        if self.sweep not in ("epsilon", "tau_d"):
+            raise ConfigError(f"unknown sweep axis {self.sweep!r}")
         if not isinstance(self.values, (list, tuple)):
             raise ConfigError(f"values must be a list of numbers, got {self.values!r}")
         for v in self.values:
             check_real("values", v)
+            if self.sweep == "tau_d" and whole("tau_d", v) < 1:
+                raise ConfigError(f"tau_d sweep values must be >= 1, got {v!r}")
+            if self.sweep == "epsilon" and v <= 0:
+                raise ConfigError(f"epsilon sweep values must be positive, got {v!r}")
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not 0 < self.delta < 1:
@@ -92,8 +99,6 @@ class RunConfig:
         if self.nuc_bound < 0 or self.clip_bound < 0:
             raise ConfigError("bound overrides must be non-negative (0 = derived)")
         method_spec(self.method)
-        if self.sweep not in ("epsilon", "tau_d"):
-            raise ConfigError(f"unknown sweep axis {self.sweep!r}")
 
 
 RUN_KEYS = {f.name for f in fields(RunConfig)}
@@ -124,6 +129,19 @@ def experiment_from_mapping(mapping):
     scen_kwargs = {k: mapping[k] for k in mapping if k in SCENARIO_KEYS}
     run_kwargs = {k: _coerce(mapping[k]) for k in mapping if k in RUN_KEYS}
     return ExperimentConfig(scenario=Scenario(**scen_kwargs), run=RunConfig(**run_kwargs))
+
+
+def with_overrides(exp, **changes):
+    """A new validated ExperimentConfig: exp with the given RunConfig fields and seed.
+
+    A None value leaves its field as it is, so unset CLI flags can be
+    passed straight through.
+    """
+    changes = {k: v for k, v in changes.items() if v is not None}
+    scenario = exp.scenario
+    if "seed" in changes:
+        scenario = replace(scenario, seed=changes.pop("seed"))
+    return ExperimentConfig(scenario=scenario, run=replace(exp.run, **changes))
 
 
 def load_experiment(path):

@@ -29,7 +29,6 @@ class FwConfig:
     nuclear_bound: float  # radius of the nuclear-norm ball
     clip_bound: float  # cap on the observed-entry Frobenius norm per AP
     noise_scale: float  # per-release Hermitian noise std (0 = non-private)
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -117,7 +116,6 @@ def run_fw(y, omega, cfg, seed, net=None):
     lam_path = np.empty(cfg.iterations)
     masked_norms = np.empty((cfg.iterations, n_aps))
     clip_events = 0
-    iterates = [] if cfg.keep_iterates else None
     for n in range(1, cfg.iterations + 1):
         j = ap_residual(x, y, omega)
         v_top, lam_lifted = gram_round(
@@ -128,13 +126,10 @@ def run_fw(y, omega, cfg, seed, net=None):
         x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, omega)
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
-        if iterates is not None:
-            iterates.append(x)
     return CompletionResult(
         x_hat=x,
         rounds=cfg.iterations,
         masked_norms=masked_norms,
         clip_events=clip_events,
         lam_path=lam_path,
-        iterates=iterates,
     )

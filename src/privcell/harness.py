@@ -118,8 +118,7 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     """One end-to-end trial on (M, ·, ·) AP stacks; returns a TrialResult."""
     spec = method_spec(method)
     block = make_block(
-        scenario, prepared.beta, prepared.pilots, master_seed, trial,
-        sigma2=prepared.sigma2,
+        scenario, prepared.beta, prepared.pilots, master_seed, trial, prepared.sigma2
     )
     net = Backhaul() if net is None else net
     tau_p = scenario.tau_p
@@ -199,42 +198,36 @@ def run_point(exp, method, axis, value, trials, master_seed, beta=None):
     )
 
 
-def run_sweep(exp, method=None, axis=None, values=None, trials=None, master_seed=None):
-    """Sweep one method over an axis; arguments default to the config."""
+def run_sweep(exp):
+    """Sweep the config's method over its axis values, at its trial count and seed."""
     run = exp.run
-    method = method or run.method
-    axis = axis or run.sweep
-    values = values if values is not None else run.values
-    trials = trials if trials is not None else run.trials
-    master_seed = master_seed if master_seed is not None else exp.scenario.seed
-    method_spec(method)
-    if not values:
+    if not run.values:
         raise ConfigError("sweep needs at least one axis value")
-    return [run_point(exp, method, axis, v, trials, master_seed) for v in values]
+    return [run_point(exp, run.method, run.sweep, v, run.trials, exp.scenario.seed) for v in run.values]
 
 
-def cross_validate(exp, method, param, grid, trials, master_seed=None):
+def cross_validate(exp, param, grid):
     """Pick the grid value minimising mean NMSE on a held-out seed family.
 
-    Ties break toward the earlier grid entry, so pass the grid sorted
-    ascending to prefer the smaller value.  A param the method never
-    reads is a ConfigError: every grid value would score the same.  If
-    every trial at every grid value fails, no value can be picked and a
-    PrivCellError names the grid.
+    The method, trial count and seed are the config's.  Ties break toward
+    the earlier grid entry, so pass the grid sorted ascending to prefer
+    the smaller value.  A param the method never reads is a ConfigError:
+    every grid value would score the same.  If every trial at every grid
+    value fails, no value can be picked and a PrivCellError names the grid.
     """
+    method = exp.run.method
     if param not in tunable(method):
         raise ConfigError(f"method {method!r} does not read {param!r}, so every value would score the same")
     if not grid:
         raise ArgumentError("empty cross-validation grid")
-    base = master_seed if master_seed is not None else exp.scenario.seed
-    cv_seed = derive_master(base, "crossval")
+    cv_seed = derive_master(exp.scenario.seed, "crossval")
     scores = []
     for value in grid:
         run = dataclasses.replace(
             exp.run, **{param: whole(param, value) if param == "fw_iters" else float(value)}
         )
         cv_exp = ExperimentConfig(scenario=exp.scenario, run=run)
-        rec = run_point(cv_exp, method, "epsilon", run.eps, trials, cv_seed)
+        rec = run_point(cv_exp, method, "epsilon", run.eps, run.trials, cv_seed)
         scores.append(rec.nmse)
         log.info("crossval %s=%s -> nmse %.6g", param, value, rec.nmse)
     if all(math.isnan(score) for score in scores):

@@ -47,7 +47,6 @@ class CompletionResult:
     masked_norms: np.ndarray  # (rounds, M) per-AP observed-entry norms after each round
     clip_events: int = 0
     lam_path: Optional[np.ndarray] = None  # lifted top value per round
-    iterates: Optional[list] = None  # (M, N_a, tau_c) iterate after each round
 
 
 def frob_bound(beta, n_users, n_antennas, tau_c, sigma2):

@@ -140,14 +140,13 @@ class AuditReport:
         return self.ok
 
 
-def audit_privacy_surface(transcript, tau_c=None, n_users=None, n_payload=None):
+def audit_privacy_surface(transcript, tau_c, n_users, n_payload):
     """Structural check that no raw observation ever reached the CPU.
 
     Reads the shapes and packed-form verdicts `send` recorded.  Every
     AP-originated message must be a Gram release in packed Hermitian form
-    (of length tau_c^2 when tau_c is given) or a detection block of shape
-    (n_users, n_payload) when those are given.  Returns an AuditReport
-    listing offending message indices.
+    of length tau_c^2, or a detection block of shape (n_users, n_payload).
+    Returns an AuditReport listing offending message indices.
     """
     failures = []
     for i, msg in enumerate(transcript):
@@ -159,15 +158,10 @@ def audit_privacy_surface(transcript, tau_c=None, n_users=None, n_payload=None):
                 if not msg.hermitian:
                     why = "is not packed Hermitian (a real vector of square length)"
                     failures.append((i, f"gram release of shape {shape} {why}"))
-                elif tau_c is not None and shape != (tau_c * tau_c,):
+                elif shape != (tau_c * tau_c,):
                     failures.append((i, f"gram release side {math.isqrt(shape[0])} != {tau_c}"))
             elif msg.kind is MessageKind.LOCAL_DETECTION:
-                if len(shape) != 2:
-                    failures.append((i, f"detection payload has ndim {len(shape)}"))
-                elif n_users is not None and n_payload is not None and shape != (
-                    n_users,
-                    n_payload,
-                ):
+                if shape != (n_users, n_payload):
                     failures.append((i, f"detection payload shape {shape}"))
             else:
                 failures.append((i, f"kind {msg.kind.value} not allowed from an AP"))

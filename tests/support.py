@@ -1,7 +1,10 @@
-"""Test-only helpers: a CSV reader for emit_csv output and a payload-keeping backhaul."""
+"""Test-only helpers: a CSV reader for emit_csv output, a payload-keeping backhaul
+and an FW iterate recorder."""
 
 import csv
+from contextlib import contextmanager
 
+from privcell import fw
 from privcell.errors import ConfigError
 from privcell.harness import CSV_HEADER
 from privcell.protocol import Backhaul
@@ -43,3 +46,25 @@ class RecordingBackhaul(Backhaul):
 def kind_count(transcript, kind):
     """Number of transcript records of one message kind."""
     return sum(msg.kind is kind for msg in transcript)
+
+
+@contextmanager
+def recorded_iterates():
+    """Within the block, collect the (M, N_a, tau_c) iterate after each FW round.
+
+    Wraps fw.ap_update, whose first output is the new iterate, and
+    yields the list the iterates are appended to, in round order.
+    """
+    iterates = []
+    update = fw.ap_update
+
+    def recording(*args, **kwargs):
+        out = update(*args, **kwargs)
+        iterates.append(out[0].copy())
+        return out
+
+    fw.ap_update = recording
+    try:
+        yield iterates
+    finally:
+        fw.ap_update = update

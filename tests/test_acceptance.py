@@ -22,7 +22,7 @@ from mpmath import mp
 from scipy import stats
 
 from oracles import centralized_fw, centralized_svd
-from support import RecordingBackhaul, kind_count
+from support import RecordingBackhaul, kind_count, recorded_iterates
 from privcell.channel import make_block
 from privcell.config import load_experiment
 from privcell.fw import FwConfig, run_fw
@@ -134,15 +134,17 @@ def test_criterion_01_oracle_equivalence(desk, desk_beta):
     t0 = time.perf_counter()
     scen, run = desk.scenario, desk.run
     prep = prepare(scen, run, desk_beta)
-    block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, sigma2=prep.sigma2)
+    block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, prep.sigma2)
 
     iters = 6
-    cfg = FwConfig(iters, prep.nuc_bound, prep.clip_bound, 0.0, keep_iterates=True)
+    cfg = FwConfig(iters, prep.nuc_bound, prep.clip_bound, 0.0)
     y, omega = (a.reshape(scen.M * scen.N_a, scen.tau_c) for a in (block.Y, block.omega))
-    res = run_fw(block.Y, block.omega, cfg, entropy_for(scen.seed, "dp_fw", 0))
+    with recorded_iterates() as iterates:
+        run_fw(block.Y, block.omega, cfg, entropy_for(scen.seed, "dp_fw", 0))
     ref = centralized_fw(y, omega, scen.M, iters, prep.nuc_bound, prep.clip_bound)
+    assert len(iterates) == iters
     worst_fw = max(
-        frob_norm(a.reshape(b.shape) - b) / frob_norm(b) for a, b in zip(res.iterates, ref)
+        frob_norm(a.reshape(b.shape) - b) / frob_norm(b) for a, b in zip(iterates, ref)
     )
 
     scfg = SvdConfig.derive(scen, 0.0)
@@ -394,14 +396,14 @@ def test_criterion_09_protocol_accounting(desk, desk_beta):
     assert ratio == pytest.approx(naive + correction, rel=1e-12)
     assert abs(ratio - naive) <= correction * (1 + 1e-12)
 
-    clean_fw = audit_privacy_surface(net_fw.transcript, tau_c=tau_c)
-    clean_svd = audit_privacy_surface(net_svd.transcript, tau_c=tau_c)
+    clean_fw = audit_privacy_surface(net_fw.transcript, tau_c, scen.K, scen.tau_d)
+    clean_svd = audit_privacy_surface(net_svd.transcript, tau_c, scen.K, scen.tau_d)
     assert clean_fw.ok and clean_svd.ok
 
     raw = block.Y[0]  # an AP's observed block, sent as if it were a release
     n_clean = len(net_fw.transcript)
     net_fw.send(MessageKind.GRAM_RELEASE, ap_name(0), CPU, 1, raw)
-    tampered = audit_privacy_surface(net_fw.transcript, tau_c=tau_c)
+    tampered = audit_privacy_surface(net_fw.transcript, tau_c, scen.K, scen.tau_d)
     assert not tampered.ok
     assert [i for i, _ in tampered.failures] == [n_clean]
     assert "square" in tampered.failures[0][1]

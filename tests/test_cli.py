@@ -1,7 +1,11 @@
 """End-to-end runs of the console entry points on toy configs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,9 @@ from privcell import cli, harness
 from privcell.config import METHODS
 from privcell.errors import DegenerateStepError
 from support import read_csv
+
+REPO = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 TOY = """\
 M: 2
@@ -276,7 +283,7 @@ def test_non_integer_int_field_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["units: normalized", "shadow_convention: real"])
+@pytest.mark.parametrize("line", ["units: normalized", "shadow_convention: real", "signal_model: qpsk"])
 def test_retired_config_key_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "old.yaml"
     cfg.write_text(TOY + line + "\n")
@@ -284,3 +291,83 @@ def test_retired_config_key_exits_2(tmp_path, capsys, line):
     assert rc == cli.EXIT_CONFIG
     assert f"unknown config keys: ['{line.split(':')[0]}']" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize(
+    "sweep, values, message",
+    [("epsilon", "-1,0", "epsilon sweep values must be positive"),
+     ("tau_d", "20,20.5", "tau_d must be a whole number")],
+)
+def test_sweep_value_off_its_axis_exits_2(toy_config, tmp_path, capsys, sweep, values, message):
+    """A value the axis cannot take is rejected before any trial, not run as NaN rows or rounded."""
+    out = tmp_path / "o.csv"
+    rc = cli.main(
+        ["simulate", "--config", str(toy_config), "--method", "fw", "--sweep", sweep,
+         f"--values={values}", "--out", str(out)]
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_epsilon_in_yaml_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(TOY + "values: [-1.0]\n")
+    out = tmp_path / "o.csv"
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "epsilon sweep values must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_unwritable_out_exits_2(toy_config, tmp_path, capsys, command, monkeypatch):
+    """An --out in a missing directory is rejected with its path before any trial runs."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_point", no_trial)
+    monkeypatch.setattr(cli, "run_trial", no_trial)
+    out = str(tmp_path / "missing" / "x.out")
+    argv = [command, "--config", str(toy_config), "--method", "po", "--out", out]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + (["--values", "1"] if command == "simulate" else []))
+    assert exc.value.code == 2
+    assert f"cannot write {out!r}" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def _script(name, *args, tmp_path):
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name), *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [("run_desk_sweeps.py", ["--trials", "0", "--out-dir", "res"], "trials must be an integer >= 1"),
+     ("run_crossval.py", ["--trials", "0"], "trials must be an integer >= 1"),
+     ("run_crossval.py", ["--iters-grid", "4,8.5"], "fw_iters must be a whole number"),
+     ("run_crossval.py", ["--nuc-fractions", "0.5,x"], "--nuc-fractions must be comma-separated numbers")],
+)
+def test_script_config_error_exits_2(tmp_path, name, args, message):
+    """The scripts reject a bad input with exit 2 and one line, as the CLI does."""
+    proc = _script(name, *args, "--config", str(REPO / "configs" / "desk.yaml"), tmp_path=tmp_path)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("config error: ") and message in line
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_pins_blas_before_numpy_loads():
+    """The package root loads no numpy, so importing the CLI can still pin BLAS to one thread."""
+    probe = (
+        "import os, sys; import privcell; assert 'numpy' not in sys.modules, 'numpy loaded'; "
+        "import privcell.cli; print([os.environ.get(v) for v in %r])" % (BLAS_VARS,)
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["1", "1", "1"])

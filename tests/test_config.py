@@ -7,6 +7,7 @@ from privcell.config import (
     RunConfig,
     experiment_from_mapping,
     load_experiment,
+    with_overrides,
 )
 from privcell.errors import ConfigError
 
@@ -67,6 +68,45 @@ def test_run_validation():
             with pytest.raises(ConfigError, match=name):
                 RunConfig(**{name: bad})
     assert set(METHODS) == {"fw", "svd", "npfw", "npsvd", "po"}
+
+
+@pytest.mark.parametrize(
+    "sweep, values, message",
+    [("epsilon", (1.0, -1.0), "epsilon sweep values must be positive"),
+     ("epsilon", (0.0,), "epsilon sweep values must be positive"),
+     ("tau_d", (20.0, 20.5), "tau_d must be a whole number"),
+     ("tau_d", (0.0,), "tau_d sweep values must be >= 1")],
+)
+def test_sweep_values_checked_against_their_axis(sweep, values, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(sweep=sweep, values=values)
+
+
+def test_sweep_values_in_range_pass():
+    assert RunConfig(sweep="tau_d", values=(1.0, 20)).values == (1.0, 20)
+    assert RunConfig(sweep="epsilon", values=(1e-3, 50.0)).values == (1e-3, 50.0)
+
+
+def test_with_overrides_applies_run_fields_and_seed():
+    exp = experiment_from_mapping(dict(BASE, values=[1.0], seed=3))
+    out = with_overrides(exp, method="po", trials=None, sweep="tau_d", values=(4.0,), seed=9)
+    assert (out.run.method, out.run.sweep, out.run.values) == ("po", "tau_d", (4.0,))
+    assert out.run.trials == exp.run.trials  # None leaves the field as it is
+    assert out.scenario.seed == 9
+    assert (exp.run.method, exp.scenario.seed) == ("fw", 3)  # the input is not changed
+    assert with_overrides(exp) == exp
+
+
+def test_with_overrides_validates():
+    exp = experiment_from_mapping(dict(BASE))
+    with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
+        with_overrides(exp, trials=0)
+    with pytest.raises(ConfigError, match="unknown method"):
+        with_overrides(exp, method="ridge")
+    with pytest.raises(ConfigError, match="tau_d must be a whole number"):
+        with_overrides(exp, sweep="tau_d", values=(20.0, 20.5))
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        with_overrides(exp, seed=-1)
 
 
 def test_load_yaml(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import centralized_fw
-from support import RecordingBackhaul, kind_count
+from support import RecordingBackhaul, kind_count, recorded_iterates
 from test_privacy import ref_release
 from privcell.errors import ArgumentError, DegenerateStepError, ShapeError
 from privcell.fw import (
@@ -183,23 +183,24 @@ def test_update_degenerate_lambda(rng):
 def test_zero_noise_matches_centralized_oracle():
     """Distributed rounds track a straight-line stacked implementation."""
     y, omega, _ = make_instance(11, n_aps=3, n_ant=2, tau_c=8)
-    cfg = FwConfig(6, nuclear_bound=5.0, clip_bound=4.0, noise_scale=0.0,
-                   keep_iterates=True)
-    res = run_fw(y, omega, cfg, 0)
+    cfg = FwConfig(6, nuclear_bound=5.0, clip_bound=4.0, noise_scale=0.0)
+    with recorded_iterates() as iterates:
+        run_fw(y, omega, cfg, 0)
     ref = centralized_fw(flat(y), flat(omega), 3, 6, 5.0, 4.0)
-    assert len(res.iterates) == 6
-    for got, want in zip(res.iterates, ref):
+    assert len(iterates) == 6
+    for got, want in zip(iterates, ref):
         assert rel_err(flat(got), want) <= 1e-9
 
 
 def test_noisy_run_matches_centralized_with_shared_draws():
     y, omega, _ = make_instance(12, n_aps=3, n_ant=2, tau_c=8)
     entropy = (77, 9, 0)
-    cfg = FwConfig(5, nuclear_bound=5.0, clip_bound=6.0, noise_scale=0.3,
-                   keep_iterates=True)
-    res = run_fw(y, omega, cfg, entropy)
+    cfg = FwConfig(5, nuclear_bound=5.0, clip_bound=6.0, noise_scale=0.3)
+    with recorded_iterates() as iterates:
+        run_fw(y, omega, cfg, entropy)
     ref = centralized_fw(flat(y), flat(omega), 3, 5, 5.0, 6.0, noise_scale=0.3, entropy=entropy)
-    for got, want in zip(res.iterates, ref):
+    assert len(iterates) == 5
+    for got, want in zip(iterates, ref):
         assert rel_err(flat(got), want) <= 1e-9
 
 
@@ -239,7 +240,6 @@ def test_run_telemetry_and_transcript():
     assert res.lam_path.shape == (5,)
     assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 15
     assert kind_count(net.transcript, MessageKind.EIG_BROADCAST) == 5
-    assert res.iterates is None
 
 
 def test_transcript_after_batched_run():
@@ -248,9 +248,10 @@ def test_transcript_after_batched_run():
     y, omega, _ = make_instance(13, n_aps=3, n_ant=2, tau_c=8)
     y_in, omega_in = y.copy(), omega.copy()
     entropy = (5, 1, 2)
-    cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3, keep_iterates=True)
+    cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3)
     net = RecordingBackhaul()
-    res = run_fw(y, omega, cfg, entropy, net=net)
+    with recorded_iterates() as iterates:
+        res = run_fw(y, omega, cfg, entropy, net=net)
     assert res.clip_events > 0
     releases = [
         (msg, p) for msg, p in zip(net.transcript, net.payloads)
@@ -265,7 +266,7 @@ def test_transcript_after_batched_run():
             assert (msg.sender, msg.round_index) == (f"ap{m}", n)
             seed = np.random.SeedSequence([*entropy, m, n])
             np.testing.assert_array_equal(unpack_hermitian(payload), ref_release(residual[m], 0.3, seed))
-        x_prev = res.iterates[n - 1]
+        x_prev = iterates[n - 1]
     for a, pa in releases:
         for b, pb in releases:
             if a.round_index != b.round_index:

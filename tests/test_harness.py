@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from support import RecordingBackhaul, read_csv
 from privcell import harness
 from privcell.channel import Scenario, make_block
-from privcell.config import METHODS, ExperimentConfig, RunConfig
+from privcell.config import METHODS, ExperimentConfig, RunConfig, with_overrides
 from privcell.errors import ArgumentError, ConfigError, DegenerateStepError, PrivCellError
 from privcell.estimation import (
     detect_local,
@@ -338,30 +338,27 @@ def test_gain_scale_does_not_move_nmse(tiny, method):
 
 
 def test_run_sweep_uses_config_defaults(toy_exp):
-    recs = run_sweep(toy_exp, method="po")
+    recs = run_sweep(with_overrides(toy_exp, method="po"))
     assert len(recs) == 1
     assert recs[0].axis == "epsilon"
     assert recs[0].trials == 3
 
 
 def test_run_sweep_rejects_empty_values(toy_exp):
-    exp = dataclasses.replace(toy_exp, run=dataclasses.replace(toy_exp.run, values=()))
+    exp = with_overrides(toy_exp, method="po", values=())
     with pytest.raises(ConfigError, match="at least one"):
-        run_sweep(exp, method="po")
+        run_sweep(exp)
 
 
 def test_run_sweep_unknown_method(toy_exp):
     with pytest.raises(ConfigError):
-        run_sweep(toy_exp, method="ridge")
+        run_sweep(with_overrides(toy_exp, method="ridge"))
 
 
 def test_run_sweep_shares_one_draw(toy_exp):
     """Every sweep point draws the same geometry, so the non-private
     methods give the same numbers at every epsilon."""
-    exp = dataclasses.replace(
-        toy_exp, run=dataclasses.replace(toy_exp.run, values=(0.5, 5.0))
-    )
-    recs = run_sweep(exp, method="npsvd")
+    recs = run_sweep(with_overrides(toy_exp, method="npsvd", values=(0.5, 5.0)))
     assert recs[0].nmse == recs[1].nmse
 
 
@@ -370,9 +367,9 @@ def test_no_trials_is_a_config_error(toy_exp, trials):
     """A trial count below 1 is rejected, never replaced by the config's or
     reported as if every trial had failed."""
     with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
-        run_sweep(toy_exp, method="po", trials=trials)
+        run_sweep(with_overrides(toy_exp, method="po", trials=trials))
     with pytest.raises(ConfigError, match="trials must be an integer >= 1"):
-        cross_validate(toy_exp, "fw", "fw_iters", [2, 4], trials)
+        cross_validate(with_overrides(toy_exp, method="fw", trials=trials), "fw_iters", [2, 4])
 
 
 # ---------------------------------------------------------------- crossval
@@ -380,16 +377,16 @@ def test_no_trials_is_a_config_error(toy_exp, trials):
 
 def test_cross_validate_prefers_longer_runs(full_obs):
     exp = ExperimentConfig(
-        scenario=full_obs, run=RunConfig(eps=1e9, trials=2)
+        scenario=full_obs, run=RunConfig(eps=1e9, trials=2, method="fw")
     )
-    best, scores = cross_validate(exp, "fw", "fw_iters", [1, 40], trials=2)
+    best, scores = cross_validate(exp, "fw_iters", [1, 40])
     assert best == 40
     assert dict(scores)[40] < dict(scores)[1]
 
 
 def test_cross_validate_single_point(full_obs):
-    exp = ExperimentConfig(scenario=full_obs, run=RunConfig(trials=1))
-    best, scores = cross_validate(exp, "npfw", "nuc_bound", [0.7], trials=1)
+    exp = ExperimentConfig(scenario=full_obs, run=RunConfig(trials=1, method="npfw"))
+    best, scores = cross_validate(exp, "nuc_bound", [0.7])
     assert best == 0.7
     assert len(scores) == 1
 
@@ -400,25 +397,25 @@ def test_cross_validate_names_the_grid_when_every_trial_fails(toy_exp, monkeypat
 
     monkeypatch.setattr(harness, "run_trial", degenerate)
     with pytest.raises(PrivCellError, match=r"every fw_iters value in \[2, 4\]"):
-        cross_validate(toy_exp, "fw", "fw_iters", [2, 4], 2)
+        cross_validate(with_overrides(toy_exp, method="fw", trials=2), "fw_iters", [2, 4])
 
 
 def test_cross_validate_validation(toy_exp):
     with pytest.raises(ConfigError):
-        cross_validate(toy_exp, "fw", "delta", [0.1], trials=1)
+        cross_validate(with_overrides(toy_exp, method="fw", trials=1), "delta", [0.1])
     # a knob the method never reads would score every grid value the same
     for method, param in (("npfw", "fw_iters"), ("svd", "nuc_bound"), ("po", "nuc_bound")):
         with pytest.raises(ConfigError, match="does not read"):
-            cross_validate(toy_exp, method, param, [1.0, 2.0], trials=1)
+            cross_validate(with_overrides(toy_exp, method=method, trials=1), param, [1.0, 2.0])
     with pytest.raises(ArgumentError):
-        cross_validate(toy_exp, "fw", "fw_iters", [], trials=1)
+        cross_validate(with_overrides(toy_exp, method="fw", trials=1), "fw_iters", [])
 
 
 # ---------------------------------------------------------------- CSV
 
 
 def test_csv_round_trip(toy_exp, tmp_path):
-    recs = run_sweep(toy_exp, method="po")
+    recs = run_sweep(with_overrides(toy_exp, method="po"))
     path = tmp_path / "out.csv"
     emit_csv(recs, path)
     rows = read_csv(path)

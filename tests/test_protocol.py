@@ -135,7 +135,7 @@ def test_audit_flags_injected_raw_signal():
     net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(5))
     raw = np.ones((2, 5), dtype=complex)  # antennas x slots, not a Gram
     net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, raw)
-    report = audit_privacy_surface(net.transcript, tau_c=5)
+    report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert not report.ok
     assert [i for i, _ in report.failures] == [1]
     assert "square" in report.failures[0][1]
@@ -149,7 +149,7 @@ def test_audit_flags_non_hermitian_and_wrong_side():
     skewed[0, 1] += 1.0  # break the symmetry only
     net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, skewed)
     net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, packed(4))
-    report = audit_privacy_surface(net.transcript, tau_c=5)
+    report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert not report.ok
     (i_skew, skew_reason), (i_side, side_reason) = report.failures
     assert i_skew == 0 and "Hermitian" in skew_reason
@@ -172,7 +172,7 @@ def test_send_records_only_the_packed_form_as_hermitian(payload, why):
     msg = net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, payload)
     assert not msg.hermitian, why
     assert not is_packed_hermitian(payload)
-    report = audit_privacy_surface(net.transcript)
+    report = audit_privacy_surface(net.transcript, tau_c=4, n_users=2, n_payload=6)
     assert [i for i, _ in report.failures] == [0]
     assert "square" in report.failures[0][1]
 
@@ -182,17 +182,16 @@ def test_audit_checks_packed_length_against_tau_c():
     net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(4))
     net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, packed(5))
     assert all(msg.hermitian for msg in net.transcript)
-    assert audit_privacy_surface(net.transcript).ok  # no tau_c: any square length
-    report = audit_privacy_surface(net.transcript, tau_c=4)
+    report = audit_privacy_surface(net.transcript, tau_c=4, n_users=2, n_payload=6)
     assert report.failures == [(1, "gram release side 5 != 4")]
 
 
 def test_audit_flags_wrong_detection_shape():
     net = Backhaul()
     net.send(MessageKind.LOCAL_DETECTION, "ap0", CPU, 0, np.zeros((3, 6), dtype=complex))
-    ok = audit_privacy_surface(net.transcript, n_users=3, n_payload=6)
+    ok = audit_privacy_surface(net.transcript, tau_c=5, n_users=3, n_payload=6)
     assert ok.ok
-    bad = audit_privacy_surface(net.transcript, n_users=2, n_payload=6)
+    bad = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert not bad.ok
     assert bad.failures == [(0, "detection payload shape (3, 6)")]
 
@@ -208,7 +207,7 @@ def test_audit_flags_hand_built_records():
         Message(MessageKind.GRAM_RELEASE, "ap2", CPU, 1, 9 * 16),
         Message(MessageKind.LOCAL_DETECTION, CPU, ALL_APS, 0, 16),
     ]
-    report = audit_privacy_surface(net.transcript, tau_c=3)
+    report = audit_privacy_surface(net.transcript, tau_c=3, n_users=2, n_payload=6)
     assert [i for i, _ in report.failures] == [1, 2, 3, 4]
     reasons = [r for _, r in report.failures]
     assert "AP message to 'ap1'" in reasons[0]

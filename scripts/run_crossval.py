@@ -3,8 +3,9 @@
 
 Scores the private iterative method's round count over a small grid,
 and an iterative method's nuclear-norm budget over a 10-point uniform
-grid given as a fraction of the derived bound.  Prints one table per
-parameter the method reads, and none for a method that reads neither.
+grid given as a positive fraction of the bound derived from the scored
+(held-out) deployment.  Prints one table per parameter the method reads,
+and none for a method that reads neither.
 """
 
 import argparse
@@ -18,12 +19,11 @@ sys.path.insert(0, str(ROOT / "src"))
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-import numpy as np  # noqa: E402
-
 from privcell.config import COMPLETING, load_experiment, tunable, whole, with_overrides  # noqa: E402
 from privcell.errors import ConfigError  # noqa: E402
 from privcell.fw import nuclear_norm_budget  # noqa: E402
 from privcell.harness import cross_validate, draw_beta, prepare  # noqa: E402
+from privcell.seeding import derive_master  # noqa: E402
 
 
 def numbers(name, text):
@@ -46,6 +46,8 @@ def main():
     exp = with_overrides(load_experiment(args.config), method=args.method, trials=args.trials)
     iters_grid = [whole("fw_iters", v) for v in numbers("--iters-grid", args.iters_grid)]
     fractions = numbers("--nuc-fractions", args.nuc_fractions)
+    if not all(0 < f < float("inf") for f in fractions):
+        raise ConfigError(f"--nuc-fractions must be positive and finite, got {args.nuc_fractions!r}")
     scen = exp.scenario
     params = tunable(args.method)
     if not params:
@@ -60,19 +62,19 @@ def main():
 
     if "nuc_bound" not in params:
         return
-    # nuclear-norm budget, expressed against the derived bound so the
-    # fractions do not depend on the scale of the gains
-    beta = draw_beta(scen, scen.seed)
-    derived = prepare(scen, exp.run, beta).nuc_bound
+    # nuclear-norm budget, expressed against the bound derived from the
+    # deployment cross_validate scores on (its held-out seed family), so
+    # the fractions do not depend on the scale of the gains
+    beta = draw_beta(scen, derive_master(scen.seed, "crossval"))
     physical = nuclear_norm_budget(beta, scen.tau_c, scen.N_a)
+    derived = nuclear_norm_budget(prepare(scen, exp.run, beta).beta, scen.tau_c, scen.N_a)
     grid = [f * physical for f in fractions]
     best, scores = cross_validate(exp, "nuc_bound", grid)
     print(f"\nnuclear budget ({args.method}, derived bound {derived:.3f} in working units):")
     for frac, (value, score) in zip(fractions, scores):
         mark = " <-" if value == best else ""
         print(f"  {frac:>4.2f} x bound  nmse={score:.6f}{mark}")
-    idx = int(np.argmin([s for _, s in scores]))
-    print(f"best fraction: {fractions[idx]:.2f}")
+    print(f"best fraction: {fractions[grid.index(best)]:.2f}")
 
 
 if __name__ == "__main__":

@@ -33,12 +33,20 @@ def detect_local(h_hat, x_data):
     return pinv(h_hat) @ x_data
 
 
-def combine(d_locals):
-    """Average the (M, K, tau_d) stack of per-AP detections over its AP axis."""
+def combine(d_locals, total=None):
+    """Add the (m, K, tau_d) detections of consecutive APs, one AP at a time, into the running sum.
+
+    total, the (K, tau_d) sum of the APs before them, is updated in place (None starts at the
+    first block); the sum over all M APs, divided by M, is np.mean(stack, axis=0) bit for bit.
+    """
     d_locals = np.asarray(d_locals)
     if len(d_locals) == 0:
         raise ShapeError("no local detections to combine")
-    return np.mean(d_locals, axis=0)
+    if total is None:
+        total, d_locals = d_locals[0].copy(), d_locals[1:]
+    for d_m in d_locals:
+        total += d_m
+    return total
 
 
 def slice_qpsk(soft):

@@ -32,6 +32,7 @@ from .svdmc import SvdConfig, run_svd
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("method", "axis", "axis_value", "nmse", "ser", "trials", "failures", "seed", "seconds")
+_DETECT_BYTES = 1 << 19  # budget on the largest per-chunk detection temporary
 
 
 @dataclass
@@ -115,7 +116,7 @@ def completion_config(method, prepared, scenario, run, eps):
 
 
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
-    """One end-to-end trial on (M, ·, ·) AP stacks; returns a TrialResult."""
+    """One end-to-end trial on (M, ·, ·) AP stacks, detected in AP chunks; returns a TrialResult."""
     spec = method_spec(method)
     block = make_block(
         scenario, prepared.beta, prepared.pilots, master_seed, trial, prepared.sigma2
@@ -124,8 +125,8 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     tau_p = scenario.tau_p
     if spec.completion is None:  # pilot-only: no completion traffic at all
         h_hat = estimation.pilot_only_ls(block.Y, prepared.pilots)
-        d = estimation.pilot_only_detect_block(
-            h_hat, block.Y, block.omega, prepared.sigma2, tau_p, scenario.N_r
+        detect = lambda aps: estimation.pilot_only_detect_block(  # noqa: E731
+            h_hat[aps], block.Y[aps], block.omega[aps], prepared.sigma2, tau_p, scenario.N_r
         )
     else:
         cfg = completion_config(method, prepared, scenario, run, eps)
@@ -133,12 +134,21 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         complete = run_fw if spec.completion == ITERATIVE else run_svd
         res = complete(block.Y, block.omega, cfg, entropy, net=net)
         h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
-        d = estimation.detect_local(h_hat, res.x_hat[..., tau_p:])
-    for m, d_m in enumerate(d):
-        net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d_m)
+        detect = lambda aps: estimation.detect_local(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
+    # Each AP's block is sent and added into one running sum in AP order, so no (M, K, tau_d)
+    # stack is held.  A chunk of consecutive APs keeps its largest temporary, po's (tau_d, N_r, K)
+    # slot matrices or the (N_a, tau_d) sort index plus the (K, N_a) pinv, within _DETECT_BYTES.
+    s = scenario
+    step = max(1, _DETECT_BYTES // (16 * max(s.tau_d * s.N_r * s.K, s.N_a * (s.tau_d + s.K))))
+    total = None
+    for lo in range(0, s.M, step):
+        d = detect(slice(lo, lo + step))
+        for m, d_m in enumerate(d, lo):
+            net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d_m)
+        total = estimation.combine(d, total)
     out = TrialResult(
         nmse=estimation.nmse(h_hat, block.H),
-        ser=estimation.ser(estimation.slice_qpsk(estimation.combine(d)), block.D),
+        ser=estimation.ser(estimation.slice_qpsk(total / scenario.M), block.D),
     )
     if spec.completion == ITERATIVE:
         out.max_masked_norm = float(res.masked_norms.max())

@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry points on toy configs."""
 
+import importlib.util
 import json
 import os
 import re
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from privcell import cli, harness
-from privcell.config import METHODS
+from privcell.config import METHODS, load_experiment
 from privcell.errors import DegenerateStepError
+from privcell.fw import nuclear_norm_budget
+from privcell.seeding import derive_master
 from support import read_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -349,7 +352,8 @@ def _script(name, *args, tmp_path):
     [("run_desk_sweeps.py", ["--trials", "0", "--out-dir", "res"], "trials must be an integer >= 1"),
      ("run_crossval.py", ["--trials", "0"], "trials must be an integer >= 1"),
      ("run_crossval.py", ["--iters-grid", "4,8.5"], "fw_iters must be a whole number"),
-     ("run_crossval.py", ["--nuc-fractions", "0.5,x"], "--nuc-fractions must be comma-separated numbers")],
+     ("run_crossval.py", ["--nuc-fractions", "0.5,x"], "--nuc-fractions must be comma-separated numbers"),
+     ("run_crossval.py", ["--nuc-fractions", "0,0.5"], "--nuc-fractions must be positive and finite")],
 )
 def test_script_config_error_exits_2(tmp_path, name, args, message):
     """The scripts reject a bad input with exit 2 and one line, as the CLI does."""
@@ -358,6 +362,34 @@ def test_script_config_error_exits_2(tmp_path, name, args, message):
     (line,) = proc.stderr.splitlines()
     assert line.startswith("config error: ") and message in line
     assert not (tmp_path / "res").exists()
+
+
+def test_crossval_script_scales_fractions_by_the_scored_deployment(monkeypatch, capsys):
+    """Fraction 1.0 is the nuclear budget of the deployment cross_validate scores on, and
+    the best fraction printed is cross_validate's own pick, past a grid value scored NaN."""
+    for var in BLAS_VARS:  # the script sets them on import; restored after the test
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("run_crossval", REPO / "scripts" / "run_crossval.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    grids = []
+
+    def scored(exp, param, grid):
+        grids.append(list(grid))
+        return grid[2], list(zip(grid, [0.5, float("nan"), 0.3]))
+
+    monkeypatch.setattr(script, "cross_validate", scored)
+    monkeypatch.setattr(sys, "argv", ["run_crossval.py", "--method", "npfw", "--nuc-fractions", "0.5,1,2"])
+    script.main()
+    scen = load_experiment(REPO / "configs" / "desk.yaml").scenario
+    scored_budget = nuclear_norm_budget(
+        harness.draw_beta(scen, derive_master(scen.seed, "crossval")), scen.tau_c, scen.N_a
+    )
+    (grid,) = grids
+    assert grid[1] == scored_budget
+    assert grid[1] != nuclear_norm_budget(harness.draw_beta(scen, scen.seed), scen.tau_c, scen.N_a)
+    assert capsys.readouterr().out.splitlines()[-1] == "best fraction: 2.00"
 
 
 def test_cli_pins_blas_before_numpy_loads():

@@ -66,9 +66,19 @@ def test_detect_local_normal_equations(rng):
 
 
 def test_combine(rng):
+    """The running sum over M APs, divided by M, is the stack's mean bit for bit, in one call or in chunks."""
     d = crandn(rng, (2, 4))
-    np.testing.assert_allclose(combine([d, d, d]), d, rtol=1e-12)
+    want = np.mean(np.stack([d, d, d]), axis=0)
+    assert (combine([d, d, d]) / 3).tobytes() == want.tobytes()
     assert np.all(combine([d, -d]) == 0)
+    for m in (1, 20, 100):
+        stack = crandn(rng, (m, 25, 75))
+        want = np.mean(stack, axis=0)
+        assert (combine(stack) / m).tobytes() == want.tobytes()
+        total = None
+        for lo in range(0, m, 7):
+            total = combine(stack[lo:lo + 7], total)
+        assert (total / m).tobytes() == want.tobytes()
     with pytest.raises(ShapeError):
         combine([])
 

@@ -1,7 +1,9 @@
 """Sweep plumbing: seeding discipline, gain normalization, CSV round trips."""
 
 import dataclasses
+import tracemalloc
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from support import RecordingBackhaul, read_csv
 from privcell import harness
 from privcell.channel import Scenario, make_block
-from privcell.config import METHODS, ExperimentConfig, RunConfig, with_overrides
+from privcell.config import METHODS, ExperimentConfig, RunConfig, load_experiment, with_overrides
 from privcell.errors import ArgumentError, ConfigError, DegenerateStepError, PrivCellError
 from privcell.estimation import (
     detect_local,
@@ -31,7 +33,9 @@ from privcell.harness import (
     run_sweep,
     run_trial,
 )
-from privcell.protocol import Backhaul, MessageKind, audit_privacy_surface
+from privcell.protocol import Backhaul, MessageKind, ap_name, audit_privacy_surface
+
+M100_K25 = Path(__file__).resolve().parent.parent / "configs" / "m100_k25.yaml"
 
 
 @pytest.fixture
@@ -212,6 +216,87 @@ def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(res.nmse, nmse(np.stack(h_hats), block.H))
         assert res.ser == ser(slice_qpsk(acc / scen.M), block.D)
+
+
+# ---------------------------------------------------------------- detection in AP chunks
+
+
+def spy(fn, calls):
+    """fn, appending (args, result) of each call to calls."""
+    def wrapped(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
+        return calls[-1][1]
+    return wrapped
+
+
+def whole_stack_detection(scen, prep, method, block, x_hat):
+    """Reference: all M APs detected in one call, the soft output the stack's mean."""
+    tp = scen.tau_p
+    if method == "po":
+        h_hat = pilot_only_ls(block.Y, prep.pilots)
+        d = pilot_only_detect_block(h_hat, block.Y, block.omega, prep.sigma2, tp, scen.N_r)
+    else:
+        h_hat = estimate_channel(x_hat[..., :tp], prep.pilot_pinv)
+        d = detect_local(h_hat, x_hat[..., tp:])
+    return h_hat, d, np.mean(d, axis=0)
+
+
+@pytest.mark.parametrize("method, detector", [("po", "pilot_only_detect_block"), ("npsvd", "detect_local")])
+@pytest.mark.parametrize("n_aps, budget", [(1, None), (5, None), (100, None), (5, 1)])
+def test_chunked_detection_matches_the_whole_stack(method, detector, n_aps, budget, monkeypatch):
+    """At the m100_k25 shape, detection in AP chunks gives the whole-stack soft output,
+    NMSE and SER bit for bit, and sends ap0 .. ap{M-1} in order.  Cases: M = 1; M below
+    one chunk; M = 100, not a multiple of the chunk; and one AP per chunk."""
+    exp = load_experiment(M100_K25)
+    scen = dataclasses.replace(exp.scenario, M=n_aps)
+    prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
+    if budget is not None:
+        monkeypatch.setattr(harness, "_DETECT_BYTES", budget)
+    completions, detections, softs = [], [], []
+    monkeypatch.setattr(harness, "run_svd", spy(harness.run_svd, completions))
+    monkeypatch.setattr(harness.estimation, detector, spy(getattr(harness.estimation, detector), detections))
+    monkeypatch.setattr(harness.estimation, "slice_qpsk", spy(slice_qpsk, softs))
+    net = RecordingBackhaul()
+    res = run_trial(scen, exp.run, method, prep, scen.seed, 0, 1.0, net=net)
+
+    block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, sigma2=prep.sigma2)
+    x_hat = completions[0][1].x_hat if completions else None
+    h_hat, d, soft = whole_stack_detection(scen, prep, method, block, x_hat)
+    ((got,), _), = softs
+    assert got.tobytes() == soft.tobytes()
+    assert res.nmse == nmse(h_hat, block.H)
+    assert res.ser == ser(slice_qpsk(soft), block.D)
+    sent = [(msg.sender, p) for msg, p in zip(net.transcript, net.payloads)
+            if msg.kind is MessageKind.LOCAL_DETECTION]
+    assert [sender for sender, _ in sent] == [ap_name(m) for m in range(n_aps)]
+    for (_, got_m), want_m in zip(sent, d):
+        assert got_m.tobytes() == want_m.tobytes()
+    sizes = [len(out) for _, out in detections]
+    assert sum(sizes) == n_aps and len(set(sizes[:-1])) <= 1
+    if budget == 1:
+        assert sizes == [1] * n_aps
+    elif n_aps == 100:
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+    else:
+        assert sizes == [n_aps]
+
+
+@pytest.mark.parametrize("method", ["svd", "npsvd", "po"])
+def test_m100_k25_trial_peaks_at_most_4_mb(method):
+    """Detection in AP chunks keeps one full-scale trial's traced peak within 4 MB;
+    detecting the whole (M, ·, ·) stack at once peaked at 4.9 MB (svd, npsvd) and
+    16.8 MB (po)."""
+    exp = load_experiment(M100_K25)
+    scen = exp.scenario
+    prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
+    run_trial(scen, exp.run, method, prep, scen.seed, 0, 1.0)  # first-call set-up outside the count
+    tracemalloc.start()
+    try:
+        run_trial(scen, exp.run, method, prep, scen.seed, 1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 # ---------------------------------------------------------------- run_point

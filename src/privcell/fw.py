@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
-from .linalg import hermitian_eig, observed_norms
+from .linalg import observed_norms, top_eigpair
 from .privacy import CompletionResult, ap_stack, gram_round
 from .protocol import Backhaul, MessageKind
 
@@ -61,7 +61,9 @@ def step_size(round_index, iterations):
 
 def ap_residual(x, y, omega):
     """Every AP's masked iterate minus its observation; zero off the observed set."""
-    return np.where(omega, x, 0.0) - y
+    j = np.where(omega, x, 0.0)
+    j -= y
+    return j
 
 
 def cpu_aggregate_eig(w, noise_scale, n_aps):
@@ -72,22 +74,23 @@ def cpu_aggregate_eig(w, noise_scale, n_aps):
     the noise-inflation allowance sqrt(noise_scale) * (M * tau_c)^(1/4).
     """
     tau_c = w.shape[0]
-    values, vectors = hermitian_eig(w, 1)
-    lam = math.sqrt(max(values[0], 0.0))
+    value, v_top = top_eigpair(w)
+    lam = math.sqrt(max(value, 0.0))
     lam_lifted = lam + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
-    return vectors[:, 0], lam_lifted
+    return v_top, lam_lifted
 
 
-def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega):
+def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega, out=None):
     """Every AP's local FW step against the broadcast direction, then clip.
 
     An AP whose observed-entry norm exceeds cfg.clip_bound has its whole
-    block scaled onto the bound.  Returns (x_new, norms after clip, clipped).
+    block scaled onto the bound.  Returns (x_new, norms after clip,
+    clipped), x_new written into out (which may be x) when it is given.
     """
     if lam_lifted == 0.0:
         raise DegenerateStepError("lifted top value is exactly zero")
     step = (j @ v_top)[..., None] * v_top.conj()
-    x_new = (1.0 - eta) * x
+    x_new = np.multiply(1.0 - eta, x, out=out)
     x_new -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
     norms = observed_norms(x_new, omega)
     clipped = ~(norms <= cfg.clip_bound)  # a NaN norm counts as over the bound
@@ -123,7 +126,7 @@ def run_fw(y, omega, cfg, seed, net=None):
             lambda w: cpu_aggregate_eig(w, cfg.noise_scale, n_aps), tail=(n,),
         )
         eta = step_size(n, cfg.iterations)
-        x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, omega)
+        x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, omega, out=x)
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
     return CompletionResult(

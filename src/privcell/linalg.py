@@ -1,7 +1,7 @@
 """Small dense linear-algebra layer used by the completion algorithms.
 
-Everything works on complex128 ndarrays.  The Hermitian eigensolver is
-LAPACK-backed.
+Everything works on complex128 ndarrays.  `hermitian_eig` keeps the top k
+pairs of a LAPACK `eigh`; `top_eigpair` finds FW's one pair for less.
 """
 
 import numpy as np
@@ -37,6 +37,33 @@ def hermitian_eig(a, k):
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")[:k]
     return vals[order], np.column_stack([canonical_phase(vecs[:, i]) for i in order])
+
+
+def top_eigpair(a):
+    """Largest eigenvalue of an exactly Hermitian matrix and a phase-canonical unit eigenvector.
+
+    The value is `eigvalsh`'s.  The vector takes two inverse-iteration solves
+    on a - sigma*I, sigma just above the value, from an all-ones start.  The
+    pair is kept if |a v - lam v| <= 8 n eps |a|, else `hermitian_eig`'s is.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():  # eigvalsh would skip a NaN it sorts below the top
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    n, vals = len(a), np.linalg.eigvalsh(a)
+    lam, tol = vals[-1], 8 * n * np.finfo(float).eps * max(-vals[0], vals[-1])
+    shifted = a - (lam + tol) * np.eye(n)
+    try:
+        v = np.linalg.solve(shifted, np.ones(n))
+        v = np.linalg.solve(shifted, v / np.linalg.norm(v))
+        v /= np.linalg.norm(v)
+    except np.linalg.LinAlgError:  # a - sigma*I is singular, as when a = 0
+        v = np.full(n, np.nan)
+    if not np.linalg.norm(a @ v - lam * v) <= tol:
+        vals, vecs = hermitian_eig(a, 1)
+        return vals[0], vecs[:, 0]
+    return lam, canonical_phase(v)
 
 
 def pinv(a, rcond=1e-12):

@@ -130,6 +130,14 @@ def test_aggregate_eig_matches_svd(rng):
     assert abs(np.vdot(v, vh[0].conj())) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_zero_aggregate_is_a_degenerate_step():
+    """A noiseless run on all-zero blocks sums to the zero matrix, whose top value 0
+    leaves nothing to step along."""
+    y = np.zeros((2, 2, 5), dtype=complex)
+    with pytest.raises(DegenerateStepError):
+        run_fw(y, np.ones(y.shape, dtype=bool), FwConfig(3, 1.0, 1.0, 0.0), 0)
+
+
 def test_aggregate_eig_clamps_negative():
     lifted = cpu_aggregate_eig(-3.0 * np.eye(4), 0.5, 2)[1]
     assert lifted == pytest.approx(np.sqrt(0.5) * (2 * 4) ** 0.25)
@@ -156,6 +164,29 @@ def test_clip_observed(rng):
     # whole block scales together, not just the observed part
     m = int(np.flatnonzero(clipped)[0])
     np.testing.assert_allclose(got[m], ref[m] * (bound / np.linalg.norm(ref[m][omega[m]])), rtol=1e-12)
+
+
+def test_update_into_out_is_the_fresh_update(rng):
+    """Written into out=x, the step and clip give the fresh result bit for bit; without
+    out, x is left as it was.  ap_residual leaves its inputs alone too."""
+    x = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
+    y = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
+    omega = rng.random((4, 2, 6)) < 0.5
+    x_in, y_in = x.copy(), y.copy()
+    j = ap_residual(x, y, omega)
+    np.testing.assert_array_equal(j, np.where(omega, x_in, 0.0) - y_in)
+    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v /= np.linalg.norm(v)
+    cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=1.0, noise_scale=0.0)
+    fresh, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, omega)
+    assert clipped.any()
+    np.testing.assert_array_equal(x, x_in)
+    np.testing.assert_array_equal(y, y_in)
+    got, got_norms, got_clipped = ap_update(x, j, v, 3.0, 0.25, cfg, omega, out=x)
+    assert got is x
+    assert got.tobytes() == fresh.tobytes()
+    np.testing.assert_array_equal(got_norms, norms)
+    np.testing.assert_array_equal(got_clipped, clipped)
 
 
 def test_update_is_rank_one_step(rng):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import RecordingBackhaul, read_csv
-from privcell import harness
+from privcell import fw, harness
 from privcell.channel import Scenario, make_block
 from privcell.config import METHODS, ExperimentConfig, RunConfig, load_experiment, with_overrides
 from privcell.errors import ArgumentError, ConfigError, DegenerateStepError, PrivCellError
@@ -370,6 +370,22 @@ def test_run_point_counts_non_finite_results_as_failures(toy_exp, monkeypatch, c
     assert np.isfinite(rec.nmse) and np.isfinite(rec.ser)
     assert rec.nmse != want.nmse or rec.ser != want.ser  # trial 1 left the mean
     assert "excluded trial 1" in caplog.text and "non-finite" in caplog.text
+
+
+def test_run_point_counts_a_non_finite_aggregate_as_a_failure(toy_exp, monkeypatch, caplog):
+    """An FW aggregate poisoned with a NaN in round 2 fails each trial, through the
+    LinAlgError of the CPU's eigensolve."""
+    real = fw.gram_round
+
+    def poisoned(net, n, j, scale, seed, kind, cpu, tail=()):
+        return real(net, n, j, scale, seed, kind, lambda w: cpu(w * np.nan if n == 2 else w), tail)
+
+    monkeypatch.setattr(fw, "gram_round", poisoned)
+    with caplog.at_level("WARNING", logger="privcell.harness"):
+        rec = run_point(toy_exp, "npfw", "epsilon", 1.0, 3, 11)
+    assert (rec.trials, rec.failures) == (0, 3)
+    assert np.isnan(rec.nmse)
+    assert caplog.text.count("LinAlgError") == 3
 
 
 @pytest.mark.parametrize("method", ["fw", "svd"])

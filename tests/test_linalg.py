@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from privcell import linalg
 from privcell.errors import ArgumentError, ShapeError
 from privcell.linalg import (
     canonical_phase,
@@ -8,7 +11,14 @@ from privcell.linalg import (
     hermitian_eig,
     observed_norms,
     pinv,
+    top_eigpair,
 )
+from privcell.privacy import gram_round
+from privcell.protocol import Backhaul, MessageKind
+
+# The two bounds that pin top_eigpair to eigh are fixed by the dtype alone:
+# 8 n eps |a| on the eigenvalue and 8 n eps |a| / gap on the eigenvector.
+EPS = np.finfo(np.complex128).eps
 
 
 def random_hermitian(n, rng):
@@ -123,3 +133,126 @@ def test_observed_norms_split_by_ap_counts(rng):
     got = observed_norms(a, mask)
     assert got[0] == got[3] == 0.0
     assert got.tolist() == [np.linalg.norm(a[m][mask[m]]) for m in range(6)]
+
+
+# ---------------------------------------------------------------- top eigenpair
+
+
+def eig_bound(a):
+    """8 n eps |a|, |a| the spectral norm."""
+    return 8 * len(a) * EPS * np.abs(np.linalg.eigvalsh(a)).max()
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The matrices top_eigpair hands to its eigh fallback, in call order."""
+    seen = []
+    real = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda a, k: seen.append(a) or real(a, k))
+    return seen
+
+
+def assert_matches_eigh(a):
+    lam, v = top_eigpair(a)
+    vals, vecs = np.linalg.eigh(a)
+    tol = eig_bound(a)
+    gap = vals[-1] - vals[-2] if len(a) > 1 else np.inf
+    assert abs(lam - vals[-1]) <= tol
+    assert np.linalg.norm(v - canonical_phase(vecs[:, -1])) <= tol / gap
+    assert np.linalg.norm(a @ v - lam * v) <= tol
+
+
+def planted_gap(n, rel_gap, scale, seed):
+    """A random exactly Hermitian matrix with top eigenvalue scale and the rest at most
+    scale * (1 - rel_gap), down to -scale."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    d = scale * np.concatenate([[1.0], rng.uniform(-1.0, 1.0 - rel_gap, n - 1)])
+    a = (q * d) @ q.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 164),
+    rel_gap=st.floats(1e-6, 1.0),
+    scale=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=164, rel_gap=1e-6, scale=1e6, seed=0)
+@example(n=164, rel_gap=1.0, scale=1e-6, seed=1)
+@example(n=2, rel_gap=1e-6, scale=1.0, seed=2)
+@example(n=1, rel_gap=0.5, scale=3.0, seed=3)
+def test_top_eigpair_matches_eigh_on_planted_gaps(n, rel_gap, scale, seed):
+    assert_matches_eigh(planted_gap(n, rel_gap, scale, seed))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    tau_c=st.sampled_from([24, 60, 164]),
+    noise_scale=st.sampled_from([0.0, 1.3]),
+    magnitude=st.floats(1e-8, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnitude, seed):
+    """The unpacked sum of one desk round: 20 APs with 4 antennas each."""
+    rng = np.random.default_rng(seed)
+    blocks = magnitude * (rng.standard_normal((20, 4, tau_c)) + 1j * rng.standard_normal((20, 4, tau_c)))
+    seen = []
+    gram_round(
+        Backhaul(), 1, blocks, noise_scale, seed, MessageKind.EIG_BROADCAST,
+        lambda w: seen.append(w) or (np.ones(tau_c, dtype=complex), 1.0),
+    )
+    assert_matches_eigh(seen[0])
+
+
+def test_top_eigpair_takes_the_fast_path(fallbacks):
+    assert_matches_eigh(planted_gap(60, 0.1, 1.0, 3))
+    assert_matches_eigh(np.diag([3.0, 1.0]))
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize(
+    "a",
+    [-3.0 * np.eye(4), np.eye(5), np.array([[2.5]]), np.array([[-1.0 + 0j]]), np.zeros((3, 3))],
+    ids=["minus-3I", "I", "1x1", "1x1-negative", "zero"],
+)
+def test_top_eigpair_edge_cases(a):
+    """Degenerate tops, 1x1 matrices and the zero matrix: the eigenvalue and the residual."""
+    lam, v = top_eigpair(a)
+    tol = eig_bound(a)
+    assert abs(lam - np.linalg.eigvalsh(a)[-1]) <= tol
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(a @ v - lam * v) <= tol
+
+
+def test_top_eigpair_falls_back_to_eigh(fallbacks):
+    """An all-ones start orthogonal to the top eigenvector stays orthogonal through both
+    solves; the residual check sends the matrix to eigh, whose top pair is returned."""
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]]) + 0j
+    lam, v = top_eigpair(a)
+    assert len(fallbacks) == 1
+    vals, vecs = hermitian_eig(a, 1)
+    assert lam == vals[0]
+    np.testing.assert_array_equal(v, vecs[:, 0])
+    assert abs(lam - 2.0) <= eig_bound(a)
+    assert np.linalg.norm(a @ v - lam * v) <= eig_bound(a)
+    np.testing.assert_allclose(v, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(2, 1), (1, 1)])
+def test_top_eigpair_rejects_a_non_finite_matrix(bad, where):
+    """eigvalsh returns [1, nan, nan, 1] for the off-diagonal NaN, and eigh's top pair
+    of it is a finite (1, e_0); top_eigpair raises instead."""
+    a = np.eye(4, dtype=complex)
+    a[where] = a[where[::-1]] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        top_eigpair(a)
+
+
+def test_top_eigpair_rejects_nonsquare():
+    with pytest.raises(ShapeError):
+        top_eigpair(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        top_eigpair(np.zeros((2, 2, 2)))

@@ -1,7 +1,7 @@
 """The private Gram release round, with its calibration and noise.
 
 Each AP only ever reports tau_c x tau_c Gram matrices of its local
-residual (or trimmed observation).  Privacy against everything the CPU
+residual (or observed block).  Privacy against everything the CPU
 and other APs see is bought by adding a Hermitian complex Gaussian
 matrix to every release.  A release is Hermitian by construction, so it
 travels in packed form: tau_c^2 float64s, the real parts of the strict
@@ -44,9 +44,9 @@ class CompletionResult:
 
     x_hat: np.ndarray  # (M, N_a, tau_c) completed blocks, AP m at index m
     rounds: int
-    masked_norms: np.ndarray  # (rounds, M) per-AP observed-entry norms after each round
     clip_events: int = 0
-    lam_path: Optional[np.ndarray] = None  # lifted top value per round
+    masked_norms: Optional[np.ndarray] = None  # FW only: (rounds, M) observed-entry norms after each round
+    lam_path: Optional[np.ndarray] = None  # FW only: lifted top value per round
 
 
 def frob_bound(beta, n_users, n_antennas, tau_c, sigma2):

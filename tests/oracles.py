@@ -77,15 +77,13 @@ def centralized_fw(y, omega, n_aps, iterations, nuclear_bound, clip_bound,
     return iterates
 
 
-def centralized_svd(y, threshold, rank, upsample):
+def centralized_svd(y, rank, upsample):
     """One-shot spectral completion on the stacked matrix."""
     y = np.asarray(y, dtype=complex)
-    yt = y.copy()
-    yt[np.count_nonzero(yt, axis=1) > threshold] = 0.0
-    g = yt.conj().T @ yt
+    g = y.conj().T @ y
     vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
     basis = vecs[:, np.argsort(vals)[::-1][:rank]]
-    return upsample * (yt @ basis @ basis.conj().T)
+    return upsample * (y @ basis @ basis.conj().T)
 
 
 def pilot_only_lmmse(h_hat, y_m, omega_m, sigma2, t, tau_p):

@@ -149,7 +149,7 @@ def test_criterion_01_oracle_equivalence(desk, desk_beta):
 
     scfg = SvdConfig.derive(scen, 0.0)
     sres = run_svd(block.Y, block.omega, scfg, entropy_for(scen.seed, "dp_svd", 0))
-    sref = centralized_svd(y, scfg.trim_threshold, scfg.rank, scen.N_a / scen.N_r)
+    sref = centralized_svd(y, scfg.rank, scen.N_a / scen.N_r)
     rel_svd = frob_norm(sres.x_hat.reshape(sref.shape) - sref) / frob_norm(sref)
 
     elapsed = time.perf_counter() - t0
@@ -238,7 +238,7 @@ def test_criterion_04_nonprivate_completion():
     cfg = FwConfig(200, float(svals.sum()), 10 * frob_norm(truth), 0.0)
     rel_fw = frob_norm(run_fw(truth, omega, cfg, 1).x_hat - truth) / frob_norm(truth)
 
-    scfg = SvdConfig(rank=2, noise_scale=0.0, trim_threshold=tau_c, upsample=1.0)
+    scfg = SvdConfig(rank=2, noise_scale=0.0, upsample=1.0)
     rel_svd = frob_norm(run_svd(truth, omega, scfg, 2).x_hat - truth) / frob_norm(truth)
 
     elapsed = time.perf_counter() - t0

@@ -17,7 +17,6 @@ from privcell.privacy import (
     unpack_hermitian,
 )
 from privcell.protocol import MessageKind
-from privcell.svdmc import trim
 
 COMMON = settings(deadline=None, max_examples=40)
 
@@ -132,24 +131,6 @@ def test_clip_keeps_observed_energy_inside_bound(seed, bound):
             np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
             assert 0 <= ratios[0].real <= 1 + 1e-12
             assert abs(ratios[0].imag) < 1e-12
-
-
-# ---------------------------------------------------------------- trimming
-
-
-@COMMON
-@given(seed=seeds, threshold=st.floats(min_value=0.0, max_value=8.0))
-def test_trim_zeroes_rows_or_leaves_them_alone(seed, threshold):
-    rng = np.random.default_rng(seed)
-    x = _complex_matrix(rng, 5, 8)
-    x[rng.random((5, 8)) < 0.5] = 0.0
-    kept = trim(x, threshold)
-    for i in range(5):
-        count = int(np.count_nonzero(x[i]))
-        if count > threshold:
-            assert not kept[i].any()
-        else:
-            np.testing.assert_array_equal(kept[i], x[i])
 
 
 # ---------------------------------------------------------------- slicing

@@ -3,11 +3,10 @@ import pytest
 
 from oracles import centralized_svd
 from support import RecordingBackhaul, kind_count
-from privcell.channel import Scenario, crandn, sample_switch
 from privcell.errors import ArgumentError, ShapeError
 from privcell.privacy import unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
-from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd, trim
+from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd
 
 
 def low_rank(seed, rows, tau_c, rank):
@@ -24,49 +23,24 @@ def stacks(a, n_aps):
 
 def test_config_validation_and_derive(tiny):
     with pytest.raises(ArgumentError):
-        SvdConfig(0, 0.0, 1.0, 1.0)
+        SvdConfig(0, 0.0, 1.0)
     with pytest.raises(ArgumentError):
-        SvdConfig(2, -1.0, 1.0, 1.0)
-    with pytest.raises(ArgumentError):
-        SvdConfig(2, 0.0, -1.0, 1.0)
+        SvdConfig(2, -1.0, 1.0)
     for upsample in (0.0, -1.0, float("nan")):
         with pytest.raises(ArgumentError):
-            SvdConfig(2, 0.0, 1.0, upsample)
+            SvdConfig(2, 0.0, upsample)
     cfg = SvdConfig.derive(tiny, 0.5)
     assert cfg.rank == tiny.K
     assert cfg.noise_scale == 0.5
-    assert cfg.trim_threshold == pytest.approx(2 * tiny.N_r * tiny.tau_c / tiny.N_a)
     assert cfg.upsample == tiny.N_a / tiny.N_r
 
 
-def test_trim_rule():
-    y = np.zeros((3, 6), dtype=complex)
-    y[0, :] = 1.0        # 6 nonzeros
-    y[1, :3] = 1.0       # 3 nonzeros
-    out = trim(y, 3.0)
-    assert np.all(out[0] == 0)          # strictly above threshold
-    np.testing.assert_array_equal(out[1], y[1])  # exactly at threshold survives
-    np.testing.assert_array_equal(out[2], y[2])
-    np.testing.assert_array_equal(trim(np.zeros((2, 4)), 0.0), np.zeros((2, 4)))
-
-
-def test_trim_is_noop_for_switch_sampled_blocks():
-    # expected row density N_r*tau_c/N_a sits well under the 2x threshold
-    sc = Scenario(M=2, K=2, N_a=4, N_r=2, tau_p=2, tau_d=98)
-    rng = np.random.default_rng(1)
-    r = crandn(rng, (sc.M, sc.N_a, sc.tau_c))
-    y, _ = sample_switch(r, sc, rng)
-    cfg = SvdConfig.derive(sc, 0.0)
-    assert cfg.trim_threshold == pytest.approx(100.0)
-    np.testing.assert_array_equal(trim(y, cfg.trim_threshold), y)
-
-
 def test_release_gram_hand_value():
-    """The one-shot round releases the Gram of the trimmed block."""
-    j = np.array([[1.0, 1.0j, 0.0], [2.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
+    """The one-shot round releases the Gram of the block."""
+    j = np.array([[1.0, 1.0j, 0.0], [2.0, 0.0, 0.0]])
     net = RecordingBackhaul()
-    run_svd(j[None], j[None] != 0, SvdConfig(1, 0.0, 2.0, 1.0), 0, net=net)
-    want = np.array([[5.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]])  # row 2 trimmed
+    run_svd(j[None], j[None] != 0, SvdConfig(1, 0.0, 1.0), 0, net=net)
+    want = np.array([[5.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]])
     np.testing.assert_allclose(unpack_hermitian(net.payloads[0]), want, atol=1e-14)
 
 
@@ -107,9 +81,9 @@ def test_run_matches_centralized_oracle():
     y = low_rank(8, rows=12, tau_c=10, rank=3)
     y = np.where(rng.random(y.shape) < 0.6, y, 0.0)
     omega = y != 0
-    cfg = SvdConfig(rank=3, noise_scale=0.0, trim_threshold=7.0, upsample=2.0)
+    cfg = SvdConfig(rank=3, noise_scale=0.0, upsample=2.0)
     res = run_svd(stacks(y, 4), stacks(omega, 4), cfg, 0)
-    want = centralized_svd(y, 7.0, 3, 2.0)
+    want = centralized_svd(y, 3, 2.0)
     assert np.linalg.norm(res.x_hat.reshape(want.shape) - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
 
 
@@ -117,32 +91,19 @@ def test_run_transcript_counts():
     y = stacks(low_rank(9, rows=8, tau_c=6, rank=2), 4)
     omega = np.ones(y.shape, dtype=bool)
     net = Backhaul()
-    res = run_svd(y, omega, SvdConfig(2, 0.4, 10.0, 1.0), 5, net=net)
+    res = run_svd(y, omega, SvdConfig(2, 0.4, 1.0), 5, net=net)
     assert res.rounds == 1
     assert res.clip_events == 0
-    assert res.masked_norms.shape == (1, 4)
     assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 4
     assert kind_count(net.transcript, MessageKind.BASIS_BROADCAST) == 1
     senders = {m.sender for m in net.transcript if m.kind is MessageKind.GRAM_RELEASE}
     assert senders == {"ap0", "ap1", "ap2", "ap3"}
 
 
-def test_run_reports_observed_entry_norms():
-    rng = np.random.default_rng(4)
-    y = stacks(low_rank(11, rows=8, tau_c=6, rank=2), 4)
-    omega = rng.random(y.shape) < 0.5
-    y = np.where(omega, y, 0.0)
-    res = run_svd(y, omega, SvdConfig(2, 0.0, 10.0, 2.0), 0)
-    want = [np.linalg.norm(x[o]) for x, o in zip(res.x_hat, omega)]
-    assert res.masked_norms.tolist() == [want]
-    # the completed blocks are dense, so the full-block norms would differ
-    assert all(w < np.linalg.norm(x) for x, w in zip(res.x_hat, want))
-
-
 def test_run_deterministic():
     y = stacks(low_rank(10, rows=6, tau_c=5, rank=2), 2)
     omega = np.ones(y.shape, dtype=bool)
-    cfg = SvdConfig(2, 0.8, 10.0, 1.0)
+    cfg = SvdConfig(2, 0.8, 1.0)
     a = run_svd(y, omega, cfg, 42)
     b = run_svd(y, omega, cfg, 42)
     np.testing.assert_array_equal(a.x_hat, b.x_hat)
@@ -153,9 +114,9 @@ def test_run_deterministic():
 def test_run_argument_checks():
     y = stacks(low_rank(10, rows=6, tau_c=5, rank=2), 2)
     omega = np.ones(y.shape, dtype=bool)
-    cfg = SvdConfig(2, 0.0, 10.0, 1.0)
+    cfg = SvdConfig(2, 0.0, 1.0)
     with pytest.raises(ArgumentError):
-        run_svd(y, omega, SvdConfig(2, 0.0, 10.0, 0.0), 0)
+        run_svd(y, omega, SvdConfig(2, 0.0, 0.0), 0)
     with pytest.raises(ShapeError):
         run_svd(y, omega[..., :4], cfg, 0)
     with pytest.raises(ShapeError):

@@ -2,18 +2,16 @@
 
 Each AP only ever reports tau_c x tau_c Gram matrices of its local
 residual (or observed block).  Privacy against everything the CPU
-and other APs see is bought by adding a Hermitian complex Gaussian
-matrix to every release.  A release is Hermitian by construction, so it
-travels in packed form: tau_c^2 float64s, the real parts of the strict
-upper triangle (row-major), then their imaginary parts, then the real
+and other APs see is bought by Hermitian complex Gaussian noise on the
+releases.  A release is Hermitian by construction, so it travels in
+packed form: tau_c^2 float64s, the real parts of the strict upper
+triangle (row-major), then their imaginary parts, then the real
 diagonal (`pack_hermitian` / `unpack_hermitian`; the layout is fixed in
-`_hermitian_slots`).  Each AP packs its release straight from its raw
-Gram; the noise is drawn in that same order and added straight onto it.
-Both completions run on the same round
+`_hermitian_slots`).  Both completions run on the same round
 (`gram_round`, the private Frank-Wolfe mechanism of Jain, Thakkar and
-Thakurta, 2018): every AP releases, the CPU sums the releases in
-ascending AP order, unpacks the sum once and broadcasts what it derives
-from it.  The two release schedules are:
+Thakurta, 2018): every AP releases, the CPU learns the sum of the
+releases, unpacks it once and broadcasts what it derives from it.  The
+two release schedules are:
 
   * iterative: T releases per AP across the FW-style completion; the
     per-release scale comes from advanced composition over T rounds,
@@ -23,8 +21,13 @@ from it.  The two release schedules are:
 
 Scales are stated per AP; M released matrices are summed at the CPU, so
 the aggregate per-entry variance is M times the per-AP variance.  That
-per-AP calibration holds only if the CPU sees nothing but the sum, and
-`gram_round` keeps it so: no release outlives its round.
+per-AP calibration holds only if the CPU sees nothing but the sum, as
+under secure aggregation, and it is the only trust model the simulator
+can run: `gram_round` never forms a per-AP release.  It forms the sum
+itself, the Gram of the stacked blocks plus one noise draw at scale
+sqrt(M) times the per-AP one, which is equal in distribution to M
+independent per-AP draws summed.  Each AP still sends its declared
+release message, and each carries that sum.
 """
 
 import functools
@@ -174,25 +177,24 @@ def ap_stack(y, omega):
 def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     """One release -> aggregate -> broadcast round over the backhaul.
 
-    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  AP m forms
-    B_m^H B_m in one tau_c x tau_c buffer all APs reuse, packs it into a
-    fresh vector (`pack_hermitian`) and, unless noise_scale == 0, adds the
-    packed Hermitian noise seeded by SeedSequence([*seed, m, *tail]) onto it;
-    that vector is its release.  The CPU adds each release into a packed
-    running sum as it arrives, in ascending AP order, and holds nothing but
-    that sum, as under secure aggregation; it unpacks the sum once,
-    broadcasts cpu(sum) as `kind` and returns it.
+    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  The round
+    forms the sum of the APs' Grams in one product over the stacked
+    (M*N_a, tau_c) matrix, packs it (`pack_hermitian`) and, unless
+    noise_scale == 0, adds one packed Hermitian draw at noise_scale *
+    sqrt(M) seeded by SeedSequence([*seed, *tail]): the sum of M per-AP
+    releases at noise_scale, in distribution.  Then AP m sends its
+    release as ap{m} in ascending order, each message carrying that
+    packed sum, and the CPU unpacks the sum once, broadcasts cpu(sum) as
+    `kind` and returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    tau_c = blocks.shape[2]
-    gram = np.empty((tau_c, tau_c), dtype=complex)
-    w = np.zeros(tau_c * tau_c)
-    for m, block in enumerate(blocks):
-        release = pack_hermitian(np.matmul(block.conj().T, block, out=gram))
-        if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises
-            release += _packed_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
-        net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, release)
-        w += release  # fixed reduction order keeps results bitwise reproducible
+    n_aps, _, tau_c = blocks.shape
+    j = blocks.reshape(-1, tau_c)
+    w = pack_hermitian(j.conj().T @ j)
+    if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises before any send
+        w += _packed_noise(tau_c, noise_scale * math.sqrt(n_aps), np.random.SeedSequence([*entropy, *tail]))
+    for m in range(n_aps):
+        net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, w)
     payload = cpu(unpack_hermitian(w))
     net.broadcast(kind, round_index, payload)
     return payload

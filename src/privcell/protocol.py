@@ -8,7 +8,12 @@ every AP message, the payload's shape and, for a Gram release, whether it
 has the packed Hermitian form: a real (float64) 1-D vector whose length
 is a perfect square, tau_c^2.  Any such vector unpacks to an exactly
 Hermitian tau_c x tau_c matrix (`privacy.unpack_hermitian`), so the
-verdict is structural and costs nothing per entry.  The transcript holds
+verdict is structural and costs nothing per entry.  The simulator draws
+each round's aggregate noise once, at sqrt(M) times the per-AP scale,
+and never forms a per-AP release, so only the sum-only (secure
+aggregation) trust model can be simulated: each AP's Gram release
+message carries the round's packed sum, and the verdict describes that
+declared release, not a vector the AP formed.  The transcript holds
 this metadata only: no payload outlives its `send`.
 `audit_privacy_surface` checks a finished transcript against those
 recorded shapes and verdicts (packed Gram releases of length tau_c^2;

@@ -41,8 +41,9 @@ def centralized_fw(y, omega, n_aps, iterations, nuclear_bound, clip_bound,
     """Textbook iterative completion on the stacked matrix.
 
     Returns the list of iterates (one per round).  When noise_scale > 0,
-    entropy must be given and the per-release noise is drawn with the
-    same seeds the distributed code uses, so both routes see identical
+    entropy must be given, and round n's sum of per-AP Grams gets one
+    noise draw at noise_scale * sqrt(M) from the seed the distributed
+    code uses, SeedSequence([*entropy, n]), so both routes see identical
     perturbations.
     """
     y = np.asarray(y, dtype=complex)
@@ -57,12 +58,11 @@ def centralized_fw(y, omega, n_aps, iterations, nuclear_bound, clip_bound,
         for m in range(n_aps):
             jm = j[m * n_ant:(m + 1) * n_ant]
             g = jm.conj().T @ jm
-            g = 0.5 * (g + g.conj().T)
-            if noise_scale > 0.0:
-                g = g + hermitian_noise(
-                    tau_c, noise_scale, np.random.SeedSequence([*entropy, m, n])
-                )
-            w = w + g
+            w = w + 0.5 * (g + g.conj().T)
+        if noise_scale > 0.0:
+            w = w + hermitian_noise(
+                tau_c, noise_scale * math.sqrt(n_aps), np.random.SeedSequence([*entropy, n])
+            )
         vals, vecs = np.linalg.eigh(0.5 * (w + w.conj().T))
         lam = np.sqrt(max(float(vals[-1]), 0.0))
         v = vecs[:, -1]

@@ -195,19 +195,24 @@ def test_criterion_02_calibration_formulas():
 def test_criterion_03_noise_mechanism():
     """Exact symmetry, per-entry variance at dim 200, and the 20-draw aggregate.
 
-    The draws are the packed releases one Gram round sends for 20 zero
-    blocks (each release its noise alone, AP m's from SeedSequence([777, m])),
-    and the aggregate is the matrix the CPU unpacks from their sum.
+    The single draw is the packed release a 1-AP Gram round sends for a
+    zero block, its noise alone (SeedSequence([777, 1])).  The aggregate
+    is the matrix the CPU unpacks in a 20-AP round over zero blocks: the
+    one draw at scale * sqrt(20) that stands for the sum of 20 per-AP
+    draws (SeedSequence([777, 20])).
     """
     scale = 1.3
-    net, seen = RecordingBackhaul(), []
-    blocks = np.zeros((20, 1, 200), dtype=complex)
-    gram_round(net, 1, blocks, scale, (777,), MessageKind.BASIS_BROADCAST, seen.append)
+    net = RecordingBackhaul()
+    gram_round(net, 1, np.zeros((1, 1, 200), dtype=complex), scale, (777, 1),
+               MessageKind.BASIS_BROADCAST, lambda w: w)
     e = unpack_hermitian(net.payloads[0])
     np.testing.assert_array_equal(e, e.conj().T)
     iu = np.triu_indices(200, k=1)
     var_one = float(np.mean(np.abs(e[iu]) ** 2))
 
+    seen = []
+    gram_round(Backhaul(), 1, np.zeros((20, 1, 200), dtype=complex), scale, (777, 20),
+               MessageKind.BASIS_BROADCAST, seen.append)
     agg = seen[0]
     np.testing.assert_array_equal(agg, agg.conj().T)
     var_agg = float(np.mean(np.abs(agg[iu]) ** 2))

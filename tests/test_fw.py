@@ -3,7 +3,7 @@ import pytest
 
 from oracles import centralized_fw
 from support import RecordingBackhaul, kind_count, recorded_iterates
-from test_privacy import ref_release
+from test_privacy import ref_round
 from privcell.errors import ArgumentError, DegenerateStepError, ShapeError
 from privcell.fw import (
     FwConfig,
@@ -101,7 +101,7 @@ def test_release_gram_hand_value():
     j = np.array([[1.0, 1.0j], [2.0, 0.0]])
     g = one_ap_release(j, 0.0, 0)
     np.testing.assert_allclose(g, np.array([[5.0, 1.0j], [-1.0j, 1.0]]), atol=1e-14)
-    np.testing.assert_array_equal(g, ref_release(j, 0.0, 0))
+    np.testing.assert_array_equal(g, ref_round(j[None], 0.0, (0,)))
     # the first FW round releases exactly this Gram of the residual -y
     net = RecordingBackhaul()
     run_fw(-j[None], np.ones((1, *j.shape), dtype=bool), FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
@@ -119,7 +119,7 @@ def test_release_gram_pure_noise():
     g = one_ap_release(np.zeros((3, 6), dtype=complex), 1.5, 99)
     assert np.array_equal(g, g.conj().T)
     assert np.linalg.norm(g) > 0
-    np.testing.assert_array_equal(g, ref_release(np.zeros((3, 6)), 1.5, np.random.SeedSequence([99, 0])))
+    np.testing.assert_array_equal(g, ref_round(np.zeros((1, 3, 6)), 1.5, (99,)))
 
 
 def test_aggregate_eig_matches_svd(rng):
@@ -274,8 +274,9 @@ def test_run_telemetry_and_transcript():
 
 
 def test_transcript_after_batched_run():
-    """Each release of a noisy multi-round run is the per-AP reference release
-    of that AP's residual, in memory of its own round; the inputs stay as given."""
+    """Round n of a noisy multi-round run has M releases from ap0..ap{M-1}, each
+    carrying the reference sum of that round's residuals, in memory of its own
+    round; the inputs stay as given."""
     y, omega, _ = make_instance(13, n_aps=3, n_ant=2, tau_c=8)
     y_in, omega_in = y.copy(), omega.copy()
     entropy = (5, 1, 2)
@@ -291,12 +292,11 @@ def test_transcript_after_batched_run():
     assert len(releases) == 12
     x_prev = np.zeros_like(y)
     for n in range(1, 5):
-        residual = np.where(omega, x_prev, 0.0) - y
+        want = ref_round(np.where(omega, x_prev, 0.0) - y, 0.3, entropy, (n,))
         for m in range(3):
             msg, payload = releases[3 * (n - 1) + m]
             assert (msg.sender, msg.round_index) == (f"ap{m}", n)
-            seed = np.random.SeedSequence([*entropy, m, n])
-            np.testing.assert_array_equal(unpack_hermitian(payload), ref_release(residual[m], 0.3, seed))
+            assert unpack_hermitian(payload).tobytes() == want.tobytes()
         x_prev = iterates[n - 1]
     for a, pa in releases:
         for b, pb in releases:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oracles import hermitian_noise, hermitize
 from support import RecordingBackhaul
@@ -107,41 +108,33 @@ def test_non_finite_budget_or_scale_is_rejected(bad):
 
 # ---------------------------------------------------------------- release round
 
-def ref_release(block, noise_scale, seed):
-    """Per-AP reference release: (B^H B + (B^H B)^H) / 2 plus Hermitian noise."""
-    g = block.conj().T @ block
-    return 0.5 * (g + g.conj().T) + hermitian_noise(block.shape[1], noise_scale, seed)
+def ref_round(blocks, noise_scale, entropy, tail=()):
+    """Reference of the sum one round releases over an (M, N_a, tau_c) stack: the
+    hermitized Gram of the stacked (M*N_a, tau_c) matrix plus, unless the scale
+    is 0, one scattered three-call noise draw at noise_scale * sqrt(M) from
+    SeedSequence([*entropy, *tail])."""
+    j = blocks.reshape(-1, blocks.shape[-1])
+    w = hermitize(j.conj().T @ j)
+    if noise_scale != 0.0:
+        seed = np.random.SeedSequence([*entropy, *tail])
+        w = w + hermitian_noise(j.shape[1], noise_scale * math.sqrt(len(blocks)), seed)
+    return w
 
 
 @pytest.mark.parametrize("tail", [(), (3,)])
 def test_gram_round_sums_releases_in_ap_order(rng, tail):
+    """APs 0..M-1 send in ascending order, each release carrying the round's packed sum."""
     blocks = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
     entropy = (8, 9)
     net = RecordingBackhaul()
     got = gram_round(net, 2, blocks, 0.4, entropy, MessageKind.BASIS_BROADCAST, lambda w: w, tail)
-    want = np.zeros((4, 4), dtype=complex)
-    for m, b in enumerate(blocks):
-        release = ref_release(b, 0.4, np.random.SeedSequence([*entropy, m, *tail]))
-        np.testing.assert_array_equal(unpack_hermitian(net.payloads[m]), release)
-        want = want + release
-    np.testing.assert_array_equal(got, want)
+    want = ref_round(blocks, 0.4, entropy, tail)
+    assert got.tobytes() == want.tobytes()
+    for payload in net.payloads[:3]:
+        assert unpack_hermitian(payload).tobytes() == want.tobytes()
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
     assert all(m.round_index == 2 for m in net.transcript)
     assert net.transcript[-1].kind is MessageKind.BASIS_BROADCAST
-
-
-def ref_full_matrix_sum(blocks, noise_scale, entropy, tail):
-    """The full-matrix round: each AP's hermitized complex Gram plus the scattered
-    three-call noise matrix, added into a complex running sum AP by AP."""
-    grams = blocks.conj().transpose(0, 2, 1) @ blocks
-    tau_c = grams.shape[1]
-    w = np.zeros((tau_c, tau_c), dtype=complex)
-    for m, gram in enumerate(grams):
-        gram[...] = hermitize(gram)
-        if noise_scale != 0.0:
-            gram += hermitian_noise(tau_c, noise_scale, np.random.SeedSequence([*entropy, m, *tail]))
-        w += gram
-    return w
 
 
 def grid_round(tau_c, kind, scale):
@@ -165,9 +158,9 @@ def grid_round(tau_c, kind, scale):
 @pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
 @pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
 def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
-    """The unpacked sum of the packed releases equals the full-matrix sum, sign bits included."""
+    """The matrix the CPU unpacks equals the full-matrix reference sum, sign bits included."""
     blocks, got = grid_round(tau_c, kind, scale)
-    want = ref_full_matrix_sum(blocks, scale, (4, tau_c), (2,))
+    want = ref_round(blocks, scale, (4, tau_c), (2,))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -215,7 +208,8 @@ def test_pack_of_a_raw_matrix_is_the_pack_of_its_hermitized_copy(dim):
 
 
 def test_gram_round_memory_does_not_grow_with_the_ap_count():
-    """Each AP's Gram lives in one reused buffer, not in an (M, tau_c, tau_c) stack."""
+    """The round holds one conjugate copy of the blocks and tau_c x tau_c matrices,
+    never an (M, tau_c, tau_c) stack of per-AP Grams."""
     def round_(blocks):
         gram_round(Backhaul(), 1, blocks, 0.5, 3, MessageKind.BASIS_BROADCAST, lambda w: w)
 
@@ -229,7 +223,8 @@ def test_gram_round_memory_does_not_grow_with_the_ap_count():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 60 * 60 * 16  # one tau_c x tau_c complex matrix
+    # one copy of the extra 75 APs' blocks plus one tau_c x tau_c complex matrix
+    assert peaks[1] - peaks[0] < 75 * 2 * 60 * 16 + 60 * 60 * 16
 
 
 def test_unpack_rejects_non_square_length():
@@ -252,9 +247,9 @@ def test_gram_round_at_nan_scale_sends_nothing(rng):
 
 
 def noise_releases(dim, scale, entropy, n_aps=1):
-    """The unpacked releases of one round over zero (n_aps, 1, dim) blocks: each
-    AP's noise alone, read from the packed payload it sent.  Release m is drawn
-    from SeedSequence([*entropy, m]).
+    """The unpacked releases of one round over zero (n_aps, 1, dim) blocks, read
+    from the packed payloads the APs sent: each is the round's noise alone, one
+    draw at scale * sqrt(n_aps) from SeedSequence(entropy).
     """
     net = RecordingBackhaul()
     blocks = np.zeros((n_aps, 1, dim), dtype=complex)
@@ -296,11 +291,13 @@ def test_noise_scales_linearly():
 @pytest.mark.parametrize("dim", [1, 2, 24, 60, 164])
 @pytest.mark.parametrize("scale", [1.0, 3.7e5, 5e-324])  # 5e-324 rounds many draws to +-0
 def test_noise_matches_three_call_draw_order(dim, scale):
-    """Each release is its (zero) Gram plus the oracle's three-call noise draw, sign bits included."""
+    """Each release is the (zero) stacked Gram plus the oracle's three-call noise draw
+    at scale * sqrt(M), sign bits included."""
     got = noise_releases(dim, scale, (dim, 17), n_aps=2)
-    for m, release in enumerate(got):
+    assert len(got) == 2
+    for release in got:
         want = hermitize(np.zeros((dim, dim), dtype=complex)) + hermitian_noise(
-            dim, scale, np.random.SeedSequence([dim, 17, m])
+            dim, scale * math.sqrt(2), np.random.SeedSequence([dim, 17])
         )
         np.testing.assert_array_equal(release, want)
         if scale < 1e-300 and dim > 1:
@@ -313,3 +310,32 @@ def test_noise_matches_three_call_draw_order(dim, scale):
 def test_noise_validation():
     with pytest.raises(ArgumentError):
         noise_releases(3, -1.0, (0,))
+
+
+def test_aggregate_draw_is_the_sum_of_per_ap_draws_in_distribution():
+    """One round's noise at scale * sqrt(20) against the sum of 20 per-AP oracle draws
+    at scale, pooled over 30 fixed seeds at dim 60: the per-entry variances of the
+    off-diagonal real and imaginary parts and of the diagonal, and a two-sample KS
+    test on each part; both sums are exactly Hermitian."""
+    dim, n_aps, scale, rounds = 60, 20, 1.7, 30
+    iu = np.triu_indices(dim, k=1)
+    parts = {"real": ([], []), "imag": ([], []), "diagonal": ([], [])}
+    for r in range(rounds):
+        seen = []
+        gram_round(
+            Backhaul(), 1, np.zeros((n_aps, 1, dim), dtype=complex), scale, (61, r),
+            MessageKind.BASIS_BROADCAST, seen.append,
+        )
+        per_ap = sum(hermitian_noise(dim, scale, np.random.SeedSequence([62, r, m])) for m in range(n_aps))
+        for side, g in enumerate((seen[0], per_ap)):
+            assert np.array_equal(g, g.conj().T)
+            parts["real"][side].append(g[iu].real)
+            parts["imag"][side].append(g[iu].imag)
+            parts["diagonal"][side].append(g.diagonal().real)
+    total = n_aps * scale**2
+    for part, want in (("real", total / 2), ("imag", total / 2), ("diagonal", total)):
+        agg, summed = (np.concatenate(x) for x in parts[part])
+        for x in (agg, summed):
+            assert np.var(x) == pytest.approx(want, rel=0.10 if part == "diagonal" else 0.05)
+        assert stats.ks_2samp(agg, summed).pvalue > 0.01
+

@@ -107,7 +107,7 @@ def run_fw(y, omega, cfg, seed, net=None):
         y: (M, N_a, tau_c) stack of the APs' blocks, zeros off the observed set.
         omega: matching boolean observation mask.
         cfg: FwConfig.
-        seed: int or tuple of ints; per-release noise seeds derive from it.
+        seed: int or tuple of ints; each round's noise seed derives from it.
         net: optional Backhaul to append to (a fresh one by default).
 
     Returns a CompletionResult.

@@ -57,7 +57,7 @@ def run_svd(y, omega, cfg, seed, net=None):
         y: (M, N_a, tau_c) stack of the APs' blocks, zeros off the observed set.
         omega: matching boolean observation mask (checked for shape only).
         cfg: SvdConfig.
-        seed: int or tuple of ints for the per-AP release noise.
+        seed: int or tuple of ints for the round's aggregate release noise.
         net: optional Backhaul to append to.
 
     Returns a CompletionResult.

@@ -338,4 +338,3 @@ def test_aggregate_draw_is_the_sum_of_per_ap_draws_in_distribution():
         for x in (agg, summed):
             assert np.var(x) == pytest.approx(want, rel=0.10 if part == "diagonal" else 0.05)
         assert stats.ks_2samp(agg, summed).pvalue > 0.01
-

@@ -273,6 +273,22 @@ def test_run_telemetry_and_transcript():
     assert kind_count(net.transcript, MessageKind.EIG_BROADCAST) == 5
 
 
+def test_run_reports_observed_entry_norms():
+    """masked_norms[n-1, m] is the norm of AP m's iterate after round n over its
+    observed entries, after the clip; the last row is that of x_hat."""
+    y, omega, _ = make_instance(14, n_aps=3, n_ant=2, tau_c=8)
+    cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3)
+    with recorded_iterates() as iterates:
+        res = run_fw(y, omega, cfg, (3, 1))
+    assert res.clip_events > 0
+    want = [[np.linalg.norm(x[o]) for x, o in zip(it, omega)] for it in iterates]
+    np.testing.assert_allclose(res.masked_norms, want, rtol=1e-12)
+    last = [np.linalg.norm(x[o]) for x, o in zip(res.x_hat, omega)]
+    np.testing.assert_allclose(res.masked_norms[-1], last, rtol=1e-12)
+    # the iterates are dense, so the full-block norms are larger
+    assert all(w < np.linalg.norm(x) for x, w in zip(res.x_hat, res.masked_norms[-1]))
+
+
 def test_transcript_after_batched_run():
     """Round n of a noisy multi-round run has M releases from ap0..ap{M-1}, each
     carrying the reference sum of that round's residuals, in memory of its own

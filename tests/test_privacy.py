@@ -242,6 +242,31 @@ def test_gram_round_at_nan_scale_sends_nothing(rng):
     assert net.transcript == []
 
 
+@pytest.mark.parametrize("scale", [math.inf, -0.5])
+def test_gram_round_at_an_infinite_or_negative_scale_sends_nothing(rng, scale):
+    """The aggregate draw comes before any send, so a scale the sampler rejects
+    leaves the backhaul empty."""
+    blocks = rng.standard_normal((3, 2, 4)) + 0j
+    net = Backhaul()
+    with pytest.raises(ArgumentError):
+        gram_round(net, 1, blocks, scale, 5, MessageKind.BASIS_BROADCAST, lambda w: w)
+    assert net.transcript == []
+
+
+def test_gram_round_reads_an_int_seed_as_its_one_tuple(rng):
+    """An int or numpy integer seed draws the round's noise from SeedSequence([seed,
+    *tail]), the stream of the 1-tuple (seed,)."""
+    blocks = rng.standard_normal((3, 2, 5)) + 1j * rng.standard_normal((3, 2, 5))
+
+    def round_(seed):
+        return gram_round(Backhaul(), 1, blocks, 0.7, seed, MessageKind.BASIS_BROADCAST, lambda w: w, (4,))
+
+    want = round_((9,))
+    assert want.tobytes() == ref_round(blocks, 0.7, (9,), (4,)).tobytes()
+    for seed in (9, np.int64(9)):
+        assert round_(seed).tobytes() == want.tobytes()
+    assert round_(10).tobytes() != want.tobytes()
+
 
 # ---------------------------------------------------------------- release noise
 

@@ -195,14 +195,16 @@ def sample_switch(R, scenario, rng):
     """Per-AP per-slot switch sampling of an (M, N_a, n) stack: keep N_r of N_a antennas, uniformly.
 
     Returns (Y, omega): Y equals R on the observed set and is exactly zero
-    elsewhere; omega is the boolean observation mask.
+    elsewhere; omega is the boolean observation mask.  Each (AP, slot)
+    keeps the antennas holding the N_r smallest of N_a uniform draws, cut
+    at the N_r-th smallest by a partition (a tie at the cut, which the
+    53-bit draws make vanishingly rare, would keep both).
     """
     R = np.asarray(R)
     if R.ndim != 3 or R.shape[:2] != (scenario.M, scenario.N_a):
         raise ShapeError(f"R has shape {R.shape}, expected ({scenario.M}, {scenario.N_a}, n)")
-    sel = np.argsort(rng.random(R.shape), axis=1)[:, : scenario.N_r, :]
-    omega = np.zeros(R.shape, dtype=bool)
-    np.put_along_axis(omega, sel, True, axis=1)
+    r = rng.random(R.shape)
+    omega = r <= np.partition(r, scenario.N_r - 1, axis=1)[:, scenario.N_r - 1 : scenario.N_r]
     return np.where(omega, R, 0.0), omega
 
 

@@ -96,24 +96,35 @@ def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
     """Regularised LS detection of all payload slots of each AP at once.
 
     Per slot only the N_r observed antennas enter, in ascending index
-    order.  With noise the solve has size min(N_r, K):
-    F^H (F F^H + s2 I)^-1 y when N_r < K (push-through), else
+    order; F is their N_r rows of H_hat.  With noise the solve has size
+    min(N_r, K): F^H (F F^H + s2 I)^-1 y when N_r < K (push-through), else
     (F^H F + s2 I)^-1 F^H y.  A pseudoinverse is used when sigma2 is zero.
-    Leading AP axes of h_hat (..., N_a, K), y and omega (..., N_a, tau_c)
-    broadcast; the result is (..., K, tau_d).
+    In the push-through branch each slot's F F^H is gathered from the
+    AP's N_a x N_a Gram C = H_hat H_hat^H, and the solutions, scattered to
+    their antennas' rows of an (N_a, tau_d) zero block, meet H_hat^H in
+    one product per AP.  Leading AP axes of h_hat (..., N_a, K), y and
+    omega (..., N_a, tau_c) broadcast; the result is (..., K, tau_d).
     """
+    h_hat = np.asarray(h_hat)
+    n_ant, n_users = h_hat.shape[-2:]
     # stable sort puts True (observed) first while keeping index order
     idx = np.argsort(~np.asarray(omega)[..., tau_p:], axis=-2, kind="stable")[..., :n_rf, :]
     yv = np.take_along_axis(np.asarray(y)[..., tau_p:], idx, axis=-2)  # (..., N_r, tau_d)
     yv = np.swapaxes(yv, -1, -2)[..., None]  # (..., tau_d, N_r, 1)
-    idx = np.swapaxes(idx, -1, -2)[..., None]  # (..., tau_d, N_r, 1)
-    f = np.take_along_axis(np.asarray(h_hat)[..., None, :, :], idx, axis=-2)  # (..., tau_d, N_r, K)
+    slots = np.swapaxes(idx, -1, -2)  # (..., tau_d, N_r)
+    hh = np.swapaxes(h_hat.conj(), -1, -2)  # (..., K, N_a)
+    if sigma2 > 0 and n_rf < n_users:
+        c = (h_hat @ hh).reshape(*h_hat.shape[:-2], 1, n_ant * n_ant)  # (..., 1, N_a^2)
+        flat = (slots[..., :, None] * n_ant + slots[..., None, :]).reshape(*slots.shape[:-1], -1)
+        g = np.take_along_axis(c, flat, axis=-1).reshape(*slots.shape, n_rf)  # (..., tau_d, N_r, N_r)
+        z = np.linalg.solve(g + sigma2 * np.eye(n_rf), yv)[..., 0]  # (..., tau_d, N_r)
+        x = np.zeros(idx.shape[:-2] + (n_ant, idx.shape[-1]), dtype=z.dtype)
+        np.put_along_axis(x, idx, np.swapaxes(z, -1, -2), axis=-2)  # (..., N_a, tau_d)
+        return hh @ x
+    f = np.take_along_axis(h_hat[..., None, :, :], slots[..., None], axis=-2)  # (..., tau_d, N_r, K)
     if sigma2 > 0:
         fh = np.swapaxes(f.conj(), -1, -2)  # (..., tau_d, K, N_r)
-        if n_rf < f.shape[-1]:
-            d = fh @ np.linalg.solve(f @ fh + sigma2 * np.eye(n_rf), yv)
-        else:
-            d = np.linalg.solve(fh @ f + sigma2 * np.eye(f.shape[-1]), fh @ yv)
+        d = np.linalg.solve(fh @ f + sigma2 * np.eye(n_users), fh @ yv)
     else:
         d = np.linalg.pinv(f) @ yv
     return np.swapaxes(d[..., 0], -1, -2)  # (..., K, tau_d)

@@ -25,7 +25,7 @@ from .errors import ArgumentError, ConfigError, MetricUndefinedError, PrivCellEr
 from .fw import FwConfig, nuclear_norm_budget, run_fw
 from .linalg import pinv
 from .privacy import frob_bound, fw_noise_scale, svd_noise_scale
-from .protocol import CPU, Backhaul, MessageKind, ap_name
+from .protocol import Backhaul, MessageKind
 from .seeding import derive_master, entropy_for, rng_for
 from .svdmc import SvdConfig, run_svd
 
@@ -135,16 +135,17 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         res = complete(block.Y, block.omega, cfg, entropy, net=net)
         h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
         detect = lambda aps: estimation.detect_local(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
-    # Each AP's block is sent and added into one running sum in AP order, so no (M, K, tau_d)
-    # stack is held.  A chunk of consecutive APs keeps its largest temporary, po's (tau_d, N_r, K)
-    # slot matrices or the (N_a, tau_d) sort index plus the (K, N_a) pinv, within _DETECT_BYTES.
+    # Each chunk of consecutive APs is sent in one call and added into one running sum in AP
+    # order, so no (M, K, tau_d) stack is held.  A chunk keeps its largest per-AP temporary, the
+    # (K, tau_d) detection or po's (N_a, tau_d) sort index and scattered solution, within
+    # _DETECT_BYTES.  (po's K x K and noiseless branches, which no shipped profile takes, still
+    # gather a (tau_d, N_r, K) stack.)
     s = scenario
-    step = max(1, _DETECT_BYTES // (16 * max(s.tau_d * s.N_r * s.K, s.N_a * (s.tau_d + s.K))))
+    step = max(1, _DETECT_BYTES // (16 * s.tau_d * max(s.K, s.N_a)))
     total = None
     for lo in range(0, s.M, step):
         d = detect(slice(lo, lo + step))
-        for m, d_m in enumerate(d, lo):
-            net.send(MessageKind.LOCAL_DETECTION, ap_name(m), CPU, 0, d_m)
+        net.send_aps(MessageKind.LOCAL_DETECTION, lo, 0, d)
         total = estimation.combine(d, total)
     out = TrialResult(
         nmse=estimation.nmse(h_hat, block.H),

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .protocol import CPU, MessageKind, ap_name
+from .protocol import MessageKind
 
 
 @dataclass
@@ -182,9 +182,9 @@ def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     (M*N_a, tau_c) matrix, packs it (`pack_hermitian`) and, unless
     noise_scale == 0, adds one packed Hermitian draw at noise_scale *
     sqrt(M) seeded by SeedSequence([*seed, *tail]): the sum of M per-AP
-    releases at noise_scale, in distribution.  Then AP m sends its
-    release as ap{m} in ascending order, each message carrying that
-    packed sum, and the CPU unpacks the sum once, broadcasts cpu(sum) as
+    releases at noise_scale, in distribution.  Then APs 0..M-1 send their
+    releases in one `send_aps` call, each message carrying that packed
+    sum, and the CPU unpacks the sum once, broadcasts cpu(sum) as
     `kind` and returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
@@ -193,8 +193,7 @@ def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
     w = pack_hermitian(j.conj().T @ j)
     if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises before any send
         w += _packed_noise(tau_c, noise_scale * math.sqrt(n_aps), np.random.SeedSequence([*entropy, *tail]))
-    for m in range(n_aps):
-        net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, round_index, w)
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, round_index, np.broadcast_to(w, (n_aps, w.size)))
     payload = cpu(unpack_hermitian(w))
     net.broadcast(kind, round_index, payload)
     return payload

@@ -3,18 +3,22 @@
 The only things an AP may ever put on the wire toward the CPU are
 privatised Gram releases and locally detected payload estimates; the CPU
 talks back only through eigenpair or basis broadcasts.  `Backhaul.send`
-enforces the direction/kind rules at submission time and records, for
-every AP message, the payload's shape and, for a Gram release, whether it
-has the packed Hermitian form: a real (float64) 1-D vector whose length
-is a perfect square, tau_c^2.  Any such vector unpacks to an exactly
-Hermitian tau_c x tau_c matrix (`privacy.unpack_hermitian`), so the
-verdict is structural and costs nothing per entry.  The simulator draws
+enforces the direction/kind rules at submission time.  APs send through
+`Backhaul.send_aps`, one call for a stack of consecutive APs' payloads
+(`send` hands it a single AP's message as a stack of one); it checks the
+kind once and records, for every AP message, the payload's shape and,
+for a Gram release, whether it has the packed Hermitian form: a real
+(float64) 1-D vector whose length is a perfect square, tau_c^2.  Rows of
+one stack share dtype and shape, so both are read from its first row.
+Any such vector unpacks to an exactly Hermitian tau_c x tau_c matrix
+(`privacy.unpack_hermitian`), so the verdict is structural and costs
+nothing per entry.  The simulator draws
 each round's aggregate noise once, at sqrt(M) times the per-AP scale,
 and never forms a per-AP release, so only the sum-only (secure
 aggregation) trust model can be simulated: each AP's Gram release
 message carries the round's packed sum, and the verdict describes that
 declared release, not a vector the AP formed.  The transcript holds
-this metadata only: no payload outlives its `send`.
+this metadata only: no payload outlives its `send` or `send_aps`.
 `audit_privacy_surface` checks a finished transcript against those
 recorded shapes and verdicts (packed Gram releases of length tau_c^2;
 detection blocks of the expected shape), so a raw observation matrix, or
@@ -65,8 +69,8 @@ def is_ap(name):
 class Message:
     """Metadata of one sent message; the payload itself is not kept.
 
-    shape and hermitian are what `send` saw of an AP payload.  Their
-    defaults fail the audit, so a record not made by `send` cannot pass it.
+    shape and hermitian are what `send_aps` saw of an AP payload.  Their
+    defaults fail the audit, so a record not made by it cannot pass it.
     """
 
     kind: MessageKind
@@ -107,30 +111,51 @@ class Backhaul:
         self.ledger = OverheadLedger()
 
     def send(self, kind, sender, receiver, round_index, payload):
-        """Check direction and kind, then record the message's metadata; the payload is not kept."""
+        """Check direction and kind, then record the message's metadata; the payload is not kept.
+
+        An AP's message goes through `send_aps` as a stack of one.
+        """
         if is_ap(sender):
             if receiver != CPU:
                 raise ProtocolError(f"AP {sender} may only address the CPU")
-            if kind not in AP_TO_CPU:
-                raise ProtocolError(f"kind {kind.value} not allowed from an AP")
-        elif sender == CPU:
-            if receiver != ALL_APS:
-                raise ProtocolError("CPU messages are broadcasts")
-            if kind not in CPU_TO_AP:
-                raise ProtocolError(f"kind {kind.value} not allowed from the CPU")
-        else:
+            return self.send_aps(kind, int(sender[2:]), round_index, (payload,))[0]
+        if sender != CPU:
             raise ProtocolError(f"unknown sender {sender!r}")
+        if receiver != ALL_APS:
+            raise ProtocolError("CPU messages are broadcasts")
+        if kind not in CPU_TO_AP:
+            raise ProtocolError(f"kind {kind.value} not allowed from the CPU")
         nbytes = payload_nbytes(kind, payload)
-        if sender == CPU:
-            msg = Message(kind, sender, receiver, round_index, nbytes)
-            self.ledger.broadcast_bytes += nbytes
-        else:
-            p = np.asarray(payload)
-            hermitian = kind is MessageKind.GRAM_RELEASE and is_packed_hermitian(p)
-            msg = Message(kind, sender, receiver, round_index, nbytes, p.shape, hermitian)
-            self.ledger.total_unicast_bytes += nbytes
+        msg = Message(kind, sender, receiver, round_index, nbytes)
+        self.ledger.broadcast_bytes += nbytes
         self.transcript.append(msg)
         return msg
+
+    def send_aps(self, kind, first_ap, round_index, payloads):
+        """AP first_ap + i sends payloads[i] to the CPU, for each row of the stack, in row order.
+
+        Records the same messages and byte totals as one `send` per row.
+        Every row of an array shares its dtype and shape, so the byte count
+        and the packed-Hermitian verdict are taken from the first row.
+        Returns the recorded messages; nothing is recorded if a check fails.
+        """
+        if kind not in AP_TO_CPU:
+            raise ProtocolError(f"kind {kind.value} not allowed from an AP")
+        if not isinstance(first_ap, (int, np.integer)) or isinstance(first_ap, bool) or first_ap < 0:
+            raise ProtocolError(f"first AP must be an integer >= 0, got {first_ap!r}")
+        payloads = np.asarray(payloads)
+        if payloads.ndim == 0 or len(payloads) == 0:
+            raise ProtocolError(f"AP payloads must be a non-empty stack, got shape {payloads.shape}")
+        row = payloads[0]
+        nbytes = payload_nbytes(kind, row)
+        hermitian = kind is MessageKind.GRAM_RELEASE and is_packed_hermitian(row)
+        msgs = [
+            Message(kind, ap_name(m), CPU, round_index, nbytes, row.shape, hermitian)
+            for m in range(first_ap, first_ap + len(payloads))
+        ]
+        self.transcript.extend(msgs)
+        self.ledger.total_unicast_bytes += nbytes * len(msgs)
+        return msgs
 
     def broadcast(self, kind, round_index, payload):
         return self.send(kind, CPU, ALL_APS, round_index, payload)
@@ -148,7 +173,7 @@ class AuditReport:
 def audit_privacy_surface(transcript, tau_c, n_users, n_payload):
     """Structural check that no raw observation ever reached the CPU.
 
-    Reads the shapes and packed-form verdicts `send` recorded.  Every
+    Reads the shapes and packed-form verdicts `send_aps` recorded.  Every
     AP-originated message must be a Gram release in packed Hermitian form
     of length tau_c^2, or a detection block of shape (n_users, n_payload).
     Returns an AuditReport listing offending message indices.

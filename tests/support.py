@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from privcell import fw
 from privcell.errors import ConfigError
 from privcell.harness import CSV_HEADER
-from privcell.protocol import Backhaul
+from privcell.protocol import Backhaul, is_ap
 
 
 def read_csv(path):
@@ -28,9 +28,10 @@ def read_csv(path):
 
 
 class RecordingBackhaul(Backhaul):
-    """A Backhaul that also keeps every payload it accepts, in send order.
+    """A Backhaul that also keeps every payload it accepts, in transcript order.
 
-    payloads[i] is the payload of transcript[i], the very object sent.
+    payloads[i] is the payload of transcript[i]: the very object sent by
+    `send`, or the row of the stack that `send_aps` sent it in.
     """
 
     def __init__(self):
@@ -39,8 +40,14 @@ class RecordingBackhaul(Backhaul):
 
     def send(self, kind, sender, receiver, round_index, payload):
         msg = super().send(kind, sender, receiver, round_index, payload)
-        self.payloads.append(payload)
+        if not is_ap(sender):  # an AP's send goes through send_aps, which records it
+            self.payloads.append(payload)
         return msg
+
+    def send_aps(self, kind, first_ap, round_index, payloads):
+        msgs = super().send_aps(kind, first_ap, round_index, payloads)
+        self.payloads.extend(payloads)
+        return msgs
 
 
 def kind_count(transcript, kind):

@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
-"""Reproduce the desk-scale trade-off tables as CSV files.
+"""Reproduce a profile's trade-off tables as CSV files.
 
-Two sweeps over the shipped 20-AP profile:
+Two sweeps over the profile given by --config, the shipped 20-AP desk
+profile by default:
   * NMSE/SER versus the privacy budget epsilon, all five methods;
   * NMSE/SER versus the payload length tau_d at epsilon=1.
 
-The non-private and pilot-only rows are flat along the epsilon axis by
-construction; they are run across the full grid anyway so the CSV can be
-plotted without special cases.  Expect a few minutes at 50 trials.
+Each table is named after the profile file, <stem>_<axis>.csv: desk.yaml
+writes desk_epsilon.csv and desk_tau_d.csv, m100_k5.yaml writes
+m100_k5_epsilon.csv and m100_k5_tau_d.csv, so profiles never overwrite
+each other's tables.  The non-private and pilot-only rows are flat along
+the epsilon axis by construction; they are run across the full grid
+anyway so the CSV can be plotted without special cases.  Expect a few
+minutes at 50 trials on desk.
 """
 
 import argparse
@@ -57,7 +62,7 @@ def main():
                 with_overrides(exp, method=method, sweep=axis, values=values)
             )
             print(f"  {axis}/{method} done ({time.perf_counter() - t0:.0f}s)")
-        out = out_dir / f"desk_{axis}.csv"
+        out = out_dir / f"{Path(args.config).stem}_{axis}.csv"
         emit_csv(records, out)
         print(f"wrote {out} ({len(records)} rows)")
 

@@ -112,8 +112,8 @@ def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
     yv = np.take_along_axis(np.asarray(y)[..., tau_p:], idx, axis=-2)  # (..., N_r, tau_d)
     yv = np.swapaxes(yv, -1, -2)[..., None]  # (..., tau_d, N_r, 1)
     slots = np.swapaxes(idx, -1, -2)  # (..., tau_d, N_r)
-    hh = np.swapaxes(h_hat.conj(), -1, -2)  # (..., K, N_a)
     if sigma2 > 0 and n_rf < n_users:
+        hh = np.swapaxes(h_hat.conj(), -1, -2)  # (..., K, N_a)
         c = (h_hat @ hh).reshape(*h_hat.shape[:-2], 1, n_ant * n_ant)  # (..., 1, N_a^2)
         flat = (slots[..., :, None] * n_ant + slots[..., None, :]).reshape(*slots.shape[:-1], -1)
         g = np.take_along_axis(c, flat, axis=-1).reshape(*slots.shape, n_rf)  # (..., tau_d, N_r, N_r)

@@ -12,13 +12,13 @@ for a Gram release, whether it has the packed Hermitian form: a real
 one stack share dtype and shape, so both are read from its first row.
 Any such vector unpacks to an exactly Hermitian tau_c x tau_c matrix
 (`privacy.unpack_hermitian`), so the verdict is structural and costs
-nothing per entry.  The simulator draws
-each round's aggregate noise once, at sqrt(M) times the per-AP scale,
-and never forms a per-AP release, so only the sum-only (secure
-aggregation) trust model can be simulated: each AP's Gram release
-message carries the round's packed sum, and the verdict describes that
-declared release, not a vector the AP formed.  The transcript holds
-this metadata only: no payload outlives its `send` or `send_aps`.
+nothing per entry.  The simulator draws each round's aggregate noise
+once, at sqrt(M) times the per-AP scale, and never forms a per-AP
+release, so only the sum-only (secure aggregation) trust model can be
+simulated: each AP's Gram release message carries the round's packed
+sum, and the verdict describes that declared release, not a vector the
+AP formed.  The transcript holds this metadata only: no payload outlives
+its `send` or `send_aps`.
 `audit_privacy_surface` checks a finished transcript against those
 recorded shapes and verdicts (packed Gram releases of length tau_c^2;
 detection blocks of the expected shape), so a raw observation matrix, or
@@ -62,7 +62,8 @@ def ap_name(m):
 
 
 def is_ap(name):
-    return isinstance(name, str) and name.startswith("ap") and name[2:].isdigit()
+    # decimal digits only: int() reads them, so send can pass the index on to send_aps
+    return isinstance(name, str) and name.startswith("ap") and name[2:].isdecimal()
 
 
 @dataclass(frozen=True)

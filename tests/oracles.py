@@ -101,3 +101,12 @@ def pilot_only_lmmse(h_hat, y_m, omega_m, sigma2, t, tau_p):
         a = f.conj().T @ f + sigma2 * np.eye(f.shape[1])
         return np.linalg.solve(a, f.conj().T @ yv)
     return np.linalg.pinv(f, rcond=1e-12) @ yv
+
+
+def switch_mask(rng, shape, n_rf):
+    """Observation mask of an (M, N_a, n) stack: per (AP, slot), the N_r antennas whose
+    uniform draws sort first, by a full argsort of one rng.random(shape) draw."""
+    sel = np.argsort(rng.random(shape), axis=1)[:, :n_rf, :]
+    omega = np.zeros(shape, dtype=bool)
+    np.put_along_axis(omega, sel, True, axis=1)
+    return omega

@@ -6,8 +6,11 @@ within a coffee break.  Criteria 6 and 7 measure trend claims that this
 scale cannot fully deliver: the aggregate release-noise floor does not
 shrink with the number of APs while the observed signal spectrum grows
 with it, so the one-shot epsilon curve and the iterative payload curve
-sit on a noise plateau where Monte-Carlo drift runs against the claimed
-direction.  Those two tests state the measured curves and fail honestly
+sit on a noise plateau and move against the claimed direction.  The
+one-shot rise with epsilon is systematic, not Monte-Carlo drift: every
+epsilon point shares the trial seeds, and paired trial by trial each of
+its four steps is 5.7 standard errors, with 47 of the 50 trials rising at
+every step.  Those two tests state the measured curves and fail honestly
 instead of being tuned green; every other clause passes.
 """
 

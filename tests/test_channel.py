@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import switch_mask
 from privcell.channel import (
     MIN_DIST_M,
     Scenario,
@@ -236,6 +239,28 @@ def test_switch_selection_frequency():
     assert np.all(np.abs(freq - p) < 3 * se)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    n_ant=st.integers(1, 8),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_switch_mask_matches_argsort_reference(m, n_ant, n, seed, data):
+    """The mask is, bit for bit, the argsort-and-put selection from the same draw, keeps
+    exactly N_r antennas per (AP, slot), and Y is R on it and zero off it."""
+    n_rf = data.draw(st.integers(1, n_ant), label="N_r")
+    sc = Scenario(M=m, K=1, N_a=n_ant, N_r=n_rf, tau_p=1, tau_d=1)
+    r = crandn(np.random.default_rng(seed + 1), (m, n_ant, n))
+    y, omega = sample_switch(r, sc, np.random.default_rng(seed))
+    want = switch_mask(np.random.default_rng(seed), (m, n_ant, n), n_rf)
+    assert omega.dtype == bool and omega.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(omega.sum(axis=1), n_rf)
+    assert np.all(y[~omega] == 0)
+    np.testing.assert_array_equal(y[omega], r[omega])
+
+
 def test_switch_shape_check(tiny, rng):
     with pytest.raises(ShapeError):
         sample_switch(np.zeros((tiny.M, tiny.N_a + 1, 4)), tiny, rng)
@@ -298,10 +323,7 @@ def _flat_block(sc, beta, p, master_seed, trial, sigma2):
     n_rows = sc.M * sc.N_a
 
     def switch(r, rng):
-        sel = np.argsort(rng.random((sc.M, sc.N_a, r.shape[1])), axis=1)[:, : sc.N_r, :]
-        m3 = np.zeros((sc.M, sc.N_a, r.shape[1]), dtype=bool)
-        np.put_along_axis(m3, sel, True, axis=1)
-        omega = m3.reshape(n_rows, r.shape[1])
+        omega = switch_mask(rng, (sc.M, sc.N_a, r.shape[1]), sc.N_r).reshape(n_rows, r.shape[1])
         return np.where(omega, r, 0.0), omega
 
     def noise(stage, cols):

@@ -392,6 +392,27 @@ def test_crossval_script_scales_fractions_by_the_scored_deployment(monkeypatch, 
     assert capsys.readouterr().out.splitlines()[-1] == "best fraction: 2.00"
 
 
+@pytest.mark.parametrize("profile", ["desk", "m100_k25"])
+def test_sweep_script_names_its_tables_after_the_profile(monkeypatch, tmp_path, profile):
+    """run_desk_sweeps.py writes <profile stem>_<axis>.csv into --out-dir, so a full-scale
+    run leaves the desk tables alone; the sweeps themselves are stubbed out."""
+    for var in BLAS_VARS:  # the script sets them on import; restored after the test
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("run_desk_sweeps", REPO / "scripts" / "run_desk_sweeps.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    written = []
+    monkeypatch.setattr(script, "run_sweep", lambda exp: [exp.run.method])
+    monkeypatch.setattr(script, "emit_csv", lambda records, path: written.append(path))
+    argv = ["run_desk_sweeps.py", "--out-dir", str(tmp_path)]
+    if profile != "desk":  # desk is the script's default profile
+        argv += ["--config", str(REPO / "configs" / f"{profile}.yaml")]
+    monkeypatch.setattr(sys, "argv", argv)
+    script.main()
+    assert written == [tmp_path / f"{profile}_epsilon.csv", tmp_path / f"{profile}_tau_d.csv"]
+
+
 def test_cli_pins_blas_before_numpy_loads():
     """The package root loads no numpy, so importing the CLI can still pin BLAS to one thread."""
     probe = (

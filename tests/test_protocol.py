@@ -229,3 +229,71 @@ def test_transcript_dump_and_load(tmp_path):
         "kind": "GramRelease", "bytes": 9 * 8,
     }
     assert meta[1]["receiver"] == ALL_APS
+
+
+# ---------------------------------------------------------------- batched AP sends
+
+
+def _detections(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 2, 6)) + 1j * rng.standard_normal((n, 2, 6))
+
+
+@pytest.mark.parametrize(
+    "kind, stack",
+    [
+        (MessageKind.GRAM_RELEASE, np.stack([packed(5, seed) for seed in range(3)])),
+        (MessageKind.GRAM_RELEASE, np.broadcast_to(packed(5), (4, 25))),  # one sum for every AP
+        (MessageKind.GRAM_RELEASE, np.ones((3, 2, 5), dtype=complex)),  # raw blocks: audit fails
+        (MessageKind.LOCAL_DETECTION, _detections(3)),
+        (MessageKind.LOCAL_DETECTION, np.zeros((2, 3, 6), dtype=complex)),  # wrong shape: audit fails
+    ],
+)
+def test_send_aps_equals_one_send_per_row(kind, stack):
+    """One call for a stack leaves the transcript, ledger and audit of one send per row."""
+    one_call, per_row = Backhaul(), Backhaul()
+    for net in (one_call, per_row):
+        net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
+    msgs = one_call.send_aps(kind, 4, 2, stack)
+    for i, payload in enumerate(stack):
+        per_row.send(kind, ap_name(4 + i), CPU, 2, payload)
+    assert msgs == one_call.transcript[1:]
+    assert one_call.transcript == per_row.transcript
+    assert [m.sender for m in msgs] == [ap_name(4 + i) for i in range(len(stack))]
+    assert one_call.ledger == per_row.ledger
+    audits = [audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
+              for net in (one_call, per_row)]
+    assert audits[0] == audits[1]
+
+
+@pytest.mark.parametrize(
+    "kind, first_ap, payloads",
+    [
+        (MessageKind.EIG_BROADCAST, 0, np.stack([packed(4)] * 2)),  # a CPU-only kind
+        (MessageKind.BASIS_BROADCAST, 0, np.stack([packed(4)] * 2)),
+        (MessageKind.GRAM_RELEASE, -1, np.stack([packed(4)] * 2)),
+        (MessageKind.GRAM_RELEASE, 1.0, np.stack([packed(4)] * 2)),
+        (MessageKind.GRAM_RELEASE, True, np.stack([packed(4)] * 2)),
+        (MessageKind.GRAM_RELEASE, 0, np.zeros((0, 16))),  # an empty stack
+        (MessageKind.LOCAL_DETECTION, 0, []),
+        (MessageKind.LOCAL_DETECTION, 0, np.float64(1.0)),  # not a stack
+        (MessageKind.LOCAL_DETECTION, 0, 2.0),
+    ],
+)
+def test_send_aps_rejects_before_recording(kind, first_ap, payloads):
+    net = Backhaul()
+    with pytest.raises(ProtocolError):
+        net.send_aps(kind, first_ap, 1, payloads)
+    assert net.transcript == []
+    assert net.ledger == Backhaul().ledger
+
+
+def test_send_passes_the_ap_index_on_to_send_aps():
+    """An AP's single send is send_aps at the index its name spells; a name int() cannot
+    read is no AP and is refused before anything is recorded."""
+    net = Backhaul()
+    msg = net.send(MessageKind.LOCAL_DETECTION, "ap12", CPU, 0, np.zeros((2, 6), dtype=complex))
+    assert net.transcript == [msg] and msg.sender == "ap12"
+    with pytest.raises(ProtocolError, match="unknown sender"):
+        net.send(MessageKind.LOCAL_DETECTION, "ap²", CPU, 0, np.zeros((2, 6), dtype=complex))
+    assert net.transcript == [msg]

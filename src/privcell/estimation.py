@@ -98,7 +98,8 @@ def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
     Per slot only the N_r observed antennas enter, in ascending index
     order; F is their N_r rows of H_hat.  With noise the solve has size
     min(N_r, K): F^H (F F^H + s2 I)^-1 y when N_r < K (push-through), else
-    (F^H F + s2 I)^-1 F^H y.  A pseudoinverse is used when sigma2 is zero.
+    (F^H F + s2 I)^-1 F^H y.  When sigma2 is zero, pinv(F) y, with
+    `linalg.pinv`'s cutoff.
     In the push-through branch each slot's F F^H is gathered from the
     AP's N_a x N_a Gram C = H_hat H_hat^H, and the solutions, scattered to
     their antennas' rows of an (N_a, tau_d) zero block, meet H_hat^H in
@@ -126,5 +127,5 @@ def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
         fh = np.swapaxes(f.conj(), -1, -2)  # (..., tau_d, K, N_r)
         d = np.linalg.solve(fh @ f + sigma2 * np.eye(n_users), fh @ yv)
     else:
-        d = np.linalg.pinv(f) @ yv
+        d = pinv(f) @ yv
     return np.swapaxes(d[..., 0], -1, -2)  # (..., K, tau_d)

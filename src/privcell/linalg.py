@@ -66,12 +66,15 @@ def top_eigpair(a):
     return lam, canonical_phase(v)
 
 
-def pinv(a, rcond=1e-12):
+PINV_RCOND = 1e-12  # singular values below this times the largest are treated as zero
+
+
+def pinv(a):
     """Moore-Penrose pseudoinverse (SVD-based) of a matrix or of each matrix of a stack."""
     a = np.asarray(a)
     if a.ndim < 2 or a.size == 0:
         raise ShapeError(f"pinv expects a non-empty matrix or stack, got shape {a.shape}")
-    return np.linalg.pinv(a, rcond=rcond)
+    return np.linalg.pinv(a, rcond=PINV_RCOND)
 
 
 def frob_norm(a):

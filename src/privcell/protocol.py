@@ -2,14 +2,15 @@
 
 The only things an AP may ever put on the wire toward the CPU are
 privatised Gram releases and locally detected payload estimates; the CPU
-talks back only through eigenpair or basis broadcasts.  `Backhaul.send`
-enforces the direction/kind rules at submission time.  APs send through
-`Backhaul.send_aps`, one call for a stack of consecutive APs' payloads
-(`send` hands it a single AP's message as a stack of one); it checks the
-kind once and records, for every AP message, the payload's shape and,
-for a Gram release, whether it has the packed Hermitian form: a real
-(float64) 1-D vector whose length is a perfect square, tau_c^2.  Rows of
-one stack share dtype and shape, so both are read from its first row.
+talks back only through eigenpair or basis broadcasts.  `Backhaul` has
+one verb per direction, and each refuses the other direction's kinds at
+submission time.  APs send through `Backhaul.send_aps`, one call for a
+stack of consecutive APs' payloads; the CPU sends through
+`Backhaul.broadcast`.  `send_aps` checks the kind once and records,
+for every AP message, the payload's shape and, for a Gram release,
+whether it has the packed Hermitian form: a real (float64) 1-D vector
+whose length is a perfect square, tau_c^2.  Rows of one stack share
+dtype and shape, so both are read from its first row.
 Any such vector unpacks to an exactly Hermitian tau_c x tau_c matrix
 (`privacy.unpack_hermitian`), so the verdict is structural and costs
 nothing per entry.  The simulator draws each round's aggregate noise
@@ -18,7 +19,7 @@ release, so only the sum-only (secure aggregation) trust model can be
 simulated: each AP's Gram release message carries the round's packed
 sum, and the verdict describes that declared release, not a vector the
 AP formed.  The transcript holds this metadata only: no payload outlives
-its `send` or `send_aps`.
+the call that sent it.
 `audit_privacy_surface` checks a finished transcript against those
 recorded shapes and verdicts (packed Gram releases of length tau_c^2;
 detection blocks of the expected shape), so a raw observation matrix, or
@@ -62,7 +63,6 @@ def ap_name(m):
 
 
 def is_ap(name):
-    # decimal digits only: int() reads them, so send can pass the index on to send_aps
     return isinstance(name, str) and name.startswith("ap") and name[2:].isdecimal()
 
 
@@ -111,31 +111,9 @@ class Backhaul:
         self.transcript = []
         self.ledger = OverheadLedger()
 
-    def send(self, kind, sender, receiver, round_index, payload):
-        """Check direction and kind, then record the message's metadata; the payload is not kept.
-
-        An AP's message goes through `send_aps` as a stack of one.
-        """
-        if is_ap(sender):
-            if receiver != CPU:
-                raise ProtocolError(f"AP {sender} may only address the CPU")
-            return self.send_aps(kind, int(sender[2:]), round_index, (payload,))[0]
-        if sender != CPU:
-            raise ProtocolError(f"unknown sender {sender!r}")
-        if receiver != ALL_APS:
-            raise ProtocolError("CPU messages are broadcasts")
-        if kind not in CPU_TO_AP:
-            raise ProtocolError(f"kind {kind.value} not allowed from the CPU")
-        nbytes = payload_nbytes(kind, payload)
-        msg = Message(kind, sender, receiver, round_index, nbytes)
-        self.ledger.broadcast_bytes += nbytes
-        self.transcript.append(msg)
-        return msg
-
     def send_aps(self, kind, first_ap, round_index, payloads):
         """AP first_ap + i sends payloads[i] to the CPU, for each row of the stack, in row order.
 
-        Records the same messages and byte totals as one `send` per row.
         Every row of an array shares its dtype and shape, so the byte count
         and the packed-Hermitian verdict are taken from the first row.
         Returns the recorded messages; nothing is recorded if a check fails.
@@ -159,16 +137,20 @@ class Backhaul:
         return msgs
 
     def broadcast(self, kind, round_index, payload):
-        return self.send(kind, CPU, ALL_APS, round_index, payload)
+        """The CPU sends payload to every AP; records its metadata once, not per recipient."""
+        if kind not in CPU_TO_AP:
+            raise ProtocolError(f"kind {kind.value} not allowed from the CPU")
+        nbytes = payload_nbytes(kind, payload)
+        msg = Message(kind, CPU, ALL_APS, round_index, nbytes)
+        self.ledger.broadcast_bytes += nbytes
+        self.transcript.append(msg)
+        return msg
 
 
 @dataclass
 class AuditReport:
     ok: bool
     failures: list  # (message index, reason)
-
-    def __bool__(self):
-        return self.ok
 
 
 def audit_privacy_surface(transcript, tau_c, n_users, n_payload):

@@ -1,5 +1,15 @@
-import numpy as np
-import pytest
+import os
+import sys
+
+# one BLAS thread, set before numpy loads, as the CLI does: the bitwise contract
+# assumes it, and a second BLAS thread contending with a busy core doubles the run time
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was loaded before tests/conftest.py could pin BLAS to one thread")
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from privcell.channel import Scenario
 

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from privcell import fw
 from privcell.errors import ConfigError
 from privcell.harness import CSV_HEADER
-from privcell.protocol import Backhaul, is_ap
+from privcell.protocol import Backhaul
 
 
 def read_csv(path):
@@ -31,17 +31,16 @@ class RecordingBackhaul(Backhaul):
     """A Backhaul that also keeps every payload it accepts, in transcript order.
 
     payloads[i] is the payload of transcript[i]: the very object sent by
-    `send`, or the row of the stack that `send_aps` sent it in.
+    `broadcast`, or the row of the stack that `send_aps` sent it in.
     """
 
     def __init__(self):
         super().__init__()
         self.payloads = []
 
-    def send(self, kind, sender, receiver, round_index, payload):
-        msg = super().send(kind, sender, receiver, round_index, payload)
-        if not is_ap(sender):  # an AP's send goes through send_aps, which records it
-            self.payloads.append(payload)
+    def broadcast(self, kind, round_index, payload):
+        msg = super().broadcast(kind, round_index, payload)
+        self.payloads.append(payload)
         return msg
 
     def send_aps(self, kind, first_ap, round_index, payloads):

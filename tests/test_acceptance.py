@@ -32,13 +32,7 @@ from privcell.fw import FwConfig, run_fw
 from privcell.harness import completion_config, draw_beta, prepare, run_point, run_trial
 from privcell.linalg import frob_norm
 from privcell.privacy import fw_noise_scale, gram_round, svd_noise_scale, unpack_hermitian
-from privcell.protocol import (
-    CPU,
-    Backhaul,
-    MessageKind,
-    ap_name,
-    audit_privacy_surface,
-)
+from privcell.protocol import Backhaul, MessageKind, ap_name, audit_privacy_surface
 from privcell.seeding import entropy_for
 from privcell.svdmc import SvdConfig, run_svd
 
@@ -410,7 +404,7 @@ def test_criterion_09_protocol_accounting(desk, desk_beta):
 
     raw = block.Y[0]  # an AP's observed block, sent as if it were a release
     n_clean = len(net_fw.transcript)
-    net_fw.send(MessageKind.GRAM_RELEASE, ap_name(0), CPU, 1, raw)
+    net_fw.send_aps(MessageKind.GRAM_RELEASE, 0, 1, raw[None])
     tampered = audit_privacy_surface(net_fw.transcript, tau_c, scen.K, scen.tau_d)
     assert not tampered.ok
     assert [i for i, _ in tampered.failures] == [n_clean]

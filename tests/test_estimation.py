@@ -199,6 +199,20 @@ def test_detect_block_matches_per_slot(sigma2, rng):
         np.testing.assert_allclose(got[:, t], want, atol=1e-9)
 
 
+def test_noiseless_detect_block_cuts_tiny_singular_values(rng):
+    """s2 = 0 with every antenna seen: a singular value of 1e-14 is cut as the reference cuts it."""
+    u, _ = np.linalg.qr(crandn(rng, (2, 2)))
+    v, _ = np.linalg.qr(crandn(rng, (2, 2)))
+    h = u @ np.diag([1.0, 1e-14]) @ v.conj().T
+    tau_p, tau_d = 2, 5
+    y = crandn(rng, (2, tau_p + tau_d))
+    omega = np.ones(y.shape, dtype=bool)
+    got = pilot_only_detect_block(h, y, omega, 0.0, tau_p, 2)
+    want = np.stack([pilot_only_lmmse(h, y, omega, 0.0, t, tau_p) for t in range(tau_d)], axis=1)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    assert np.abs(got).max() < 10.0
+
+
 def assert_matches_reference(got, h, y, omega, sigma2, tau_p):
     """Every slot of a detected block against the per-slot K x K reference.
 

@@ -33,7 +33,7 @@ from privcell.harness import (
     run_sweep,
     run_trial,
 )
-from privcell.protocol import Backhaul, MessageKind, ap_name, audit_privacy_surface
+from privcell.protocol import ALL_APS, CPU, Backhaul, MessageKind, ap_name, audit_privacy_surface
 
 M100_K25 = Path(__file__).resolve().parent.parent / "configs" / "m100_k25.yaml"
 
@@ -140,6 +140,29 @@ def test_backhaul_keeps_no_payload_after_a_trial(tiny, method):
     assert audit_privacy_surface(
         net.transcript, tau_c=tiny.tau_c, n_users=tiny.K, n_payload=tiny.tau_d
     ).ok
+
+
+@pytest.mark.parametrize("method", ["fw", "svd", "po"])
+def test_trial_transcript_order(tiny, method):
+    """Per completion round every AP's release in AP order, then one broadcast; then each AP's detection."""
+    run = RunConfig(trials=1, fw_iters=3)
+    prep = prepare(tiny, run, draw_beta(tiny, 5))
+    net = Backhaul()
+    run_trial(tiny, run, method, prep, 7, 0, 1.0, net=net)
+    aps = [ap_name(m) for m in range(tiny.M)]
+    release, detection = 8 * tiny.tau_c**2, 16 * tiny.K * tiny.tau_d
+    casts = {  # the CPU's broadcast of each completion round
+        "fw": [(MessageKind.EIG_BROADCAST, 16 * tiny.tau_c + 8)] * 3,
+        "svd": [(MessageKind.BASIS_BROADCAST, 16 * tiny.tau_c * tiny.K)],
+        "po": [],
+    }[method]
+    want = []
+    for rnd, (kind, nbytes) in enumerate(casts, start=1):
+        want += [(MessageKind.GRAM_RELEASE, ap, CPU, rnd, release) for ap in aps]
+        want.append((kind, CPU, ALL_APS, rnd, nbytes))
+    want += [(MessageKind.LOCAL_DETECTION, ap, CPU, 0, detection) for ap in aps]
+    got = [(m.kind, m.sender, m.receiver, m.round_index, m.nbytes) for m in net.transcript]
+    assert got == want
 
 
 EDGE_SCENARIO = Scenario(M=3, K=2, N_a=4, N_r=2, tau_p=3, tau_d=5, R_km=0.5, seed=21)

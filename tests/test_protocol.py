@@ -8,9 +8,11 @@ from privcell.errors import ProtocolError
 from privcell.privacy import pack_hermitian
 from privcell.protocol import (
     ALL_APS,
+    AP_TO_CPU,
     BYTES_COMPLEX,
     BYTES_REAL,
     CPU,
+    CPU_TO_AP,
     Backhaul,
     Message,
     MessageKind,
@@ -40,21 +42,43 @@ def test_names():
     assert not is_ap("cpu") and not is_ap("apx") and not is_ap(3)
 
 
-def test_direction_rules():
+# one payload of each kind, of the form the protocol sends it in
+PAYLOADS = {
+    MessageKind.GRAM_RELEASE: packed(4),
+    MessageKind.EIG_BROADCAST: (np.ones(4, dtype=complex), 2.0),
+    MessageKind.BASIS_BROADCAST: np.zeros((4, 2), dtype=complex),
+    MessageKind.LOCAL_DETECTION: np.zeros((2, 6), dtype=complex),
+}
+
+
+def _send_one(net, verb, kind):
+    """The messages one call of a verb records for PAYLOADS[kind] in round 1, AP 0 sending."""
+    if verb == "broadcast":
+        return [net.broadcast(kind, 1, PAYLOADS[kind])]
+    return net.send_aps(kind, 0, 1, [PAYLOADS[kind]])
+
+
+@pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize(
+    "verb, allowed, sender, receiver",
+    [("broadcast", CPU_TO_AP, CPU, ALL_APS), ("send_aps", AP_TO_CPU, ap_name(0), CPU)],
+    ids=["broadcast", "send_aps"],
+)
+def test_direction_rules(verb, allowed, sender, receiver, kind):
+    """broadcast takes the CPU's kinds and send_aps the APs'; a refusal records nothing."""
+    assert AP_TO_CPU | CPU_TO_AP == set(MessageKind) and not AP_TO_CPU & CPU_TO_AP
     net = Backhaul()
-    g = packed(4)
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, g)
-    net.broadcast(MessageKind.EIG_BROADCAST, 1, (np.ones(4, dtype=complex), 2.0))
-    with pytest.raises(ProtocolError):
-        net.send(MessageKind.GRAM_RELEASE, "ap0", "ap1", 1, g)
-    with pytest.raises(ProtocolError):
-        net.send(MessageKind.EIG_BROADCAST, "ap0", CPU, 1, (np.ones(4), 1.0))
-    with pytest.raises(ProtocolError):
-        net.send(MessageKind.BASIS_BROADCAST, CPU, "ap0", 1, g)
-    with pytest.raises(ProtocolError):
-        net.send(MessageKind.GRAM_RELEASE, CPU, ALL_APS, 1, g)
-    with pytest.raises(ProtocolError):
-        net.send(MessageKind.GRAM_RELEASE, "eve", CPU, 1, g)
+    if kind not in allowed:
+        with pytest.raises(ProtocolError, match="not allowed"):
+            _send_one(net, verb, kind)
+        assert net.transcript == []
+        assert net.ledger == Backhaul().ledger
+        return
+    (msg,) = _send_one(net, verb, kind)
+    assert net.transcript == [msg]
+    assert (msg.kind, msg.sender, msg.receiver, msg.round_index) == (kind, sender, receiver, 1)
+    assert msg.nbytes == payload_nbytes(kind, PAYLOADS[kind]) > 0
+    assert net.ledger.total_unicast_bytes + net.ledger.broadcast_bytes == msg.nbytes
 
 
 def test_payload_byte_counts():
@@ -95,8 +119,7 @@ def test_broadcast_byte_ratio():
 def test_ledger_accounting():
     net = Backhaul()
     for rnd in (1, 2):
-        for m in range(3):
-            net.send(MessageKind.GRAM_RELEASE, ap_name(m), CPU, rnd, packed(4))
+        net.send_aps(MessageKind.GRAM_RELEASE, 0, rnd, np.stack([packed(4)] * 3))
         net.broadcast(MessageKind.EIG_BROADCAST, rnd, (np.ones(4, dtype=complex), 1.0))
     led = net.ledger
     assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 6
@@ -109,8 +132,8 @@ def test_ledger_accounting():
 
 def test_send_records_metadata_only():
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(5))
-    net.send(MessageKind.LOCAL_DETECTION, "ap1", CPU, 0, np.zeros((2, 6), dtype=complex))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(5)])
+    net.send_aps(MessageKind.LOCAL_DETECTION, 1, 0, [np.zeros((2, 6), dtype=complex)])
     net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
     gram, detection, basis = net.transcript
     assert (gram.shape, gram.hermitian, gram.nbytes) == ((25,), True, 25 * 8)
@@ -121,20 +144,19 @@ def test_send_records_metadata_only():
 
 def test_audit_passes_on_clean_transcript():
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(5))
-    net.send(MessageKind.LOCAL_DETECTION, "ap0", CPU, 0, np.zeros((2, 6), dtype=complex))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(5)])
+    net.send_aps(MessageKind.LOCAL_DETECTION, 0, 0, [np.zeros((2, 6), dtype=complex)])
     net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
     report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert report.ok
-    assert bool(report)
 
 
 def test_audit_flags_injected_raw_signal():
     """A raw observation block sent as a Gram release must be caught."""
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(5))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(5)])
     raw = np.ones((2, 5), dtype=complex)  # antennas x slots, not a Gram
-    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, raw)
+    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, [raw])
     report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert not report.ok
     assert [i for i, _ in report.failures] == [1]
@@ -147,8 +169,8 @@ def test_audit_flags_non_hermitian_and_wrong_side():
     net = Backhaul()
     skewed = hermitian(5)
     skewed[0, 1] += 1.0  # break the symmetry only
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, skewed)
-    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, packed(4))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [skewed])
+    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, [packed(4)])
     report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert not report.ok
     (i_skew, skew_reason), (i_side, side_reason) = report.failures
@@ -169,7 +191,7 @@ def test_audit_flags_non_hermitian_and_wrong_side():
 )
 def test_send_records_only_the_packed_form_as_hermitian(payload, why):
     net = Backhaul()
-    msg = net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, payload)
+    (msg,) = net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [payload])
     assert not msg.hermitian, why
     assert not is_packed_hermitian(payload)
     report = audit_privacy_surface(net.transcript, tau_c=4, n_users=2, n_payload=6)
@@ -179,8 +201,8 @@ def test_send_records_only_the_packed_form_as_hermitian(payload, why):
 
 def test_audit_checks_packed_length_against_tau_c():
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(4))
-    net.send(MessageKind.GRAM_RELEASE, "ap1", CPU, 1, packed(5))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(4)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, [packed(5)])
     assert all(msg.hermitian for msg in net.transcript)
     report = audit_privacy_surface(net.transcript, tau_c=4, n_users=2, n_payload=6)
     assert report.failures == [(1, "gram release side 5 != 4")]
@@ -188,7 +210,7 @@ def test_audit_checks_packed_length_against_tau_c():
 
 def test_audit_flags_wrong_detection_shape():
     net = Backhaul()
-    net.send(MessageKind.LOCAL_DETECTION, "ap0", CPU, 0, np.zeros((3, 6), dtype=complex))
+    net.send_aps(MessageKind.LOCAL_DETECTION, 0, 0, [np.zeros((3, 6), dtype=complex)])
     ok = audit_privacy_surface(net.transcript, tau_c=5, n_users=3, n_payload=6)
     assert ok.ok
     bad = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
@@ -197,10 +219,10 @@ def test_audit_flags_wrong_detection_shape():
 
 
 def test_audit_flags_hand_built_records():
-    """Records that bypass send(): a wrong direction, a wrong kind, and a
-    release with no recorded shape or verdict are all flagged."""
+    """Records that bypass the two verbs: a wrong direction, a wrong kind,
+    and a release with no recorded shape or verdict are all flagged."""
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(3))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3)])
     net.transcript += [
         Message(MessageKind.GRAM_RELEASE, "ap0", "ap1", 1, 9 * 8, (9,), True),
         Message(MessageKind.EIG_BROADCAST, "ap0", CPU, 1, 3 * 16 + 8, (3,)),
@@ -218,7 +240,7 @@ def test_audit_flags_hand_built_records():
 
 def test_transcript_dump_and_load(tmp_path):
     net = Backhaul()
-    net.send(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, packed(3))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3)])
     net.broadcast(MessageKind.EIG_BROADCAST, 1, (np.ones(3, dtype=complex), 1.0))
     path = tmp_path / "transcript.jsonl"
     dump_transcript(net.transcript, path)
@@ -250,13 +272,13 @@ def _detections(n, seed=0):
     ],
 )
 def test_send_aps_equals_one_send_per_row(kind, stack):
-    """One call for a stack leaves the transcript, ledger and audit of one send per row."""
+    """One call for a stack leaves the transcript, ledger and audit of one single-row call per row."""
     one_call, per_row = Backhaul(), Backhaul()
     for net in (one_call, per_row):
         net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
     msgs = one_call.send_aps(kind, 4, 2, stack)
     for i, payload in enumerate(stack):
-        per_row.send(kind, ap_name(4 + i), CPU, 2, payload)
+        per_row.send_aps(kind, 4 + i, 2, payload[None])
     assert msgs == one_call.transcript[1:]
     assert one_call.transcript == per_row.transcript
     assert [m.sender for m in msgs] == [ap_name(4 + i) for i in range(len(stack))]
@@ -287,13 +309,3 @@ def test_send_aps_rejects_before_recording(kind, first_ap, payloads):
     assert net.transcript == []
     assert net.ledger == Backhaul().ledger
 
-
-def test_send_passes_the_ap_index_on_to_send_aps():
-    """An AP's single send is send_aps at the index its name spells; a name int() cannot
-    read is no AP and is refused before anything is recorded."""
-    net = Backhaul()
-    msg = net.send(MessageKind.LOCAL_DETECTION, "ap12", CPU, 0, np.zeros((2, 6), dtype=complex))
-    assert net.transcript == [msg] and msg.sender == "ap12"
-    with pytest.raises(ProtocolError, match="unknown sender"):
-        net.send(MessageKind.LOCAL_DETECTION, "ap²", CPU, 0, np.zeros((2, 6), dtype=complex))
-    assert net.transcript == [msg]

@@ -10,9 +10,10 @@ Each table is named after the profile file, <stem>_<axis>.csv: desk.yaml
 writes desk_epsilon.csv and desk_tau_d.csv, m100_k5.yaml writes
 m100_k5_epsilon.csv and m100_k5_tau_d.csv, so profiles never overwrite
 each other's tables.  The non-private and pilot-only rows are flat along
-the epsilon axis by construction; they are run across the full grid
-anyway so the CSV can be plotted without special cases.  Expect a few
-minutes at 50 trials on desk.
+the epsilon axis by construction, so `harness.run_sweep` runs each of
+them once and writes its record at every epsilon; the CSV keeps one row
+per method and value and can be plotted without special cases.  Expect a
+few minutes at 50 trials on desk.
 """
 
 import argparse

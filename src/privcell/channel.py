@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .linalg import shared_matmul
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
@@ -188,7 +189,7 @@ def transmit(H, S, sigma2, rng):
     S = np.asarray(S)
     if H.shape[-1] != S.shape[0]:
         raise ShapeError(f"H {H.shape} and S {S.shape} do not chain")
-    return H @ S + crandn(rng, H.shape[:-1] + S.shape[1:], sigma2)
+    return shared_matmul(H, S) + crandn(rng, H.shape[:-1] + S.shape[1:], sigma2)
 
 
 def sample_switch(R, scenario, rng):

@@ -5,13 +5,18 @@ of a completed block and detects payload by least squares against that
 estimate.  The pilot-only baseline skips completion entirely: a
 correlation channel estimate from the switch-sampled pilot slots, then
 per-slot regularised least squares on whichever antennas happened to be
-observed.
+observed.  Its observed-antenna index comes from a counting pass, and all
+its per-slot systems are solved by one batched Cholesky
+(`linalg.cholesky_solve`).  The channel estimates multiply every AP's
+block by the shared pilot matrix in one GEMM (`linalg.shared_matmul`).
 """
+
+import math
 
 import numpy as np
 
 from .errors import MetricUndefinedError, ShapeError
-from .linalg import frob_norm, pinv
+from .linalg import cholesky_solve, frob_norm, pinv, shared_matmul
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -21,7 +26,7 @@ def estimate_channel(x_pilot, pilot_pinv):
     x_pilot = np.asarray(x_pilot)
     if x_pilot.shape[-1] != pilot_pinv.shape[0]:
         raise ShapeError(f"{x_pilot.shape[-1]} pilot columns, pinv(P) has {pilot_pinv.shape[0]} rows")
-    return x_pilot @ pilot_pinv
+    return shared_matmul(x_pilot, pilot_pinv)
 
 
 def detect_local(h_hat, x_data):
@@ -50,8 +55,11 @@ def combine(d_locals, total=None):
 
 
 def slice_qpsk(soft):
-    """Quadrant slicer; boundary ties go to the positive side."""
+    """Quadrant slicer; boundary ties go to the positive side.  A non-finite soft value has
+    no quadrant and raises MetricUndefinedError."""
     soft = np.asarray(soft)
+    if not np.isfinite(soft).all():
+        raise MetricUndefinedError("non-finite soft detection has no quadrant")
     re = np.where(soft.real >= 0, 1.0, -1.0)
     im = np.where(soft.imag >= 0, 1.0, -1.0)
     return (re + 1j * im) * SQRT_HALF
@@ -89,43 +97,70 @@ def pilot_only_ls(y, pilots):
     tau_p = pilots.shape[1]
     if y.shape[-1] < tau_p:
         raise ShapeError(f"block has {y.shape[-1]} columns, needs >= {tau_p}")
-    return y[..., :tau_p] @ pilots.conj().T
+    return shared_matmul(y[..., :tau_p], pilots.conj().T)
+
+
+def observed_first(omega, n_rf):
+    """Per slot of an (..., N_a, n) mask, the first n_rf antennas with the observed ones first.
+
+    Equal to np.argsort(~omega, axis=-2, kind="stable")[..., :n_rf, :] with
+    the row axis moved to the front, (n_rf, ..., n), for any mask.  It is a
+    counting pass: one walk over the antennas counts the observed ones, a
+    second counts the unobserved ones after them and runs only if some slot
+    has fewer than n_rf observed.  Entry r is the number of walk steps at
+    which the count was still <= r, which is the step that placed the r-th
+    antenna of the order; modulo N_a, that is its index.
+    """
+    omega = np.asarray(omega)
+    n_ant = omega.shape[-2]
+    r = np.arange(n_rf).reshape(n_rf, *[1] * (omega.ndim - 1))
+    count = np.zeros(omega.shape[:-2] + omega.shape[-1:], dtype=np.intp)
+    pos = np.zeros((n_rf,) + count.shape, dtype=np.intp)
+    for flags in (omega, ~omega):
+        if count.min() >= n_rf:  # every slot has its n_rf antennas
+            break
+        for i in range(n_ant):
+            count += flags[..., i, :]
+            pos += count <= r
+    return pos % n_ant
 
 
 def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
     """Regularised LS detection of all payload slots of each AP at once.
 
     Per slot only the N_r observed antennas enter, in ascending index
-    order; F is their N_r rows of H_hat.  With noise the solve has size
-    min(N_r, K): F^H (F F^H + s2 I)^-1 y when N_r < K (push-through), else
-    (F^H F + s2 I)^-1 F^H y.  When sigma2 is zero, pinv(F) y, with
-    `linalg.pinv`'s cutoff.
+    order (`observed_first`); F is their N_r rows of H_hat.  With noise
+    the solve has size min(N_r, K): F^H (F F^H + s2 I)^-1 y when N_r < K
+    (push-through), else (F^H F + s2 I)^-1 F^H y, both by one Cholesky
+    batched over every slot of every AP.  When sigma2 is zero, pinv(F) y,
+    with `linalg.pinv`'s cutoff.
     In the push-through branch each slot's F F^H is gathered from the
     AP's N_a x N_a Gram C = H_hat H_hat^H, and the solutions, scattered to
     their antennas' rows of an (N_a, tau_d) zero block, meet H_hat^H in
     one product per AP.  Leading AP axes of h_hat (..., N_a, K), y and
     omega (..., N_a, tau_c) broadcast; the result is (..., K, tau_d).
     """
-    h_hat = np.asarray(h_hat)
+    lead = np.broadcast_shapes(*(np.shape(a)[:-2] for a in (h_hat, y, omega)))
+    h_hat, y, omega = (np.broadcast_to(a, lead + np.shape(a)[-2:]) for a in (h_hat, y, omega))
     n_ant, n_users = h_hat.shape[-2:]
-    # stable sort puts True (observed) first while keeping index order
-    idx = np.argsort(~np.asarray(omega)[..., tau_p:], axis=-2, kind="stable")[..., :n_rf, :]
-    yv = np.take_along_axis(np.asarray(y)[..., tau_p:], idx, axis=-2)  # (..., N_r, tau_d)
-    yv = np.swapaxes(yv, -1, -2)[..., None]  # (..., tau_d, N_r, 1)
-    slots = np.swapaxes(idx, -1, -2)  # (..., tau_d, N_r)
+    idx = observed_first(omega[..., tau_p:], n_rf)  # (N_r, ..., tau_d)
+    t = np.arange(idx.shape[-1])
+    rows = np.arange(math.prod(lead)).reshape(*lead, 1) * n_ant + idx  # flat (AP, antenna) rows
+    yv = y.reshape(-1)[rows * y.shape[-1] + tau_p + t]  # (N_r, ..., tau_d)
     if sigma2 > 0 and n_rf < n_users:
         hh = np.swapaxes(h_hat.conj(), -1, -2)  # (..., K, N_a)
-        c = (h_hat @ hh).reshape(*h_hat.shape[:-2], 1, n_ant * n_ant)  # (..., 1, N_a^2)
-        flat = (slots[..., :, None] * n_ant + slots[..., None, :]).reshape(*slots.shape[:-1], -1)
-        g = np.take_along_axis(c, flat, axis=-1).reshape(*slots.shape, n_rf)  # (..., tau_d, N_r, N_r)
-        z = np.linalg.solve(g + sigma2 * np.eye(n_rf), yv)[..., 0]  # (..., tau_d, N_r)
-        x = np.zeros(idx.shape[:-2] + (n_ant, idx.shape[-1]), dtype=z.dtype)
-        np.put_along_axis(x, idx, np.swapaxes(z, -1, -2), axis=-2)  # (..., N_a, tau_d)
+        c = (h_hat @ hh).reshape(-1)  # every AP's N_a x N_a Gram, flat
+        g = c[rows[:, None] * n_ant + idx]  # (N_r, N_r, ..., tau_d), g[i, j] = C[obs_i, obs_j]
+        g[range(n_rf), range(n_rf)] += sigma2
+        z = cholesky_solve(g, yv)
+        x = np.zeros(lead + (n_ant, len(t)), dtype=z.dtype)
+        x.reshape(-1)[rows * len(t) + t] = z
         return hh @ x
+    slots = np.moveaxis(idx, 0, -1)  # (..., tau_d, N_r)
     f = np.take_along_axis(h_hat[..., None, :, :], slots[..., None], axis=-2)  # (..., tau_d, N_r, K)
+    yv = np.moveaxis(yv, 0, -1)[..., None]  # (..., tau_d, N_r, 1)
     if sigma2 > 0:
         fh = np.swapaxes(f.conj(), -1, -2)  # (..., tau_d, K, N_r)
-        d = np.linalg.solve(fh @ f + sigma2 * np.eye(n_users), fh @ yv)
-    else:
-        d = pinv(f) @ yv
-    return np.swapaxes(d[..., 0], -1, -2)  # (..., K, tau_d)
+        a = np.moveaxis(fh @ f + sigma2 * np.eye(n_users), (-2, -1), (0, 1))  # (K, K, ..., tau_d)
+        return np.moveaxis(cholesky_solve(a, np.moveaxis((fh @ yv)[..., 0], -1, 0)), 0, -2)
+    return np.swapaxes((pinv(f) @ yv)[..., 0], -1, -2)  # (..., K, tau_d)

@@ -137,11 +137,11 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         detect = lambda aps: estimation.detect_local(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
     # Each chunk of consecutive APs is sent in one call and added into one running sum in AP
     # order, so no (M, K, tau_d) stack is held.  A chunk keeps its largest per-AP temporary, the
-    # (K, tau_d) detection or po's (N_a, tau_d) sort index and scattered solution, within
-    # _DETECT_BYTES.  (po's K x K and noiseless branches, which no shipped profile takes, still
-    # gather a (tau_d, N_r, K) stack.)
+    # (K, tau_d) detection or po's (N_a, tau_d) scattered solution and (N_r, N_r, tau_d) gathered
+    # Grams, within _DETECT_BYTES; po's counting-pass index is (N_r, tau_d).  (po's K x K and
+    # noiseless branches, which no shipped profile takes, still gather a (tau_d, N_r, K) stack.)
     s = scenario
-    step = max(1, _DETECT_BYTES // (16 * s.tau_d * max(s.K, s.N_a)))
+    step = max(1, _DETECT_BYTES // (16 * s.tau_d * max(s.K, s.N_a, s.N_r * s.N_r)))
     total = None
     for lo in range(0, s.M, step):
         d = detect(slice(lo, lo + step))
@@ -210,11 +210,20 @@ def run_point(exp, method, axis, value, trials, master_seed, beta=None):
 
 
 def run_sweep(exp):
-    """Sweep the config's method over its axis values, at its trial count and seed."""
+    """Sweep the config's method over its axis values, at its trial count and seed.
+
+    A non-private method draws no release noise, so nothing it computes reads epsilon: an
+    epsilon sweep runs it at the first value only and writes that record, seconds included,
+    at every value.
+    """
     run = exp.run
     if not run.values:
         raise ConfigError("sweep needs at least one axis value")
-    return [run_point(exp, run.method, run.sweep, v, run.trials, exp.scenario.seed) for v in run.values]
+    seed = exp.scenario.seed
+    if run.sweep == "epsilon" and not method_spec(run.method).private:
+        rec = run_point(exp, run.method, run.sweep, run.values[0], run.trials, seed)
+        return [dataclasses.replace(rec, axis_value=float(v)) for v in run.values]
+    return [run_point(exp, run.method, run.sweep, v, run.trials, seed) for v in run.values]
 
 
 def cross_validate(exp, param, grid):

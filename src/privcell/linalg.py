@@ -1,8 +1,14 @@
 """Small dense linear-algebra layer used by the completion algorithms.
 
 Everything works on complex128 ndarrays.  `hermitian_eig` keeps the top k
-pairs of a LAPACK `eigh`; `top_eigpair` finds FW's one pair for less.
+pairs of a LAPACK `eigh`, rotated as `canonical_phase` rotates one vector
+but all k columns in one pass; `top_eigpair` finds FW's one pair for less.  `shared_matmul`
+multiplies an AP stack by one shared matrix in a single GEMM, and
+`cholesky_solve` solves many small Hermitian positive definite systems at
+once, each step one vectorised operation over the whole batch.
 """
+
+import math
 
 import numpy as np
 
@@ -36,7 +42,9 @@ def hermitian_eig(a, k):
         raise ArgumentError(f"k={k} out of range for dimension {len(a)}")
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")[:k]
-    return vals[order], np.column_stack([canonical_phase(vecs[:, i]) for i in order])
+    vecs = vecs[:, order]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]  # never 0: the columns are unit vectors
+    return vals[order], vecs * (np.conj(top) / np.abs(top))  # canonical_phase of every column at once
 
 
 def top_eigpair(a):
@@ -64,6 +72,53 @@ def top_eigpair(a):
         vals, vecs = hermitian_eig(a, 1)
         return vals[0], vecs[:, 0]
     return lam, canonical_phase(v)
+
+
+def shared_matmul(a, b):
+    """a @ b for an (..., m, k) stack a and one shared (k, n) matrix b, as one GEMM.
+
+    The stack is folded into its (...*m, k) rows, so BLAS is called once
+    instead of once per matrix; every output entry is the same dot product
+    as in the stacked `a @ b`.
+    """
+    a = np.asarray(a)
+    return (a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+
+
+def cholesky_solve(a, b):
+    """Solve a x = b for Hermitian positive definite a, batched over the trailing axes.
+
+    a is (n, n, ...) and b (n, ...), so a[i, j] and b[i] are arrays over the
+    batch and each step of the factorisation a = L L^H and of the two
+    triangular solves is one vectorised operation on every system at once;
+    returns x (n, ...).  Only the lower triangle and the real part of the
+    diagonal are read, as LAPACK's potrf reads them.  A pivot that is not
+    positive and finite, in any system, raises np.linalg.LinAlgError.
+    """
+    n = len(a)
+    low, inv = {}, []  # L's strict lower triangle by (i, j); 1 / L[j, j] as complex, cast once
+    for j in range(n):
+        d = a[j, j].real
+        for k in range(j):
+            d = d - (low[j, k].real ** 2 + low[j, k].imag ** 2)
+        if not (d.min() > 0 and d.max() < np.inf):  # a NaN fails both
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        inv.append((1.0 / np.sqrt(d)).astype(complex))
+        for i in range(j + 1, n):
+            s = a[i, j]
+            for k in range(j):
+                s = s - low[i, k] * low[j, k].conj()
+            low[i, j] = s * inv[j]
+    x = list(b)
+    for i in range(n):  # L w = b, w kept in x
+        for k in range(i):
+            x[i] = x[i] - low[i, k] * x[k]
+        x[i] = x[i] * inv[i]
+    for i in reversed(range(n)):  # L^H x = w
+        for k in range(i + 1, n):
+            x[i] = x[i] - low[k, i].conj() * x[k]
+        x[i] = x[i] * inv[i]
+    return np.stack(x)
 
 
 PINV_RCOND = 1e-12  # singular values below this times the largest are treated as zero

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, shared_matmul
 from .privacy import CompletionResult, ap_stack, gram_round
 from .protocol import Backhaul, MessageKind
 
@@ -47,7 +47,7 @@ def ap_complete(y, basis, upsample):
     """Project each AP's block onto the broadcast basis and undo the switch undersampling."""
     if basis.shape[0] != y.shape[-1]:
         raise ShapeError(f"basis has {basis.shape[0]} rows, blocks {y.shape[-1]} columns")
-    return upsample * ((y @ basis) @ basis.conj().T)
+    return upsample * shared_matmul(shared_matmul(y, basis), basis.conj().T)
 
 
 def run_svd(y, omega, cfg, seed, net=None):

@@ -413,6 +413,37 @@ def test_sweep_script_names_its_tables_after_the_profile(monkeypatch, tmp_path, 
     assert written == [tmp_path / f"{profile}_epsilon.csv", tmp_path / f"{profile}_tau_d.csv"]
 
 
+def test_sweep_script_runs_each_non_private_method_once_per_epsilon_sweep(monkeypatch, tmp_path):
+    """With run_point stubbed: one call per non-private method on the epsilon axis, one per
+    value for the private ones and for every method on the tau_d axis; every epsilon row is
+    still written, each at its own value."""
+    for var in BLAS_VARS:  # the script sets them on import; restored after the test
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("run_desk_sweeps", REPO / "scripts" / "run_desk_sweeps.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls, tables = [], {}
+
+    def point(exp, method, axis, value, trials, master_seed, beta=None):
+        calls.append((method, axis))
+        return harness.MetricsRecord(method, axis, float(value), 0.5, 0.25, trials, 0, master_seed, 1.0)
+
+    monkeypatch.setattr(harness, "run_point", point)
+    monkeypatch.setattr(script, "emit_csv", lambda records, path: tables.setdefault(path.stem, records))
+    monkeypatch.setattr(sys, "argv", ["run_desk_sweeps.py", "--out-dir", str(tmp_path)])
+    script.main()
+    eps, taus = script.EPS_VALUES, script.TAU_VALUES
+    for method in METHODS:
+        private = METHODS[method].private
+        assert calls.count((method, "epsilon")) == (len(eps) if private else 1), method
+        rows = [r for r in tables["desk_epsilon"] if r.method == method]
+        assert [r.axis_value for r in rows] == list(eps)
+    for method in ("fw", "svd", "po"):
+        assert calls.count((method, "tau_d")) == len(taus)
+    assert len(tables["desk_tau_d"]) == 3 * len(taus)
+
+
 def test_cli_pins_blas_before_numpy_loads():
     """The package root loads no numpy, so importing the CLI can still pin BLAS to one thread."""
     probe = (

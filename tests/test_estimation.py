@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import pilot_only_lmmse
 from privcell.channel import crandn, gen_pilots, make_block
@@ -14,6 +15,7 @@ from privcell.estimation import (
     detect_local,
     estimate_channel,
     nmse,
+    observed_first,
     pilot_only_detect_block,
     pilot_only_ls,
     ser,
@@ -99,6 +101,15 @@ def test_slicer_tie_break():
     assert hard[1] == pytest.approx(s - 1j * s)  # -0.0 counts as >= 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 1.0)])
+def test_slicer_rejects_a_non_finite_soft_value(bad):
+    """A soft value with no quadrant raises rather than slicing to -1-1j."""
+    soft = np.full((2, 3), 0.3 - 0.2j)
+    soft[1, 2] = bad
+    with pytest.raises(MetricUndefinedError):
+        slice_qpsk(soft)
+
+
 def test_ser_counting():
     truth = np.array([[1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]]) / np.sqrt(2)
     assert ser(truth, truth) == 0.0
@@ -180,6 +191,23 @@ def test_lmmse_hand_solve():
     want = np.linalg.solve(f.conj().T @ f + s2 * np.eye(2), f.conj().T @ yv)
     got = pilot_only_lmmse(f, y, omega, s2, t=0, tau_p=1)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    data=st.data(),
+    lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    n_ant=st.integers(1, 6),
+    n_slots=st.integers(1, 5),
+)
+def test_observed_first_is_the_stable_argsort(data, lead, n_ant, n_slots):
+    """Any mask, 0 to N_a observed per slot, N_r from 1 to N_a, leading AP axes."""
+    omega = data.draw(arrays(bool, lead + (n_ant, n_slots)))
+    n_rf = data.draw(st.integers(1, n_ant))
+    want = np.argsort(~omega, axis=-2, kind="stable")[..., :n_rf, :]
+    got = observed_first(omega, n_rf)
+    assert got.shape == (n_rf,) + lead + (n_slots,)
+    np.testing.assert_array_equal(got, np.moveaxis(want, -2, 0))
 
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.3])

@@ -411,6 +411,18 @@ def test_run_point_counts_a_non_finite_aggregate_as_a_failure(toy_exp, monkeypat
     assert caplog.text.count("LinAlgError") == 3
 
 
+@pytest.mark.parametrize("method, target", [("npsvd", "detect_local"), ("po", "pilot_only_ls")])
+def test_run_point_counts_non_finite_detections_as_failures(method, target, monkeypatch):
+    """A NaN soft detection fails its trial instead of slicing to -1-1j: desk at 3 trials.
+    po's NaN channel estimate already fails in the detector's Cholesky."""
+    exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
+    real = getattr(harness.estimation, target)
+    monkeypatch.setattr(harness.estimation, target, lambda *args: real(*args) * np.nan)
+    rec = run_point(exp, method, "epsilon", 1.0, 3, exp.scenario.seed)
+    assert (rec.trials, rec.failures) == (0, 3)
+    assert np.isnan(rec.nmse) and np.isnan(rec.ser)
+
+
 @pytest.mark.parametrize("method", ["fw", "svd"])
 def test_run_point_nan_epsilon_fails_every_trial(toy_exp, method):
     rec = run_point(toy_exp, method, "epsilon", float("nan"), 2, 11)
@@ -481,9 +493,15 @@ def test_run_sweep_unknown_method(toy_exp):
 
 def test_run_sweep_shares_one_draw(toy_exp):
     """Every sweep point draws the same geometry, so the non-private
-    methods give the same numbers at every epsilon."""
-    recs = run_sweep(with_overrides(toy_exp, method="npsvd", values=(0.5, 5.0)))
-    assert recs[0].nmse == recs[1].nmse
+    methods give the same numbers at every epsilon, and run_sweep writes
+    its one point's record at each of them."""
+    for method in ("npfw", "npsvd", "po"):
+        a, b = (run_point(toy_exp, method, "epsilon", eps, 3, 5) for eps in (0.5, 5.0))
+        assert (a.nmse, a.ser, a.extras) == (b.nmse, b.ser, b.extras)
+        recs = run_sweep(with_overrides(toy_exp, method=method, values=(0.5, 5.0), seed=5))
+        assert [r.axis_value for r in recs] == [0.5, 5.0]
+        for rec in recs:
+            assert (rec.nmse, rec.ser, rec.trials, rec.failures) == (a.nmse, a.ser, a.trials, a.failures)
 
 
 @pytest.mark.parametrize("trials", [0, -1])

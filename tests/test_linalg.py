@@ -1,16 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privcell import linalg
+from privcell.config import load_experiment
 from privcell.errors import ArgumentError, ShapeError
 from privcell.linalg import (
     canonical_phase,
+    cholesky_solve,
     frob_norm,
     hermitian_eig,
     observed_norms,
     pinv,
+    shared_matmul,
     top_eigpair,
 )
 from privcell.privacy import gram_round
@@ -39,6 +44,19 @@ def test_canonical_phase_largest_entry_real_positive(rng):
 def test_canonical_phase_zero_vector():
     v = np.zeros(3, dtype=complex)
     assert np.array_equal(canonical_phase(v), v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 164), k=st.integers(1, 164), seed=st.integers(0, 2**32 - 1))
+def test_hermitian_eig_rotates_every_column_as_canonical_phase_does(n, k, seed):
+    """The one-pass rotation of the k kept eigenvectors equals canonical_phase applied to
+    each column alone, byte for byte."""
+    k = min(k, n)
+    a = random_hermitian(n, np.random.default_rng(seed))
+    vals, vecs = np.linalg.eigh(a)
+    order = np.argsort(-vals, kind="stable")[:k]
+    want = np.column_stack([canonical_phase(vecs[:, i]) for i in order])
+    assert hermitian_eig(a, k)[1].tobytes() == want.tobytes()
 
 
 def test_eig_identity():
@@ -78,6 +96,104 @@ def test_eig_k_out_of_range():
 def test_eig_rejects_nonsquare():
     with pytest.raises(ShapeError):
         hermitian_eig(np.zeros((2, 3)), 1)
+
+
+# ---------------------------------------------------------------- shared matrix products
+
+
+def call_site_shapes():
+    """(stack shape, matrix shape) of each shared_matmul call on the desk and m100_k25 profiles."""
+    root = Path(__file__).resolve().parent.parent / "configs"
+    out = []
+    for profile in ("desk", "m100_k25"):
+        s = load_experiment(root / f"{profile}.yaml").scenario
+        m, n_a, k, tau_c = s.M, s.N_a, s.K, s.tau_c
+        out += [
+            pytest.param((m, n_a, k), (k, s.tau_p), id=f"{profile}-transmit-pilots"),
+            pytest.param((m, n_a, k), (k, s.tau_d), id=f"{profile}-transmit-payload"),
+            pytest.param((m, n_a, tau_c), (s.tau_p, k), id=f"{profile}-pilot_only_ls"),
+            pytest.param((m, n_a, tau_c), (s.tau_p, k), id=f"{profile}-estimate_channel"),
+            pytest.param((m, n_a, tau_c), (tau_c, k), id=f"{profile}-ap_complete-project"),
+            pytest.param((m, n_a, k), (k, tau_c), id=f"{profile}-ap_complete-expand"),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("a_shape, b_shape", call_site_shapes())
+def test_shared_matmul_equals_the_stacked_product(a_shape, b_shape, rng):
+    """One GEMM over the folded rows gives the stacked a @ b byte for byte.  Both pilot
+    products read the leading tau_p columns of an (M, N_a, tau_c) block, a strided view."""
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    if a_shape[-1] != b_shape[0]:
+        a = a[..., : b_shape[0]]
+    b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
+    got = shared_matmul(a, b)
+    assert got.shape == (*a.shape[:-1], b_shape[1])
+    assert got.tobytes() == (a @ b).tobytes()
+
+
+# ---------------------------------------------------------------- batched Cholesky
+
+
+def hpd_stack(n, cond, batch, rng):
+    """Hermitian positive definite (..., n, n) matrices with eigenvalues from 1 down to 1/cond."""
+    q = np.linalg.qr(rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n)))[0]
+    return (q * np.geomspace(1.0, 1.0 / cond, n)) @ np.swapaxes(q.conj(), -1, -2)
+
+
+def trailing(a):
+    """(..., n, n) -> (n, n, ...): the batch in the trailing axes, as cholesky_solve takes it."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 8),
+    log_cond=st.floats(0.0, 12.0),
+    batch=st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=8, log_cond=12.0, batch=(3,), seed=0)
+@example(n=1, log_cond=0.0, batch=(), seed=1)
+def test_cholesky_solve_matches_lapack_solve(n, log_cond, batch, seed):
+    """Every system of the batch agrees with np.linalg.solve to 8 n eps cond, relative."""
+    rng = np.random.default_rng(seed)
+    cond = 10.0**log_cond
+    a = hpd_stack(n, cond, batch, rng)
+    b = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
+    want = np.linalg.solve(a, b[..., None])[..., 0]
+    got = np.moveaxis(cholesky_solve(trailing(a), np.moveaxis(b, -1, 0)), 0, -1)
+    assert got.shape == want.shape
+    err = np.linalg.norm(got - want, axis=-1)
+    assert np.all(err <= 8 * n * EPS * cond * np.linalg.norm(want, axis=-1))
+
+
+def test_cholesky_solve_reads_the_lower_triangle(rng):
+    a = hpd_stack(3, 10.0, (4,), rng)
+    b = rng.standard_normal((3, 4)) + 0j
+    upper = np.triu(np.ones((3, 3), dtype=bool), 1)
+    junk = np.where(upper, 7.0 - 3.0j, a)  # upper triangle overwritten
+    assert cholesky_solve(trailing(junk), b).tobytes() == cholesky_solve(trailing(a), b).tobytes()
+
+
+@pytest.mark.parametrize("where", [(0, 0), (1, 0), (2, 2)], ids=["pivot", "below", "last-pivot"])
+def test_cholesky_solve_rejects_a_nan_entry(where, rng):
+    """A NaN in any system's lower triangle reaches a pivot and raises, however many systems
+    are fine."""
+    a = hpd_stack(3, 10.0, (5,), rng)
+    a[2][where] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky_solve(trailing(a), np.ones((3, 5), dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.diag([1.0, -1.0]), np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([np.inf, 1.0])],
+    ids=["indefinite", "zero", "indefinite-offdiagonal", "infinite-pivot"],
+)
+def test_cholesky_solve_rejects_a_matrix_that_is_not_positive_definite(bad):
+    a = np.stack([np.eye(2), bad, np.eye(2)]).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky_solve(trailing(a), np.ones((2, 3), dtype=complex))
 
 
 def test_pinv_identity():

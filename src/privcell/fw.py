@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
-from .linalg import observed_norms, top_eigpair
+from .linalg import observed_index, observed_norms, top_eigpair
 from .privacy import CompletionResult, ap_stack, gram_round
 from .protocol import Backhaul, MessageKind
 
@@ -80,19 +80,20 @@ def cpu_aggregate_eig(w, noise_scale, n_aps):
     return v_top, lam_lifted
 
 
-def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega, out=None):
+def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega, out=None, index=None):
     """Every AP's local FW step against the broadcast direction, then clip.
 
     An AP whose observed-entry norm exceeds cfg.clip_bound has its whole
     block scaled onto the bound.  Returns (x_new, norms after clip,
     clipped), x_new written into out (which may be x) when it is given.
+    index is `linalg.observed_index(omega)`, taken anew when not given.
     """
     if lam_lifted == 0.0:
         raise DegenerateStepError("lifted top value is exactly zero")
     step = (j @ v_top)[..., None] * v_top.conj()
     x_new = np.multiply(1.0 - eta, x, out=out)
     x_new -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
-    norms = observed_norms(x_new, omega)
+    norms = observed_norms(x_new, omega, index)
     clipped = ~(norms <= cfg.clip_bound)  # a NaN norm counts as over the bound
     for m in np.flatnonzero(clipped):
         x_new[m] *= cfg.clip_bound / norms[m]
@@ -119,6 +120,7 @@ def run_fw(y, omega, cfg, seed, net=None):
     lam_path = np.empty(cfg.iterations)
     masked_norms = np.empty((cfg.iterations, n_aps))
     clip_events = 0
+    index = observed_index(omega)
     for n in range(1, cfg.iterations + 1):
         j = ap_residual(x, y, omega)
         v_top, lam_lifted = gram_round(
@@ -126,7 +128,9 @@ def run_fw(y, omega, cfg, seed, net=None):
             lambda w: cpu_aggregate_eig(w, cfg.noise_scale, n_aps), tail=(n,),
         )
         eta = step_size(n, cfg.iterations)
-        x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, omega, out=x)
+        x, masked_norms[n - 1], clipped = ap_update(
+            x, j, v_top, lam_lifted, eta, cfg, omega, out=x, index=index
+        )
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
     return CompletionResult(

@@ -78,12 +78,22 @@ def draw_beta(scenario, master_seed):
 
 
 def prepare(scenario, run, beta):
-    """Rescale the gains to unit median; fix pilots and the derived bounds for one sweep point."""
+    """Rescale the gains to unit median; fix pilots and the derived bounds for one sweep point.
+
+    A ConfigError unless the rescaled gains and noise power are finite, which needs finite
+    gains with a positive median: a path loss outside float range overflows or underflows.
+    """
     beta = np.asarray(beta, dtype=float)
     med = float(np.median(beta))
-    scale = 1.0 / med if med > 0 else 1.0
+    scale = 1.0 / med if 0 < med < math.inf else math.nan  # NaN fails the check below without a warning
     beta = beta * scale
     sigma2 = scenario.sigma2 * scale
+    if not (np.isfinite(beta).all() and math.isfinite(sigma2)):
+        raise ConfigError(
+            "link gains must be finite with a positive median and the rescaled noise power finite, "
+            f"got median gain {med!r}: the path loss (pl_a, pl_b, sigma_sh_db) or sigma2 "
+            "is outside float range"
+        )
     clip = run.clip_bound * np.sqrt(scale) if run.clip_bound else frob_bound(
         beta, scenario.K, scenario.N_a, scenario.tau_c, sigma2
     )

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ArgumentError, ShapeError
 
+EPS = np.finfo(float).eps
+
 
 def canonical_phase(v):
     """Rotate v so its largest-magnitude entry is real and positive."""
@@ -60,18 +62,26 @@ def top_eigpair(a):
     if not np.isfinite(a).all():  # eigvalsh would skip a NaN it sorts below the top
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     n, vals = len(a), np.linalg.eigvalsh(a)
-    lam, tol = vals[-1], 8 * n * np.finfo(float).eps * max(-vals[0], vals[-1])
-    shifted = a - (lam + tol) * np.eye(n)
+    lam, tol = vals[-1], 8 * n * EPS * max(-vals[0], vals[-1])
+    sigma = lam + tol
+    shifted = a - 0.0 * sigma  # a copy, its zeros signed as in the dense a - sigma * eye(n)
+    shifted.reshape(-1)[:: n + 1] -= sigma
     try:
         v = np.linalg.solve(shifted, np.ones(n))
-        v = np.linalg.solve(shifted, v / np.linalg.norm(v))
-        v /= np.linalg.norm(v)
+        v = np.linalg.solve(shifted, v / _norm(v))
+        v /= _norm(v)
     except np.linalg.LinAlgError:  # a - sigma*I is singular, as when a = 0
         v = np.full(n, np.nan)
-    if not np.linalg.norm(a @ v - lam * v) <= tol:
+    if not _norm(a @ v - lam * v) <= tol:
         vals, vecs = hermitian_eig(a, 1)
         return vals[0], vecs[:, 0]
     return lam, canonical_phase(v)
+
+
+def _norm(v):
+    """np.linalg.norm of a complex vector, without its wrapper: the same two dots and sqrt."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def shared_matmul(a, b):
@@ -136,10 +146,27 @@ def frob_norm(a):
     return float(np.linalg.norm(a))
 
 
-def observed_norms(x, omega):
-    """Per-AP Frobenius norm over the observed entries of an (M, N_a, tau_c) stack, as `np.linalg.norm`."""
+def observed_index(omega):
+    """(flat C-order indices of the observed entries, per-AP counts) of an (M, N_a, tau_c) mask."""
+    return np.flatnonzero(omega), omega.sum(axis=(1, 2)).tolist()
+
+
+def observed_norms(x, omega, index=None):
+    """Per-AP Frobenius norm over the observed entries of an (M, N_a, tau_c) stack, as `np.linalg.norm`.
+
+    index is `observed_index(omega)`, taken here when not given.  When every
+    AP observes the same count L, as under any switch mask, the gathered
+    entries form an (M, L) matrix and each AP's sums of squares are batched
+    (1, L) @ (L, 1) dots, the dots `np.linalg.norm` takes; otherwise the
+    gather is split at each AP's count.
+    """
     if x.shape != omega.shape:
         raise ShapeError(f"mask shape {omega.shape} does not match {x.shape}")
-    v, ends = x[omega], np.cumsum(omega.sum(axis=(1, 2))).tolist()
-    re, im = v.real, v.imag
-    return np.sqrt([re[a:b].dot(re[a:b]) + im[a:b].dot(im[a:b]) for a, b in zip([0, *ends], ends)])
+    flat, counts = observed_index(omega) if index is None else index
+    v = x.reshape(-1).take(flat)
+    if counts and min(counts) == max(counts):
+        v = v.reshape(len(counts), counts[0])
+        re, im = v.real, v.imag
+        return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).reshape(-1))
+    ends = np.cumsum(counts).tolist()
+    return np.array([_norm(v[a:b]) for a, b in zip([0, *ends], ends)])

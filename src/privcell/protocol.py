@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,12 +67,13 @@ def is_ap(name):
     return isinstance(name, str) and name.startswith("ap") and name[2:].isdecimal()
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """Metadata of one sent message; the payload itself is not kept.
 
-    shape and hermitian are what `send_aps` saw of an AP payload.  Their
-    defaults fail the audit, so a record not made by it cannot pass it.
+    A named tuple, so a record is immutable and cheap to make: a round
+    records M + 1 of them.  shape and hermitian are what `send_aps` saw of
+    an AP payload.  Their defaults fail the audit, so a record not made by
+    it cannot pass it.
     """
 
     kind: MessageKind

@@ -8,6 +8,7 @@ between the two routes is evidence and not tautology.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,3 +111,99 @@ def switch_mask(rng, shape, n_rf):
     omega = np.zeros(shape, dtype=bool)
     np.put_along_axis(omega, sel, True, axis=1)
     return omega
+
+
+@dataclass(frozen=True)
+class FrozenMessage:
+    """The backhaul record as a frozen dataclass, the form the tuple records replaced."""
+
+    kind: object
+    sender: str
+    receiver: str
+    round_index: int
+    nbytes: int
+    shape: tuple = ()
+    hermitian: bool = False
+
+
+def _top_pair_dense_shift(a):
+    """Top eigenpair of an exactly Hermitian matrix, the shift formed as a - sigma * eye(n).
+
+    eigvalsh's value; the vector from two inverse-iteration solves from an
+    all-ones start, kept if its residual is within 8 n eps |a|, else eigh's
+    top pair; every vector norm by np.linalg.norm.
+    """
+    n, vals = len(a), np.linalg.eigvalsh(a)
+    lam, tol = vals[-1], 8 * n * np.finfo(float).eps * max(-vals[0], vals[-1])
+    shifted = a - (lam + tol) * np.eye(n)
+    try:
+        v = np.linalg.solve(shifted, np.ones(n))
+        v = np.linalg.solve(shifted, v / np.linalg.norm(v))
+        v /= np.linalg.norm(v)
+    except np.linalg.LinAlgError:
+        v = np.full(n, np.nan)
+    if not np.linalg.norm(a @ v - lam * v) <= tol:
+        vals, vecs = np.linalg.eigh(a)
+        top = int(np.argsort(-vals, kind="stable")[0])
+        lam, v = vals[top], vecs[:, top]
+    i = int(np.argmax(np.abs(v)))
+    return lam, v * (np.conj(v[i]) / np.abs(v[i]))
+
+
+def straight_line_fw(y, omega, iterations, nuclear_bound, clip_bound, noise_scale, entropy):
+    """The distributed FW round written out step by step, on (M, N_a, tau_c) stacks.
+
+    Per round: the masked residual, the packed Hermitian sum of the APs'
+    Grams plus one packed noise draw at noise_scale * sqrt(M) from
+    SeedSequence([*entropy, n]), M release records and one broadcast record
+    (`FrozenMessage`), the top eigenpair of the unpacked sum with a dense
+    shift, the rank-one step, and the clip of each AP by its own
+    np.linalg.norm over its observed entries.  Returns (x_hat, masked_norms,
+    lam_path, clip_events, transcript).
+    """
+    n_aps, _, tau_c = y.shape
+    upper = np.flatnonzero(np.triu(np.ones((tau_c, tau_c), dtype=bool), k=1))
+    lower = (upper % tau_c) * tau_c + upper // tau_c
+    n_off = upper.size
+    x = np.zeros_like(y)
+    masked_norms, lam_path, clip_events, transcript = np.empty((iterations, n_aps)), [], 0, []
+    for n in range(1, iterations + 1):
+        j = np.where(omega, x, 0.0)
+        j -= y
+        jj = j.reshape(-1, tau_c)
+        g = (jj.conj().T @ jj).reshape(-1)
+        w = np.empty(tau_c * tau_c)
+        w[:n_off] = g[upper].real + g[lower].real
+        w[n_off : 2 * n_off] = g[upper].imag - g[lower].imag
+        w[2 * n_off :] = g[:: tau_c + 1].real + g[:: tau_c + 1].real
+        w *= 0.5
+        if noise_scale != 0.0:
+            z = np.random.default_rng(np.random.SeedSequence([*entropy, n])).standard_normal(tau_c * tau_c)
+            scale = noise_scale * math.sqrt(n_aps)
+            z[: 2 * n_off] *= scale / math.sqrt(2.0)  # real and imaginary parts of the upper triangle
+            z[2 * n_off :] *= scale
+            w += z
+        transcript += [
+            FrozenMessage("GramRelease", f"ap{m}", "cpu", n, 8 * w.size, w.shape, True) for m in range(n_aps)
+        ]
+        h = np.zeros((tau_c, tau_c), dtype=complex)
+        re, im = h.reshape(-1).real, h.reshape(-1).imag
+        re[upper] = re[lower] = w[:n_off]
+        im[upper], im[lower] = w[n_off : 2 * n_off], np.subtract(0.0, w[n_off : 2 * n_off])
+        re[:: tau_c + 1] = w[2 * n_off :]
+        value, v = _top_pair_dense_shift(h)
+        lam = math.sqrt(max(value, 0.0)) + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
+        transcript.append(FrozenMessage("EigBroadcast", "cpu", "all-aps", n, 16 * tau_c + 8))
+        eta = 1.0 if n == 1 else 1.0 / iterations
+        step = (j @ v)[..., None] * v.conj()
+        x = (1.0 - eta) * x
+        x -= (eta * nuclear_bound / lam) * step
+        for m in range(n_aps):
+            norm = np.linalg.norm(x[m][omega[m]])
+            if not norm <= clip_bound:
+                x[m] *= clip_bound / norm
+                norm = np.linalg.norm(x[m][omega[m]])
+                clip_events += 1
+            masked_norms[n - 1, m] = norm
+        lam_path.append(lam)
+    return x, masked_norms, np.array(lam_path), clip_events, transcript

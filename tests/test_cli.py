@@ -235,6 +235,21 @@ def test_non_numeric_float_field_exits_2(tmp_path, capsys, line, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["fw", "svd", "po"])
+@pytest.mark.parametrize("pl_a, why", [(-4000, "median gain inf"), (4000, "median gain 0.0")])
+def test_gains_that_overflow_or_underflow_exit_2(tmp_path, capsys, method, pl_a, why):
+    """pl_a = -4000 makes every gain 10^(-loss/10) overflow to inf and pl_a = 4000 makes it 0:
+    no trial can run, so the run is refused before any CSV is written."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(TOY + f"pl_a: {pl_a}\n")
+    out = tmp_path / "o.csv"
+    rc = cli.main(["simulate", "--config", str(cfg), "--method", method, "--values", "1", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "link gains must be finite with a positive median" in err and why in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["values: 1", "values: abc", "values: {a: 1}"])
 def test_scalar_values_in_yaml_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.yaml"

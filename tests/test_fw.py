@@ -1,9 +1,15 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import centralized_fw
+from oracles import centralized_fw, straight_line_fw
 from support import RecordingBackhaul, kind_count, recorded_iterates
 from test_privacy import ref_round
+from privcell import harness
+from privcell.channel import make_block
+from privcell.config import load_experiment
 from privcell.errors import ArgumentError, DegenerateStepError, ShapeError
 from privcell.fw import (
     FwConfig,
@@ -320,6 +326,42 @@ def test_transcript_after_batched_run():
                 assert not np.shares_memory(pa, pb)
     np.testing.assert_array_equal(y, y_in)
     np.testing.assert_array_equal(omega, omega_in)
+
+
+DESK = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
+
+
+@pytest.mark.parametrize(
+    "method, tau_d, clip_bound",
+    [("fw", 20, None), ("fw", 56, None), ("fw", 160, None), ("npfw", 56, None), ("fw", 56, 1.0)],
+    ids=["fw-24", "fw-60", "fw-164", "npfw-60", "fw-60-clipped"],
+)
+def test_run_is_bitwise_the_straight_line_round(method, tau_d, clip_bound):
+    """On desk blocks (tau_c 24, 60 and 164 for fw, 60 for npfw's 200 rounds), run_fw's
+    x_hat, masked_norms, lam_path, clip_events and transcript records are those of
+    `oracles.straight_line_fw`, the round with a dense eigen shift, one np.linalg.norm
+    per AP and frozen-dataclass records, byte for byte.  The desk clip bound is far
+    above fw's iterates, so one case clips at 1.0, below them."""
+    scen = dataclasses.replace(DESK.scenario, tau_d=tau_d)
+    prep = harness.prepare(scen, DESK.run, harness.draw_beta(scen, scen.seed))
+    block = make_block(scen, prep.beta, prep.pilots, scen.seed, 3, prep.sigma2)
+    cfg = harness.completion_config(method, prep, scen, DESK.run, DESK.run.eps)
+    if clip_bound is not None:
+        cfg = dataclasses.replace(cfg, clip_bound=clip_bound)
+    entropy = (scen.seed, 1, 3)
+    net = Backhaul()
+    res = run_fw(block.Y, block.omega, cfg, entropy, net=net)
+    x, norms, lams, clips, records = straight_line_fw(
+        block.Y, block.omega, cfg.iterations, cfg.nuclear_bound, cfg.clip_bound, cfg.noise_scale, entropy
+    )
+    assert res.x_hat.tobytes() == x.tobytes()
+    assert res.masked_norms.tobytes() == norms.tobytes()
+    assert res.lam_path.tobytes() == lams.tobytes()
+    assert res.clip_events == clips
+    assert clips > 0 or clip_bound is None
+    fields = [f.name for f in dataclasses.fields(records[0])]  # kind first, as its .value
+    got = [(m.kind.value, *(getattr(m, f) for f in fields[1:])) for m in net.transcript]
+    assert got == [dataclasses.astuple(r) for r in records]
 
 
 def test_run_deterministic():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privcell import linalg
+from privcell.channel import sample_switch
 from privcell.config import load_experiment
 from privcell.errors import ArgumentError, ShapeError
 from privcell.linalg import (
@@ -13,6 +14,7 @@ from privcell.linalg import (
     cholesky_solve,
     frob_norm,
     hermitian_eig,
+    observed_index,
     observed_norms,
     pinv,
     shared_matmul,
@@ -249,6 +251,23 @@ def test_observed_norms_split_by_ap_counts(rng):
     got = observed_norms(a, mask)
     assert got[0] == got[3] == 0.0
     assert got.tolist() == [np.linalg.norm(a[m][mask[m]]) for m in range(6)]
+
+
+@pytest.mark.parametrize("profile", ["desk", "m100_k25"])
+def test_observed_norms_on_switch_masks_equal_per_ap_norms(profile, rng):
+    """Under a switch mask every AP observes N_r * tau_c entries, so the norms take the
+    batched (M, L) path; each equals that AP's np.linalg.norm, bit for bit, with the
+    index taken inside or passed in as FW passes it."""
+    s = load_experiment(Path(__file__).resolve().parent.parent / "configs" / f"{profile}.yaml").scenario
+    shape = (s.M, s.N_a, s.tau_c)
+    _, omega = sample_switch(np.zeros(shape), s, rng)
+    flat, counts = observed_index(omega)
+    assert counts == [s.N_r * s.tau_c] * s.M
+    np.testing.assert_array_equal(flat, np.flatnonzero(omega))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.array([np.linalg.norm(x[m][omega[m]]) for m in range(s.M)])
+    assert observed_norms(x, omega).tobytes() == want.tobytes()
+    assert observed_norms(x, omega, (flat, counts)).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- top eigenpair

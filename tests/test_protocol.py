@@ -142,6 +142,22 @@ def test_send_records_metadata_only():
     assert not hasattr(gram, "payload")
 
 
+def test_message_records_are_immutable_and_compare_by_value():
+    """A record cannot be edited after it is made, and two records are equal when every field is."""
+    net = Backhaul()
+    (msg,) = net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3)])
+    with pytest.raises(AttributeError):
+        msg.hermitian = False
+    with pytest.raises(AttributeError):
+        msg.nbytes = 0
+    assert net.transcript[0].hermitian is True
+    assert msg == Message(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, 9 * 8, (9,), True)
+    assert msg != Message(MessageKind.GRAM_RELEASE, "ap0", CPU, 2, 9 * 8, (9,), True)
+    other = Backhaul()
+    other.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3, seed=1)])
+    assert other.transcript == net.transcript
+
+
 def test_audit_passes_on_clean_transcript():
     net = Backhaul()
     net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(5)])

@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent revision against the working tree.
 
-    python3 scripts/bench_pairs.py --tag pr20 --workloads desk-npfw desk-fw-tau \\
-        --seeds 1 2 3 4 5 6 [--rev HEAD] [--seconds 20] [--out BENCH_pr20.json]
+    python3 scripts/bench_pairs.py --tag pr20 --rev HEAD~1 --workloads desk-npfw desk-fw-tau \\
+        --seeds 1 2 3 4 5 6 [--out BENCH_pr20.json]
 
 The parent is `git archive <rev>` unpacked into a temporary directory; the
-change is the working tree this script sits in.  For each workload and
-seed, `perfbench/run.py --workload W --seed N --seconds S --trace 0` runs
-once in each directory, one after the other; which side runs first swaps
-at each seed, so neither side always meets the warmer or the quieter
-machine.  A run's result is the JSON object on its last stdout line.
+change is the working tree this script sits in, and a rev whose tree is the
+working tree's is refused, since the run would compare the change with
+itself.  For each workload and seed, `perfbench/run.py --workload W --seed N
+--trace 0` runs once in each directory, for the benchmark's own run_seconds,
+one after the other; which side runs first swaps at each seed, so neither
+side always meets the warmer or the quieter machine.  A run's result is the
+JSON object on its last stdout line.
 
 The output holds one record per run under "pairs" (workload, seed, side,
 ran_first, correct, attempted, failed, the end-to-end metric values and
 the run's output_digest) and, under "summary", each workload's median,
 q1, q3 and n of every metric for each side (quartiles by
 `statistics.quantiles`, exclusive method), plus, for trials_per_s, the
-number of seeds at which the change beat the parent.  Nothing under
+number of seeds at which the change beat the parent with the same outputs.
+Nothing under
 perfbench/ is changed; a side whose run fails is recorded as it came.
 """
 
@@ -74,8 +77,9 @@ def spread(values):
 def summarise(pairs):
     """Per workload and metric, each side's spread; for WIN_METRIC also the change's wins.
 
-    A win is a seed at which both sides ran and the change's value is the
-    higher one; a tie is not a win.
+    A win is a seed at which both sides ran, the change's run is correct,
+    fails no more trials than the parent's, gives the parent's output_digest,
+    and has the higher value; a tie is not a win.
     """
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
@@ -92,20 +96,34 @@ def summarise(pairs):
                 by_seed = {}
                 for p in runs:
                     if name in p["metrics"]:
-                        by_seed.setdefault(p["seed"], {})[p["side"]] = p["metrics"][name]
-                entry["change_wins"] = sum(
-                    1 for v in by_seed.values() if len(v) == 2 and v["change"] > v["parent"]
-                )
+                        by_seed.setdefault(p["seed"], {})[p["side"]] = p
+                entry["change_wins"] = sum(1 for v in by_seed.values() if len(v) == 2 and _won(v, name))
             summary[workload][name] = entry
     return summary
 
 
+def _won(sides, name):
+    """Whether the change's run at one seed beats the parent's on metric name, outputs unchanged."""
+    parent, change = sides["parent"], sides["change"]
+    return (
+        change["correct"]
+        and change["failed"] <= parent["failed"]
+        and change["output_digest"] == parent["output_digest"]
+        and change["metrics"][name] > parent["metrics"][name]
+    )
+
+
 def unpack_parent(rev, dest):
-    """Write the tree of git revision rev into dest; returns rev's full sha."""
+    """Write the tree of git revision rev into dest; returns rev's full sha.
+
+    Raises ValueError when rev's tracked files are the working tree's.
+    """
     sha = subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
         check=True, capture_output=True, text=True,
     ).stdout.strip()
+    if subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", sha]).returncode == 0:
+        raise ValueError(f"{rev} has the working tree's files: nothing to compare (is the change committed?)")
     tar = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", sha], check=True, capture_output=True
     ).stdout
@@ -117,10 +135,9 @@ def unpack_parent(rev, dest):
     return sha
 
 
-def run_side(directory, workload, seed, seconds):
+def run_side(directory, workload, seed):
     """One perfbench/run.py run in directory; returns (result, digest), or an incorrect result on failure."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
     try:
         return parse_run(proc.stdout)
@@ -132,29 +149,32 @@ def run_side(directory, workload, seed, seconds):
 def main(argv=None):
     p = argparse.ArgumentParser(prog="scripts/bench_pairs.py", description=__doc__.split("\n\n")[0])
     p.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
-    p.add_argument("--rev", default="HEAD", help="parent git revision (default HEAD)")
+    p.add_argument("--rev", required=True, help="parent git revision, e.g. HEAD~1 once the change is committed")
     p.add_argument("--workloads", nargs="+", required=True)
     p.add_argument("--seeds", nargs="+", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=20.0, help="timed seconds per run")
     p.add_argument("--out", help="output path (default BENCH_<tag>.json in the repository root)")
     args = p.parse_args(argv)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.tag}.json"
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        sha = unpack_parent(args.rev, tmp)
+        try:
+            sha = unpack_parent(args.rev, tmp)
+        except ValueError as err:
+            p.error(str(err))
         dirs = {"parent": tmp, "change": str(ROOT)}
         for workload in args.workloads:
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, digest = run_side(dirs[side], workload, seed, args.seconds)
+                    result, digest = run_side(dirs[side], workload, seed)
                     pairs.append(pair_record(workload, seed, side, side == order[0], result, digest))
                     rate = pairs[-1]["metrics"].get(WIN_METRIC)
                     print(f"{workload} seed {seed} {side}: {WIN_METRIC} {rate} digest {digest}", flush=True)
     record = {
         "tag": args.tag,
         "parent": sha,
-        "how": f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0, "
+        "how": f"python3 perfbench/run.py --workload W --seed N --trace 0 (run_seconds {run_seconds:g}), "
         "parent (git archive of the parent revision) and change (working tree) in alternating order "
         "per seed; metrics are the run's last stdout line",
         "host": f"{platform.machine()} {platform.processor() or ''}, Python {platform.python_version()}, "

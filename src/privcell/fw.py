@@ -80,24 +80,24 @@ def cpu_aggregate_eig(w, noise_scale, n_aps):
     return v_top, lam_lifted
 
 
-def ap_update(x, j, v_top, lam_lifted, eta, cfg, omega, out=None, index=None):
+def ap_update(x, j, v_top, lam_lifted, eta, cfg, index, out=None):
     """Every AP's local FW step against the broadcast direction, then clip.
 
     An AP whose observed-entry norm exceeds cfg.clip_bound has its whole
     block scaled onto the bound.  Returns (x_new, norms after clip,
     clipped), x_new written into out (which may be x) when it is given.
-    index is `linalg.observed_index(omega)`, taken anew when not given.
+    index is `linalg.observed_index(omega)`.
     """
     if lam_lifted == 0.0:
         raise DegenerateStepError("lifted top value is exactly zero")
     step = (j @ v_top)[..., None] * v_top.conj()
     x_new = np.multiply(1.0 - eta, x, out=out)
     x_new -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
-    norms = observed_norms(x_new, omega, index)
+    norms = observed_norms(x_new, index)
     clipped = ~(norms <= cfg.clip_bound)  # a NaN norm counts as over the bound
     for m in np.flatnonzero(clipped):
         x_new[m] *= cfg.clip_bound / norms[m]
-        norms[m] = np.linalg.norm(x_new[m][omega[m]])
+        norms[m] = np.linalg.norm(x_new[m][index.mask[m]])
     return x_new, norms, clipped
 
 
@@ -128,9 +128,7 @@ def run_fw(y, omega, cfg, seed, net=None):
             lambda w: cpu_aggregate_eig(w, cfg.noise_scale, n_aps), tail=(n,),
         )
         eta = step_size(n, cfg.iterations)
-        x, masked_norms[n - 1], clipped = ap_update(
-            x, j, v_top, lam_lifted, eta, cfg, omega, out=x, index=index
-        )
+        x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, index, out=x)
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
     return CompletionResult(

@@ -9,6 +9,7 @@ once, each step one vectorised operation over the whole batch.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +65,8 @@ def top_eigpair(a):
     n, vals = len(a), np.linalg.eigvalsh(a)
     lam, tol = vals[-1], 8 * n * EPS * max(-vals[0], vals[-1])
     sigma = lam + tol
-    shifted = a - 0.0 * sigma  # a copy, its zeros signed as in the dense a - sigma * eye(n)
+    # a C-ordered copy, so reshape gives a view of it; its zeros signed as in a - sigma * eye(n)
+    shifted = np.subtract(a, 0.0 * sigma, order="C")
     shifted.reshape(-1)[:: n + 1] -= sigma
     try:
         v = np.linalg.solve(shifted, np.ones(n))
@@ -146,23 +148,30 @@ def frob_norm(a):
     return float(np.linalg.norm(a))
 
 
+class ObservedIndex(NamedTuple):
+    """An (M, N_a, tau_c) mask with the flat C-order indices of its observed entries and per-AP counts."""
+
+    mask: np.ndarray
+    flat: np.ndarray
+    counts: list
+
+
 def observed_index(omega):
-    """(flat C-order indices of the observed entries, per-AP counts) of an (M, N_a, tau_c) mask."""
-    return np.flatnonzero(omega), omega.sum(axis=(1, 2)).tolist()
+    """The `ObservedIndex` of a mask, taken once by a caller that keeps the mask."""
+    return ObservedIndex(omega, np.flatnonzero(omega), omega.sum(axis=(1, 2)).tolist())
 
 
-def observed_norms(x, omega, index=None):
+def observed_norms(x, index):
     """Per-AP Frobenius norm over the observed entries of an (M, N_a, tau_c) stack, as `np.linalg.norm`.
 
-    index is `observed_index(omega)`, taken here when not given.  When every
-    AP observes the same count L, as under any switch mask, the gathered
-    entries form an (M, L) matrix and each AP's sums of squares are batched
-    (1, L) @ (L, 1) dots, the dots `np.linalg.norm` takes; otherwise the
-    gather is split at each AP's count.
+    index is `observed_index(omega)`.  When every AP observes the same count
+    L, as under any switch mask, the gathered entries form an (M, L) matrix
+    and each AP's sums of squares are batched (1, L) @ (L, 1) dots, the dots
+    `np.linalg.norm` takes; otherwise the gather is split at each AP's count.
     """
+    omega, flat, counts = index
     if x.shape != omega.shape:
         raise ShapeError(f"mask shape {omega.shape} does not match {x.shape}")
-    flat, counts = observed_index(omega) if index is None else index
     v = x.reshape(-1).take(flat)
     if counts and min(counts) == max(counts):
         v = v.reshape(len(counts), counts[0])

@@ -126,25 +126,8 @@ def pack_hermitian(h):
     return p
 
 
-@functools.lru_cache(maxsize=16)
-def _unpack_sources(dim):
-    """Where `unpack_hermitian` takes each float of a dim x dim complex matrix from.
-
-    The matrix's floats, real and imaginary parts interleaved, index the
-    source [packed vector, 0.0 - its imaginary parts, 0.0].
-    """
-    upper, lower = _hermitian_slots(dim)
-    n_off, size = upper.size, dim * dim
-    src = np.full((size, 2), size + n_off)  # the trailing 0.0
-    src[upper, 0] = src[lower, 0] = np.arange(n_off)
-    src[upper, 1] = np.arange(n_off, 2 * n_off)
-    src[lower, 1] = np.arange(size, size + n_off)
-    src[:: dim + 1, 0] = np.arange(2 * n_off, size)
-    return src.reshape(-1)
-
-
 def unpack_hermitian(p):
-    """The exactly Hermitian matrix of a packed release p, by one gather.
+    """The exactly Hermitian matrix of a packed release p.
 
     The lower triangle's imaginary parts are 0.0 - upper (so a zero is
     +0.0) and the diagonal's imaginary parts are +0.0.
@@ -152,9 +135,13 @@ def unpack_hermitian(p):
     dim = math.isqrt(p.size)
     if p.ndim != 1 or dim * dim != p.size:
         raise ShapeError(f"a packed Hermitian release is 1-D of square length, got shape {p.shape}")
-    n_off = dim * (dim - 1) // 2
-    src = np.concatenate((p, np.subtract(0.0, p[n_off : 2 * n_off]), [0.0]))
-    return src.take(_unpack_sources(dim)).view(complex).reshape(dim, dim)
+    upper, lower = _hermitian_slots(dim)
+    h, n_off = np.zeros((dim, dim), dtype=complex), upper.size
+    re, im = h.reshape(-1).real, h.reshape(-1).imag
+    re[upper] = re[lower] = p[:n_off]
+    im[upper], im[lower] = p[n_off : 2 * n_off], np.subtract(0.0, p[n_off : 2 * n_off])
+    re[:: dim + 1] = p[2 * n_off :]
+    return h
 
 
 def _packed_noise(dim, scale, seed):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -81,3 +82,39 @@ def test_summary_keeps_workloads_apart_and_skips_runs_without_metrics():
     assert tau["change"] == {"median": 39.0, "q1": 39.0, "q3": 39.0, "n": 1}
     assert tau["change_wins"] == 0
     assert summary["desk-npfw"]["trials_per_s"]["change_wins"] == 2
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [{"correct": False}, {"failed": 1}, {"output_digest": "ffff"}],
+    ids=["incorrect", "more-failed", "other-digest"],
+)
+def test_a_faster_run_is_no_win_when_its_outputs_differ(fault):
+    pairs = pairs_of([(5.0, 6.0), (5.0, 6.0)])
+    pairs[3].update(fault)  # seed 2's change run
+    entry = bench_pairs.summarise(pairs)["desk-npfw"]["trials_per_s"]
+    assert entry["change_wins"] == 1
+    assert entry["change"]["n"] == 2  # the run still counts in its side's spread
+
+
+def test_the_parent_must_differ_from_the_working_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    (repo / "a.txt").write_text("parent\n")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "a.txt"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "parent"], check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    with pytest.raises(ValueError, match="nothing to compare"):
+        bench_pairs.unpack_parent("HEAD", tmp_path / "same")
+    (repo / "a.txt").write_text("change\n")
+    sha = bench_pairs.unpack_parent("HEAD", tmp_path / "parent")
+    assert len(sha) == 40
+    assert (tmp_path / "parent" / "a.txt").read_text() == "parent\n"
+
+
+def test_the_parent_revision_is_required(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--tag", "x", "--workloads", "desk-npfw", "--seeds", "1"])
+    assert "--rev" in capsys.readouterr().err

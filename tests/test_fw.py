@@ -20,6 +20,7 @@ from privcell.fw import (
     run_fw,
     step_size,
 )
+from privcell.linalg import observed_index
 from privcell.privacy import gram_round, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 
@@ -159,7 +160,7 @@ def test_clip_observed(rng):
     ref = [ref_update(x[m], j[m], v, 3.0, 0.25, 2.0, np.inf, omega[m])[0] for m in range(4)]
     bound = float(np.median([np.linalg.norm(r[o]) for r, o in zip(ref, omega)]))
     cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=bound, noise_scale=0.0)
-    got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, omega)
+    got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega))
     assert 0 < clipped.sum() < 4
     for m in range(4):
         want, flag = ref_update(x[m], j[m], v, 3.0, 0.25, 2.0, bound, omega[m])
@@ -184,11 +185,11 @@ def test_update_into_out_is_the_fresh_update(rng):
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     v /= np.linalg.norm(v)
     cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=1.0, noise_scale=0.0)
-    fresh, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, omega)
+    fresh, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega))
     assert clipped.any()
     np.testing.assert_array_equal(x, x_in)
     np.testing.assert_array_equal(y, y_in)
-    got, got_norms, got_clipped = ap_update(x, j, v, 3.0, 0.25, cfg, omega, out=x)
+    got, got_norms, got_clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega), out=x)
     assert got is x
     assert got.tobytes() == fresh.tobytes()
     np.testing.assert_array_equal(got_norms, norms)
@@ -201,7 +202,7 @@ def test_update_is_rank_one_step(rng):
     j = ap_residual(np.zeros_like(y), y, omega)
     v = rng.standard_normal(y.shape[2]) + 1j * rng.standard_normal(y.shape[2])
     v /= np.linalg.norm(v)
-    x1, _norms, clipped = ap_update(np.zeros_like(y), j, v, 3.0, 1.0, cfg, omega)
+    x1, _norms, clipped = ap_update(np.zeros_like(y), j, v, 3.0, 1.0, cfg, observed_index(omega))
     assert not clipped.any()
     sv = np.linalg.svd(x1[0], compute_uv=False)
     assert sv[1] <= 1e-12 * max(sv[0], 1.0)
@@ -212,7 +213,7 @@ def test_update_degenerate_lambda(rng):
     y, omega, _ = make_instance(3, n_aps=1)
     v = np.ones(y.shape[2], dtype=complex)
     with pytest.raises(DegenerateStepError):
-        ap_update(np.zeros_like(y), -y, v, 0.0, 1.0, cfg, omega)
+        ap_update(np.zeros_like(y), -y, v, 0.0, 1.0, cfg, observed_index(omega))
 
 
 # ---------------------------------------------------------------- runs

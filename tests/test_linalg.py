@@ -232,13 +232,13 @@ def test_norms_and_inner():
 def test_masked_norm_and_mask(rng):
     a = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
     mask = rng.random((2, 3, 4)) < 0.5
-    got = observed_norms(a, mask)
+    got = observed_norms(a, observed_index(mask))
     # one np.linalg.norm per AP over its observed entries, bit for bit
     assert got.tolist() == [np.linalg.norm(a[m][mask[m]]) for m in range(2)]
     # entries off the mask do not count
-    np.testing.assert_array_equal(observed_norms(np.where(mask, a, 9.0), mask), got)
+    np.testing.assert_array_equal(observed_norms(np.where(mask, a, 9.0), observed_index(mask)), got)
     with pytest.raises(ShapeError):
-        observed_norms(a, mask[:, :, :2])
+        observed_norms(a, observed_index(mask[:, :, :2]))
 
 
 def test_observed_norms_split_by_ap_counts(rng):
@@ -248,7 +248,7 @@ def test_observed_norms_split_by_ap_counts(rng):
     mask = rng.random(a.shape) < 0.5
     mask[[0, 3]] = False
     mask[5] = True
-    got = observed_norms(a, mask)
+    got = observed_norms(a, observed_index(mask))
     assert got[0] == got[3] == 0.0
     assert got.tolist() == [np.linalg.norm(a[m][mask[m]]) for m in range(6)]
 
@@ -256,18 +256,17 @@ def test_observed_norms_split_by_ap_counts(rng):
 @pytest.mark.parametrize("profile", ["desk", "m100_k25"])
 def test_observed_norms_on_switch_masks_equal_per_ap_norms(profile, rng):
     """Under a switch mask every AP observes N_r * tau_c entries, so the norms take the
-    batched (M, L) path; each equals that AP's np.linalg.norm, bit for bit, with the
-    index taken inside or passed in as FW passes it."""
+    batched (M, L) path; each equals that AP's np.linalg.norm, bit for bit."""
     s = load_experiment(Path(__file__).resolve().parent.parent / "configs" / f"{profile}.yaml").scenario
     shape = (s.M, s.N_a, s.tau_c)
     _, omega = sample_switch(np.zeros(shape), s, rng)
-    flat, counts = observed_index(omega)
-    assert counts == [s.N_r * s.tau_c] * s.M
-    np.testing.assert_array_equal(flat, np.flatnonzero(omega))
+    index = observed_index(omega)
+    assert index.mask is omega
+    assert index.counts == [s.N_r * s.tau_c] * s.M
+    np.testing.assert_array_equal(index.flat, np.flatnonzero(omega))
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.array([np.linalg.norm(x[m][omega[m]]) for m in range(s.M)])
-    assert observed_norms(x, omega).tobytes() == want.tobytes()
-    assert observed_norms(x, omega, (flat, counts)).tobytes() == want.tobytes()
+    assert observed_norms(x, index).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- top eigenpair
@@ -344,6 +343,14 @@ def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnit
 def test_top_eigpair_takes_the_fast_path(fallbacks):
     assert_matches_eigh(planted_gap(60, 0.1, 1.0, 3))
     assert_matches_eigh(np.diag([3.0, 1.0]))
+    # an F-ordered input is shifted as a C-ordered one: no fallback, the same bits
+    a = planted_gap(60, 0.1, 1.0, 3)
+    f = a.T.conj()
+    assert f.flags.f_contiguous and not f.flags.c_contiguous
+    assert_matches_eigh(f)
+    lam, v = top_eigpair(f)
+    want_lam, want_v = top_eigpair(np.ascontiguousarray(f))
+    assert lam == want_lam and v.tobytes() == want_v.tobytes()
     assert fallbacks == []
 
 

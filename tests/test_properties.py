@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from privcell.estimation import ser, slice_qpsk
 from privcell.fw import FwConfig, ap_update
 from support import RecordingBackhaul
-from privcell.linalg import frob_norm, pinv
+from privcell.linalg import frob_norm, observed_index, pinv
 from privcell.privacy import (
     frob_bound,
     fw_noise_scale,
@@ -119,7 +119,8 @@ def test_clip_keeps_observed_energy_inside_bound(seed, bound):
     omega = rng.random((3, 4, 6)) < 0.6
     # eta = 0 and a zero residual: the step leaves x as it is, only the clip acts
     cfg = FwConfig(1, 1.0, bound, 0.0)
-    clipped, norms, did_clip = ap_update(x, np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, omega)
+    index = observed_index(omega)
+    clipped, norms, did_clip = ap_update(x, np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, index)
     for m in range(3):
         assert np.linalg.norm(clipped[m][omega[m]]) <= bound * (1 + 1e-12)
         assert norms[m] == np.linalg.norm(clipped[m][omega[m]])

@@ -155,7 +155,8 @@ def large_scale_fading(topology, scenario, rng):
     d = np.maximum(d, MIN_DIST_M)
     pl_db = scenario.pl_a + scenario.pl_b * np.log10(d)
     loss_db = pl_db + scenario.sigma_sh_db * rng.standard_normal(d.shape)
-    return 10.0 ** (-loss_db / 10.0)
+    with np.errstate(over="ignore"):  # a gain out of float range is inf; `harness.prepare` rejects it
+        return 10.0 ** (-loss_db / 10.0)
 
 
 def gen_channels(beta, scenario, rng):

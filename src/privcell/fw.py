@@ -6,8 +6,7 @@ block, releases a privatised Gram of that residual, and the CPU
 broadcasts the top eigenpair of the aggregate (with the eigenvalue
 lifted by the expected noise inflation).  APs then take a rank-one step
 against the broadcast direction and rescale so the observed part of the
-iterate never exceeds the sensitivity bound the noise was calibrated
-for.
+iterate stays within the bound its release noise was calibrated for.
 
 Step sizes are fixed: a full first step, then 1/T.
 """
@@ -19,26 +18,18 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
 from .linalg import observed_index, observed_norms, top_eigpair
-from .privacy import CompletionResult, ap_stack, gram_round
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round
 from .protocol import Backhaul, MessageKind
 
 
 @dataclass(frozen=True)
 class FwConfig:
-    iterations: int  # number of rounds (and of per-AP releases)
     nuclear_bound: float  # radius of the nuclear-norm ball
-    clip_bound: float  # cap on the observed-entry Frobenius norm per AP
-    noise_scale: float  # per-release Hermitian noise std (0 = non-private)
+    calibration: Calibration  # T rounds, the clip bound on each AP's observed entries, the noise std
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ArgumentError(f"iterations must be >= 1, got {self.iterations}")
         if self.nuclear_bound <= 0:
             raise ArgumentError(f"nuclear_bound must be positive, got {self.nuclear_bound}")
-        if self.clip_bound <= 0:
-            raise ArgumentError(f"clip_bound must be positive, got {self.clip_bound}")
-        if not 0 <= self.noise_scale < math.inf:  # a NaN scale must never mean "no noise"
-            raise ArgumentError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
 def nuclear_norm_budget(beta, tau_c, n_antennas):
@@ -83,8 +74,8 @@ def cpu_aggregate_eig(w, noise_scale, n_aps):
 def ap_update(x, j, v_top, lam_lifted, eta, cfg, index, out=None):
     """Every AP's local FW step against the broadcast direction, then clip.
 
-    An AP whose observed-entry norm exceeds cfg.clip_bound has its whole
-    block scaled onto the bound.  Returns (x_new, norms after clip,
+    An AP whose observed-entry norm exceeds cfg.calibration.bound has its
+    whole block scaled onto the bound.  Returns (x_new, norms after clip,
     clipped), x_new written into out (which may be x) when it is given.
     index is `linalg.observed_index(omega)`.
     """
@@ -94,9 +85,9 @@ def ap_update(x, j, v_top, lam_lifted, eta, cfg, index, out=None):
     x_new = np.multiply(1.0 - eta, x, out=out)
     x_new -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
     norms = observed_norms(x_new, index)
-    clipped = ~(norms <= cfg.clip_bound)  # a NaN norm counts as over the bound
+    clipped = ~(norms <= cfg.calibration.bound)  # a NaN norm counts as over the bound
     for m in np.flatnonzero(clipped):
-        x_new[m] *= cfg.clip_bound / norms[m]
+        x_new[m] *= cfg.calibration.bound / norms[m]
         norms[m] = np.linalg.norm(x_new[m][index.mask[m]])
     return x_new, norms, clipped
 
@@ -117,23 +108,24 @@ def run_fw(y, omega, cfg, seed, net=None):
     n_aps = y.shape[0]
     net = Backhaul() if net is None else net
     x = np.zeros_like(y)
-    lam_path = np.empty(cfg.iterations)
-    masked_norms = np.empty((cfg.iterations, n_aps))
+    rounds, sigma = cfg.calibration.releases, cfg.calibration.sigma
+    lam_path = np.empty(rounds)
+    masked_norms = np.empty((rounds, n_aps))
     clip_events = 0
     index = observed_index(omega)
-    for n in range(1, cfg.iterations + 1):
+    for n in range(1, rounds + 1):
         j = ap_residual(x, y, omega)
         v_top, lam_lifted = gram_round(
-            net, n, j, cfg.noise_scale, seed, MessageKind.EIG_BROADCAST,
-            lambda w: cpu_aggregate_eig(w, cfg.noise_scale, n_aps), tail=(n,),
+            net, n, j, sigma, seed, MessageKind.EIG_BROADCAST,
+            lambda w: cpu_aggregate_eig(w, sigma, n_aps), tail=(n,),
         )
-        eta = step_size(n, cfg.iterations)
+        eta = step_size(n, rounds)
         x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, index, out=x)
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
     return CompletionResult(
         x_hat=x,
-        rounds=cfg.iterations,
+        rounds=rounds,
         masked_norms=masked_norms,
         clip_events=clip_events,
         lam_path=lam_path,

@@ -24,7 +24,7 @@ from .config import ITERATIVE, ExperimentConfig, method_spec, tunable, whole
 from .errors import ArgumentError, ConfigError, MetricUndefinedError, PrivCellError
 from .fw import FwConfig, nuclear_norm_budget, run_fw
 from .linalg import pinv
-from .privacy import frob_bound, fw_noise_scale, svd_noise_scale
+from .privacy import calibrate, frob_bound
 from .protocol import Backhaul, MessageKind
 from .seeding import derive_master, entropy_for, rng_for
 from .svdmc import SvdConfig, run_svd
@@ -112,17 +112,14 @@ def prepare(scenario, run, beta):
 
 
 def completion_config(method, prepared, scenario, run, eps):
-    """FwConfig or SvdConfig of a completing method; zero noise unless private."""
+    """FwConfig or SvdConfig of a completing method, on `privacy.calibrate`'s record."""
     spec = method_spec(method)
     if spec.completion is None:
         raise ArgumentError(f"method {method!r} runs no completion")
-    bound = prepared.clip_bound
+    cal = calibrate(spec, prepared.clip_bound, scenario.M, run, eps)
     if spec.completion == ITERATIVE:
-        iters = run.fw_iters if spec.private else run.np_fw_iters
-        mu = fw_noise_scale(bound, iters, scenario.M, eps, run.delta) if spec.private else 0.0
-        return FwConfig(iters, prepared.nuc_bound, bound, mu)
-    nu = svd_noise_scale(bound, scenario.M, eps, run.delta) if spec.private else 0.0
-    return SvdConfig.derive(scenario, nu)
+        return FwConfig(prepared.nuc_bound, cal)
+    return SvdConfig(scenario.K, cal, scenario.N_a / scenario.N_r)
 
 
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
@@ -177,9 +174,9 @@ def apply_axis(scenario, axis, value):
 def run_point(exp, method, axis, value, trials, master_seed, beta=None):
     """All trials of one method at one axis value; returns a MetricsRecord.
 
-    trials must be an integer >= 1, else a ConfigError.  A trial that
-    raises a PrivCellError or LinAlgError, or whose NMSE or SER is not
-    finite, is logged and counted as a failure, never averaged in.
+    trials must be an integer >= 1, else a ConfigError, as is raised from a trial (an input no
+    trial can honour).  A trial that raises another PrivCellError or a LinAlgError, or whose
+    NMSE or SER is not finite, is logged and counted as a failure, never averaged in.
     """
     check_int("trials", trials, 1)
     clipping = method_spec(method).completion == ITERATIVE
@@ -196,6 +193,8 @@ def run_point(exp, method, axis, value, trials, master_seed, beta=None):
             if not (math.isfinite(res.nmse) and math.isfinite(res.ser)):
                 raise MetricUndefinedError(f"non-finite result nmse={res.nmse!r} ser={res.ser!r}")
             results.append(res)
+        except ConfigError:
+            raise
         except (PrivCellError, np.linalg.LinAlgError) as e:
             failures += 1
             log.warning("excluded trial %d: %s: %s", trial, type(e).__name__, e)

@@ -10,14 +10,12 @@ diagonal (`pack_hermitian` / `unpack_hermitian`; the layout is fixed in
 `_hermitian_slots`).  Both completions run on the same round
 (`gram_round`, the private Frank-Wolfe mechanism of Jain, Thakkar and
 Thakurta, 2018): every AP releases, the CPU learns the sum of the
-releases, unpacks it once and broadcasts what it derives from it.  The
-two release schedules are:
+releases, unpacks it once and broadcasts what it derives from it.
 
-  * iterative: T releases per AP across the FW-style completion; the
-    per-release scale comes from advanced composition over T rounds,
-    splitting the budget evenly and halving delta between the
-    per-release mechanisms and the composition slack;
-  * one-shot: a single release per AP for the spectral completion.
+One record, `Calibration`, says how a run's releases are calibrated,
+and one function, `calibrate`, makes it: T releases per AP for the
+iterative (FW-style) completion, composed over the T rounds, or a
+single one for the one-shot spectral completion.
 
 Scales are stated per AP; M released matrices are summed at the CPU, so
 the aggregate per-entry variance is M times the per-AP variance.  That
@@ -32,12 +30,13 @@ release message, and each carries that sum.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .config import ITERATIVE
+from .errors import ArgumentError, ConfigError, ShapeError
 from .protocol import MessageKind
 
 
@@ -68,33 +67,58 @@ def frob_bound(beta, n_users, n_antennas, tau_c, sigma2):
     return sig + noise
 
 
-def fw_noise_scale(bound, iterations, n_aps, eps, delta):
-    """Per-release std for `iterations` composed Gram releases per AP.
+@dataclass(frozen=True)
+class Calibration:
+    """How every Gram release of one run is calibrated; made by `calibrate`.
 
-    Gaussian-mechanism scale for sensitivity 4*bound^2 at the per-release
-    budget (eps / sqrt(8 T ln(2/delta)), delta / 2T), stated per AP for an
-    M-AP aggregate.
+    Sensitivity and neighbouring relation: iterative, 4*bound^2 for adding or removing a
+    residual of norm <= 2*bound (an iterate clipped onto bound minus an observation within
+    it); one-shot, bound^2 for adding or removing one block of norm <= bound.  No AP scales
+    its block onto bound: that the block lies within it is assumed.
     """
-    _check_budget(eps, delta)
-    if iterations < 1:
-        raise ArgumentError(f"iterations must be >= 1, got {iterations}")
-    if n_aps < 1:
-        raise ArgumentError(f"n_aps must be >= 1, got {n_aps}")
-    t = float(iterations)
-    return (
-        16.0
-        * bound**2
-        * math.sqrt((t / n_aps) * math.log(2.5 * t / delta) * math.log(2.0 / delta))
-        / eps
-    )
+
+    bound: float  # Frobenius bound the sensitivity assumes; FW clips each AP's observed entries onto it
+    releases: int  # T, the Gram releases per AP: one per FW round, 1 for one-shot
+    sigma: float  # each AP's Hermitian noise std per release, 0 when not private
+
+    def __post_init__(self):
+        if self.releases < 1:
+            raise ArgumentError(f"releases must be >= 1, got {self.releases}")
+        if not self.bound > 0:
+            raise ArgumentError(f"bound must be positive, got {self.bound}")
+        if not 0 <= self.sigma < math.inf:  # a NaN scale must never mean "no noise"
+            raise ArgumentError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
-def svd_noise_scale(bound, n_aps, eps, delta):
-    """Per-release std for one Gram release per AP at budget (eps, delta)."""
-    _check_budget(eps, delta)
+def calibrate(spec, bound, n_aps, run, eps):
+    """The Calibration of method spec's releases over n_aps APs at budget (eps, run.delta).
+
+    T is run.fw_iters (run.np_fw_iters if not private) when iterative, else 1.  A private sigma is
+    the Gaussian-mechanism scale of the sensitivity per AP of an M-AP sum: one-shot at (eps, delta),
+    iterative at advanced composition's per-release (eps / sqrt(8 T ln(2/delta)), delta / 2T),
+    the budget split evenly and delta halved.  A ConfigError unless sigma * sqrt(M) is finite.
+    """
     if n_aps < 1:
         raise ArgumentError(f"n_aps must be >= 1, got {n_aps}")
-    return bound**2 * math.sqrt((2.0 / n_aps) * math.log(1.25 / delta)) / eps
+    iterative = spec.completion == ITERATIVE
+    releases = (run.fw_iters if spec.private else run.np_fw_iters) if iterative else 1
+    cal = Calibration(bound, releases, 0.0)  # checks T and the bound before a formula reads them
+    if not spec.private:
+        return cal
+    delta = run.delta
+    if not (0 < eps < math.inf and 0 < delta < 1):
+        raise ArgumentError(f"eps must be positive and finite and delta in (0, 1), got {eps} and {delta}")
+    with np.errstate(over="ignore"):  # a numpy bound overflows to inf silently; the check rejects it
+        if iterative:
+            t = float(releases)
+            sigma = 16.0 * bound**2 * math.sqrt(
+                (t / n_aps) * math.log(2.5 * t / delta) * math.log(2.0 / delta)
+            ) / eps
+        else:
+            sigma = bound**2 * math.sqrt((2.0 / n_aps) * math.log(1.25 / delta)) / eps
+        if not sigma * math.sqrt(n_aps) < math.inf:  # gram_round draws the M-AP sum at that std
+            raise ConfigError(f"noise std {sigma!r} x sqrt({n_aps}) at eps={eps!r}, delta={delta!r} overflows")
+    return replace(cal, sigma=sigma)
 
 
 @functools.lru_cache(maxsize=16)
@@ -157,13 +181,6 @@ def _packed_noise(dim, scale, seed):
     z[:n_off] *= scale / math.sqrt(2.0)
     z[n_off:] *= scale
     return z
-
-
-def _check_budget(eps, delta):
-    if not 0 < eps < math.inf:
-        raise ArgumentError(f"eps must be positive and finite, got {eps}")
-    if not 0 < delta < 1:
-        raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
 
 
 def ap_stack(y, omega):

@@ -10,32 +10,23 @@ count of observed entries) cannot fire when N_r >= N_a / 2.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ArgumentError, ShapeError
 from .linalg import hermitian_eig, shared_matmul
-from .privacy import CompletionResult, ap_stack, gram_round
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round
 from .protocol import Backhaul, MessageKind
 
 
 @dataclass(frozen=True)
 class SvdConfig:
     rank: int  # broadcast basis size (number of users)
-    noise_scale: float  # per-release Hermitian noise std (0 = non-private)
+    calibration: Calibration  # the one release per AP and its noise std
     upsample: float  # N_a / N_r, undoes the switch undersampling
 
     def __post_init__(self):
         if self.rank < 1:
             raise ArgumentError(f"rank must be >= 1, got {self.rank}")
-        if not 0 <= self.noise_scale < np.inf:  # a NaN scale must never mean "no noise"
-            raise ArgumentError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if not self.upsample > 0:
             raise ArgumentError(f"upsample must be positive, got {self.upsample}")
-
-    @classmethod
-    def derive(cls, scenario, noise_scale):
-        """Rank K; upsample N_a / N_r."""
-        return cls(rank=scenario.K, noise_scale=noise_scale, upsample=scenario.N_a / scenario.N_r)
 
 
 def cpu_topk(w, rank):
@@ -64,7 +55,7 @@ def run_svd(y, omega, cfg, seed, net=None):
     """
     y = ap_stack(y, omega)
     basis = gram_round(
-        Backhaul() if net is None else net, 1, y, cfg.noise_scale, seed,
+        Backhaul() if net is None else net, 1, y, cfg.calibration.sigma, seed,
         MessageKind.BASIS_BROADCAST, lambda w: cpu_topk(w, cfg.rank),
     )
     return CompletionResult(x_hat=ap_complete(y, basis, cfg.upsample), rounds=1)

@@ -37,6 +37,24 @@ def hermitian_noise(dim, scale, seed):
     return g
 
 
+def fw_noise_scale(bound, iterations, n_aps, eps, delta):
+    """Per-AP std of each of T composed Gram releases: sensitivity 4*bound^2 at the
+    per-release budget (eps / sqrt(8 T ln(2/delta)), delta / 2T), in the package's
+    first float-operation order."""
+    t = float(iterations)
+    return (
+        16.0
+        * bound**2
+        * math.sqrt((t / n_aps) * math.log(2.5 * t / delta) * math.log(2.0 / delta))
+        / eps
+    )
+
+
+def svd_noise_scale(bound, n_aps, eps, delta):
+    """Per-AP std of the one Gram release: sensitivity bound^2 at (eps, delta)."""
+    return bound**2 * math.sqrt((2.0 / n_aps) * math.log(1.25 / delta)) / eps
+
+
 def centralized_fw(y, omega, n_aps, iterations, nuclear_bound, clip_bound,
                    noise_scale=0.0, entropy=None):
     """Textbook iterative completion on the stacked matrix.

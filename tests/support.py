@@ -1,12 +1,15 @@
-"""Test-only helpers: a CSV reader for emit_csv output, a payload-keeping backhaul
-and an FW iterate recorder."""
+"""Test-only helpers: a CSV reader for emit_csv output, a payload-keeping backhaul,
+an FW iterate recorder and the noise std privacy.calibrate gives each schedule."""
 
 import csv
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from privcell import fw
+from privcell.config import METHODS
 from privcell.errors import ConfigError
 from privcell.harness import CSV_HEADER
+from privcell.privacy import calibrate
 from privcell.protocol import Backhaul
 
 
@@ -74,3 +77,18 @@ def recorded_iterates():
         yield iterates
     finally:
         fw.ap_update = update
+
+
+def fw_sigma(bound, iterations, n_aps, eps, delta):
+    """privacy.calibrate's sigma for private FW over `iterations` rounds.
+
+    The run is the two fields calibrate reads, unvalidated, so that a bad
+    delta or round count reaches calibrate's own checks.
+    """
+    run = SimpleNamespace(fw_iters=iterations, delta=delta)
+    return calibrate(METHODS["fw"], bound, n_aps, run, eps).sigma
+
+
+def svd_sigma(bound, n_aps, eps, delta):
+    """privacy.calibrate's sigma for the one-shot private release."""
+    return calibrate(METHODS["svd"], bound, n_aps, SimpleNamespace(delta=delta), eps).sigma

@@ -25,13 +25,13 @@ from mpmath import mp
 from scipy import stats
 
 from oracles import centralized_fw, centralized_svd
-from support import RecordingBackhaul, kind_count, recorded_iterates
+from support import RecordingBackhaul, fw_sigma, kind_count, recorded_iterates, svd_sigma
 from privcell.channel import make_block
 from privcell.config import load_experiment
 from privcell.fw import FwConfig, run_fw
 from privcell.harness import completion_config, draw_beta, prepare, run_point, run_trial
 from privcell.linalg import frob_norm
-from privcell.privacy import fw_noise_scale, gram_round, svd_noise_scale, unpack_hermitian
+from privcell.privacy import Calibration, gram_round, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind, ap_name, audit_privacy_surface
 from privcell.seeding import entropy_for
 from privcell.svdmc import SvdConfig, run_svd
@@ -134,7 +134,7 @@ def test_criterion_01_oracle_equivalence(desk, desk_beta):
     block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, prep.sigma2)
 
     iters = 6
-    cfg = FwConfig(iters, prep.nuc_bound, prep.clip_bound, 0.0)
+    cfg = FwConfig(prep.nuc_bound, Calibration(prep.clip_bound, iters, 0.0))
     y, omega = (a.reshape(scen.M * scen.N_a, scen.tau_c) for a in (block.Y, block.omega))
     with recorded_iterates() as iterates:
         run_fw(block.Y, block.omega, cfg, entropy_for(scen.seed, "dp_fw", 0))
@@ -144,7 +144,7 @@ def test_criterion_01_oracle_equivalence(desk, desk_beta):
         frob_norm(a.reshape(b.shape) - b) / frob_norm(b) for a, b in zip(iterates, ref)
     )
 
-    scfg = SvdConfig.derive(scen, 0.0)
+    scfg = SvdConfig(scen.K, Calibration(prep.clip_bound, 1, 0.0), scen.N_a / scen.N_r)
     sres = run_svd(block.Y, block.omega, scfg, entropy_for(scen.seed, "dp_svd", 0))
     sref = centralized_svd(y, scfg.rank, scen.N_a / scen.N_r)
     rel_svd = frob_norm(sres.x_hat.reshape(sref.shape) - sref) / frob_norm(sref)
@@ -180,8 +180,8 @@ def test_criterion_02_calibration_formulas():
         )
         nu_hp = bm**2 * mp.sqrt((mp.mpf(2) / n_aps) * mp.log(mp.mpf("1.25") / dm)) / em
         for got, hp in (
-            (fw_noise_scale(bound, iters, n_aps, eps, delta), mu_hp),
-            (svd_noise_scale(bound, n_aps, eps, delta), nu_hp),
+            (fw_sigma(bound, iters, n_aps, eps, delta), mu_hp),
+            (svd_sigma(bound, n_aps, eps, delta), nu_hp),
         ):
             worst = max(worst, float(abs(mp.mpf(got) - hp) / hp))
     ok = worst <= 1e-12
@@ -237,10 +237,10 @@ def test_criterion_04_nonprivate_completion():
     truth = truth.reshape(n_aps, rows // n_aps, tau_c)  # the APs' blocks
     omega = np.ones(truth.shape, dtype=bool)
 
-    cfg = FwConfig(200, float(svals.sum()), 10 * frob_norm(truth), 0.0)
+    cfg = FwConfig(float(svals.sum()), Calibration(10 * frob_norm(truth), 200, 0.0))
     rel_fw = frob_norm(run_fw(truth, omega, cfg, 1).x_hat - truth) / frob_norm(truth)
 
-    scfg = SvdConfig(rank=2, noise_scale=0.0, upsample=1.0)
+    scfg = SvdConfig(rank=2, calibration=Calibration(10 * frob_norm(truth), 1, 0.0), upsample=1.0)
     rel_svd = frob_norm(run_svd(truth, omega, scfg, 2).x_hat - truth) / frob_norm(truth)
 
     elapsed = time.perf_counter() - t0

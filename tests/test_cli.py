@@ -250,6 +250,27 @@ def test_gains_that_overflow_or_underflow_exit_2(tmp_path, capsys, method, pl_a,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, eps", [("fw", "1e-305"), ("svd", "1e-305"), ("fw", "1e-299"),
+                                         ("svd", "1e-301"), ("npfw", "1e-305")])
+def test_a_budget_whose_noise_overflows_exits_2(tmp_path, capsys, method, eps):
+    """At eps = 1e-305 the desk release noise std overflows to inf, and at fw's 1e-299 and
+    svd's 1e-301 it is finite but the M-AP sum's std is not: the private methods are refused
+    before any CSV is written, not run to a CSV of NaN rows.  npfw draws no noise, so it
+    runs at that eps."""
+    out = tmp_path / "o.csv"
+    argv = ["simulate", "--config", str(REPO / "configs" / "desk.yaml"), "--method", method,
+            "--values", eps, "--trials", "1", "--out", str(out)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    if method == "npfw":
+        assert rc == cli.EXIT_OK
+        assert read_csv(out)[0]["trials"] == 1
+    else:
+        assert rc == cli.EXIT_CONFIG
+        assert "config error:" in err and "overflows" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["values: 1", "values: abc", "values: {a: 1}"])
 def test_scalar_values_in_yaml_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.yaml"

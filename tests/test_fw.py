@@ -21,7 +21,7 @@ from privcell.fw import (
     step_size,
 )
 from privcell.linalg import observed_index
-from privcell.privacy import gram_round, unpack_hermitian
+from privcell.privacy import Calibration, gram_round, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 
 
@@ -64,15 +64,15 @@ def one_ap_release(j, noise_scale, seed):
 # ---------------------------------------------------------------- pieces
 
 def test_config_validation():
-    FwConfig(1, 1.0, 1.0, 0.0)
+    FwConfig(1.0, Calibration(1.0, 1, 0.0))
     with pytest.raises(ArgumentError):
-        FwConfig(0, 1.0, 1.0, 0.0)
+        FwConfig(1.0, Calibration(1.0, 0, 0.0))
     with pytest.raises(ArgumentError):
-        FwConfig(1, 0.0, 1.0, 0.0)
+        FwConfig(0.0, Calibration(1.0, 1, 0.0))
     with pytest.raises(ArgumentError):
-        FwConfig(1, 1.0, -1.0, 0.0)
+        FwConfig(1.0, Calibration(-1.0, 1, 0.0))
     with pytest.raises(ArgumentError):
-        FwConfig(1, 1.0, 1.0, -0.1)
+        FwConfig(1.0, Calibration(1.0, 1, -0.1))
 
 
 def test_step_schedule():
@@ -111,7 +111,7 @@ def test_release_gram_hand_value():
     np.testing.assert_array_equal(g, ref_round(j[None], 0.0, (0,)))
     # the first FW round releases exactly this Gram of the residual -y
     net = RecordingBackhaul()
-    run_fw(-j[None], np.ones((1, *j.shape), dtype=bool), FwConfig(1, 1.0, 10.0, 0.0), 0, net=net)
+    run_fw(-j[None], np.ones((1, *j.shape), dtype=bool), FwConfig(1.0, Calibration(10.0, 1, 0.0)), 0, net=net)
     np.testing.assert_array_equal(unpack_hermitian(net.payloads[0]), g)
 
 
@@ -142,7 +142,7 @@ def test_zero_aggregate_is_a_degenerate_step():
     leaves nothing to step along."""
     y = np.zeros((2, 2, 5), dtype=complex)
     with pytest.raises(DegenerateStepError):
-        run_fw(y, np.ones(y.shape, dtype=bool), FwConfig(3, 1.0, 1.0, 0.0), 0)
+        run_fw(y, np.ones(y.shape, dtype=bool), FwConfig(1.0, Calibration(1.0, 3, 0.0)), 0)
 
 
 def test_aggregate_eig_clamps_negative():
@@ -159,7 +159,7 @@ def test_clip_observed(rng):
     v /= np.linalg.norm(v)
     ref = [ref_update(x[m], j[m], v, 3.0, 0.25, 2.0, np.inf, omega[m])[0] for m in range(4)]
     bound = float(np.median([np.linalg.norm(r[o]) for r, o in zip(ref, omega)]))
-    cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=bound, noise_scale=0.0)
+    cfg = FwConfig(2.0, Calibration(bound, 4, 0.0))
     got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega))
     assert 0 < clipped.sum() < 4
     for m in range(4):
@@ -184,7 +184,7 @@ def test_update_into_out_is_the_fresh_update(rng):
     np.testing.assert_array_equal(j, np.where(omega, x_in, 0.0) - y_in)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     v /= np.linalg.norm(v)
-    cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=1.0, noise_scale=0.0)
+    cfg = FwConfig(2.0, Calibration(1.0, 4, 0.0))
     fresh, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega))
     assert clipped.any()
     np.testing.assert_array_equal(x, x_in)
@@ -197,7 +197,7 @@ def test_update_into_out_is_the_fresh_update(rng):
 
 
 def test_update_is_rank_one_step(rng):
-    cfg = FwConfig(4, nuclear_bound=2.0, clip_bound=100.0, noise_scale=0.0)
+    cfg = FwConfig(2.0, Calibration(100.0, 4, 0.0))
     y, omega, _ = make_instance(3, n_aps=1)
     j = ap_residual(np.zeros_like(y), y, omega)
     v = rng.standard_normal(y.shape[2]) + 1j * rng.standard_normal(y.shape[2])
@@ -209,7 +209,7 @@ def test_update_is_rank_one_step(rng):
 
 
 def test_update_degenerate_lambda(rng):
-    cfg = FwConfig(4, 2.0, 100.0, 0.0)
+    cfg = FwConfig(2.0, Calibration(100.0, 4, 0.0))
     y, omega, _ = make_instance(3, n_aps=1)
     v = np.ones(y.shape[2], dtype=complex)
     with pytest.raises(DegenerateStepError):
@@ -221,7 +221,7 @@ def test_update_degenerate_lambda(rng):
 def test_zero_noise_matches_centralized_oracle():
     """Distributed rounds track a straight-line stacked implementation."""
     y, omega, _ = make_instance(11, n_aps=3, n_ant=2, tau_c=8)
-    cfg = FwConfig(6, nuclear_bound=5.0, clip_bound=4.0, noise_scale=0.0)
+    cfg = FwConfig(5.0, Calibration(4.0, 6, 0.0))
     with recorded_iterates() as iterates:
         run_fw(y, omega, cfg, 0)
     ref = centralized_fw(flat(y), flat(omega), 3, 6, 5.0, 4.0)
@@ -233,7 +233,7 @@ def test_zero_noise_matches_centralized_oracle():
 def test_noisy_run_matches_centralized_with_shared_draws():
     y, omega, _ = make_instance(12, n_aps=3, n_ant=2, tau_c=8)
     entropy = (77, 9, 0)
-    cfg = FwConfig(5, nuclear_bound=5.0, clip_bound=6.0, noise_scale=0.3)
+    cfg = FwConfig(5.0, Calibration(6.0, 5, 0.3))
     with recorded_iterates() as iterates:
         run_fw(y, omega, cfg, entropy)
     ref = centralized_fw(flat(y), flat(omega), 3, 5, 5.0, 6.0, noise_scale=0.3, entropy=entropy)
@@ -251,15 +251,14 @@ def test_noiseless_rank_one_converges():
     )
     omega = np.ones((rows, tau_c), dtype=bool)
     nuc = np.linalg.svd(truth, compute_uv=False)[0]  # nuclear norm of rank one
-    cfg = FwConfig(50, nuclear_bound=float(nuc),
-                   clip_bound=float(np.linalg.norm(truth)) + 1.0, noise_scale=0.0)
+    cfg = FwConfig(float(nuc), Calibration(float(np.linalg.norm(truth)) + 1.0, 50, 0.0))
     res = run_fw(truth.reshape(4, 2, tau_c), omega.reshape(4, 2, tau_c), cfg, 0)
     assert rel_err(flat(res.x_hat), truth) <= 0.05
 
 
 def test_single_round_output_rank(rng):
     y, omega, _ = make_instance(9, n_aps=2, n_ant=3, tau_c=7)
-    cfg = FwConfig(1, 4.0, 50.0, 0.0)
+    cfg = FwConfig(4.0, Calibration(50.0, 1, 0.0))
     res = run_fw(y, omega, cfg, 0)
     for block in res.x_hat:
         sv = np.linalg.svd(block, compute_uv=False)
@@ -268,7 +267,7 @@ def test_single_round_output_rank(rng):
 
 def test_run_telemetry_and_transcript():
     y, omega, _ = make_instance(4)
-    cfg = FwConfig(5, 5.0, 1.5, 0.2)  # tight clip bound, forces rescaling
+    cfg = FwConfig(5.0, Calibration(1.5, 5, 0.2))  # tight clip bound, forces rescaling
     net = Backhaul()
     res = run_fw(y, omega, cfg, 0, net=net)
     assert res.rounds == 5
@@ -284,7 +283,7 @@ def test_run_reports_observed_entry_norms():
     """masked_norms[n-1, m] is the norm of AP m's iterate after round n over its
     observed entries, after the clip; the last row is that of x_hat."""
     y, omega, _ = make_instance(14, n_aps=3, n_ant=2, tau_c=8)
-    cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3)
+    cfg = FwConfig(5.0, Calibration(1.5, 4, 0.3))
     with recorded_iterates() as iterates:
         res = run_fw(y, omega, cfg, (3, 1))
     assert res.clip_events > 0
@@ -303,7 +302,7 @@ def test_transcript_after_batched_run():
     y, omega, _ = make_instance(13, n_aps=3, n_ant=2, tau_c=8)
     y_in, omega_in = y.copy(), omega.copy()
     entropy = (5, 1, 2)
-    cfg = FwConfig(4, nuclear_bound=5.0, clip_bound=1.5, noise_scale=0.3)
+    cfg = FwConfig(5.0, Calibration(1.5, 4, 0.3))
     net = RecordingBackhaul()
     with recorded_iterates() as iterates:
         res = run_fw(y, omega, cfg, entropy, net=net)
@@ -348,12 +347,13 @@ def test_run_is_bitwise_the_straight_line_round(method, tau_d, clip_bound):
     block = make_block(scen, prep.beta, prep.pilots, scen.seed, 3, prep.sigma2)
     cfg = harness.completion_config(method, prep, scen, DESK.run, DESK.run.eps)
     if clip_bound is not None:
-        cfg = dataclasses.replace(cfg, clip_bound=clip_bound)
+        cfg = dataclasses.replace(cfg, calibration=dataclasses.replace(cfg.calibration, bound=clip_bound))
     entropy = (scen.seed, 1, 3)
     net = Backhaul()
     res = run_fw(block.Y, block.omega, cfg, entropy, net=net)
+    cal = cfg.calibration
     x, norms, lams, clips, records = straight_line_fw(
-        block.Y, block.omega, cfg.iterations, cfg.nuclear_bound, cfg.clip_bound, cfg.noise_scale, entropy
+        block.Y, block.omega, cal.releases, cfg.nuclear_bound, cal.bound, cal.sigma, entropy
     )
     assert res.x_hat.tobytes() == x.tobytes()
     assert res.masked_norms.tobytes() == norms.tobytes()
@@ -367,7 +367,7 @@ def test_run_is_bitwise_the_straight_line_round(method, tau_d, clip_bound):
 
 def test_run_deterministic():
     y, omega, _ = make_instance(6)
-    cfg = FwConfig(3, 5.0, 4.0, 0.7)
+    cfg = FwConfig(5.0, Calibration(4.0, 3, 0.7))
     a = run_fw(y, omega, cfg, 123)
     b = run_fw(y, omega, cfg, 123)
     np.testing.assert_array_equal(a.x_hat, b.x_hat)
@@ -377,7 +377,7 @@ def test_run_deterministic():
 
 def test_run_shape_checks():
     y, omega, _ = make_instance(6)
-    cfg = FwConfig(2, 5.0, 4.0, 0.0)
+    cfg = FwConfig(5.0, Calibration(4.0, 2, 0.0))
     with pytest.raises(ShapeError):
         run_fw(y, omega[..., :4], cfg, 0)
     with pytest.raises(ShapeError):

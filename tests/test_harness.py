@@ -77,6 +77,29 @@ def test_prepare_holds_the_pilot_pseudoinverse(tiny):
     np.testing.assert_array_equal(prep.pilot_pinv, np.linalg.pinv(prep.pilots, rcond=1e-12))
 
 
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.yaml"
+
+
+def test_completion_config_carries_one_calibration_per_method():
+    """On desk: T is fw_iters (8) for fw, np_fw_iters (200) for npfw and 1 for the one-shot
+    methods; every record's bound is the prepared clip bound, and sigma is 0 exactly when
+    the method is not private.  The one-shot config keeps rank K and upsample N_a / N_r."""
+    exp = load_experiment(DESK)
+    scen, run = exp.scenario, exp.run
+    prep = prepare(scen, run, draw_beta(scen, scen.seed))
+    releases = {"fw": 8, "npfw": 200, "svd": 1, "npsvd": 1}
+    for method, want in releases.items():
+        cfg = harness.completion_config(method, prep, scen, run, run.eps)
+        cal = cfg.calibration
+        assert (cal.releases, cal.bound) == (want, prep.clip_bound)
+        assert (cal.sigma == 0.0) == (not METHODS[method].private)
+        assert isinstance(cfg, fw.FwConfig) == (method in ("fw", "npfw"))
+    svd = harness.completion_config("svd", prep, scen, run, run.eps)
+    assert (svd.rank, svd.upsample) == (scen.K, scen.N_a / scen.N_r)
+    with pytest.raises(ArgumentError):
+        harness.completion_config("po", prep, scen, run, run.eps)
+
+
 @pytest.mark.parametrize("method", ["svd", "npsvd"])
 def test_run_trial_channel_estimate_is_per_ap_pilot_product(tiny, method, monkeypatch):
     """Each AP's estimate is its own x[:, :tau_p] @ pinv(P), bit for bit."""

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import hermitian_noise, hermitize
-from support import RecordingBackhaul
-from privcell.errors import ArgumentError, ShapeError
+from oracles import fw_noise_scale, hermitian_noise, hermitize, svd_noise_scale
+from support import RecordingBackhaul, fw_sigma, svd_sigma
+from privcell.errors import ArgumentError, ConfigError, ShapeError
 from privcell.fw import FwConfig
 from privcell.linalg import canonical_phase, hermitian_eig
 from privcell.privacy import (
+    Calibration,
     frob_bound,
-    fw_noise_scale,
     gram_round,
     pack_hermitian,
-    svd_noise_scale,
     unpack_hermitian,
 )
 from privcell.protocol import Backhaul, MessageKind
@@ -59,51 +58,89 @@ def test_frob_bound_rejects_bad_shape():
 
 def test_iterative_scale_frozen_value():
     # L=1, T=1, M=1, eps=1, delta=0.1, high-precision reference
-    assert fw_noise_scale(1.0, 1, 1, 1.0, 0.1) == pytest.approx(
+    assert fw_sigma(1.0, 1, 1, 1.0, 0.1) == pytest.approx(
         49.684805418143892, rel=1e-12
     )
 
 
 def test_one_shot_scale_frozen_value():
-    assert svd_noise_scale(1.0, 1, 1.0, 0.1) == pytest.approx(
+    assert svd_sigma(1.0, 1, 1.0, 0.1) == pytest.approx(
         2.2475447244974928, rel=1e-12
     )
 
 
 def test_scale_proportionality():
-    base = fw_noise_scale(1.0, 5, 3, 1.0, 0.05)
-    assert fw_noise_scale(1.0, 5, 3, 2.0, 0.05) == base / 2
-    assert fw_noise_scale(2.0, 5, 3, 1.0, 0.05) == pytest.approx(4 * base, rel=1e-14)
-    one = svd_noise_scale(1.5, 2, 0.7, 0.05)
-    assert svd_noise_scale(1.5, 2, 1.4, 0.05) == one / 2
+    base = fw_sigma(1.0, 5, 3, 1.0, 0.05)
+    assert fw_sigma(1.0, 5, 3, 2.0, 0.05) == base / 2
+    assert fw_sigma(2.0, 5, 3, 1.0, 0.05) == pytest.approx(4 * base, rel=1e-14)
+    one = svd_sigma(1.5, 2, 0.7, 0.05)
+    assert svd_sigma(1.5, 2, 1.4, 0.05) == one / 2
     # 1/sqrt(M) dependence
-    assert svd_noise_scale(1.5, 8, 0.7, 0.05) == pytest.approx(one / 2, rel=1e-14)
+    assert svd_sigma(1.5, 8, 0.7, 0.05) == pytest.approx(one / 2, rel=1e-14)
 
 
 def test_scale_validation():
     with pytest.raises(ArgumentError):
-        fw_noise_scale(1.0, 1, 1, 0.0, 0.1)
+        fw_sigma(1.0, 1, 1, 0.0, 0.1)
     with pytest.raises(ArgumentError):
-        fw_noise_scale(1.0, 1, 1, 1.0, 1.0)
+        fw_sigma(1.0, 1, 1, 1.0, 1.0)
     with pytest.raises(ArgumentError):
-        fw_noise_scale(1.0, 0, 1, 1.0, 0.1)
+        fw_sigma(1.0, 0, 1, 1.0, 0.1)
     with pytest.raises(ArgumentError):
-        svd_noise_scale(1.0, 0, 1.0, 0.1)
+        svd_sigma(1.0, 0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_budget_or_scale_is_rejected(bad):
     """A NaN or infinite eps or noise scale is an error, never a noiseless release."""
     with pytest.raises(ArgumentError):
-        fw_noise_scale(1.0, 4, 2, bad, 0.1)
+        fw_sigma(1.0, 4, 2, bad, 0.1)
     with pytest.raises(ArgumentError):
-        svd_noise_scale(1.0, 2, bad, 0.1)
+        svd_sigma(1.0, 2, bad, 0.1)
     with pytest.raises(ArgumentError):
         noise_releases(3, bad, (0,))
     with pytest.raises(ArgumentError):
-        FwConfig(1, 1.0, 1.0, bad)
+        FwConfig(1.0, Calibration(1.0, 1, bad))
     with pytest.raises(ArgumentError):
-        SvdConfig(2, bad, 1.0)
+        SvdConfig(2, Calibration(1.0, 1, bad), 1.0)
+
+
+def test_calibrated_scales_are_the_formulas_bit_for_bit():
+    """On criterion 2's 100-point grid, calibrate's sigma for both schedules is byte-equal
+    to the straight-line formulas of `oracles`."""
+    rng = np.random.default_rng(20260823)
+    for _ in range(100):
+        bound = float(10.0 ** rng.uniform(-5, 2))
+        iters = int(rng.integers(1, 201))
+        n_aps = int(rng.integers(1, 101))
+        eps = float(10.0 ** rng.uniform(-2, 2))
+        delta = float(rng.uniform(1e-6, 0.5))
+        for got, want in (
+            (fw_sigma(bound, iters, n_aps, eps, delta), fw_noise_scale(bound, iters, n_aps, eps, delta)),
+            (svd_sigma(bound, n_aps, eps, delta), svd_noise_scale(bound, n_aps, eps, delta)),
+        ):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("bound, eps", [(1e3, 1e-305), (np.float64(1e3), 1e-305), (np.float64(1e200), 1.0)])
+def test_a_noise_scale_out_of_float_range_is_a_config_error(bound, eps):
+    """A budget whose sigma overflows, through eps or the square of a numpy bound, is an
+    input no run can honour: a ConfigError, with no numpy warning on the way."""
+    with pytest.raises(ConfigError, match="overflows"):
+        fw_sigma(bound, 20, 4, eps, 0.1)
+    with pytest.raises(ConfigError, match="overflows"):
+        svd_sigma(bound, 4, eps, 0.1)
+
+
+@pytest.mark.parametrize("bound", [1e4, np.float64(1e4)])
+def test_a_finite_scale_whose_aggregate_overflows_is_a_config_error(bound):
+    """sigma is finite but the sum's std, sigma * sqrt(M), is not: gram_round could not draw it."""
+    assert svd_noise_scale(bound, 4, 1e-300, 0.1) < math.inf
+    with pytest.raises(ConfigError, match="overflows"):
+        svd_sigma(bound, 4, 1e-300, 0.1)
+    assert fw_noise_scale(bound, 1, 4, 2e-299, 0.1) < math.inf
+    with pytest.raises(ConfigError, match="overflows"):
+        fw_sigma(bound, 1, 4, 2e-299, 0.1)
 
 
 # ---------------------------------------------------------------- release round

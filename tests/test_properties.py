@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from privcell.estimation import ser, slice_qpsk
 from privcell.fw import FwConfig, ap_update
-from support import RecordingBackhaul
+from support import RecordingBackhaul, fw_sigma, svd_sigma
 from privcell.linalg import frob_norm, observed_index, pinv
 from privcell.privacy import (
+    Calibration,
     frob_bound,
-    fw_noise_scale,
     gram_round,
     pack_hermitian,
-    svd_noise_scale,
     unpack_hermitian,
 )
 from privcell.protocol import MessageKind
@@ -76,10 +75,10 @@ def test_packed_release_round_trip(dim, seed, kind):
 @given(eps=budgets, bound=scales, iters=st.integers(1, 200), aps=st.integers(1, 100))
 def test_noise_scales_halve_exactly_when_eps_doubles(eps, bound, iters, aps):
     # one multiply and one divide on each route, so no rounding slack needed
-    assert fw_noise_scale(bound, iters, aps, 2 * eps, 0.1) == fw_noise_scale(
+    assert fw_sigma(bound, iters, aps, 2 * eps, 0.1) == fw_sigma(
         bound, iters, aps, eps, 0.1
     ) / 2
-    assert svd_noise_scale(bound, aps, 2 * eps, 0.1) == svd_noise_scale(
+    assert svd_sigma(bound, aps, 2 * eps, 0.1) == svd_sigma(
         bound, aps, eps, 0.1
     ) / 2
 
@@ -118,7 +117,7 @@ def test_clip_keeps_observed_energy_inside_bound(seed, bound):
     x = np.stack([_complex_matrix(rng, 4, 6) for _ in range(3)])
     omega = rng.random((3, 4, 6)) < 0.6
     # eta = 0 and a zero residual: the step leaves x as it is, only the clip acts
-    cfg = FwConfig(1, 1.0, bound, 0.0)
+    cfg = FwConfig(1.0, Calibration(bound, 1, 0.0))
     index = observed_index(omega)
     clipped, norms, did_clip = ap_update(x, np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, index)
     for m in range(3):

@@ -4,7 +4,7 @@ import pytest
 from oracles import centralized_svd
 from support import RecordingBackhaul, kind_count
 from privcell.errors import ArgumentError, ShapeError
-from privcell.privacy import unpack_hermitian
+from privcell.privacy import Calibration, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd
 
@@ -21,25 +21,25 @@ def stacks(a, n_aps):
     return a.reshape(n_aps, -1, a.shape[-1])
 
 
-def test_config_validation_and_derive(tiny):
+def noiseless(bound=1.0):
+    return Calibration(bound, 1, 0.0)
+
+
+def test_config_validation():
     with pytest.raises(ArgumentError):
-        SvdConfig(0, 0.0, 1.0)
+        SvdConfig(0, noiseless(), 1.0)
     with pytest.raises(ArgumentError):
-        SvdConfig(2, -1.0, 1.0)
+        SvdConfig(2, Calibration(1.0, 1, -1.0), 1.0)
     for upsample in (0.0, -1.0, float("nan")):
         with pytest.raises(ArgumentError):
-            SvdConfig(2, 0.0, upsample)
-    cfg = SvdConfig.derive(tiny, 0.5)
-    assert cfg.rank == tiny.K
-    assert cfg.noise_scale == 0.5
-    assert cfg.upsample == tiny.N_a / tiny.N_r
+            SvdConfig(2, noiseless(), upsample)
 
 
 def test_release_gram_hand_value():
     """The one-shot round releases the Gram of the block."""
     j = np.array([[1.0, 1.0j, 0.0], [2.0, 0.0, 0.0]])
     net = RecordingBackhaul()
-    run_svd(j[None], j[None] != 0, SvdConfig(1, 0.0, 1.0), 0, net=net)
+    run_svd(j[None], j[None] != 0, SvdConfig(1, noiseless(), 1.0), 0, net=net)
     want = np.array([[5.0, 1.0j, 0.0], [-1.0j, 1.0, 0.0], [0.0, 0.0, 0.0]])
     np.testing.assert_allclose(unpack_hermitian(net.payloads[0]), want, atol=1e-14)
 
@@ -81,7 +81,7 @@ def test_run_matches_centralized_oracle():
     y = low_rank(8, rows=12, tau_c=10, rank=3)
     y = np.where(rng.random(y.shape) < 0.6, y, 0.0)
     omega = y != 0
-    cfg = SvdConfig(rank=3, noise_scale=0.0, upsample=2.0)
+    cfg = SvdConfig(rank=3, calibration=noiseless(), upsample=2.0)
     res = run_svd(stacks(y, 4), stacks(omega, 4), cfg, 0)
     want = centralized_svd(y, 3, 2.0)
     assert np.linalg.norm(res.x_hat.reshape(want.shape) - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
@@ -91,7 +91,7 @@ def test_run_transcript_counts():
     y = stacks(low_rank(9, rows=8, tau_c=6, rank=2), 4)
     omega = np.ones(y.shape, dtype=bool)
     net = Backhaul()
-    res = run_svd(y, omega, SvdConfig(2, 0.4, 1.0), 5, net=net)
+    res = run_svd(y, omega, SvdConfig(2, Calibration(1.0, 1, 0.4), 1.0), 5, net=net)
     assert res.rounds == 1
     assert res.clip_events == 0
     assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 4
@@ -103,7 +103,7 @@ def test_run_transcript_counts():
 def test_run_deterministic():
     y = stacks(low_rank(10, rows=6, tau_c=5, rank=2), 2)
     omega = np.ones(y.shape, dtype=bool)
-    cfg = SvdConfig(2, 0.8, 1.0)
+    cfg = SvdConfig(2, Calibration(1.0, 1, 0.8), 1.0)
     a = run_svd(y, omega, cfg, 42)
     b = run_svd(y, omega, cfg, 42)
     np.testing.assert_array_equal(a.x_hat, b.x_hat)
@@ -114,9 +114,9 @@ def test_run_deterministic():
 def test_run_argument_checks():
     y = stacks(low_rank(10, rows=6, tau_c=5, rank=2), 2)
     omega = np.ones(y.shape, dtype=bool)
-    cfg = SvdConfig(2, 0.0, 1.0)
+    cfg = SvdConfig(2, noiseless(), 1.0)
     with pytest.raises(ArgumentError):
-        run_svd(y, omega, SvdConfig(2, 0.0, 0.0), 0)
+        run_svd(y, omega, SvdConfig(2, noiseless(), 0.0), 0)
     with pytest.raises(ShapeError):
         run_svd(y, omega[..., :4], cfg, 0)
     with pytest.raises(ShapeError):

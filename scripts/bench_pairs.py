@@ -14,11 +14,13 @@ side always meets the warmer or the quieter machine.  A run's result is the
 JSON object on its last stdout line.
 
 The output holds one record per run under "pairs" (workload, seed, side,
-ran_first, correct, attempted, failed, the end-to-end metric values and
-the run's output_digest) and, under "summary", each workload's median,
-q1, q3 and n of every metric for each side (quartiles by
-`statistics.quantiles`, exclusive method), plus, for trials_per_s, the
-number of seeds at which the change beat the parent with the same outputs.
+ran_first, correct, attempted, failed, the end-to-end metric values, the
+run's output_digest and its minor page faults, the
+`getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child) and, under
+"summary", each workload's median, q1, q3 and n of every metric and of
+minor_faults for each side (quartiles by `statistics.quantiles`, exclusive
+method), plus, for trials_per_s, the number of seeds at which the change
+beat the parent with the same outputs.
 Nothing under
 perfbench/ is changed; a side whose run fails is recorded as it came.
 """
@@ -27,6 +29,7 @@ import argparse
 import io
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,8 +56,8 @@ def parse_run(stdout):
     return json.loads(lines[-1]), digest
 
 
-def pair_record(workload, seed, side, ran_first, result, digest):
-    """One run as a "pairs" entry: the result's counts and each metric's value."""
+def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None):
+    """One run as a "pairs" entry: the result's counts, each metric's value and the run's faults."""
     return {
         "workload": workload,
         "seed": seed,
@@ -65,6 +68,7 @@ def pair_record(workload, seed, side, ran_first, result, digest):
         "failed": result.get("failed", 0),
         "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
         "output_digest": digest,
+        "minor_faults": minor_faults,
     }
 
 
@@ -75,7 +79,8 @@ def spread(values):
 
 
 def summarise(pairs):
-    """Per workload and metric, each side's spread; for WIN_METRIC also the change's wins.
+    """Per workload, each side's spread of every metric and of minor_faults; for WIN_METRIC
+    also the change's wins.
 
     A win is a seed at which both sides ran, the change's run is correct,
     fails no more trials than the parent's, gives the parent's output_digest,
@@ -99,6 +104,10 @@ def summarise(pairs):
                         by_seed.setdefault(p["seed"], {})[p["side"]] = p
                 entry["change_wins"] = sum(1 for v in by_seed.values() if len(v) == 2 and _won(v, name))
             summary[workload][name] = entry
+        faults = {side: [p["minor_faults"] for p in runs if p["side"] == side and p.get("minor_faults") is not None]
+                  for side in SIDES}
+        if any(faults.values()):
+            summary[workload]["minor_faults"] = {side: spread(v) for side, v in faults.items() if v}
     return summary
 
 
@@ -136,14 +145,17 @@ def unpack_parent(rev, dest):
 
 
 def run_side(directory, workload, seed):
-    """One perfbench/run.py run in directory; returns (result, digest), or an incorrect result on failure."""
+    """One perfbench/run.py run in directory; returns (result, digest, minor page faults),
+    the result incorrect and the digest None when the run fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     try:
-        return parse_run(proc.stdout)
+        return (*parse_run(proc.stdout), faults)
     except ValueError as err:  # json.JSONDecodeError is a ValueError
         print(f"  run failed (exit {proc.returncode}): {err}; {proc.stderr.strip()[-300:]}", file=sys.stderr)
-        return {"correct": False}, None
+        return {"correct": False}, None, faults
 
 
 def main(argv=None):
@@ -167,10 +179,11 @@ def main(argv=None):
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, digest = run_side(dirs[side], workload, seed)
-                    pairs.append(pair_record(workload, seed, side, side == order[0], result, digest))
+                    result, digest, faults = run_side(dirs[side], workload, seed)
+                    pairs.append(pair_record(workload, seed, side, side == order[0], result, digest, faults))
                     rate = pairs[-1]["metrics"].get(WIN_METRIC)
-                    print(f"{workload} seed {seed} {side}: {WIN_METRIC} {rate} digest {digest}", flush=True)
+                    print(f"{workload} seed {seed} {side}: {WIN_METRIC} {rate} minor faults {faults} "
+                          f"digest {digest}", flush=True)
     record = {
         "tag": args.tag,
         "parent": sha,

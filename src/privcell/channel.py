@@ -69,6 +69,8 @@ class Scenario:
             raise ConfigError(f"N_r={self.N_r} exceeds N_a={self.N_a}")
         if self.tau_p < self.K:
             raise ConfigError(f"tau_p={self.tau_p} below user count K={self.K}")
+        if 16 * self.M * self.N_a * self.tau_c > np.iinfo(np.intp).max:  # complex128 bytes of one block
+            raise ConfigError(f"an (M, N_a, tau_c) = {self.M, self.N_a, self.tau_c} block exceeds numpy's maximum array size")
         if self.R_km <= 0:
             raise ConfigError(f"R_km must be positive, got {self.R_km}")
         if self.sigma2 < 0:
@@ -106,13 +108,14 @@ class SignalBlock:
 
 
 def crandn(rng, shape, s2=1.0):
-    """CN(0, s2) i.i.d. array; real and imaginary draws in fixed order."""
+    """CN(0, s2) i.i.d. array: one draw of every real part, then every imaginary part."""
     if s2 == 0.0:
         return np.zeros(shape, dtype=complex)
+    z, out = rng.standard_normal((2, *shape)), np.empty(shape, dtype=complex)
     scale = math.sqrt(s2 / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return scale * (re + 1j * im)
+    np.multiply(z[0], scale, out=out.real)
+    np.multiply(z[1], scale, out=out.imag)
+    return out
 
 
 def _in_hexagon(xy, a):
@@ -184,30 +187,34 @@ def gen_payload(K, tau_d, rng):
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def transmit(H, S, sigma2, rng):
-    """Noisy receive R = H S + N, N i.i.d. CN(0, sigma2), for H (..., N_a, K)."""
+def transmit(H, S, sigma2, rng, out=None):
+    """Noisy receive R = H S + N, N i.i.d. CN(0, sigma2), for H (..., N_a, K); out takes R's 2-D rows."""
     H = np.asarray(H)
     S = np.asarray(S)
     if H.shape[-1] != S.shape[0]:
         raise ShapeError(f"H {H.shape} and S {S.shape} do not chain")
-    return shared_matmul(H, S) + crandn(rng, H.shape[:-1] + S.shape[1:], sigma2)
+    r = shared_matmul(H, S, out)
+    return np.add(r, crandn(rng, r.shape, sigma2), out=None if out is None else r)
 
 
-def sample_switch(R, scenario, rng):
+def sample_switch(R, scenario, rng, out=None):
     """Per-AP per-slot switch sampling of an (M, N_a, n) stack: keep N_r of N_a antennas, uniformly.
 
-    Returns (Y, omega): Y equals R on the observed set and is exactly zero
-    elsewhere; omega is the boolean observation mask.  Each (AP, slot)
-    keeps the antennas holding the N_r smallest of N_a uniform draws, cut
-    at the N_r-th smallest by a partition (a tie at the cut, which the
-    53-bit draws make vanishingly rare, would keep both).
+    Returns (Y, omega): Y equals R on the observed set and is exactly zero elsewhere;
+    omega is the boolean observation mask (written to out, a bool array of R's shape,
+    if given, and then Y is R itself, zeroed in place).  Each (AP, slot) keeps the
+    antennas holding the N_r smallest of N_a uniform draws, cut at the N_r-th smallest
+    by a partition (a tie at the cut, which the 53-bit draws make vanishingly rare,
+    would keep both).
     """
     R = np.asarray(R)
     if R.ndim != 3 or R.shape[:2] != (scenario.M, scenario.N_a):
         raise ShapeError(f"R has shape {R.shape}, expected ({scenario.M}, {scenario.N_a}, n)")
     r = rng.random(R.shape)
-    omega = r <= np.partition(r, scenario.N_r - 1, axis=1)[:, scenario.N_r - 1 : scenario.N_r]
-    return np.where(omega, R, 0.0), omega
+    omega = np.less_equal(r, np.partition(r, scenario.N_r - 1, axis=1)[:, scenario.N_r - 1 : scenario.N_r], out=out)
+    Y = R if out is not None else R.copy()
+    Y[~omega] = 0.0
+    return Y, omega
 
 
 def make_block(scenario, beta, P, master_seed, trial, sigma2):
@@ -221,13 +228,9 @@ def make_block(scenario, beta, P, master_seed, trial, sigma2):
     """
     H = gen_channels(beta, scenario, rng_for(master_seed, "channel", trial))
     D = gen_payload(scenario.K, scenario.tau_d, rng_for(master_seed, "payload", trial))
-    R_p = transmit(H, P, sigma2, rng_for(master_seed, "noise_pilot", trial))
-    R_d = transmit(H, D, sigma2, rng_for(master_seed, "noise_data", trial))
-    Y_p, om_p = sample_switch(R_p, scenario, rng_for(master_seed, "mask_pilot", trial))
-    Y_d, om_d = sample_switch(R_d, scenario, rng_for(master_seed, "mask_data", trial))
-    return SignalBlock(
-        D=D,
-        H=H,
-        Y=np.concatenate([Y_p, Y_d], axis=-1),
-        omega=np.concatenate([om_p, om_d], axis=-1),
-    )
+    shape = (scenario.M, scenario.N_a, scenario.tau_c)
+    Y, omega = np.empty((shape[0] * shape[1], shape[2]), dtype=complex), np.empty(shape, dtype=bool)
+    for cols, S, part in ((slice(0, scenario.tau_p), P, "pilot"), (slice(scenario.tau_p, None), D, "data")):
+        R = transmit(H, S, sigma2, rng_for(master_seed, "noise_" + part, trial), out=Y[:, cols])
+        sample_switch(R, scenario, rng_for(master_seed, "mask_" + part, trial), out=omega[..., cols])
+    return SignalBlock(D=D, H=H, Y=Y.reshape(shape), omega=omega)

@@ -1,13 +1,13 @@
 """Channel estimation, payload detection, slicing, and error metrics.
 
-The completion-based path estimates the channel from the pilot columns
-of a completed block and detects payload by least squares against that
-estimate.  The pilot-only baseline skips completion entirely: a
-correlation channel estimate from the switch-sampled pilot slots, then
-per-slot regularised least squares on whichever antennas happened to be
-observed.  Its observed-antenna index comes from a counting pass, and all
-its per-slot systems are solved by one batched Cholesky
-(`linalg.cholesky_solve`).  The channel estimates multiply every AP's
+The completion-based path estimates the channel from the pilot columns of a
+completed block and detects payload by least squares against that estimate,
+each AP through the inverse of its min(N_a, K)-square Gram, batched, with
+`linalg.pinv` kept for an AP whose Gram is not well conditioned.  The
+pilot-only baseline skips completion: a correlation channel estimate from the
+switch-sampled pilot slots, then per-slot regularised least squares on the
+antennas observed, indexed by a counting pass and solved by one batched
+Cholesky (`linalg.cholesky_solve`).  The channel estimates multiply every AP's
 block by the shared pilot matrix in one GEMM (`linalg.shared_matmul`).
 """
 
@@ -30,12 +30,28 @@ def estimate_channel(x_pilot, pilot_pinv):
 
 
 def detect_local(h_hat, x_data):
-    """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack."""
-    h_hat = np.asarray(h_hat)
-    x_data = np.asarray(x_data)
+    """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack, through the smaller
+    Gram G by one batched inverse: H^H G^-1 X_d, G = H H^H, when N_a <= K, else G^-1 H^H X_d,
+    G = H^H H.  A stack where some G is singular or has ||G||_F ||G^-1||_F >= 1e8 goes one leading
+    index at a time down to single APs; such an AP takes pinv(H) @ X_d, with pinv's cutoff.  Each
+    AP's result is thus its own 2-D call's, bit for bit, whatever stack it arrives in."""
+    h_hat, x_data = np.asarray(h_hat), np.asarray(x_data)
     if h_hat.shape[-2] != x_data.shape[-2]:
         raise ShapeError(f"row mismatch {h_hat.shape} vs {x_data.shape}")
-    return pinv(h_hat) @ x_data
+    hh = np.swapaxes(h_hat.conj(), -1, -2)
+    wide = h_hat.shape[-2] <= h_hat.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
+        g = h_hat @ hh if wide else hh @ h_hat
+        try:
+            gi = np.linalg.inv(g)
+            trusted = (np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(gi, axis=(-2, -1)) < 1e8).all()
+        except np.linalg.LinAlgError:  # an exactly singular G
+            trusted = False
+    if trusted:
+        return hh @ (gi @ x_data) if wide else gi @ (hh @ x_data)
+    if h_hat.ndim == 2:
+        return pinv(h_hat) @ x_data
+    return np.stack([detect_local(h, x) for h, x in zip(h_hat, x_data)])
 
 
 def combine(d_locals, total=None):

@@ -143,9 +143,9 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
         detect = lambda aps: estimation.detect_local(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
     # Each chunk of consecutive APs is sent in one call and added into one running sum in AP
-    # order, so no (M, K, tau_d) stack is held.  A chunk keeps its largest per-AP temporary, the
-    # (K, tau_d) detection or po's (N_a, tau_d) scattered solution and (N_r, N_r, tau_d) gathered
-    # Grams, within _DETECT_BYTES; po's counting-pass index is (N_r, tau_d).  (po's K x K and
+    # order, so no (M, K, tau_d) stack is held; no AP's detection depends on its chunk.  A chunk
+    # keeps its largest per-AP temporary, the (K, tau_d) detection or po's (N_a, tau_d) scattered
+    # solution and (N_r, N_r, tau_d) gathered Grams, within _DETECT_BYTES.  (po's K x K and
     # noiseless branches, which no shipped profile takes, still gather a (tau_d, N_r, K) stack.)
     s = scenario
     step = max(1, _DETECT_BYTES // (16 * s.tau_d * max(s.K, s.N_a, s.N_r * s.N_r)))

@@ -86,15 +86,16 @@ def _norm(v):
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def shared_matmul(a, b):
+def shared_matmul(a, b, out=None):
     """a @ b for an (..., m, k) stack a and one shared (k, n) matrix b, as one GEMM.
 
     The stack is folded into its (...*m, k) rows, so BLAS is called once
     instead of once per matrix; every output entry is the same dot product
-    as in the stacked `a @ b`.
+    as in the stacked `a @ b`.  out, if given, is the 2-D (...*m, n) product.
     """
     a = np.asarray(a)
-    return (a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+    rows = np.matmul(a.reshape(math.prod(a.shape[:-1]), a.shape[-1]), b, out=out)
+    return rows.reshape(*a.shape[:-1], b.shape[-1])
 
 
 def cholesky_solve(a, b):

@@ -105,6 +105,16 @@ def centralized_svd(y, rank, upsample):
     return upsample * (y @ basis @ basis.conj().T)
 
 
+def crandn(rng, shape, s2=1.0):
+    """CN(0, s2) draw as the complex product scale * (re + 1j * im), re drawn before im."""
+    if s2 == 0.0:
+        return np.zeros(shape, dtype=complex)
+    scale = math.sqrt(s2 / 2.0)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return scale * (re + 1j * im)
+
+
 def pilot_only_lmmse(h_hat, y_m, omega_m, sigma2, t, tau_p):
     """Per-slot reference for the batched pilot-only detector, slot t (0-based).
 

@@ -32,14 +32,16 @@ def stdout(rate, nmse=0.5, digest="ab12", correct=True):
     )
 
 
-def pairs_of(rates, workload="desk-npfw"):
-    """Pair records from (parent, change) rates, one pair per seed, the first side alternating."""
+def pairs_of(rates, workload="desk-npfw", faults=None):
+    """Pair records from (parent, change) rates, one pair per seed, the first side alternating;
+    faults, if given, holds each pair's (parent, change) minor page faults."""
     out = []
     for seed, (parent, change) in enumerate(rates, start=1):
         first = "parent" if seed % 2 else "change"
-        for side, rate in (("parent", parent), ("change", change)):
+        counts = faults[seed - 1] if faults else (None, None)
+        for side, rate, count in (("parent", parent, counts[0]), ("change", change, counts[1])):
             result, digest = bench_pairs.parse_run(stdout(rate))
-            out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest))
+            out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest, count))
     return out
 
 
@@ -51,7 +53,7 @@ def test_a_run_is_its_last_line_and_its_digest():
     assert rec == {
         "workload": "desk-npfw", "seed": 3, "side": "change", "ran_first": False, "correct": True,
         "attempted": 40, "failed": 0, "metrics": {"trials_per_s": 5.25, "nmse": 0.5},
-        "output_digest": "c0ffee",
+        "output_digest": "c0ffee", "minor_faults": None,
     }
 
 
@@ -71,6 +73,34 @@ def test_summary_has_each_sides_quartiles_and_the_changes_wins():
     assert entry["change_wins"] == 4  # seed 3 lost, seed 5 tied
     assert summary["desk-npfw"]["nmse"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5, "n": 6}
     assert "change_wins" not in summary["desk-npfw"]["nmse"]
+
+
+def test_summary_has_each_sides_minor_fault_quartiles():
+    faults = [(1700, 1400), (1750, 1420), (1690, 1390), (1720, 1405)]
+    summary = bench_pairs.summarise(pairs_of([(5.0, 6.0)] * 4, faults=faults))
+    entry = summary["desk-npfw"]["minor_faults"]
+    for side, values in (("parent", [p for p, _ in faults]), ("change", [c for _, c in faults])):
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        assert entry[side] == {"median": median, "q1": q1, "q3": q3, "n": 4}
+    assert "minor_faults" not in bench_pairs.summarise(pairs_of([(5.0, 6.0)]))["desk-npfw"]
+
+
+def test_a_run_records_its_childs_minor_faults(tmp_path):
+    """run_side counts the faults of the run it starts: a run that touches 16 MB of fresh
+    pages (4,096 at 4 KiB) shows at least 3,000 more than one that touches none."""
+    runs = {}
+    for name, touch in (("idle", "0"), ("touching", "16 << 20")):
+        script = tmp_path / name / "perfbench" / "run.py"
+        script.parent.mkdir(parents=True)
+        script.write_text(
+            f"buf = bytearray({touch})\n"
+            "for i in range(0, len(buf), 4096):\n    buf[i] = 1\n"
+            f"print({stdout(5.0)!r}, end='')\n"
+        )
+        runs[name] = bench_pairs.run_side(script.parent.parent, "desk-npfw", 1)
+    for result, digest, faults in runs.values():
+        assert result["correct"] and digest == "ab12" and faults > 0
+    assert runs["touching"][2] - runs["idle"][2] >= 3000
 
 
 def test_summary_keeps_workloads_apart_and_skips_runs_without_metrics():

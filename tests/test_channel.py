@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import switch_mask
 from privcell.channel import (
     MIN_DIST_M,
@@ -27,6 +28,14 @@ from privcell.config import load_experiment
 from privcell.errors import ConfigError, ShapeError
 from privcell.harness import draw_beta, prepare
 from privcell.seeding import rng_for
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def prepared_profile(name):
+    """A shipped profile's scenario and its config-seed deployment, as the harness prepares it."""
+    exp = load_experiment(CONFIGS / f"{name}.yaml")
+    return exp.scenario, prepare(exp.scenario, exp.run, draw_beta(exp.scenario, exp.scenario.seed))
 
 
 # ---------------------------------------------------------------- scenario
@@ -140,6 +149,29 @@ def test_crandn_variance_and_zero(rng):
     z = crandn(rng, (200, 200), 2.0)
     assert z.real.var() + z.imag.var() == pytest.approx(2.0, rel=0.05)
     assert np.array_equal(crandn(rng, (3, 3), 0.0), np.zeros((3, 3)))
+
+
+def test_crandn_is_the_complex_product_bit_for_bit():
+    """crandn's real and imaginary parts are scale * re and scale * im, each one rounded
+    product, and so is the oracle's complex product scale * (re + 1j * im), whose cross terms
+    only add a zero.  Shapes: a small matrix and the channel, pilot and payload stacks of
+    desk and m100_k25; s2: 1, 0.3 and desk's rescaled noise power.  Where sqrt(s2 / 2)
+    underflows to 0 every entry is a zero whose sign the product takes from both draws and
+    crandn from one, so there the arrays are compared by value."""
+    shapes, desk_sigma2 = [(6, 2)], None
+    for name in ("desk", "m100_k25"):
+        sc, prep = prepared_profile(name)
+        shapes += [(sc.M, sc.N_a, n) for n in (sc.K, sc.tau_p, sc.tau_d)]
+        desk_sigma2 = desk_sigma2 or prep.sigma2
+    for i, shape in enumerate(shapes):
+        for s2 in (1.0, 0.3, desk_sigma2):
+            got = crandn(np.random.default_rng(i), shape, s2)
+            want = oracles.crandn(np.random.default_rng(i), shape, s2)
+            assert got.tobytes() == want.tobytes(), (shape, s2)
+    assert math.sqrt(5e-324 / 2.0) == 0.0
+    got = crandn(np.random.default_rng(0), (6, 2), 5e-324)
+    np.testing.assert_array_equal(got, oracles.crandn(np.random.default_rng(0), (6, 2), 5e-324))
+    assert not got.any()
 
 
 def test_channel_hardening():
@@ -327,9 +359,9 @@ def _flat_block(sc, beta, p, master_seed, trial, sigma2):
         return np.where(omega, r, 0.0), omega
 
     def noise(stage, cols):
-        return crandn(rng_for(master_seed, stage, trial), (n_rows, cols), sigma2)
+        return oracles.crandn(rng_for(master_seed, stage, trial), (n_rows, cols), sigma2)
 
-    g = crandn(rng_for(master_seed, "channel", trial), (n_rows, sc.K))
+    g = oracles.crandn(rng_for(master_seed, "channel", trial), (n_rows, sc.K))
     h = g * np.sqrt(np.repeat(beta.T, sc.N_a, axis=0))
     d = gen_payload(sc.K, sc.tau_d, rng_for(master_seed, "payload", trial))
     y_p, om_p = switch(h @ p + noise("noise_pilot", sc.tau_p), rng_for(master_seed, "mask_pilot", trial))
@@ -339,10 +371,13 @@ def _flat_block(sc, beta, p, master_seed, trial, sigma2):
 
 
 def test_make_block_matches_flat_draw(tiny):
-    """The stacked draw gives the flat (M*N_a, ·) draw's H, Y, omega and D bit for bit."""
-    exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
-    desk = prepare(exp.scenario, exp.run, draw_beta(exp.scenario, exp.scenario.seed))
-    cases = [(exp.scenario, desk.beta, desk.pilots, desk.sigma2)]
+    """The stacked draw gives the flat (M*N_a, ·) draw's H, Y, omega and D bit for bit, the
+    flat draw's noise and fading by the oracle's complex product.  Cases: desk and m100_k25
+    at their rescaled noise power and with none, and three small scenarios."""
+    cases = []
+    for name in ("desk", "m100_k25"):
+        sc, prep = prepared_profile(name)
+        cases += [(sc, prep.beta, prep.pilots, s2) for s2 in (prep.sigma2, 0.0)]
     for sc in (tiny, dataclasses.replace(tiny, N_r=tiny.N_a), dataclasses.replace(tiny, M=1)):
         cases.append((sc, draw_beta(sc, 5), gen_pilots(sc.K, sc.tau_p), 0.3))
     for sc, beta, p, sigma2 in cases:

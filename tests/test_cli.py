@@ -196,6 +196,28 @@ def test_fractional_tau_d_sweep_value_exits_2(toy_config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, args",
+    [("desk", ["--sweep", "tau_d", "--values", "1e18"]),
+     ("desk", ["--sweep", "tau_d", "--values", "1e30"]),
+     ("huge_m", ["--values", "1"])],
+    ids=["tau_d-1e18", "tau_d-1e30", "yaml-M-1e18"],
+)
+def test_a_block_larger_than_numpy_allows_exits_2(tmp_path, capsys, config, args):
+    """An (M, N_a, tau_c) complex128 block of more bytes than numpy's largest array is refused
+    when the scenario is built, not left to a ValueError traceback from numpy.  Only sizes
+    the check refuses are tried: a size that passes it would be allocated."""
+    path = REPO / "configs" / "desk.yaml"
+    if config == "huge_m":
+        path = tmp_path / "huge.yaml"
+        path.write_text(re.sub(r"^M: .*$", "M: 1000000000000000000", TOY, flags=re.M))
+    out = tmp_path / "o.csv"
+    rc = cli.main(["simulate", "--config", str(path), "--method", "po", *args, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "block exceeds numpy's maximum array size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fractional_fw_iters_crossval_value_exits_2(toy_config, capsys):
     rc = cli.main(
         ["crossval", "--config", str(toy_config), "--method", "fw",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import pilot_only_lmmse
+from privcell import estimation
 from privcell.channel import crandn, gen_pilots, make_block
 from privcell.config import load_experiment
 from privcell.errors import MetricUndefinedError, ShapeError
@@ -65,6 +66,81 @@ def test_detect_local_normal_equations(rng):
     np.testing.assert_allclose(detect_local(h, x), want, atol=1e-9)
     with pytest.raises(ShapeError):
         detect_local(h, x[:4])
+
+
+def fro(a):
+    return np.linalg.norm(a)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    n_ant=st.integers(1, 8),
+    n_users=st.integers(1, 30),
+    tau_d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_detect_local_matches_pinv(lead, n_ant, n_users, tau_d, seed):
+    """Wide, square and tall H with 0 to 2 leading AP axes, against pinv(h) @ x per AP.
+
+    Tolerance: ||d - pinv(h) x||_F <= 1e-6 ||pinv(h)||_F ||x||_F.  The Gram route's error is
+    about cond(G) eps ||pinv(h)|| ||x||, and the certificate admits cond(G) up to 1e8, so
+    about 2e-8 of that scale; pinv's own error, cond(h) eps of it, is smaller.  Each AP's
+    output is also its own 2-D call's, byte for byte."""
+    rng = np.random.default_rng(seed)
+    h = crandn(rng, lead + (n_ant, n_users))
+    x = crandn(rng, lead + (n_ant, tau_d))
+    got = detect_local(h, x)
+    assert got.shape == lead + (n_users, tau_d)
+    for i in np.ndindex(lead):
+        p = pinv(h[i])
+        assert fro(got[i] - p @ x[i]) <= 1e-6 * fro(p) * fro(x[i])
+        assert got[i].tobytes() == detect_local(h[i], x[i]).tobytes()
+
+
+def gram_route(h, x):
+    """The fast path of detect_local written out for one AP."""
+    hh = h.conj().T
+    if len(h) <= h.shape[1]:
+        return hh @ (np.linalg.inv(h @ hh) @ x)
+    return np.linalg.inv(hh @ h) @ (hh @ x)
+
+
+@pytest.mark.parametrize("fault", ["repeated", "zero", "ill-conditioned"])
+@pytest.mark.parametrize("n_ant, n_users", [(4, 25), (4, 4), (6, 3)], ids=["wide", "square", "tall"])
+def test_detect_local_sends_only_the_rank_deficient_ap_to_pinv(fault, n_ant, n_users, monkeypatch):
+    """One AP of a (2, 3) stack is rank deficient, by a repeated row (a repeated column when H
+    is tall) or all zeros, or ill conditioned, with singular values 1 and 1e-6.  A zero AP's
+    Gram, and here a repeated row's unless H is square, is exactly singular and stops the
+    batched inverse; the square repeated-row and the ill-conditioned Grams fail the
+    certificate instead.  Either way that AP is pinv(h) @ x byte for byte and is the only
+    matrix pinv sees; every other AP is the Gram route's bytes and its own 2-D call's."""
+    rng = np.random.default_rng(5)
+    h = crandn(rng, (2, 3, n_ant, n_users))
+    x = crandn(rng, (2, 3, n_ant, 7))
+    bad = (1, 1)
+    if fault == "zero":
+        h[bad] = 0.0
+    elif fault == "repeated" and n_ant <= n_users:
+        h[bad][1] = h[bad][0]
+    elif fault == "repeated":
+        h[bad][:, 1] = h[bad][:, 0]
+    else:
+        u, _, vh = np.linalg.svd(h[bad], full_matrices=False)
+        h[bad] = (u * np.r_[1.0, [1e-6] * (len(vh) - 1)]) @ vh
+    seen = []
+
+    def spy(a):
+        seen.append(np.asarray(a))
+        return pinv(a)
+
+    monkeypatch.setattr(estimation, "pinv", spy)
+    got = detect_local(h, x)
+    assert got[bad].tobytes() == (pinv(h[bad]) @ x[bad]).tobytes()
+    assert seen and all(a.reshape(h[bad].shape).tobytes() == h[bad].tobytes() for a in seen)
+    for i in np.ndindex(2, 3):
+        if i != bad:
+            assert got[i].tobytes() == gram_route(h[i], x[i]).tobytes() == detect_local(h[i], x[i]).tobytes()
 
 
 def test_combine(rng):

@@ -9,11 +9,16 @@ profile by default:
 Each table is named after the profile file, <stem>_<axis>.csv: desk.yaml
 writes desk_epsilon.csv and desk_tau_d.csv, m100_k5.yaml writes
 m100_k5_epsilon.csv and m100_k5_tau_d.csv, so profiles never overwrite
-each other's tables.  The non-private and pilot-only rows are flat along
-the epsilon axis by construction, so `harness.run_sweep` runs each of
-them once and writes its record at every epsilon; the CSV keeps one row
-per method and value and can be plotted without special cases.  Expect a
-few minutes at 50 trials on desk.
+each other's tables.  Each sweep is one `harness.run_sweep` call with
+the whole method list.  It runs trial by trial, every axis value and
+method of a trial in turn, so the trial's coherence block is drawn once
+for the epsilon sweep (50 blocks at desk's 50 trials, not 13 per trial)
+and once per tau_d for the payload sweep.  The non-private and
+pilot-only rows are flat along the epsilon axis by construction, so
+`run_sweep` runs each of them once and writes its record at every
+epsilon; the CSV keeps one row per method and value, in method order,
+and can be plotted without special cases.  Expect a few minutes at 50
+trials on desk.
 """
 
 import argparse
@@ -56,16 +61,11 @@ def main():
     axes = ("epsilon", "tau_d") if args.sweep == "both" else (args.sweep,)
     for axis in axes:
         values, methods = SWEEPS[axis]
-        records = []
         t0 = time.perf_counter()
-        for method in methods:
-            records += run_sweep(
-                with_overrides(exp, method=method, sweep=axis, values=values)
-            )
-            print(f"  {axis}/{method} done ({time.perf_counter() - t0:.0f}s)")
+        records = run_sweep(with_overrides(exp, sweep=axis, values=values), methods)
         out = out_dir / f"{Path(args.config).stem}_{axis}.csv"
         emit_csv(records, out)
-        print(f"wrote {out} ({len(records)} rows)")
+        print(f"wrote {out} ({len(records)} rows, {time.perf_counter() - t0:.0f}s)")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from .harness import (  # noqa: E402
     cross_validate,
     draw_beta,
     emit_csv,
+    paired,
     prepare,
     run_sweep,
     run_trial,
@@ -85,7 +86,9 @@ def _experiment(args, *names):
 def cmd_simulate(args):
     records = run_sweep(_experiment(args, "sweep", "values", "trials"))
     emit_csv(records, args.out)
-    for rec in records:
+    for prev, rec in zip([None, *records], records):
+        if prev is not None:  # the paired NMSE step from the previous axis value, on shared trials
+            print("  step: nmse {:+.5f} ± {:.5f}, {}/{} rising".format(*paired(prev, rec)))
         print(
             f"{rec.method} {rec.axis}={rec.axis_value:g} "
             f"nmse={rec.nmse:.6g} ser={rec.ser:.6g} "

@@ -3,9 +3,11 @@
 A sweep point draws the large-scale fading from trial-independent
 streams, so every axis value sees the same deployment, then runs
 independently seeded trials.  Per-trial seeds derive from
-(master seed, stage, trial index) only, so a trial gives identical
-results whatever ran before it, and methods sharing a master seed see
-identical channels, masks, and receiver noise.
+(master seed, stage, trial index) only, and methods sharing a master seed
+see identical channels, masks, and receiver noise.  A sweep runs trial by
+trial, and `run_trial` takes its block from a one-entry memo keyed by the
+value of every `make_block` input and held read-only, so a trial gives
+identical results whatever ran before it.
 """
 
 import csv
@@ -66,6 +68,8 @@ class MetricsRecord:
     seed: int
     seconds: float
     extras: Optional[dict] = None  # diagnostics, not serialised
+    trial_nmse: Optional[np.ndarray] = None  # per trial, NaN where it failed; not serialised
+    trial_ser: Optional[np.ndarray] = None
 
     def row(self):
         return [getattr(self, name) for name in CSV_HEADER]
@@ -122,12 +126,27 @@ def completion_config(method, prepared, scenario, run, eps):
     return SvdConfig(scenario.K, cal, scenario.N_a / scenario.N_r)
 
 
+_BLOCKS = {}  # one-entry memo: the bytes of make_block's inputs -> the block they draw
+
+
+def _block(scenario, prepared, master_seed, trial):
+    """make_block's block: the held one if its inputs match, else a draw that replaces it (a miss
+    drops it first; a draw that raises holds none).  Its arrays are read-only for later trials."""
+    arrays = (np.asarray(prepared.beta), np.asarray(prepared.pilots), np.float64(prepared.sigma2))
+    key = (repr(scenario), int(master_seed), int(trial), *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+    if key not in _BLOCKS:
+        _BLOCKS.clear()
+        block = make_block(scenario, prepared.beta, prepared.pilots, master_seed, trial, prepared.sigma2)
+        for a in (block.D, block.H, block.Y, block.omega):
+            a.flags.writeable = False
+        _BLOCKS[key] = block
+    return _BLOCKS[key]
+
+
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
     """One end-to-end trial on (M, ·, ·) AP stacks, detected in AP chunks; returns a TrialResult."""
     spec = method_spec(method)
-    block = make_block(
-        scenario, prepared.beta, prepared.pilots, master_seed, trial, prepared.sigma2
-    )
+    block = _block(scenario, prepared, master_seed, trial)
     net = Backhaul() if net is None else net
     tau_p = scenario.tau_p
     if spec.completion is None:  # pilot-only: no completion traffic at all
@@ -171,55 +190,66 @@ def apply_axis(scenario, axis, value):
     raise ArgumentError(f"unknown sweep axis {axis!r}")
 
 
-def run_point(exp, method, axis, value, trials, master_seed, beta=None):
-    """All trials of one method at one axis value; returns a MetricsRecord.
+def _record(method, axis, value, master_seed, prepared, results, seconds):
+    """One point's MetricsRecord from its trials' results, None where a trial failed."""
+    done = [r for r in results if r is not None]
+    nm, sr = (float(np.mean([getattr(r, f) for r in done])) if done else math.nan for f in ("nmse", "ser"))
+    per_trial = (np.array([math.nan if r is None else getattr(r, f) for r in results]) for f in ("nmse", "ser"))
+    extras = None
+    if method_spec(method).completion == ITERATIVE and done:
+        extras = {"max_masked_norm": max(r.max_masked_norm for r in done), "clip_bound": prepared.clip_bound}
+    fails = len(results) - len(done)
+    return MetricsRecord(method, axis, float(value), nm, sr, len(done), fails, master_seed, seconds, extras, *per_trial)
 
-    trials must be an integer >= 1, else a ConfigError, as is raised from a trial (an input no
-    trial can honour).  A trial that raises another PrivCellError or a LinAlgError, or whose
-    NMSE or SER is not finite, is logged and counted as a failure, never averaged in.
-    """
+
+def _sweep(exp, methods, axis, values, trials, master_seed, beta=None):
+    """Records of methods x values, method-major, from a trial -> value -> method loop, so a
+    trial's block is drawn once (once per tau_d).  Each value is prepared once, on beta or the
+    deployment of master_seed; a record's seconds is its share of that plus its trials' time.
+    A ConfigError from a trial propagates (no trial can honour the input); a trial that raises
+    another PrivCellError or a LinAlgError, or whose NMSE or SER is not finite, is logged and
+    counted as a failure."""
     check_int("trials", trials, 1)
-    clipping = method_spec(method).completion == ITERATIVE
-    scenario, eps_override = apply_axis(exp.scenario, axis, value)
-    eps = eps_override if eps_override is not None else exp.run.eps
-    t0 = time.perf_counter()
-    if beta is None:
-        beta = draw_beta(scenario, master_seed)
-    prepared = prepare(scenario, exp.run, beta)
-    results, failures = [], 0
+    flat = {m for m in methods if axis == "epsilon" and not method_spec(m).private}
+    jobs = {(i, m): [] for i in range(len(values)) for m in methods if i == 0 or m not in flat}
+    points, seconds = {}, {}
+    for i, m in jobs:  # value by value
+        if i not in points:
+            t0 = time.perf_counter()
+            scenario, eps = apply_axis(exp.scenario, axis, values[i])
+            drawn = draw_beta(scenario, master_seed) if beta is None else beta
+            points[i] = scenario, exp.run.eps if eps is None else eps, prepare(scenario, exp.run, drawn)
+            share = (time.perf_counter() - t0) / sum(j == i for j, _ in jobs)
+        seconds[i, m] = share
     for trial in range(trials):
-        try:
-            res = run_trial(scenario, exp.run, method, prepared, master_seed, trial, eps)
-            if not (math.isfinite(res.nmse) and math.isfinite(res.ser)):
-                raise MetricUndefinedError(f"non-finite result nmse={res.nmse!r} ser={res.ser!r}")
-            results.append(res)
-        except ConfigError:
-            raise
-        except (PrivCellError, np.linalg.LinAlgError) as e:
-            failures += 1
-            log.warning("excluded trial %d: %s: %s", trial, type(e).__name__, e)
-    nm = float(np.mean([r.nmse for r in results])) if results else float("nan")
-    sr = float(np.mean([r.ser for r in results])) if results else float("nan")
-    extras = {}
-    if clipping and results:
-        extras["max_masked_norm"] = max(r.max_masked_norm for r in results)
-        extras["clip_bound"] = prepared.clip_bound
-    return MetricsRecord(
-        method=method,
-        axis=axis,
-        axis_value=float(value),
-        nmse=nm,
-        ser=sr,
-        trials=len(results),
-        failures=failures,
-        seed=master_seed,
-        seconds=time.perf_counter() - t0,
-        extras=extras or None,
-    )
+        for (i, method), out in jobs.items():
+            (scenario, eps, prepared), t0 = points[i], time.perf_counter()
+            try:
+                res = run_trial(scenario, exp.run, method, prepared, master_seed, trial, eps)
+                if not (math.isfinite(res.nmse) and math.isfinite(res.ser)):
+                    raise MetricUndefinedError(f"non-finite result nmse={res.nmse!r} ser={res.ser!r}")
+            except ConfigError:
+                raise
+            except (PrivCellError, np.linalg.LinAlgError) as e:
+                log.warning("excluded trial %d: %s: %s", trial, type(e).__name__, e)
+                res = None
+            out.append(res)
+            seconds[i, method] += time.perf_counter() - t0
+    return [
+        _record(m, axis, v, master_seed, points[j][2], jobs[j, m], seconds[j, m])
+        for m in methods
+        for j, v in ((0 if m in flat else i, v) for i, v in enumerate(values))
+    ]
 
 
-def run_sweep(exp):
-    """Sweep the config's method over its axis values, at its trial count and seed.
+def run_point(exp, method, axis, value, trials, master_seed, beta=None):
+    """All trials (an integer >= 1, else a ConfigError) of one method at one axis value; a MetricsRecord."""
+    return _sweep(exp, (method,), axis, (value,), trials, master_seed, beta)[0]
+
+
+def run_sweep(exp, methods=None):
+    """Sweep methods (the config's one by default) over the config's axis values, at its trial
+    count and seed, trial-major; records come back method by method, each in axis order.
 
     A non-private method draws no release noise, so nothing it computes reads epsilon: an
     epsilon sweep runs it at the first value only and writes that record, seconds included,
@@ -228,11 +258,17 @@ def run_sweep(exp):
     run = exp.run
     if not run.values:
         raise ConfigError("sweep needs at least one axis value")
-    seed = exp.scenario.seed
-    if run.sweep == "epsilon" and not method_spec(run.method).private:
-        rec = run_point(exp, run.method, run.sweep, run.values[0], run.trials, seed)
-        return [dataclasses.replace(rec, axis_value=float(v)) for v in run.values]
-    return [run_point(exp, run.method, run.sweep, v, run.trials, seed) for v in run.values]
+    methods = (run.method,) if methods is None else tuple(methods)
+    return _sweep(exp, methods, run.sweep, run.values, run.trials, exp.scenario.seed)
+
+
+def paired(a, b, metric="nmse"):
+    """(mean, standard error, rising count, count) of the per-trial change of metric (nmse or
+    ser) from record a to record b, over the trials both completed."""
+    d = getattr(b, "trial_" + metric) - getattr(a, "trial_" + metric)
+    d = d[~np.isnan(d)]
+    se = float(np.std(d, ddof=1) / math.sqrt(len(d))) if len(d) > 1 else math.nan
+    return float(np.mean(d)) if len(d) else math.nan, se, int(np.count_nonzero(d > 0)), len(d)
 
 
 def cross_validate(exp, param, grid):

@@ -387,7 +387,7 @@ def test_unwritable_out_exits_2(toy_config, tmp_path, capsys, command, monkeypat
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "run_point", no_trial)
+    monkeypatch.setattr(harness, "run_trial", no_trial)
     monkeypatch.setattr(cli, "run_trial", no_trial)
     out = str(tmp_path / "missing" / "x.out")
     argv = [command, "--config", str(toy_config), "--method", "po", "--out", out]
@@ -450,56 +450,81 @@ def test_crossval_script_scales_fractions_by_the_scored_deployment(monkeypatch, 
     assert capsys.readouterr().out.splitlines()[-1] == "best fraction: 2.00"
 
 
-@pytest.mark.parametrize("profile", ["desk", "m100_k25"])
-def test_sweep_script_names_its_tables_after_the_profile(monkeypatch, tmp_path, profile):
-    """run_desk_sweeps.py writes <profile stem>_<axis>.csv into --out-dir, so a full-scale
-    run leaves the desk tables alone; the sweeps themselves are stubbed out."""
+def _sweep_script(monkeypatch, axes):
+    """scripts/run_desk_sweeps.py loaded as a module, its run_sweep calls appended to axes as
+    (axis, methods) and each trial stubbed to (nmse, ser) = (0.5, 0.25)."""
     for var in BLAS_VARS:  # the script sets them on import; restored after the test
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("run_desk_sweeps", REPO / "scripts" / "run_desk_sweeps.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    written = []
-    monkeypatch.setattr(script, "run_sweep", lambda exp: [exp.run.method])
+
+    def sweep(exp, methods):
+        axes.append((exp.run.sweep, tuple(methods)))
+        return harness.run_sweep(exp, methods)
+
+    monkeypatch.setattr(script, "run_sweep", sweep)
+    return script
+
+
+@pytest.mark.parametrize("profile", ["desk", "m100_k25"])
+def test_sweep_script_names_its_tables_after_the_profile(monkeypatch, tmp_path, profile):
+    """run_desk_sweeps.py writes <profile stem>_<axis>.csv into --out-dir, so a full-scale
+    run leaves the desk tables alone; one run_sweep call per axis, its trials stubbed out."""
+    axes, written = [], []
+    script = _sweep_script(monkeypatch, axes)
+    monkeypatch.setattr(harness, "run_trial", lambda *args: harness.TrialResult(0.5, 0.25))
     monkeypatch.setattr(script, "emit_csv", lambda records, path: written.append(path))
-    argv = ["run_desk_sweeps.py", "--out-dir", str(tmp_path)]
+    argv = ["run_desk_sweeps.py", "--out-dir", str(tmp_path), "--trials", "2"]
     if profile != "desk":  # desk is the script's default profile
         argv += ["--config", str(REPO / "configs" / f"{profile}.yaml")]
     monkeypatch.setattr(sys, "argv", argv)
     script.main()
     assert written == [tmp_path / f"{profile}_epsilon.csv", tmp_path / f"{profile}_tau_d.csv"]
+    assert [axis for axis, _ in axes] == ["epsilon", "tau_d"]
 
 
 def test_sweep_script_runs_each_non_private_method_once_per_epsilon_sweep(monkeypatch, tmp_path):
-    """With run_point stubbed: one call per non-private method on the epsilon axis, one per
-    value for the private ones and for every method on the tau_d axis; every epsilon row is
+    """With run_trial stubbed: one run_sweep call per axis with its whole method list; on the
+    epsilon axis each trial runs once per non-private method and once per value for the
+    private ones, on the tau_d axis once per value for every method; every epsilon row is
     still written, each at its own value."""
-    for var in BLAS_VARS:  # the script sets them on import; restored after the test
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("run_desk_sweeps", REPO / "scripts" / "run_desk_sweeps.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    calls, tables = [], {}
+    axes, calls, tables = [], [], {}
+    script = _sweep_script(monkeypatch, axes)
 
-    def point(exp, method, axis, value, trials, master_seed, beta=None):
-        calls.append((method, axis))
-        return harness.MetricsRecord(method, axis, float(value), 0.5, 0.25, trials, 0, master_seed, 1.0)
+    def trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
+        calls.append((method, axes[-1][0], trial))
+        return harness.TrialResult(0.5, 0.25)
 
-    monkeypatch.setattr(harness, "run_point", point)
+    monkeypatch.setattr(harness, "run_trial", trial)
     monkeypatch.setattr(script, "emit_csv", lambda records, path: tables.setdefault(path.stem, records))
-    monkeypatch.setattr(sys, "argv", ["run_desk_sweeps.py", "--out-dir", str(tmp_path)])
+    monkeypatch.setattr(sys, "argv", ["run_desk_sweeps.py", "--out-dir", str(tmp_path), "--trials", "3"])
     script.main()
+    assert axes == [("epsilon", tuple(METHODS)), ("tau_d", ("fw", "svd", "po"))]
     eps, taus = script.EPS_VALUES, script.TAU_VALUES
     for method in METHODS:
         private = METHODS[method].private
-        assert calls.count((method, "epsilon")) == (len(eps) if private else 1), method
+        for t in range(3):
+            assert calls.count((method, "epsilon", t)) == (len(eps) if private else 1), method
         rows = [r for r in tables["desk_epsilon"] if r.method == method]
         assert [r.axis_value for r in rows] == list(eps)
+        assert all((r.nmse, r.ser, r.trials) == (0.5, 0.25, 3) for r in rows)
     for method in ("fw", "svd", "po"):
-        assert calls.count((method, "tau_d")) == len(taus)
+        assert calls.count((method, "tau_d", 0)) == len(taus)
     assert len(tables["desk_tau_d"]) == 3 * len(taus)
+
+
+def test_simulate_prints_the_paired_step_between_adjacent_values(tmp_path, capsys):
+    """Desk svd at the config seed: the paired NMSE step from epsilon 0.1 to 0.5 over the 50
+    shared trials, printed between the two points' lines."""
+    out = tmp_path / "svd.csv"
+    rc = cli.main(["simulate", "--config", str(REPO / "configs" / "desk.yaml"), "--method", "svd", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("svd epsilon=0.1 ") and lines[2].startswith("svd epsilon=0.5 ")
+    assert lines[1] == "  step: nmse +0.00048 ± 0.00008, 47/50 rising"
+    assert sum(line.startswith("  step: ") for line in lines) == 4
 
 
 def test_cli_pins_blas_before_numpy_loads():

@@ -328,7 +328,7 @@ def test_chunked_detection_matches_the_whole_stack(method, detector, n_aps, budg
 
 
 @pytest.mark.parametrize("method", ["svd", "npsvd", "po"])
-def test_m100_k25_trial_peaks_at_most_4_mb(method):
+def test_m100_k25_trial_peaks_at_most_4_mb(method, monkeypatch):
     """Detection in AP chunks keeps one full-scale trial's traced peak within 4 MB;
     detecting the whole (M, ·, ·) stack at once peaked at 4.9 MB (svd, npsvd) and
     16.8 MB (po)."""
@@ -336,12 +336,15 @@ def test_m100_k25_trial_peaks_at_most_4_mb(method):
     scen = exp.scenario
     prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
     run_trial(scen, exp.run, method, prep, scen.seed, 0, 1.0)  # first-call set-up outside the count
+    draws = []
+    monkeypatch.setattr(harness, "make_block", lambda *args: draws.append(1) or make_block(*args))
     tracemalloc.start()
     try:
         run_trial(scen, exp.run, method, prep, scen.seed, 1, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert draws == [1]  # trial 1 missed the memo, which held trial 0: its block is counted
     assert peak <= 4e6
 
 
@@ -368,6 +371,94 @@ def test_trial_results_do_not_depend_on_trial_order(toy_exp, method):
     forward = {t: trial(t) for t in (0, 1, 2)}
     backward = {t: trial(t) for t in (2, 1, 0)}
     assert forward == backward
+
+
+def test_trial_results_do_not_depend_on_the_held_block(toy_exp):
+    """svd, po, svd on one trial, and on neighbouring trials, give each trial's (nmse, ser)
+    of a run that started with no block held."""
+    sc = toy_exp.scenario
+    prepared = prepare(sc, toy_exp.run, draw_beta(sc, 5))
+
+    def trial(method, t):
+        res = run_trial(sc, toy_exp.run, method, prepared, 5, t, 1.0)
+        return res.nmse, res.ser
+
+    want = {}
+    for key in [(m, t) for m in ("svd", "po") for t in (0, 1)]:
+        harness._BLOCKS.clear()
+        want[key] = trial(*key)
+    for key in [("svd", 0), ("po", 0), ("svd", 0), ("svd", 1), ("po", 0), ("svd", 1), ("po", 1), ("svd", 0)]:
+        assert trial(*key) == want[key], key
+
+
+# ---------------------------------------------------------------- the block memo
+
+BLOCK_ARRAYS = ("D", "H", "Y", "omega")
+
+
+def test_block_memo_hit_returns_the_held_block_without_a_draw(tiny, monkeypatch):
+    """Inputs equal by value, held in other objects, hit: the same block comes back and
+    make_block is not called again, also through run_trial across methods."""
+    prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
+    calls = []
+    monkeypatch.setattr(harness, "make_block", spy(make_block, calls))
+    harness._BLOCKS.clear()
+    block = harness._block(tiny, prep, 5, 0)
+    twin = dataclasses.replace(prep, beta=prep.beta.copy(), pilots=prep.pilots.copy())
+    assert harness._block(dataclasses.replace(tiny), twin, 5, 0) is block
+    for method in ("svd", "po", "fw"):
+        run_trial(tiny, RunConfig(fw_iters=2), method, prep, 5, 0, 1.0)
+    assert len(calls) == 1
+
+
+KEY_CHANGES = {
+    "beta": lambda scen, prep: (scen, dataclasses.replace(
+        prep, beta=np.where(np.arange(prep.beta.size).reshape(prep.beta.shape) == 3,
+                            np.nextafter(prep.beta, np.inf), prep.beta))),
+    "pilots": lambda scen, prep: (scen, dataclasses.replace(prep, pilots=prep.pilots[::-1].copy())),
+    "tau_d": lambda scen, prep: (dataclasses.replace(scen, tau_d=scen.tau_d + 1), prep),
+    "sigma2": lambda scen, prep: (scen, dataclasses.replace(prep, sigma2=np.nextafter(prep.sigma2, 1.0))),
+}
+
+
+@pytest.mark.parametrize("change", [*KEY_CHANGES, "seed", "trial"])
+def test_block_memo_misses_when_any_input_changes(tiny, change):
+    """Each key input changed alone draws a new block, byte-identical to a fresh make_block
+    of the changed inputs: one beta entry one ulp up, the pilots, tau_d, sigma2 one ulp up,
+    the master seed, the trial."""
+    prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
+    held = harness._block(tiny, prep, 5, 0)
+    scen, prep2 = KEY_CHANGES[change](tiny, prep) if change in KEY_CHANGES else (tiny, prep)
+    seed, trial = (6, 0) if change == "seed" else (5, 1) if change == "trial" else (5, 0)
+    got = harness._block(scen, prep2, seed, trial)
+    want = make_block(scen, prep2.beta, prep2.pilots, seed, trial, prep2.sigma2)
+    assert got is not held
+    for name in BLOCK_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("name", BLOCK_ARRAYS)
+def test_held_block_is_read_only(tiny, name):
+    prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
+    a = getattr(harness._block(tiny, prep, 5, 0), name)
+    with pytest.raises(ValueError, match="read-only"):
+        a[(0,) * a.ndim] = a[(0,) * a.ndim]
+
+
+def test_a_raising_draw_leaves_no_block_held(tiny, monkeypatch):
+    prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
+    harness._block(tiny, prep, 5, 0)
+
+    def broken(*args):
+        raise ArgumentError("draw failed")
+
+    monkeypatch.setattr(harness, "make_block", broken)
+    with pytest.raises(ArgumentError):
+        harness._block(tiny, prep, 5, 1)
+    assert harness._BLOCKS == {}
+    with pytest.raises(ArgumentError):  # trial 0's block went with the miss
+        harness._block(tiny, prep, 5, 0)
 
 
 def test_run_point_fw_extras(toy_exp):
@@ -525,6 +616,84 @@ def test_run_sweep_shares_one_draw(toy_exp):
         assert [r.axis_value for r in recs] == [0.5, 5.0]
         for rec in recs:
             assert (rec.nmse, rec.ser, rec.trials, rec.failures) == (a.nmse, a.ser, a.trials, a.failures)
+
+
+def point_major(exp, methods):
+    """Reference: each method's sweep point by point, every point through run_point."""
+    run = exp.run
+    return [run_point(exp, m, run.sweep, v, run.trials, exp.scenario.seed) for m in methods for v in run.values]
+
+
+def assert_same_records(got, want):
+    """Equal in every CSV column but seconds, and in each trial's (nmse, ser)."""
+    assert [r.row()[:-1] for r in got] == [r.row()[:-1] for r in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.trial_nmse, b.trial_nmse)
+        np.testing.assert_array_equal(a.trial_ser, b.trial_ser)
+        assert a.extras == b.extras
+
+
+SWEEPS = {"epsilon": ((0.5, 5.0), tuple(METHODS)), "tau_d": ((4.0, 9.0), ("fw", "svd", "po"))}
+
+
+@pytest.mark.parametrize("axis", list(SWEEPS))
+def test_trial_major_sweep_equals_point_major_runs(toy_exp, axis, monkeypatch):
+    """run_sweep over several methods gives each method's point-by-point records, in method
+    order, and draws one block per trial (per trial and tau_d on a tau_d sweep)."""
+    values, methods = SWEEPS[axis]
+    exp = with_overrides(toy_exp, sweep=axis, values=values, np_fw_iters=20)
+    calls = []
+    monkeypatch.setattr(harness, "make_block", spy(make_block, calls))
+    harness._BLOCKS.clear()
+    got = run_sweep(exp, methods)
+    assert len(calls) == exp.run.trials * (len(values) if axis == "tau_d" else 1)
+    assert_same_records(got, point_major(exp, methods))
+    assert [(r.method, r.axis_value) for r in got] == [(m, v) for m in methods for v in values]
+
+
+def test_trial_major_sweep_counts_a_failure_at_its_own_point(toy_exp, monkeypatch):
+    """One trial raising at one (method, epsilon) is that point's failure alone."""
+    real = harness.run_trial
+
+    def flaky(scenario, run, method, prepared, master_seed, trial, eps, net=None):
+        if (method, trial, eps) == ("svd", 1, 5.0):
+            raise PrivCellError("synthetic failure")
+        return real(scenario, run, method, prepared, master_seed, trial, eps, net)
+
+    monkeypatch.setattr(harness, "run_trial", flaky)
+    exp = with_overrides(toy_exp, values=(0.5, 5.0))
+    got = run_sweep(exp, ("svd", "po", "fw"))
+    assert [(r.method, r.axis_value, r.failures) for r in got if r.failures] == [("svd", 5.0, 1)]
+    svd = got[1]
+    assert np.isnan(svd.trial_nmse[1]) and np.isnan(svd.trial_ser[1]) and svd.trials == 2
+    assert_same_records(got, point_major(exp, ("svd", "po", "fw")))
+
+
+def test_trial_major_sweep_propagates_a_config_error(toy_exp, monkeypatch):
+    real = harness.run_trial
+
+    def refusing(scenario, run, method, *args, **kwargs):
+        if method == "po":
+            raise ConfigError("no trial can honour this")
+        return real(scenario, run, method, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", refusing)
+    with pytest.raises(ConfigError, match="no trial can honour"):
+        run_sweep(with_overrides(toy_exp, values=(0.5, 5.0)), ("svd", "po"))
+
+
+def test_paired_steps_over_the_trials_both_points_completed():
+    """Mean later-minus-earlier difference, its standard error and the rising count, with a
+    trial failed at either point left out."""
+    def rec(nmse):
+        nmse = np.array(nmse)
+        return harness.MetricsRecord("svd", "epsilon", 1.0, 0.0, 0.0, 4, 0, 1, 0.0, None, nmse, nmse / 2)
+
+    a, b = rec([1.0, 2.0, np.nan, 4.0, 5.0]), rec([1.5, 2.0, 3.0, 5.0, np.nan])
+    d = np.array([0.5, 0.0, 1.0])
+    assert harness.paired(a, b) == (d.mean(), d.std(ddof=1) / np.sqrt(3), 2, 3)
+    assert harness.paired(a, b, "ser")[0] == d.mean() / 2
+    assert harness.paired(a, rec([np.nan] * 5))[3] == 0
 
 
 @pytest.mark.parametrize("trials", [0, -1])

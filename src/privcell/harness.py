@@ -193,13 +193,17 @@ def apply_axis(scenario, axis, value):
 def _record(method, axis, value, master_seed, prepared, results, seconds):
     """One point's MetricsRecord from its trials' results, None where a trial failed."""
     done = [r for r in results if r is not None]
-    nm, sr = (float(np.mean([getattr(r, f) for r in done])) if done else math.nan for f in ("nmse", "ser"))
-    per_trial = (np.array([math.nan if r is None else getattr(r, f) for r in results]) for f in ("nmse", "ser"))
+    nmse = float(np.mean([r.nmse for r in done])) if done else math.nan
+    ser = float(np.mean([r.ser for r in done])) if done else math.nan
+    trial_nmse = np.array([math.nan if r is None else r.nmse for r in results])
+    trial_ser = np.array([math.nan if r is None else r.ser for r in results])
     extras = None
     if method_spec(method).completion == ITERATIVE and done:
         extras = {"max_masked_norm": max(r.max_masked_norm for r in done), "clip_bound": prepared.clip_bound}
-    fails = len(results) - len(done)
-    return MetricsRecord(method, axis, float(value), nm, sr, len(done), fails, master_seed, seconds, extras, *per_trial)
+    failures = len(results) - len(done)
+    return MetricsRecord(
+        method, axis, float(value), nmse, ser, len(done), failures, master_seed, seconds, extras, trial_nmse, trial_ser
+    )
 
 
 def _sweep(exp, methods, axis, values, trials, master_seed, beta=None):
@@ -210,20 +214,23 @@ def _sweep(exp, methods, axis, values, trials, master_seed, beta=None):
     another PrivCellError or a LinAlgError, or whose NMSE or SER is not finite, is logged and
     counted as a failure."""
     check_int("trials", trials, 1)
-    flat = {m for m in methods if axis == "epsilon" and not method_spec(m).private}
-    jobs = {(i, m): [] for i in range(len(values)) for m in methods if i == 0 or m not in flat}
-    points, seconds = {}, {}
-    for i, m in jobs:  # value by value
-        if i not in points:
+    points, results, seconds = {}, {}, {}  # points[i]: (scenario, eps, prepared) of values[i]
+    for i, value in enumerate(values):
+        # an epsilon sweep runs a method that reads no epsilon at its first value only
+        here = [m for m in methods if i == 0 or axis != "epsilon" or method_spec(m).private]
+        if here:
             t0 = time.perf_counter()
-            scenario, eps = apply_axis(exp.scenario, axis, values[i])
+            scenario, eps = apply_axis(exp.scenario, axis, value)
             drawn = draw_beta(scenario, master_seed) if beta is None else beta
             points[i] = scenario, exp.run.eps if eps is None else eps, prepare(scenario, exp.run, drawn)
-            share = (time.perf_counter() - t0) / sum(j == i for j, _ in jobs)
-        seconds[i, m] = share
+            share = (time.perf_counter() - t0) / len(here)
+            for m in here:
+                results[i, m] = []
+                seconds[i, m] = share
     for trial in range(trials):
-        for (i, method), out in jobs.items():
-            (scenario, eps, prepared), t0 = points[i], time.perf_counter()
+        for (i, method), out in results.items():  # value by value, each value's methods in order
+            scenario, eps, prepared = points[i]
+            t0 = time.perf_counter()
             try:
                 res = run_trial(scenario, exp.run, method, prepared, master_seed, trial, eps)
                 if not (math.isfinite(res.nmse) and math.isfinite(res.ser)):
@@ -235,11 +242,14 @@ def _sweep(exp, methods, axis, values, trials, master_seed, beta=None):
                 res = None
             out.append(res)
             seconds[i, method] += time.perf_counter() - t0
-    return [
-        _record(m, axis, v, master_seed, points[j][2], jobs[j, m], seconds[j, m])
-        for m in methods
-        for j, v in ((0 if m in flat else i, v) for i, v in enumerate(values))
-    ]
+    records = []
+    for m in methods:
+        for i, value in enumerate(values):
+            if (i, m) in results:
+                records.append(_record(m, axis, value, master_seed, points[i][2], results[i, m], seconds[i, m]))
+            else:  # run at the first value only: that record, at this value
+                records.append(dataclasses.replace(records[-1], axis_value=float(value)))
+    return records
 
 
 def run_point(exp, method, axis, value, trials, master_seed, beta=None):
@@ -262,10 +272,10 @@ def run_sweep(exp, methods=None):
     return _sweep(exp, methods, run.sweep, run.values, run.trials, exp.scenario.seed)
 
 
-def paired(a, b, metric="nmse"):
-    """(mean, standard error, rising count, count) of the per-trial change of metric (nmse or
-    ser) from record a to record b, over the trials both completed."""
-    d = getattr(b, "trial_" + metric) - getattr(a, "trial_" + metric)
+def paired(a, b):
+    """(mean, standard error, rising count, count) of the per-trial NMSE change from record a to
+    record b, over the trials both completed."""
+    d = b.trial_nmse - a.trial_nmse
     d = d[~np.isnan(d)]
     se = float(np.std(d, ddof=1) / math.sqrt(len(d))) if len(d) > 1 else math.nan
     return float(np.mean(d)) if len(d) else math.nan, se, int(np.count_nonzero(d > 0)), len(d)

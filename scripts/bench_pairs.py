@@ -19,8 +19,9 @@ run's output_digest and its minor page faults, the
 `getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child) and, under
 "summary", each workload's median, q1, q3 and n of every metric and of
 minor_faults for each side (quartiles by `statistics.quantiles`, exclusive
-method), plus, for trials_per_s, the number of seeds at which the change
-beat the parent with the same outputs.
+method), plus, for trials_per_s and trial_s.p50, the number of seeds at which
+the change beat the parent with the same outputs, "beat" read in the
+direction of the metric's `better` field in BENCHMARK.json.
 Nothing under
 perfbench/ is changed; a side whose run fails is recorded as it came.
 """
@@ -40,7 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-WIN_METRIC = "trials_per_s"  # higher is better; the metric a speed claim is judged on
+WIN_METRICS = ("trials_per_s", "trial_s.p50")  # the metrics a speed claim is judged on
 
 
 def parse_run(stdout):
@@ -78,14 +79,20 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def directions():
+    """{metric: "higher" or "lower"}, the `better` field of each end-to-end metric in BENCHMARK.json."""
+    return {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
 def summarise(pairs):
-    """Per workload, each side's spread of every metric and of minor_faults; for WIN_METRIC
-    also the change's wins.
+    """Per workload, each side's spread of every metric and of minor_faults; for each of
+    WIN_METRICS also the change's wins.
 
     A win is a seed at which both sides ran, the change's run is correct,
     fails no more trials than the parent's, gives the parent's output_digest,
-    and has the higher value; a tie is not a win.
+    and has the better value (higher or lower, as `directions` says); a tie is not a win.
     """
+    better = directions()
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
@@ -97,12 +104,12 @@ def summarise(pairs):
                 for side in SIDES
                 if any(p["side"] == side and name in p["metrics"] for p in runs)
             }
-            if name == WIN_METRIC:
+            if name in WIN_METRICS:
                 by_seed = {}
                 for p in runs:
                     if name in p["metrics"]:
                         by_seed.setdefault(p["seed"], {})[p["side"]] = p
-                entry["change_wins"] = sum(1 for v in by_seed.values() if len(v) == 2 and _won(v, name))
+                entry["change_wins"] = sum(1 for v in by_seed.values() if len(v) == 2 and _won(v, name, better[name]))
             summary[workload][name] = entry
         faults = {side: [p["minor_faults"] for p in runs if p["side"] == side and p.get("minor_faults") is not None]
                   for side in SIDES}
@@ -111,14 +118,16 @@ def summarise(pairs):
     return summary
 
 
-def _won(sides, name):
-    """Whether the change's run at one seed beats the parent's on metric name, outputs unchanged."""
+def _won(sides, name, better):
+    """Whether the change's run at one seed beats the parent's on metric name, which is better
+    "higher" or "lower", outputs unchanged."""
     parent, change = sides["parent"], sides["change"]
+    ahead, behind = (change, parent) if better == "higher" else (parent, change)
     return (
         change["correct"]
         and change["failed"] <= parent["failed"]
         and change["output_digest"] == parent["output_digest"]
-        and change["metrics"][name] > parent["metrics"][name]
+        and ahead["metrics"][name] > behind["metrics"][name]
     )
 
 
@@ -181,9 +190,9 @@ def main(argv=None):
                 for side in order:
                     result, digest, faults = run_side(dirs[side], workload, seed)
                     pairs.append(pair_record(workload, seed, side, side == order[0], result, digest, faults))
-                    rate = pairs[-1]["metrics"].get(WIN_METRIC)
-                    print(f"{workload} seed {seed} {side}: {WIN_METRIC} {rate} minor faults {faults} "
-                          f"digest {digest}", flush=True)
+                    claimed = " ".join(f"{name} {pairs[-1]['metrics'].get(name)}" for name in WIN_METRICS)
+                    print(f"{workload} seed {seed} {side}: {claimed} minor faults {faults} digest {digest}",
+                          flush=True)
     record = {
         "tag": args.tag,
         "parent": sha,

@@ -19,6 +19,12 @@ pilot-only rows are flat along the epsilon axis by construction, so
 epsilon; the CSV keeps one row per method and value, in method order,
 and can be plotted without special cases.  Expect a few minutes at 50
 trials on desk.
+
+At each axis value the script also prints each completing method's
+paired NMSE step from the pilot-only baseline `po` (`harness.paired`
+over the trials both completed, the same channels, masks and noise):
+the mean per-trial difference, its standard error and how many trials
+rose.
 """
 
 import argparse
@@ -33,9 +39,9 @@ sys.path.insert(0, str(ROOT / "src"))
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-from privcell.config import METHODS, load_experiment, with_overrides  # noqa: E402
+from privcell.config import COMPLETING, METHODS, load_experiment, with_overrides  # noqa: E402
 from privcell.errors import ConfigError  # noqa: E402
-from privcell.harness import emit_csv, run_sweep  # noqa: E402
+from privcell.harness import emit_csv, paired, run_sweep  # noqa: E402
 
 EPS_VALUES = (0.1, 0.5, 1.0, 5.0, 10.0)
 TAU_VALUES = (20.0, 40.0, 80.0, 160.0)
@@ -66,6 +72,12 @@ def main():
         out = out_dir / f"{Path(args.config).stem}_{axis}.csv"
         emit_csv(records, out)
         print(f"wrote {out} ({len(records)} rows, {time.perf_counter() - t0:.0f}s)")
+        po = {rec.axis_value: rec for rec in records if rec.method == "po"}
+        for value in values:
+            for rec in records:
+                if rec.axis_value == value and rec.method in COMPLETING:  # the step from po on shared trials
+                    print("  {}={:g} {} - po: nmse {:+.5f} ± {:.5f}, {}/{} rising".format(
+                        axis, value, rec.method, *paired(po[value], rec)))
 
 
 if __name__ == "__main__":

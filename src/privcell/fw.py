@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
 from .linalg import observed_index, observed_norms, top_eigpair
-from .privacy import Calibration, CompletionResult, ap_stack, gram_round
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram
 from .protocol import Backhaul, MessageKind
 
 
@@ -116,7 +116,7 @@ def run_fw(y, omega, cfg, seed, net=None):
     for n in range(1, rounds + 1):
         j = ap_residual(x, y, omega)
         v_top, lam_lifted = gram_round(
-            net, n, j, sigma, seed, MessageKind.EIG_BROADCAST,
+            net, n, stacked_gram(j), n_aps, sigma, seed, MessageKind.EIG_BROADCAST,
             lambda w: cpu_aggregate_eig(w, sigma, n_aps), tail=(n,),
         )
         eta = step_size(n, rounds)

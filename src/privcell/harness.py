@@ -7,7 +7,10 @@ independently seeded trials.  Per-trial seeds derive from
 see identical channels, masks, and receiver noise.  A sweep runs trial by
 trial, and `run_trial` takes its block from a one-entry memo keyed by the
 value of every `make_block` input and held read-only, so a trial gives
-identical results whatever ran before it.
+identical results whatever ran before it.  The memo also holds the
+block's packed Gram (`privacy.stacked_gram`), formed by the first
+one-shot trial on the block: every one-shot round on it (`svd` at each
+epsilon, `npsvd`) adds its noise to that one Gram.
 """
 
 import csv
@@ -22,11 +25,11 @@ import numpy as np
 
 from . import estimation
 from .channel import check_int, gen_pilots, gen_topology, large_scale_fading, make_block
-from .config import ITERATIVE, ExperimentConfig, method_spec, tunable, whole
+from .config import ITERATIVE, ONE_SHOT, ExperimentConfig, method_spec, tunable, whole
 from .errors import ArgumentError, ConfigError, MetricUndefinedError, PrivCellError
 from .fw import FwConfig, nuclear_norm_budget, run_fw
 from .linalg import pinv
-from .privacy import calibrate, frob_bound
+from .privacy import calibrate, frob_bound, stacked_gram
 from .protocol import Backhaul, MessageKind
 from .seeding import derive_master, entropy_for, rng_for
 from .svdmc import SvdConfig, run_svd
@@ -126,12 +129,14 @@ def completion_config(method, prepared, scenario, run, eps):
     return SvdConfig(scenario.K, cal, scenario.N_a / scenario.N_r)
 
 
-_BLOCKS = {}  # one-entry memo: the bytes of make_block's inputs -> the block they draw
+_BLOCKS = {}  # one-entry memo: the bytes of make_block's inputs -> [the block they draw, its Gram or None]
 
 
-def _block(scenario, prepared, master_seed, trial):
-    """make_block's block: the held one if its inputs match, else a draw that replaces it (a miss
-    drops it first; a draw that raises holds none).  Its arrays are read-only for later trials."""
+def _block(scenario, prepared, master_seed, trial, gram=False):
+    """(block, Gram): make_block's block, the held one if its inputs match, else a draw that replaces
+    it (a miss drops it and its Gram first; a draw that raises holds none), and the block's packed
+    `stacked_gram` of Y, formed on the first call with gram=True and held with it (None until then).
+    Their arrays are read-only for later trials."""
     arrays = (np.asarray(prepared.beta), np.asarray(prepared.pilots), np.float64(prepared.sigma2))
     key = (repr(scenario), int(master_seed), int(trial), *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
     if key not in _BLOCKS:
@@ -139,14 +144,18 @@ def _block(scenario, prepared, master_seed, trial):
         block = make_block(scenario, prepared.beta, prepared.pilots, master_seed, trial, prepared.sigma2)
         for a in (block.D, block.H, block.Y, block.omega):
             a.flags.writeable = False
-        _BLOCKS[key] = block
-    return _BLOCKS[key]
+        _BLOCKS[key] = [block, None]
+    held = _BLOCKS[key]
+    if gram and held[1] is None:
+        held[1] = stacked_gram(held[0].Y)
+        held[1].flags.writeable = False
+    return tuple(held)
 
 
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
     """One end-to-end trial on (M, ·, ·) AP stacks, detected in AP chunks; returns a TrialResult."""
     spec = method_spec(method)
-    block = _block(scenario, prepared, master_seed, trial)
+    block, gram = _block(scenario, prepared, master_seed, trial, gram=spec.completion == ONE_SHOT)
     net = Backhaul() if net is None else net
     tau_p = scenario.tau_p
     if spec.completion is None:  # pilot-only: no completion traffic at all
@@ -157,8 +166,10 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     else:
         cfg = completion_config(method, prepared, scenario, run, eps)
         entropy = entropy_for(master_seed, spec.stage, trial)
-        complete = run_fw if spec.completion == ITERATIVE else run_svd
-        res = complete(block.Y, block.omega, cfg, entropy, net=net)
+        if spec.completion == ITERATIVE:
+            res = run_fw(block.Y, block.omega, cfg, entropy, net=net)
+        else:  # every one-shot round on this block reads its one held Gram
+            res = run_svd(block.Y, block.omega, cfg, entropy, net=net, gram=gram)
         h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
         detect = lambda aps: estimation.detect_local(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
     # Each chunk of consecutive APs is sent in one call and added into one running sum in AP

@@ -21,11 +21,15 @@ Scales are stated per AP; M released matrices are summed at the CPU, so
 the aggregate per-entry variance is M times the per-AP variance.  That
 per-AP calibration holds only if the CPU sees nothing but the sum, as
 under secure aggregation, and it is the only trust model the simulator
-can run: `gram_round` never forms a per-AP release.  It forms the sum
-itself, the Gram of the stacked blocks plus one noise draw at scale
-sqrt(M) times the per-AP one, which is equal in distribution to M
-independent per-AP draws summed.  Each AP still sends its declared
-release message, and each carries that sum.
+can run: no per-AP release is ever formed.  `stacked_gram` forms the
+noiseless sum, the Gram of the stacked blocks, and `gram_round` adds one
+noise draw at scale sqrt(M) times the per-AP one, which is equal in
+distribution to M independent per-AP draws summed.  Each AP still sends
+its declared release message, and each carries that sum.  The round
+only reads the noiseless sum, so the one-shot completion can run every
+round on one observed block from a single `stacked_gram` (the "Analyze
+Gauss" mechanism of Dwork, Talwar, Thakurta and Zhang, 2014, at each
+noise scale).
 """
 
 import functools
@@ -191,25 +195,30 @@ def ap_stack(y, omega):
     return y
 
 
-def gram_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
+def stacked_gram(blocks):
+    """The packed sum of the Grams of an (M, N_a, tau_c) stack of AP blocks: one product over
+    the stacked (M*N_a, tau_c) matrix, packed by `pack_hermitian`."""
+    j = blocks.reshape(-1, blocks.shape[-1])
+    return pack_hermitian(j.conj().T @ j)
+
+
+def gram_round(net, round_index, gram, n_aps, noise_scale, seed, kind, cpu, tail=()):
     """One release -> aggregate -> broadcast round over the backhaul.
 
-    blocks is the (M, N_a, tau_c) stack of the APs' blocks.  The round
-    forms the sum of the APs' Grams in one product over the stacked
-    (M*N_a, tau_c) matrix, packs it (`pack_hermitian`) and, unless
-    noise_scale == 0, adds one packed Hermitian draw at noise_scale *
-    sqrt(M) seeded by SeedSequence([*seed, *tail]): the sum of M per-AP
-    releases at noise_scale, in distribution.  Then APs 0..M-1 send their
-    releases in one `send_aps` call, each message carrying that packed
-    sum, and the CPU unpacks the sum once, broadcasts cpu(sum) as
-    `kind` and returns it.
+    gram is the packed sum of the n_aps APs' Grams (`stacked_gram`); it is
+    read, never written.  Unless noise_scale == 0 the round adds it into one
+    new packed Hermitian draw at noise_scale * sqrt(M) seeded by
+    SeedSequence([*seed, *tail]): the sum of M per-AP releases at
+    noise_scale, in distribution.  Then APs 0..M-1 send their releases in
+    one `send_aps` call, each message carrying that packed sum, and the CPU
+    unpacks the sum once, broadcasts cpu(sum) as `kind` and returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    n_aps, _, tau_c = blocks.shape
-    j = blocks.reshape(-1, tau_c)
-    w = pack_hermitian(j.conj().T @ j)
+    w = gram
     if noise_scale != 0.0:  # a NaN scale reaches the sampler and raises before any send
-        w += _packed_noise(tau_c, noise_scale * math.sqrt(n_aps), np.random.SeedSequence([*entropy, *tail]))
+        seq = np.random.SeedSequence([*entropy, *tail])
+        w = _packed_noise(math.isqrt(gram.size), noise_scale * math.sqrt(n_aps), seq)
+        w += gram  # into the draw's own vector, so a round allocates no third one
     net.send_aps(MessageKind.GRAM_RELEASE, 0, round_index, np.broadcast_to(w, (n_aps, w.size)))
     payload = cpu(unpack_hermitian(w))
     net.broadcast(kind, round_index, payload)

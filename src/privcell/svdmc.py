@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentError, ShapeError
 from .linalg import hermitian_eig, shared_matmul
-from .privacy import Calibration, CompletionResult, ap_stack, gram_round
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram
 from .protocol import Backhaul, MessageKind
 
 
@@ -41,7 +41,7 @@ def ap_complete(y, basis, upsample):
     return upsample * shared_matmul(shared_matmul(y, basis), basis.conj().T)
 
 
-def run_svd(y, omega, cfg, seed, net=None):
+def run_svd(y, omega, cfg, seed, net=None, gram=None):
     """Run the one-shot spectral completion on the APs' observed blocks.
 
     Args:
@@ -50,12 +50,18 @@ def run_svd(y, omega, cfg, seed, net=None):
         cfg: SvdConfig.
         seed: int or tuple of ints for the round's aggregate release noise.
         net: optional Backhaul to append to.
+        gram: optional `privacy.stacked_gram(y)`, formed here when not given;
+            only its length, tau_c^2, is checked.
 
     Returns a CompletionResult.
     """
     y = ap_stack(y, omega)
+    if gram is None:
+        gram = stacked_gram(y)
+    elif gram.shape != (y.shape[-1] ** 2,):
+        raise ShapeError(f"gram must hold tau_c^2 = {y.shape[-1] ** 2} packed entries, got shape {gram.shape}")
     basis = gram_round(
-        Backhaul() if net is None else net, 1, y, cfg.calibration.sigma, seed,
+        Backhaul() if net is None else net, 1, gram, len(y), cfg.calibration.sigma, seed,
         MessageKind.BASIS_BROADCAST, lambda w: cpu_topk(w, cfg.rank),
     )
     return CompletionResult(x_hat=ap_complete(y, basis, cfg.upsample), rounds=1)

@@ -1,5 +1,6 @@
 """Test-only helpers: a CSV reader for emit_csv output, a payload-keeping backhaul,
-an FW iterate recorder and the noise std privacy.calibrate gives each schedule."""
+an FW iterate recorder, the noise std privacy.calibrate gives each schedule and the
+release round over a stack of blocks."""
 
 import csv
 from contextlib import contextmanager
@@ -9,7 +10,7 @@ from privcell import fw
 from privcell.config import METHODS
 from privcell.errors import ConfigError
 from privcell.harness import CSV_HEADER
-from privcell.privacy import calibrate
+from privcell.privacy import calibrate, gram_round, stacked_gram
 from privcell.protocol import Backhaul
 
 
@@ -92,3 +93,9 @@ def fw_sigma(bound, iterations, n_aps, eps, delta):
 def svd_sigma(bound, n_aps, eps, delta):
     """privacy.calibrate's sigma for the one-shot private release."""
     return calibrate(METHODS["svd"], bound, n_aps, SimpleNamespace(delta=delta), eps).sigma
+
+
+def blocks_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()):
+    """`privacy.gram_round` over an (M, N_a, tau_c) stack of blocks, as `fw.run_fw` calls it:
+    the round on their `stacked_gram`."""
+    return gram_round(net, round_index, stacked_gram(blocks), len(blocks), noise_scale, seed, kind, cpu, tail)

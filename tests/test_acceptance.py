@@ -25,13 +25,13 @@ from mpmath import mp
 from scipy import stats
 
 from oracles import centralized_fw, centralized_svd
-from support import RecordingBackhaul, fw_sigma, kind_count, recorded_iterates, svd_sigma
+from support import RecordingBackhaul, blocks_round, fw_sigma, kind_count, recorded_iterates, svd_sigma
 from privcell.channel import make_block
 from privcell.config import load_experiment
 from privcell.fw import FwConfig, run_fw
 from privcell.harness import completion_config, draw_beta, prepare, run_point, run_trial
 from privcell.linalg import frob_norm
-from privcell.privacy import Calibration, gram_round, unpack_hermitian
+from privcell.privacy import Calibration, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind, ap_name, audit_privacy_surface
 from privcell.seeding import entropy_for
 from privcell.svdmc import SvdConfig, run_svd
@@ -200,16 +200,16 @@ def test_criterion_03_noise_mechanism():
     """
     scale = 1.3
     net = RecordingBackhaul()
-    gram_round(net, 1, np.zeros((1, 1, 200), dtype=complex), scale, (777, 1),
-               MessageKind.BASIS_BROADCAST, lambda w: w)
+    blocks_round(net, 1, np.zeros((1, 1, 200), dtype=complex), scale, (777, 1),
+                 MessageKind.BASIS_BROADCAST, lambda w: w)
     e = unpack_hermitian(net.payloads[0])
     np.testing.assert_array_equal(e, e.conj().T)
     iu = np.triu_indices(200, k=1)
     var_one = float(np.mean(np.abs(e[iu]) ** 2))
 
     seen = []
-    gram_round(Backhaul(), 1, np.zeros((20, 1, 200), dtype=complex), scale, (777, 20),
-               MessageKind.BASIS_BROADCAST, seen.append)
+    blocks_round(Backhaul(), 1, np.zeros((20, 1, 200), dtype=complex), scale, (777, 20),
+                 MessageKind.BASIS_BROADCAST, seen.append)
     agg = seen[0]
     np.testing.assert_array_equal(agg, agg.conj().T)
     var_agg = float(np.mean(np.abs(agg[iu]) ** 2))

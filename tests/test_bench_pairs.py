@@ -14,14 +14,13 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def stdout(rate, nmse=0.5, digest="ab12", correct=True):
-    """What perfbench/run.py prints: a summary, the manifest, then the result as its last line."""
-    result = {
-        "correct": correct,
-        "attempted": 40,
-        "failed": 0,
-        "metrics": {"trials_per_s": {"value": rate, "unit": "1/s"}, "nmse": {"value": nmse, "unit": "ratio"}},
-    }
+def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None):
+    """What perfbench/run.py prints: a summary, the manifest, then the result as its last line;
+    trial_s.p50 is among the metrics when p50 is given."""
+    metrics = {"trials_per_s": {"value": rate, "unit": "1/s"}, "nmse": {"value": nmse, "unit": "ratio"}}
+    if p50 is not None:
+        metrics["trial_s.p50"] = {"value": p50, "unit": "s"}
+    result = {"correct": correct, "attempted": 40, "failed": 0, "metrics": metrics}
     return (
         "workload desk-npfw seed 1 trace 0\n"
         f"  trials_per_s                                 {rate} 1/s\n"
@@ -32,15 +31,17 @@ def stdout(rate, nmse=0.5, digest="ab12", correct=True):
     )
 
 
-def pairs_of(rates, workload="desk-npfw", faults=None):
+def pairs_of(rates, workload="desk-npfw", faults=None, p50s=None):
     """Pair records from (parent, change) rates, one pair per seed, the first side alternating;
-    faults, if given, holds each pair's (parent, change) minor page faults."""
+    faults, if given, holds each pair's (parent, change) minor page faults, and p50s its
+    (parent, change) trial_s.p50."""
     out = []
     for seed, (parent, change) in enumerate(rates, start=1):
         first = "parent" if seed % 2 else "change"
         counts = faults[seed - 1] if faults else (None, None)
-        for side, rate, count in (("parent", parent, counts[0]), ("change", change, counts[1])):
-            result, digest = bench_pairs.parse_run(stdout(rate))
+        medians = p50s[seed - 1] if p50s else (None, None)
+        for side, rate, count, p50 in zip(("parent", "change"), (parent, change), counts, medians):
+            result, digest = bench_pairs.parse_run(stdout(rate, p50=p50))
             out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest, count))
     return out
 
@@ -73,6 +74,21 @@ def test_summary_has_each_sides_quartiles_and_the_changes_wins():
     assert entry["change_wins"] == 4  # seed 3 lost, seed 5 tied
     assert summary["desk-npfw"]["nmse"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5, "n": 6}
     assert "change_wins" not in summary["desk-npfw"]["nmse"]
+
+
+def test_the_claimed_median_trial_time_wins_when_it_falls():
+    """trial_s.p50 is counted too, in the direction BENCHMARK.json's `better` field gives it
+    (lower wins), under the same digest, correctness and failure rules; nmse never is."""
+    better = bench_pairs.directions()
+    assert (better["trial_s.p50"], better["trials_per_s"]) == ("lower", "higher")
+    p50s = [(5.5e-3, 4.6e-3), (5.4e-3, 5.6e-3), (5.6e-3, 4.8e-3), (5.5e-3, 5.5e-3), (5.4e-3, 4.7e-3)]
+    pairs = pairs_of([(160.0, 170.0)] * 5, p50s=p50s)
+    summary = bench_pairs.summarise(pairs)["desk-npfw"]
+    assert summary["trial_s.p50"]["change_wins"] == 3  # seed 2 slower, seed 4 tied
+    assert summary["trials_per_s"]["change_wins"] == 5
+    assert "change_wins" not in summary["nmse"]
+    pairs[9]["output_digest"] = "ffff"  # seed 5's change run: faster but other outputs
+    assert bench_pairs.summarise(pairs)["desk-npfw"]["trial_s.p50"]["change_wins"] == 2
 
 
 def test_summary_has_each_sides_minor_fault_quartiles():

@@ -2,12 +2,14 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from privcell import cli, harness
@@ -513,6 +515,38 @@ def test_sweep_script_runs_each_non_private_method_once_per_epsilon_sweep(monkey
     for method in ("fw", "svd", "po"):
         assert calls.count((method, "tau_d", 0)) == len(taus)
     assert len(tables["desk_tau_d"]) == 3 * len(taus)
+
+
+def test_sweep_script_prints_each_methods_paired_step_from_po(monkeypatch, tmp_path, capsys):
+    """A 3-trial sweep with run_trial stubbed: at each axis value, each completing method's
+    paired NMSE step from po (harness.paired over the shared trials), in method order; on the
+    epsilon axis po and the non-private methods keep their first-epsilon trials."""
+    script = _sweep_script(monkeypatch, [])
+    offsets = {"fw": (0.1, 0.2, 0.3), "svd": (-0.1, 0.05, 0.1), "npfw": (0.0, 0.0, 0.0), "npsvd": (0.2, 0.2, -0.4)}
+
+    def nmse(method, trial, eps, tau_d):
+        return 0.5 + 0.1 * trial + 0.01 * eps + tau_d / 1000 + offsets.get(method, (0.0,) * 3)[trial]
+
+    def trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
+        return harness.TrialResult(nmse(method, trial, eps, scenario.tau_d), 0.25)
+
+    monkeypatch.setattr(harness, "run_trial", trial)
+    monkeypatch.setattr(script, "emit_csv", lambda records, path: None)
+    monkeypatch.setattr(sys, "argv", ["run_desk_sweeps.py", "--out-dir", str(tmp_path), "--trials", "3"])
+    script.main()
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+
+    def step(axis, value, method, eps, po_eps, tau_d):
+        d = np.array([nmse(method, t, eps, tau_d) - nmse("po", t, po_eps, tau_d) for t in range(3)])
+        se = np.std(d, ddof=1) / math.sqrt(3)
+        return f"  {axis}={value:g} {method} - po: nmse {d.mean():+.5f} ± {se:.5f}, {np.count_nonzero(d > 0)}/3 rising"
+
+    desk = load_experiment(REPO / "configs" / "desk.yaml")
+    first = script.EPS_VALUES[0]
+    want = [step("epsilon", eps, m, eps if METHODS[m].private else first, first, desk.scenario.tau_d)
+            for eps in script.EPS_VALUES for m in ("fw", "svd", "npfw", "npsvd")]
+    want += [step("tau_d", tau, m, desk.run.eps, desk.run.eps, tau) for tau in script.TAU_VALUES for m in ("fw", "svd")]
+    assert lines == want
 
 
 def test_simulate_prints_the_paired_step_between_adjacent_values(tmp_path, capsys):

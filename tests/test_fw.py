@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import centralized_fw, straight_line_fw
-from support import RecordingBackhaul, kind_count, recorded_iterates
+from support import RecordingBackhaul, blocks_round, kind_count, recorded_iterates
 from test_privacy import ref_round
 from privcell import harness
 from privcell.channel import make_block
@@ -21,7 +21,7 @@ from privcell.fw import (
     step_size,
 )
 from privcell.linalg import observed_index
-from privcell.privacy import Calibration, gram_round, unpack_hermitian
+from privcell.privacy import Calibration, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 
 
@@ -57,7 +57,7 @@ def ref_update(x_m, j_m, v, lam, eta, nuclear_bound, clip_bound, omega_m):
 def one_ap_release(j, noise_scale, seed):
     """What a lone AP with block j sends in one Gram round, unpacked."""
     net = RecordingBackhaul()
-    gram_round(net, 1, j[None], noise_scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
+    blocks_round(net, 1, j[None], noise_scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
     return unpack_hermitian(net.payloads[0])
 
 

@@ -33,6 +33,7 @@ from privcell.harness import (
     run_sweep,
     run_trial,
 )
+from privcell.privacy import pack_hermitian
 from privcell.protocol import ALL_APS, CPU, Backhaul, MessageKind, ap_name, audit_privacy_surface
 
 M100_K25 = Path(__file__).resolve().parent.parent / "configs" / "m100_k25.yaml"
@@ -329,9 +330,9 @@ def test_chunked_detection_matches_the_whole_stack(method, detector, n_aps, budg
 
 @pytest.mark.parametrize("method", ["svd", "npsvd", "po"])
 def test_m100_k25_trial_peaks_at_most_4_mb(method, monkeypatch):
-    """Detection in AP chunks keeps one full-scale trial's traced peak within 4 MB;
-    detecting the whole (M, ·, ·) stack at once peaked at 4.9 MB (svd, npsvd) and
-    16.8 MB (po)."""
+    """Detection in AP chunks keeps one full-scale trial's traced peak within 4 MB, a
+    miss's block draw and (svd, npsvd) its held Gram included; detecting the whole
+    (M, ·, ·) stack at once peaked at 4.9 MB (svd, npsvd) and 16.8 MB (po)."""
     exp = load_experiment(M100_K25)
     scen = exp.scenario
     prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
@@ -345,6 +346,7 @@ def test_m100_k25_trial_peaks_at_most_4_mb(method, monkeypatch):
     finally:
         tracemalloc.stop()
     assert draws == [1]  # trial 1 missed the memo, which held trial 0: its block is counted
+    assert (held_gram() is not None) == (method != "po")  # and so is a one-shot trial's Gram
     assert peak <= 4e6
 
 
@@ -403,9 +405,9 @@ def test_block_memo_hit_returns_the_held_block_without_a_draw(tiny, monkeypatch)
     calls = []
     monkeypatch.setattr(harness, "make_block", spy(make_block, calls))
     harness._BLOCKS.clear()
-    block = harness._block(tiny, prep, 5, 0)
+    block, _ = harness._block(tiny, prep, 5, 0)
     twin = dataclasses.replace(prep, beta=prep.beta.copy(), pilots=prep.pilots.copy())
-    assert harness._block(dataclasses.replace(tiny), twin, 5, 0) is block
+    assert harness._block(dataclasses.replace(tiny), twin, 5, 0)[0] is block
     for method in ("svd", "po", "fw"):
         run_trial(tiny, RunConfig(fw_iters=2), method, prep, 5, 0, 1.0)
     assert len(calls) == 1
@@ -427,10 +429,10 @@ def test_block_memo_misses_when_any_input_changes(tiny, change):
     of the changed inputs: one beta entry one ulp up, the pilots, tau_d, sigma2 one ulp up,
     the master seed, the trial."""
     prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
-    held = harness._block(tiny, prep, 5, 0)
+    held, _ = harness._block(tiny, prep, 5, 0)
     scen, prep2 = KEY_CHANGES[change](tiny, prep) if change in KEY_CHANGES else (tiny, prep)
     seed, trial = (6, 0) if change == "seed" else (5, 1) if change == "trial" else (5, 0)
-    got = harness._block(scen, prep2, seed, trial)
+    got, _ = harness._block(scen, prep2, seed, trial)
     want = make_block(scen, prep2.beta, prep2.pilots, seed, trial, prep2.sigma2)
     assert got is not held
     for name in BLOCK_ARRAYS:
@@ -441,7 +443,7 @@ def test_block_memo_misses_when_any_input_changes(tiny, change):
 @pytest.mark.parametrize("name", BLOCK_ARRAYS)
 def test_held_block_is_read_only(tiny, name):
     prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
-    a = getattr(harness._block(tiny, prep, 5, 0), name)
+    a = getattr(harness._block(tiny, prep, 5, 0)[0], name)
     with pytest.raises(ValueError, match="read-only"):
         a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
@@ -459,6 +461,98 @@ def test_a_raising_draw_leaves_no_block_held(tiny, monkeypatch):
     assert harness._BLOCKS == {}
     with pytest.raises(ArgumentError):  # trial 0's block went with the miss
         harness._block(tiny, prep, 5, 0)
+
+
+# ---------------------------------------------------------------- the held Gram
+
+DESK_EPS = (0.1, 0.5, 1.0, 5.0, 10.0)
+
+
+def held_gram():
+    """The Gram the memo holds beside its block: None if none is formed or nothing is held."""
+    return next(iter(harness._BLOCKS.values()))[1] if harness._BLOCKS else None
+
+
+@pytest.mark.parametrize(
+    "methods, per_block",
+    [(("svd", "npsvd"), 1), (tuple(METHODS), 1), (("fw", "npfw", "po"), 0)],
+    ids=["one-shot", "all", "no-one-shot"],
+)
+def test_one_gram_per_block_for_every_one_shot_round(toy_exp, methods, per_block, monkeypatch):
+    """A spy on the memo's stacked_gram: an epsilon sweep over the five desk values forms one
+    Gram per trial's block for svd at every epsilon and npsvd together, none for fw, npfw or po."""
+    grams = []
+    monkeypatch.setattr(harness, "stacked_gram", spy(harness.stacked_gram, grams))
+    harness._BLOCKS.clear()
+    run_sweep(with_overrides(toy_exp, values=DESK_EPS, np_fw_iters=5), methods)
+    assert len(grams) == per_block * toy_exp.run.trials
+    assert all(args[0].flags.writeable is False for args, _ in grams)  # formed from the held block's Y
+
+
+def test_held_gram_is_read_only_and_the_blocks_packed_gram(tiny):
+    prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
+    harness._BLOCKS.clear()
+    block, gram = harness._block(tiny, prep, 5, 0)
+    assert gram is None  # no one-shot call asked for it yet
+    got_block, gram = harness._block(tiny, prep, 5, 0, gram=True)
+    assert got_block is block and harness._block(tiny, prep, 5, 0, gram=True)[1] is gram
+    j = make_block(tiny, prep.beta, prep.pilots, 5, 0, prep.sigma2).Y.reshape(-1, tiny.tau_c)
+    want = pack_hermitian(j.conj().T @ j)
+    assert (gram.dtype, gram.shape, gram.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    with pytest.raises(ValueError, match="read-only"):
+        gram[0] = gram[0]
+
+
+def test_a_miss_or_a_raising_draw_holds_no_gram(tiny, monkeypatch):
+    prep = prepare(tiny, RunConfig(), draw_beta(tiny, 5))
+    harness._block(tiny, prep, 5, 0, gram=True)
+    assert held_gram() is not None
+    assert harness._block(tiny, prep, 5, 1)[1] is None  # trial 0's Gram went with its block
+    assert held_gram() is None
+    harness._block(tiny, prep, 5, 1, gram=True)
+
+    def broken(*args):
+        raise ArgumentError("draw failed")
+
+    monkeypatch.setattr(harness, "make_block", broken)
+    with pytest.raises(ArgumentError):
+        harness._block(tiny, prep, 5, 2, gram=True)
+    assert harness._BLOCKS == {} and held_gram() is None
+
+
+def test_one_shot_trials_on_the_held_gram_equal_fresh_rounds(tiny, monkeypatch):
+    """svd at each desk epsilon and then npsvd, run in turn on one held block and Gram, give the
+    NMSE, SER, x_hat, transcript, payloads and byte counts of trials that each draw a fresh
+    block and form their own Gram inside run_svd."""
+    run = RunConfig()
+    prep = prepare(tiny, run, draw_beta(tiny, 5))
+    real = harness.run_svd
+
+    def trial(method, eps, memo):
+        completed, net = [], RecordingBackhaul()
+
+        def complete(y, omega, cfg, seed, net, gram):
+            completed.append(real(y, omega, cfg, seed, net=net, gram=gram if memo else None))
+            return completed[-1]
+
+        monkeypatch.setattr(harness, "run_svd", complete)
+        if not memo:
+            harness._BLOCKS.clear()
+        res = run_trial(tiny, run, method, prep, 5, 0, eps, net=net)
+        return res, completed[0].x_hat, net
+
+    cases = [*(("svd", eps) for eps in DESK_EPS), ("npsvd", 1.0)]
+    want = [trial(method, eps, memo=False) for method, eps in cases]
+    harness._BLOCKS.clear()
+    got = [trial(method, eps, memo=True) for method, eps in cases]
+    for case, (res, x_hat, net), (res0, x_hat0, net0) in zip(cases, got, want):
+        assert np.float64([res.nmse, res.ser]).tobytes() == np.float64([res0.nmse, res0.ser]).tobytes(), case
+        assert x_hat.tobytes() == x_hat0.tobytes(), case
+        assert net.transcript == net0.transcript, case
+        assert [np.asarray(p).tobytes() for p in net.payloads] == [np.asarray(p).tobytes() for p in net0.payloads]
+        assert (net.ledger.total_unicast_bytes, net.ledger.broadcast_bytes) == (
+            net0.ledger.total_unicast_bytes, net0.ledger.broadcast_bytes)
+    assert len({np.float64(res.nmse).tobytes() for res, _, _ in got[:5]}) > 1  # epsilon moved the svd rounds
 
 
 def test_run_point_fw_extras(toy_exp):
@@ -514,8 +608,8 @@ def test_run_point_counts_a_non_finite_aggregate_as_a_failure(toy_exp, monkeypat
     LinAlgError of the CPU's eigensolve."""
     real = fw.gram_round
 
-    def poisoned(net, n, j, scale, seed, kind, cpu, tail=()):
-        return real(net, n, j, scale, seed, kind, lambda w: cpu(w * np.nan if n == 2 else w), tail)
+    def poisoned(net, n, gram, n_aps, scale, seed, kind, cpu, tail=()):
+        return real(net, n, gram, n_aps, scale, seed, kind, lambda w: cpu(w * np.nan if n == 2 else w), tail)
 
     monkeypatch.setattr(fw, "gram_round", poisoned)
     with caplog.at_level("WARNING", logger="privcell.harness"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from support import blocks_round
 from privcell import linalg
 from privcell.channel import sample_switch
 from privcell.config import load_experiment
@@ -20,7 +21,6 @@ from privcell.linalg import (
     shared_matmul,
     top_eigpair,
 )
-from privcell.privacy import gram_round
 from privcell.protocol import Backhaul, MessageKind
 
 # The two bounds that pin top_eigpair to eigh are fixed by the dtype alone:
@@ -333,7 +333,7 @@ def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnit
     rng = np.random.default_rng(seed)
     blocks = magnitude * (rng.standard_normal((20, 4, tau_c)) + 1j * rng.standard_normal((20, 4, tau_c)))
     seen = []
-    gram_round(
+    blocks_round(
         Backhaul(), 1, blocks, noise_scale, seed, MessageKind.EIG_BROADCAST,
         lambda w: seen.append(w) or (np.ones(tau_c, dtype=complex), 1.0),
     )

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from oracles import fw_noise_scale, hermitian_noise, hermitize, svd_noise_scale
-from support import RecordingBackhaul, fw_sigma, svd_sigma
+from support import RecordingBackhaul, blocks_round, fw_sigma, svd_sigma
 from privcell.errors import ArgumentError, ConfigError, ShapeError
 from privcell.fw import FwConfig
 from privcell.linalg import canonical_phase, hermitian_eig
@@ -15,6 +15,7 @@ from privcell.privacy import (
     frob_bound,
     gram_round,
     pack_hermitian,
+    stacked_gram,
     unpack_hermitian,
 )
 from privcell.protocol import Backhaul, MessageKind
@@ -164,7 +165,7 @@ def test_gram_round_sums_releases_in_ap_order(rng, tail):
     blocks = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
     entropy = (8, 9)
     net = RecordingBackhaul()
-    got = gram_round(net, 2, blocks, 0.4, entropy, MessageKind.BASIS_BROADCAST, lambda w: w, tail)
+    got = blocks_round(net, 2, blocks, 0.4, entropy, MessageKind.BASIS_BROADCAST, lambda w: w, tail)
     want = ref_round(blocks, 0.4, entropy, tail)
     assert got.tobytes() == want.tobytes()
     for payload in net.payloads[:3]:
@@ -172,6 +173,30 @@ def test_gram_round_sums_releases_in_ap_order(rng, tail):
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
     assert all(m.round_index == 2 for m in net.transcript)
     assert net.transcript[-1].kind is MessageKind.BASIS_BROADCAST
+
+
+def test_stacked_gram_is_the_packed_gram_of_the_stacked_blocks(rng):
+    """One product over the (M*N_a, tau_c) stack, packed: byte-equal to pack_hermitian(J^H J)."""
+    blocks = rng.standard_normal((3, 2, 5)) + 1j * rng.standard_normal((3, 2, 5))
+    j = blocks.reshape(-1, 5)
+    want = pack_hermitian(j.conj().T @ j)
+    got = stacked_gram(blocks)
+    assert got.dtype == want.dtype and got.shape == (25,) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.4])
+def test_gram_round_reads_its_gram_and_never_writes_it(rng, scale):
+    """A read-only packed sum goes through the round unchanged; the noise is added into a new
+    vector, and the CPU's sum is the reference's."""
+    blocks = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    gram = stacked_gram(blocks)
+    kept = gram.tobytes()
+    gram.flags.writeable = False
+    net = RecordingBackhaul()
+    got = gram_round(net, 1, gram, 3, scale, (8, 9), MessageKind.BASIS_BROADCAST, lambda w: w)
+    assert gram.tobytes() == kept
+    assert got.tobytes() == ref_round(blocks, scale, (8, 9)).tobytes()
+    assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
 
 
 def grid_round(tau_c, kind, scale):
@@ -184,7 +209,7 @@ def grid_round(tau_c, kind, scale):
     elif kind == "zero-heavy":
         blocks = np.where(rng.random(blocks.shape) < 0.15, blocks, -0.0 * blocks)
     seen = []
-    gram_round(
+    blocks_round(
         Backhaul(), 2, blocks.copy(), scale, (4, tau_c), MessageKind.EIG_BROADCAST,
         lambda w: seen.append(w) or (np.ones(tau_c, dtype=complex), 1.0), (2,),
     )
@@ -248,7 +273,7 @@ def test_gram_round_memory_does_not_grow_with_the_ap_count():
     """The round holds one conjugate copy of the blocks and tau_c x tau_c matrices,
     never an (M, tau_c, tau_c) stack of per-AP Grams."""
     def round_(blocks):
-        gram_round(Backhaul(), 1, blocks, 0.5, 3, MessageKind.BASIS_BROADCAST, lambda w: w)
+        blocks_round(Backhaul(), 1, blocks, 0.5, 3, MessageKind.BASIS_BROADCAST, lambda w: w)
 
     round_(np.ones((5, 2, 60), dtype=complex))  # fill the caches before measuring
     peaks = []
@@ -275,7 +300,7 @@ def test_gram_round_at_nan_scale_sends_nothing(rng):
     blocks = rng.standard_normal((2, 2, 3)) + 0j
     net = Backhaul()
     with pytest.raises(ArgumentError):
-        gram_round(net, 1, blocks, math.nan, 5, MessageKind.EIG_BROADCAST, lambda w: w)
+        blocks_round(net, 1, blocks, math.nan, 5, MessageKind.EIG_BROADCAST, lambda w: w)
     assert net.transcript == []
 
 
@@ -286,7 +311,7 @@ def test_gram_round_at_an_infinite_or_negative_scale_sends_nothing(rng, scale):
     blocks = rng.standard_normal((3, 2, 4)) + 0j
     net = Backhaul()
     with pytest.raises(ArgumentError):
-        gram_round(net, 1, blocks, scale, 5, MessageKind.BASIS_BROADCAST, lambda w: w)
+        blocks_round(net, 1, blocks, scale, 5, MessageKind.BASIS_BROADCAST, lambda w: w)
     assert net.transcript == []
 
 
@@ -296,7 +321,7 @@ def test_gram_round_reads_an_int_seed_as_its_one_tuple(rng):
     blocks = rng.standard_normal((3, 2, 5)) + 1j * rng.standard_normal((3, 2, 5))
 
     def round_(seed):
-        return gram_round(Backhaul(), 1, blocks, 0.7, seed, MessageKind.BASIS_BROADCAST, lambda w: w, (4,))
+        return blocks_round(Backhaul(), 1, blocks, 0.7, seed, MessageKind.BASIS_BROADCAST, lambda w: w, (4,))
 
     want = round_((9,))
     assert want.tobytes() == ref_round(blocks, 0.7, (9,), (4,)).tobytes()
@@ -315,7 +340,7 @@ def noise_releases(dim, scale, entropy, n_aps=1):
     """
     net = RecordingBackhaul()
     blocks = np.zeros((n_aps, 1, dim), dtype=complex)
-    gram_round(net, 1, blocks, scale, entropy, MessageKind.BASIS_BROADCAST, lambda w: w)
+    blocks_round(net, 1, blocks, scale, entropy, MessageKind.BASIS_BROADCAST, lambda w: w)
     return [unpack_hermitian(p) for p in net.payloads[:n_aps]]
 
 
@@ -384,7 +409,7 @@ def test_aggregate_draw_is_the_sum_of_per_ap_draws_in_distribution():
     parts = {"real": ([], []), "imag": ([], []), "diagonal": ([], [])}
     for r in range(rounds):
         seen = []
-        gram_round(
+        blocks_round(
             Backhaul(), 1, np.zeros((n_aps, 1, dim), dtype=complex), scale, (61, r),
             MessageKind.BASIS_BROADCAST, seen.append,
         )

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from privcell.estimation import ser, slice_qpsk
 from privcell.fw import FwConfig, ap_update
-from support import RecordingBackhaul, fw_sigma, svd_sigma
+from support import RecordingBackhaul, blocks_round, fw_sigma, svd_sigma
 from privcell.linalg import frob_norm, observed_index, pinv
 from privcell.privacy import (
     Calibration,
     frob_bound,
-    gram_round,
     pack_hermitian,
     unpack_hermitian,
 )
@@ -38,7 +37,7 @@ def test_noise_release_is_exactly_hermitian(dim, scale, seed):
     """The packed release an AP sends for a zero block, its noise alone, unpacks exactly Hermitian."""
     net = RecordingBackhaul()
     blocks = np.zeros((1, 1, dim), dtype=complex)
-    gram_round(net, 1, blocks, scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
+    blocks_round(net, 1, blocks, scale, seed, MessageKind.BASIS_BROADCAST, lambda w: w)
     e = unpack_hermitian(net.payloads[0])
     np.testing.assert_array_equal(e, e.conj().T)
 

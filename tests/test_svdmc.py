@@ -4,7 +4,7 @@ import pytest
 from oracles import centralized_svd
 from support import RecordingBackhaul, kind_count
 from privcell.errors import ArgumentError, ShapeError
-from privcell.privacy import Calibration, unpack_hermitian
+from privcell.privacy import Calibration, stacked_gram, unpack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd
 
@@ -121,3 +121,35 @@ def test_run_argument_checks():
         run_svd(y, omega[..., :4], cfg, 0)
     with pytest.raises(ShapeError):
         run_svd(y.reshape(6, 5), omega.reshape(6, 5), cfg, 0)  # one matrix, not a stack of AP blocks
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+def test_run_on_a_given_gram_equals_forming_it(sigma):
+    """A given `stacked_gram(y)` gives the x_hat, transcript and payloads of a run that forms its own,
+    and the Gram is left as it was."""
+    y = stacks(low_rank(11, rows=6, tau_c=5, rank=2), 3)
+    omega = np.ones(y.shape, dtype=bool)
+    cfg = SvdConfig(2, Calibration(1.0, 1, sigma), 1.5)
+    gram = stacked_gram(y)
+    kept = gram.tobytes()
+    gram.flags.writeable = False
+    runs = []
+    for given in (None, gram):
+        net = RecordingBackhaul()
+        runs.append((run_svd(y, omega, cfg, 42, net=net, gram=given), net))
+    (want, want_net), (got, got_net) = runs
+    assert got.x_hat.tobytes() == want.x_hat.tobytes()
+    assert got_net.transcript == want_net.transcript
+    assert [np.asarray(p).tobytes() for p in got_net.payloads] == [np.asarray(p).tobytes() for p in want_net.payloads]
+    assert gram.tobytes() == kept
+
+
+def test_run_rejects_a_gram_of_the_wrong_length():
+    """A Gram that is not tau_c^2 packed entries is a ShapeError before any message is sent."""
+    y = stacks(low_rank(10, rows=6, tau_c=5, rank=2), 2)
+    omega = np.ones(y.shape, dtype=bool)
+    net = Backhaul()
+    for bad in (np.zeros(24), np.zeros(26), np.zeros((5, 5)), stacked_gram(y[..., :4])):
+        with pytest.raises(ShapeError, match="tau_c"):
+            run_svd(y, omega, SvdConfig(2, noiseless(), 1.0), 0, net=net, gram=bad)
+    assert net.transcript == []

@@ -15,10 +15,12 @@ JSON object on its last stdout line.
 
 The output holds one record per run under "pairs" (workload, seed, side,
 ran_first, correct, attempted, failed, the end-to-end metric values, the
-run's output_digest and its minor page faults, the
-`getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child) and, under
-"summary", each workload's median, q1, q3 and n of every metric and of
-minor_faults for each side (quartiles by `statistics.quantiles`, exclusive
+run's output_digest, its minor page faults, the
+`getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child, and
+minor_faults_per_trial, those faults over the run's attempted trials, so runs
+of different lengths compare) and, under "summary", each workload's median,
+q1, q3 and n of every metric, of minor_faults and of minor_faults_per_trial
+for each side (quartiles by `statistics.quantiles`, exclusive
 method), plus, for trials_per_s and trial_s.p50, the number of seeds at which
 the change beat the parent with the same outputs, "beat" read in the
 direction of the metric's `better` field in BENCHMARK.json.
@@ -58,18 +60,21 @@ def parse_run(stdout):
 
 
 def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None):
-    """One run as a "pairs" entry: the result's counts, each metric's value and the run's faults."""
+    """One run as a "pairs" entry: the result's counts, each metric's value and the run's faults,
+    in all and per attempted trial (None without faults or trials)."""
+    attempted = result.get("attempted", 0)
     return {
         "workload": workload,
         "seed": seed,
         "side": side,
         "ran_first": ran_first,
         "correct": result.get("correct", False),
-        "attempted": result.get("attempted", 0),
+        "attempted": attempted,
         "failed": result.get("failed", 0),
         "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
         "output_digest": digest,
         "minor_faults": minor_faults,
+        "minor_faults_per_trial": minor_faults / attempted if minor_faults is not None and attempted else None,
     }
 
 
@@ -85,7 +90,8 @@ def directions():
 
 
 def summarise(pairs):
-    """Per workload, each side's spread of every metric and of minor_faults; for each of
+    """Per workload, each side's spread of every metric, of minor_faults and of
+    minor_faults_per_trial; for each of
     WIN_METRICS also the change's wins.
 
     A win is a seed at which both sides ran, the change's run is correct,
@@ -111,10 +117,10 @@ def summarise(pairs):
                         by_seed.setdefault(p["seed"], {})[p["side"]] = p
                 entry["change_wins"] = sum(1 for v in by_seed.values() if len(v) == 2 and _won(v, name, better[name]))
             summary[workload][name] = entry
-        faults = {side: [p["minor_faults"] for p in runs if p["side"] == side and p.get("minor_faults") is not None]
-                  for side in SIDES}
-        if any(faults.values()):
-            summary[workload]["minor_faults"] = {side: spread(v) for side, v in faults.items() if v}
+        for key in ("minor_faults", "minor_faults_per_trial"):
+            faults = {side: [p[key] for p in runs if p["side"] == side and p.get(key) is not None] for side in SIDES}
+            if any(faults.values()):
+                summary[workload][key] = {side: spread(v) for side, v in faults.items() if v}
     return summary
 
 

@@ -14,13 +14,13 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None):
+def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40):
     """What perfbench/run.py prints: a summary, the manifest, then the result as its last line;
     trial_s.p50 is among the metrics when p50 is given."""
     metrics = {"trials_per_s": {"value": rate, "unit": "1/s"}, "nmse": {"value": nmse, "unit": "ratio"}}
     if p50 is not None:
         metrics["trial_s.p50"] = {"value": p50, "unit": "s"}
-    result = {"correct": correct, "attempted": 40, "failed": 0, "metrics": metrics}
+    result = {"correct": correct, "attempted": attempted, "failed": 0, "metrics": metrics}
     return (
         "workload desk-npfw seed 1 trace 0\n"
         f"  trials_per_s                                 {rate} 1/s\n"
@@ -54,7 +54,7 @@ def test_a_run_is_its_last_line_and_its_digest():
     assert rec == {
         "workload": "desk-npfw", "seed": 3, "side": "change", "ran_first": False, "correct": True,
         "attempted": 40, "failed": 0, "metrics": {"trials_per_s": 5.25, "nmse": 0.5},
-        "output_digest": "c0ffee", "minor_faults": None,
+        "output_digest": "c0ffee", "minor_faults": None, "minor_faults_per_trial": None,
     }
 
 
@@ -101,6 +101,25 @@ def test_summary_has_each_sides_minor_fault_quartiles():
     assert "minor_faults" not in bench_pairs.summarise(pairs_of([(5.0, 6.0)]))["desk-npfw"]
 
 
+def test_faults_per_trial_divide_each_runs_faults_by_its_attempted_trials():
+    """Runs of different lengths compare: 16,000 faults over 40 trials and 32,000 over 80
+    both read 400 per trial; a run without faults or without trials has none."""
+    runs = [(16000, 40, 12000, 40), (32000, 80, 23000, 100), (16400, 40, 12400, 40)]
+    pairs = []
+    for seed, (p_faults, p_trials, c_faults, c_trials) in enumerate(runs, start=1):
+        for side, faults, trials in (("parent", p_faults, p_trials), ("change", c_faults, c_trials)):
+            result, digest = bench_pairs.parse_run(stdout(5.0, attempted=trials))
+            pairs.append(bench_pairs.pair_record("desk-npfw", seed, side, side == "parent", result, digest, faults))
+    assert [p["minor_faults_per_trial"] for p in pairs] == [400.0, 300.0, 400.0, 230.0, 410.0, 310.0]
+    entry = bench_pairs.summarise(pairs)["desk-npfw"]["minor_faults_per_trial"]
+    for side, values in (("parent", [400.0, 400.0, 410.0]), ("change", [300.0, 230.0, 310.0])):
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        assert entry[side] == {"median": median, "q1": q1, "q3": q3, "n": 3}
+    idle = bench_pairs.parse_run(stdout(5.0, attempted=0))[0]
+    assert bench_pairs.pair_record("desk-npfw", 1, "parent", True, idle, None, 900)["minor_faults_per_trial"] is None
+    assert "minor_faults_per_trial" not in bench_pairs.summarise(pairs_of([(5.0, 6.0)]))["desk-npfw"]
+
+
 def test_a_run_records_its_childs_minor_faults(tmp_path):
     """run_side counts the faults of the run it starts: a run that touches 16 MB of fresh
     pages (4,096 at 4 KiB) shows at least 3,000 more than one that touches none."""
@@ -116,6 +135,8 @@ def test_a_run_records_its_childs_minor_faults(tmp_path):
         runs[name] = bench_pairs.run_side(script.parent.parent, "desk-npfw", 1)
     for result, digest, faults in runs.values():
         assert result["correct"] and digest == "ab12" and faults > 0
+        rec = bench_pairs.pair_record("desk-npfw", 1, "change", True, result, digest, faults)
+        assert rec["minor_faults_per_trial"] == faults / 40
     assert runs["touching"][2] - runs["idle"][2] >= 3000
 
 

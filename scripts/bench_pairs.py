@@ -15,15 +15,17 @@ JSON object on its last stdout line.
 
 The output holds one record per run under "pairs" (workload, seed, side,
 ran_first, correct, attempted, failed, the end-to-end metric values, the
-run's output_digest, its minor page faults, the
-`getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child, and
+run's output_digest, point_p50_s, each point's median wall-clock trial time
+from the run's `point <label> trials N p50 X s` lines, its minor page faults,
+the `getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child, and
 minor_faults_per_trial, those faults over the run's attempted trials, so runs
 of different lengths compare) and, under "summary", each workload's median,
-q1, q3 and n of every metric, of minor_faults and of minor_faults_per_trial
-for each side (quartiles by `statistics.quantiles`, exclusive
-method), plus, for trials_per_s and trial_s.p50, the number of seeds at which
-the change beat the parent with the same outputs, "beat" read in the
-direction of the metric's `better` field in BENCHMARK.json.
+q1, q3 and n of every metric, of minor_faults, of minor_faults_per_trial and,
+under point_p50_s, of each point's p50, for each side (quartiles by
+`statistics.quantiles`, exclusive method), plus, for trials_per_s and
+trial_s.p50, the number of seeds at which the change beat the parent with the
+same outputs, "beat" read in the direction of the metric's `better` field in
+BENCHMARK.json.
 Nothing under
 perfbench/ is changed; a side whose run fails is recorded as it came.
 """
@@ -47,21 +49,24 @@ WIN_METRICS = ("trials_per_s", "trial_s.p50")  # the metrics a speed claim is ju
 
 
 def parse_run(stdout):
-    """(result, output_digest) of one perfbench/run.py stdout: its last line as JSON, and the digest line."""
+    """(result, output_digest, point p50s) of one perfbench/run.py stdout: its last line as JSON, the
+    digest line, and {label: seconds} from each `point <label> trials N p50 X s ...` line."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("run printed nothing")
-    digest = None
+    digest, points = None, {}
     for line in lines:
         words = line.split()
         if len(words) == 2 and words[0] == "output_digest":
             digest = words[1]
-    return json.loads(lines[-1]), digest
+        elif words[:1] == ["point"] and "trials" in words and "p50" in words:
+            points[" ".join(words[1:words.index("trials")])] = float(words[words.index("p50") + 1])
+    return json.loads(lines[-1]), digest, points
 
 
-def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None):
-    """One run as a "pairs" entry: the result's counts, each metric's value and the run's faults,
-    in all and per attempted trial (None without faults or trials)."""
+def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None, points=None):
+    """One run as a "pairs" entry: the result's counts, each metric's value, each point's p50 and
+    the run's faults, in all and per attempted trial (None without faults or trials)."""
     attempted = result.get("attempted", 0)
     return {
         "workload": workload,
@@ -73,6 +78,7 @@ def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=No
         "failed": result.get("failed", 0),
         "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()},
         "output_digest": digest,
+        "point_p50_s": dict(points or {}),
         "minor_faults": minor_faults,
         "minor_faults_per_trial": minor_faults / attempted if minor_faults is not None and attempted else None,
     }
@@ -90,8 +96,8 @@ def directions():
 
 
 def summarise(pairs):
-    """Per workload, each side's spread of every metric, of minor_faults and of
-    minor_faults_per_trial; for each of
+    """Per workload, each side's spread of every metric, of minor_faults, of
+    minor_faults_per_trial and, under point_p50_s, of each point's p50; for each of
     WIN_METRICS also the change's wins.
 
     A win is a seed at which both sides ran, the change's run is correct,
@@ -121,6 +127,15 @@ def summarise(pairs):
             faults = {side: [p[key] for p in runs if p["side"] == side and p.get(key) is not None] for side in SIDES}
             if any(faults.values()):
                 summary[workload][key] = {side: spread(v) for side, v in faults.items() if v}
+        points = {}  # label -> side -> p50s
+        for p in runs:
+            for label, value in p.get("point_p50_s", {}).items():
+                points.setdefault(label, {}).setdefault(p["side"], []).append(value)
+        if points:
+            summary[workload]["point_p50_s"] = {
+                label: {side: spread(by_side[side]) for side in SIDES if side in by_side}
+                for label, by_side in points.items()
+            }
     return summary
 
 
@@ -160,8 +175,8 @@ def unpack_parent(rev, dest):
 
 
 def run_side(directory, workload, seed):
-    """One perfbench/run.py run in directory; returns (result, digest, minor page faults),
-    the result incorrect and the digest None when the run fails."""
+    """One perfbench/run.py run in directory; returns (result, digest, point p50s, minor page
+    faults), the result incorrect, the digest None and no points when the run fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
@@ -170,7 +185,7 @@ def run_side(directory, workload, seed):
         return (*parse_run(proc.stdout), faults)
     except ValueError as err:  # json.JSONDecodeError is a ValueError
         print(f"  run failed (exit {proc.returncode}): {err}; {proc.stderr.strip()[-300:]}", file=sys.stderr)
-        return {"correct": False}, None, faults
+        return {"correct": False}, None, {}, faults
 
 
 def main(argv=None):
@@ -194,8 +209,8 @@ def main(argv=None):
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, digest, faults = run_side(dirs[side], workload, seed)
-                    pairs.append(pair_record(workload, seed, side, side == order[0], result, digest, faults))
+                    result, digest, points, faults = run_side(dirs[side], workload, seed)
+                    pairs.append(pair_record(workload, seed, side, side == order[0], result, digest, faults, points))
                     claimed = " ".join(f"{name} {pairs[-1]['metrics'].get(name)}" for name in WIN_METRICS)
                     print(f"{workload} seed {seed} {side}: {claimed} minor faults {faults} digest {digest}",
                           flush=True)

@@ -9,6 +9,16 @@ switch-sampled pilot slots, then per-slot regularised least squares on the
 antennas observed, indexed by a counting pass and solved by one batched
 Cholesky (`linalg.cholesky_solve`).  The channel estimates multiply every AP's
 block by the shared pilot matrix in one GEMM (`linalg.shared_matmul`).
+
+Both detectors run in two stages.  The solve (`detect_factors`,
+`pilot_only_factors`) gives each AP's detection as factors (h, small): its
+channel estimate H_hat and the (N_a, tau_d) solution of its small system, to be
+lifted as H_hat^H @ small, or, where the solve forms the (K, tau_d) detection
+itself, None and that.  `lifted` multiplies them out, so a caller can solve
+many APs at once and lift a few at a time, and `combine` sums detections in AP
+order by one reduction.  A stack of APs in which some Gram fails
+`detect_factors`' certificate is left unsolved, (None, None), so that its
+caller splits it and no more than the stack it asked for is detected in full.
 """
 
 import math
@@ -29,12 +39,13 @@ def estimate_channel(x_pilot, pilot_pinv):
     return shared_matmul(x_pilot, pilot_pinv)
 
 
-def detect_local(h_hat, x_data):
-    """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack, through the smaller
-    Gram G by one batched inverse: H^H G^-1 X_d, G = H H^H, when N_a <= K, else G^-1 H^H X_d,
-    G = H^H H.  A stack where some G is singular or has ||G||_F ||G^-1||_F >= 1e8 goes one leading
-    index at a time down to single APs; such an AP takes pinv(H) @ X_d, with pinv's cutoff.  Each
-    AP's result is thus its own 2-D call's, bit for bit, whatever stack it arrives in."""
+def detect_factors(h_hat, x_data):
+    """`detect_local`'s detections as factors (h, small): AP m's is h[m]^H @ small[m], or small[m]
+    where h is None.  Each AP is solved through the smaller Gram G by one batched inverse: h is H
+    and small G^-1 X_d, G = H H^H, when N_a <= K; else h is None and small the detection
+    G^-1 H^H X_d, G = H^H H.  Where some G is singular or has ||G||_F ||G^-1||_F >= 1e8, a single
+    AP is detected in full, as pinv(H) @ X_d with pinv's cutoff (h None), and a stack of more APs
+    is left unsolved, (None, None), for the caller to split into smaller stacks."""
     h_hat, x_data = np.asarray(h_hat), np.asarray(x_data)
     if h_hat.shape[-2] != x_data.shape[-2]:
         raise ShapeError(f"row mismatch {h_hat.shape} vs {x_data.shape}")
@@ -48,26 +59,49 @@ def detect_local(h_hat, x_data):
         except np.linalg.LinAlgError:  # an exactly singular G
             trusted = False
     if trusted:
-        return hh @ (gi @ x_data) if wide else gi @ (hh @ x_data)
-    if h_hat.ndim == 2:
-        return pinv(h_hat) @ x_data
-    return np.stack([detect_local(h, x) for h, x in zip(h_hat, x_data)])
+        return (h_hat, gi @ x_data) if wide else (None, gi @ (hh @ x_data))
+    if math.prod(h_hat.shape[:-2]) > 1:
+        return None, None
+    d = pinv(h_hat.reshape(h_hat.shape[-2:])) @ x_data.reshape(x_data.shape[-2:])  # as a 2-D call
+    return None, d.reshape(h_hat.shape[:-2] + d.shape)
 
 
-def combine(d_locals, total=None):
-    """Add the (m, K, tau_d) detections of consecutive APs, one AP at a time, into the running sum.
+def detect_local(h_hat, x_data):
+    """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack: `detect_factors`, then
+    `lifted`, one leading index at a time where the stack is left unsolved.  Each AP's result is
+    its own 2-D call's, bit for bit, whatever stack it arrives in."""
+    h, small = detect_factors(h_hat, x_data)
+    if small is None:
+        return np.stack([detect_local(h, x) for h, x in zip(h_hat, x_data)])
+    return lifted(h, small)
 
-    total, the (K, tau_d) sum of the APs before them, is updated in place (None starts at the
-    first block); the sum over all M APs, divided by M, is np.mean(stack, axis=0) bit for bit.
+
+def lifted(h, small, out=None):
+    """The detections of factors (h, small): h^H @ small, or small itself when h is None; written
+    into out when it is given."""
+    if h is not None:
+        return np.matmul(np.swapaxes(h.conj(), -1, -2), small, out=out)
+    if out is None:
+        return small
+    out[...] = small
+    return out
+
+
+def combine(d_locals):
+    """The sum of an (m, K, tau_d) stack of detections, added in AP order, by one reduction.
+
+    numpy adds the rows of a leading-axis reduction one at a time, so a stack
+    whose row 0 is the sum of the APs before it continues that sum, and the sum
+    over all M APs, divided by M, is np.mean(stack, axis=0) bit for bit.  Rows of
+    one entry, which numpy would sum pairwise, are added one at a time as well, so
+    the sum never depends on how the APs were split.
     """
     d_locals = np.asarray(d_locals)
     if len(d_locals) == 0:
         raise ShapeError("no local detections to combine")
-    if total is None:
-        total, d_locals = d_locals[0].copy(), d_locals[1:]
-    for d_m in d_locals:
-        total += d_m
-    return total
+    if d_locals[0].size == 1:
+        return sum(d_locals[1:], d_locals[0].copy())
+    return np.add.reduce(d_locals, axis=0)
 
 
 def slice_qpsk(soft):
@@ -142,7 +176,14 @@ def observed_first(omega, n_rf):
 
 
 def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
-    """Regularised LS detection of all payload slots of each AP at once.
+    """Regularised LS detection of all payload slots of each AP at once: `pilot_only_factors`,
+    then `lifted`.  Leading AP axes of h_hat (..., N_a, K), y and omega (..., N_a, tau_c)
+    broadcast; the result is (..., K, tau_d)."""
+    return lifted(*pilot_only_factors(h_hat, y, omega, sigma2, tau_p, n_rf))
+
+
+def pilot_only_factors(h_hat, y, omega, sigma2, tau_p, n_rf):
+    """`pilot_only_detect_block`'s detections as factors (h, small), as `detect_factors` gives them.
 
     Per slot only the N_r observed antennas enter, in ascending index
     order (`observed_first`); F is their N_r rows of H_hat.  With noise
@@ -152,9 +193,9 @@ def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
     with `linalg.pinv`'s cutoff.
     In the push-through branch each slot's F F^H is gathered from the
     AP's N_a x N_a Gram C = H_hat H_hat^H, and the solutions, scattered to
-    their antennas' rows of an (N_a, tau_d) zero block, meet H_hat^H in
-    one product per AP.  Leading AP axes of h_hat (..., N_a, K), y and
-    omega (..., N_a, tau_c) broadcast; the result is (..., K, tau_d).
+    their antennas' rows of an (N_a, tau_d) zero block, are small, with
+    h = H_hat; the other branches return None and the (..., K, tau_d)
+    detections.
     """
     lead = np.broadcast_shapes(*(np.shape(a)[:-2] for a in (h_hat, y, omega)))
     h_hat, y, omega = (np.broadcast_to(a, lead + np.shape(a)[-2:]) for a in (h_hat, y, omega))
@@ -164,19 +205,19 @@ def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
     rows = np.arange(math.prod(lead)).reshape(*lead, 1) * n_ant + idx  # flat (AP, antenna) rows
     yv = y.reshape(-1)[rows * y.shape[-1] + tau_p + t]  # (N_r, ..., tau_d)
     if sigma2 > 0 and n_rf < n_users:
-        hh = np.swapaxes(h_hat.conj(), -1, -2)  # (..., K, N_a)
-        c = (h_hat @ hh).reshape(-1)  # every AP's N_a x N_a Gram, flat
+        c = (h_hat @ np.swapaxes(h_hat.conj(), -1, -2)).reshape(-1)  # every AP's N_a x N_a Gram, flat
         g = c[rows[:, None] * n_ant + idx]  # (N_r, N_r, ..., tau_d), g[i, j] = C[obs_i, obs_j]
         g[range(n_rf), range(n_rf)] += sigma2
         z = cholesky_solve(g, yv)
+        del g, yv  # freed before the (N_a, tau_d) blocks are made, which may take their place
         x = np.zeros(lead + (n_ant, len(t)), dtype=z.dtype)
         x.reshape(-1)[rows * len(t) + t] = z
-        return hh @ x
+        return h_hat, x
     slots = np.moveaxis(idx, 0, -1)  # (..., tau_d, N_r)
     f = np.take_along_axis(h_hat[..., None, :, :], slots[..., None], axis=-2)  # (..., tau_d, N_r, K)
     yv = np.moveaxis(yv, 0, -1)[..., None]  # (..., tau_d, N_r, 1)
     if sigma2 > 0:
         fh = np.swapaxes(f.conj(), -1, -2)  # (..., tau_d, K, N_r)
         a = np.moveaxis(fh @ f + sigma2 * np.eye(n_users), (-2, -1), (0, 1))  # (K, K, ..., tau_d)
-        return np.moveaxis(cholesky_solve(a, np.moveaxis((fh @ yv)[..., 0], -1, 0)), 0, -2)
-    return np.swapaxes((pinv(f) @ yv)[..., 0], -1, -2)  # (..., K, tau_d)
+        return None, np.moveaxis(cholesky_solve(a, np.moveaxis((fh @ yv)[..., 0], -1, 0)), 0, -2)
+    return None, np.swapaxes((pinv(f) @ yv)[..., 0], -1, -2)  # (..., K, tau_d)

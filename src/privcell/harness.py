@@ -11,6 +11,10 @@ identical results whatever ran before it.  The memo also holds the
 block's packed Gram (`privacy.stacked_gram`), formed by the first
 one-shot trial on the block: every one-shot round on it (`svd` at each
 epsilon, `npsvd`) adds its noise to that one Gram.
+
+A trial detects in two stages (`_detect`): one solve of every AP's small
+system, then a lift to (K, tau_d) detections, sent and summed by one
+reduction per chunk.
 """
 
 import csv
@@ -37,7 +41,7 @@ from .svdmc import SvdConfig, run_svd
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("method", "axis", "axis_value", "nmse", "ser", "trials", "failures", "seed", "seconds")
-_DETECT_BYTES = 1 << 19  # budget on the largest per-chunk detection temporary
+_DETECT_BYTES = 1 << 19  # budget on the largest temporary of a detection chunk, solve or lift
 
 
 @dataclass
@@ -152,15 +156,57 @@ def _block(scenario, prepared, master_seed, trial, gram=False):
     return tuple(held)
 
 
+def _detect(s, solve, net):
+    """The soft output of scenario s, the mean of every AP's detection, each sent as that AP's
+    LocalDetection; solve(aps) gives the factors (h, small) of the APs of slice aps.
+
+    The solve runs on as many consecutive APs as keep its largest per-AP temporary, the (N_a, tau_d)
+    small factor or po's (N_r, N_r, tau_d) gathered Grams, within _DETECT_BYTES (all of them on
+    every shipped profile; po's noiseless branch with N_r < K takes more).  The lift runs on chunks
+    whose (K, tau_d) detections keep within it (17 APs at m100_k25): each chunk is lifted into rows
+    1.. of one buffer whose row 0 holds the running sum, sent in one call, and summed in AP order by
+    one reduction into the new running sum, so no (M, K, tau_d) stack is held.  A solve chunk left
+    unsolved, one with an ill-conditioned Gram, is solved again a lift chunk at a time and, where
+    that fails too, one AP at a time, so its full detections also keep within the budget.
+    """
+    row = 16 * s.tau_d  # bytes of one complex row of tau_d slots
+    solve_step = max(1, _DETECT_BYTES // (row * max(s.N_a, s.N_r * s.N_r)))
+    step = max(1, _DETECT_BYTES // (row * max(s.K, s.N_a, s.N_r * s.N_r)))
+    buf = None  # made after the first solve, so that the solve's temporaries do not meet it
+    for lo, h, small in _solved(solve, range(s.M), (solve_step, step)):
+        if buf is None:
+            buf = np.empty((min(step, s.M) + 1, s.K, s.tau_d), dtype=complex)
+        for a in range(0, len(small), step):
+            n = min(step, len(small) - a)
+            d = estimation.lifted(None if h is None else h[a:a + n], small[a:a + n], out=buf[1:n + 1])
+            net.send_aps(MessageKind.LOCAL_DETECTION, lo + a, 0, d)
+            first = 1 if lo + a == 0 else 0  # no running sum before the first chunk
+            buf[0] = estimation.combine(buf[first:n + 1])
+    return buf[0] / s.M
+
+
+def _solved(solve, aps, sizes):
+    """(first AP, h, small) for the APs of range aps, in AP order, from solve on chunks of sizes[0]
+    APs; a chunk it leaves unsolved (small None) is solved again in chunks of the next smaller of
+    sizes, and at last of one AP, which solve always solves."""
+    for lo in range(aps.start, aps.stop, sizes[0]):
+        chunk = range(lo, min(lo + sizes[0], aps.stop))
+        h, small = solve(slice(chunk.start, chunk.stop))
+        if small is None:
+            yield from _solved(solve, chunk, [n for n in sizes[1:] if n < len(chunk)] or [1])
+        else:
+            yield lo, h, small
+
+
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
-    """One end-to-end trial on (M, ·, ·) AP stacks, detected in AP chunks; returns a TrialResult."""
+    """One end-to-end trial on (M, ·, ·) AP stacks, detected in two stages (`_detect`); returns a TrialResult."""
     spec = method_spec(method)
     block, gram = _block(scenario, prepared, master_seed, trial, gram=spec.completion == ONE_SHOT)
     net = Backhaul() if net is None else net
     tau_p = scenario.tau_p
     if spec.completion is None:  # pilot-only: no completion traffic at all
         h_hat = estimation.pilot_only_ls(block.Y, prepared.pilots)
-        detect = lambda aps: estimation.pilot_only_detect_block(  # noqa: E731
+        solve = lambda aps: estimation.pilot_only_factors(  # noqa: E731
             h_hat[aps], block.Y[aps], block.omega[aps], prepared.sigma2, tau_p, scenario.N_r
         )
     else:
@@ -171,22 +217,10 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         else:  # every one-shot round on this block reads its one held Gram
             res = run_svd(block.Y, block.omega, cfg, entropy, net=net, gram=gram)
         h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
-        detect = lambda aps: estimation.detect_local(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
-    # Each chunk of consecutive APs is sent in one call and added into one running sum in AP
-    # order, so no (M, K, tau_d) stack is held; no AP's detection depends on its chunk.  A chunk
-    # keeps its largest per-AP temporary, the (K, tau_d) detection or po's (N_a, tau_d) scattered
-    # solution and (N_r, N_r, tau_d) gathered Grams, within _DETECT_BYTES.  (po's K x K and
-    # noiseless branches, which no shipped profile takes, still gather a (tau_d, N_r, K) stack.)
-    s = scenario
-    step = max(1, _DETECT_BYTES // (16 * s.tau_d * max(s.K, s.N_a, s.N_r * s.N_r)))
-    total = None
-    for lo in range(0, s.M, step):
-        d = detect(slice(lo, lo + step))
-        net.send_aps(MessageKind.LOCAL_DETECTION, lo, 0, d)
-        total = estimation.combine(d, total)
+        solve = lambda aps: estimation.detect_factors(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
     out = TrialResult(
         nmse=estimation.nmse(h_hat, block.H),
-        ser=estimation.ser(estimation.slice_qpsk(total / scenario.M), block.D),
+        ser=estimation.ser(estimation.slice_qpsk(_detect(scenario, solve, net)), block.D),
     )
     if spec.completion == ITERATIVE:
         out.max_masked_norm = float(res.masked_norms.max())

@@ -16,6 +16,10 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 
 EPS = np.finfo(float).eps
+# |a| = max |eigenvalue| for which top_eigpair's inverse iteration stays in float range: an iterate's
+# norm lies between sqrt(n) / (2|a|) and sqrt(n) / (8 n eps |a|), so its squared norm neither
+# underflows to 0 (|a| <= 1e150) nor overflows (|a| >= 1e-130), with margin for n and rounding
+_ITERATION_RANGE = (1e-130, 1e150)
 
 
 def canonical_phase(v):
@@ -55,7 +59,9 @@ def top_eigpair(a):
 
     The value is `eigvalsh`'s.  The vector takes two inverse-iteration solves
     on a - sigma*I, sigma just above the value, from an all-ones start.  The
-    pair is kept if |a v - lam v| <= 8 n eps |a|, else `hermitian_eig`'s is.
+    pair is kept if |a v - lam v| <= 8 n eps |a|, else `hermitian_eig`'s is,
+    as it is when a - sigma*I is singular or |a| lies outside _ITERATION_RANGE,
+    where an iterate's squared norm could overflow or underflow to 0.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -63,18 +69,21 @@ def top_eigpair(a):
     if not np.isfinite(a).all():  # eigvalsh would skip a NaN it sorts below the top
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     n, vals = len(a), np.linalg.eigvalsh(a)
-    lam, tol = vals[-1], 8 * n * EPS * max(-vals[0], vals[-1])
-    sigma = lam + tol
-    # a C-ordered copy, so reshape gives a view of it; its zeros signed as in a - sigma * eye(n)
-    shifted = np.subtract(a, 0.0 * sigma, order="C")
-    shifted.reshape(-1)[:: n + 1] -= sigma
-    try:
-        v = np.linalg.solve(shifted, np.ones(n))
-        v = np.linalg.solve(shifted, v / _norm(v))
-        v /= _norm(v)
-    except np.linalg.LinAlgError:  # a - sigma*I is singular, as when a = 0
-        v = np.full(n, np.nan)
-    if not _norm(a @ v - lam * v) <= tol:
+    lam, scale = vals[-1], max(-vals[0], vals[-1])
+    tol = 8 * n * EPS * scale
+    v = None
+    if _ITERATION_RANGE[0] <= scale <= _ITERATION_RANGE[1]:
+        sigma = lam + tol
+        # a C-ordered copy, so reshape gives a view of it; its zeros signed as in a - sigma * eye(n)
+        shifted = np.subtract(a, 0.0 * sigma, order="C")
+        shifted.reshape(-1)[:: n + 1] -= sigma
+        try:
+            v = np.linalg.solve(shifted, np.ones(n))
+            v = np.linalg.solve(shifted, v / _norm(v))
+            v /= _norm(v)
+        except np.linalg.LinAlgError:  # a - sigma*I is singular, as when a = 0
+            v = None
+    if v is None or not _norm(a @ v - lam * v) <= tol:
         vals, vecs = hermitian_eig(a, 1)
         return vals[0], vecs[:, 0]
     return lam, canonical_phase(v)

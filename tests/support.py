@@ -6,12 +6,14 @@ import csv
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+import numpy as np
+
 from privcell import fw
 from privcell.config import METHODS
 from privcell.errors import ConfigError
 from privcell.harness import CSV_HEADER
 from privcell.privacy import calibrate, gram_round, stacked_gram
-from privcell.protocol import Backhaul
+from privcell.protocol import Backhaul, MessageKind
 
 
 def read_csv(path):
@@ -35,7 +37,9 @@ class RecordingBackhaul(Backhaul):
     """A Backhaul that also keeps every payload it accepts, in transcript order.
 
     payloads[i] is the payload of transcript[i]: the very object sent by
-    `broadcast`, or the row of the stack that `send_aps` sent it in.
+    `broadcast`, or the row of the stack that `send_aps` sent it in; for a
+    LocalDetection, whose stack `harness.run_trial` lifts into one reused
+    buffer, a copy of that row taken when it was sent.
     """
 
     def __init__(self):
@@ -49,7 +53,7 @@ class RecordingBackhaul(Backhaul):
 
     def send_aps(self, kind, first_ap, round_index, payloads):
         msgs = super().send_aps(kind, first_ap, round_index, payloads)
-        self.payloads.extend(payloads)
+        self.payloads.extend(np.array(payloads) if kind is MessageKind.LOCAL_DETECTION else payloads)
         return msgs
 
 

@@ -14,9 +14,9 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40):
-    """What perfbench/run.py prints: a summary, the manifest, then the result as its last line;
-    trial_s.p50 is among the metrics when p50 is given."""
+def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40, points=()):
+    """What perfbench/run.py prints: a summary, a line per (label, p50) of points, the manifest,
+    then the result as its last line; trial_s.p50 is among the metrics when p50 is given."""
     metrics = {"trials_per_s": {"value": rate, "unit": "1/s"}, "nmse": {"value": nmse, "unit": "ratio"}}
     if p50 is not None:
         metrics["trial_s.p50"] = {"value": p50, "unit": "s"}
@@ -25,7 +25,8 @@ def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40):
         "workload desk-npfw seed 1 trace 0\n"
         f"  trials_per_s                                 {rate} 1/s\n"
         f"  {'output_digest':<44} {digest}\n"
-        'manifest {"numpy": "2.4.6"}\n'
+        + "".join(f"  point {label:<24} trials   40  p50 {p:.4g} s  nmse 0.5  ser 0.1\n" for label, p in points)
+        + 'manifest {"numpy": "2.4.6"}\n'
         + json.dumps(result)
         + "\n"
     )
@@ -41,20 +42,20 @@ def pairs_of(rates, workload="desk-npfw", faults=None, p50s=None):
         counts = faults[seed - 1] if faults else (None, None)
         medians = p50s[seed - 1] if p50s else (None, None)
         for side, rate, count, p50 in zip(("parent", "change"), (parent, change), counts, medians):
-            result, digest = bench_pairs.parse_run(stdout(rate, p50=p50))
-            out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest, count))
+            result, digest, points = bench_pairs.parse_run(stdout(rate, p50=p50))
+            out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest, count, points))
     return out
 
 
 def test_a_run_is_its_last_line_and_its_digest():
-    result, digest = bench_pairs.parse_run(stdout(5.25, digest="c0ffee"))
-    assert digest == "c0ffee"
+    result, digest, points = bench_pairs.parse_run(stdout(5.25, digest="c0ffee"))
+    assert digest == "c0ffee" and points == {}
     assert result["metrics"]["trials_per_s"]["value"] == 5.25
     rec = bench_pairs.pair_record("desk-npfw", 3, "change", False, result, digest)
     assert rec == {
         "workload": "desk-npfw", "seed": 3, "side": "change", "ran_first": False, "correct": True,
         "attempted": 40, "failed": 0, "metrics": {"trials_per_s": 5.25, "nmse": 0.5},
-        "output_digest": "c0ffee", "minor_faults": None, "minor_faults_per_trial": None,
+        "output_digest": "c0ffee", "point_p50_s": {}, "minor_faults": None, "minor_faults_per_trial": None,
     }
 
 
@@ -91,6 +92,28 @@ def test_the_claimed_median_trial_time_wins_when_it_falls():
     assert bench_pairs.summarise(pairs)["desk-npfw"]["trial_s.p50"]["change_wins"] == 2
 
 
+def test_each_points_p50_is_recorded_and_spread_by_side():
+    """The `point <label> trials N p50 X s` lines of a run's stdout land in its pair record,
+    labels with spaces included, and the summary gives each point's quartiles for each side."""
+    p50s = {"parent": [4.165e-3, 4.2e-3, 4.1e-3, 4.3e-3], "change": [2.692e-3, 2.7e-3, 2.75e-3, 2.6e-3]}
+    pairs = []
+    for seed in range(1, 5):
+        for side in ("parent", "change"):
+            points = (("svd epsilon=1", 0.01277), ("po epsilon=1", p50s[side][seed - 1]))
+            result, digest, parsed = bench_pairs.parse_run(stdout(5.0, points=points))
+            assert parsed == dict(points)
+            pairs.append(bench_pairs.pair_record("m100k25-oneshot", seed, side, side == "parent", result, digest,
+                                                 None, parsed))
+    assert pairs[0]["point_p50_s"] == {"svd epsilon=1": 0.01277, "po epsilon=1": 4.165e-3}
+    entry = bench_pairs.summarise(pairs)["m100k25-oneshot"]["point_p50_s"]
+    assert list(entry) == ["svd epsilon=1", "po epsilon=1"]
+    for side, values in p50s.items():
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        assert entry["po epsilon=1"][side] == {"median": median, "q1": q1, "q3": q3, "n": 4}
+    assert entry["svd epsilon=1"]["change"]["median"] == 0.01277
+    assert "point_p50_s" not in bench_pairs.summarise(pairs_of([(5.0, 6.0)]))["desk-npfw"]
+
+
 def test_summary_has_each_sides_minor_fault_quartiles():
     faults = [(1700, 1400), (1750, 1420), (1690, 1390), (1720, 1405)]
     summary = bench_pairs.summarise(pairs_of([(5.0, 6.0)] * 4, faults=faults))
@@ -108,7 +131,7 @@ def test_faults_per_trial_divide_each_runs_faults_by_its_attempted_trials():
     pairs = []
     for seed, (p_faults, p_trials, c_faults, c_trials) in enumerate(runs, start=1):
         for side, faults, trials in (("parent", p_faults, p_trials), ("change", c_faults, c_trials)):
-            result, digest = bench_pairs.parse_run(stdout(5.0, attempted=trials))
+            result, digest, _ = bench_pairs.parse_run(stdout(5.0, attempted=trials))
             pairs.append(bench_pairs.pair_record("desk-npfw", seed, side, side == "parent", result, digest, faults))
     assert [p["minor_faults_per_trial"] for p in pairs] == [400.0, 300.0, 400.0, 230.0, 410.0, 310.0]
     entry = bench_pairs.summarise(pairs)["desk-npfw"]["minor_faults_per_trial"]
@@ -133,11 +156,11 @@ def test_a_run_records_its_childs_minor_faults(tmp_path):
             f"print({stdout(5.0)!r}, end='')\n"
         )
         runs[name] = bench_pairs.run_side(script.parent.parent, "desk-npfw", 1)
-    for result, digest, faults in runs.values():
-        assert result["correct"] and digest == "ab12" and faults > 0
+    for result, digest, points, faults in runs.values():
+        assert result["correct"] and digest == "ab12" and points == {} and faults > 0
         rec = bench_pairs.pair_record("desk-npfw", 1, "change", True, result, digest, faults)
         assert rec["minor_faults_per_trial"] == faults / 40
-    assert runs["touching"][2] - runs["idle"][2] >= 3000
+    assert runs["touching"][3] - runs["idle"][3] >= 3000
 
 
 def test_summary_keeps_workloads_apart_and_skips_runs_without_metrics():

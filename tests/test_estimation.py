@@ -144,7 +144,8 @@ def test_detect_local_sends_only_the_rank_deficient_ap_to_pinv(fault, n_ant, n_u
 
 
 def test_combine(rng):
-    """The running sum over M APs, divided by M, is the stack's mean bit for bit, in one call or in chunks."""
+    """The sum over M APs, divided by M, is the stack's mean bit for bit, in one call or in chunks
+    whose first row is the sum before them, as run_trial's fan-in sums them."""
     d = crandn(rng, (2, 4))
     want = np.mean(np.stack([d, d, d]), axis=0)
     assert (combine([d, d, d]) / 3).tobytes() == want.tobytes()
@@ -153,12 +154,28 @@ def test_combine(rng):
         stack = crandn(rng, (m, 25, 75))
         want = np.mean(stack, axis=0)
         assert (combine(stack) / m).tobytes() == want.tobytes()
-        total = None
-        for lo in range(0, m, 7):
-            total = combine(stack[lo:lo + 7], total)
+        total = combine(stack[:7])
+        for lo in range(7, m, 7):
+            total = combine(np.concatenate([total[None], stack[lo:lo + 7]]))
         assert (total / m).tobytes() == want.tobytes()
     with pytest.raises(ShapeError):
         combine([])
+
+
+def test_combine_adds_single_entry_rows_in_order(rng):
+    """Rows of one entry, which np.add.reduce sums pairwise from 8 rows on, are added one at a
+    time too, so the sum does not depend on the chunks: 100 rows spread over 12 decades."""
+    stack = crandn(rng, (100, 1, 1)) * 10.0 ** rng.uniform(-6, 6, (100, 1, 1))
+    want = stack[0].copy()
+    for d in stack[1:]:
+        want += d
+    assert combine(stack).tobytes() == want.tobytes()
+    total = combine(stack[:17])
+    for lo in range(17, 100, 17):
+        total = combine(np.concatenate([total[None], stack[lo:lo + 17]]))
+    assert total.tobytes() == want.tobytes()
+    one = stack[:1]
+    assert combine(one).tobytes() == one[0].tobytes() and not np.shares_memory(combine(one), one)
 
 
 def test_slicer_matches_sign_rule(rng):

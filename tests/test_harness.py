@@ -265,7 +265,7 @@ def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
         assert res.ser == ser(slice_qpsk(acc / scen.M), block.D)
 
 
-# ---------------------------------------------------------------- detection in AP chunks
+# ---------------------------------------------------------------- detection in two stages
 
 
 def spy(fn, calls):
@@ -276,56 +276,139 @@ def spy(fn, calls):
     return wrapped
 
 
-def whole_stack_detection(scen, prep, method, block, x_hat):
-    """Reference: all M APs detected in one call, the soft output the stack's mean."""
-    tp = scen.tau_p
-    if method == "po":
-        h_hat = pilot_only_ls(block.Y, prep.pilots)
-        d = pilot_only_detect_block(h_hat, block.Y, block.omega, prep.sigma2, tp, scen.N_r)
-    else:
-        h_hat = estimate_channel(x_hat[..., :tp], prep.pilot_pinv)
-        d = detect_local(h_hat, x_hat[..., tp:])
-    return h_hat, d, np.mean(d, axis=0)
+def ill_conditioned_ap(estimate, bad=1):
+    """estimate, with AP bad's channel estimate given singular values 1 and 1e-6, so its Gram
+    has ||G||_F ||G^-1||_F near 1e12 and fails detect_factors' certificate."""
+    def faulty(*args):
+        h = estimate(*args)
+        u, _, vh = np.linalg.svd(h[bad], full_matrices=False)
+        h[bad] = (u * np.r_[1.0, [1e-6] * (len(vh) - 1)]) @ vh
+        return h
+    return faulty
 
 
-@pytest.mark.parametrize("method, detector", [("po", "pilot_only_detect_block"), ("npsvd", "detect_local")])
-@pytest.mark.parametrize("n_aps, budget", [(1, None), (5, None), (100, None), (5, 1)])
-def test_chunked_detection_matches_the_whole_stack(method, detector, n_aps, budget, monkeypatch):
-    """At the m100_k25 shape, detection in AP chunks gives the whole-stack soft output,
-    NMSE and SER bit for bit, and sends ap0 .. ap{M-1} in order.  Cases: M = 1; M below
-    one chunk; M = 100, not a multiple of the chunk; and one AP per chunk."""
-    exp = load_experiment(M100_K25)
-    scen = dataclasses.replace(exp.scenario, M=n_aps)
-    prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
+def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
+    """One trial of scen, every AP's LocalDetection payload, the soft output, NMSE and SER checked
+    byte for byte against one whole-stack detector call on the trial's channel estimate and its
+    np.mean; the payloads must go out from ap0 to ap{M-1} in order.  budget, if given, replaces
+    _DETECT_BYTES; fault makes AP 1's channel estimate ill conditioned.  Returns the solve calls'
+    (args, (h, small)) and the sizes of the LOCAL_DETECTION sends."""
+    prep = prepare(scen, run, draw_beta(scen, scen.seed))
     if budget is not None:
         monkeypatch.setattr(harness, "_DETECT_BYTES", budget)
-    completions, detections, softs = [], [], []
+    po = method == "po"
+    estimator = "pilot_only_ls" if po else "estimate_channel"
+    if fault:
+        monkeypatch.setattr(harness.estimation, estimator, ill_conditioned_ap(getattr(harness.estimation, estimator)))
+    completions, estimates, solves, softs, sends = [], [], [], [], []
+    solver = "pilot_only_factors" if po else "detect_factors"
     monkeypatch.setattr(harness, "run_svd", spy(harness.run_svd, completions))
-    monkeypatch.setattr(harness.estimation, detector, spy(getattr(harness.estimation, detector), detections))
+    monkeypatch.setattr(harness.estimation, estimator, spy(getattr(harness.estimation, estimator), estimates))
+    monkeypatch.setattr(harness.estimation, solver, spy(getattr(harness.estimation, solver), solves))
     monkeypatch.setattr(harness.estimation, "slice_qpsk", spy(slice_qpsk, softs))
     net = RecordingBackhaul()
-    res = run_trial(scen, exp.run, method, prep, scen.seed, 0, 1.0, net=net)
+    net.send_aps = spy(net.send_aps, sends)
+    res = run_trial(scen, run, method, prep, scen.seed, 0, 1.0, net=net)
+    solves = list(solves)  # run_trial's, before the reference call below adds its own
 
     block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, sigma2=prep.sigma2)
-    x_hat = completions[0][1].x_hat if completions else None
-    h_hat, d, soft = whole_stack_detection(scen, prep, method, block, x_hat)
+    (_, h_hat), = estimates
+    tp = scen.tau_p
+    x_hat = None if po else completions[0][1].x_hat
+    want_h = pilot_only_ls(block.Y, prep.pilots) if po else estimate_channel(x_hat[..., :tp], prep.pilot_pinv)
+    assert fault or h_hat.tobytes() == want_h.tobytes()
+    if po:
+        d = pilot_only_detect_block(h_hat, block.Y, block.omega, prep.sigma2, tp, scen.N_r)
+    else:
+        d = detect_local(h_hat, x_hat[..., tp:])
+    soft = np.mean(d, axis=0)
     ((got,), _), = softs
     assert got.tobytes() == soft.tobytes()
     assert res.nmse == nmse(h_hat, block.H)
     assert res.ser == ser(slice_qpsk(soft), block.D)
     sent = [(msg.sender, p) for msg, p in zip(net.transcript, net.payloads)
             if msg.kind is MessageKind.LOCAL_DETECTION]
-    assert [sender for sender, _ in sent] == [ap_name(m) for m in range(n_aps)]
+    assert [sender for sender, _ in sent] == [ap_name(m) for m in range(scen.M)]
     for (_, got_m), want_m in zip(sent, d):
         assert got_m.tobytes() == want_m.tobytes()
-    sizes = [len(out) for _, out in detections]
-    assert sum(sizes) == n_aps and len(set(sizes[:-1])) <= 1
+    return solves, [len(args[3]) for args, _ in sends if args[0] is MessageKind.LOCAL_DETECTION]
+
+
+@pytest.mark.parametrize("method", ["po", "npsvd"])
+@pytest.mark.parametrize("n_aps, budget", [(1, None), (5, None), (100, None), (5, 1)])
+def test_chunked_detection_matches_the_whole_stack(method, n_aps, budget, monkeypatch):
+    """At the m100_k25 shape, detection in two stages gives the whole-stack payloads, soft output,
+    NMSE and SER bit for bit.  The solve takes every AP in one call, and the lift chunks hold 17
+    APs.  Cases: M = 1; M below one chunk; M = 100, not a multiple of the chunk; and one AP per
+    solve and per lift chunk."""
+    exp = load_experiment(M100_K25)
+    scen = dataclasses.replace(exp.scenario, M=n_aps)
+    solves, sends = detect_in_two_stages(scen, exp.run, method, budget, monkeypatch)
+    assert all(h is not None for _, (h, _) in solves)  # po's push-through, detect_local's wide branch
+    sizes = [len(small) for _, (_, small) in solves]
     if budget == 1:
-        assert sizes == [1] * n_aps
-    elif n_aps == 100:
-        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        assert sizes == sends == [1] * n_aps
     else:
         assert sizes == [n_aps]
+        assert sends == ([17] * 5 + [15] if n_aps == 100 else [n_aps])
+
+
+BRANCHES = {  # name: (method, changes to a 5-AP scenario with K = 4, N_a = 4, N_r = 2, fault)
+    "po-push-through": ("po", {}, False),  # N_r < K
+    "po-kxk": ("po", {"K": 2, "tau_p": 2}, False),  # N_r >= K
+    "po-noiseless": ("po", {"sigma2": 0.0}, False),
+    "wide": ("npsvd", {"K": 6, "tau_p": 6}, False),  # N_a <= K
+    "tall": ("npsvd", {"K": 2, "tau_p": 2}, False),  # N_a > K
+    "pinv-fallback": ("npsvd", {"K": 6, "tau_p": 6}, True),  # AP 1's Gram fails the certificate
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "one-ap-chunks"])
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_two_stage_detection_matches_the_whole_stack_on_every_branch(branch, budget, monkeypatch):
+    """Every branch of both detectors, solved and lifted in two stages, gives the whole-stack
+    detector call's payloads, soft output, NMSE and SER byte for byte, in one chunk and in one-AP
+    chunks.  Branches that form the (K, tau_d) detection in their solve (po's K x K and noiseless
+    ones, detect_local's tall one, and an ill-conditioned AP's pinv) return it with no lift; po's
+    push-through and detect_local's wide branch return H_hat, whose conjugate transpose lifts their
+    small factor.  A stack with an ill-conditioned AP is left unsolved and solved again an AP at a
+    time."""
+    method, changes, fault = BRANCHES[branch]
+    scen = dataclasses.replace(
+        Scenario(M=5, K=4, N_a=4, N_r=2, tau_p=4, tau_d=6, R_km=0.5, seed=7), **changes
+    )
+    solves, sends = detect_in_two_stages(scen, RunConfig(), method, budget, monkeypatch, fault)
+    got = [(len(args[0]), h is not None, small is not None) for args, (h, small) in solves]
+    lifts = branch in ("po-push-through", "wide", "pinv-fallback")  # the last is wide too
+    one_each = [(1, lifts and not (fault and m == 1), True) for m in range(scen.M)]
+    if budget == 1:
+        assert (got, sends) == (one_each, [1] * scen.M)
+    elif fault:
+        assert (got, sends) == ([(scen.M, False, False)] + one_each, [1] * scen.M)
+    else:
+        assert (got, sends) == ([(scen.M, lifts, True)], [scen.M])
+
+
+def test_m100_k25_ill_conditioned_ap_keeps_detection_in_budget(monkeypatch):
+    """At m100_k25, npsvd with AP 1's Gram ill conditioned: the 100-AP solve is left unsolved, the
+    lift chunk holding AP 1 is solved an AP at a time and the others 17 APs at a time, so the trial's
+    traced peak stays within 4 MB; detecting all 100 APs in full on that path peaked at 8.0 MB."""
+    exp = load_experiment(M100_K25)
+    scen = exp.scenario
+    prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
+    monkeypatch.setattr(harness.estimation, "estimate_channel", ill_conditioned_ap(estimate_channel))
+    run_trial(scen, exp.run, "npsvd", prep, scen.seed, 0, 1.0)  # first-call set-up outside the count
+    net, sends = Backhaul(), []
+    send = net.send_aps
+    net.send_aps = lambda kind, first, r, payloads: sends.append(len(payloads)) or send(kind, first, r, payloads)
+    tracemalloc.start()
+    try:
+        run_trial(scen, exp.run, "npsvd", prep, scen.seed, 1, 1.0, net=net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sends == [scen.M] + [1] * 17 + [17] * 4 + [15]  # the Gram release, then the detections
+    assert peak <= 4e6
 
 
 @pytest.mark.parametrize("method", ["svd", "npsvd", "po"])
@@ -619,13 +702,18 @@ def test_run_point_counts_a_non_finite_aggregate_as_a_failure(toy_exp, monkeypat
     assert caplog.text.count("LinAlgError") == 3
 
 
-@pytest.mark.parametrize("method, target", [("npsvd", "detect_local"), ("po", "pilot_only_ls")])
+@pytest.mark.parametrize("method, target", [("npsvd", "detect_factors"), ("po", "pilot_only_ls")])
 def test_run_point_counts_non_finite_detections_as_failures(method, target, monkeypatch):
     """A NaN soft detection fails its trial instead of slicing to -1-1j: desk at 3 trials.
     po's NaN channel estimate already fails in the detector's Cholesky."""
     exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
     real = getattr(harness.estimation, target)
-    monkeypatch.setattr(harness.estimation, target, lambda *args: real(*args) * np.nan)
+
+    def poisoned(*args):
+        out = real(*args)
+        return (out[0], out[1] * np.nan) if isinstance(out, tuple) else out * np.nan
+
+    monkeypatch.setattr(harness.estimation, target, poisoned)
     rec = run_point(exp, method, "epsilon", 1.0, 3, exp.scenario.seed)
     assert (rec.trials, rec.failures) == (0, 3)
     assert np.isnan(rec.nmse) and np.isnan(rec.ser)

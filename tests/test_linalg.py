@@ -382,6 +382,19 @@ def test_top_eigpair_falls_back_to_eigh(fallbacks):
     np.testing.assert_allclose(v, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-170])
+def test_top_eigpair_falls_back_quietly_near_the_ends_of_float_range(scale, fallbacks):
+    """A 6x6 Hermitian matrix scaled by 1e300 underflows the first inverse-iteration vector's
+    norm to 0, and scaled by 1e-170 overflows it; either goes to eigh without a RuntimeWarning
+    (an error under this suite's filter) and returns eigh's top pair."""
+    a = scale * random_hermitian(6, np.random.default_rng(0))
+    lam, v = top_eigpair(a)
+    assert len(fallbacks) == 1
+    vals, vecs = hermitian_eig(a, 1)
+    assert lam == vals[0]
+    assert v.tobytes() == vecs[:, 0].tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", [(2, 1), (1, 1)])
 def test_top_eigpair_rejects_a_non_finite_matrix(bad, where):

@@ -25,7 +25,10 @@ under point_p50_s, of each point's p50, for each side (quartiles by
 `statistics.quantiles`, exclusive method), plus, for trials_per_s and
 trial_s.p50, the number of seeds at which the change beat the parent with the
 same outputs, "beat" read in the direction of the metric's `better` field in
-BENCHMARK.json.
+BENCHMARK.json.  Each end-to-end metric that both sides report also gets a
+verdict against its BENCHMARK.json `bound`: worse_than_bound, the change's
+median worse than the parent's by more than bound times the parent's median,
+and unresolved, the parent's q3 - q1 wider than that.
 Nothing under
 perfbench/ is changed; a side whose run fails is recorded as it came.
 """
@@ -90,21 +93,37 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def end_to_end():
+    """{metric: its BENCHMARK.json end_to_end entry, with its `better` and `bound` fields}."""
+    return {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
 def directions():
     """{metric: "higher" or "lower"}, the `better` field of each end-to-end metric in BENCHMARK.json."""
-    return {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    return {name: m["better"] for name, m in end_to_end().items()}
+
+
+def verdict(parent, change, better, bound):
+    """The no-regression rule on two sides' spreads of one metric: worse_than_bound, whether the
+    change's median is worse than the parent's, in the direction better, by more than bound times
+    the parent's median; unresolved, whether the parent's q3 - q1 exceeds that amount, so that
+    the runs spread too widely to tell."""
+    scale = bound * abs(parent["median"])
+    worse = change["median"] - parent["median"] if better == "lower" else parent["median"] - change["median"]
+    return {"worse_than_bound": worse > scale, "unresolved": parent["q3"] - parent["q1"] > scale}
 
 
 def summarise(pairs):
     """Per workload, each side's spread of every metric, of minor_faults, of
     minor_faults_per_trial and, under point_p50_s, of each point's p50; for each of
-    WIN_METRICS also the change's wins.
+    WIN_METRICS also the change's wins, and for each end-to-end metric both sides report its
+    `verdict`.
 
     A win is a seed at which both sides ran, the change's run is correct,
     fails no more trials than the parent's, gives the parent's output_digest,
     and has the better value (higher or lower, as `directions` says); a tie is not a win.
     """
-    better = directions()
+    metrics = end_to_end()
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
@@ -121,7 +140,11 @@ def summarise(pairs):
                 for p in runs:
                     if name in p["metrics"]:
                         by_seed.setdefault(p["seed"], {})[p["side"]] = p
-                entry["change_wins"] = sum(1 for v in by_seed.values() if len(v) == 2 and _won(v, name, better[name]))
+                entry["change_wins"] = sum(
+                    1 for v in by_seed.values() if len(v) == 2 and _won(v, name, metrics[name]["better"])
+                )
+            if name in metrics and all(side in entry for side in SIDES):
+                entry.update(verdict(entry["parent"], entry["change"], metrics[name]["better"], metrics[name]["bound"]))
             summary[workload][name] = entry
         for key in ("minor_faults", "minor_faults_per_trial"):
             faults = {side: [p[key] for p in runs if p["side"] == side and p.get(key) is not None] for side in SIDES}

@@ -17,8 +17,9 @@ lifted as H_hat^H @ small, or, where the solve forms the (K, tau_d) detection
 itself, None and that.  `lifted` multiplies them out, so a caller can solve
 many APs at once and lift a few at a time, and `combine` sums detections in AP
 order by one reduction.  A stack of APs in which some Gram fails
-`detect_factors`' certificate is left unsolved, (None, None), so that its
-caller splits it and no more than the stack it asked for is detected in full.
+`detect_factors`' certificate is left unsolved, (None, None); `detect_local`,
+the one split rule, detects such a stack one AP at a time, and only a single
+2-D AP falls back to `linalg.pinv`.
 """
 
 import math
@@ -43,9 +44,9 @@ def detect_factors(h_hat, x_data):
     """`detect_local`'s detections as factors (h, small): AP m's is h[m]^H @ small[m], or small[m]
     where h is None.  Each AP is solved through the smaller Gram G by one batched inverse: h is H
     and small G^-1 X_d, G = H H^H, when N_a <= K; else h is None and small the detection
-    G^-1 H^H X_d, G = H^H H.  Where some G is singular or has ||G||_F ||G^-1||_F >= 1e8, a single
-    AP is detected in full, as pinv(H) @ X_d with pinv's cutoff (h None), and a stack of more APs
-    is left unsolved, (None, None), for the caller to split into smaller stacks."""
+    G^-1 H^H X_d, G = H^H H.  Where some G is singular or has ||G||_F ||G^-1||_F >= 1e8, a stack
+    of APs, even of one, is left unsolved, (None, None), for `detect_local` to split, and a 2-D AP
+    is detected in full, as pinv(H) @ X_d with pinv's cutoff (h None)."""
     h_hat, x_data = np.asarray(h_hat), np.asarray(x_data)
     if h_hat.shape[-2] != x_data.shape[-2]:
         raise ShapeError(f"row mismatch {h_hat.shape} vs {x_data.shape}")
@@ -60,16 +61,15 @@ def detect_factors(h_hat, x_data):
             trusted = False
     if trusted:
         return (h_hat, gi @ x_data) if wide else (None, gi @ (hh @ x_data))
-    if math.prod(h_hat.shape[:-2]) > 1:
+    if h_hat.ndim > 2:
         return None, None
-    d = pinv(h_hat.reshape(h_hat.shape[-2:])) @ x_data.reshape(x_data.shape[-2:])  # as a 2-D call
-    return None, d.reshape(h_hat.shape[:-2] + d.shape)
+    return None, pinv(h_hat) @ x_data
 
 
 def detect_local(h_hat, x_data):
     """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack: `detect_factors`, then
-    `lifted`, one leading index at a time where the stack is left unsolved.  Each AP's result is
-    its own 2-D call's, bit for bit, whatever stack it arrives in."""
+    `lifted`, one leading index at a time where the stack is left unsolved, down to 2-D APs.  Each
+    AP's result is its own 2-D call's, bit for bit, whatever stack it arrives in."""
     h, small = detect_factors(h_hat, x_data)
     if small is None:
         return np.stack([detect_local(h, x) for h, x in zip(h_hat, x_data)])
@@ -175,15 +175,11 @@ def observed_first(omega, n_rf):
     return pos % n_ant
 
 
-def pilot_only_detect_block(h_hat, y, omega, sigma2, tau_p, n_rf):
-    """Regularised LS detection of all payload slots of each AP at once: `pilot_only_factors`,
-    then `lifted`.  Leading AP axes of h_hat (..., N_a, K), y and omega (..., N_a, tau_c)
-    broadcast; the result is (..., K, tau_d)."""
-    return lifted(*pilot_only_factors(h_hat, y, omega, sigma2, tau_p, n_rf))
-
-
 def pilot_only_factors(h_hat, y, omega, sigma2, tau_p, n_rf):
-    """`pilot_only_detect_block`'s detections as factors (h, small), as `detect_factors` gives them.
+    """Regularised LS detection of all payload slots of each AP at once, as factors (h, small), as
+    `detect_factors` gives them; it never leaves a stack unsolved.  Leading AP axes of h_hat
+    (..., N_a, K), y and omega (..., N_a, tau_c) broadcast; `lifted` gives the (..., K, tau_d)
+    detections.
 
     Per slot only the N_r observed antennas enter, in ascending index
     order (`observed_first`); F is their N_r rows of H_hat.  With noise

@@ -14,11 +14,13 @@ epsilon, `npsvd`) adds its noise to that one Gram.
 
 A trial detects in two stages (`_detect`): one solve of every AP's small
 system, then a lift to (K, tau_d) detections, sent and summed by one
-reduction per chunk.
+reduction per chunk; a solve that an ill-conditioned Gram leaves unsolved
+falls back to `estimation.detect_local` a chunk at a time.
 """
 
 import csv
 import dataclasses
+import functools
 import logging
 import math
 import time
@@ -156,46 +158,40 @@ def _block(scenario, prepared, master_seed, trial, gram=False):
     return tuple(held)
 
 
-def _detect(s, solve, net):
+def _detect(s, net, solve, *stacks):
     """The soft output of scenario s, the mean of every AP's detection, each sent as that AP's
-    LocalDetection; solve(aps) gives the factors (h, small) of the APs of slice aps.
+    LocalDetection; solve(*(x[aps] for x in stacks)) gives the factors (h, small) of the APs of
+    slice aps, as `estimation.detect_factors` and `pilot_only_factors` do.
 
     The solve runs on as many consecutive APs as keep its largest per-AP temporary, the (N_a, tau_d)
     small factor or po's (N_r, N_r, tau_d) gathered Grams, within _DETECT_BYTES (all of them on
     every shipped profile; po's noiseless branch with N_r < K takes more).  The lift runs on chunks
     whose (K, tau_d) detections keep within it (17 APs at m100_k25): each chunk is lifted into rows
     1.. of one buffer whose row 0 holds the running sum, sent in one call, and summed in AP order by
-    one reduction into the new running sum, so no (M, K, tau_d) stack is held.  A solve chunk left
-    unsolved, one with an ill-conditioned Gram, is solved again a lift chunk at a time and, where
-    that fails too, one AP at a time, so its full detections also keep within the budget.
+    one reduction into the new running sum, so no (M, K, tau_d) stack is held.  A solve left unsolved
+    (an ill-conditioned Gram) has each lift chunk detected by `estimation.detect_local` instead,
+    which splits a failing chunk down to single APs, so its full detections keep within it too.
     """
     row = 16 * s.tau_d  # bytes of one complex row of tau_d slots
     solve_step = max(1, _DETECT_BYTES // (row * max(s.N_a, s.N_r * s.N_r)))
     step = max(1, _DETECT_BYTES // (row * max(s.K, s.N_a, s.N_r * s.N_r)))
     buf = None  # made after the first solve, so that the solve's temporaries do not meet it
-    for lo, h, small in _solved(solve, range(s.M), (solve_step, step)):
+    for lo in range(0, s.M, solve_step):
+        hi = min(lo + solve_step, s.M)
+        h, small = solve(*(x[lo:hi] for x in stacks))
         if buf is None:
             buf = np.empty((min(step, s.M) + 1, s.K, s.tau_d), dtype=complex)
-        for a in range(0, len(small), step):
-            n = min(step, len(small) - a)
-            d = estimation.lifted(None if h is None else h[a:a + n], small[a:a + n], out=buf[1:n + 1])
+        for a in range(0, hi - lo, step):
+            n = min(step, hi - lo - a)
+            d = buf[1:n + 1]
+            if small is None:
+                d[...] = estimation.detect_local(*(x[lo + a:lo + a + n] for x in stacks))
+            else:
+                estimation.lifted(None if h is None else h[a:a + n], small[a:a + n], out=d)
             net.send_aps(MessageKind.LOCAL_DETECTION, lo + a, 0, d)
             first = 1 if lo + a == 0 else 0  # no running sum before the first chunk
             buf[0] = estimation.combine(buf[first:n + 1])
     return buf[0] / s.M
-
-
-def _solved(solve, aps, sizes):
-    """(first AP, h, small) for the APs of range aps, in AP order, from solve on chunks of sizes[0]
-    APs; a chunk it leaves unsolved (small None) is solved again in chunks of the next smaller of
-    sizes, and at last of one AP, which solve always solves."""
-    for lo in range(aps.start, aps.stop, sizes[0]):
-        chunk = range(lo, min(lo + sizes[0], aps.stop))
-        h, small = solve(slice(chunk.start, chunk.stop))
-        if small is None:
-            yield from _solved(solve, chunk, [n for n in sizes[1:] if n < len(chunk)] or [1])
-        else:
-            yield lo, h, small
 
 
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
@@ -206,9 +202,8 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     tau_p = scenario.tau_p
     if spec.completion is None:  # pilot-only: no completion traffic at all
         h_hat = estimation.pilot_only_ls(block.Y, prepared.pilots)
-        solve = lambda aps: estimation.pilot_only_factors(  # noqa: E731
-            h_hat[aps], block.Y[aps], block.omega[aps], prepared.sigma2, tau_p, scenario.N_r
-        )
+        stacks = h_hat, block.Y, block.omega
+        solve = functools.partial(estimation.pilot_only_factors, sigma2=prepared.sigma2, tau_p=tau_p, n_rf=scenario.N_r)
     else:
         cfg = completion_config(method, prepared, scenario, run, eps)
         entropy = entropy_for(master_seed, spec.stage, trial)
@@ -217,10 +212,10 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         else:  # every one-shot round on this block reads its one held Gram
             res = run_svd(block.Y, block.omega, cfg, entropy, net=net, gram=gram)
         h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
-        solve = lambda aps: estimation.detect_factors(h_hat[aps], res.x_hat[aps, :, tau_p:])  # noqa: E731
+        solve, stacks = estimation.detect_factors, (h_hat, res.x_hat[..., tau_p:])
     out = TrialResult(
         nmse=estimation.nmse(h_hat, block.H),
-        ser=estimation.ser(estimation.slice_qpsk(_detect(scenario, solve, net)), block.D),
+        ser=estimation.ser(estimation.slice_qpsk(_detect(scenario, net, solve, *stacks)), block.D),
     )
     if spec.completion == ITERATIVE:
         out.max_masked_norm = float(res.masked_norms.max())

@@ -92,6 +92,30 @@ def test_the_claimed_median_trial_time_wins_when_it_falls():
     assert bench_pairs.summarise(pairs)["desk-npfw"]["trial_s.p50"]["change_wins"] == 2
 
 
+def test_each_end_to_end_metric_gets_a_verdict_against_its_bound():
+    """worse_than_bound and unresolved read BENCHMARK.json's bound relative to the parent's median,
+    in the metric's `better` direction: trials_per_s (higher, 0.25) falls from a median of 100 to
+    74, worse by 26%; trial_s.p50 (lower, 0.25) rises from 10 ms to 12 ms, worse by 20%; nmse
+    (lower, 0.25) falls, which is never worse.  Only the parent's trial_s.p50, q1 9 ms and q3 13 ms
+    about a median of 10 ms, spreads more than its bound."""
+    bound = {name: m["bound"] for name, m in bench_pairs.end_to_end().items()}
+    assert (bound["trials_per_s"], bound["trial_s.p50"], bound["nmse"]) == (0.25, 0.25, 0.25)
+    rates = [(99.0, 74.0), (100.0, 74.0), (101.0, 74.0)]
+    p50s = [(9e-3, 12e-3), (10e-3, 12e-3), (13e-3, 12e-3)]
+    pairs = pairs_of(rates, p50s=p50s)
+    for p in pairs:
+        p["metrics"]["nmse"] = 0.5 if p["side"] == "parent" else 0.3
+    summary = bench_pairs.summarise(pairs)["desk-npfw"]
+    verdicts = {
+        name: (entry["worse_than_bound"], entry["unresolved"]) for name, entry in summary.items() if name in bound
+    }
+    assert verdicts == {"trials_per_s": (True, False), "trial_s.p50": (False, True), "nmse": (False, False)}
+    pairs = pairs_of([(100.0, 76.0)] * 3)  # worse by 24%: within the bound
+    assert not bench_pairs.summarise(pairs)["desk-npfw"]["trials_per_s"]["worse_than_bound"]
+    lone = bench_pairs.summarise([p for p in pairs if p["side"] == "change"])["desk-npfw"]["trials_per_s"]
+    assert "worse_than_bound" not in lone and "unresolved" not in lone  # no parent to judge against
+
+
 def test_each_points_p50_is_recorded_and_spread_by_side():
     """The `point <label> trials N p50 X s` lines of a run's stdout land in its pair record,
     labels with spaces included, and the summary gives each point's quartiles for each side."""

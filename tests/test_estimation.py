@@ -15,9 +15,10 @@ from privcell.estimation import (
     combine,
     detect_local,
     estimate_channel,
+    lifted,
     nmse,
     observed_first,
-    pilot_only_detect_block,
+    pilot_only_factors,
     pilot_only_ls,
     ser,
     slice_qpsk,
@@ -141,6 +142,18 @@ def test_detect_local_sends_only_the_rank_deficient_ap_to_pinv(fault, n_ant, n_u
     for i in np.ndindex(2, 3):
         if i != bad:
             assert got[i].tobytes() == gram_route(h[i], x[i]).tobytes() == detect_local(h[i], x[i]).tobytes()
+
+
+def test_only_a_2d_ap_falls_back_to_pinv(rng):
+    """A stack whose Gram fails the certificate is left unsolved even when it holds one AP; the
+    same AP as a 2-D call is pinv(h) @ x byte for byte, with no lift."""
+    h = crandn(rng, (4, 6))
+    h[1] = h[0]
+    x = crandn(rng, (4, 5))
+    assert estimation.detect_factors(h[None], x[None]) == (None, None)
+    lift, d = estimation.detect_factors(h, x)
+    assert lift is None and d.tobytes() == (pinv(h) @ x).tobytes()
+    assert detect_local(h[None], x[None])[0].tobytes() == d.tobytes()
 
 
 def test_combine(rng):
@@ -313,7 +326,7 @@ def test_detect_block_matches_per_slot(sigma2, rng):
     for t in range(tau_p + tau_d):
         omega[rng.choice(n_ant, n_rf, replace=False), t] = True
     y = np.where(omega, y, 0.0)
-    got = pilot_only_detect_block(h, y, omega, sigma2, tau_p, n_rf)
+    got = lifted(*pilot_only_factors(h, y, omega, sigma2, tau_p, n_rf))
     assert got.shape == (n_users, tau_d)
     for t in range(tau_d):
         want = pilot_only_lmmse(h, y, omega, sigma2, t, tau_p)
@@ -328,7 +341,7 @@ def test_noiseless_detect_block_cuts_tiny_singular_values(rng):
     tau_p, tau_d = 2, 5
     y = crandn(rng, (2, tau_p + tau_d))
     omega = np.ones(y.shape, dtype=bool)
-    got = pilot_only_detect_block(h, y, omega, 0.0, tau_p, 2)
+    got = lifted(*pilot_only_factors(h, y, omega, 0.0, tau_p, 2))
     want = np.stack([pilot_only_lmmse(h, y, omega, 0.0, t, tau_p) for t in range(tau_d)], axis=1)
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert np.abs(got).max() < 10.0
@@ -374,7 +387,7 @@ def test_detect_block_matches_kxk_reference(n_rf, n_users, spare, tau_p, tau_d, 
         omega[rng.choice(n_ant, n_rf, replace=False), t] = True
     y = np.where(omega, crandn(rng, (n_ant, tau_c)), 0.0)
     sigma2 = 10.0**log_ratio * np.mean(np.abs(h) ** 2)
-    got = pilot_only_detect_block(h, y, omega, sigma2, tau_p, n_rf)
+    got = lifted(*pilot_only_factors(h, y, omega, sigma2, tau_p, n_rf))
     assert got.shape == (n_users, tau_d)
     assert_matches_reference(got, h, y, omega, sigma2, tau_p)
 
@@ -388,7 +401,7 @@ def test_detect_block_at_m100_k25_keeps_every_decision():
     gots, wants = [], []
     for y, omega in zip(block.Y, block.omega):
         h = pilot_only_ls(y, prep.pilots)
-        got = pilot_only_detect_block(h, y, omega, prep.sigma2, scen.tau_p, scen.N_r)
+        got = lifted(*pilot_only_factors(h, y, omega, prep.sigma2, scen.tau_p, scen.N_r))
         want = assert_matches_reference(got, h, y, omega, prep.sigma2, scen.tau_p)
         np.testing.assert_array_equal(slice_qpsk(got), slice_qpsk(want))
         gots.append(got)

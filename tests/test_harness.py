@@ -18,8 +18,9 @@ from privcell.errors import ArgumentError, ConfigError, DegenerateStepError, Pri
 from privcell.estimation import (
     detect_local,
     estimate_channel,
+    lifted,
     nmse,
-    pilot_only_detect_block,
+    pilot_only_factors,
     pilot_only_ls,
     ser,
     slice_qpsk,
@@ -246,9 +247,9 @@ def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
         for m in range(scen.M):
             if method == "po":
                 h_hats.append(pilot_only_ls(block.Y[m], prep.pilots))
-                ds.append(pilot_only_detect_block(
+                ds.append(lifted(*pilot_only_factors(
                     h_hats[m], block.Y[m], block.omega[m], prep.sigma2, tp, scen.N_r
-                ))
+                )))
             else:
                 x = completed[-1].x_hat[m]
                 h_hats.append(estimate_channel(x[:, :tp], prep.pilot_pinv))
@@ -276,6 +277,31 @@ def spy(fn, calls):
     return wrapped
 
 
+def traced(fn, log):
+    """fn, appending (its name, the leading AP shape of its first argument, outcome) to log in the
+    order the calls start: a solve's outcome is (h is not None, small is not None), so (False,
+    False) is a stack left unsolved, and detect_local's is None.  No array is held, so a traced
+    trial's memory peak is its own."""
+    def wrapped(*args, **kwargs):
+        log.append(None)
+        at = len(log) - 1
+        out = fn(*args, **kwargs)
+        outcome = tuple(part is not None for part in out) if isinstance(out, tuple) else None
+        log[at] = (fn.__name__, np.shape(args[0])[:-2], outcome)
+        return out
+    return wrapped
+
+
+def fallback(lead, aps, bad=1):
+    """The log of a solve of a stack of leading shape lead that an ill-conditioned AP bad leaves
+    unsolved: detect_local on the stack, whose own solve fails too, then on each AP of aps as a
+    2-D call, whose solve lifts (wide H) except AP bad's pinv."""
+    return [("detect_factors", lead, (False, False)), ("detect_local", lead, None),
+            ("detect_factors", lead, (False, False))] + [
+        e for m in aps for e in (("detect_local", (), None), ("detect_factors", (), (m != bad, True)))
+    ]
+
+
 def ill_conditioned_ap(estimate, bad=1):
     """estimate, with AP bad's channel estimate given singular values 1 and 1e-6, so its Gram
     has ||G||_F ||G^-1||_F near 1e12 and fails detect_factors' certificate."""
@@ -291,8 +317,8 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     """One trial of scen, every AP's LocalDetection payload, the soft output, NMSE and SER checked
     byte for byte against one whole-stack detector call on the trial's channel estimate and its
     np.mean; the payloads must go out from ap0 to ap{M-1} in order.  budget, if given, replaces
-    _DETECT_BYTES; fault makes AP 1's channel estimate ill conditioned.  Returns the solve calls'
-    (args, (h, small)) and the sizes of the LOCAL_DETECTION sends."""
+    _DETECT_BYTES; fault makes AP 1's channel estimate ill conditioned.  Returns the `traced` log
+    of the solver's and detect_local's calls and the sizes of the LOCAL_DETECTION sends."""
     prep = prepare(scen, run, draw_beta(scen, scen.seed))
     if budget is not None:
         monkeypatch.setattr(harness, "_DETECT_BYTES", budget)
@@ -300,16 +326,16 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     estimator = "pilot_only_ls" if po else "estimate_channel"
     if fault:
         monkeypatch.setattr(harness.estimation, estimator, ill_conditioned_ap(getattr(harness.estimation, estimator)))
-    completions, estimates, solves, softs, sends = [], [], [], [], []
-    solver = "pilot_only_factors" if po else "detect_factors"
+    completions, estimates, log, softs, sends = [], [], [], [], []
     monkeypatch.setattr(harness, "run_svd", spy(harness.run_svd, completions))
     monkeypatch.setattr(harness.estimation, estimator, spy(getattr(harness.estimation, estimator), estimates))
-    monkeypatch.setattr(harness.estimation, solver, spy(getattr(harness.estimation, solver), solves))
+    for name in ("pilot_only_factors" if po else "detect_factors", "detect_local"):
+        monkeypatch.setattr(harness.estimation, name, traced(getattr(harness.estimation, name), log))
     monkeypatch.setattr(harness.estimation, "slice_qpsk", spy(slice_qpsk, softs))
     net = RecordingBackhaul()
     net.send_aps = spy(net.send_aps, sends)
     res = run_trial(scen, run, method, prep, scen.seed, 0, 1.0, net=net)
-    solves = list(solves)  # run_trial's, before the reference call below adds its own
+    log = list(log)  # run_trial's, before the reference call below adds its own
 
     block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, sigma2=prep.sigma2)
     (_, h_hat), = estimates
@@ -318,7 +344,7 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     want_h = pilot_only_ls(block.Y, prep.pilots) if po else estimate_channel(x_hat[..., :tp], prep.pilot_pinv)
     assert fault or h_hat.tobytes() == want_h.tobytes()
     if po:
-        d = pilot_only_detect_block(h_hat, block.Y, block.omega, prep.sigma2, tp, scen.N_r)
+        d = lifted(*pilot_only_factors(h_hat, block.Y, block.omega, prep.sigma2, tp, scen.N_r))
     else:
         d = detect_local(h_hat, x_hat[..., tp:])
     soft = np.mean(d, axis=0)
@@ -331,7 +357,7 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     assert [sender for sender, _ in sent] == [ap_name(m) for m in range(scen.M)]
     for (_, got_m), want_m in zip(sent, d):
         assert got_m.tobytes() == want_m.tobytes()
-    return solves, [len(args[3]) for args, _ in sends if args[0] is MessageKind.LOCAL_DETECTION]
+    return log, [len(args[3]) for args, _ in sends if args[0] is MessageKind.LOCAL_DETECTION]
 
 
 @pytest.mark.parametrize("method", ["po", "npsvd"])
@@ -343,13 +369,15 @@ def test_chunked_detection_matches_the_whole_stack(method, n_aps, budget, monkey
     solve and per lift chunk."""
     exp = load_experiment(M100_K25)
     scen = dataclasses.replace(exp.scenario, M=n_aps)
-    solves, sends = detect_in_two_stages(scen, exp.run, method, budget, monkeypatch)
-    assert all(h is not None for _, (h, _) in solves)  # po's push-through, detect_local's wide branch
-    sizes = [len(small) for _, (_, small) in solves]
+    log, sends = detect_in_two_stages(scen, exp.run, method, budget, monkeypatch)
+    solver = "pilot_only_factors" if method == "po" else "detect_factors"
+    # every solve lifts (po's push-through, detect_factors' wide branch) and none is left unsolved,
+    # so detect_local never runs, at M = 100 a normal m100_k25 trial
     if budget == 1:
-        assert sizes == sends == [1] * n_aps
+        assert log == [(solver, (1,), (True, True))] * n_aps
+        assert sends == [1] * n_aps
     else:
-        assert sizes == [n_aps]
+        assert log == [(solver, (n_aps,), (True, True))]
         assert sends == ([17] * 5 + [15] if n_aps == 100 else [n_aps])
 
 
@@ -371,43 +399,57 @@ def test_two_stage_detection_matches_the_whole_stack_on_every_branch(branch, bud
     chunks.  Branches that form the (K, tau_d) detection in their solve (po's K x K and noiseless
     ones, detect_local's tall one, and an ill-conditioned AP's pinv) return it with no lift; po's
     push-through and detect_local's wide branch return H_hat, whose conjugate transpose lifts their
-    small factor.  A stack with an ill-conditioned AP is left unsolved and solved again an AP at a
-    time."""
+    small factor.  A solve left unsolved by an ill-conditioned AP, and only that, sends its chunk
+    to detect_local, which splits it down to 2-D APs."""
     method, changes, fault = BRANCHES[branch]
     scen = dataclasses.replace(
         Scenario(M=5, K=4, N_a=4, N_r=2, tau_p=4, tau_d=6, R_km=0.5, seed=7), **changes
     )
-    solves, sends = detect_in_two_stages(scen, RunConfig(), method, budget, monkeypatch, fault)
-    got = [(len(args[0]), h is not None, small is not None) for args, (h, small) in solves]
-    lifts = branch in ("po-push-through", "wide", "pinv-fallback")  # the last is wide too
-    one_each = [(1, lifts and not (fault and m == 1), True) for m in range(scen.M)]
-    if budget == 1:
-        assert (got, sends) == (one_each, [1] * scen.M)
-    elif fault:
-        assert (got, sends) == ([(scen.M, False, False)] + one_each, [1] * scen.M)
-    else:
-        assert (got, sends) == ([(scen.M, lifts, True)], [scen.M])
+    log, sends = detect_in_two_stages(scen, RunConfig(), method, budget, monkeypatch, fault)
+    solver = "pilot_only_factors" if method == "po" else "detect_factors"
+    lifts = branch in ("po-push-through", "wide")
+    if not fault:
+        assert (log, sends) == (
+            ([(solver, (1,), (lifts, True))] * scen.M, [1] * scen.M) if budget == 1
+            else ([(solver, (scen.M,), (lifts, True))], [scen.M])
+        )
+    elif budget == 1:  # AP 1's one-AP stack alone is left unsolved
+        want = [
+            e for m in range(scen.M)
+                for e in (fallback((1,), [1]) if m == 1 else [(solver, (1,), (True, True))])
+        ]
+        assert (log, sends) == (want, [1] * scen.M)
+    else:  # the 5-AP solve and lift chunk
+        assert (log, sends) == (fallback((scen.M,), range(scen.M)), [scen.M])
 
 
 def test_m100_k25_ill_conditioned_ap_keeps_detection_in_budget(monkeypatch):
-    """At m100_k25, npsvd with AP 1's Gram ill conditioned: the 100-AP solve is left unsolved, the
-    lift chunk holding AP 1 is solved an AP at a time and the others 17 APs at a time, so the trial's
-    traced peak stays within 4 MB; detecting all 100 APs in full on that path peaked at 8.0 MB."""
+    """At m100_k25, npsvd with AP 1's Gram ill conditioned: the 100-AP solve is left unsolved, so
+    each 17-AP lift chunk is detected by detect_local, which splits the chunk holding AP 1 down to
+    2-D APs, and the trial's traced peak stays within 4 MB; detecting all 100 APs in full on that
+    path peaked at 8.0 MB."""
     exp = load_experiment(M100_K25)
     scen = exp.scenario
     prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
     monkeypatch.setattr(harness.estimation, "estimate_channel", ill_conditioned_ap(estimate_channel))
+    log = []
+    for name in ("detect_factors", "detect_local"):
+        monkeypatch.setattr(harness.estimation, name, traced(getattr(harness.estimation, name), log))
     run_trial(scen, exp.run, "npsvd", prep, scen.seed, 0, 1.0)  # first-call set-up outside the count
     net, sends = Backhaul(), []
     send = net.send_aps
     net.send_aps = lambda kind, first, r, payloads: sends.append(len(payloads)) or send(kind, first, r, payloads)
+    log.clear()
     tracemalloc.start()
     try:
         run_trial(scen, exp.run, "npsvd", prep, scen.seed, 1, 1.0, net=net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sends == [scen.M] + [1] * 17 + [17] * 4 + [15]  # the Gram release, then the detections
+    assert sends == [scen.M] + [17] * 5 + [15]  # the Gram release, then the detections
+    assert log == [("detect_factors", (scen.M,), (False, False))] + fallback((17,), range(17))[1:] + [
+        e for n in [17] * 4 + [15] for e in (("detect_local", (n,), None), ("detect_factors", (n,), (True, True)))
+    ]
     assert peak <= 4e6
 
 

@@ -5,10 +5,13 @@
         --seeds 1 2 3 4 5 6 [--out BENCH_pr20.json]
 
 The parent is `git archive <rev>` unpacked into a temporary directory; the
-change is the working tree this script sits in, and a rev whose tree is the
-working tree's is refused, since the run would compare the change with
-itself.  For each workload and seed, `perfbench/run.py --workload W --seed N
---trace 0` runs once in each directory, for the benchmark's own run_seconds,
+change is a copy, in another temporary directory, of the files of the working
+tree this script sits in that git tracks or would track (`git ls-files -co
+--exclude-standard`), uncommitted edits included.  So neither side runs where
+a `.git` is, and neither pays for a `git rev-parse` the other skips.  A rev
+whose tree is the working tree's is refused, since the run would compare the
+change with itself.  For each workload and seed, `perfbench/run.py --workload
+W --seed N --trace 0` runs once in each directory, for the benchmark's own run_seconds,
 one after the other; which side runs first swaps at each seed, so neither
 side always meets the warmer or the quieter machine.  A run's result is the
 JSON object on its last stdout line.
@@ -19,7 +22,8 @@ run's output_digest, point_p50_s, each point's median wall-clock trial time
 from the run's `point <label> trials N p50 X s` lines, its minor page faults,
 the `getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child, and
 minor_faults_per_trial, those faults over the run's attempted trials, so runs
-of different lengths compare) and, under "summary", each workload's median,
+of different lengths compare, and blas_threads, from the run's `manifest`
+line) and, under "summary", each workload's median,
 q1, q3 and n of every metric, of minor_faults, of minor_faults_per_trial and,
 under point_p50_s, of each point's p50, for each side (quartiles by
 `statistics.quantiles`, exclusive method), plus, for trials_per_s and
@@ -28,9 +32,11 @@ same outputs, "beat" read in the direction of the metric's `better` field in
 BENCHMARK.json.  Each end-to-end metric that both sides report also gets a
 verdict against its BENCHMARK.json `bound`: worse_than_bound, the change's
 median worse than the parent's by more than bound times the parent's median,
-and unresolved, the parent's q3 - q1 wider than that.
-Nothing under
-perfbench/ is changed; a side whose run fails is recorded as it came.
+and unresolved, the parent's q3 - q1 wider than that.  Each workload's
+blas_threads lists the thread counts each side's runs reported, and its
+"differ" is true when they are not one and the same count: such runs give
+neither comparable bits nor comparable speeds.  Nothing under perfbench/ is
+changed; a side whose run fails is recorded as it came.
 """
 
 import argparse
@@ -38,6 +44,7 @@ import io
 import json
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,24 +59,28 @@ WIN_METRICS = ("trials_per_s", "trial_s.p50")  # the metrics a speed claim is ju
 
 
 def parse_run(stdout):
-    """(result, output_digest, point p50s) of one perfbench/run.py stdout: its last line as JSON, the
-    digest line, and {label: seconds} from each `point <label> trials N p50 X s ...` line."""
+    """(result, output_digest, point p50s, manifest) of one perfbench/run.py stdout: its last line
+    as JSON, the digest line, {label: seconds} from each `point <label> trials N p50 X s ...` line,
+    and the JSON of the `manifest ...` line ({} without one)."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("run printed nothing")
-    digest, points = None, {}
+    digest, points, manifest = None, {}, {}
     for line in lines:
         words = line.split()
         if len(words) == 2 and words[0] == "output_digest":
             digest = words[1]
         elif words[:1] == ["point"] and "trials" in words and "p50" in words:
             points[" ".join(words[1:words.index("trials")])] = float(words[words.index("p50") + 1])
-    return json.loads(lines[-1]), digest, points
+        elif line.startswith("manifest "):
+            manifest = json.loads(line[len("manifest "):])
+    return json.loads(lines[-1]), digest, points, manifest
 
 
-def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None, points=None):
-    """One run as a "pairs" entry: the result's counts, each metric's value, each point's p50 and
-    the run's faults, in all and per attempted trial (None without faults or trials)."""
+def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None, points=None, blas_threads=None):
+    """One run as a "pairs" entry: the result's counts, each metric's value, each point's p50, the
+    run's faults, in all and per attempted trial (None without faults or trials), and its BLAS
+    thread count."""
     attempted = result.get("attempted", 0)
     return {
         "workload": workload,
@@ -84,6 +95,7 @@ def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=No
         "point_p50_s": dict(points or {}),
         "minor_faults": minor_faults,
         "minor_faults_per_trial": minor_faults / attempted if minor_faults is not None and attempted else None,
+        "blas_threads": blas_threads,
     }
 
 
@@ -117,7 +129,7 @@ def summarise(pairs):
     """Per workload, each side's spread of every metric, of minor_faults, of
     minor_faults_per_trial and, under point_p50_s, of each point's p50; for each of
     WIN_METRICS also the change's wins, and for each end-to-end metric both sides report its
-    `verdict`.
+    `verdict`; under blas_threads, each side's thread counts and whether they differ.
 
     A win is a seed at which both sides ran, the change's run is correct,
     fails no more trials than the parent's, gives the parent's output_digest,
@@ -159,6 +171,11 @@ def summarise(pairs):
                 label: {side: spread(by_side[side]) for side in SIDES if side in by_side}
                 for label, by_side in points.items()
             }
+        threads = {
+            side: sorted({p["blas_threads"] for p in runs if p["side"] == side and p.get("blas_threads") is not None})
+            for side in SIDES
+        }
+        summary[workload]["blas_threads"] = {**threads, "differ": len(set(threads["parent"] + threads["change"])) > 1}
     return summary
 
 
@@ -197,9 +214,24 @@ def unpack_parent(rev, dest):
     return sha
 
 
+def copy_worktree(dest):
+    """Copy into dest each file of the working tree that git tracks or would track (`git ls-files
+    -co --exclude-standard`), as it is on disk: uncommitted edits in, ignored files and .git out."""
+    names = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "-co", "--exclude-standard"],
+        check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, names):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is still listed
+            (Path(dest) / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, Path(dest) / name)
+
+
 def run_side(directory, workload, seed):
-    """One perfbench/run.py run in directory; returns (result, digest, point p50s, minor page
-    faults), the result incorrect, the digest None and no points when the run fails."""
+    """One perfbench/run.py run in directory; returns (result, digest, point p50s, manifest, minor
+    page faults), the result incorrect, the digest None, no points and no manifest when the run
+    fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
@@ -208,7 +240,7 @@ def run_side(directory, workload, seed):
         return (*parse_run(proc.stdout), faults)
     except ValueError as err:  # json.JSONDecodeError is a ValueError
         print(f"  run failed (exit {proc.returncode}): {err}; {proc.stderr.strip()[-300:]}", file=sys.stderr)
-        return {"correct": False}, None, {}, faults
+        return {"correct": False}, None, {}, {}, faults
 
 
 def main(argv=None):
@@ -222,18 +254,21 @@ def main(argv=None):
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.tag}.json"
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change:
         try:
-            sha = unpack_parent(args.rev, tmp)
+            sha = unpack_parent(args.rev, parent)
         except ValueError as err:
             p.error(str(err))
-        dirs = {"parent": tmp, "change": str(ROOT)}
+        copy_worktree(change)
+        dirs = {"parent": parent, "change": change}
         for workload in args.workloads:
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, digest, points, faults = run_side(dirs[side], workload, seed)
-                    pairs.append(pair_record(workload, seed, side, side == order[0], result, digest, faults, points))
+                    result, digest, points, manifest, faults = run_side(dirs[side], workload, seed)
+                    pairs.append(pair_record(workload, seed, side, side == order[0], result, digest, faults, points,
+                                             manifest.get("blas_threads")))
                     claimed = " ".join(f"{name} {pairs[-1]['metrics'].get(name)}" for name in WIN_METRICS)
                     print(f"{workload} seed {seed} {side}: {claimed} minor faults {faults} digest {digest}",
                           flush=True)
@@ -241,13 +276,17 @@ def main(argv=None):
         "tag": args.tag,
         "parent": sha,
         "how": f"python3 perfbench/run.py --workload W --seed N --trace 0 (run_seconds {run_seconds:g}), "
-        "parent (git archive of the parent revision) and change (working tree) in alternating order "
-        "per seed; metrics are the run's last stdout line",
+        "parent (git archive of the parent revision) and change (a copy of the working tree's files) "
+        "in alternating order per seed; metrics are the run's last stdout line",
         "host": f"{platform.machine()} {platform.processor() or ''}, Python {platform.python_version()}, "
         f"numpy {metadata.version('numpy')}",
         "summary": summarise(pairs),
         "pairs": pairs,
     }
+    for workload, entry in record["summary"].items():
+        if entry["blas_threads"]["differ"]:
+            print(f"{workload}: the sides ran with different BLAS thread counts {entry['blas_threads']}; "
+                  "their bits and speeds do not compare", file=sys.stderr)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -2,12 +2,19 @@
 
 Everything works on complex128 ndarrays.  `hermitian_eig` keeps the top k
 pairs of a LAPACK `eigh`, rotated as `canonical_phase` rotates one vector
-but all k columns in one pass; `top_eigpair` finds FW's one pair for less.  `shared_matmul`
-multiplies an AP stack by one shared matrix in a single GEMM, and
-`cholesky_solve` solves many small Hermitian positive definite systems at
-once, each step one vectorised operation over the whole batch.
+but all k columns in one pass; `top_eigpair` finds FW's one pair for less,
+its two inverse-iteration solves on one LU factorization through the
+`?gesv` and `?getrs` of the LAPACK numpy links (`_bind_lapack`).  Those
+solves equal two `np.linalg.solve` calls byte for byte under one BLAS
+thread, the bitwise contract's setting; with two, the exported `?getrs`
+runs threaded where `?gesv`'s own solve does not (n < 100) and changes
+last bits, as numpy's `solve` and `eigvalsh` do at n = 164.
+`shared_matmul` multiplies an AP stack by one shared matrix in a single
+GEMM, and `cholesky_solve` solves many small Hermitian positive definite
+systems at once, each step one vectorised operation over the whole batch.
 """
 
+import ctypes
 import math
 from typing import NamedTuple
 
@@ -58,10 +65,12 @@ def top_eigpair(a):
     """Largest eigenvalue of an exactly Hermitian matrix and a phase-canonical unit eigenvector.
 
     The value is `eigvalsh`'s.  The vector takes two inverse-iteration solves
-    on a - sigma*I, sigma just above the value, from an all-ones start.  The
-    pair is kept if |a v - lam v| <= 8 n eps |a|, else `hermitian_eig`'s is,
-    as it is when a - sigma*I is singular or |a| lies outside _ITERATION_RANGE,
-    where an iterate's squared norm could overflow or underflow to 0.
+    on a - sigma*I, sigma just above the value, from an all-ones start, both
+    from one LU factorization (`_solve_twice`), with the bits of two
+    `np.linalg.solve` calls under one BLAS thread.  The pair is kept if
+    |a v - lam v| <= 8 n eps |a|, else `hermitian_eig`'s is, as it is when
+    a - sigma*I is singular or |a| lies outside _ITERATION_RANGE, where an
+    iterate's squared norm could overflow or underflow to 0.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -74,19 +83,84 @@ def top_eigpair(a):
     v = None
     if _ITERATION_RANGE[0] <= scale <= _ITERATION_RANGE[1]:
         sigma = lam + tol
-        # a C-ordered copy, so reshape gives a view of it; its zeros signed as in a - sigma * eye(n)
-        shifted = np.subtract(a, 0.0 * sigma, order="C")
-        shifted.reshape(-1)[:: n + 1] -= sigma
+        # an F-ordered copy, as LAPACK takes it; its zeros signed as in a - sigma * eye(n)
+        shifted = np.subtract(a, 0.0 * sigma, order="F")
+        shifted.T.reshape(-1)[:: n + 1] -= sigma  # the transpose is C-ordered, so reshape gives a view
         try:
-            v = np.linalg.solve(shifted, np.ones(n))
-            v = np.linalg.solve(shifted, v / _norm(v))
-            v /= _norm(v)
+            v = _solve_twice(shifted)
         except np.linalg.LinAlgError:  # a - sigma*I is singular, as when a = 0
             v = None
     if v is None or not _norm(a @ v - lam * v) <= tol:
         vals, vecs = hermitian_eig(a, 1)
         return vals[0], vecs[:, 0]
     return lam, canonical_phase(v)
+
+
+def _bind_lapack():
+    """({dtype char: (?gesv, ?getrs)}, LAPACK integer ctype) for float64 ("d") and complex128
+    ("D"), from the LAPACK numpy's own linalg extension links; None where no name resolves.
+
+    dlsym on the extension's handle also searches the libraries it was linked against, so the
+    routines found are the ones `np.linalg.solve` calls.  The names follow the symbol prefix and
+    suffix of numpy's LAPACK builds: scipy-openblas, plain ILP64 and plain LP64.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
+    for name in ("scipy_{}_64_", "{}_64_", "{}64_") if ilp64 else ("scipy_{}_", "{}_"):
+        try:
+            routines = {
+                char: (getattr(lib, name.format(t + "gesv")), getattr(lib, name.format(t + "getrs")))
+                for char, t in (("d", "d"), ("D", "z"))
+            }
+        except AttributeError:
+            continue
+        for gesv, getrs in routines.values():
+            gesv.argtypes = [ctypes.c_void_p] * 8  # n, nrhs, a, lda, ipiv, b, ldb, info
+            # trans, n, nrhs, a, lda, ipiv, b, ldb, info, and the length of trans that gfortran passes
+            getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+            gesv.restype = getrs.restype = None
+        return routines, ctypes.c_int64 if ilp64 else ctypes.c_int32
+    return None
+
+
+_LAPACK = _bind_lapack()
+
+
+def _solve_twice(shifted):
+    """The inverse-iteration vector of s = shifted: x = s^-1 ones, then s^-1 (x / |x|), normalised.
+
+    s is a square matrix this function may overwrite.  With `_LAPACK`, and s F-ordered float64
+    or complex128, the first solve is ?gesv, the routine `np.linalg.solve` calls, on s itself,
+    which keeps the LU factors and pivots, and the second is ?getrs on those factors; both give
+    `np.linalg.solve`'s bits under one BLAS thread.  Otherwise `np.linalg.solve` is called twice.
+    A singular s raises np.linalg.LinAlgError, as `np.linalg.solve` does.
+    """
+    n = len(shifted)
+    routines = _LAPACK and shifted.flags.f_contiguous and _LAPACK[0].get(shifted.dtype.char)
+    if not routines:
+        v = np.linalg.solve(shifted, np.ones(n))
+        v = np.linalg.solve(shifted, v / _norm(v))
+        v /= _norm(v)
+        return v
+    gesv, getrs = routines
+    int_t = _LAPACK[1]
+    size, one, info = int_t(n), int_t(1), int_t(0)  # size is n, lda and ldb
+    p_n, p_one, p_info = ctypes.byref(size), ctypes.byref(one), ctypes.byref(info)
+    ipiv = (int_t * n)()
+    v = np.ones(n, dtype=shifted.dtype)
+    lu, b = shifted.ctypes.data, v.ctypes.data
+    gesv(p_n, p_one, lu, p_n, ipiv, b, p_n, p_info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    v /= _norm(v)
+    getrs(b"N", p_n, p_one, lu, p_n, ipiv, b, p_n, p_info, 1)
+    v /= _norm(v)
+    return v
 
 
 def _norm(v):

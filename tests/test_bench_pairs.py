@@ -14,9 +14,10 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40, points=()):
-    """What perfbench/run.py prints: a summary, a line per (label, p50) of points, the manifest,
-    then the result as its last line; trial_s.p50 is among the metrics when p50 is given."""
+def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40, points=(), threads=1):
+    """What perfbench/run.py prints: a summary, a line per (label, p50) of points, the manifest
+    with its BLAS thread count, then the result as its last line; trial_s.p50 is among the metrics
+    when p50 is given."""
     metrics = {"trials_per_s": {"value": rate, "unit": "1/s"}, "nmse": {"value": nmse, "unit": "ratio"}}
     if p50 is not None:
         metrics["trial_s.p50"] = {"value": p50, "unit": "s"}
@@ -26,36 +27,41 @@ def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40, 
         f"  trials_per_s                                 {rate} 1/s\n"
         f"  {'output_digest':<44} {digest}\n"
         + "".join(f"  point {label:<24} trials   40  p50 {p:.4g} s  nmse 0.5  ser 0.1\n" for label, p in points)
-        + 'manifest {"numpy": "2.4.6"}\n'
+        + f'manifest {{"numpy": "2.4.6", "blas_threads": {json.dumps(threads)}}}\n'
         + json.dumps(result)
         + "\n"
     )
 
 
-def pairs_of(rates, workload="desk-npfw", faults=None, p50s=None):
+def pairs_of(rates, workload="desk-npfw", faults=None, p50s=None, threads=None):
     """Pair records from (parent, change) rates, one pair per seed, the first side alternating;
-    faults, if given, holds each pair's (parent, change) minor page faults, and p50s its
-    (parent, change) trial_s.p50."""
+    faults, if given, holds each pair's (parent, change) minor page faults, p50s its
+    (parent, change) trial_s.p50 and threads its (parent, change) BLAS thread counts (1 each
+    when not given)."""
     out = []
     for seed, (parent, change) in enumerate(rates, start=1):
         first = "parent" if seed % 2 else "change"
         counts = faults[seed - 1] if faults else (None, None)
         medians = p50s[seed - 1] if p50s else (None, None)
-        for side, rate, count, p50 in zip(("parent", "change"), (parent, change), counts, medians):
-            result, digest, points = bench_pairs.parse_run(stdout(rate, p50=p50))
-            out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest, count, points))
+        blas = threads[seed - 1] if threads else (1, 1)
+        for side, rate, count, p50, n in zip(("parent", "change"), (parent, change), counts, medians, blas):
+            result, digest, points, manifest = bench_pairs.parse_run(stdout(rate, p50=p50, threads=n))
+            out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest, count, points,
+                                               manifest.get("blas_threads")))
     return out
 
 
 def test_a_run_is_its_last_line_and_its_digest():
-    result, digest, points = bench_pairs.parse_run(stdout(5.25, digest="c0ffee"))
+    result, digest, points, manifest = bench_pairs.parse_run(stdout(5.25, digest="c0ffee", threads=2))
     assert digest == "c0ffee" and points == {}
+    assert manifest == {"numpy": "2.4.6", "blas_threads": 2}
     assert result["metrics"]["trials_per_s"]["value"] == 5.25
-    rec = bench_pairs.pair_record("desk-npfw", 3, "change", False, result, digest)
+    rec = bench_pairs.pair_record("desk-npfw", 3, "change", False, result, digest, blas_threads=2)
     assert rec == {
         "workload": "desk-npfw", "seed": 3, "side": "change", "ran_first": False, "correct": True,
         "attempted": 40, "failed": 0, "metrics": {"trials_per_s": 5.25, "nmse": 0.5},
         "output_digest": "c0ffee", "point_p50_s": {}, "minor_faults": None, "minor_faults_per_trial": None,
+        "blas_threads": 2,
     }
 
 
@@ -124,7 +130,7 @@ def test_each_points_p50_is_recorded_and_spread_by_side():
     for seed in range(1, 5):
         for side in ("parent", "change"):
             points = (("svd epsilon=1", 0.01277), ("po epsilon=1", p50s[side][seed - 1]))
-            result, digest, parsed = bench_pairs.parse_run(stdout(5.0, points=points))
+            result, digest, parsed, _ = bench_pairs.parse_run(stdout(5.0, points=points))
             assert parsed == dict(points)
             pairs.append(bench_pairs.pair_record("m100k25-oneshot", seed, side, side == "parent", result, digest,
                                                  None, parsed))
@@ -155,7 +161,7 @@ def test_faults_per_trial_divide_each_runs_faults_by_its_attempted_trials():
     pairs = []
     for seed, (p_faults, p_trials, c_faults, c_trials) in enumerate(runs, start=1):
         for side, faults, trials in (("parent", p_faults, p_trials), ("change", c_faults, c_trials)):
-            result, digest, _ = bench_pairs.parse_run(stdout(5.0, attempted=trials))
+            result, digest, *_ = bench_pairs.parse_run(stdout(5.0, attempted=trials))
             pairs.append(bench_pairs.pair_record("desk-npfw", seed, side, side == "parent", result, digest, faults))
     assert [p["minor_faults_per_trial"] for p in pairs] == [400.0, 300.0, 400.0, 230.0, 410.0, 310.0]
     entry = bench_pairs.summarise(pairs)["desk-npfw"]["minor_faults_per_trial"]
@@ -180,11 +186,12 @@ def test_a_run_records_its_childs_minor_faults(tmp_path):
             f"print({stdout(5.0)!r}, end='')\n"
         )
         runs[name] = bench_pairs.run_side(script.parent.parent, "desk-npfw", 1)
-    for result, digest, points, faults in runs.values():
+    for result, digest, points, manifest, faults in runs.values():
         assert result["correct"] and digest == "ab12" and points == {} and faults > 0
+        assert manifest["blas_threads"] == 1
         rec = bench_pairs.pair_record("desk-npfw", 1, "change", True, result, digest, faults)
         assert rec["minor_faults_per_trial"] == faults / 40
-    assert runs["touching"][3] - runs["idle"][3] >= 3000
+    assert runs["touching"][4] - runs["idle"][4] >= 3000
 
 
 def test_summary_keeps_workloads_apart_and_skips_runs_without_metrics():
@@ -232,3 +239,51 @@ def test_the_parent_revision_is_required(capsys):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--tag", "x", "--workloads", "desk-npfw", "--seeds", "1"])
     assert "--rev" in capsys.readouterr().err
+
+
+def test_a_workload_whose_sides_ran_with_different_blas_threads_is_flagged():
+    """Two BLAS threads change numpy's bits and speed, so a pair that mixes thread counts is
+    flagged; a run without a manifest (a failed run) reports no count and flags nothing."""
+    summary = bench_pairs.summarise(pairs_of([(5.0, 6.0)] * 3))["desk-npfw"]
+    assert summary["blas_threads"] == {"parent": [1], "change": [1], "differ": False}
+    pairs = pairs_of([(5.0, 6.0)] * 3, threads=[(1, 1), (1, 2), (1, 1)])
+    assert [p["blas_threads"] for p in pairs] == [1, 1, 1, 2, 1, 1]
+    summary = bench_pairs.summarise(pairs)["desk-npfw"]
+    assert summary["blas_threads"] == {"parent": [1], "change": [1, 2], "differ": True}
+    pairs = pairs_of([(5.0, 6.0)])
+    pairs.append(bench_pairs.pair_record("desk-npfw", 2, "change", True, {"correct": False}, None))
+    assert not bench_pairs.summarise(pairs)["desk-npfw"]["blas_threads"]["differ"]
+
+
+def test_both_sides_run_outside_git_and_the_change_runs_its_uncommitted_edits(tmp_path, monkeypatch):
+    """main runs the parent from `git archive` and the change from a copy of the working tree's
+    files: each run's stub reports whether a .git sits in its directory and reads a.txt, edited
+    but not committed, and b.txt, new and untracked; an ignored file is not copied."""
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    (repo / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    (repo / "a.txt").write_text("parent\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "perfbench" / "run.py").write_text(
+        "import json, os, pathlib\n"
+        "read = lambda name: pathlib.Path(name).read_text().strip() if os.path.exists(name) else 'none'\n"
+        "print(f\"output_digest git{int(os.path.exists('.git'))}-{read('a.txt')}-{read('b.txt')}-\"\n"
+        "      f\"{read('ignored.txt')}\")\n"
+        "print('manifest ' + json.dumps({'blas_threads': 1}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+        "                  'metrics': {'trials_per_s': {'value': 1.0, 'unit': '1/s'}}}))\n"
+    )
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "parent"], check=True)
+    (repo / "a.txt").write_text("change\n")
+    (repo / "b.txt").write_text("new\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--tag", "t", "--rev", "HEAD", "--workloads", "w", "--seeds", "1", "--out", str(out)]) == 0
+    pairs = json.loads(out.read_text())["pairs"]
+    digests = {p["side"]: p["output_digest"] for p in pairs}
+    assert digests == {"parent": "git0-parent-none-none", "change": "git0-change-new-none"}
+    assert [p["blas_threads"] for p in pairs] == [1, 1]

@@ -411,3 +411,84 @@ def test_top_eigpair_rejects_nonsquare():
         top_eigpair(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         top_eigpair(np.zeros((2, 2, 2)))
+
+
+# ------------------------------------------------- one LU factorization per eigenpair
+
+
+def two_numpy_solves(s):
+    """top_eigpair's inverse-iteration vector as two np.linalg.solve calls, each factoring s."""
+    v = np.linalg.solve(s, np.ones(len(s)))
+    v = np.linalg.solve(s, v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+@pytest.fixture
+def numpy_solve_only(monkeypatch):
+    """top_eigpair as on a numpy whose LAPACK exports no ?gesv/?getrs under a known name."""
+    monkeypatch.setattr(linalg, "_LAPACK", None)
+
+
+def test_the_lapack_binding_resolves_on_numpys_scipy_openblas():
+    config = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    if config.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy links {config.get('name')}, whose symbol names this test does not know")
+    assert linalg._LAPACK is not None
+    assert set(linalg._LAPACK[0]) == {"d", "D"}
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?gesv/?getrs under a known name")
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [1, 2, 24, 60, 100, 164])
+def test_factoring_once_gives_two_numpy_solves_byte_for_byte(n, dtype, rng):
+    """?gesv, then ?getrs on its factors, equals np.linalg.solve twice (one BLAS thread)."""
+    a = random_hermitian(n, rng)
+    a = (a if dtype is np.complex128 else a.real) - 3.0 * np.eye(n)
+    s = np.asfortranarray(a, dtype=dtype)
+    want = two_numpy_solves(s)
+    got = linalg._solve_twice(s.copy(order="F"))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64], ids=["complex", "real"])
+@pytest.mark.parametrize("bind", [True, False], ids=["lapack", "numpy-solve"])
+def test_a_singular_shift_raises_as_numpy_solve_does(bind, dtype, monkeypatch):
+    if not bind:
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+    s = np.zeros((3, 3), dtype=dtype, order="F")
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(s, np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg._solve_twice(s)
+
+
+def test_top_eigpair_without_the_binding_returns_the_same_bits(rng, monkeypatch):
+    """Forcing the two np.linalg.solve calls changes no bit of any pair, fast path or fallback."""
+    cases = [planted_gap(n, 0.1, 1.0, n) for n in (1, 2, 24, 60, 100, 164)]
+    cases += [random_hermitian(60, rng).real, np.diag([3.0, 1.0]), -3.0 * np.eye(4), np.zeros((3, 3))]
+    with_binding = [top_eigpair(a) for a in cases]
+    monkeypatch.setattr(linalg, "_LAPACK", None)
+    for a, (lam, v) in zip(cases, with_binding):
+        want_lam, want_v = top_eigpair(a)
+        assert lam == want_lam and v.dtype == want_v.dtype and v.tobytes() == want_v.tobytes()
+
+
+@pytest.mark.parametrize("bind", [True, False], ids=["lapack", "numpy-solve"])
+def test_top_eigpair_edge_cases_take_the_same_branch_either_way(bind, fallbacks, monkeypatch):
+    """The zero matrix lies below _ITERATION_RANGE and goes to eigh without a solve; -3I shifts
+    to the regular -tol*I, which both solves invert exactly, so it stays on the fast path."""
+    if not bind:
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+    lam, v = top_eigpair(np.zeros((3, 3)))
+    assert len(fallbacks) == 1 and lam == 0.0
+    lam, v = top_eigpair(-3.0 * np.eye(4))
+    assert len(fallbacks) == 1 and lam == -3.0
+    assert v.tobytes() == np.full(4, 0.5).tobytes()
+
+
+def test_a_c_ordered_shift_takes_numpy_solve(rng):
+    """LAPACK reads columns, so a matrix that is not F-ordered goes to np.linalg.solve, not to
+    ?gesv, which would solve with its transpose."""
+    s = np.ascontiguousarray(random_hermitian(24, rng) + rng.standard_normal((24, 24)))
+    assert not s.flags.f_contiguous
+    assert linalg._solve_twice(s.copy()).tobytes() == two_numpy_solves(s).tobytes()

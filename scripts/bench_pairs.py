@@ -19,9 +19,11 @@ JSON object on its last stdout line.
 The output holds one record per run under "pairs" (workload, seed, side,
 ran_first, correct, attempted, failed, the end-to-end metric values, the
 run's output_digest, point_p50_s, each point's median wall-clock trial time
-from the run's `point <label> trials N p50 X s` lines, its minor page faults,
-the `getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the child, and
-minor_faults_per_trial, those faults over the run's attempted trials, so runs
+from the run's `point <label> trials N p50 X s nmse Y ser Z` lines,
+point_means, each point's mean nmse and ser from the same lines, its minor
+page faults, the `getrusage(RUSAGE_CHILDREN).ru_minflt` delta around the
+child, and minor_faults_per_trial, those faults over the run's attempted
+trials, so runs
 of different lengths compare, and blas_threads, from the run's `manifest`
 line) and, under "summary", each workload's median,
 q1, q3 and n of every metric, of minor_faults, of minor_faults_per_trial and,
@@ -35,7 +37,12 @@ median worse than the parent's by more than bound times the parent's median,
 and unresolved, the parent's q3 - q1 wider than that.  Each workload's
 blas_threads lists the thread counts each side's runs reported, and its
 "differ" is true when they are not one and the same count: such runs give
-neither comparable bits nor comparable speeds.  Nothing under perfbench/ is
+neither comparable bits nor comparable speeds.  Each workload's output_moves
+lists, for each seed at which both sides printed points, the largest relative
+difference between the sides' point means of nmse and of ser, |change -
+parent| / max(|change|, |parent|) over the points both sides ran (0 where they
+are equal): how far a change that moves bits moved the outputs, at the 6
+significant digits the run prints.  Nothing under perfbench/ is
 changed; a side whose run fails is recorded as it came.
 """
 
@@ -59,28 +66,33 @@ WIN_METRICS = ("trials_per_s", "trial_s.p50")  # the metrics a speed claim is ju
 
 
 def parse_run(stdout):
-    """(result, output_digest, point p50s, manifest) of one perfbench/run.py stdout: its last line
-    as JSON, the digest line, {label: seconds} from each `point <label> trials N p50 X s ...` line,
-    and the JSON of the `manifest ...` line ({} without one)."""
+    """(result, output_digest, point p50s, manifest, point means) of one perfbench/run.py stdout:
+    its last line as JSON, the digest line, {label: seconds} from each `point <label> trials N
+    p50 X s nmse Y ser Z` line, the JSON of the `manifest ...` line ({} without one), and
+    {label: {"nmse": Y, "ser": Z}} from the point lines that carry both."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("run printed nothing")
-    digest, points, manifest = None, {}, {}
+    digest, points, manifest, means = None, {}, {}, {}
     for line in lines:
         words = line.split()
         if len(words) == 2 and words[0] == "output_digest":
             digest = words[1]
         elif words[:1] == ["point"] and "trials" in words and "p50" in words:
-            points[" ".join(words[1:words.index("trials")])] = float(words[words.index("p50") + 1])
+            label = " ".join(words[1:words.index("trials")])
+            points[label] = float(words[words.index("p50") + 1])
+            if "nmse" in words and "ser" in words:
+                means[label] = {key: float(words[words.index(key) + 1]) for key in ("nmse", "ser")}
         elif line.startswith("manifest "):
             manifest = json.loads(line[len("manifest "):])
-    return json.loads(lines[-1]), digest, points, manifest
+    return json.loads(lines[-1]), digest, points, manifest, means
 
 
-def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None, points=None, blas_threads=None):
+def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=None, points=None, blas_threads=None,
+                means=None):
     """One run as a "pairs" entry: the result's counts, each metric's value, each point's p50, the
-    run's faults, in all and per attempted trial (None without faults or trials), and its BLAS
-    thread count."""
+    run's faults, in all and per attempted trial (None without faults or trials), its BLAS
+    thread count, and each point's mean nmse and ser."""
     attempted = result.get("attempted", 0)
     return {
         "workload": workload,
@@ -96,6 +108,7 @@ def pair_record(workload, seed, side, ran_first, result, digest, minor_faults=No
         "minor_faults": minor_faults,
         "minor_faults_per_trial": minor_faults / attempted if minor_faults is not None and attempted else None,
         "blas_threads": blas_threads,
+        "point_means": dict(means or {}),
     }
 
 
@@ -129,7 +142,8 @@ def summarise(pairs):
     """Per workload, each side's spread of every metric, of minor_faults, of
     minor_faults_per_trial and, under point_p50_s, of each point's p50; for each of
     WIN_METRICS also the change's wins, and for each end-to-end metric both sides report its
-    `verdict`; under blas_threads, each side's thread counts and whether they differ.
+    `verdict`; under blas_threads, each side's thread counts and whether they differ; under
+    output_moves, each seed's `output_move`, for the seeds at which both sides printed points.
 
     A win is a seed at which both sides ran, the change's run is correct,
     fails no more trials than the parent's, gives the parent's output_digest,
@@ -176,7 +190,27 @@ def summarise(pairs):
             for side in SIDES
         }
         summary[workload]["blas_threads"] = {**threads, "differ": len(set(threads["parent"] + threads["change"])) > 1}
+        means = {}  # seed -> side -> point means
+        for p in runs:
+            if p.get("point_means"):
+                means.setdefault(p["seed"], {})[p["side"]] = p["point_means"]
+        summary[workload]["output_moves"] = [
+            {"seed": seed, **output_move(v["parent"], v["change"])} for seed, v in means.items() if len(v) == 2
+        ]
     return summary
+
+
+def output_move(parent, change):
+    """{"nmse": d, "ser": d}, d the largest |c - p| / max(|c|, |p|) (0 where c = p) over the
+    points both sides' point means hold."""
+
+    def moved(p, c):
+        return abs(c - p) / max(abs(c), abs(p)) if c != p else 0.0
+
+    return {
+        key: max((moved(parent[label][key], change[label][key]) for label in parent if label in change), default=0.0)
+        for key in ("nmse", "ser")
+    }
 
 
 def _won(sides, name, better):
@@ -229,9 +263,9 @@ def copy_worktree(dest):
 
 
 def run_side(directory, workload, seed):
-    """One perfbench/run.py run in directory; returns (result, digest, point p50s, manifest, minor
-    page faults), the result incorrect, the digest None, no points and no manifest when the run
-    fails."""
+    """One perfbench/run.py run in directory; returns (result, digest, point p50s, manifest, point
+    means, minor page faults), the result incorrect, the digest None, and no points, manifest or
+    means when the run fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=directory, capture_output=True, text=True)
@@ -240,7 +274,7 @@ def run_side(directory, workload, seed):
         return (*parse_run(proc.stdout), faults)
     except ValueError as err:  # json.JSONDecodeError is a ValueError
         print(f"  run failed (exit {proc.returncode}): {err}; {proc.stderr.strip()[-300:]}", file=sys.stderr)
-        return {"correct": False}, None, {}, {}, faults
+        return {"correct": False}, None, {}, {}, {}, faults
 
 
 def main(argv=None):
@@ -266,9 +300,9 @@ def main(argv=None):
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, digest, points, manifest, faults = run_side(dirs[side], workload, seed)
+                    result, digest, points, manifest, means, faults = run_side(dirs[side], workload, seed)
                     pairs.append(pair_record(workload, seed, side, side == order[0], result, digest, faults, points,
-                                             manifest.get("blas_threads")))
+                                             manifest.get("blas_threads"), means))
                     claimed = " ".join(f"{name} {pairs[-1]['metrics'].get(name)}" for name in WIN_METRICS)
                     print(f"{workload} seed {seed} {side}: {claimed} minor faults {faults} digest {digest}",
                           flush=True)

@@ -3,31 +3,21 @@
 Everything works on complex128 ndarrays.  `hermitian_eig` keeps the top k
 pairs of a LAPACK `eigh`, rotated as `canonical_phase` rotates one vector
 but all k columns in one pass; `top_eigpair` finds FW's one pair for less,
-its two inverse-iteration solves on one LU factorization through the
-`?gesv` and `?getrs` of the LAPACK numpy links (`_bind_lapack`).  Those
-solves equal two `np.linalg.solve` calls byte for byte under one BLAS
-thread, the bitwise contract's setting; with two, the exported `?getrs`
-runs threaded where `?gesv`'s own solve does not (n < 100) and changes
-last bits, as numpy's `solve` and `eigvalsh` do at n = 164.
+in one `?heevr` call that computes that pair alone, bound through `ctypes`
+from the LAPACK numpy links (`_bind_lapack`), so no scipy import is needed.
 `shared_matmul` multiplies an AP stack by one shared matrix in a single
 GEMM, and `cholesky_solve` solves many small Hermitian positive definite
 systems at once, each step one vectorised operation over the whole batch.
 """
 
 import ctypes
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-
-EPS = np.finfo(float).eps
-# |a| = max |eigenvalue| for which top_eigpair's inverse iteration stays in float range: an iterate's
-# norm lies between sqrt(n) / (2|a|) and sqrt(n) / (8 n eps |a|), so its squared norm neither
-# underflows to 0 (|a| <= 1e150) nor overflows (|a| >= 1e-130), with margin for n and rounding
-_ITERATION_RANGE = (1e-130, 1e150)
-
 
 def canonical_phase(v):
     """Rotate v so its largest-magnitude entry is real and positive."""
@@ -64,45 +54,32 @@ def hermitian_eig(a, k):
 def top_eigpair(a):
     """Largest eigenvalue of an exactly Hermitian matrix and a phase-canonical unit eigenvector.
 
-    The value is `eigvalsh`'s.  The vector takes two inverse-iteration solves
-    on a - sigma*I, sigma just above the value, from an all-ones start, both
-    from one LU factorization (`_solve_twice`), with the bits of two
-    `np.linalg.solve` calls under one BLAS thread.  The pair is kept if
-    |a v - lam v| <= 8 n eps |a|, else `hermitian_eig`'s is, as it is when
-    a - sigma*I is singular or |a| lies outside _ITERATION_RANGE, where an
-    iterate's squared norm could overflow or underflow to 0.
+    One LAPACK `?heevr` call computes this pair alone, from the lower triangle
+    of an F-ordered complex128 copy of a (the call overwrites its matrix), and
+    scales a matrix near either end of float range itself.  The pair is
+    `hermitian_eig(a, 1)`'s where no `?heevr` symbol resolved (`_LAPACK` is
+    None) or the call reports INFO != 0.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():  # eigvalsh would skip a NaN it sorts below the top
+    if not np.isfinite(a).all():  # eigh returns a finite top pair for some NaN matrices
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    n, vals = len(a), np.linalg.eigvalsh(a)
-    lam, scale = vals[-1], max(-vals[0], vals[-1])
-    tol = 8 * n * EPS * scale
-    v = None
-    if _ITERATION_RANGE[0] <= scale <= _ITERATION_RANGE[1]:
-        sigma = lam + tol
-        # an F-ordered copy, as LAPACK takes it; its zeros signed as in a - sigma * eye(n)
-        shifted = np.subtract(a, 0.0 * sigma, order="F")
-        shifted.T.reshape(-1)[:: n + 1] -= sigma  # the transpose is C-ordered, so reshape gives a view
-        try:
-            v = _solve_twice(shifted)
-        except np.linalg.LinAlgError:  # a - sigma*I is singular, as when a = 0
-            v = None
-    if v is None or not _norm(a @ v - lam * v) <= tol:
-        vals, vecs = hermitian_eig(a, 1)
-        return vals[0], vecs[:, 0]
-    return lam, canonical_phase(v)
+    if _LAPACK is not None and len(a):  # a 0x0 matrix has no top pair: hermitian_eig raises
+        info, w, z = _heevr(np.array(a, dtype=complex, order="F"), *_heevr_sizes(len(a)))[:3]
+        if info == 0:
+            return w[0], canonical_phase(z)
+    vals, vecs = hermitian_eig(a, 1)
+    return vals[0], vecs[:, 0]
 
 
 def _bind_lapack():
-    """({dtype char: (?gesv, ?getrs)}, LAPACK integer ctype) for float64 ("d") and complex128
-    ("D"), from the LAPACK numpy's own linalg extension links; None where no name resolves.
+    """(zheevr, LAPACK integer ctype) from the LAPACK numpy's own linalg extension links; None
+    where no name resolves.
 
     dlsym on the extension's handle also searches the libraries it was linked against, so the
-    routines found are the ones `np.linalg.solve` calls.  The names follow the symbol prefix and
-    suffix of numpy's LAPACK builds: scipy-openblas, plain ILP64 and plain LP64.
+    routine found is the one behind numpy's LAPACK calls.  The names follow the symbol prefix
+    and suffix of numpy's LAPACK builds: scipy-openblas, plain ILP64 and plain LP64.
     """
     try:
         from numpy.linalg import _umath_linalg
@@ -111,56 +88,43 @@ def _bind_lapack():
     except (ImportError, AttributeError, OSError):
         return None
     ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
-    for name in ("scipy_{}_64_", "{}_64_", "{}64_") if ilp64 else ("scipy_{}_", "{}_"):
-        try:
-            routines = {
-                char: (getattr(lib, name.format(t + "gesv")), getattr(lib, name.format(t + "getrs")))
-                for char, t in (("d", "d"), ("D", "z"))
-            }
-        except AttributeError:
-            continue
-        for gesv, getrs in routines.values():
-            gesv.argtypes = [ctypes.c_void_p] * 8  # n, nrhs, a, lda, ipiv, b, ldb, info
-            # trans, n, nrhs, a, lda, ipiv, b, ldb, info, and the length of trans that gfortran passes
-            getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
-            gesv.restype = getrs.restype = None
-        return routines, ctypes.c_int64 if ilp64 else ctypes.c_int32
+    for name in ("scipy_zheevr_64_", "zheevr_64_", "zheevr64_") if ilp64 else ("scipy_zheevr_", "zheevr_"):
+        heevr = getattr(lib, name, None)
+        if heevr is not None:
+            # JOBZ, RANGE, UPLO; N through INFO; and the three string lengths gfortran passes
+            heevr.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 20 + [ctypes.c_size_t] * 3
+            heevr.restype = None
+            return heevr, ctypes.c_int64 if ilp64 else ctypes.c_int32
     return None
 
 
 _LAPACK = _bind_lapack()
 
 
-def _solve_twice(shifted):
-    """The inverse-iteration vector of s = shifted: x = s^-1 ones, then s^-1 (x / |x|), normalised.
+def _heevr(a, lwork=-1, lrwork=-1, liwork=-1):
+    """(INFO, W, Z, WORK, RWORK, IWORK) of one `?heevr` call for the top eigenpair of a, an
+    F-ordered complex128 matrix it overwrites: JOBZ='V', RANGE='I', IL = IU = n, UPLO='L' and
+    ABSTOL 0.  With the default sizes it is LAPACK's workspace query, which leaves a as it is
+    and returns the optimal sizes in WORK[0], RWORK[0] and IWORK[0]."""
+    heevr, int_t = _LAPACK
+    n = len(a)
+    w, z, work = np.empty(n), np.empty(n, dtype=complex), np.empty(max(lwork, 1), dtype=complex)
+    rwork, iwork, isuppz = np.empty(max(lrwork, 1)), (int_t * max(liwork, 1))(), (int_t * 2)()
+    size, found, info, zero = int_t(n), int_t(0), int_t(0), ctypes.c_double(0.0)
+    p_n, p_0, ref = ctypes.byref(size), ctypes.byref(zero), ctypes.byref
+    heevr(
+        b"V", b"I", b"L", p_n, a.ctypes.data, p_n, p_0, p_0, p_n, p_n, p_0, ref(found), w.ctypes.data,
+        z.ctypes.data, p_n, isuppz, work.ctypes.data, ref(int_t(lwork)), rwork.ctypes.data,
+        ref(int_t(lrwork)), iwork, ref(int_t(liwork)), ref(info), 1, 1, 1,
+    )
+    return info.value, w, z, work, rwork, iwork
 
-    s is a square matrix this function may overwrite.  With `_LAPACK`, and s F-ordered float64
-    or complex128, the first solve is ?gesv, the routine `np.linalg.solve` calls, on s itself,
-    which keeps the LU factors and pivots, and the second is ?getrs on those factors; both give
-    `np.linalg.solve`'s bits under one BLAS thread.  Otherwise `np.linalg.solve` is called twice.
-    A singular s raises np.linalg.LinAlgError, as `np.linalg.solve` does.
-    """
-    n = len(shifted)
-    routines = _LAPACK and shifted.flags.f_contiguous and _LAPACK[0].get(shifted.dtype.char)
-    if not routines:
-        v = np.linalg.solve(shifted, np.ones(n))
-        v = np.linalg.solve(shifted, v / _norm(v))
-        v /= _norm(v)
-        return v
-    gesv, getrs = routines
-    int_t = _LAPACK[1]
-    size, one, info = int_t(n), int_t(1), int_t(0)  # size is n, lda and ldb
-    p_n, p_one, p_info = ctypes.byref(size), ctypes.byref(one), ctypes.byref(info)
-    ipiv = (int_t * n)()
-    v = np.ones(n, dtype=shifted.dtype)
-    lu, b = shifted.ctypes.data, v.ctypes.data
-    gesv(p_n, p_one, lu, p_n, ipiv, b, p_n, p_info)
-    if info.value != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    v /= _norm(v)
-    getrs(b"N", p_n, p_one, lu, p_n, ipiv, b, p_n, p_info, 1)
-    v /= _norm(v)
-    return v
+
+@functools.cache
+def _heevr_sizes(n):
+    """The optimal (LWORK, LRWORK, LIWORK) of `_heevr` at dimension n, queried once."""
+    _, _, _, work, rwork, iwork = _heevr(np.empty((n, n), dtype=complex, order="F"))
+    return int(work[0].real), int(rwork[0]), int(iwork[0])
 
 
 def _norm(v):

@@ -2,15 +2,17 @@
 distributed code paths.
 
 These are written against the math only: stacked matrices, explicit
-loops, numpy.linalg calls.  They deliberately share nothing with the
-package implementation, the release noise included, so that agreement
-between the two routes is evidence and not tautology.
+loops, numpy.linalg calls and scipy's subset `eigh`.  They deliberately
+share nothing with the package implementation, the release noise
+included, so that agreement between the two routes is evidence and not
+tautology.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 
 def hermitize(a):
@@ -154,28 +156,15 @@ class FrozenMessage:
     hermitian: bool = False
 
 
-def _top_pair_dense_shift(a):
-    """Top eigenpair of an exactly Hermitian matrix, the shift formed as a - sigma * eye(n).
-
-    eigvalsh's value; the vector from two inverse-iteration solves from an
-    all-ones start, kept if its residual is within 8 n eps |a|, else eigh's
-    top pair; every vector norm by np.linalg.norm.
-    """
-    n, vals = len(a), np.linalg.eigvalsh(a)
-    lam, tol = vals[-1], 8 * n * np.finfo(float).eps * max(-vals[0], vals[-1])
-    shifted = a - (lam + tol) * np.eye(n)
-    try:
-        v = np.linalg.solve(shifted, np.ones(n))
-        v = np.linalg.solve(shifted, v / np.linalg.norm(v))
-        v /= np.linalg.norm(v)
-    except np.linalg.LinAlgError:
-        v = np.full(n, np.nan)
-    if not np.linalg.norm(a @ v - lam * v) <= tol:
-        vals, vecs = np.linalg.eigh(a)
-        top = int(np.argsort(-vals, kind="stable")[0])
-        lam, v = vals[top], vecs[:, top]
+def _top_pair(a):
+    """Top eigenpair of an exactly Hermitian matrix from scipy's subset `eigh` (the `evr` driver,
+    LAPACK's ?heevr through scipy's own binding), its vector rotated so that its largest-magnitude
+    entry is real and positive."""
+    n = len(a)
+    vals, vecs = scipy.linalg.eigh(a, subset_by_index=[n - 1, n - 1], driver="evr")
+    v = vecs[:, 0]
     i = int(np.argmax(np.abs(v)))
-    return lam, v * (np.conj(v[i]) / np.abs(v[i]))
+    return vals[0], v * (np.conj(v[i]) / np.abs(v[i]))
 
 
 def straight_line_fw(y, omega, iterations, nuclear_bound, clip_bound, noise_scale, entropy):
@@ -184,8 +173,8 @@ def straight_line_fw(y, omega, iterations, nuclear_bound, clip_bound, noise_scal
     Per round: the masked residual, the packed Hermitian sum of the APs'
     Grams plus one packed noise draw at noise_scale * sqrt(M) from
     SeedSequence([*entropy, n]), M release records and one broadcast record
-    (`FrozenMessage`), the top eigenpair of the unpacked sum with a dense
-    shift, the rank-one step, and the clip of each AP by its own
+    (`FrozenMessage`), the top eigenpair of the unpacked sum from scipy's
+    subset `eigh`, the rank-one step, and the clip of each AP by its own
     np.linalg.norm over its observed entries.  Returns (x_hat, masked_norms,
     lam_path, clip_events, transcript).
     """
@@ -219,7 +208,7 @@ def straight_line_fw(y, omega, iterations, nuclear_bound, clip_bound, noise_scal
         re[upper] = re[lower] = w[:n_off]
         im[upper], im[lower] = w[n_off : 2 * n_off], np.subtract(0.0, w[n_off : 2 * n_off])
         re[:: tau_c + 1] = w[2 * n_off :]
-        value, v = _top_pair_dense_shift(h)
+        value, v = _top_pair(h)
         lam = math.sqrt(max(value, 0.0)) + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
         transcript.append(FrozenMessage("EigBroadcast", "cpu", "all-aps", n, 16 * tau_c + 8))
         eta = 1.0 if n == 1 else 1.0 / iterations

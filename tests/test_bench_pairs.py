@@ -15,9 +15,9 @@ spec.loader.exec_module(bench_pairs)
 
 
 def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40, points=(), threads=1):
-    """What perfbench/run.py prints: a summary, a line per (label, p50) of points, the manifest
-    with its BLAS thread count, then the result as its last line; trial_s.p50 is among the metrics
-    when p50 is given."""
+    """What perfbench/run.py prints: a summary, a line per (label, p50) or (label, p50, nmse, ser)
+    of points (nmse 0.5 and ser 0.1 when not given), the manifest with its BLAS thread count, then
+    the result as its last line; trial_s.p50 is among the metrics when p50 is given."""
     metrics = {"trials_per_s": {"value": rate, "unit": "1/s"}, "nmse": {"value": nmse, "unit": "ratio"}}
     if p50 is not None:
         metrics["trial_s.p50"] = {"value": p50, "unit": "s"}
@@ -26,7 +26,10 @@ def stdout(rate, nmse=0.5, digest="ab12", correct=True, p50=None, attempted=40, 
         "workload desk-npfw seed 1 trace 0\n"
         f"  trials_per_s                                 {rate} 1/s\n"
         f"  {'output_digest':<44} {digest}\n"
-        + "".join(f"  point {label:<24} trials   40  p50 {p:.4g} s  nmse 0.5  ser 0.1\n" for label, p in points)
+        + "".join(
+            f"  point {label:<24} trials   40  p50 {p:.4g} s  nmse {q[0]:.6g}  ser {q[1]:.6g}\n"
+            for label, p, *q in (point if len(point) == 4 else (*point, 0.5, 0.1) for point in points)
+        )
         + f'manifest {{"numpy": "2.4.6", "blas_threads": {json.dumps(threads)}}}\n'
         + json.dumps(result)
         + "\n"
@@ -45,15 +48,15 @@ def pairs_of(rates, workload="desk-npfw", faults=None, p50s=None, threads=None):
         medians = p50s[seed - 1] if p50s else (None, None)
         blas = threads[seed - 1] if threads else (1, 1)
         for side, rate, count, p50, n in zip(("parent", "change"), (parent, change), counts, medians, blas):
-            result, digest, points, manifest = bench_pairs.parse_run(stdout(rate, p50=p50, threads=n))
+            result, digest, points, manifest, _ = bench_pairs.parse_run(stdout(rate, p50=p50, threads=n))
             out.append(bench_pairs.pair_record(workload, seed, side, side == first, result, digest, count, points,
                                                manifest.get("blas_threads")))
     return out
 
 
 def test_a_run_is_its_last_line_and_its_digest():
-    result, digest, points, manifest = bench_pairs.parse_run(stdout(5.25, digest="c0ffee", threads=2))
-    assert digest == "c0ffee" and points == {}
+    result, digest, points, manifest, means = bench_pairs.parse_run(stdout(5.25, digest="c0ffee", threads=2))
+    assert digest == "c0ffee" and points == {} and means == {}
     assert manifest == {"numpy": "2.4.6", "blas_threads": 2}
     assert result["metrics"]["trials_per_s"]["value"] == 5.25
     rec = bench_pairs.pair_record("desk-npfw", 3, "change", False, result, digest, blas_threads=2)
@@ -61,7 +64,7 @@ def test_a_run_is_its_last_line_and_its_digest():
         "workload": "desk-npfw", "seed": 3, "side": "change", "ran_first": False, "correct": True,
         "attempted": 40, "failed": 0, "metrics": {"trials_per_s": 5.25, "nmse": 0.5},
         "output_digest": "c0ffee", "point_p50_s": {}, "minor_faults": None, "minor_faults_per_trial": None,
-        "blas_threads": 2,
+        "blas_threads": 2, "point_means": {},
     }
 
 
@@ -130,7 +133,7 @@ def test_each_points_p50_is_recorded_and_spread_by_side():
     for seed in range(1, 5):
         for side in ("parent", "change"):
             points = (("svd epsilon=1", 0.01277), ("po epsilon=1", p50s[side][seed - 1]))
-            result, digest, parsed, _ = bench_pairs.parse_run(stdout(5.0, points=points))
+            result, digest, parsed, *_ = bench_pairs.parse_run(stdout(5.0, points=points))
             assert parsed == dict(points)
             pairs.append(bench_pairs.pair_record("m100k25-oneshot", seed, side, side == "parent", result, digest,
                                                  None, parsed))
@@ -142,6 +145,36 @@ def test_each_points_p50_is_recorded_and_spread_by_side():
         assert entry["po epsilon=1"][side] == {"median": median, "q1": q1, "q3": q3, "n": 4}
     assert entry["svd epsilon=1"]["change"]["median"] == 0.01277
     assert "point_p50_s" not in bench_pairs.summarise(pairs_of([(5.0, 6.0)]))["desk-npfw"]
+
+
+def test_each_seed_records_how_far_the_point_means_moved():
+    """The nmse and ser of each `point` line land in the pair record, and output_moves gives, per
+    seed at which both sides printed points, the largest relative difference of either between
+    the sides: 0 where the outputs are identical or both 0, and no entry for a failed run."""
+    runs = {
+        1: {"parent": [("fw tau_d=20", 0.01, 0.9987, 0.3), ("npfw epsilon=1", 0.1, 0.2850, 0.0)],
+            "change": [("fw tau_d=20", 0.01, 0.9987, 0.3), ("npfw epsilon=1", 0.1, 0.2731, 0.0)]},
+        2: {"parent": [("fw tau_d=20", 0.01, 0.9987, 0.3), ("npfw epsilon=1", 0.1, 0.2850, 0.25)],
+            "change": [("fw tau_d=20", 0.01, 0.9987, 0.35), ("npfw epsilon=1", 0.1, 0.2850, 0.25)]},
+        3: {"parent": [("fw tau_d=20", 0.01, 0.9987, 0.3)], "change": None},
+    }
+    pairs = []
+    for seed, sides in runs.items():
+        for side, points in sides.items():
+            if points is None:
+                pairs.append(bench_pairs.pair_record("desk-npfw", seed, side, False, {"correct": False}, None))
+                continue
+            result, digest, parsed, manifest, means = bench_pairs.parse_run(stdout(5.0, points=points))
+            assert parsed == {label: p50 for label, p50, *_ in points}
+            pairs.append(bench_pairs.pair_record("desk-npfw", seed, side, side == "parent", result, digest, None,
+                                                 parsed, manifest["blas_threads"], means))
+    assert pairs[1]["point_means"] == {"fw tau_d=20": {"nmse": 0.9987, "ser": 0.3},
+                                       "npfw epsilon=1": {"nmse": 0.2731, "ser": 0.0}}
+    moves = bench_pairs.summarise(pairs)["desk-npfw"]["output_moves"]
+    assert [m["seed"] for m in moves] == [1, 2]
+    assert moves[0] == {"seed": 1, "nmse": pytest.approx((0.2850 - 0.2731) / 0.2850), "ser": 0.0}
+    assert moves[1] == {"seed": 2, "nmse": 0.0, "ser": pytest.approx(0.05 / 0.35)}
+    assert bench_pairs.summarise(pairs_of([(5.0, 6.0)]))["desk-npfw"]["output_moves"] == []  # no point lines
 
 
 def test_summary_has_each_sides_minor_fault_quartiles():
@@ -186,12 +219,12 @@ def test_a_run_records_its_childs_minor_faults(tmp_path):
             f"print({stdout(5.0)!r}, end='')\n"
         )
         runs[name] = bench_pairs.run_side(script.parent.parent, "desk-npfw", 1)
-    for result, digest, points, manifest, faults in runs.values():
+    for result, digest, points, manifest, _, faults in runs.values():
         assert result["correct"] and digest == "ab12" and points == {} and faults > 0
         assert manifest["blas_threads"] == 1
         rec = bench_pairs.pair_record("desk-npfw", 1, "change", True, result, digest, faults)
         assert rec["minor_faults_per_trial"] == faults / 40
-    assert runs["touching"][4] - runs["idle"][4] >= 3000
+    assert runs["touching"][-1] - runs["idle"][-1] >= 3000
 
 
 def test_summary_keeps_workloads_apart_and_skips_runs_without_metrics():

@@ -339,7 +339,7 @@ DESK = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "des
 def test_run_is_bitwise_the_straight_line_round(method, tau_d, clip_bound):
     """On desk blocks (tau_c 24, 60 and 164 for fw, 60 for npfw's 200 rounds), run_fw's
     x_hat, masked_norms, lam_path, clip_events and transcript records are those of
-    `oracles.straight_line_fw`, the round with a dense eigen shift, one np.linalg.norm
+    `oracles.straight_line_fw`, the round with scipy's subset `eigh`, one np.linalg.norm
     per AP and frozen-dataclass records, byte for byte.  The desk clip bound is far
     above fw's iterates, so one case clips at 1.0, below them."""
     scen = dataclasses.replace(DESK.scenario, tau_d=tau_d)

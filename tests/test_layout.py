@@ -1,6 +1,9 @@
-"""The package's layout: every public helper has a caller."""
+"""The package's layout: every public helper has a caller, and the runtime needs no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +49,18 @@ def test_a_helper_only_its_own_body_calls_is_flagged(tmp_path):
     (tmp_path / "script.py").write_text("from pkg.b import run\n\nrun()\n")
     paths = [package / "a.py", package / "b.py", tmp_path / "script.py"]
     assert uncalled(paths, package) == ["a.recursive"]
+
+
+def test_the_runtime_imports_no_scipy():
+    """FW's ?heevr is bound through ctypes on numpy's own LAPACK so that no run pays scipy's
+    import time and memory; scipy is a test dependency only.  Run in a fresh interpreter,
+    since this one has loaded scipy for other tests."""
+    code = (
+        "import sys\n"
+        "import privcell.harness, privcell.fw, privcell.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -340,20 +341,6 @@ def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnit
     assert_matches_eigh(seen[0])
 
 
-def test_top_eigpair_takes_the_fast_path(fallbacks):
-    assert_matches_eigh(planted_gap(60, 0.1, 1.0, 3))
-    assert_matches_eigh(np.diag([3.0, 1.0]))
-    # an F-ordered input is shifted as a C-ordered one: no fallback, the same bits
-    a = planted_gap(60, 0.1, 1.0, 3)
-    f = a.T.conj()
-    assert f.flags.f_contiguous and not f.flags.c_contiguous
-    assert_matches_eigh(f)
-    lam, v = top_eigpair(f)
-    want_lam, want_v = top_eigpair(np.ascontiguousarray(f))
-    assert lam == want_lam and v.tobytes() == want_v.tobytes()
-    assert fallbacks == []
-
-
 @pytest.mark.parametrize(
     "a",
     [-3.0 * np.eye(4), np.eye(5), np.array([[2.5]]), np.array([[-1.0 + 0j]]), np.zeros((3, 3))],
@@ -366,33 +353,6 @@ def test_top_eigpair_edge_cases(a):
     assert abs(lam - np.linalg.eigvalsh(a)[-1]) <= tol
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
     assert np.linalg.norm(a @ v - lam * v) <= tol
-
-
-def test_top_eigpair_falls_back_to_eigh(fallbacks):
-    """An all-ones start orthogonal to the top eigenvector stays orthogonal through both
-    solves; the residual check sends the matrix to eigh, whose top pair is returned."""
-    a = np.array([[1.0, -1.0], [-1.0, 1.0]]) + 0j
-    lam, v = top_eigpair(a)
-    assert len(fallbacks) == 1
-    vals, vecs = hermitian_eig(a, 1)
-    assert lam == vals[0]
-    np.testing.assert_array_equal(v, vecs[:, 0])
-    assert abs(lam - 2.0) <= eig_bound(a)
-    assert np.linalg.norm(a @ v - lam * v) <= eig_bound(a)
-    np.testing.assert_allclose(v, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-15)
-
-
-@pytest.mark.parametrize("scale", [1e300, 1e-170])
-def test_top_eigpair_falls_back_quietly_near_the_ends_of_float_range(scale, fallbacks):
-    """A 6x6 Hermitian matrix scaled by 1e300 underflows the first inverse-iteration vector's
-    norm to 0, and scaled by 1e-170 overflows it; either goes to eigh without a RuntimeWarning
-    (an error under this suite's filter) and returns eigh's top pair."""
-    a = scale * random_hermitian(6, np.random.default_rng(0))
-    lam, v = top_eigpair(a)
-    assert len(fallbacks) == 1
-    vals, vecs = hermitian_eig(a, 1)
-    assert lam == vals[0]
-    assert v.tobytes() == vecs[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -413,82 +373,69 @@ def test_top_eigpair_rejects_nonsquare():
         top_eigpair(np.zeros((2, 2, 2)))
 
 
-# ------------------------------------------------- one LU factorization per eigenpair
+# ------------------------------------------------------------ one ?heevr call per eigenpair
 
 
-def two_numpy_solves(s):
-    """top_eigpair's inverse-iteration vector as two np.linalg.solve calls, each factoring s."""
-    v = np.linalg.solve(s, np.ones(len(s)))
-    v = np.linalg.solve(s, v / np.linalg.norm(v))
-    return v / np.linalg.norm(v)
-
-
-@pytest.fixture
-def numpy_solve_only(monkeypatch):
-    """top_eigpair as on a numpy whose LAPACK exports no ?gesv/?getrs under a known name."""
-    monkeypatch.setattr(linalg, "_LAPACK", None)
-
-
-def test_the_lapack_binding_resolves_on_numpys_scipy_openblas():
+def test_the_lapack_binding_resolves_to_heevr_on_numpys_scipy_openblas():
     config = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if config.get("name") != "scipy-openblas":
         pytest.skip(f"numpy links {config.get('name')}, whose symbol names this test does not know")
-    assert linalg._LAPACK is not None
-    assert set(linalg._LAPACK[0]) == {"d", "D"}
+    heevr, int_t = linalg._LAPACK
+    assert heevr.__name__ in ("scipy_zheevr_64_", "scipy_zheevr_")
+    assert ctypes.sizeof(int_t) == (8 if heevr.__name__.endswith("_64_") else 4)
 
 
-@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?gesv/?getrs under a known name")
-@pytest.mark.parametrize("dtype", [np.complex128, np.float64], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [1, 2, 24, 164])
+def test_top_eigpair_leaves_the_callers_array_unchanged(n, rng):
+    """?heevr overwrites its matrix, so it is handed a copy."""
+    for a in (random_hermitian(n, rng), np.asfortranarray(random_hermitian(n, rng))):
+        before = a.copy(order="A")
+        top_eigpair(a)
+        assert a.flags.f_contiguous == before.flags.f_contiguous and a.tobytes("A") == before.tobytes("A")
+
+
 @pytest.mark.parametrize("n", [1, 2, 24, 60, 100, 164])
-def test_factoring_once_gives_two_numpy_solves_byte_for_byte(n, dtype, rng):
-    """?gesv, then ?getrs on its factors, equals np.linalg.solve twice (one BLAS thread)."""
-    a = random_hermitian(n, rng)
-    a = (a if dtype is np.complex128 else a.real) - 3.0 * np.eye(n)
-    s = np.asfortranarray(a, dtype=dtype)
-    want = two_numpy_solves(s)
-    got = linalg._solve_twice(s.copy(order="F"))
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def test_c_and_f_ordered_inputs_give_the_same_bits(n):
+    c = planted_gap(n, 0.1, 1.0, n)
+    f = np.asfortranarray(c)
+    assert f.flags.f_contiguous and (n == 1 or not f.flags.c_contiguous)
+    (lam, v), (want_lam, want_v) = top_eigpair(f), top_eigpair(c)
+    assert lam == want_lam and v.tobytes() == want_v.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.complex128, np.float64], ids=["complex", "real"])
-@pytest.mark.parametrize("bind", [True, False], ids=["lapack", "numpy-solve"])
-def test_a_singular_shift_raises_as_numpy_solve_does(bind, dtype, monkeypatch):
-    if not bind:
-        monkeypatch.setattr(linalg, "_LAPACK", None)
-    s = np.zeros((3, 3), dtype=dtype, order="F")
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(s, np.ones(3))
-    with pytest.raises(np.linalg.LinAlgError):
-        linalg._solve_twice(s)
+def failing_heevr(monkeypatch):
+    """Bind a ?heevr that runs and then reports INFO = 1, the code of a failed convergence."""
+    heevr, int_t = linalg._LAPACK
+
+    def routine(*args):
+        heevr(*args)
+        args[22]._obj.value = 1  # INFO, passed by reference
+
+    monkeypatch.setattr(linalg, "_LAPACK", (routine, int_t))
 
 
-def test_top_eigpair_without_the_binding_returns_the_same_bits(rng, monkeypatch):
-    """Forcing the two np.linalg.solve calls changes no bit of any pair, fast path or fallback."""
-    cases = [planted_gap(n, 0.1, 1.0, n) for n in (1, 2, 24, 60, 100, 164)]
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
+@pytest.mark.parametrize("fail", [lambda m: m.setattr(linalg, "_LAPACK", None), failing_heevr], ids=["unbound", "info"])
+def test_top_eigpair_without_heevr_returns_hermitian_eigs_pair(fail, fallbacks, rng, monkeypatch):
+    cases = [planted_gap(n, 0.1, 1.0, n) for n in (1, 2, 24, 60, 164)]
     cases += [random_hermitian(60, rng).real, np.diag([3.0, 1.0]), -3.0 * np.eye(4), np.zeros((3, 3))]
-    with_binding = [top_eigpair(a) for a in cases]
-    monkeypatch.setattr(linalg, "_LAPACK", None)
-    for a, (lam, v) in zip(cases, with_binding):
-        want_lam, want_v = top_eigpair(a)
-        assert lam == want_lam and v.dtype == want_v.dtype and v.tobytes() == want_v.tobytes()
+    fail(monkeypatch)
+    for a in cases:
+        lam, v = top_eigpair(a)
+        vals, vecs = hermitian_eig(a, 1)
+        assert lam == vals[0] and v.dtype == vecs.dtype and v.tobytes() == vecs[:, 0].tobytes()
+    assert len(fallbacks) == len(cases)
 
 
-@pytest.mark.parametrize("bind", [True, False], ids=["lapack", "numpy-solve"])
-def test_top_eigpair_edge_cases_take_the_same_branch_either_way(bind, fallbacks, monkeypatch):
-    """The zero matrix lies below _ITERATION_RANGE and goes to eigh without a solve; -3I shifts
-    to the regular -tol*I, which both solves invert exactly, so it stays on the fast path."""
-    if not bind:
-        monkeypatch.setattr(linalg, "_LAPACK", None)
-    lam, v = top_eigpair(np.zeros((3, 3)))
-    assert len(fallbacks) == 1 and lam == 0.0
-    lam, v = top_eigpair(-3.0 * np.eye(4))
-    assert len(fallbacks) == 1 and lam == -3.0
-    assert v.tobytes() == np.full(4, 0.5).tobytes()
+@pytest.mark.parametrize("scale", [1e300, 1e-170, 1e-300])
+def test_top_eigpair_matches_eigh_near_the_ends_of_float_range(scale, fallbacks):
+    """?heevr scales such a matrix itself: eigh's pair within eig_bound, without a
+    RuntimeWarning (an error under this suite's filter) and without the fallback."""
+    a = scale * random_hermitian(6, np.random.default_rng(0))
+    lam, v = top_eigpair(a)
+    vals, vecs = np.linalg.eigh(a)
+    tol = eig_bound(a)
+    assert abs(lam - vals[-1]) <= tol
+    assert np.linalg.norm(v - canonical_phase(vecs[:, -1])) <= tol / (vals[-1] - vals[-2])
+    assert fallbacks == [] or linalg._LAPACK is None
 
-
-def test_a_c_ordered_shift_takes_numpy_solve(rng):
-    """LAPACK reads columns, so a matrix that is not F-ordered goes to np.linalg.solve, not to
-    ?gesv, which would solve with its transpose."""
-    s = np.ascontiguousarray(random_hermitian(24, rng) + rng.standard_normal((24, 24)))
-    assert not s.flags.f_contiguous
-    assert linalg._solve_twice(s.copy()).tobytes() == two_numpy_solves(s).tobytes()

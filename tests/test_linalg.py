@@ -439,3 +439,49 @@ def test_top_eigpair_matches_eigh_near_the_ends_of_float_range(scale, fallbacks)
     assert np.linalg.norm(v - canonical_phase(vecs[:, -1])) <= tol / (vals[-1] - vals[-2])
     assert fallbacks == [] or linalg._LAPACK is None
 
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
+@pytest.mark.parametrize("n", [1, 2, 24, 60, 100, 164])
+def test_top_eigpair_is_scipys_subset_evr_pair_bit_for_bit(n):
+    """The straight-line FW oracle takes its pair from scipy's subset eigh (driver evr); the
+    ctypes ?heevr call gives the same bits once both are phase-rotated."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    a = planted_gap(n, 0.1, 1.0, n)
+    vals, vecs = scipy_linalg.eigh(a, subset_by_index=[n - 1, n - 1], driver="evr")
+    lam, v = top_eigpair(a)
+    assert lam == vals[0] and v.tobytes() == canonical_phase(vecs[:, 0]).tobytes()
+
+
+@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
+def test_heevr_workspace_is_queried_once_per_dimension(fallbacks, rng, monkeypatch):
+    """The sizes are cached by n; every call after the first at an n runs with them."""
+    queries, real = [], linalg._heevr
+
+    def heevr(a, *sizes):
+        if not sizes:
+            queries.append(len(a))
+        return real(a, *sizes)
+
+    monkeypatch.setattr(linalg, "_heevr", heevr)
+    linalg._heevr_sizes.cache_clear()
+    try:
+        for n in (24, 60, 24, 60, 24):
+            top_eigpair(random_hermitian(n, rng))
+    finally:
+        linalg._heevr_sizes.cache_clear()
+    assert queries == [24, 60] and fallbacks == []
+
+
+@pytest.mark.parametrize("bind", [True, False], ids=["heevr", "eigh"])
+def test_top_eigpair_is_exact_on_diagonal_matrices(bind, monkeypatch):
+    """A diagonal matrix's top pair is its largest entry and a coordinate vector on either path;
+    with a repeated top entry the two paths may pick different coordinates."""
+    if not bind:
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+    for d in ([-3.0] * 4, [0.0] * 3, [1.0] * 5, [2.5], [3.0, 1.0], [-1.0, 4.0, 4.0, 0.5]):
+        a = np.diag(d)
+        lam, v = top_eigpair(a)
+        assert lam == max(d)
+        assert sorted(np.abs(v)) == [0.0] * (len(d) - 1) + [1.0]
+        assert np.array_equal(a @ v, lam * v)

@@ -31,7 +31,9 @@ under point_p50_s, of each point's p50, for each side (quartiles by
 `statistics.quantiles`, exclusive method), plus, for trials_per_s and
 trial_s.p50, the number of seeds at which the change beat the parent with the
 same outputs, "beat" read in the direction of the metric's `better` field in
-BENCHMARK.json.  Each end-to-end metric that both sides report also gets a
+BENCHMARK.json; the workload's change_faster gives, for the same two metrics,
+the seeds at which it beat the parent whatever its outputs, so a change that
+moves bits by design still shows its speed there.  Each end-to-end metric that both sides report also gets a
 verdict against its BENCHMARK.json `bound`: worse_than_bound, the change's
 median worse than the parent's by more than bound times the parent's median,
 and unresolved, the parent's q3 - q1 wider than that.  Each workload's
@@ -143,18 +145,19 @@ def summarise(pairs):
     minor_faults_per_trial and, under point_p50_s, of each point's p50; for each of
     WIN_METRICS also the change's wins, and for each end-to-end metric both sides report its
     `verdict`; under blas_threads, each side's thread counts and whether they differ; under
-    output_moves, each seed's `output_move`, for the seeds at which both sides printed points.
+    output_moves, each seed's `output_move`, for the seeds at which both sides printed points;
+    under change_faster, the seeds at which the change was `_faster`, per metric of WIN_METRICS
+    that the runs report.
 
-    A win is a seed at which both sides ran, the change's run is correct,
-    fails no more trials than the parent's, gives the parent's output_digest,
-    and has the better value (higher or lower, as `directions` says); a tie is not a win.
+    A win is a seed at which both sides ran and the change was `_faster` and gave the parent's
+    output_digest; a tie is not a win.
     """
     metrics = end_to_end()
     summary = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         runs = [p for p in pairs if p["workload"] == workload]
         names = dict.fromkeys(name for p in runs for name in p["metrics"])
-        summary[workload] = {}
+        summary[workload], faster = {}, {}
         for name in names:
             entry = {
                 side: spread([p["metrics"][name] for p in runs if p["side"] == side and name in p["metrics"]])
@@ -166,9 +169,9 @@ def summarise(pairs):
                 for p in runs:
                     if name in p["metrics"]:
                         by_seed.setdefault(p["seed"], {})[p["side"]] = p
-                entry["change_wins"] = sum(
-                    1 for v in by_seed.values() if len(v) == 2 and _won(v, name, metrics[name]["better"])
-                )
+                both = [v for v in by_seed.values() if len(v) == 2]
+                entry["change_wins"] = sum(_won(v, name, metrics[name]["better"]) for v in both)
+                faster[name] = sum(_faster(v, name, metrics[name]["better"]) for v in both)
             if name in metrics and all(side in entry for side in SIDES):
                 entry.update(verdict(entry["parent"], entry["change"], metrics[name]["better"], metrics[name]["bound"]))
             summary[workload][name] = entry
@@ -197,6 +200,7 @@ def summarise(pairs):
         summary[workload]["output_moves"] = [
             {"seed": seed, **output_move(v["parent"], v["change"])} for seed, v in means.items() if len(v) == 2
         ]
+        summary[workload]["change_faster"] = faster
     return summary
 
 
@@ -213,17 +217,20 @@ def output_move(parent, change):
     }
 
 
-def _won(sides, name, better):
+def _faster(sides, name, better):
     """Whether the change's run at one seed beats the parent's on metric name, which is better
-    "higher" or "lower", outputs unchanged."""
+    "higher" or "lower": the change's run is correct, fails no more trials than the parent's
+    and has the better value, whatever either run's output_digest."""
     parent, change = sides["parent"], sides["change"]
     ahead, behind = (change, parent) if better == "higher" else (parent, change)
     return (
-        change["correct"]
-        and change["failed"] <= parent["failed"]
-        and change["output_digest"] == parent["output_digest"]
-        and ahead["metrics"][name] > behind["metrics"][name]
+        change["correct"] and change["failed"] <= parent["failed"] and ahead["metrics"][name] > behind["metrics"][name]
     )
+
+
+def _won(sides, name, better):
+    """`_faster`, with the parent's output_digest: a win on metric name at one seed, outputs unchanged."""
+    return _faster(sides, name, better) and sides["change"]["output_digest"] == sides["parent"]["output_digest"]
 
 
 def unpack_parent(rev, dest):

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
-from .linalg import observed_index, observed_norms, top_eigpair
-from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram
+from .linalg import TopEigpair, observed_index, observed_norms
+from .privacy import (
+    Calibration, CompletionResult, ap_stack, gram_arrays, gram_round, stacked_gram, top_eigpair,
+)
 from .protocol import Backhaul, MessageKind
 
 
@@ -50,46 +52,49 @@ def step_size(round_index, iterations):
     return 1.0 if round_index == 1 else 1.0 / iterations
 
 
-def ap_residual(x, y, omega):
-    """Every AP's masked iterate minus its observation; zero off the observed set."""
-    j = np.where(omega, x, 0.0)
-    j -= y
-    return j
+def ap_residual(x, y, index, out):
+    """Every AP's masked iterate minus its observation, written into out and returned; zero off
+    the observed set.  index is `linalg.observed_index(omega)`."""
+    np.copyto(out, x)
+    out.reshape(-1)[index.unobserved] = 0.0
+    out -= y
+    return out
 
 
-def cpu_aggregate_eig(w, noise_scale, n_aps):
+def cpu_aggregate_eig(w, noise_scale, n_aps, eig):
     """Top eigenpair of the aggregated releases, eigenvalue lifted.
 
-    Returns (v_top, lam_lifted): the phase-canonical top eigenvector of
-    the sum w, and the square root of its (clamped) top eigenvalue plus
-    the noise-inflation allowance sqrt(noise_scale) * (M * tau_c)^(1/4).
+    w is the round's packed release sum and eig the `linalg.TopEigpair` of its side that the run
+    holds (`privacy.top_eigpair`).  Returns (v_top, lam_lifted): the phase-canonical top
+    eigenvector of the sum, and the square root of its (clamped) top eigenvalue plus the
+    noise-inflation allowance sqrt(noise_scale) * (M * tau_c)^(1/4).
     """
-    tau_c = w.shape[0]
-    value, v_top = top_eigpair(w)
+    tau_c = len(eig.a)
+    value, v_top = top_eigpair(w, eig)
     lam = math.sqrt(max(value, 0.0))
     lam_lifted = lam + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
     return v_top, lam_lifted
 
 
-def ap_update(x, j, v_top, lam_lifted, eta, cfg, index, out=None):
-    """Every AP's local FW step against the broadcast direction, then clip.
+def ap_update(x, j, v_top, lam_lifted, eta, cfg, index, step):
+    """Every AP's local FW step against the broadcast direction, then clip, written into x.
 
     An AP whose observed-entry norm exceeds cfg.calibration.bound has its
-    whole block scaled onto the bound.  Returns (x_new, norms after clip,
-    clipped), x_new written into out (which may be x) when it is given.
-    index is `linalg.observed_index(omega)`.
+    whole block scaled onto the bound.  step, an array of x's shape, holds
+    the rank-one step.  Returns (x, norms after clip, clipped).  index is
+    `linalg.observed_index(omega)`.
     """
     if lam_lifted == 0.0:
         raise DegenerateStepError("lifted top value is exactly zero")
-    step = (j @ v_top)[..., None] * v_top.conj()
-    x_new = np.multiply(1.0 - eta, x, out=out)
-    x_new -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
-    norms = observed_norms(x_new, index)
+    np.multiply((j @ v_top)[..., None], v_top.conj(), out=step)
+    np.multiply(1.0 - eta, x, out=x)
+    x -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
+    norms = observed_norms(x, index)
     clipped = ~(norms <= cfg.calibration.bound)  # a NaN norm counts as over the bound
     for m in np.flatnonzero(clipped):
-        x_new[m] *= cfg.calibration.bound / norms[m]
-        norms[m] = np.linalg.norm(x_new[m][index.mask[m]])
-    return x_new, norms, clipped
+        x[m] *= cfg.calibration.bound / norms[m]
+        norms[m] = np.linalg.norm(x[m][index.mask[m]])
+    return x, norms, clipped
 
 
 def run_fw(y, omega, cfg, seed, net=None):
@@ -102,25 +107,30 @@ def run_fw(y, omega, cfg, seed, net=None):
         seed: int or tuple of ints; each round's noise seed derives from it.
         net: optional Backhaul to append to (a fresh one by default).
 
+    Every round writes into arrays made here, once per call: the residual,
+    the rank-one step, the Gram's (`privacy.gram_arrays`) and the CPU's
+    eigensolve's (`linalg.TopEigpair`).  Neither y nor omega is written.
+
     Returns a CompletionResult.
     """
     y = ap_stack(y, omega)
-    n_aps = y.shape[0]
+    n_aps, tau_c = y.shape[0], y.shape[-1]
     net = Backhaul() if net is None else net
-    x = np.zeros_like(y)
+    x, j, step = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
+    gram, eig = gram_arrays(y.shape), TopEigpair(tau_c)
     rounds, sigma = cfg.calibration.releases, cfg.calibration.sigma
     lam_path = np.empty(rounds)
     masked_norms = np.empty((rounds, n_aps))
     clip_events = 0
     index = observed_index(omega)
     for n in range(1, rounds + 1):
-        j = ap_residual(x, y, omega)
+        ap_residual(x, y, index, j)
         v_top, lam_lifted = gram_round(
-            net, n, stacked_gram(j), n_aps, sigma, seed, MessageKind.EIG_BROADCAST,
-            lambda w: cpu_aggregate_eig(w, sigma, n_aps), tail=(n,),
+            net, n, stacked_gram(j, gram), n_aps, sigma, seed, MessageKind.EIG_BROADCAST,
+            lambda w: cpu_aggregate_eig(w, sigma, n_aps, eig), tail=(n,),
         )
         eta = step_size(n, rounds)
-        x, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, index, out=x)
+        _, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, index, step)
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
     return CompletionResult(

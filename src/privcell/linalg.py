@@ -2,9 +2,11 @@
 
 Everything works on complex128 ndarrays.  `hermitian_eig` keeps the top k
 pairs of a LAPACK `eigh`, rotated as `canonical_phase` rotates one vector
-but all k columns in one pass; `top_eigpair` finds FW's one pair for less,
+but all k columns in one pass; `TopEigpair` finds FW's one pair for less,
 in one `?heevr` call that computes that pair alone, bound through `ctypes`
 from the LAPACK numpy links (`_bind_lapack`), so no scipy import is needed.
+Its matrix and workspace are held across calls, and the call's arguments
+bound once, so a round pays for the solve alone.
 `shared_matmul` multiplies an AP stack by one shared matrix in a single
 GEMM, and `cholesky_solve` solves many small Hermitian positive definite
 systems at once, each step one vectorised operation over the whole batch.
@@ -34,10 +36,10 @@ def hermitian_eig(a, k):
 
     Returns (values, vectors): values (k,), and vectors (n, k) whose
     column i belongs to values[i].  Only the lower triangle is read, as
-    `np.linalg.eigh` does, so a is taken to be exactly Hermitian (as
-    `privacy.unpack_hermitian` returns it); eigenvectors are orthonormal
-    and phase-canonicalised, and ties are broken by the solver's original
-    ascending index (stable).
+    `np.linalg.eigh` does, so a is taken to be exactly Hermitian (the
+    triangle `privacy.unpack_lower` writes is all it needs); eigenvectors
+    are orthonormal and phase-canonicalised, and ties are broken by the
+    solver's original ascending index (stable).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -51,26 +53,37 @@ def hermitian_eig(a, k):
     return vals[order], vecs * (np.conj(top) / np.abs(top))  # canonical_phase of every column at once
 
 
-def top_eigpair(a):
-    """Largest eigenvalue of an exactly Hermitian matrix and a phase-canonical unit eigenvector.
+class TopEigpair:
+    """Top eigenpairs of n x n exactly Hermitian matrices, one LAPACK `?heevr` call each, on arrays
+    held for as long as the caller keeps this object.
 
-    One LAPACK `?heevr` call computes this pair alone, from the lower triangle
-    of an F-ordered complex128 copy of a (the call overwrites its matrix), and
-    scales a matrix near either end of float range itself.  The pair is
-    `hermitian_eig(a, 1)`'s where no `?heevr` symbol resolved (`_LAPACK` is
-    None) or the call reports INFO != 0.
+    Write a matrix's lower triangle into `a`, an F-ordered complex128 matrix, then call.  `?heevr`
+    reads that triangle alone (UPLO='L'), computes the top pair alone (JOBZ='V', RANGE='I',
+    IL = IU = n, ABSTOL 0), scales a matrix near either end of float range itself, and overwrites
+    a.  The workspace sizes are queried once per n (`_heevr_sizes`), and the call's arguments are
+    bound once, here.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():  # eigh returns a finite top pair for some NaN matrices
-        raise np.linalg.LinAlgError("matrix has non-finite entries")
-    if _LAPACK is not None and len(a):  # a 0x0 matrix has no top pair: hermitian_eig raises
-        info, w, z = _heevr(np.array(a, dtype=complex, order="F"), *_heevr_sizes(len(a)))[:3]
-        if info == 0:
-            return w[0], canonical_phase(z)
-    vals, vecs = hermitian_eig(a, 1)
-    return vals[0], vecs[:, 0]
+
+    def __init__(self, n):
+        self._a = np.zeros((n, n), dtype=complex, order="F")
+        self._call = None
+        if _LAPACK is not None and n:  # a 0x0 matrix has no top pair
+            self._call, self._info, self._w, self._z, *self._work = _bound_heevr(self._a, *_heevr_sizes(n))
+
+    @property
+    def a(self):
+        """The matrix the call reads; not rebindable, since the bound call holds its address."""
+        return self._a
+
+    def __call__(self):
+        """(value, phase-canonical unit vector) of a's top eigenpair; None where no `?heevr` symbol
+        resolved (`_LAPACK` is None), n is 0 or the call reports INFO != 0."""
+        if self._call is None:
+            return None
+        self._call()
+        if self._info.value != 0:
+            return None
+        return self._w[0], canonical_phase(self._z)
 
 
 def _bind_lapack():
@@ -101,29 +114,34 @@ def _bind_lapack():
 _LAPACK = _bind_lapack()
 
 
-def _heevr(a, lwork=-1, lrwork=-1, liwork=-1):
-    """(INFO, W, Z, WORK, RWORK, IWORK) of one `?heevr` call for the top eigenpair of a, an
-    F-ordered complex128 matrix it overwrites: JOBZ='V', RANGE='I', IL = IU = n, UPLO='L' and
-    ABSTOL 0.  With the default sizes it is LAPACK's workspace query, which leaves a as it is
-    and returns the optimal sizes in WORK[0], RWORK[0] and IWORK[0]."""
+def _bound_heevr(a, lwork=-1, lrwork=-1, liwork=-1):
+    """(call, INFO, W, Z, WORK, RWORK, IWORK): one `?heevr` call for the top eigenpair of a, an
+    F-ordered complex128 matrix it overwrites, bound with its arguments and its output arrays, so
+    that `call()` runs it: JOBZ='V', RANGE='I', IL = IU = n, UPLO='L' and ABSTOL 0.  The call
+    has only the addresses of a and the numpy arrays, so the caller holds them as long as it keeps
+    the call.  With the default sizes it is LAPACK's workspace query, which leaves a as it is and
+    returns the optimal sizes in WORK[0], RWORK[0] and IWORK[0]."""
     heevr, int_t = _LAPACK
     n = len(a)
     w, z, work = np.empty(n), np.empty(n, dtype=complex), np.empty(max(lwork, 1), dtype=complex)
     rwork, iwork, isuppz = np.empty(max(lrwork, 1)), (int_t * max(liwork, 1))(), (int_t * 2)()
     size, found, info, zero = int_t(n), int_t(0), int_t(0), ctypes.c_double(0.0)
     p_n, p_0, ref = ctypes.byref(size), ctypes.byref(zero), ctypes.byref
-    heevr(
-        b"V", b"I", b"L", p_n, a.ctypes.data, p_n, p_0, p_0, p_n, p_n, p_0, ref(found), w.ctypes.data,
+    call = functools.partial(
+        heevr, b"V", b"I", b"L", p_n, a.ctypes.data, p_n, p_0, p_0, p_n, p_n, p_0, ref(found), w.ctypes.data,
         z.ctypes.data, p_n, isuppz, work.ctypes.data, ref(int_t(lwork)), rwork.ctypes.data,
         ref(int_t(lrwork)), iwork, ref(int_t(liwork)), ref(info), 1, 1, 1,
     )
-    return info.value, w, z, work, rwork, iwork
+    return call, info, w, z, work, rwork, iwork
 
 
 @functools.cache
 def _heevr_sizes(n):
-    """The optimal (LWORK, LRWORK, LIWORK) of `_heevr` at dimension n, queried once."""
-    _, _, _, work, rwork, iwork = _heevr(np.empty((n, n), dtype=complex, order="F"))
+    """The optimal (LWORK, LRWORK, LIWORK) of `_bound_heevr` at dimension n, queried once."""
+    a = np.empty((n, n), dtype=complex, order="F")
+    bound = _bound_heevr(a)
+    bound[0]()
+    work, rwork, iwork = bound[4:]
     return int(work[0].real), int(rwork[0]), int(iwork[0])
 
 
@@ -197,16 +215,18 @@ def frob_norm(a):
 
 
 class ObservedIndex(NamedTuple):
-    """An (M, N_a, tau_c) mask with the flat C-order indices of its observed entries and per-AP counts."""
+    """An (M, N_a, tau_c) mask with the flat C-order indices of its observed entries, its per-AP
+    counts and the flat indices of its unobserved entries."""
 
     mask: np.ndarray
     flat: np.ndarray
     counts: list
+    unobserved: np.ndarray
 
 
 def observed_index(omega):
     """The `ObservedIndex` of a mask, taken once by a caller that keeps the mask."""
-    return ObservedIndex(omega, np.flatnonzero(omega), omega.sum(axis=(1, 2)).tolist())
+    return ObservedIndex(omega, np.flatnonzero(omega), omega.sum(axis=(1, 2)).tolist(), np.flatnonzero(~omega))
 
 
 def observed_norms(x, index):
@@ -217,7 +237,7 @@ def observed_norms(x, index):
     and each AP's sums of squares are batched (1, L) @ (L, 1) dots, the dots
     `np.linalg.norm` takes; otherwise the gather is split at each AP's count.
     """
-    omega, flat, counts = index
+    omega, flat, counts, _ = index
     if x.shape != omega.shape:
         raise ShapeError(f"mask shape {omega.shape} does not match {x.shape}")
     v = x.reshape(-1).take(flat)

@@ -6,11 +6,17 @@ and other APs see is bought by Hermitian complex Gaussian noise on the
 releases.  A release is Hermitian by construction, so it travels in
 packed form: tau_c^2 float64s, the real parts of the strict upper
 triangle (row-major), then their imaginary parts, then the real
-diagonal (`pack_hermitian` / `unpack_hermitian`; the layout is fixed in
-`_hermitian_slots`).  Both completions run on the same round
-(`gram_round`, the private Frank-Wolfe mechanism of Jain, Thakkar and
-Thakurta, 2018): every AP releases, the CPU learns the sum of the
-releases, unpacks it once and broadcasts what it derives from it.
+diagonal (`pack_hermitian`; the layout is fixed in `_hermitian_slots`).
+Both completions run on the same round (`gram_round`, the private
+Frank-Wolfe mechanism of Jain, Thakkar and Thakurta, 2018): every AP
+releases, the CPU learns the packed sum of the releases and broadcasts
+what it derives from it.  The CPU never forms the full matrix: LAPACK's
+Hermitian eigensolvers read only a lower triangle, and `unpack_lower`
+scatters the packed sum straight into that triangle of an F-ordered
+matrix, one the caller may hold across rounds.  So `top_eigpair`, FW's
+step, runs one `?heevr` call on a matrix its run holds
+(`linalg.TopEigpair`), and the one-shot basis runs `eigh` on a fresh
+one.
 
 One record, `Calibration`, says how a run's releases are calibrated,
 and one function, `calibrate`, makes it: T releases per AP for the
@@ -41,6 +47,7 @@ import numpy as np
 
 from .config import ITERATIVE
 from .errors import ArgumentError, ConfigError, ShapeError
+from .linalg import hermitian_eig
 from .protocol import MessageKind
 
 
@@ -137,8 +144,9 @@ def _hermitian_slots(dim):
     return i * dim + j, j * dim + i
 
 
-def pack_hermitian(h):
-    """The packed wire form of (h + h^H)/2 for a square h: a fresh vector of dim^2 float64s.
+def pack_hermitian(h, out=None):
+    """The packed wire form of (h + h^H)/2 for a square h: dim^2 float64s, written into out
+    (a fresh vector by default) and returned.
 
     Formed on the packed slots alone (order: `_hermitian_slots`): a
     Hermitian h packs to exactly itself.
@@ -146,7 +154,7 @@ def pack_hermitian(h):
     h = np.asarray(h, dtype=complex)
     upper, lower = _hermitian_slots(len(h))
     u, l, d, n_off = h.reshape(-1)[upper], h.reshape(-1)[lower], h.diagonal().real, upper.size
-    p = np.empty(len(h) ** 2)
+    p = np.empty(len(h) ** 2) if out is None else out
     np.add(u.real, l.real, out=p[:n_off])  # real parts: upper + lower
     np.subtract(u.imag, l.imag, out=p[n_off : 2 * n_off])  # imaginary parts: upper - lower
     np.add(d, d, out=p[2 * n_off :])  # diagonal: d + d
@@ -154,22 +162,51 @@ def pack_hermitian(h):
     return p
 
 
-def unpack_hermitian(p):
-    """The exactly Hermitian matrix of a packed release p.
+def unpack_lower(p, out=None):
+    """The lower triangle of the exactly Hermitian matrix of a packed release p, written into out
+    and returned: all that LAPACK's Hermitian eigensolvers read with UPLO='L', `eigh` included.
 
-    The lower triangle's imaginary parts are 0.0 - upper (so a zero is
-    +0.0) and the diagonal's imaginary parts are +0.0.
+    out is an F-ordered complex128 dim x dim matrix, a fresh zero one by default; its strict
+    upper triangle is left as it was.  Below the diagonal the imaginary parts are 0.0 - upper (so
+    a zero is +0.0), on it +0.0.  In F order the lower triangle lies at the upper slots of
+    `_hermitian_slots`, so each part is one scatter.
     """
     dim = math.isqrt(p.size)
     if p.ndim != 1 or dim * dim != p.size:
         raise ShapeError(f"a packed Hermitian release is 1-D of square length, got shape {p.shape}")
-    upper, lower = _hermitian_slots(dim)
-    h, n_off = np.zeros((dim, dim), dtype=complex), upper.size
-    re, im = h.reshape(-1).real, h.reshape(-1).imag
-    re[upper] = re[lower] = p[:n_off]
-    im[upper], im[lower] = p[n_off : 2 * n_off], np.subtract(0.0, p[n_off : 2 * n_off])
+    if out is None:
+        out = np.zeros((dim, dim), dtype=complex, order="F")
+    elif out.shape != (dim, dim):
+        raise ShapeError(f"a packed release of side {dim} does not fit a matrix of shape {out.shape}")
+    upper = _hermitian_slots(dim)[0]
+    n_off = upper.size
+    flat = out.reshape(-1, order="F", copy=False)  # raises unless out is F-contiguous
+    re, im = flat.real, flat.imag
+    re[upper] = p[:n_off]
+    im[upper] = np.subtract(0.0, p[n_off : 2 * n_off])
     re[:: dim + 1] = p[2 * n_off :]
-    return h
+    im[:: dim + 1] = 0.0
+    return out
+
+
+def top_eigpair(p, eig):
+    """Largest eigenvalue and phase-canonical unit eigenvector of the Hermitian matrix of a packed
+    release p.
+
+    eig is a `linalg.TopEigpair` of p's side, held by the caller across calls: p is unpacked
+    straight into the lower triangle of its matrix, which one `?heevr` call reads.  Where eig
+    returns None (no `?heevr` symbol, or INFO != 0) the pair is `hermitian_eig(unpack_lower(p), 1)`'s,
+    on a fresh unpack of p, since the call overwrote eig's matrix.  A non-finite entry of p raises
+    LinAlgError: eigh returns a finite top pair for some NaN matrices.
+    """
+    if not np.isfinite(p).all():
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    unpack_lower(p, eig.a)
+    pair = eig()
+    if pair is None:
+        vals, vecs = hermitian_eig(unpack_lower(p), 1)
+        pair = vals[0], vecs[:, 0]
+    return pair
 
 
 def _packed_noise(dim, scale, seed):
@@ -195,11 +232,22 @@ def ap_stack(y, omega):
     return y
 
 
-def stacked_gram(blocks):
+def gram_arrays(shape):
+    """The arrays `stacked_gram` writes into for an (M, N_a, tau_c) stack: its (M*N_a, tau_c)
+    conjugate copy, their tau_c x tau_c product and the packed sum."""
+    rows, tau_c = math.prod(shape[:-1]), shape[-1]
+    return np.empty((rows, tau_c), dtype=complex), np.empty((tau_c, tau_c), dtype=complex), np.empty(tau_c**2)
+
+
+def stacked_gram(blocks, out=None):
     """The packed sum of the Grams of an (M, N_a, tau_c) stack of AP blocks: one product over
-    the stacked (M*N_a, tau_c) matrix, packed by `pack_hermitian`."""
+    the stacked (M*N_a, tau_c) matrix, packed by `pack_hermitian`.  Written into out, the
+    `gram_arrays(blocks.shape)` a caller holds across rounds, or into fresh ones; the packed
+    sum returned is the last of them."""
+    conj, product, packed = gram_arrays(blocks.shape) if out is None else out
     j = blocks.reshape(-1, blocks.shape[-1])
-    return pack_hermitian(j.conj().T @ j)
+    np.matmul(np.conjugate(j, out=conj).T, j, out=product)
+    return pack_hermitian(product, out=packed)
 
 
 def gram_round(net, round_index, gram, n_aps, noise_scale, seed, kind, cpu, tail=()):
@@ -211,7 +259,7 @@ def gram_round(net, round_index, gram, n_aps, noise_scale, seed, kind, cpu, tail
     SeedSequence([*seed, *tail]): the sum of M per-AP releases at
     noise_scale, in distribution.  Then APs 0..M-1 send their releases in
     one `send_aps` call, each message carrying that packed sum, and the CPU
-    unpacks the sum once, broadcasts cpu(sum) as `kind` and returns it.
+    broadcasts cpu(sum) of the packed sum as `kind` and returns it.
     """
     entropy = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     w = gram
@@ -220,6 +268,6 @@ def gram_round(net, round_index, gram, n_aps, noise_scale, seed, kind, cpu, tail
         w = _packed_noise(math.isqrt(gram.size), noise_scale * math.sqrt(n_aps), seq)
         w += gram  # into the draw's own vector, so a round allocates no third one
     net.send_aps(MessageKind.GRAM_RELEASE, 0, round_index, np.broadcast_to(w, (n_aps, w.size)))
-    payload = cpu(unpack_hermitian(w))
+    payload = cpu(w)
     net.broadcast(kind, round_index, payload)
     return payload

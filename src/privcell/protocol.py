@@ -5,14 +5,14 @@ privatised Gram releases and locally detected payload estimates; the CPU
 talks back only through eigenpair or basis broadcasts.  `Backhaul` has
 one verb per direction, and each refuses the other direction's kinds at
 submission time.  APs send through `Backhaul.send_aps`, one call for a
-stack of consecutive APs' payloads; the CPU sends through
-`Backhaul.broadcast`.  `send_aps` checks the kind once and records,
+stack of consecutive APs' payloads, their names made once per range of
+APs; the CPU sends through `Backhaul.broadcast`.  `send_aps` checks the kind once and records,
 for every AP message, the payload's shape and, for a Gram release,
 whether it has the packed Hermitian form: a real (float64) 1-D vector
 whose length is a perfect square, tau_c^2.  Rows of one stack share
 dtype and shape, so both are read from its first row.
-Any such vector unpacks to an exactly Hermitian tau_c x tau_c matrix
-(`privacy.unpack_hermitian`), so the verdict is structural and costs
+Any such vector is the packed form of an exactly Hermitian tau_c x tau_c
+matrix (`privacy.pack_hermitian`), so the verdict is structural and costs
 nothing per entry.  The simulator draws each round's aggregate noise
 once, at sqrt(M) times the per-AP scale, and never forms a per-AP
 release, so only the sum-only (secure aggregation) trust model can be
@@ -31,6 +31,7 @@ so a packed tau_c x tau_c release costs 8 tau_c^2 bytes.  A broadcast is
 counted once, not per recipient.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -61,6 +62,12 @@ CPU_TO_AP = {MessageKind.EIG_BROADCAST, MessageKind.BASIS_BROADCAST}
 
 def ap_name(m):
     return f"ap{m}"
+
+
+@functools.cache
+def _ap_names(first, count):
+    """The names of APs first .. first + count - 1, made once per range `send_aps` is asked for."""
+    return tuple(ap_name(m) for m in range(first, first + count))
 
 
 def is_ap(name):
@@ -131,8 +138,8 @@ class Backhaul:
         nbytes = payload_nbytes(kind, row)
         hermitian = kind is MessageKind.GRAM_RELEASE and is_packed_hermitian(row)
         msgs = [
-            Message(kind, ap_name(m), CPU, round_index, nbytes, row.shape, hermitian)
-            for m in range(first_ap, first_ap + len(payloads))
+            Message._make((kind, name, CPU, round_index, nbytes, row.shape, hermitian))
+            for name in _ap_names(int(first_ap), len(payloads))
         ]
         self.transcript.extend(msgs)
         self.ledger.total_unicast_bytes += nbytes * len(msgs)

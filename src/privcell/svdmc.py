@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentError, ShapeError
 from .linalg import hermitian_eig, shared_matmul
-from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram, unpack_lower
 from .protocol import Backhaul, MessageKind
 
 
@@ -30,8 +30,8 @@ class SvdConfig:
 
 
 def cpu_topk(w, rank):
-    """Top-`rank` orthonormal eigenbasis of the aggregated releases."""
-    return hermitian_eig(w, rank)[1]
+    """Top-`rank` orthonormal eigenbasis of the aggregated releases, w their packed sum."""
+    return hermitian_eig(unpack_lower(w), rank)[1]
 
 
 def ap_complete(y, basis, upsample):

@@ -1,8 +1,9 @@
 """Test-only helpers: a CSV reader for emit_csv output, a payload-keeping backhaul,
-an FW iterate recorder, the noise std privacy.calibrate gives each schedule and the
-release round over a stack of blocks."""
+an FW iterate recorder, the noise std privacy.calibrate gives each schedule, the
+release round over a stack of blocks and the full matrix of a packed release."""
 
 import csv
+import math
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -103,3 +104,19 @@ def blocks_round(net, round_index, blocks, noise_scale, seed, kind, cpu, tail=()
     """`privacy.gram_round` over an (M, N_a, tau_c) stack of blocks, as `fw.run_fw` calls it:
     the round on their `stacked_gram`."""
     return gram_round(net, round_index, stacked_gram(blocks), len(blocks), noise_scale, seed, kind, cpu, tail)
+
+
+def unpack_hermitian(p):
+    """The full exactly Hermitian matrix of a packed release p, C-ordered: the real parts of the
+    strict upper triangle (row-major), then their imaginary parts, then the real diagonal.  The
+    lower triangle's imaginary parts are 0.0 - upper (so a zero is +0.0), as `privacy.unpack_lower`
+    writes them, and the diagonal's are +0.0."""
+    dim = math.isqrt(p.size)
+    assert p.ndim == 1 and dim * dim == p.size, p.shape
+    i, j = np.triu_indices(dim, k=1)
+    n_off = i.size
+    h = np.zeros((dim, dim), dtype=complex)
+    h.real[i, j] = h.real[j, i] = p[:n_off]
+    h.imag[i, j], h.imag[j, i] = p[n_off : 2 * n_off], np.subtract(0.0, p[n_off : 2 * n_off])
+    h.real[np.arange(dim), np.arange(dim)] = p[2 * n_off :]
+    return h

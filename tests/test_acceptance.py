@@ -25,13 +25,15 @@ from mpmath import mp
 from scipy import stats
 
 from oracles import centralized_fw, centralized_svd
-from support import RecordingBackhaul, blocks_round, fw_sigma, kind_count, recorded_iterates, svd_sigma
+from support import (
+    RecordingBackhaul, blocks_round, fw_sigma, kind_count, recorded_iterates, svd_sigma, unpack_hermitian,
+)
 from privcell.channel import make_block
 from privcell.config import load_experiment
 from privcell.fw import FwConfig, run_fw
 from privcell.harness import completion_config, draw_beta, prepare, run_point, run_trial
 from privcell.linalg import frob_norm
-from privcell.privacy import Calibration, unpack_hermitian
+from privcell.privacy import Calibration
 from privcell.protocol import Backhaul, MessageKind, ap_name, audit_privacy_surface
 from privcell.seeding import entropy_for
 from privcell.svdmc import SvdConfig, run_svd
@@ -194,9 +196,9 @@ def test_criterion_03_noise_mechanism():
 
     The single draw is the packed release a 1-AP Gram round sends for a
     zero block, its noise alone (SeedSequence([777, 1])).  The aggregate
-    is the matrix the CPU unpacks in a 20-AP round over zero blocks: the
-    one draw at scale * sqrt(20) that stands for the sum of 20 per-AP
-    draws (SeedSequence([777, 20])).
+    is the packed sum the CPU reads in a 20-AP round over zero blocks,
+    unpacked: the one draw at scale * sqrt(20) that stands for the sum of
+    20 per-AP draws (SeedSequence([777, 20])).
     """
     scale = 1.3
     net = RecordingBackhaul()
@@ -210,7 +212,7 @@ def test_criterion_03_noise_mechanism():
     seen = []
     blocks_round(Backhaul(), 1, np.zeros((20, 1, 200), dtype=complex), scale, (777, 20),
                  MessageKind.BASIS_BROADCAST, seen.append)
-    agg = seen[0]
+    agg = unpack_hermitian(seen[0])
     np.testing.assert_array_equal(agg, agg.conj().T)
     var_agg = float(np.mean(np.abs(agg[iu]) ** 2))
 

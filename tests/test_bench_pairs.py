@@ -251,6 +251,29 @@ def test_a_faster_run_is_no_win_when_its_outputs_differ(fault):
     assert entry["change"]["n"] == 2  # the run still counts in its side's spread
 
 
+def test_change_faster_counts_the_faster_seeds_whatever_their_digests():
+    """change_faster, beside output_moves, counts the seeds at which the change beat the parent on
+    trials_per_s and trial_s.p50 under the same correctness and failure rules as change_wins but
+    whatever either digest; change_wins still counts only seeds with the parent's digest."""
+    rates = [(7.1, 9.2), (7.0, 9.3), (7.2, 7.2), (7.1, 6.9), (7.0, 9.1), (7.3, 9.0)]
+    p50s = [(0.14, 0.10), (0.14, 0.11), (0.14, 0.14), (0.14, 0.15), (0.14, 0.10), (0.14, 0.12)]
+    pairs = pairs_of(rates, p50s=p50s)
+    for p in pairs[1::2]:  # every change run: other outputs, as a change that moves bits by design gives
+        p["output_digest"] = "ffff"
+    summary = bench_pairs.summarise(pairs)["desk-npfw"]
+    assert summary["change_faster"] == {"trials_per_s": 4, "trial_s.p50": 4}  # seed 3 tied, seed 4 slower
+    assert summary["trials_per_s"]["change_wins"] == summary["trial_s.p50"]["change_wins"] == 0
+    assert list(summary).index("change_faster") == list(summary).index("output_moves") + 1
+    pairs[9].update({"correct": False})  # seed 5's change run
+    pairs[11].update({"failed": 1})  # seed 6's change run
+    assert bench_pairs.summarise(pairs)["desk-npfw"]["change_faster"] == {"trials_per_s": 2, "trial_s.p50": 2}
+    for p in pairs[1::2]:
+        p["output_digest"] = "ab12"
+    summary = bench_pairs.summarise(pairs)["desk-npfw"]
+    assert summary["trials_per_s"]["change_wins"] == summary["change_faster"]["trials_per_s"] == 2
+    assert bench_pairs.summarise(pairs_of([(5.0, 6.0)]))["desk-npfw"]["change_faster"] == {"trials_per_s": 1}
+
+
 def test_the_parent_must_differ_from_the_working_tree(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     repo.mkdir()

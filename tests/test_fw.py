@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import centralized_fw, straight_line_fw
-from support import RecordingBackhaul, blocks_round, kind_count, recorded_iterates
+from support import RecordingBackhaul, blocks_round, kind_count, recorded_iterates, unpack_hermitian
 from test_privacy import ref_round
 from privcell import harness
 from privcell.channel import make_block
@@ -20,8 +20,8 @@ from privcell.fw import (
     run_fw,
     step_size,
 )
-from privcell.linalg import observed_index
-from privcell.privacy import Calibration, unpack_hermitian
+from privcell.linalg import TopEigpair, observed_index
+from privcell.privacy import Calibration, pack_hermitian
 from privcell.protocol import Backhaul, MessageKind
 
 
@@ -61,6 +61,16 @@ def one_ap_release(j, noise_scale, seed):
     return unpack_hermitian(net.payloads[0])
 
 
+def residual(x, y, omega):
+    """ap_residual of (M, N_a, tau_c) stacks into a fresh array."""
+    return ap_residual(x, y, observed_index(omega), np.empty_like(x))
+
+
+def update(x, j, v, lam, eta, cfg, omega):
+    """ap_update on a copy of x, with a fresh step array: (x_new, norms, clipped)."""
+    return ap_update(x.copy(), j, v, lam, eta, cfg, observed_index(omega), np.empty_like(x))
+
+
 # ---------------------------------------------------------------- pieces
 
 def test_config_validation():
@@ -90,18 +100,33 @@ def test_budget_formula(rng):
 
 
 def test_residual_cases(rng):
-    y = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    omega = rng.random((2, 5)) < 0.6
+    y = rng.standard_normal((1, 2, 5)) + 1j * rng.standard_normal((1, 2, 5))
+    omega = rng.random((1, 2, 5)) < 0.6
     y = np.where(omega, y, 0.0)
     # zero iterate: residual is minus the observation
-    np.testing.assert_array_equal(ap_residual(np.zeros_like(y), y, omega), -y)
+    np.testing.assert_array_equal(residual(np.zeros_like(y), y, omega), -y)
     # iterate matching the observation: residual vanishes
-    assert np.all(ap_residual(y, y, omega) == 0)
-    j = ap_residual(rng.standard_normal((2, 5)) + 0j, y, omega)
+    assert np.all(residual(y, y, omega) == 0)
+    j = residual(rng.standard_normal((1, 2, 5)) + 0j, y, omega)
     assert np.all(j[~omega] == 0)
     # on an (M, N_a, tau_c) stack each slice is that AP's own residual
-    x3, y3, o3 = (np.stack([a, 2 * a]) for a in (j, y, omega))
-    np.testing.assert_array_equal(ap_residual(x3, y3, o3)[1], ap_residual(2 * j, 2 * y, omega))
+    x3, y3 = (np.concatenate([a, 2 * a]) for a in (j, y))
+    o3 = np.concatenate([omega, omega])
+    np.testing.assert_array_equal(residual(x3, y3, o3)[1], residual(2 * j, 2 * y, omega)[0])
+
+
+def test_residual_into_a_stale_array_is_the_masked_difference(rng):
+    """Written into an array holding anything, even NaN, the residual is np.where(omega, x, 0) - y
+    byte for byte, sign bits of zeros included; x and y are only read."""
+    x = rng.standard_normal((3, 2, 6)) + 1j * rng.standard_normal((3, 2, 6))
+    x[0, 0, :3] = -0.0
+    omega = rng.random((3, 2, 6)) < 0.5
+    y = np.where(omega, rng.standard_normal((3, 2, 6)) + 0j, 0.0)
+    x_in, y_in = x.copy(), y.copy()
+    out = np.full_like(x, np.nan)
+    assert ap_residual(x, y, observed_index(omega), out) is out
+    assert out.tobytes() == (np.where(omega, x, 0.0) - y).tobytes()
+    assert x.tobytes() == x_in.tobytes() and y.tobytes() == y_in.tobytes()
 
 
 def test_release_gram_hand_value():
@@ -131,7 +156,7 @@ def test_release_gram_pure_noise():
 
 def test_aggregate_eig_matches_svd(rng):
     j = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    v, lam = cpu_aggregate_eig(one_ap_release(j, 0.0, 0), 0.0, 1)
+    v, lam = cpu_aggregate_eig(pack_hermitian(one_ap_release(j, 0.0, 0)), 0.0, 1, TopEigpair(6))
     _, s, vh = np.linalg.svd(j)
     assert lam == pytest.approx(s[0], rel=1e-10)
     assert abs(np.vdot(v, vh[0].conj())) == pytest.approx(1.0, abs=1e-8)
@@ -146,7 +171,7 @@ def test_zero_aggregate_is_a_degenerate_step():
 
 
 def test_aggregate_eig_clamps_negative():
-    lifted = cpu_aggregate_eig(-3.0 * np.eye(4), 0.5, 2)[1]
+    lifted = cpu_aggregate_eig(pack_hermitian(-3.0 * np.eye(4)), 0.5, 2, TopEigpair(4))[1]
     assert lifted == pytest.approx(np.sqrt(0.5) * (2 * 4) ** 0.25)
 
 
@@ -160,7 +185,7 @@ def test_clip_observed(rng):
     ref = [ref_update(x[m], j[m], v, 3.0, 0.25, 2.0, np.inf, omega[m])[0] for m in range(4)]
     bound = float(np.median([np.linalg.norm(r[o]) for r, o in zip(ref, omega)]))
     cfg = FwConfig(2.0, Calibration(bound, 4, 0.0))
-    got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega))
+    got, norms, clipped = update(x, j, v, 3.0, 0.25, cfg, omega)
     assert 0 < clipped.sum() < 4
     for m in range(4):
         want, flag = ref_update(x[m], j[m], v, 3.0, 0.25, 2.0, bound, omega[m])
@@ -173,36 +198,41 @@ def test_clip_observed(rng):
     np.testing.assert_allclose(got[m], ref[m] * (bound / np.linalg.norm(ref[m][omega[m]])), rtol=1e-12)
 
 
-def test_update_into_out_is_the_fresh_update(rng):
-    """Written into out=x, the step and clip give the fresh result bit for bit; without
-    out, x is left as it was.  ap_residual leaves its inputs alone too."""
+def test_update_in_place_is_the_reference_step(rng):
+    """Written into x, with a step array holding anything, even NaN, the step and clip give the
+    straight-line step's bits, (1 - eta) x - (eta B / lam) (j v) v^H, then each clipped AP scaled
+    by bound / norm; j and v are only read."""
     x = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
     y = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
     omega = rng.random((4, 2, 6)) < 0.5
-    x_in, y_in = x.copy(), y.copy()
-    j = ap_residual(x, y, omega)
-    np.testing.assert_array_equal(j, np.where(omega, x_in, 0.0) - y_in)
+    j = residual(x, y, omega)
+    j_in = j.copy()
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     v /= np.linalg.norm(v)
+    v_in = v.copy()
     cfg = FwConfig(2.0, Calibration(1.0, 4, 0.0))
-    fresh, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega))
+    want = (1.0 - 0.25) * x
+    want -= (0.25 * 2.0 / 3.0) * ((j @ v)[..., None] * v.conj())
+    want_norms = np.array([np.linalg.norm(w[o]) for w, o in zip(want, omega)])
+    for m in range(4):
+        if not want_norms[m] <= 1.0:
+            want[m] *= 1.0 / want_norms[m]
+    got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega), np.full_like(x, np.nan))
     assert clipped.any()
-    np.testing.assert_array_equal(x, x_in)
-    np.testing.assert_array_equal(y, y_in)
-    got, got_norms, got_clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega), out=x)
     assert got is x
-    assert got.tobytes() == fresh.tobytes()
-    np.testing.assert_array_equal(got_norms, norms)
-    np.testing.assert_array_equal(got_clipped, clipped)
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(clipped, ~(want_norms <= 1.0))
+    np.testing.assert_allclose(norms, [np.linalg.norm(w[o]) for w, o in zip(want, omega)], rtol=1e-15)
+    assert j.tobytes() == j_in.tobytes() and v.tobytes() == v_in.tobytes()
 
 
 def test_update_is_rank_one_step(rng):
     cfg = FwConfig(2.0, Calibration(100.0, 4, 0.0))
     y, omega, _ = make_instance(3, n_aps=1)
-    j = ap_residual(np.zeros_like(y), y, omega)
+    j = residual(np.zeros_like(y), y, omega)
     v = rng.standard_normal(y.shape[2]) + 1j * rng.standard_normal(y.shape[2])
     v /= np.linalg.norm(v)
-    x1, _norms, clipped = ap_update(np.zeros_like(y), j, v, 3.0, 1.0, cfg, observed_index(omega))
+    x1, _norms, clipped = update(np.zeros_like(y), j, v, 3.0, 1.0, cfg, omega)
     assert not clipped.any()
     sv = np.linalg.svd(x1[0], compute_uv=False)
     assert sv[1] <= 1e-12 * max(sv[0], 1.0)
@@ -213,7 +243,7 @@ def test_update_degenerate_lambda(rng):
     y, omega, _ = make_instance(3, n_aps=1)
     v = np.ones(y.shape[2], dtype=complex)
     with pytest.raises(DegenerateStepError):
-        ap_update(np.zeros_like(y), -y, v, 0.0, 1.0, cfg, observed_index(omega))
+        update(np.zeros_like(y), -y, v, 0.0, 1.0, cfg, omega)
 
 
 # ---------------------------------------------------------------- runs
@@ -363,6 +393,32 @@ def test_run_is_bitwise_the_straight_line_round(method, tau_d, clip_bound):
     fields = [f.name for f in dataclasses.fields(records[0])]  # kind first, as its .value
     got = [(m.kind.value, *(getattr(m, f) for f in fields[1:])) for m in net.transcript]
     assert got == [dataclasses.astuple(r) for r in records]
+
+
+def desk_run(method, tau_d):
+    """run_fw's (result, transcript) on desk trial 3 at tau_d, on read-only y and omega as the
+    harness block memo hands them over, which must stay as they were."""
+    scen = dataclasses.replace(DESK.scenario, tau_d=tau_d)
+    prep = harness.prepare(scen, DESK.run, harness.draw_beta(scen, scen.seed))
+    block = make_block(scen, prep.beta, prep.pilots, scen.seed, 3, prep.sigma2)
+    y, omega = block.Y, block.omega
+    kept = y.tobytes(), omega.tobytes()
+    y.flags.writeable = omega.flags.writeable = False
+    cfg, net = harness.completion_config(method, prep, scen, DESK.run, DESK.run.eps), Backhaul()
+    res = run_fw(y, omega, cfg, (scen.seed, 1, 3), net=net)
+    assert (y.tobytes(), omega.tobytes()) == kept
+    return res, net.transcript
+
+
+def test_runs_share_no_state_through_their_held_arrays():
+    """Interleaved runs at tau_c 164, 60, 164, and npfw then fw at tau_c 60: each run's x_hat,
+    masked_norms, lam_path, clip_events and transcript are those of the first run of its kind,
+    byte for byte."""
+    first = {}
+    for method, tau_d in (("fw", 160), ("fw", 56), ("fw", 160), ("npfw", 56), ("fw", 56), ("npfw", 56)):
+        res, transcript = desk_run(method, tau_d)
+        got = (res.x_hat.tobytes(), res.masked_norms.tobytes(), res.lam_path.tobytes(), res.clip_events, transcript)
+        assert first.setdefault((method, tau_d), got) == got
 
 
 def test_run_deterministic():

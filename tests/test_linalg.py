@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import blocks_round
-from privcell import linalg
+from support import blocks_round, unpack_hermitian
+from privcell import linalg, privacy
 from privcell.channel import sample_switch
 from privcell.config import load_experiment
 from privcell.errors import ArgumentError, ShapeError
@@ -18,10 +18,11 @@ from privcell.linalg import (
     hermitian_eig,
     observed_index,
     observed_norms,
+    TopEigpair,
     pinv,
     shared_matmul,
-    top_eigpair,
 )
+from privcell.privacy import pack_hermitian, top_eigpair
 from privcell.protocol import Backhaul, MessageKind
 
 # The two bounds that pin top_eigpair to eigh are fixed by the dtype alone:
@@ -278,17 +279,23 @@ def eig_bound(a):
     return 8 * len(a) * EPS * np.abs(np.linalg.eigvalsh(a)).max()
 
 
+def top_pair(a, eig=None):
+    """The packed CPU step on an exactly Hermitian a: `privacy.top_eigpair` of its packed form,
+    with eig or a fresh `TopEigpair` of its side."""
+    return top_eigpair(pack_hermitian(a), TopEigpair(len(a)) if eig is None else eig)
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The matrices top_eigpair hands to its eigh fallback, in call order."""
+    """The matrices the packed CPU step hands to its eigh fallback, in call order."""
     seen = []
-    real = linalg.hermitian_eig
-    monkeypatch.setattr(linalg, "hermitian_eig", lambda a, k: seen.append(a) or real(a, k))
+    real = privacy.hermitian_eig
+    monkeypatch.setattr(privacy, "hermitian_eig", lambda a, k: seen.append(a) or real(a, k))
     return seen
 
 
 def assert_matches_eigh(a):
-    lam, v = top_eigpair(a)
+    lam, v = top_pair(a)
     vals, vecs = np.linalg.eigh(a)
     tol = eig_bound(a)
     gap = vals[-1] - vals[-2] if len(a) > 1 else np.inf
@@ -330,15 +337,15 @@ def test_top_eigpair_matches_eigh_on_planted_gaps(n, rel_gap, scale, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnitude, seed):
-    """The unpacked sum of one desk round: 20 APs with 4 antennas each."""
+    """The packed sum of one desk round: 20 APs with 4 antennas each."""
     rng = np.random.default_rng(seed)
     blocks = magnitude * (rng.standard_normal((20, 4, tau_c)) + 1j * rng.standard_normal((20, 4, tau_c)))
     seen = []
     blocks_round(
         Backhaul(), 1, blocks, noise_scale, seed, MessageKind.EIG_BROADCAST,
-        lambda w: seen.append(w) or (np.ones(tau_c, dtype=complex), 1.0),
+        lambda w: seen.append(w.copy()) or (np.ones(tau_c, dtype=complex), 1.0),
     )
-    assert_matches_eigh(seen[0])
+    assert_matches_eigh(unpack_hermitian(seen[0]))
 
 
 @pytest.mark.parametrize(
@@ -348,29 +355,33 @@ def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnit
 )
 def test_top_eigpair_edge_cases(a):
     """Degenerate tops, 1x1 matrices and the zero matrix: the eigenvalue and the residual."""
-    lam, v = top_eigpair(a)
+    lam, v = top_pair(a)
     tol = eig_bound(a)
     assert abs(lam - np.linalg.eigvalsh(a)[-1]) <= tol
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
     assert np.linalg.norm(a @ v - lam * v) <= tol
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("where", [(2, 1), (1, 1)])
-def test_top_eigpair_rejects_a_non_finite_matrix(bad, where):
-    """eigvalsh returns [1, nan, nan, 1] for the off-diagonal NaN, and eigh's top pair
-    of it is a finite (1, e_0); top_eigpair raises instead."""
-    a = np.eye(4, dtype=complex)
-    a[where] = a[where[::-1]] = bad
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [0, 6, 12, 15], ids=["off-diagonal-real", "imaginary", "diagonal", "last-diagonal"])
+def test_top_eigpair_rejects_a_non_finite_packed_sum(bad, slot, fallbacks):
+    """A non-finite real part, imaginary part or diagonal entry of the packed sum of I_4 (6 real
+    parts, 6 imaginary parts, 4 diagonal entries) raises before any solve: eigh's top pair of
+    I_4 with one NaN off the diagonal is a finite (1, e_0)."""
+    p = pack_hermitian(np.eye(4, dtype=complex))
+    p[slot] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        top_eigpair(a)
+        top_eigpair(p, TopEigpair(4))
+    assert fallbacks == []
 
 
-def test_top_eigpair_rejects_nonsquare():
+def test_top_eigpair_rejects_a_packed_sum_of_no_or_another_side():
     with pytest.raises(ShapeError):
-        top_eigpair(np.zeros((2, 3)))
+        top_eigpair(np.zeros(6), TopEigpair(2))
     with pytest.raises(ShapeError):
-        top_eigpair(np.zeros((2, 2, 2)))
+        top_eigpair(np.zeros((2, 2)), TopEigpair(2))
+    with pytest.raises(ShapeError):
+        top_eigpair(np.zeros(9), TopEigpair(2))
 
 
 # ------------------------------------------------------------ one ?heevr call per eigenpair
@@ -386,21 +397,26 @@ def test_the_lapack_binding_resolves_to_heevr_on_numpys_scipy_openblas():
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 164])
-def test_top_eigpair_leaves_the_callers_array_unchanged(n, rng):
-    """?heevr overwrites its matrix, so it is handed a copy."""
-    for a in (random_hermitian(n, rng), np.asfortranarray(random_hermitian(n, rng))):
-        before = a.copy(order="A")
-        top_eigpair(a)
-        assert a.flags.f_contiguous == before.flags.f_contiguous and a.tobytes("A") == before.tobytes("A")
+def test_top_eigpair_leaves_the_packed_sum_unchanged(n, rng):
+    """The packed sum is only read: a read-only one goes through unchanged."""
+    p = pack_hermitian(random_hermitian(n, rng))
+    before = p.tobytes()
+    p.flags.writeable = False
+    top_eigpair(p, TopEigpair(n))
+    assert p.tobytes() == before
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 60, 100, 164])
-def test_c_and_f_ordered_inputs_give_the_same_bits(n):
-    c = planted_gap(n, 0.1, 1.0, n)
-    f = np.asfortranarray(c)
-    assert f.flags.f_contiguous and (n == 1 or not f.flags.c_contiguous)
-    (lam, v), (want_lam, want_v) = top_eigpair(f), top_eigpair(c)
-    assert lam == want_lam and v.tobytes() == want_v.tobytes()
+def test_a_held_top_eigpair_gives_a_fresh_ones_bits(n):
+    """?heevr overwrites the held matrix and leaves its strict upper triangle as it finds it; each
+    call on one held TopEigpair, whatever the calls before it left there, gives the bits of a
+    fresh TopEigpair on the same packed sum."""
+    eig = TopEigpair(n)
+    eig.a[...] = np.nan + 1j * np.inf  # stale entries everywhere, the upper triangle included
+    for seed in (n, n + 1, n):
+        a = planted_gap(n, 0.1, 1.0, seed)
+        (lam, v), (want_lam, want_v) = top_pair(a, eig), top_pair(a)
+        assert lam == want_lam and v.tobytes() == want_v.tobytes()
 
 
 def failing_heevr(monkeypatch):
@@ -417,13 +433,19 @@ def failing_heevr(monkeypatch):
 @pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
 @pytest.mark.parametrize("fail", [lambda m: m.setattr(linalg, "_LAPACK", None), failing_heevr], ids=["unbound", "info"])
 def test_top_eigpair_without_heevr_returns_hermitian_eigs_pair(fail, fallbacks, rng, monkeypatch):
+    """Unbound, or when the call reports INFO != 0, the pair is hermitian_eig's, byte for byte,
+    on a matrix rebuilt from the packed sum: not the held matrix ?heevr overwrote.  A packed sum
+    unpacks to complex128, so a real case is compared with hermitian_eig of its complex copy."""
     cases = [planted_gap(n, 0.1, 1.0, n) for n in (1, 2, 24, 60, 164)]
     cases += [random_hermitian(60, rng).real, np.diag([3.0, 1.0]), -3.0 * np.eye(4), np.zeros((3, 3))]
     fail(monkeypatch)
     for a in cases:
-        lam, v = top_eigpair(a)
-        vals, vecs = hermitian_eig(a, 1)
+        eig = TopEigpair(len(a))
+        lam, v = top_pair(a, eig)
+        vals, vecs = hermitian_eig(a.astype(complex), 1)
         assert lam == vals[0] and v.dtype == vecs.dtype and v.tobytes() == vecs[:, 0].tobytes()
+        handed = fallbacks[-1]
+        assert handed is not eig.a and np.tril(handed).tobytes() == np.tril(a.astype(complex)).tobytes()
     assert len(fallbacks) == len(cases)
 
 
@@ -432,13 +454,12 @@ def test_top_eigpair_matches_eigh_near_the_ends_of_float_range(scale, fallbacks)
     """?heevr scales such a matrix itself: eigh's pair within eig_bound, without a
     RuntimeWarning (an error under this suite's filter) and without the fallback."""
     a = scale * random_hermitian(6, np.random.default_rng(0))
-    lam, v = top_eigpair(a)
+    lam, v = top_pair(a)
     vals, vecs = np.linalg.eigh(a)
     tol = eig_bound(a)
     assert abs(lam - vals[-1]) <= tol
     assert np.linalg.norm(v - canonical_phase(vecs[:, -1])) <= tol / (vals[-1] - vals[-2])
     assert fallbacks == [] or linalg._LAPACK is None
-
 
 
 @pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
@@ -449,25 +470,25 @@ def test_top_eigpair_is_scipys_subset_evr_pair_bit_for_bit(n):
     scipy_linalg = pytest.importorskip("scipy.linalg")
     a = planted_gap(n, 0.1, 1.0, n)
     vals, vecs = scipy_linalg.eigh(a, subset_by_index=[n - 1, n - 1], driver="evr")
-    lam, v = top_eigpair(a)
+    lam, v = top_pair(a)
     assert lam == vals[0] and v.tobytes() == canonical_phase(vecs[:, 0]).tobytes()
 
 
 @pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
 def test_heevr_workspace_is_queried_once_per_dimension(fallbacks, rng, monkeypatch):
-    """The sizes are cached by n; every call after the first at an n runs with them."""
-    queries, real = [], linalg._heevr
+    """The sizes are cached by n; every TopEigpair after the first at an n binds them."""
+    queries, real = [], linalg._bound_heevr
 
-    def heevr(a, *sizes):
+    def bound(a, *sizes):
         if not sizes:
             queries.append(len(a))
         return real(a, *sizes)
 
-    monkeypatch.setattr(linalg, "_heevr", heevr)
+    monkeypatch.setattr(linalg, "_bound_heevr", bound)
     linalg._heevr_sizes.cache_clear()
     try:
         for n in (24, 60, 24, 60, 24):
-            top_eigpair(random_hermitian(n, rng))
+            top_pair(random_hermitian(n, rng))
     finally:
         linalg._heevr_sizes.cache_clear()
     assert queries == [24, 60] and fallbacks == []
@@ -481,7 +502,7 @@ def test_top_eigpair_is_exact_on_diagonal_matrices(bind, monkeypatch):
         monkeypatch.setattr(linalg, "_LAPACK", None)
     for d in ([-3.0] * 4, [0.0] * 3, [1.0] * 5, [2.5], [3.0, 1.0], [-1.0, 4.0, 4.0, 0.5]):
         a = np.diag(d)
-        lam, v = top_eigpair(a)
+        lam, v = top_pair(a)
         assert lam == max(d)
         assert sorted(np.abs(v)) == [0.0] * (len(d) - 1) + [1.0]
         assert np.array_equal(a @ v, lam * v)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from oracles import fw_noise_scale, hermitian_noise, hermitize, svd_noise_scale
-from support import RecordingBackhaul, blocks_round, fw_sigma, svd_sigma
+from support import RecordingBackhaul, blocks_round, fw_sigma, svd_sigma, unpack_hermitian
 from privcell.errors import ArgumentError, ConfigError, ShapeError
 from privcell.fw import FwConfig
 from privcell.linalg import canonical_phase, hermitian_eig
@@ -16,7 +16,7 @@ from privcell.privacy import (
     gram_round,
     pack_hermitian,
     stacked_gram,
-    unpack_hermitian,
+    unpack_lower,
 )
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig
@@ -161,15 +161,16 @@ def ref_round(blocks, noise_scale, entropy, tail=()):
 
 @pytest.mark.parametrize("tail", [(), (3,)])
 def test_gram_round_sums_releases_in_ap_order(rng, tail):
-    """APs 0..M-1 send in ascending order, each release carrying the round's packed sum."""
+    """APs 0..M-1 send in ascending order, each release carrying the round's packed sum, and
+    the CPU reads that packed sum."""
     blocks = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
     entropy = (8, 9)
     net = RecordingBackhaul()
     got = blocks_round(net, 2, blocks, 0.4, entropy, MessageKind.BASIS_BROADCAST, lambda w: w, tail)
     want = ref_round(blocks, 0.4, entropy, tail)
-    assert got.tobytes() == want.tobytes()
+    assert unpack_hermitian(got).tobytes() == want.tobytes()
     for payload in net.payloads[:3]:
-        assert unpack_hermitian(payload).tobytes() == want.tobytes()
+        assert payload.tobytes() == got.tobytes()
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
     assert all(m.round_index == 2 for m in net.transcript)
     assert net.transcript[-1].kind is MessageKind.BASIS_BROADCAST
@@ -187,7 +188,7 @@ def test_stacked_gram_is_the_packed_gram_of_the_stacked_blocks(rng):
 @pytest.mark.parametrize("scale", [0.0, 0.4])
 def test_gram_round_reads_its_gram_and_never_writes_it(rng, scale):
     """A read-only packed sum goes through the round unchanged; the noise is added into a new
-    vector, and the CPU's sum is the reference's."""
+    vector, and the CPU's packed sum unpacks to the reference's."""
     blocks = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
     gram = stacked_gram(blocks)
     kept = gram.tobytes()
@@ -195,12 +196,12 @@ def test_gram_round_reads_its_gram_and_never_writes_it(rng, scale):
     net = RecordingBackhaul()
     got = gram_round(net, 1, gram, 3, scale, (8, 9), MessageKind.BASIS_BROADCAST, lambda w: w)
     assert gram.tobytes() == kept
-    assert got.tobytes() == ref_round(blocks, scale, (8, 9)).tobytes()
+    assert unpack_hermitian(got).tobytes() == ref_round(blocks, scale, (8, 9)).tobytes()
     assert [m.sender for m in net.transcript] == ["ap0", "ap1", "ap2", "cpu"]
 
 
 def grid_round(tau_c, kind, scale):
-    """Blocks of one round of the grid, and the matrix the CPU unpacks from their sum."""
+    """Blocks of one round of the grid, and the packed sum the CPU reads."""
     rng = np.random.default_rng([tau_c, 31])
     n_aps = 20 if tau_c == 164 else 5  # 20 APs at tau_c 164: the desk-fw-tau round at tau_d 160
     blocks = rng.standard_normal((n_aps, 3, tau_c)) + 1j * rng.standard_normal((n_aps, 3, tau_c))
@@ -220,25 +221,26 @@ def grid_round(tau_c, kind, scale):
 @pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
 @pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
 def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
-    """The matrix the CPU unpacks equals the full-matrix reference sum, sign bits included."""
+    """The packed sum the CPU reads unpacks to the full-matrix reference sum, sign bits included."""
     blocks, got = grid_round(tau_c, kind, scale)
     want = ref_round(blocks, scale, (4, tau_c), (2,))
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert unpack_hermitian(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tau_c", [1, 2, 24, 60, 164])
 @pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
 @pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
 def test_eig_of_the_unpacked_sum_matches_eigh_of_its_hermitized_copy(tau_c, kind, scale):
-    """hermitian_eig reads the unpacked sum as it is, and its eigenpairs equal, byte for
-    byte, those of eigh on a hermitized copy, ordered and phased as hermitian_eig orders
-    and phases them."""
-    w = grid_round(tau_c, kind, scale)[1]
-    vals, vecs = np.linalg.eigh(hermitize(w))
+    """hermitian_eig reads the lower triangle `unpack_lower` writes of the packed sum, as
+    `svdmc.cpu_topk` hands it over, and its eigenpairs equal, byte for byte, those of eigh on
+    a hermitized copy of the full unpacked sum, ordered and phased as hermitian_eig orders and
+    phases them."""
+    p = grid_round(tau_c, kind, scale)[1]
+    vals, vecs = np.linalg.eigh(hermitize(unpack_hermitian(p)))
     for k in sorted({1, tau_c}):
         order = np.argsort(-vals, kind="stable")[:k]
         want = np.column_stack([canonical_phase(vecs[:, i]) for i in order])
-        got_vals, got_vecs = hermitian_eig(w, k)
+        got_vals, got_vecs = hermitian_eig(unpack_lower(p), k)
         assert got_vals.tobytes() == vals[order].tobytes()
         assert got_vecs.tobytes() == want.tobytes()
 
@@ -291,9 +293,31 @@ def test_gram_round_memory_does_not_grow_with_the_ap_count():
 
 def test_unpack_rejects_non_square_length():
     with pytest.raises(ShapeError):
-        unpack_hermitian(np.zeros(5))
+        unpack_lower(np.zeros(5))
     with pytest.raises(ShapeError):
-        unpack_hermitian(np.zeros((2, 2)))
+        unpack_lower(np.zeros((2, 2)))
+    with pytest.raises(ShapeError):
+        unpack_lower(np.zeros(9), np.zeros((2, 2), dtype=complex, order="F"))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 60])
+def test_unpack_lower_writes_the_lower_triangle_into_a_held_matrix(dim):
+    """Into a held F-ordered matrix whose every entry is stale, unpack_lower writes the lower
+    triangle and the diagonal of the full unpack byte for byte, imaginary parts of the diagonal
+    +0.0 included, and leaves the strict upper triangle as it was."""
+    rng = np.random.default_rng([dim, 5])
+    p = np.where(rng.random(dim * dim) < 0.3, -0.0, rng.standard_normal(dim * dim))
+    stale = np.asfortranarray(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    out = stale.copy(order="F")
+    assert unpack_lower(p, out) is out
+    want = unpack_hermitian(p)
+    low = np.tril_indices(dim)
+    assert out[low].tobytes() == want[low].tobytes()
+    up = np.triu_indices(dim, k=1)
+    assert out[up].tobytes() == stale[up].tobytes()
+    if dim > 1:
+        with pytest.raises(ValueError):  # a C-ordered matrix would be written through a copy
+            unpack_lower(p, np.zeros((dim, dim), dtype=complex))
 
 
 def test_gram_round_at_nan_scale_sends_nothing(rng):
@@ -324,7 +348,7 @@ def test_gram_round_reads_an_int_seed_as_its_one_tuple(rng):
         return blocks_round(Backhaul(), 1, blocks, 0.7, seed, MessageKind.BASIS_BROADCAST, lambda w: w, (4,))
 
     want = round_((9,))
-    assert want.tobytes() == ref_round(blocks, 0.7, (9,), (4,)).tobytes()
+    assert unpack_hermitian(want).tobytes() == ref_round(blocks, 0.7, (9,), (4,)).tobytes()
     for seed in (9, np.int64(9)):
         assert round_(seed).tobytes() == want.tobytes()
     assert round_(10).tobytes() != want.tobytes()
@@ -414,7 +438,7 @@ def test_aggregate_draw_is_the_sum_of_per_ap_draws_in_distribution():
             MessageKind.BASIS_BROADCAST, seen.append,
         )
         per_ap = sum(hermitian_noise(dim, scale, np.random.SeedSequence([62, r, m])) for m in range(n_aps))
-        for side, g in enumerate((seen[0], per_ap)):
+        for side, g in enumerate((unpack_hermitian(seen[0]), per_ap)):
             assert np.array_equal(g, g.conj().T)
             parts["real"][side].append(g[iu].real)
             parts["imag"][side].append(g[iu].imag)

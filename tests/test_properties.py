@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from privcell.estimation import ser, slice_qpsk
 from privcell.fw import FwConfig, ap_update
-from support import RecordingBackhaul, blocks_round, fw_sigma, svd_sigma
+from support import RecordingBackhaul, blocks_round, fw_sigma, svd_sigma, unpack_hermitian
 from privcell.linalg import frob_norm, observed_index, pinv
 from privcell.privacy import (
     Calibration,
     frob_bound,
     pack_hermitian,
-    unpack_hermitian,
+    unpack_lower,
 )
 from privcell.protocol import MessageKind
 
@@ -51,7 +51,8 @@ def test_noise_release_is_exactly_hermitian(dim, scale, seed):
 def test_packed_release_round_trip(dim, seed, kind):
     """unpack(pack(h)) is h byte for byte, sign bits included, for an exactly
     Hermitian h built as U + U^H + D (U strictly upper, D real diagonal),
-    and pack(unpack(p)) is p for any packed vector."""
+    and pack(unpack(p)) is p for any packed vector.  unpack_lower writes h's
+    lower triangle, diagonal included, into an F-ordered matrix, byte for byte."""
     rng = np.random.default_rng(seed)
     a = _complex_matrix(rng, dim, dim)
     if kind == "real":
@@ -66,6 +67,8 @@ def test_packed_release_round_trip(dim, seed, kind):
     p = pack_hermitian(h)
     assert p.dtype == np.float64 and p.shape == (dim * dim,)
     assert unpack_hermitian(p).tobytes() == h.tobytes()
+    low = unpack_lower(p)
+    assert low.flags.f_contiguous and np.tril(low).tobytes() == np.tril(h).tobytes()
     q = np.where(rng.random(dim * dim) < 0.3, -0.0, rng.standard_normal(dim * dim))
     assert pack_hermitian(unpack_hermitian(q)).tobytes() == q.tobytes()
 
@@ -118,7 +121,7 @@ def test_clip_keeps_observed_energy_inside_bound(seed, bound):
     # eta = 0 and a zero residual: the step leaves x as it is, only the clip acts
     cfg = FwConfig(1.0, Calibration(bound, 1, 0.0))
     index = observed_index(omega)
-    clipped, norms, did_clip = ap_update(x, np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, index)
+    clipped, norms, did_clip = ap_update(x.copy(), np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, index, np.empty_like(x))
     for m in range(3):
         assert np.linalg.norm(clipped[m][omega[m]]) <= bound * (1 + 1e-12)
         assert norms[m] == np.linalg.norm(clipped[m][omega[m]])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import centralized_svd
-from support import RecordingBackhaul, kind_count
+from support import RecordingBackhaul, kind_count, unpack_hermitian
 from privcell.errors import ArgumentError, ShapeError
-from privcell.privacy import Calibration, stacked_gram, unpack_hermitian
+from privcell.privacy import Calibration, pack_hermitian, stacked_gram
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd
 
@@ -46,7 +46,7 @@ def test_release_gram_hand_value():
 
 def test_topk_projects_onto_row_space():
     y = low_rank(2, rows=10, tau_c=8, rank=3)
-    basis = cpu_topk(y.conj().T @ y, 3)
+    basis = cpu_topk(pack_hermitian(y.conj().T @ y), 3)
     np.testing.assert_allclose(
         basis.conj().T @ basis, np.eye(3), atol=1e-10
     )
@@ -59,18 +59,18 @@ def test_topk_projects_onto_row_space():
 
 def test_topk_complete_basis_is_identity(rng):
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    basis = cpu_topk(a @ a.conj().T, 5)
+    basis = cpu_topk(pack_hermitian(a @ a.conj().T), 5)
     np.testing.assert_allclose(basis @ basis.conj().T, np.eye(5), atol=1e-10)
 
 
 def test_complete_block():
     y = low_rank(3, rows=4, tau_c=6, rank=2)
-    basis = cpu_topk(y.conj().T @ y, 2)
+    basis = cpu_topk(pack_hermitian(y.conj().T @ y), 2)
     out = ap_complete(y, basis, 1.0)
     np.testing.assert_allclose(out, y, atol=1e-8)
     np.testing.assert_allclose(ap_complete(y, basis, 2.0), 2.0 * out, rtol=1e-12)
     # basis orthogonal to the rows kills the block
-    ortho = cpu_topk(y.conj().T @ y, 6)[:, 2:]
+    ortho = cpu_topk(pack_hermitian(y.conj().T @ y), 6)[:, 2:]
     assert np.linalg.norm(ap_complete(y, ortho, 1.0)) <= 1e-8
     with pytest.raises(ShapeError):
         ap_complete(y, basis[:4], 1.0)

@@ -44,8 +44,10 @@ lists, for each seed at which both sides printed points, the largest relative
 difference between the sides' point means of nmse and of ser, |change -
 parent| / max(|change|, |parent|) over the points both sides ran (0 where they
 are equal): how far a change that moves bits moved the outputs, at the 6
-significant digits the run prints.  Nothing under perfbench/ is
-changed; a side whose run fails is recorded as it came.
+significant digits the run prints.  Under "src_lines", each side's line count
+of src/privcell/*.py in the tree it ran from: the size a simplicity change
+is judged on.  Nothing under perfbench/ is changed; a side whose run fails
+is recorded as it came.
 """
 
 import argparse
@@ -269,6 +271,11 @@ def copy_worktree(dest):
             shutil.copy2(source, Path(dest) / name)
 
 
+def src_lines(directory):
+    """The number of lines in the src/privcell/*.py files of the tree at directory (0 without any)."""
+    return sum(len(path.read_text().splitlines()) for path in Path(directory).glob("src/privcell/*.py"))
+
+
 def run_side(directory, workload, seed):
     """One perfbench/run.py run in directory; returns (result, digest, point p50s, manifest, point
     means, minor page faults), the result incorrect, the digest None, and no points, manifest or
@@ -303,6 +310,8 @@ def main(argv=None):
             p.error(str(err))
         copy_worktree(change)
         dirs = {"parent": parent, "change": change}
+        lines = {side: src_lines(directory) for side, directory in dirs.items()}
+        print(f"src/privcell lines: parent {lines['parent']}, change {lines['change']}", flush=True)
         for workload in args.workloads:
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -321,6 +330,7 @@ def main(argv=None):
         "in alternating order per seed; metrics are the run's last stdout line",
         "host": f"{platform.machine()} {platform.processor() or ''}, Python {platform.python_version()}, "
         f"numpy {metadata.version('numpy')}",
+        "src_lines": lines,
         "summary": summarise(pairs),
         "pairs": pairs,
     }

@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
 from .linalg import TopEigpair, observed_index, observed_norms
-from .privacy import (
-    Calibration, CompletionResult, ap_stack, gram_arrays, gram_round, stacked_gram, top_eigpair,
-)
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram, top_eigpair
 from .protocol import Backhaul, MessageKind
 
 
@@ -76,17 +74,17 @@ def cpu_aggregate_eig(w, noise_scale, n_aps, eig):
     return v_top, lam_lifted
 
 
-def ap_update(x, j, v_top, lam_lifted, eta, cfg, index, step):
+def ap_update(x, j, v_top, lam_lifted, eta, cfg, index):
     """Every AP's local FW step against the broadcast direction, then clip, written into x.
 
-    An AP whose observed-entry norm exceeds cfg.calibration.bound has its
-    whole block scaled onto the bound.  step, an array of x's shape, holds
-    the rank-one step.  Returns (x, norms after clip, clipped).  index is
-    `linalg.observed_index(omega)`.
+    The step is (1 - eta) x - (eta B / lam_lifted) (j v_top) v_top^H, with B
+    cfg.nuclear_bound.  An AP whose observed-entry norm exceeds
+    cfg.calibration.bound has its whole block scaled onto the bound.  Returns
+    (x, norms after clip, clipped).  index is `linalg.observed_index(omega)`.
     """
     if lam_lifted == 0.0:
         raise DegenerateStepError("lifted top value is exactly zero")
-    np.multiply((j @ v_top)[..., None], v_top.conj(), out=step)
+    step = (j @ v_top)[..., None] * v_top.conj()
     np.multiply(1.0 - eta, x, out=x)
     x -= np.multiply(eta * cfg.nuclear_bound / lam_lifted, step, out=step)  # c * step, in place
     norms = observed_norms(x, index)
@@ -107,17 +105,17 @@ def run_fw(y, omega, cfg, seed, net=None):
         seed: int or tuple of ints; each round's noise seed derives from it.
         net: optional Backhaul to append to (a fresh one by default).
 
-    Every round writes into arrays made here, once per call: the residual,
-    the rank-one step, the Gram's (`privacy.gram_arrays`) and the CPU's
-    eigensolve's (`linalg.TopEigpair`).  Neither y nor omega is written.
+    The run holds two things across its rounds: the residual, which
+    `ap_residual` writes, and the CPU's `linalg.TopEigpair`.  Only these
+    paid for being held; the Gram and the rank-one step are fresh arrays
+    each round.  Neither y nor omega is written.
 
     Returns a CompletionResult.
     """
     y = ap_stack(y, omega)
     n_aps, tau_c = y.shape[0], y.shape[-1]
     net = Backhaul() if net is None else net
-    x, j, step = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
-    gram, eig = gram_arrays(y.shape), TopEigpair(tau_c)
+    x, j, eig = np.zeros_like(y), np.empty_like(y), TopEigpair(tau_c)
     rounds, sigma = cfg.calibration.releases, cfg.calibration.sigma
     lam_path = np.empty(rounds)
     masked_norms = np.empty((rounds, n_aps))
@@ -126,11 +124,11 @@ def run_fw(y, omega, cfg, seed, net=None):
     for n in range(1, rounds + 1):
         ap_residual(x, y, index, j)
         v_top, lam_lifted = gram_round(
-            net, n, stacked_gram(j, gram), n_aps, sigma, seed, MessageKind.EIG_BROADCAST,
+            net, n, stacked_gram(j), n_aps, sigma, seed, MessageKind.EIG_BROADCAST,
             lambda w: cpu_aggregate_eig(w, sigma, n_aps, eig), tail=(n,),
         )
         eta = step_size(n, rounds)
-        _, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, index, step)
+        _, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, index)
         clip_events += int(clipped.sum())
         lam_path[n - 1] = lam_lifted
     return CompletionResult(

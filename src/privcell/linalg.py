@@ -145,12 +145,6 @@ def _heevr_sizes(n):
     return int(work[0].real), int(rwork[0]), int(iwork[0])
 
 
-def _norm(v):
-    """np.linalg.norm of a complex vector, without its wrapper: the same two dots and sqrt."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def shared_matmul(a, b, out=None):
     """a @ b for an (..., m, k) stack a and one shared (k, n) matrix b, as one GEMM.
 
@@ -246,4 +240,4 @@ def observed_norms(x, index):
         re, im = v.real, v.imag
         return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).reshape(-1))
     ends = np.cumsum(counts).tolist()
-    return np.array([_norm(v[a:b]) for a, b in zip([0, *ends], ends)])
+    return np.array([np.linalg.norm(v[a:b]) for a, b in zip([0, *ends], ends)])

@@ -144,9 +144,8 @@ def _hermitian_slots(dim):
     return i * dim + j, j * dim + i
 
 
-def pack_hermitian(h, out=None):
-    """The packed wire form of (h + h^H)/2 for a square h: dim^2 float64s, written into out
-    (a fresh vector by default) and returned.
+def pack_hermitian(h):
+    """The packed wire form of (h + h^H)/2 for a square h: a fresh vector of dim^2 float64s.
 
     Formed on the packed slots alone (order: `_hermitian_slots`): a
     Hermitian h packs to exactly itself.
@@ -154,7 +153,7 @@ def pack_hermitian(h, out=None):
     h = np.asarray(h, dtype=complex)
     upper, lower = _hermitian_slots(len(h))
     u, l, d, n_off = h.reshape(-1)[upper], h.reshape(-1)[lower], h.diagonal().real, upper.size
-    p = np.empty(len(h) ** 2) if out is None else out
+    p = np.empty(len(h) ** 2)
     np.add(u.real, l.real, out=p[:n_off])  # real parts: upper + lower
     np.subtract(u.imag, l.imag, out=p[n_off : 2 * n_off])  # imaginary parts: upper - lower
     np.add(d, d, out=p[2 * n_off :])  # diagonal: d + d
@@ -232,22 +231,11 @@ def ap_stack(y, omega):
     return y
 
 
-def gram_arrays(shape):
-    """The arrays `stacked_gram` writes into for an (M, N_a, tau_c) stack: its (M*N_a, tau_c)
-    conjugate copy, their tau_c x tau_c product and the packed sum."""
-    rows, tau_c = math.prod(shape[:-1]), shape[-1]
-    return np.empty((rows, tau_c), dtype=complex), np.empty((tau_c, tau_c), dtype=complex), np.empty(tau_c**2)
-
-
-def stacked_gram(blocks, out=None):
+def stacked_gram(blocks):
     """The packed sum of the Grams of an (M, N_a, tau_c) stack of AP blocks: one product over
-    the stacked (M*N_a, tau_c) matrix, packed by `pack_hermitian`.  Written into out, the
-    `gram_arrays(blocks.shape)` a caller holds across rounds, or into fresh ones; the packed
-    sum returned is the last of them."""
-    conj, product, packed = gram_arrays(blocks.shape) if out is None else out
+    the stacked (M*N_a, tau_c) matrix, packed by `pack_hermitian`."""
     j = blocks.reshape(-1, blocks.shape[-1])
-    np.matmul(np.conjugate(j, out=conj).T, j, out=product)
-    return pack_hermitian(product, out=packed)
+    return pack_hermitian(j.conj().T @ j)
 
 
 def gram_round(net, round_index, gram, n_aps, noise_scale, seed, kind, cpu, tail=()):

@@ -343,3 +343,37 @@ def test_both_sides_run_outside_git_and_the_change_runs_its_uncommitted_edits(tm
     digests = {p["side"]: p["output_digest"] for p in pairs}
     assert digests == {"parent": "git0-parent-none-none", "change": "git0-change-new-none"}
     assert [p["blas_threads"] for p in pairs] == [1, 1]
+
+
+def test_each_side_records_the_line_count_of_the_package_it_ran(tmp_path, monkeypatch):
+    """src_lines counts the lines of src/privcell/*.py alone, a last line without a newline
+    included; main records it for the parent's committed tree and the change's working tree."""
+    tree = tmp_path / "tree"
+    (tree / "src" / "privcell" / "sub").mkdir(parents=True)
+    (tree / "src" / "privcell" / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (tree / "src" / "privcell" / "b.py").write_text("w = 4\n\nv = 5")
+    (tree / "src" / "privcell" / "notes.md").write_text("not\ncounted\n")
+    (tree / "src" / "privcell" / "sub" / "c.py").write_text("not counted\n")
+    (tree / "src" / "d.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tree) == 6
+    assert bench_pairs.src_lines(tmp_path / "empty") == 0
+
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "src" / "privcell").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    (repo / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    (repo / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+        "                  'metrics': {'trials_per_s': {'value': 1.0, 'unit': '1/s'}}}))\n"
+    )
+    (repo / "src" / "privcell" / "a.py").write_text("x = 1\ny = 2\nz = 3\nw = 4\n")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "parent"], check=True)
+    (repo / "src" / "privcell" / "a.py").write_text("x = 1\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--tag", "t", "--rev", "HEAD", "--workloads", "w", "--seeds", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 4, "change": 1}

@@ -67,8 +67,8 @@ def residual(x, y, omega):
 
 
 def update(x, j, v, lam, eta, cfg, omega):
-    """ap_update on a copy of x, with a fresh step array: (x_new, norms, clipped)."""
-    return ap_update(x.copy(), j, v, lam, eta, cfg, observed_index(omega), np.empty_like(x))
+    """ap_update on a copy of x: (x_new, norms, clipped)."""
+    return ap_update(x.copy(), j, v, lam, eta, cfg, observed_index(omega))
 
 
 # ---------------------------------------------------------------- pieces
@@ -199,9 +199,8 @@ def test_clip_observed(rng):
 
 
 def test_update_in_place_is_the_reference_step(rng):
-    """Written into x, with a step array holding anything, even NaN, the step and clip give the
-    straight-line step's bits, (1 - eta) x - (eta B / lam) (j v) v^H, then each clipped AP scaled
-    by bound / norm; j and v are only read."""
+    """Written into x, the step and clip give the straight-line step's bits, (1 - eta) x -
+    (eta B / lam) (j v) v^H, then each clipped AP scaled by bound / norm; j and v are only read."""
     x = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
     y = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
     omega = rng.random((4, 2, 6)) < 0.5
@@ -217,7 +216,7 @@ def test_update_in_place_is_the_reference_step(rng):
     for m in range(4):
         if not want_norms[m] <= 1.0:
             want[m] *= 1.0 / want_norms[m]
-    got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega), np.full_like(x, np.nan))
+    got, norms, clipped = ap_update(x, j, v, 3.0, 0.25, cfg, observed_index(omega))
     assert clipped.any()
     assert got is x
     assert got.tobytes() == want.tobytes()
@@ -411,9 +410,9 @@ def desk_run(method, tau_d):
 
 
 def test_runs_share_no_state_through_their_held_arrays():
-    """Interleaved runs at tau_c 164, 60, 164, and npfw then fw at tau_c 60: each run's x_hat,
-    masked_norms, lam_path, clip_events and transcript are those of the first run of its kind,
-    byte for byte."""
+    """A run holds its residual and its `TopEigpair` across rounds.  Interleaved runs at tau_c
+    164, 60, 164, and npfw then fw at tau_c 60: each run's x_hat, masked_norms, lam_path,
+    clip_events and transcript are those of the first run of its kind, byte for byte."""
     first = {}
     for method, tau_d in (("fw", 160), ("fw", 56), ("fw", 160), ("npfw", 56), ("fw", 56), ("npfw", 56)):
         res, transcript = desk_run(method, tau_d)

@@ -121,7 +121,7 @@ def test_clip_keeps_observed_energy_inside_bound(seed, bound):
     # eta = 0 and a zero residual: the step leaves x as it is, only the clip acts
     cfg = FwConfig(1.0, Calibration(bound, 1, 0.0))
     index = observed_index(omega)
-    clipped, norms, did_clip = ap_update(x.copy(), np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, index, np.empty_like(x))
+    clipped, norms, did_clip = ap_update(x.copy(), np.zeros_like(x), np.ones(6), 1.0, 0.0, cfg, index)
     for m in range(3):
         assert np.linalg.norm(clipped[m][omega[m]]) <= bound * (1 + 1e-12)
         assert norms[m] == np.linalg.norm(clipped[m][omega[m]])

@@ -1,12 +1,18 @@
 """Small dense linear-algebra layer used by the completion algorithms.
 
-Everything works on complex128 ndarrays.  `hermitian_eig` keeps the top k
-pairs of a LAPACK `eigh`, rotated as `canonical_phase` rotates one vector
-but all k columns in one pass; `TopEigpair` finds FW's one pair for less,
-in one `?heevr` call that computes that pair alone, bound through `ctypes`
-from the LAPACK numpy links (`_bind_lapack`), so no scipy import is needed.
-Its matrix and workspace are held across calls, and the call's arguments
-bound once, so a round pays for the solve alone.
+Everything works on complex128 ndarrays.  `hermitian_eig` gives the top k
+pairs of zheevd, the LAPACK routine behind `eigh`, rotated as
+`canonical_phase` rotates one vector but all k columns in one pass.  It runs
+zheevd's three stages itself (`_HeevdStages`): zhetrd's reduction to a
+tridiagonal, zstedc's divide and conquer for all n pairs of that, and
+zunmtr's back-transformation of the k kept columns alone, each stage with
+the workspace zheevd gives it.  zunmtr reflects each column on its own, so
+under one BLAS thread the pairs have `eigh`'s bits, while the n - k columns
+dropped are never back-transformed.  `TopEigpair` finds FW's one pair in one
+`?heevr` call that computes that pair alone.  Every routine is bound through
+`ctypes` from the LAPACK numpy links (`_bind_lapack`), so no scipy import is
+needed, and each holds its matrix and workspace across calls, with the
+call's arguments bound once, so a call pays for the solve alone.
 `shared_matmul` multiplies an AP stack by one shared matrix in a single
 GEMM, and `cholesky_solve` solves many small Hermitian positive definite
 systems at once, each step one vectorised operation over the whole batch.
@@ -40,17 +46,28 @@ def hermitian_eig(a, k):
     triangle `privacy.unpack_lower` writes is all it needs); eigenvectors
     are orthonormal and phase-canonicalised, and ties are broken by the
     solver's original ascending index (stable).
+
+    A complex128 matrix of n > 1 goes through `_HeevdStages`, zheevd's own
+    stages with only the k kept columns back-transformed: the bits of
+    `eigh`'s top k pairs.  Any other input, or a matrix the stages decline,
+    takes `eigh` itself.  The stages' arrays are held at module level, so
+    one thread at a time may call this.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if not 1 <= k <= len(a):
         raise ArgumentError(f"k={k} out of range for dimension {len(a)}")
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(-vals, kind="stable")[:k]
-    vecs = vecs[:, order]
+    pair = None
+    if _STAGES is not None and a.dtype == np.complex128 and len(a) > 1:
+        pair = _heevd_stages(len(a))(a, k)
+    if pair is None:
+        vals, vecs = np.linalg.eigh(a)
+        order = np.argsort(-vals, kind="stable")[:k]
+        pair = vals[order], vecs[:, order]
+    vals, vecs = pair
     top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]  # never 0: the columns are unit vectors
-    return vals[order], vecs * (np.conj(top) / np.abs(top))  # canonical_phase of every column at once
+    return vals, vecs * (np.conj(top) / np.abs(top))  # canonical_phase of every column at once
 
 
 class TopEigpair:
@@ -86,13 +103,18 @@ class TopEigpair:
         return self._w[0], canonical_phase(self._z)
 
 
-def _bind_lapack():
-    """(zheevr, LAPACK integer ctype) from the LAPACK numpy's own linalg extension links; None
-    where no name resolves.
+# Per routine: its leading character arguments and its other arguments; gfortran appends one
+# string length per character argument.
+_SIGNATURES = {"zheevr": (3, 20), "zheevd": (2, 11), "zhetrd": (1, 9), "zstedc": (1, 12), "zunmtr": (3, 10)}
 
-    dlsym on the extension's handle also searches the libraries it was linked against, so the
-    routine found is the one behind numpy's LAPACK calls.  The names follow the symbol prefix
-    and suffix of numpy's LAPACK builds: scipy-openblas, plain ILP64 and plain LP64.
+
+def _bind_lapack(*names):
+    """(routine, ..., LAPACK integer ctype), one routine per name of `_SIGNATURES`, from the LAPACK
+    numpy's own linalg extension links; None where any name does not resolve.
+
+    dlsym on the extension's handle also searches the libraries it was linked against, so each
+    routine found is the one behind numpy's LAPACK calls.  The symbols follow the prefix and
+    suffix of numpy's LAPACK builds: scipy-openblas, plain ILP64 and plain LP64.
     """
     try:
         from numpy.linalg import _umath_linalg
@@ -101,17 +123,21 @@ def _bind_lapack():
     except (ImportError, AttributeError, OSError):
         return None
     ilp64 = bool(getattr(_umath_linalg, "_ilp64", False))
-    for name in ("scipy_zheevr_64_", "zheevr_64_", "zheevr64_") if ilp64 else ("scipy_zheevr_", "zheevr_"):
-        heevr = getattr(lib, name, None)
-        if heevr is not None:
-            # JOBZ, RANGE, UPLO; N through INFO; and the three string lengths gfortran passes
-            heevr.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 20 + [ctypes.c_size_t] * 3
-            heevr.restype = None
-            return heevr, ctypes.c_int64 if ilp64 else ctypes.c_int32
-    return None
+    routines = []
+    for name in names:
+        symbols = (f"scipy_{name}_64_", f"{name}_64_", f"{name}64_") if ilp64 else (f"scipy_{name}_", f"{name}_")
+        routine = next((r for r in (getattr(lib, s, None) for s in symbols) if r is not None), None)
+        if routine is None:
+            return None
+        chars, others = _SIGNATURES[name]
+        routine.argtypes = [ctypes.c_char_p] * chars + [ctypes.c_void_p] * others + [ctypes.c_size_t] * chars
+        routine.restype = None
+        routines.append(routine)
+    return (*routines, ctypes.c_int64 if ilp64 else ctypes.c_int32)
 
 
-_LAPACK = _bind_lapack()
+_LAPACK = _bind_lapack("zheevr")
+_STAGES = _bind_lapack("zheevd", "zhetrd", "zstedc", "zunmtr")
 
 
 def _bound_heevr(a, lwork=-1, lrwork=-1, liwork=-1):
@@ -142,6 +168,95 @@ def _heevr_sizes(n):
     bound = _bound_heevr(a)
     bound[0]()
     work, rwork, iwork = bound[4:]
+    return int(work[0].real), int(rwork[0]), int(iwork[0])
+
+
+# zheevd scales a matrix whose largest entry (zlanhe's 'M' norm) lies outside
+# [sqrt(SMLNUM), sqrt(BIGNUM)], with SMLNUM = dlamch('S') / dlamch('P') and BIGNUM = 1 / SMLNUM.
+_SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
+_UNSCALED = (math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM))
+
+
+class _HeevdStages:
+    """The top k eigenpairs of n x n complex128 matrices (n > 1) through zheevd's own stages, bound
+    once with the arrays they hold.
+
+    zheevd (JOBZ='V', UPLO='L') reduces a to a real tridiagonal T (zhetrd), solves T by divide
+    and conquer (zstedc, COMPZ='I') and back-transforms all n eigenvectors (zunmtr).  Here the
+    three calls run with the workspace lengths zheevd gives each, from its optimal sizes queried
+    once per n (`_heevd_sizes`); the top k are picked as `hermitian_eig` picks them, gathered to
+    the front of zstedc's vectors, and zunmtr runs on those k columns alone.  Each column of
+    zunmtr's output is its own sequence of reflections, so under one BLAS thread every kept pair
+    has the bits of zheevd's, and so of `eigh`'s, which calls zheevd.
+
+    zheevd scales a first when its largest entry lies outside `_UNSCALED` = [lo, hi].  T is a
+    unitary similarity of a, so ||T||_F is ||a||_F to rounding; that largest entry lies in
+    [||a||_F / n, ||a||_F], and T's own largest entry t in [||T||_F / sqrt(3 n), ||T||_F].  So a t
+    inside [2 n lo, hi / (2 sqrt(3 n))] puts a inside zheevd's range; any other t (NaN included)
+    gives None, as does a stage that reports INFO != 0.
+    """
+
+    def __init__(self, n):
+        _, hetrd, stedc, unmtr, int_t = _STAGES
+        lwork, lrwork, liwork = _heevd_sizes(n)
+        self._a = np.empty((n, n), dtype=complex, order="F")
+        work, rwork, iwork = np.empty(lwork, dtype=complex), np.empty(lrwork - n), (int_t * liwork)()
+        self._t = np.empty(2 * n - 1)  # T's diagonal (then the eigenvalues), then its off-diagonal
+        self._d = self._t[:n]
+        self._z = work[n : n + n * n].reshape(n, n, order="F")  # zheevd's WORK(INDWRK): zstedc's vectors
+        a, d, z, tau, rwork2 = (x.ctypes.data for x in (self._a, self._d, self._z, work, rwork))
+        e, work2 = d + 8 * n, z + 16 * n * n  # work2 is zheevd's WORK(INDWK2), rwork2 its RWORK(INDRWK)
+        self._info, self._k, size = int_t(0), int_t(n), int_t(n)
+        p_n, ref = ctypes.byref(size), ctypes.byref
+        info, lwork2 = ref(self._info), ref(int_t(lwork - n - n * n))
+        self._tridiagonal = functools.partial(hetrd, b"L", p_n, a, p_n, d, e, tau, z, ref(int_t(lwork - n)), info, 1)
+        self._solve = functools.partial(
+            stedc, b"I", p_n, d, e, z, p_n, work2, lwork2, rwork2, ref(int_t(lrwork - n)), iwork,
+            ref(int_t(liwork)), info, 1,
+        )
+        self._back = functools.partial(
+            unmtr, b"L", b"L", b"N", p_n, ref(self._k), a, p_n, tau, z, p_n, work2, lwork2, info, 1, 1, 1,
+        )
+        self._unscaled = (2 * n * _UNSCALED[0], _UNSCALED[1] / (2 * math.sqrt(3 * n)))
+        self._hold = (work, rwork, iwork)  # the calls have only their addresses
+
+    def __call__(self, a, k):
+        """(values, vectors) of a's top k pairs, unrotated; the vectors are a view of a held array,
+        valid until the next call.  None where zheevd would scale a or a stage reports INFO != 0."""
+        self._a[...] = a
+        self._tridiagonal()
+        if self._info.value != 0 or not self._unscaled[0] <= np.abs(self._t).max() <= self._unscaled[1]:
+            return None
+        self._solve()
+        if self._info.value != 0:
+            return None
+        order = np.argsort(-self._d, kind="stable")[:k]
+        kept = self._z[:, :k]  # the kept columns, gathered to the front of zstedc's and back-transformed there
+        kept[...] = self._z[:, order]
+        self._k.value = k
+        self._back()
+        if self._info.value != 0:
+            return None
+        return self._d[order], kept
+
+
+@functools.lru_cache(maxsize=8)
+def _heevd_stages(n):
+    """The `_HeevdStages` of dimension n on `_STAGES`, held for the 8 dimensions last asked for: a
+    trial-major payload sweep asks for a new n at every call, and the scripts sweep 4 of them."""
+    return _HeevdStages(n)
+
+
+@functools.cache
+def _heevd_sizes(n):
+    """zheevd's optimal (LWORK, LRWORK, LIWORK) for JOBZ='V' at dimension n, queried once."""
+    heevd, *_, int_t = _STAGES
+    a, w, work, rwork = np.empty((n, n), dtype=complex, order="F"), np.empty(n), np.empty(1, dtype=complex), np.empty(1)
+    iwork, size, query, info, ref = (int_t * 1)(), int_t(n), int_t(-1), int_t(0), ctypes.byref
+    heevd(
+        b"V", b"L", ref(size), a.ctypes.data, ref(size), w.ctypes.data, work.ctypes.data, ref(query), rwork.ctypes.data,
+        ref(query), iwork, ref(query), ref(info), 1, 1,
+    )
     return int(work[0].real), int(rwork[0]), int(iwork[0])
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import blocks_round, unpack_hermitian
-from privcell import linalg, privacy
+from privcell import harness, linalg, privacy, svdmc
 from privcell.channel import sample_switch
 from privcell.config import load_experiment
 from privcell.errors import ArgumentError, ShapeError
@@ -388,12 +388,19 @@ def test_top_eigpair_rejects_a_packed_sum_of_no_or_another_side():
 
 
 def test_the_lapack_binding_resolves_to_heevr_on_numpys_scipy_openblas():
+    """One lookup binds FW's ?heevr and hermitian_eig's zheevd stages, all under the symbol
+    convention and integer width of numpy's scipy-openblas."""
     config = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if config.get("name") != "scipy-openblas":
         pytest.skip(f"numpy links {config.get('name')}, whose symbol names this test does not know")
     heevr, int_t = linalg._LAPACK
     assert heevr.__name__ in ("scipy_zheevr_64_", "scipy_zheevr_")
-    assert ctypes.sizeof(int_t) == (8 if heevr.__name__.endswith("_64_") else 4)
+    suffix = "_64_" if heevr.__name__.endswith("_64_") else "_"
+    assert ctypes.sizeof(int_t) == (8 if suffix == "_64_" else 4)
+    *stages, stage_int_t = linalg._STAGES
+    assert [r.__name__ for r in stages] == [f"scipy_{n}{suffix}" for n in ("zheevd", "zhetrd", "zstedc", "zunmtr")]
+    assert stage_int_t is int_t
+    assert linalg._bind_lapack("zheevr", "no_such_routine") is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 164])
@@ -506,3 +513,288 @@ def test_top_eigpair_is_exact_on_diagonal_matrices(bind, monkeypatch):
         assert lam == max(d)
         assert sorted(np.abs(v)) == [0.0] * (len(d) - 1) + [1.0]
         assert np.array_equal(a @ v, lam * v)
+
+
+# ------------------------------------------------ the top k through zheevd's own stages
+
+stages_bound = pytest.mark.skipif(
+    linalg._STAGES is None, reason="numpy's LAPACK exports no zheevd stages under a known name"
+)
+
+
+def eigh_top(a, k):
+    """The top k pairs as hermitian_eig gave them before its staged route: eigh's, picked by a
+    stable sort on minus the values and each column phase-rotated in one pass."""
+    vals, vecs = np.linalg.eigh(a)
+    order = np.argsort(-vals, kind="stable")[:k]
+    vecs = vecs[:, order]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
+    return vals[order], vecs * (np.conj(top) / np.abs(top))
+
+
+def assert_same_bits(got, want):
+    """Equal values and vectors, byte for byte, in the same dtype, shape and memory order."""
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.flags.f_contiguous) == (w.dtype, w.shape, w.flags.f_contiguous)
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.fixture
+def staged(monkeypatch):
+    """Whether each staged attempt of hermitian_eig gave the pair (True) or declined (False), in
+    call order; a call that never asks the stages leaves no entry.  The held stages are dropped
+    before and after, so a patched `_STAGES` is bound afresh and not kept."""
+    seen, real = [], linalg._heevd_stages
+
+    def stages(n):
+        solve = real(n)
+
+        def attempt(a, k):
+            pair = solve(a, k)
+            seen.append(pair is not None)
+            return pair
+
+        return attempt
+
+    linalg._heevd_stages.cache_clear()
+    monkeypatch.setattr(linalg, "_heevd_stages", stages)
+    yield seen
+    real.cache_clear()
+
+
+def wishart(n, rng):
+    x = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
+    return x @ x.conj().T
+
+
+def graded(n, rng):
+    """A random unitary similarity of a spectrum graded from 1 down to 1e-12."""
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    a = (q * np.geomspace(1.0, 1e-12, n)) @ q.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+@stages_bound
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 60, 100, 128, 129, 164, 300])
+@pytest.mark.parametrize("spectrum", [wishart, graded], ids=["wishart", "graded"])
+def test_hermitian_eig_is_eighs_top_k_bit_for_bit(n, spectrum, staged):
+    """At k = 1, a middle k and k = n, in C and F order: eigh's top k pairs, as hermitian_eig
+    picked and rotated them before, byte for byte; every n > 1 through the stages."""
+    a = spectrum(n, np.random.default_rng(n))
+    for k in sorted({1, (n + 1) // 2, n}):
+        for order in "CF":
+            assert_same_bits(hermitian_eig(np.asarray(a, order=order), k), eigh_top(a, k))
+    assert staged == [True] * (0 if n == 1 else 2 * len({1, (n + 1) // 2, n}))
+
+
+@stages_bound
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        np.ones(6),
+        np.array([3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 1.0]),
+        np.array([1.0, 5.0, 2.0, 5.0, 2.0, 5.0, 0.5, 2.0]),
+        np.repeat([-1.0, 4.0, 4.0, 0.0], 30),
+    ],
+    ids=["identity", "repeated", "interleaved", "repeated-120"],
+)
+def test_hermitian_eig_breaks_ties_as_eigh_did(diagonal, staged):
+    """Exact ties inside the top k and across the k-th/(k+1)-th boundary pick eigh's columns:
+    at every k, the bits of eigh's top k."""
+    a = np.diag(diagonal).astype(complex)
+    for k in range(1, len(a) + 1):
+        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
+    assert staged == [True] * len(a)
+
+
+def trial_grams(profile, tau_d=None, trials=2):
+    """(matrix, k) of every `hermitian_eig` call in `run_trial` for `svd` (ε = 1, with release
+    noise) and `npsvd` (without) at a profile's config seed: the lower triangles
+    `svdmc.cpu_topk` hands over, from `channel.make_block`'s blocks."""
+    exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / f"{profile}.yaml")
+    s = exp.scenario if tau_d is None else harness.apply_axis(exp.scenario, "tau_d", tau_d)[0]
+    prep = harness.prepare(s, exp.run, harness.draw_beta(s, s.seed))
+    seen, real = [], svdmc.hermitian_eig
+    svdmc.hermitian_eig = lambda a, k: seen.append((a.copy(order="K"), k)) or real(a, k)
+    try:
+        for method in ("svd", "npsvd"):
+            for t in range(trials):
+                harness.run_trial(s, exp.run, method, prep, s.seed, t, 1.0)
+    finally:
+        svdmc.hermitian_eig = real
+    return seen
+
+
+@stages_bound
+@pytest.mark.parametrize(
+    "profile, tau_d", [("desk", None), ("desk", 20), ("desk", 160), ("m100_k25", None)],
+    ids=["desk", "desk-tau20", "desk-tau160", "m100_k25"],
+)
+def test_hermitian_eig_on_trial_grams_is_eighs_top_k(profile, tau_d, staged):
+    """The release sums of real trials, noisy and noiseless, at k = K as `svd` asks and at k = 1
+    and n: eigh's bits every time, all through the stages."""
+    grams = trial_grams(profile, tau_d)
+    assert len(grams) == 4
+    for a, k in grams:
+        assert a.flags.f_contiguous and not np.triu(a, 1).any()  # unpack_lower's fresh matrix
+        for kk in sorted({1, k, len(a)}):
+            assert_same_bits(hermitian_eig(a, kk), eigh_top(a, kk))
+    assert staged and all(staged)
+
+
+# --------------------------------------------------------------- the eigh fallback
+
+
+def failing_stage(position):
+    """A `_STAGES` binding whose routine at position runs and then reports INFO = 1."""
+    *routines, int_t = linalg._STAGES
+    real = routines[position]
+    info_at = {1: 9, 2: 12, 3: 12}[position]  # zhetrd's, zstedc's and zunmtr's INFO argument
+
+    def routine(*args):
+        real(*args)
+        args[info_at]._obj.value = 1
+
+    routines[position] = routine
+    return (*routines, int_t)
+
+
+@stages_bound
+@pytest.mark.parametrize("position", [1, 2, 3], ids=["zhetrd", "zstedc", "zunmtr"])
+def test_a_stage_reporting_info_falls_back_to_eigh(position, staged, monkeypatch, rng):
+    monkeypatch.setattr(linalg, "_STAGES", failing_stage(position))
+    for n, k in ((2, 1), (24, 4), (100, 25)):
+        a = wishart(n, rng)
+        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
+    assert staged == [False] * 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 100])
+def test_hermitian_eig_without_the_stages_is_eighs_top_k(n, staged, monkeypatch, rng):
+    monkeypatch.setattr(linalg, "_STAGES", None)
+    a = wishart(n, rng)
+    for k in sorted({1, n}):
+        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
+    assert staged == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 24])
+def test_real_input_and_n_1_take_eigh(n, staged, rng):
+    """A real matrix is eigh's real solve (dsyevd), never the complex stages; a 1 x 1 complex
+    matrix is eigh's too."""
+    a = wishart(n, rng)
+    for x in (a.real, a.real.astype(np.float32)) if n > 1 else (a, a.real):
+        assert_same_bits(hermitian_eig(x, n), eigh_top(x, n))
+    assert staged == []
+
+
+# zheevd's unscaled range: its largest entry within [2^-485, 2^485]
+RMIN, RMAX = 2.0**-485, 2.0**485
+
+
+@stages_bound
+@pytest.mark.parametrize(
+    "top, takes_stages",
+    [
+        (1e300, False),
+        (RMAX * 1.5, False),
+        (RMAX / 1.5, False),
+        (RMAX / 2**10, True),
+        (2**10 * 24 * RMIN, True),
+        (RMIN * 1.5, False),
+        (RMIN / 1.5, False),
+        (1e-170, False),
+        (1e-300, False),
+    ],
+    ids=[
+        "1e300", "above-rmax", "below-rmax", "inside-rmax", "inside-rmin",
+        "above-rmin", "below-rmin", "1e-170", "1e-300",
+    ],
+)
+def test_hermitian_eig_near_the_ends_of_float_range_is_eighs(top, takes_stages, staged):
+    """A matrix zheevd scales first, its largest entry outside [RMIN, RMAX], and one next to
+    that range on either side, take eigh; one well inside takes the stages.  Both give eigh's
+    bits, without a RuntimeWarning (an error under this suite's filter)."""
+    a = wishart(24, np.random.default_rng(3))
+    a = a * (top / np.abs(a).max())
+    assert_same_bits(hermitian_eig(a, 4), eigh_top(a, 4))
+    assert staged == [takes_stages]
+
+
+@stages_bound
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-imag"])
+@pytest.mark.parametrize("where", [(0, 0), (5, 2), (23, 23)], ids=["first-diagonal", "below", "last-diagonal"])
+def test_hermitian_eig_on_a_non_finite_matrix_ends_as_eigh(bad, where, staged):
+    """A non-finite entry in the lower triangle ends as eigh's top k does: the same exception,
+    or the same NaN bytes.  The stages decline it, except a NaN imaginary part on the diagonal,
+    which zheevd never reads: that matrix is finite to both routes."""
+
+    def outcome(f):
+        try:
+            vals, vecs = f()
+        except Exception as e:  # noqa: BLE001 -- the type is what is compared
+            return type(e)
+        return vals.tobytes(), vecs.tobytes()
+
+    a = wishart(24, np.random.default_rng(4))
+    a[where] = bad
+    assert outcome(lambda: hermitian_eig(a, 4)) == outcome(lambda: eigh_top(a, 4))
+    unread = where[0] == where[1] and np.isnan(complex(bad).imag)
+    assert staged == [unread]
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("n", [2, 24, 100])
+def test_hermitian_eig_leaves_its_input_unchanged(n, order, rng):
+    """The stages overwrite their own copy: a read-only input goes through unchanged."""
+    a = np.asarray(wishart(n, rng), order=order)
+    a[np.triu_indices(n, 1)] = 7.0 - 3.0j  # an upper triangle the solve must not read
+    before = a.tobytes()
+    a.flags.writeable = False
+    want = eigh_top(a, 3 if n > 2 else 1)
+    assert_same_bits(hermitian_eig(a, 3 if n > 2 else 1), want)
+    assert a.tobytes() == before
+
+
+@stages_bound
+def test_heevd_workspace_is_queried_once_per_dimension(staged, rng, monkeypatch):
+    """zheevd's sizes are cached by n: however the held stages change hands between
+    dimensions, zheevd's workspace query runs once at each."""
+    heevd, *rest = linalg._STAGES
+    queries = []
+    monkeypatch.setattr(linalg, "_STAGES", (lambda *args: queries.append(args[2]._obj.value) or heevd(*args), *rest))
+    linalg._heevd_sizes.cache_clear()
+    try:
+        for n in (24, 60, 24, 60, 24):
+            a = wishart(n, rng)
+            assert_same_bits(hermitian_eig(a, 4), eigh_top(a, 4))
+    finally:
+        linalg._heevd_sizes.cache_clear()
+    assert queries == [24, 60] and staged == [True] * 5
+
+
+@stages_bound
+@pytest.mark.parametrize("n", [2, 24, 100])
+def test_held_stages_give_fresh_bits_after_any_call(n, staged, rng):
+    """The stages' arrays are held across calls: after a declined matrix (one zheevd scales), a
+    k = n call and a k = 1 call, each matrix still gets eigh's bits, as from freshly bound stages."""
+    tiny = 1e-300 * wishart(n, rng)
+    cases = [(tiny, 1), (wishart(n, rng), n), (graded(n, rng), 1), (wishart(n, rng), (n + 1) // 2)]
+    for a, k in cases:
+        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
+    assert staged == [False, True, True, True]
+
+
+@stages_bound
+def test_a_trial_major_payload_sweep_binds_each_dimension_once(rng):
+    """Desk's payload sweep runs trial by trial, so n goes 24, 44, 84, 164 and round again:
+    every dimension keeps its held stages, so each is bound once."""
+    linalg._heevd_stages.cache_clear()
+    try:
+        for n in (24, 44, 84, 164) * 3:
+            a = wishart(n, rng)
+            assert_same_bits(hermitian_eig(a, 4), eigh_top(a, 4))
+        info = linalg._heevd_stages.cache_info()
+    finally:
+        linalg._heevd_stages.cache_clear()
+    assert (info.misses, info.hits) == (4, 8)

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import centralized_svd
 from support import RecordingBackhaul, kind_count, unpack_hermitian
+from privcell import linalg
+from privcell.config import load_experiment, with_overrides
 from privcell.errors import ArgumentError, ShapeError
+from privcell.harness import run_sweep
 from privcell.privacy import Calibration, pack_hermitian, stacked_gram
 from privcell.protocol import Backhaul, MessageKind
 from privcell.svdmc import SvdConfig, ap_complete, cpu_topk, run_svd
@@ -153,3 +158,31 @@ def test_run_rejects_a_gram_of_the_wrong_length():
         with pytest.raises(ShapeError, match="tau_c"):
             run_svd(y, omega, SvdConfig(2, noiseless(), 1.0), 0, net=net, gram=bad)
     assert net.transcript == []
+
+
+@pytest.mark.parametrize(
+    "profile, axis, values, trials",
+    [
+        ("desk", "epsilon", (0.1, 1.0, 10.0), 3),
+        ("desk", "tau_d", (20, 160), 3),
+        ("m100_k25", "epsilon", (1.0,), 2),
+    ],
+    ids=["desk-epsilon", "desk-tau_d", "m100_k25"],
+)
+def test_sweep_records_are_the_same_through_zheevds_stages_as_through_eigh(profile, axis, values, trials, monkeypatch):
+    """`svd` and `npsvd` sweeps give the same per-trial NMSE and SER bytes whether the CPU's
+    top-K basis comes through zheevd's stages or, with the stages unbound, through eigh."""
+    exp = with_overrides(
+        load_experiment(Path(__file__).resolve().parent.parent / "configs" / f"{profile}.yaml"),
+        sweep=axis, values=values, trials=trials,
+    )
+
+    def sweep():
+        records = run_sweep(exp, ("svd", "npsvd"))
+        return [(r.method, r.axis_value, r.trial_nmse.tobytes(), r.trial_ser.tobytes()) for r in records]
+
+    linalg._heevd_stages.cache_clear()
+    staged = sweep()
+    assert linalg._STAGES is None or linalg._heevd_stages.cache_info().misses > 0
+    monkeypatch.setattr(linalg, "_STAGES", None)
+    assert sweep() == staged

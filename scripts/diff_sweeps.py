@@ -7,7 +7,9 @@ Cells are compared as the text `harness.emit_csv` wrote, so two floats
 agree only when they are the same float64 (Python's repr round-trips).
 Exits 0 and prints "identical" when the files agree; exits 1 and names
 every differing cell (row, column, both values), one per line, when they
-do not, or when their headers or row counts differ.
+do not, or when their headers or row counts differ.  Exits 2 with one
+line on stderr when a file cannot be read, and with this usage when not
+given two files.
 """
 
 import csv
@@ -48,7 +50,12 @@ def main(argv=None):
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    found = differences(read_rows(argv[0]), read_rows(argv[1]))
+    try:
+        rows = [read_rows(path) for path in argv]
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        print(f"cannot read a sweep CSV: {e}", file=sys.stderr)
+        return 2
+    found = differences(*rows)
     for diff in found:
         print(f"differ: {diff}")
     if found:

@@ -62,7 +62,11 @@ def main():
 
     exp = with_overrides(load_experiment(args.config), trials=args.trials)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, or no permission: before any sweep runs
+        print(f"--out-dir {out_dir} is not a usable directory: {e.strerror or e}", file=sys.stderr)
+        sys.exit(2)
 
     axes = ("epsilon", "tau_d") if args.sweep == "both" else (args.sweep,)
     for axis in axes:

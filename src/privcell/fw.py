@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateStepError, ShapeError
-from .linalg import TopEigpair, observed_index, observed_norms
-from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram, top_eigpair
+from .linalg import observed_index, observed_norms
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram, top_eigenpairs
 from .protocol import Backhaul, MessageKind
 
 
@@ -59,18 +59,17 @@ def ap_residual(x, y, index, out):
     return out
 
 
-def cpu_aggregate_eig(w, noise_scale, n_aps, eig):
+def cpu_aggregate_eig(w, noise_scale, n_aps):
     """Top eigenpair of the aggregated releases, eigenvalue lifted.
 
-    w is the round's packed release sum and eig the `linalg.TopEigpair` of its side that the run
-    holds (`privacy.top_eigpair`).  Returns (v_top, lam_lifted): the phase-canonical top
-    eigenvector of the sum, and the square root of its (clamped) top eigenvalue plus the
-    noise-inflation allowance sqrt(noise_scale) * (M * tau_c)^(1/4).
+    w is the round's packed release sum (`privacy.top_eigenpairs` at k = 1).  Returns (v_top,
+    lam_lifted): the phase-canonical top eigenvector of the sum, and the square root of its
+    (clamped) top eigenvalue plus the noise-inflation allowance sqrt(noise_scale) * (M * tau_c)^(1/4).
     """
-    tau_c = len(eig.a)
-    value, v_top = top_eigpair(w, eig)
-    lam = math.sqrt(max(value, 0.0))
-    lam_lifted = lam + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
+    values, vectors = top_eigenpairs(w, 1)
+    v_top = vectors[:, 0]
+    lam = math.sqrt(max(values[0], 0.0))
+    lam_lifted = lam + math.sqrt(noise_scale) * (n_aps * len(v_top)) ** 0.25
     return v_top, lam_lifted
 
 
@@ -105,17 +104,17 @@ def run_fw(y, omega, cfg, seed, net=None):
         seed: int or tuple of ints; each round's noise seed derives from it.
         net: optional Backhaul to append to (a fresh one by default).
 
-    The run holds two things across its rounds: the residual, which
-    `ap_residual` writes, and the CPU's `linalg.TopEigpair`.  Only these
-    paid for being held; the Gram and the rank-one step are fresh arrays
-    each round.  Neither y nor omega is written.
+    The run holds the residual across its rounds, which `ap_residual`
+    writes; the CPU's eigensolve holds its own matrix per side
+    (`linalg.held_matrix`).  The Gram and the rank-one step are fresh
+    arrays each round.  Neither y nor omega is written.
 
     Returns a CompletionResult.
     """
     y = ap_stack(y, omega)
-    n_aps, tau_c = y.shape[0], y.shape[-1]
+    n_aps = len(y)
     net = Backhaul() if net is None else net
-    x, j, eig = np.zeros_like(y), np.empty_like(y), TopEigpair(tau_c)
+    x, j = np.zeros_like(y), np.empty_like(y)
     rounds, sigma = cfg.calibration.releases, cfg.calibration.sigma
     lam_path = np.empty(rounds)
     masked_norms = np.empty((rounds, n_aps))
@@ -125,7 +124,7 @@ def run_fw(y, omega, cfg, seed, net=None):
         ap_residual(x, y, index, j)
         v_top, lam_lifted = gram_round(
             net, n, stacked_gram(j), n_aps, sigma, seed, MessageKind.EIG_BROADCAST,
-            lambda w: cpu_aggregate_eig(w, sigma, n_aps, eig), tail=(n,),
+            lambda w: cpu_aggregate_eig(w, sigma, n_aps), tail=(n,),
         )
         eta = step_size(n, rounds)
         _, masked_norms[n - 1], clipped = ap_update(x, j, v_top, lam_lifted, eta, cfg, index)

@@ -188,7 +188,7 @@ def _detect(s, net, solve, *stacks):
                 d[...] = estimation.detect_local(*(x[lo + a:lo + a + n] for x in stacks))
             else:
                 estimation.lifted(None if h is None else h[a:a + n], small[a:a + n], out=d)
-            net.send_aps(MessageKind.LOCAL_DETECTION, lo + a, 0, d)
+            net.send_aps(MessageKind.LOCAL_DETECTION, lo + a, 0, d[0], n)
             first = 1 if lo + a == 0 else 0  # no running sum before the first chunk
             buf[0] = estimation.combine(buf[first:n + 1])
     return buf[0] / s.M

@@ -1,18 +1,20 @@
 """Small dense linear-algebra layer used by the completion algorithms.
 
-Everything works on complex128 ndarrays.  `hermitian_eig` gives the top k
-pairs of zheevd, the LAPACK routine behind `eigh`, rotated as
-`canonical_phase` rotates one vector but all k columns in one pass.  It runs
-zheevd's three stages itself (`_HeevdStages`): zhetrd's reduction to a
-tridiagonal, zstedc's divide and conquer for all n pairs of that, and
+Everything works on complex128 ndarrays.  `hermitian_eig` is the LAPACK
+half of the CPU's one eigensolve (`privacy.top_eigenpairs`): the top k pairs
+of the exactly Hermitian matrix whose lower triangle the caller has written
+into `held_matrix(n)`, one F-ordered matrix held per n.  At k = 1 it makes one `?heevr` call that computes that pair
+alone.  At k > 1 it runs zheevd's three stages itself: zhetrd's reduction
+to a tridiagonal, zstedc's divide and conquer for all n pairs of that, and
 zunmtr's back-transformation of the k kept columns alone, each stage with
 the workspace zheevd gives it.  zunmtr reflects each column on its own, so
 under one BLAS thread the pairs have `eigh`'s bits, while the n - k columns
-dropped are never back-transformed.  `TopEigpair` finds FW's one pair in one
-`?heevr` call that computes that pair alone.  Every routine is bound through
+dropped are never back-transformed.  Every routine is bound through
 `ctypes` from the LAPACK numpy links (`_bind_lapack`), so no scipy import is
-needed, and each holds its matrix and workspace across calls, with the
-call's arguments bound once, so a call pays for the solve alone.
+needed.  Each is bound to the held matrix and its workspace on its first
+use at that n, with the call's arguments bound once, so a call pays for the
+solve alone.  The held state is module-level, so one thread at a time may
+call `hermitian_eig`.
 `shared_matmul` multiplies an AP stack by one shared matrix in a single
 GEMM, and `cholesky_solve` solves many small Hermitian positive definite
 systems at once, each step one vectorised operation over the whole batch.
@@ -25,82 +27,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
-
-def canonical_phase(v):
-    """Rotate v so its largest-magnitude entry is real and positive."""
-    v = np.asarray(v)
-    i = int(np.argmax(np.abs(v)))
-    p = v[i]
-    if p == 0:
-        return v
-    return v * (np.conj(p) / np.abs(p))
+from .errors import ShapeError
 
 
-def hermitian_eig(a, k):
-    """Largest k eigenpairs of a Hermitian matrix, descending.
+def held_matrix(n):
+    """The F-ordered n x n complex128 matrix `hermitian_eig` reads at n: write a lower triangle
+    into it, then call.  Its strict upper triangle is never read."""
+    return _held(n).a
 
-    Returns (values, vectors): values (k,), and vectors (n, k) whose
-    column i belongs to values[i].  Only the lower triangle is read, as
-    `np.linalg.eigh` does, so a is taken to be exactly Hermitian (the
-    triangle `privacy.unpack_lower` writes is all it needs); eigenvectors
-    are orthonormal and phase-canonicalised, and ties are broken by the
-    solver's original ascending index (stable).
 
-    A complex128 matrix of n > 1 goes through `_HeevdStages`, zheevd's own
-    stages with only the k kept columns back-transformed: the bits of
-    `eigh`'s top k pairs.  Any other input, or a matrix the stages decline,
-    takes `eigh` itself.  The stages' arrays are held at module level, so
-    one thread at a time may call this.
+def hermitian_eig(n, k):
+    """(values, vectors) of the top k eigenpairs, descending and not phase-rotated, of the exactly
+    Hermitian matrix whose lower triangle is in `held_matrix(n)`, for 1 <= k <= n.
+
+    k = 1 is one `?heevr` call; k > 1 runs zheevd's stages (`_Held`), which give eigh's top k
+    pairs bit for bit, ties broken by eigh's ascending index (stable).  Either overwrites the held
+    matrix, and the vectors may be a view of held state, valid until the next call.  None where
+    no routine resolved (`_LAPACK` is None), a routine reports INFO != 0, or zheevd would scale
+    the matrix.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not 1 <= k <= len(a):
-        raise ArgumentError(f"k={k} out of range for dimension {len(a)}")
-    pair = None
-    if _STAGES is not None and a.dtype == np.complex128 and len(a) > 1:
-        pair = _heevd_stages(len(a))(a, k)
-    if pair is None:
-        vals, vecs = np.linalg.eigh(a)
-        order = np.argsort(-vals, kind="stable")[:k]
-        pair = vals[order], vecs[:, order]
-    vals, vecs = pair
-    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]  # never 0: the columns are unit vectors
-    return vals, vecs * (np.conj(top) / np.abs(top))  # canonical_phase of every column at once
-
-
-class TopEigpair:
-    """Top eigenpairs of n x n exactly Hermitian matrices, one LAPACK `?heevr` call each, on arrays
-    held for as long as the caller keeps this object.
-
-    Write a matrix's lower triangle into `a`, an F-ordered complex128 matrix, then call.  `?heevr`
-    reads that triangle alone (UPLO='L'), computes the top pair alone (JOBZ='V', RANGE='I',
-    IL = IU = n, ABSTOL 0), scales a matrix near either end of float range itself, and overwrites
-    a.  The workspace sizes are queried once per n (`_heevr_sizes`), and the call's arguments are
-    bound once, here.
-    """
-
-    def __init__(self, n):
-        self._a = np.zeros((n, n), dtype=complex, order="F")
-        self._call = None
-        if _LAPACK is not None and n:  # a 0x0 matrix has no top pair
-            self._call, self._info, self._w, self._z, *self._work = _bound_heevr(self._a, *_heevr_sizes(n))
-
-    @property
-    def a(self):
-        """The matrix the call reads; not rebindable, since the bound call holds its address."""
-        return self._a
-
-    def __call__(self):
-        """(value, phase-canonical unit vector) of a's top eigenpair; None where no `?heevr` symbol
-        resolved (`_LAPACK` is None), n is 0 or the call reports INFO != 0."""
-        if self._call is None:
-            return None
-        self._call()
-        if self._info.value != 0:
-            return None
-        return self._w[0], canonical_phase(self._z)
+    return None if _LAPACK is None else _held(n)(k)
 
 
 # Per routine: its leading character arguments and its other arguments; gfortran appends one
@@ -136,8 +82,7 @@ def _bind_lapack(*names):
     return (*routines, ctypes.c_int64 if ilp64 else ctypes.c_int32)
 
 
-_LAPACK = _bind_lapack("zheevr")
-_STAGES = _bind_lapack("zheevd", "zhetrd", "zstedc", "zunmtr")
+_LAPACK = _bind_lapack("zheevr", "zheevd", "zhetrd", "zstedc", "zunmtr")
 
 
 def _bound_heevr(a, lwork=-1, lrwork=-1, liwork=-1):
@@ -147,7 +92,7 @@ def _bound_heevr(a, lwork=-1, lrwork=-1, liwork=-1):
     has only the addresses of a and the numpy arrays, so the caller holds them as long as it keeps
     the call.  With the default sizes it is LAPACK's workspace query, which leaves a as it is and
     returns the optimal sizes in WORK[0], RWORK[0] and IWORK[0]."""
-    heevr, int_t = _LAPACK
+    heevr, *_, int_t = _LAPACK
     n = len(a)
     w, z, work = np.empty(n), np.empty(n, dtype=complex), np.empty(max(lwork, 1), dtype=complex)
     rwork, iwork, isuppz = np.empty(max(lrwork, 1)), (int_t * max(liwork, 1))(), (int_t * 2)()
@@ -161,33 +106,28 @@ def _bound_heevr(a, lwork=-1, lrwork=-1, liwork=-1):
     return call, info, w, z, work, rwork, iwork
 
 
-@functools.cache
-def _heevr_sizes(n):
-    """The optimal (LWORK, LRWORK, LIWORK) of `_bound_heevr` at dimension n, queried once."""
-    a = np.empty((n, n), dtype=complex, order="F")
-    bound = _bound_heevr(a)
-    bound[0]()
-    work, rwork, iwork = bound[4:]
-    return int(work[0].real), int(rwork[0]), int(iwork[0])
-
-
 # zheevd scales a matrix whose largest entry (zlanhe's 'M' norm) lies outside
 # [sqrt(SMLNUM), sqrt(BIGNUM)], with SMLNUM = dlamch('S') / dlamch('P') and BIGNUM = 1 / SMLNUM.
 _SMLNUM = np.finfo(float).tiny / np.finfo(float).eps
 _UNSCALED = (math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM))
 
 
-class _HeevdStages:
-    """The top k eigenpairs of n x n complex128 matrices (n > 1) through zheevd's own stages, bound
-    once with the arrays they hold.
+class _Held:
+    """The matrix `a` that `hermitian_eig` reads at one n, and the LAPACK calls bound to it.  Each
+    routine is bound, its workspace sizes queried, on its first use, so a side only ever asked
+    for k = 1 holds no zheevd workspace.
 
-    zheevd (JOBZ='V', UPLO='L') reduces a to a real tridiagonal T (zhetrd), solves T by divide
-    and conquer (zstedc, COMPZ='I') and back-transforms all n eigenvectors (zunmtr).  Here the
-    three calls run with the workspace lengths zheevd gives each, from its optimal sizes queried
-    once per n (`_heevd_sizes`); the top k are picked as `hermitian_eig` picks them, gathered to
-    the front of zstedc's vectors, and zunmtr runs on those k columns alone.  Each column of
-    zunmtr's output is its own sequence of reflections, so under one BLAS thread every kept pair
-    has the bits of zheevd's, and so of `eigh`'s, which calls zheevd.
+    k = 1: `?heevr` reads the lower triangle alone (UPLO='L'), computes the top pair alone
+    (JOBZ='V', RANGE='I', IL = IU = n, ABSTOL 0) and scales a matrix near either end of float
+    range itself.
+
+    k > 1: zheevd (JOBZ='V', UPLO='L') reduces a to a real tridiagonal T (zhetrd), solves T by
+    divide and conquer (zstedc, COMPZ='I') and back-transforms all n eigenvectors (zunmtr).  Here
+    the three calls run with the workspace lengths zheevd gives each, from its optimal sizes; the
+    top k are picked by a stable sort on minus the values, gathered to the front of zstedc's
+    vectors, and zunmtr runs on those k columns alone.  Each column of zunmtr's output is its own
+    sequence of reflections, so under one BLAS thread every kept pair has the bits of zheevd's,
+    and so of `eigh`'s, which calls zheevd.
 
     zheevd scales a first when its largest entry lies outside `_UNSCALED` = [lo, hi].  T is a
     unitary similarity of a, so ||T||_F is ||a||_F to rounding; that largest entry lies in
@@ -197,33 +137,21 @@ class _HeevdStages:
     """
 
     def __init__(self, n):
-        _, hetrd, stedc, unmtr, int_t = _STAGES
-        lwork, lrwork, liwork = _heevd_sizes(n)
-        self._a = np.empty((n, n), dtype=complex, order="F")
-        work, rwork, iwork = np.empty(lwork, dtype=complex), np.empty(lrwork - n), (int_t * liwork)()
-        self._t = np.empty(2 * n - 1)  # T's diagonal (then the eigenvalues), then its off-diagonal
-        self._d = self._t[:n]
-        self._z = work[n : n + n * n].reshape(n, n, order="F")  # zheevd's WORK(INDWRK): zstedc's vectors
-        a, d, z, tau, rwork2 = (x.ctypes.data for x in (self._a, self._d, self._z, work, rwork))
-        e, work2 = d + 8 * n, z + 16 * n * n  # work2 is zheevd's WORK(INDWK2), rwork2 its RWORK(INDRWK)
-        self._info, self._k, size = int_t(0), int_t(n), int_t(n)
-        p_n, ref = ctypes.byref(size), ctypes.byref
-        info, lwork2 = ref(self._info), ref(int_t(lwork - n - n * n))
-        self._tridiagonal = functools.partial(hetrd, b"L", p_n, a, p_n, d, e, tau, z, ref(int_t(lwork - n)), info, 1)
-        self._solve = functools.partial(
-            stedc, b"I", p_n, d, e, z, p_n, work2, lwork2, rwork2, ref(int_t(lrwork - n)), iwork,
-            ref(int_t(liwork)), info, 1,
-        )
-        self._back = functools.partial(
-            unmtr, b"L", b"L", b"N", p_n, ref(self._k), a, p_n, tau, z, p_n, work2, lwork2, info, 1, 1, 1,
-        )
-        self._unscaled = (2 * n * _UNSCALED[0], _UNSCALED[1] / (2 * math.sqrt(3 * n)))
-        self._hold = (work, rwork, iwork)  # the calls have only their addresses
+        self.a = np.empty((n, n), dtype=complex, order="F")
+        self._heevr = self._back = None
 
-    def __call__(self, a, k):
-        """(values, vectors) of a's top k pairs, unrotated; the vectors are a view of a held array,
-        valid until the next call.  None where zheevd would scale a or a stage reports INFO != 0."""
-        self._a[...] = a
+    def __call__(self, k):
+        if k == 1:
+            if self._heevr is None:
+                query = _bound_heevr(self.a)
+                query[0]()
+                work, rwork, iwork = query[4:]
+                self._heevr = _bound_heevr(self.a, int(work[0].real), int(rwork[0]), int(iwork[0]))
+            call, info, w, z, *_ = self._heevr
+            call()
+            return None if info.value != 0 else (w[:1].copy(), z[:, None])
+        if self._back is None:
+            self._bind_stages()
         self._tridiagonal()
         if self._info.value != 0 or not self._unscaled[0] <= np.abs(self._t).max() <= self._unscaled[1]:
             return None
@@ -239,25 +167,39 @@ class _HeevdStages:
             return None
         return self._d[order], kept
 
+    def _bind_stages(self):
+        _, heevd, hetrd, stedc, unmtr, int_t = _LAPACK
+        n, ref = len(self.a), ctypes.byref
+        self._t = np.empty(2 * n - 1)  # T's diagonal (then the eigenvalues), then its off-diagonal
+        self._info, self._k, size, query = int_t(0), int_t(n), int_t(n), int_t(-1)
+        p_n, info, a, t = ref(size), ref(self._info), self.a.ctypes.data, self._t.ctypes.data
+        sizes = np.empty(1, dtype=complex), np.empty(1), (int_t * 1)()  # zheevd's optimal sizes, JOBZ='V'
+        heevd(b"V", b"L", p_n, a, p_n, t, sizes[0].ctypes.data, ref(query), sizes[1].ctypes.data, ref(query),
+              sizes[2], ref(query), info, 1, 1)
+        lwork, lrwork, liwork = int(sizes[0][0].real), int(sizes[1][0]), int(sizes[2][0])
+        work, rwork, iwork = np.empty(lwork, dtype=complex), np.empty(lrwork - n), (int_t * liwork)()
+        self._d = self._t[:n]
+        self._z = work[n : n + n * n].reshape(n, n, order="F")  # zheevd's WORK(INDWRK): zstedc's vectors
+        z, tau, rwork2 = self._z.ctypes.data, work.ctypes.data, rwork.ctypes.data
+        e, work2 = t + 8 * n, z + 16 * n * n  # work2 is zheevd's WORK(INDWK2), rwork2 its RWORK(INDRWK)
+        lwork2 = ref(int_t(lwork - n - n * n))
+        self._tridiagonal = functools.partial(hetrd, b"L", p_n, a, p_n, t, e, tau, z, ref(int_t(lwork - n)), info, 1)
+        self._solve = functools.partial(
+            stedc, b"I", p_n, t, e, z, p_n, work2, lwork2, rwork2, ref(int_t(lrwork - n)), iwork,
+            ref(int_t(liwork)), info, 1,
+        )
+        self._back = functools.partial(
+            unmtr, b"L", b"L", b"N", p_n, ref(self._k), a, p_n, tau, z, p_n, work2, lwork2, info, 1, 1, 1,
+        )
+        self._unscaled = (2 * n * _UNSCALED[0], _UNSCALED[1] / (2 * math.sqrt(3 * n)))
+        self._hold = (work, rwork, iwork)  # the calls have only their addresses
+
 
 @functools.lru_cache(maxsize=8)
-def _heevd_stages(n):
-    """The `_HeevdStages` of dimension n on `_STAGES`, held for the 8 dimensions last asked for: a
-    trial-major payload sweep asks for a new n at every call, and the scripts sweep 4 of them."""
-    return _HeevdStages(n)
-
-
-@functools.cache
-def _heevd_sizes(n):
-    """zheevd's optimal (LWORK, LRWORK, LIWORK) for JOBZ='V' at dimension n, queried once."""
-    heevd, *_, int_t = _STAGES
-    a, w, work, rwork = np.empty((n, n), dtype=complex, order="F"), np.empty(n), np.empty(1, dtype=complex), np.empty(1)
-    iwork, size, query, info, ref = (int_t * 1)(), int_t(n), int_t(-1), int_t(0), ctypes.byref
-    heevd(
-        b"V", b"L", ref(size), a.ctypes.data, ref(size), w.ctypes.data, work.ctypes.data, ref(query), rwork.ctypes.data,
-        ref(query), iwork, ref(query), ref(info), 1, 1,
-    )
-    return int(work[0].real), int(rwork[0]), int(iwork[0])
+def _held(n):
+    """The `_Held` state of side n, kept for the 8 sides last asked for: a trial-major payload
+    sweep asks for a new n at every call, and the scripts sweep 4 of them."""
+    return _Held(n)
 
 
 def shared_matmul(a, b, out=None):

@@ -13,10 +13,10 @@ releases, the CPU learns the packed sum of the releases and broadcasts
 what it derives from it.  The CPU never forms the full matrix: LAPACK's
 Hermitian eigensolvers read only a lower triangle, and `unpack_lower`
 scatters the packed sum straight into that triangle of an F-ordered
-matrix, one the caller may hold across rounds.  So `top_eigpair`, FW's
-step, runs one `?heevr` call on a matrix its run holds
-(`linalg.TopEigpair`), and the one-shot basis runs `eigh` on a fresh
-one.
+matrix.  `top_eigenpairs` is the CPU's one eigensolve, FW's top pair
+(k = 1) and the one-shot top-K basis alike: it unpacks the sum into the
+matrix `linalg` holds for its side and solves it there
+(`linalg.hermitian_eig`).
 
 One record, `Calibration`, says how a run's releases are calibrated,
 and one function, `calibrate`, makes it: T releases per AP for the
@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import ITERATIVE
 from .errors import ArgumentError, ConfigError, ShapeError
-from .linalg import hermitian_eig
+from .linalg import held_matrix, hermitian_eig
 from .protocol import MessageKind
 
 
@@ -188,24 +188,32 @@ def unpack_lower(p, out=None):
     return out
 
 
-def top_eigpair(p, eig):
-    """Largest eigenvalue and phase-canonical unit eigenvector of the Hermitian matrix of a packed
-    release p.
+def top_eigenpairs(p, k):
+    """(values, vectors) of the top k eigenpairs, descending, of the Hermitian matrix of a packed
+    release p: values (k,), and unit vectors (n, k) whose column i belongs to values[i], each
+    rotated so that its largest-magnitude entry is real and positive.  The CPU's one eigensolve.
 
-    eig is a `linalg.TopEigpair` of p's side, held by the caller across calls: p is unpacked
-    straight into the lower triangle of its matrix, which one `?heevr` call reads.  Where eig
-    returns None (no `?heevr` symbol, or INFO != 0) the pair is `hermitian_eig(unpack_lower(p), 1)`'s,
-    on a fresh unpack of p, since the call overwrote eig's matrix.  A non-finite entry of p raises
-    LinAlgError: eigh returns a finite top pair for some NaN matrices.
+    A non-finite entry of p raises LinAlgError before any solve: eigh returns a finite top pair
+    for some NaN matrices.  p is unpacked straight into the lower triangle of the matrix
+    `linalg` holds for its side, which `linalg.hermitian_eig` solves: `?heevr` at k = 1, zheevd's
+    stages at k > 1, with eigh's bits.  Where LAPACK declines, the pairs are eigh's on a fresh
+    unpack of p, since the solve overwrote the held matrix; ties are broken by eigh's ascending
+    index (stable) either way.
     """
     if not np.isfinite(p).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    unpack_lower(p, eig.a)
-    pair = eig()
+    n = math.isqrt(p.size)
+    if not 1 <= k <= n:
+        raise ArgumentError(f"k={k} out of range for dimension {n}")
+    unpack_lower(p, held_matrix(n))
+    pair = hermitian_eig(n, k)
     if pair is None:
-        vals, vecs = hermitian_eig(unpack_lower(p), 1)
-        pair = vals[0], vecs[:, 0]
-    return pair
+        vals, vecs = np.linalg.eigh(unpack_lower(p))
+        order = np.argsort(-vals, kind="stable")[:k]
+        pair = vals[order], vecs[:, order]
+    vals, vecs = pair
+    top = vecs[np.abs(vecs).argmax(axis=0), range(k)]  # never 0: the columns are unit vectors
+    return vals, vecs * (top.conj() / abs(top))
 
 
 def _packed_noise(dim, scale, seed):
@@ -255,7 +263,7 @@ def gram_round(net, round_index, gram, n_aps, noise_scale, seed, kind, cpu, tail
         seq = np.random.SeedSequence([*entropy, *tail])
         w = _packed_noise(math.isqrt(gram.size), noise_scale * math.sqrt(n_aps), seq)
         w += gram  # into the draw's own vector, so a round allocates no third one
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, round_index, np.broadcast_to(w, (n_aps, w.size)))
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, round_index, w, n_aps)
     payload = cpu(w)
     net.broadcast(kind, round_index, payload)
     return payload

@@ -5,12 +5,12 @@ privatised Gram releases and locally detected payload estimates; the CPU
 talks back only through eigenpair or basis broadcasts.  `Backhaul` has
 one verb per direction, and each refuses the other direction's kinds at
 submission time.  APs send through `Backhaul.send_aps`, one call for a
-stack of consecutive APs' payloads, their names made once per range of
-APs; the CPU sends through `Backhaul.broadcast`.  `send_aps` checks the kind once and records,
-for every AP message, the payload's shape and, for a Gram release,
-whether it has the packed Hermitian form: a real (float64) 1-D vector
-whose length is a perfect square, tau_c^2.  Rows of one stack share
-dtype and shape, so both are read from its first row.
+run of consecutive APs whose payloads share dtype and shape, given the
+first AP's payload and the AP count, their names made once per range of
+APs; the CPU sends through `Backhaul.broadcast`.  `send_aps` checks the
+kind once and records, for every AP message, the payload's shape and,
+for a Gram release, whether it has the packed Hermitian form: a real
+(float64) 1-D vector whose length is a perfect square, tau_c^2.
 Any such vector is the packed form of an exactly Hermitian tau_c x tau_c
 matrix (`privacy.pack_hermitian`), so the verdict is structural and costs
 nothing per entry.  The simulator draws each round's aggregate noise
@@ -120,26 +120,24 @@ class Backhaul:
         self.transcript = []
         self.ledger = OverheadLedger()
 
-    def send_aps(self, kind, first_ap, round_index, payloads):
-        """AP first_ap + i sends payloads[i] to the CPU, for each row of the stack, in row order.
+    def send_aps(self, kind, first_ap, round_index, payload, count):
+        """APs first_ap .. first_ap + count - 1 each send the CPU a payload, in AP order.
 
-        Every row of an array shares its dtype and shape, so the byte count
-        and the packed-Hermitian verdict are taken from the first row.
-        Returns the recorded messages; nothing is recorded if a check fails.
+        payload is the first AP's; the others share its dtype and shape, so the byte count and
+        the packed-Hermitian verdict of every message are taken from it.  Returns the recorded
+        messages; nothing is recorded if a check fails.
         """
         if kind not in AP_TO_CPU:
             raise ProtocolError(f"kind {kind.value} not allowed from an AP")
-        if not isinstance(first_ap, (int, np.integer)) or isinstance(first_ap, bool) or first_ap < 0:
-            raise ProtocolError(f"first AP must be an integer >= 0, got {first_ap!r}")
-        payloads = np.asarray(payloads)
-        if payloads.ndim == 0 or len(payloads) == 0:
-            raise ProtocolError(f"AP payloads must be a non-empty stack, got shape {payloads.shape}")
-        row = payloads[0]
-        nbytes = payload_nbytes(kind, row)
-        hermitian = kind is MessageKind.GRAM_RELEASE and is_packed_hermitian(row)
+        for name, value, least in (("first AP", first_ap, 0), ("AP count", count, 1)):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ProtocolError(f"{name} must be an integer >= {least}, got {value!r}")
+        payload = np.asarray(payload)
+        nbytes = payload_nbytes(kind, payload)
+        hermitian = kind is MessageKind.GRAM_RELEASE and is_packed_hermitian(payload)
         msgs = [
-            Message._make((kind, name, CPU, round_index, nbytes, row.shape, hermitian))
-            for name in _ap_names(int(first_ap), len(payloads))
+            Message._make((kind, name, CPU, round_index, nbytes, payload.shape, hermitian))
+            for name in _ap_names(int(first_ap), int(count))
         ]
         self.transcript.extend(msgs)
         self.ledger.total_unicast_bytes += nbytes * len(msgs)

@@ -11,8 +11,8 @@ count of observed entries) cannot fire when N_r >= N_a / 2.
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ShapeError
-from .linalg import hermitian_eig, shared_matmul
-from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram, unpack_lower
+from .linalg import shared_matmul
+from .privacy import Calibration, CompletionResult, ap_stack, gram_round, stacked_gram, top_eigenpairs
 from .protocol import Backhaul, MessageKind
 
 
@@ -31,7 +31,7 @@ class SvdConfig:
 
 def cpu_topk(w, rank):
     """Top-`rank` orthonormal eigenbasis of the aggregated releases, w their packed sum."""
-    return hermitian_eig(unpack_lower(w), rank)[1]
+    return top_eigenpairs(w, rank)[1]
 
 
 def ap_complete(y, basis, upsample):

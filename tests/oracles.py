@@ -156,15 +156,22 @@ class FrozenMessage:
     hermitian: bool = False
 
 
-def _top_pair(a):
+def canonical_phase(v):
+    """v rotated so that its largest-magnitude entry is real and positive; a zero v as it is."""
+    v = np.asarray(v)
+    i = int(np.argmax(np.abs(v)))
+    p = v[i]
+    if p == 0:
+        return v
+    return v * (np.conj(p) / np.abs(p))
+
+
+def evr_pair(a):
     """Top eigenpair of an exactly Hermitian matrix from scipy's subset `eigh` (the `evr` driver,
-    LAPACK's ?heevr through scipy's own binding), its vector rotated so that its largest-magnitude
-    entry is real and positive."""
+    LAPACK's ?heevr through scipy's own binding), its vector rotated by `canonical_phase`."""
     n = len(a)
     vals, vecs = scipy.linalg.eigh(a, subset_by_index=[n - 1, n - 1], driver="evr")
-    v = vecs[:, 0]
-    i = int(np.argmax(np.abs(v)))
-    return vals[0], v * (np.conj(v[i]) / np.abs(v[i]))
+    return vals[0], canonical_phase(vecs[:, 0])
 
 
 def straight_line_fw(y, omega, iterations, nuclear_bound, clip_bound, noise_scale, entropy):
@@ -208,7 +215,7 @@ def straight_line_fw(y, omega, iterations, nuclear_bound, clip_bound, noise_scal
         re[upper] = re[lower] = w[:n_off]
         im[upper], im[lower] = w[n_off : 2 * n_off], np.subtract(0.0, w[n_off : 2 * n_off])
         re[:: tau_c + 1] = w[2 * n_off :]
-        value, v = _top_pair(h)
+        value, v = evr_pair(h)
         lam = math.sqrt(max(value, 0.0)) + math.sqrt(noise_scale) * (n_aps * tau_c) ** 0.25
         transcript.append(FrozenMessage("EigBroadcast", "cpu", "all-aps", n, 16 * tau_c + 8))
         eta = 1.0 if n == 1 else 1.0 / iterations

@@ -38,9 +38,11 @@ class RecordingBackhaul(Backhaul):
     """A Backhaul that also keeps every payload it accepts, in transcript order.
 
     payloads[i] is the payload of transcript[i]: the very object sent by
-    `broadcast`, or the row of the stack that `send_aps` sent it in; for a
-    LocalDetection, whose stack `harness.run_trial` lifts into one reused
-    buffer, a copy of that row taken when it was sent.
+    `broadcast`, or the one payload of the `send_aps` call that recorded it
+    (each AP's Gram release carries the round's packed sum); for a
+    LocalDetection, which `harness.run_trial` lifts into one reused buffer,
+    a copy of the chunk's first row taken when it was sent.  The detections
+    of the chunk's other APs are only read by the CPU's `estimation.combine`.
     """
 
     def __init__(self):
@@ -52,9 +54,9 @@ class RecordingBackhaul(Backhaul):
         self.payloads.append(payload)
         return msg
 
-    def send_aps(self, kind, first_ap, round_index, payloads):
-        msgs = super().send_aps(kind, first_ap, round_index, payloads)
-        self.payloads.extend(np.array(payloads) if kind is MessageKind.LOCAL_DETECTION else payloads)
+    def send_aps(self, kind, first_ap, round_index, payload, count):
+        msgs = super().send_aps(kind, first_ap, round_index, payload, count)
+        self.payloads.extend([np.array(payload) if kind is MessageKind.LOCAL_DETECTION else payload] * count)
         return msgs
 
 

@@ -406,7 +406,7 @@ def test_criterion_09_protocol_accounting(desk, desk_beta):
 
     raw = block.Y[0]  # an AP's observed block, sent as if it were a release
     n_clean = len(net_fw.transcript)
-    net_fw.send_aps(MessageKind.GRAM_RELEASE, 0, 1, raw[None])
+    net_fw.send_aps(MessageKind.GRAM_RELEASE, 0, 1, raw, 1)
     tampered = audit_privacy_surface(net_fw.transcript, tau_c, scen.K, scen.tau_d)
     assert not tampered.ok
     assert [i for i, _ in tampered.failures] == [n_clean]

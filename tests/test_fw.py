@@ -20,9 +20,10 @@ from privcell.fw import (
     run_fw,
     step_size,
 )
-from privcell.linalg import TopEigpair, observed_index
+from privcell.linalg import observed_index
 from privcell.privacy import Calibration, pack_hermitian
 from privcell.protocol import Backhaul, MessageKind
+from privcell.svdmc import run_svd
 
 
 def make_instance(seed, n_aps=3, n_ant=2, tau_c=8, density=0.5):
@@ -156,7 +157,7 @@ def test_release_gram_pure_noise():
 
 def test_aggregate_eig_matches_svd(rng):
     j = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    v, lam = cpu_aggregate_eig(pack_hermitian(one_ap_release(j, 0.0, 0)), 0.0, 1, TopEigpair(6))
+    v, lam = cpu_aggregate_eig(pack_hermitian(one_ap_release(j, 0.0, 0)), 0.0, 1)
     _, s, vh = np.linalg.svd(j)
     assert lam == pytest.approx(s[0], rel=1e-10)
     assert abs(np.vdot(v, vh[0].conj())) == pytest.approx(1.0, abs=1e-8)
@@ -171,7 +172,7 @@ def test_zero_aggregate_is_a_degenerate_step():
 
 
 def test_aggregate_eig_clamps_negative():
-    lifted = cpu_aggregate_eig(pack_hermitian(-3.0 * np.eye(4)), 0.5, 2, TopEigpair(4))[1]
+    lifted = cpu_aggregate_eig(pack_hermitian(-3.0 * np.eye(4)), 0.5, 2)[1]
     assert lifted == pytest.approx(np.sqrt(0.5) * (2 * 4) ** 0.25)
 
 
@@ -395,8 +396,8 @@ def test_run_is_bitwise_the_straight_line_round(method, tau_d, clip_bound):
 
 
 def desk_run(method, tau_d):
-    """run_fw's (result, transcript) on desk trial 3 at tau_d, on read-only y and omega as the
-    harness block memo hands them over, which must stay as they were."""
+    """run_fw's or run_svd's (result, transcript) for method on desk trial 3 at tau_d, on read-only
+    y and omega as the harness block memo hands them over, which must stay as they were."""
     scen = dataclasses.replace(DESK.scenario, tau_d=tau_d)
     prep = harness.prepare(scen, DESK.run, harness.draw_beta(scen, scen.seed))
     block = make_block(scen, prep.beta, prep.pilots, scen.seed, 3, prep.sigma2)
@@ -404,20 +405,26 @@ def desk_run(method, tau_d):
     kept = y.tobytes(), omega.tobytes()
     y.flags.writeable = omega.flags.writeable = False
     cfg, net = harness.completion_config(method, prep, scen, DESK.run, DESK.run.eps), Backhaul()
-    res = run_fw(y, omega, cfg, (scen.seed, 1, 3), net=net)
+    run = run_fw if method in ("fw", "npfw") else run_svd
+    res = run(y, omega, cfg, (scen.seed, 1, 3), net=net)
     assert (y.tobytes(), omega.tobytes()) == kept
     return res, net.transcript
 
 
 def test_runs_share_no_state_through_their_held_arrays():
-    """A run holds its residual and its `TopEigpair` across rounds.  Interleaved runs at tau_c
-    164, 60, 164, and npfw then fw at tau_c 60: each run's x_hat, masked_norms, lam_path,
-    clip_events and transcript are those of the first run of its kind, byte for byte."""
+    """A run holds its residual across rounds, and FW's top pair and the one-shot top-K basis are
+    solved on one matrix held per side.  Interleaved fw, svd, npfw and npsvd runs at tau_c 164
+    and 60: each run's x_hat, masked_norms, lam_path, clip_events and transcript are those of the
+    first run of its kind, byte for byte."""
     first = {}
-    for method, tau_d in (("fw", 160), ("fw", 56), ("fw", 160), ("npfw", 56), ("fw", 56), ("npfw", 56)):
+    runs = [("fw", 160), ("svd", 160), ("fw", 56), ("npsvd", 56), ("fw", 160), ("npfw", 56), ("svd", 56)]
+    runs += [("fw", 56), ("npsvd", 160), ("svd", 160), ("npfw", 56), ("npfw", 160), ("npsvd", 56), ("svd", 56)]
+    for method, tau_d in runs + [("npsvd", 160), ("npfw", 160)]:
         res, transcript = desk_run(method, tau_d)
-        got = (res.x_hat.tobytes(), res.masked_norms.tobytes(), res.lam_path.tobytes(), res.clip_events, transcript)
+        fields = (res.x_hat, res.masked_norms, res.lam_path)
+        got = (*(None if a is None else a.tobytes() for a in fields), res.clip_events, transcript)
         assert first.setdefault((method, tau_d), got) == got
+    assert len(first) == 8
 
 
 def test_run_deterministic():

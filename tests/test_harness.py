@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import RecordingBackhaul, read_csv
-from privcell import fw, harness
+from support import RecordingBackhaul, kind_count, read_csv
+from privcell import fw, harness, svdmc
 from privcell.channel import Scenario, make_block
 from privcell.config import METHODS, ExperimentConfig, RunConfig, load_experiment, with_overrides
 from privcell.errors import ArgumentError, ConfigError, DegenerateStepError, PrivCellError
 from privcell.estimation import (
+    combine,
     detect_local,
     estimate_channel,
     lifted,
@@ -222,6 +223,27 @@ def test_scenario_edges_run_every_method(edge, method, others):
     ).ok
 
 
+def combined_detections(monkeypatch, net):
+    """A list that fills, as trials run on net, with every AP's LocalDetection in AP order, as the
+    CPU's `estimation.combine` sums them: the last rows of each call's stack, as many as the
+    LocalDetection send before it counted (a running sum may come first), copied when summed.
+    net's `send_aps` sees only the first AP's payload of each chunk."""
+    rows, counts, send = [], [], net.send_aps
+
+    def sending(kind, first_ap, round_index, payload, count):
+        if kind is MessageKind.LOCAL_DETECTION:
+            counts.append(count)
+        return send(kind, first_ap, round_index, payload, count)
+
+    def summing(d):
+        rows.extend(np.array(d[len(d) - counts[-1]:]))
+        return combine(d)
+
+    net.send_aps = sending
+    monkeypatch.setattr(harness.estimation, "combine", summing)
+    return rows
+
+
 @pytest.mark.parametrize("method", list(METHODS))
 def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
     """The stacked estimate, detection and average give the per-AP loop's numbers bit for bit."""
@@ -240,6 +262,7 @@ def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
     for scen in (tiny, EDGE_SCENARIO, dataclasses.replace(EDGE_SCENARIO, sigma2=0.0)):
         prep = prepare(scen, run, draw_beta(scen, scen.seed))
         net = RecordingBackhaul()
+        sent = combined_detections(monkeypatch, net)
         res = run_trial(scen, run, method, prep, 7, 0, 1.0, net=net)
         block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
         tp = scen.tau_p
@@ -257,9 +280,7 @@ def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
         acc = np.zeros_like(ds[0])
         for d in ds:
             acc = acc + d
-        sent = [p for msg, p in zip(net.transcript, net.payloads)
-                if msg.kind is MessageKind.LOCAL_DETECTION]
-        assert len(sent) == scen.M
+        assert kind_count(net.transcript, MessageKind.LOCAL_DETECTION) == len(sent) == scen.M
         for got, want in zip(sent, ds):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(res.nmse, nmse(np.stack(h_hats), block.H))
@@ -334,6 +355,7 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     monkeypatch.setattr(harness.estimation, "slice_qpsk", spy(slice_qpsk, softs))
     net = RecordingBackhaul()
     net.send_aps = spy(net.send_aps, sends)
+    combined = combined_detections(monkeypatch, net)
     res = run_trial(scen, run, method, prep, scen.seed, 0, 1.0, net=net)
     log = list(log)  # run_trial's, before the reference call below adds its own
 
@@ -352,12 +374,11 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     assert got.tobytes() == soft.tobytes()
     assert res.nmse == nmse(h_hat, block.H)
     assert res.ser == ser(slice_qpsk(soft), block.D)
-    sent = [(msg.sender, p) for msg, p in zip(net.transcript, net.payloads)
-            if msg.kind is MessageKind.LOCAL_DETECTION]
-    assert [sender for sender, _ in sent] == [ap_name(m) for m in range(scen.M)]
-    for (_, got_m), want_m in zip(sent, d):
+    senders = [msg.sender for msg in net.transcript if msg.kind is MessageKind.LOCAL_DETECTION]
+    assert senders == [ap_name(m) for m in range(scen.M)] and len(combined) == scen.M
+    for got_m, want_m in zip(combined, d):
         assert got_m.tobytes() == want_m.tobytes()
-    return log, [len(args[3]) for args, _ in sends if args[0] is MessageKind.LOCAL_DETECTION]
+    return log, [args[4] for args, _ in sends if args[0] is MessageKind.LOCAL_DETECTION]
 
 
 @pytest.mark.parametrize("method", ["po", "npsvd"])
@@ -438,7 +459,7 @@ def test_m100_k25_ill_conditioned_ap_keeps_detection_in_budget(monkeypatch):
     run_trial(scen, exp.run, "npsvd", prep, scen.seed, 0, 1.0)  # first-call set-up outside the count
     net, sends = Backhaul(), []
     send = net.send_aps
-    net.send_aps = lambda kind, first, r, payloads: sends.append(len(payloads)) or send(kind, first, r, payloads)
+    net.send_aps = lambda kind, first, r, payload, count: sends.append(count) or send(kind, first, r, payload, count)
     log.clear()
     tracemalloc.start()
     try:
@@ -728,17 +749,21 @@ def test_run_point_counts_non_finite_results_as_failures(toy_exp, monkeypatch, c
     assert "excluded trial 1" in caplog.text and "non-finite" in caplog.text
 
 
-def test_run_point_counts_a_non_finite_aggregate_as_a_failure(toy_exp, monkeypatch, caplog):
-    """An FW aggregate poisoned with a NaN in round 2 fails each trial, through the
-    LinAlgError of the CPU's eigensolve."""
-    real = fw.gram_round
+@pytest.mark.parametrize("method, module, poisoned_round", [("npfw", fw, 2), ("npsvd", svdmc, 1)])
+def test_run_point_counts_a_non_finite_aggregate_as_a_failure(
+    toy_exp, method, module, poisoned_round, monkeypatch, caplog
+):
+    """An aggregate poisoned with a NaN, in FW's round 2 or the one-shot round, fails each trial
+    through the LinAlgError the CPU's eigensolve raises before any solve."""
+    real = module.gram_round
 
     def poisoned(net, n, gram, n_aps, scale, seed, kind, cpu, tail=()):
-        return real(net, n, gram, n_aps, scale, seed, kind, lambda w: cpu(w * np.nan if n == 2 else w), tail)
+        poison = lambda w: cpu(w * np.nan if n == poisoned_round else w)  # noqa: E731
+        return real(net, n, gram, n_aps, scale, seed, kind, poison, tail)
 
-    monkeypatch.setattr(fw, "gram_round", poisoned)
+    monkeypatch.setattr(module, "gram_round", poisoned)
     with caplog.at_level("WARNING", logger="privcell.harness"):
-        rec = run_point(toy_exp, "npfw", "epsilon", 1.0, 3, 11)
+        rec = run_point(toy_exp, method, "epsilon", 1.0, 3, 11)
     assert (rec.trials, rec.failures) == (0, 3)
     assert np.isnan(rec.nmse)
     assert caplog.text.count("LinAlgError") == 3

@@ -6,26 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import canonical_phase, evr_pair
 from support import blocks_round, unpack_hermitian
 from privcell import harness, linalg, privacy, svdmc
 from privcell.channel import sample_switch
 from privcell.config import load_experiment
 from privcell.errors import ArgumentError, ShapeError
 from privcell.linalg import (
-    canonical_phase,
     cholesky_solve,
     frob_norm,
-    hermitian_eig,
+    held_matrix,
     observed_index,
     observed_norms,
-    TopEigpair,
     pinv,
     shared_matmul,
 )
-from privcell.privacy import pack_hermitian, top_eigpair
+from privcell.privacy import pack_hermitian, top_eigenpairs
 from privcell.protocol import Backhaul, MessageKind
 
-# The two bounds that pin top_eigpair to eigh are fixed by the dtype alone:
+# The two bounds that pin the top pair to eigh are fixed by the dtype alone:
 # 8 n eps |a| on the eigenvalue and 8 n eps |a| / gap on the eigenvector.
 EPS = np.finfo(np.complex128).eps
 
@@ -33,6 +32,15 @@ EPS = np.finfo(np.complex128).eps
 def random_hermitian(n, rng):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
+
+
+@pytest.fixture(autouse=True)
+def fresh_held():
+    """Every test starts and ends with no held eigensolver state, so one that patches `_LAPACK`
+    binds its routines afresh and leaves none of them bound for the next."""
+    linalg._held.cache_clear()
+    yield
+    linalg._held.cache_clear()
 
 
 def test_canonical_phase_largest_entry_real_positive(rng):
@@ -50,28 +58,63 @@ def test_canonical_phase_zero_vector():
     assert np.array_equal(canonical_phase(v), v)
 
 
+def eigh_top(a, k):
+    """The top k pairs as the CPU's eigensolve gave them before its LAPACK routes: eigh's, picked
+    by a stable sort on minus the values and each column phase-rotated in one pass."""
+    vals, vecs = np.linalg.eigh(a)
+    order = np.argsort(-vals, kind="stable")[:k]
+    vecs = vecs[:, order]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
+    return vals[order], vecs * (np.conj(top) / np.abs(top))
+
+
+def evr_top(a):
+    """scipy's subset `evr` pair of a as (values (1,), vectors (n, 1)), phase-rotated."""
+    value, v = evr_pair(a)
+    return np.array([value]), v[:, None]
+
+
+def reference(a, k):
+    """What `top_eigenpairs` gives for an exactly Hermitian a with LAPACK bound: `?heevr`'s pair,
+    which is scipy's subset evr pair, at k = 1; eigh's top k, through zheevd's stages, at k > 1."""
+    return evr_top(a) if k == 1 else eigh_top(a, k)
+
+
+def packed_eig(a, k):
+    """(top_eigenpairs of a's packed form, that form's full matrix): a need not be exactly Hermitian."""
+    p = pack_hermitian(a)
+    return top_eigenpairs(p, k), unpack_hermitian(p)
+
+
+def assert_same_bits(got, want):
+    """Equal values and vectors, byte for byte, in the same dtype, shape and memory order."""
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.flags.f_contiguous) == (w.dtype, w.shape, w.flags.f_contiguous)
+        assert g.tobytes() == w.tobytes()
+
+
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(2, 164), k=st.integers(1, 164), seed=st.integers(0, 2**32 - 1))
-def test_hermitian_eig_rotates_every_column_as_canonical_phase_does(n, k, seed):
+def test_top_eigenpairs_rotates_every_column_as_canonical_phase_does(n, k, seed):
     """The one-pass rotation of the k kept eigenvectors equals canonical_phase applied to
-    each column alone, byte for byte."""
+    each column alone, byte for byte: of eigh's columns at k > 1, of evr's at k = 1."""
     k = min(k, n)
     a = random_hermitian(n, np.random.default_rng(seed))
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(-vals, kind="stable")[:k]
-    want = np.column_stack([canonical_phase(vecs[:, i]) for i in order])
-    assert hermitian_eig(a, k)[1].tobytes() == want.tobytes()
+    want = evr_pair(a)[1][:, None] if k == 1 else np.column_stack([canonical_phase(vecs[:, i]) for i in order])
+    assert top_eigenpairs(pack_hermitian(a), k)[1].tobytes() == want.tobytes()
 
 
 def test_eig_identity():
-    vals, vecs = hermitian_eig(np.eye(3), 1)
+    vals, vecs = top_eigenpairs(pack_hermitian(np.eye(3)), 1)
     assert (vals.shape, vecs.shape) == ((1,), (3, 1))
     assert vals[0] == pytest.approx(1.0)
     assert np.linalg.norm(vecs[:, 0]) == pytest.approx(1.0)
 
 
 def test_eig_diagonal():
-    vals, vecs = hermitian_eig(np.diag([3.0, 1.0]), 1)
+    vals, vecs = top_eigenpairs(pack_hermitian(np.diag([3.0, 1.0])), 1)
     assert vals[0] == pytest.approx(3.0)
     np.testing.assert_allclose(np.abs(vecs[:, 0]), [1.0, 0.0], atol=1e-12)
 
@@ -79,27 +122,27 @@ def test_eig_diagonal():
 def test_eig_reconstruction(rng):
     """Full decomposition reassembles the matrix."""
     a = random_hermitian(6, rng)
-    vals, vecs = hermitian_eig(a, 6)
+    vals, vecs = top_eigenpairs(pack_hermitian(a), 6)
     np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, a, atol=1e-8)
     assert vals.tolist() == sorted(vals, reverse=True)
 
 
 def test_eig_vectors_orthonormal(rng):
     a = random_hermitian(5, rng)
-    vecs = hermitian_eig(a, 5)[1]
+    vecs = top_eigenpairs(pack_hermitian(a), 5)[1]
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(5), atol=1e-10)
 
 
 def test_eig_k_out_of_range():
     with pytest.raises(ArgumentError):
-        hermitian_eig(np.eye(3), 4)
+        top_eigenpairs(pack_hermitian(np.eye(3)), 4)
     with pytest.raises(ArgumentError):
-        hermitian_eig(np.eye(3), 0)
+        top_eigenpairs(pack_hermitian(np.eye(3)), 0)
 
 
 def test_eig_rejects_nonsquare():
     with pytest.raises(ShapeError):
-        hermitian_eig(np.zeros((2, 3)), 1)
+        top_eigenpairs(np.zeros((2, 3)), 1)
 
 
 # ---------------------------------------------------------------- shared matrix products
@@ -279,18 +322,43 @@ def eig_bound(a):
     return 8 * len(a) * EPS * np.abs(np.linalg.eigvalsh(a)).max()
 
 
-def top_pair(a, eig=None):
-    """The packed CPU step on an exactly Hermitian a: `privacy.top_eigpair` of its packed form,
-    with eig or a fresh `TopEigpair` of its side."""
-    return top_eigpair(pack_hermitian(a), TopEigpair(len(a)) if eig is None else eig)
+def top_pair(a):
+    """FW's CPU step on an exactly Hermitian a: `privacy.top_eigenpairs` of its packed form at
+    k = 1, as (value, vector)."""
+    vals, vecs = top_eigenpairs(pack_hermitian(a), 1)
+    return vals[0], vecs[:, 0]
 
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The matrices the packed CPU step hands to its eigh fallback, in call order."""
+    """The matrices the CPU's eigensolve hands to its eigh fallback, in call order: each is a
+    fresh `unpack_lower` of the packed sum, the only call it makes without a held matrix."""
+    seen = []
+    real = privacy.unpack_lower
+
+    def unpack(p, out=None):
+        a = real(p, out)
+        if out is None:
+            seen.append(a)
+        return a
+
+    monkeypatch.setattr(privacy, "unpack_lower", unpack)
+    return seen
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Whether each `linalg.hermitian_eig` call of the CPU's eigensolve gave the pairs (True) or
+    declined (False), in call order."""
     seen = []
     real = privacy.hermitian_eig
-    monkeypatch.setattr(privacy, "hermitian_eig", lambda a, k: seen.append(a) or real(a, k))
+
+    def solve(n, k):
+        pair = real(n, k)
+        seen.append(pair is not None)
+        return pair
+
+    monkeypatch.setattr(privacy, "hermitian_eig", solve)
     return seen
 
 
@@ -325,7 +393,7 @@ def planted_gap(n, rel_gap, scale, seed):
 @example(n=164, rel_gap=1.0, scale=1e-6, seed=1)
 @example(n=2, rel_gap=1e-6, scale=1.0, seed=2)
 @example(n=1, rel_gap=0.5, scale=3.0, seed=3)
-def test_top_eigpair_matches_eigh_on_planted_gaps(n, rel_gap, scale, seed):
+def test_top_pair_matches_eigh_on_planted_gaps(n, rel_gap, scale, seed):
     assert_matches_eigh(planted_gap(n, rel_gap, scale, seed))
 
 
@@ -336,7 +404,7 @@ def test_top_eigpair_matches_eigh_on_planted_gaps(n, rel_gap, scale, seed):
     magnitude=st.floats(1e-8, 1e2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnitude, seed):
+def test_top_pair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnitude, seed):
     """The packed sum of one desk round: 20 APs with 4 antennas each."""
     rng = np.random.default_rng(seed)
     blocks = magnitude * (rng.standard_normal((20, 4, tau_c)) + 1j * rng.standard_normal((20, 4, tau_c)))
@@ -353,7 +421,7 @@ def test_top_eigpair_matches_eigh_on_desk_gram_rounds(tau_c, noise_scale, magnit
     [-3.0 * np.eye(4), np.eye(5), np.array([[2.5]]), np.array([[-1.0 + 0j]]), np.zeros((3, 3))],
     ids=["minus-3I", "I", "1x1", "1x1-negative", "zero"],
 )
-def test_top_eigpair_edge_cases(a):
+def test_top_pair_edge_cases(a):
     """Degenerate tops, 1x1 matrices and the zero matrix: the eigenvalue and the residual."""
     lam, v = top_pair(a)
     tol = eig_bound(a)
@@ -362,102 +430,121 @@ def test_top_eigpair_edge_cases(a):
     assert np.linalg.norm(a @ v - lam * v) <= tol
 
 
+@pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("slot", [0, 6, 12, 15], ids=["off-diagonal-real", "imaginary", "diagonal", "last-diagonal"])
-def test_top_eigpair_rejects_a_non_finite_packed_sum(bad, slot, fallbacks):
+def test_a_non_finite_packed_sum_raises_before_any_solve(bad, slot, k, fallbacks, solves):
     """A non-finite real part, imaginary part or diagonal entry of the packed sum of I_4 (6 real
-    parts, 6 imaginary parts, 4 diagonal entries) raises before any solve: eigh's top pair of
-    I_4 with one NaN off the diagonal is a finite (1, e_0)."""
+    parts, 6 imaginary parts, 4 diagonal entries) raises before any solve, for FW's top pair and
+    the one-shot top-K basis alike: eigh's top pair of I_4 with one NaN off the diagonal is a
+    finite (1, e_0)."""
     p = pack_hermitian(np.eye(4, dtype=complex))
     p[slot] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        top_eigpair(p, TopEigpair(4))
-    assert fallbacks == []
+        top_eigenpairs(p, k)
+    assert fallbacks == [] and solves == []
 
 
-def test_top_eigpair_rejects_a_packed_sum_of_no_or_another_side():
+def test_a_packed_sum_of_no_side_or_no_square_length_is_rejected():
     with pytest.raises(ShapeError):
-        top_eigpair(np.zeros(6), TopEigpair(2))
+        top_eigenpairs(np.zeros(6), 1)
     with pytest.raises(ShapeError):
-        top_eigpair(np.zeros((2, 2)), TopEigpair(2))
-    with pytest.raises(ShapeError):
-        top_eigpair(np.zeros(9), TopEigpair(2))
+        top_eigenpairs(np.zeros((2, 2)), 1)
+    with pytest.raises(ArgumentError):
+        top_eigenpairs(np.zeros(0), 1)
 
 
 # ------------------------------------------------------------ one ?heevr call per eigenpair
 
 
 def test_the_lapack_binding_resolves_to_heevr_on_numpys_scipy_openblas():
-    """One lookup binds FW's ?heevr and hermitian_eig's zheevd stages, all under the symbol
+    """One lookup binds FW's ?heevr and the top-K basis's zheevd stages, all under the symbol
     convention and integer width of numpy's scipy-openblas."""
     config = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
     if config.get("name") != "scipy-openblas":
         pytest.skip(f"numpy links {config.get('name')}, whose symbol names this test does not know")
-    heevr, int_t = linalg._LAPACK
+    heevr, *stages, int_t = linalg._LAPACK
     assert heevr.__name__ in ("scipy_zheevr_64_", "scipy_zheevr_")
     suffix = "_64_" if heevr.__name__.endswith("_64_") else "_"
     assert ctypes.sizeof(int_t) == (8 if suffix == "_64_" else 4)
-    *stages, stage_int_t = linalg._STAGES
     assert [r.__name__ for r in stages] == [f"scipy_{n}{suffix}" for n in ("zheevd", "zhetrd", "zstedc", "zunmtr")]
-    assert stage_int_t is int_t
     assert linalg._bind_lapack("zheevr", "no_such_routine") is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 24, 164])
-def test_top_eigpair_leaves_the_packed_sum_unchanged(n, rng):
-    """The packed sum is only read: a read-only one goes through unchanged."""
+@pytest.mark.parametrize("n", [1, 2, 24, 100, 164])
+def test_top_eigenpairs_leaves_the_packed_sum_unchanged(n, rng):
+    """The packed sum is only read: a read-only one goes through unchanged, at k = 1 and k > 1."""
     p = pack_hermitian(random_hermitian(n, rng))
     before = p.tobytes()
     p.flags.writeable = False
-    top_eigpair(p, TopEigpair(n))
+    for k in sorted({1, min(3, n)}):
+        top_eigenpairs(p, k)
     assert p.tobytes() == before
 
 
+def fresh(p, k):
+    """top_eigenpairs(p, k) on held state bound afresh, dropped again after the call."""
+    linalg._held.cache_clear()
+    try:
+        return top_eigenpairs(p, k)
+    finally:
+        linalg._held.cache_clear()
+
+
 @pytest.mark.parametrize("n", [1, 2, 24, 60, 100, 164])
-def test_a_held_top_eigpair_gives_a_fresh_ones_bits(n):
-    """?heevr overwrites the held matrix and leaves its strict upper triangle as it finds it; each
-    call on one held TopEigpair, whatever the calls before it left there, gives the bits of a
-    fresh TopEigpair on the same packed sum."""
-    eig = TopEigpair(n)
-    eig.a[...] = np.nan + 1j * np.inf  # stale entries everywhere, the upper triangle included
-    for seed in (n, n + 1, n):
-        a = planted_gap(n, 0.1, 1.0, seed)
-        (lam, v), (want_lam, want_v) = top_pair(a, eig), top_pair(a)
-        assert lam == want_lam and v.tobytes() == want_v.tobytes()
+def test_held_state_gives_fresh_bits_after_any_call(n, solves, rng):
+    """Both routines overwrite the one held matrix of a side, and the stages leave their arrays
+    as a call left them.  Whatever earlier calls left there, NaNs in the upper triangle included,
+    and after a sum zheevd would scale (declined to eigh), a k = n call and a k = 1 call, each
+    packed sum gets the bits that freshly bound state gives it."""
+    cases = [(1e-300 * wishart(n, rng), min(2, n)), (wishart(n, rng), n)]
+    cases += [(graded(n, rng), 1), (planted_gap(n, 0.1, 1.0, n), 1), (wishart(n, rng), (n + 1) // 2)]
+    cases = [(pack_hermitian(a), k) for a, k in cases]
+    wants = [fresh(p, k) for p, k in cases]
+    held_matrix(n)[...] = np.nan + 1j * np.inf  # stale entries everywhere, the upper triangle included
+    solves.clear()
+    for (p, k), want in zip(cases, wants):
+        assert_same_bits(top_eigenpairs(p, k), want)
+    assert solves == [n == 1, True, True, True, True]
 
 
-def failing_heevr(monkeypatch):
-    """Bind a ?heevr that runs and then reports INFO = 1, the code of a failed convergence."""
-    heevr, int_t = linalg._LAPACK
+def failing(position, info_at):
+    """A `_LAPACK` binding whose routine at position runs and then reports INFO = 1, the code of a
+    failed convergence, through its argument info_at."""
+    *routines, int_t = linalg._LAPACK
+    real = routines[position]
 
     def routine(*args):
-        heevr(*args)
-        args[22]._obj.value = 1  # INFO, passed by reference
+        real(*args)
+        args[info_at]._obj.value = 1  # INFO, passed by reference
 
-    monkeypatch.setattr(linalg, "_LAPACK", (routine, int_t))
+    routines[position] = routine
+    return (*routines, int_t)
 
 
-@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
-@pytest.mark.parametrize("fail", [lambda m: m.setattr(linalg, "_LAPACK", None), failing_heevr], ids=["unbound", "info"])
-def test_top_eigpair_without_heevr_returns_hermitian_eigs_pair(fail, fallbacks, rng, monkeypatch):
-    """Unbound, or when the call reports INFO != 0, the pair is hermitian_eig's, byte for byte,
-    on a matrix rebuilt from the packed sum: not the held matrix ?heevr overwrote.  A packed sum
-    unpacks to complex128, so a real case is compared with hermitian_eig of its complex copy."""
+lapack_bound = pytest.mark.skipif(
+    linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr or zheevd stages under a known name"
+)
+
+
+@lapack_bound
+@pytest.mark.parametrize("bind", [None, (0, 22)], ids=["unbound", "info"])
+def test_top_pair_without_heevr_is_eighs_pair(bind, fallbacks, rng, monkeypatch):
+    """Unbound, or when ?heevr reports INFO != 0, the pair is eigh's, byte for byte, on a matrix
+    rebuilt from the packed sum: not the held matrix ?heevr overwrote.  A packed sum unpacks to
+    complex128, so a real case is compared with eigh of its complex copy."""
     cases = [planted_gap(n, 0.1, 1.0, n) for n in (1, 2, 24, 60, 164)]
     cases += [random_hermitian(60, rng).real, np.diag([3.0, 1.0]), -3.0 * np.eye(4), np.zeros((3, 3))]
-    fail(monkeypatch)
+    monkeypatch.setattr(linalg, "_LAPACK", None if bind is None else failing(*bind))
     for a in cases:
-        eig = TopEigpair(len(a))
-        lam, v = top_pair(a, eig)
-        vals, vecs = hermitian_eig(a.astype(complex), 1)
-        assert lam == vals[0] and v.dtype == vecs.dtype and v.tobytes() == vecs[:, 0].tobytes()
+        assert_same_bits(top_eigenpairs(pack_hermitian(a), 1), eigh_top(a.astype(complex), 1))
         handed = fallbacks[-1]
-        assert handed is not eig.a and np.tril(handed).tobytes() == np.tril(a.astype(complex)).tobytes()
+        assert handed is not held_matrix(len(a)) and np.tril(handed).tobytes() == np.tril(a.astype(complex)).tobytes()
     assert len(fallbacks) == len(cases)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-170, 1e-300])
-def test_top_eigpair_matches_eigh_near_the_ends_of_float_range(scale, fallbacks):
+def test_top_pair_matches_eigh_near_the_ends_of_float_range(scale, fallbacks):
     """?heevr scales such a matrix itself: eigh's pair within eig_bound, without a
     RuntimeWarning (an error under this suite's filter) and without the fallback."""
     a = scale * random_hermitian(6, np.random.default_rng(0))
@@ -469,21 +556,20 @@ def test_top_eigpair_matches_eigh_near_the_ends_of_float_range(scale, fallbacks)
     assert fallbacks == [] or linalg._LAPACK is None
 
 
-@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
+@lapack_bound
 @pytest.mark.parametrize("n", [1, 2, 24, 60, 100, 164])
-def test_top_eigpair_is_scipys_subset_evr_pair_bit_for_bit(n):
+def test_top_pair_is_scipys_subset_evr_pair_bit_for_bit(n):
     """The straight-line FW oracle takes its pair from scipy's subset eigh (driver evr); the
     ctypes ?heevr call gives the same bits once both are phase-rotated."""
-    scipy_linalg = pytest.importorskip("scipy.linalg")
     a = planted_gap(n, 0.1, 1.0, n)
-    vals, vecs = scipy_linalg.eigh(a, subset_by_index=[n - 1, n - 1], driver="evr")
     lam, v = top_pair(a)
-    assert lam == vals[0] and v.tobytes() == canonical_phase(vecs[:, 0]).tobytes()
+    want_lam, want_v = evr_pair(a)
+    assert lam == want_lam and v.tobytes() == want_v.tobytes()
 
 
-@pytest.mark.skipif(linalg._LAPACK is None, reason="numpy's LAPACK exports no ?heevr under a known name")
+@lapack_bound
 def test_heevr_workspace_is_queried_once_per_dimension(fallbacks, rng, monkeypatch):
-    """The sizes are cached by n; every TopEigpair after the first at an n binds them."""
+    """The sizes are queried when ?heevr is bound to a side's held matrix, once per n."""
     queries, real = [], linalg._bound_heevr
 
     def bound(a, *sizes):
@@ -492,17 +578,13 @@ def test_heevr_workspace_is_queried_once_per_dimension(fallbacks, rng, monkeypat
         return real(a, *sizes)
 
     monkeypatch.setattr(linalg, "_bound_heevr", bound)
-    linalg._heevr_sizes.cache_clear()
-    try:
-        for n in (24, 60, 24, 60, 24):
-            top_pair(random_hermitian(n, rng))
-    finally:
-        linalg._heevr_sizes.cache_clear()
+    for n in (24, 60, 24, 60, 24):
+        top_pair(random_hermitian(n, rng))
     assert queries == [24, 60] and fallbacks == []
 
 
 @pytest.mark.parametrize("bind", [True, False], ids=["heevr", "eigh"])
-def test_top_eigpair_is_exact_on_diagonal_matrices(bind, monkeypatch):
+def test_top_pair_is_exact_on_diagonal_matrices(bind, monkeypatch):
     """A diagonal matrix's top pair is its largest entry and a coordinate vector on either path;
     with a repeated top entry the two paths may pick different coordinates."""
     if not bind:
@@ -515,51 +597,17 @@ def test_top_eigpair_is_exact_on_diagonal_matrices(bind, monkeypatch):
         assert np.array_equal(a @ v, lam * v)
 
 
+@lapack_bound
+@pytest.mark.parametrize("d", [2.5, -1.0, 0.0, 5e-324])
+def test_a_1x1_sum_takes_heevr(d, solves):
+    """A 1 x 1 sum has k = 1 alone, so it takes ?heevr: its one entry and the vector 1."""
+    vals, vecs = top_eigenpairs(np.array([d]), 1)
+    assert vals.tolist() == [d] and vecs.tolist() == [[1.0 + 0.0j]]
+    assert_same_bits((vals, vecs), evr_top(np.array([[complex(d)]])))
+    assert solves == [True]
+
+
 # ------------------------------------------------ the top k through zheevd's own stages
-
-stages_bound = pytest.mark.skipif(
-    linalg._STAGES is None, reason="numpy's LAPACK exports no zheevd stages under a known name"
-)
-
-
-def eigh_top(a, k):
-    """The top k pairs as hermitian_eig gave them before its staged route: eigh's, picked by a
-    stable sort on minus the values and each column phase-rotated in one pass."""
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(-vals, kind="stable")[:k]
-    vecs = vecs[:, order]
-    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
-    return vals[order], vecs * (np.conj(top) / np.abs(top))
-
-
-def assert_same_bits(got, want):
-    """Equal values and vectors, byte for byte, in the same dtype, shape and memory order."""
-    for g, w in zip(got, want):
-        assert (g.dtype, g.shape, g.flags.f_contiguous) == (w.dtype, w.shape, w.flags.f_contiguous)
-        assert g.tobytes() == w.tobytes()
-
-
-@pytest.fixture
-def staged(monkeypatch):
-    """Whether each staged attempt of hermitian_eig gave the pair (True) or declined (False), in
-    call order; a call that never asks the stages leaves no entry.  The held stages are dropped
-    before and after, so a patched `_STAGES` is bound afresh and not kept."""
-    seen, real = [], linalg._heevd_stages
-
-    def stages(n):
-        solve = real(n)
-
-        def attempt(a, k):
-            pair = solve(a, k)
-            seen.append(pair is not None)
-            return pair
-
-        return attempt
-
-    linalg._heevd_stages.cache_clear()
-    monkeypatch.setattr(linalg, "_heevd_stages", stages)
-    yield seen
-    real.cache_clear()
 
 
 def wishart(n, rng):
@@ -574,20 +622,20 @@ def graded(n, rng):
     return 0.5 * (a + a.conj().T)
 
 
-@stages_bound
+@lapack_bound
 @pytest.mark.parametrize("n", [1, 2, 8, 24, 60, 100, 128, 129, 164, 300])
 @pytest.mark.parametrize("spectrum", [wishart, graded], ids=["wishart", "graded"])
-def test_hermitian_eig_is_eighs_top_k_bit_for_bit(n, spectrum, staged):
-    """At k = 1, a middle k and k = n, in C and F order: eigh's top k pairs, as hermitian_eig
-    picked and rotated them before, byte for byte; every n > 1 through the stages."""
-    a = spectrum(n, np.random.default_rng(n))
-    for k in sorted({1, (n + 1) // 2, n}):
-        for order in "CF":
-            assert_same_bits(hermitian_eig(np.asarray(a, order=order), k), eigh_top(a, k))
-    assert staged == [True] * (0 if n == 1 else 2 * len({1, (n + 1) // 2, n}))
+def test_top_eigenpairs_is_eighs_top_k_bit_for_bit(n, spectrum, solves):
+    """At k = 1, a middle k and k = n: scipy's evr pair at k = 1 and eigh's top k pairs at k > 1,
+    as the eigensolve picked and rotated them before, byte for byte; none declined."""
+    ks = sorted({1, (n + 1) // 2, n})
+    for k in ks:
+        got, a = packed_eig(spectrum(n, np.random.default_rng(n)), k)
+        assert_same_bits(got, reference(a, k))
+    assert solves == [True] * len(ks)
 
 
-@stages_bound
+@lapack_bound
 @pytest.mark.parametrize(
     "diagonal",
     [
@@ -598,101 +646,79 @@ def test_hermitian_eig_is_eighs_top_k_bit_for_bit(n, spectrum, staged):
     ],
     ids=["identity", "repeated", "interleaved", "repeated-120"],
 )
-def test_hermitian_eig_breaks_ties_as_eigh_did(diagonal, staged):
+def test_top_eigenpairs_breaks_ties_as_eigh_did(diagonal, solves):
     """Exact ties inside the top k and across the k-th/(k+1)-th boundary pick eigh's columns:
-    at every k, the bits of eigh's top k."""
+    at every k > 1, the bits of eigh's top k; at k = 1, evr's pair."""
     a = np.diag(diagonal).astype(complex)
     for k in range(1, len(a) + 1):
-        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
-    assert staged == [True] * len(a)
+        assert_same_bits(top_eigenpairs(pack_hermitian(a), k), reference(a, k))
+    assert solves == [True] * len(a)
 
 
 def trial_grams(profile, tau_d=None, trials=2):
-    """(matrix, k) of every `hermitian_eig` call in `run_trial` for `svd` (ε = 1, with release
-    noise) and `npsvd` (without) at a profile's config seed: the lower triangles
-    `svdmc.cpu_topk` hands over, from `channel.make_block`'s blocks."""
+    """(packed sum, k) of every `top_eigenpairs` call in `run_trial` for `svd` (ε = 1, with release
+    noise) and `npsvd` (without) at a profile's config seed, as `svdmc.cpu_topk` hands them
+    over, from `channel.make_block`'s blocks."""
     exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / f"{profile}.yaml")
     s = exp.scenario if tau_d is None else harness.apply_axis(exp.scenario, "tau_d", tau_d)[0]
     prep = harness.prepare(s, exp.run, harness.draw_beta(s, s.seed))
-    seen, real = [], svdmc.hermitian_eig
-    svdmc.hermitian_eig = lambda a, k: seen.append((a.copy(order="K"), k)) or real(a, k)
+    seen, real = [], svdmc.top_eigenpairs
+    svdmc.top_eigenpairs = lambda p, k: seen.append((p.copy(), k)) or real(p, k)
     try:
         for method in ("svd", "npsvd"):
             for t in range(trials):
                 harness.run_trial(s, exp.run, method, prep, s.seed, t, 1.0)
     finally:
-        svdmc.hermitian_eig = real
+        svdmc.top_eigenpairs = real
     return seen
 
 
-@stages_bound
+@lapack_bound
 @pytest.mark.parametrize(
     "profile, tau_d", [("desk", None), ("desk", 20), ("desk", 160), ("m100_k25", None)],
     ids=["desk", "desk-tau20", "desk-tau160", "m100_k25"],
 )
-def test_hermitian_eig_on_trial_grams_is_eighs_top_k(profile, tau_d, staged):
+def test_top_eigenpairs_on_trial_grams_is_the_reference(profile, tau_d, solves):
     """The release sums of real trials, noisy and noiseless, at k = K as `svd` asks and at k = 1
-    and n: eigh's bits every time, all through the stages."""
+    and n: eigh's bits at k > 1 and evr's at k = 1 every time, none declined."""
     grams = trial_grams(profile, tau_d)
     assert len(grams) == 4
-    for a, k in grams:
-        assert a.flags.f_contiguous and not np.triu(a, 1).any()  # unpack_lower's fresh matrix
+    solves.clear()
+    for p, k in grams:
+        a = unpack_hermitian(p)
         for kk in sorted({1, k, len(a)}):
-            assert_same_bits(hermitian_eig(a, kk), eigh_top(a, kk))
-    assert staged and all(staged)
+            assert_same_bits(top_eigenpairs(p, kk), reference(a, kk))
+    assert solves and all(solves)
 
 
 # --------------------------------------------------------------- the eigh fallback
 
 
-def failing_stage(position):
-    """A `_STAGES` binding whose routine at position runs and then reports INFO = 1."""
-    *routines, int_t = linalg._STAGES
-    real = routines[position]
-    info_at = {1: 9, 2: 12, 3: 12}[position]  # zhetrd's, zstedc's and zunmtr's INFO argument
-
-    def routine(*args):
-        real(*args)
-        args[info_at]._obj.value = 1
-
-    routines[position] = routine
-    return (*routines, int_t)
-
-
-@stages_bound
-@pytest.mark.parametrize("position", [1, 2, 3], ids=["zhetrd", "zstedc", "zunmtr"])
-def test_a_stage_reporting_info_falls_back_to_eigh(position, staged, monkeypatch, rng):
-    monkeypatch.setattr(linalg, "_STAGES", failing_stage(position))
-    for n, k in ((2, 1), (24, 4), (100, 25)):
-        a = wishart(n, rng)
-        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
-    assert staged == [False] * 3
+@lapack_bound
+@pytest.mark.parametrize("position, info_at", [(2, 9), (3, 12), (4, 12)], ids=["zhetrd", "zstedc", "zunmtr"])
+def test_a_stage_reporting_info_falls_back_to_eigh(position, info_at, solves, fallbacks, monkeypatch, rng):
+    monkeypatch.setattr(linalg, "_LAPACK", failing(position, info_at))
+    for n, k in ((2, 2), (24, 4), (100, 25)):
+        got, a = packed_eig(wishart(n, rng), k)
+        assert_same_bits(got, eigh_top(a, k))
+    assert solves == [False] * 3 and len(fallbacks) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 24, 100])
-def test_hermitian_eig_without_the_stages_is_eighs_top_k(n, staged, monkeypatch, rng):
-    monkeypatch.setattr(linalg, "_STAGES", None)
-    a = wishart(n, rng)
-    for k in sorted({1, n}):
-        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
-    assert staged == []
-
-
-@pytest.mark.parametrize("n", [1, 2, 24])
-def test_real_input_and_n_1_take_eigh(n, staged, rng):
-    """A real matrix is eigh's real solve (dsyevd), never the complex stages; a 1 x 1 complex
-    matrix is eigh's too."""
-    a = wishart(n, rng)
-    for x in (a.real, a.real.astype(np.float32)) if n > 1 else (a, a.real):
-        assert_same_bits(hermitian_eig(x, n), eigh_top(x, n))
-    assert staged == []
+def test_top_eigenpairs_without_lapack_is_eighs_top_k(n, solves, fallbacks, monkeypatch, rng):
+    monkeypatch.setattr(linalg, "_LAPACK", None)
+    ks = sorted({1, n})
+    for k in ks:
+        got, a = packed_eig(wishart(n, rng), k)
+        assert_same_bits(got, eigh_top(a, k))
+    assert solves == [False] * len(ks) and len(fallbacks) == len(ks)
 
 
 # zheevd's unscaled range: its largest entry within [2^-485, 2^485]
 RMIN, RMAX = 2.0**-485, 2.0**485
 
 
-@stages_bound
+@lapack_bound
 @pytest.mark.parametrize(
     "top, takes_stages",
     [
@@ -711,90 +737,49 @@ RMIN, RMAX = 2.0**-485, 2.0**485
         "above-rmin", "below-rmin", "1e-170", "1e-300",
     ],
 )
-def test_hermitian_eig_near_the_ends_of_float_range_is_eighs(top, takes_stages, staged):
-    """A matrix zheevd scales first, its largest entry outside [RMIN, RMAX], and one next to
-    that range on either side, take eigh; one well inside takes the stages.  Both give eigh's
-    bits, without a RuntimeWarning (an error under this suite's filter)."""
+def test_top_k_near_the_ends_of_float_range_is_eighs(top, takes_stages, solves):
+    """A sum zheevd scales first, its largest entry outside [RMIN, RMAX], and one next to that
+    range on either side, take eigh; one well inside takes the stages.  Both give eigh's bits,
+    without a RuntimeWarning (an error under this suite's filter)."""
     a = wishart(24, np.random.default_rng(3))
-    a = a * (top / np.abs(a).max())
-    assert_same_bits(hermitian_eig(a, 4), eigh_top(a, 4))
-    assert staged == [takes_stages]
+    got, a = packed_eig(a * (top / np.abs(a).max()), 4)
+    assert_same_bits(got, eigh_top(a, 4))
+    assert solves == [takes_stages]
 
 
-@stages_bound
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "-inf", "nan-imag"])
-@pytest.mark.parametrize("where", [(0, 0), (5, 2), (23, 23)], ids=["first-diagonal", "below", "last-diagonal"])
-def test_hermitian_eig_on_a_non_finite_matrix_ends_as_eigh(bad, where, staged):
-    """A non-finite entry in the lower triangle ends as eigh's top k does: the same exception,
-    or the same NaN bytes.  The stages decline it, except a NaN imaginary part on the diagonal,
-    which zheevd never reads: that matrix is finite to both routes."""
-
-    def outcome(f):
-        try:
-            vals, vecs = f()
-        except Exception as e:  # noqa: BLE001 -- the type is what is compared
-            return type(e)
-        return vals.tobytes(), vecs.tobytes()
-
-    a = wishart(24, np.random.default_rng(4))
-    a[where] = bad
-    assert outcome(lambda: hermitian_eig(a, 4)) == outcome(lambda: eigh_top(a, 4))
-    unread = where[0] == where[1] and np.isnan(complex(bad).imag)
-    assert staged == [unread]
-
-
-@pytest.mark.parametrize("order", "CF")
-@pytest.mark.parametrize("n", [2, 24, 100])
-def test_hermitian_eig_leaves_its_input_unchanged(n, order, rng):
-    """The stages overwrite their own copy: a read-only input goes through unchanged."""
-    a = np.asarray(wishart(n, rng), order=order)
-    a[np.triu_indices(n, 1)] = 7.0 - 3.0j  # an upper triangle the solve must not read
-    before = a.tobytes()
-    a.flags.writeable = False
-    want = eigh_top(a, 3 if n > 2 else 1)
-    assert_same_bits(hermitian_eig(a, 3 if n > 2 else 1), want)
-    assert a.tobytes() == before
-
-
-@stages_bound
-def test_heevd_workspace_is_queried_once_per_dimension(staged, rng, monkeypatch):
-    """zheevd's sizes are cached by n: however the held stages change hands between
-    dimensions, zheevd's workspace query runs once at each."""
-    heevd, *rest = linalg._STAGES
+@lapack_bound
+def test_heevd_workspace_is_queried_once_per_dimension(solves, rng, monkeypatch):
+    """zheevd's sizes are queried when the stages are bound to a side's held matrix: however the
+    calls change hands between dimensions, zheevd's workspace query runs once at each."""
+    heevr, heevd, *rest = linalg._LAPACK
     queries = []
-    monkeypatch.setattr(linalg, "_STAGES", (lambda *args: queries.append(args[2]._obj.value) or heevd(*args), *rest))
-    linalg._heevd_sizes.cache_clear()
-    try:
-        for n in (24, 60, 24, 60, 24):
-            a = wishart(n, rng)
-            assert_same_bits(hermitian_eig(a, 4), eigh_top(a, 4))
-    finally:
-        linalg._heevd_sizes.cache_clear()
-    assert queries == [24, 60] and staged == [True] * 5
+    monkeypatch.setattr(
+        linalg, "_LAPACK", (heevr, lambda *args: queries.append(args[2]._obj.value) or heevd(*args), *rest)
+    )
+    for n in (24, 60, 24, 60, 24):
+        got, a = packed_eig(wishart(n, rng), 4)
+        assert_same_bits(got, eigh_top(a, 4))
+    assert queries == [24, 60] and solves == [True] * 5
 
 
-@stages_bound
-@pytest.mark.parametrize("n", [2, 24, 100])
-def test_held_stages_give_fresh_bits_after_any_call(n, staged, rng):
-    """The stages' arrays are held across calls: after a declined matrix (one zheevd scales), a
-    k = n call and a k = 1 call, each matrix still gets eigh's bits, as from freshly bound stages."""
-    tiny = 1e-300 * wishart(n, rng)
-    cases = [(tiny, 1), (wishart(n, rng), n), (graded(n, rng), 1), (wishart(n, rng), (n + 1) // 2)]
-    for a, k in cases:
-        assert_same_bits(hermitian_eig(a, k), eigh_top(a, k))
-    assert staged == [False, True, True, True]
+@lapack_bound
+def test_each_routine_is_bound_on_its_first_use_at_a_side(rng):
+    """A side asked only for k = 1 binds ?heevr alone and holds no zheevd workspace; the stages are
+    bound on the first k > 1 at that side, and ?heevr is kept."""
+    held = linalg._held(24)
+    top_eigenpairs(pack_hermitian(wishart(24, rng)), 1)
+    heevr = held._heevr
+    assert heevr is not None and held._back is None
+    top_eigenpairs(pack_hermitian(wishart(24, rng)), 4)
+    assert held._heevr is heevr and held._back is not None
 
 
-@stages_bound
+@lapack_bound
 def test_a_trial_major_payload_sweep_binds_each_dimension_once(rng):
     """Desk's payload sweep runs trial by trial, so n goes 24, 44, 84, 164 and round again:
-    every dimension keeps its held stages, so each is bound once."""
-    linalg._heevd_stages.cache_clear()
-    try:
-        for n in (24, 44, 84, 164) * 3:
-            a = wishart(n, rng)
-            assert_same_bits(hermitian_eig(a, 4), eigh_top(a, 4))
-        info = linalg._heevd_stages.cache_info()
-    finally:
-        linalg._heevd_stages.cache_clear()
-    assert (info.misses, info.hits) == (4, 8)
+    every dimension keeps its held state, so each is bound once."""
+    for n in (24, 44, 84, 164) * 3:
+        got, a = packed_eig(wishart(n, rng), 4)
+        assert_same_bits(got, eigh_top(a, 4))
+    info = linalg._held.cache_info()
+    assert info.misses == 4 and info.currsize == 4

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import fw_noise_scale, hermitian_noise, hermitize, svd_noise_scale
+from oracles import canonical_phase, evr_pair, fw_noise_scale, hermitian_noise, hermitize, svd_noise_scale
 from support import RecordingBackhaul, blocks_round, fw_sigma, svd_sigma, unpack_hermitian
 from privcell.errors import ArgumentError, ConfigError, ShapeError
 from privcell.fw import FwConfig
-from privcell.linalg import canonical_phase, hermitian_eig
 from privcell.privacy import (
     Calibration,
     frob_bound,
     gram_round,
     pack_hermitian,
     stacked_gram,
+    top_eigenpairs,
     unpack_lower,
 )
 from privcell.protocol import Backhaul, MessageKind
@@ -230,17 +230,24 @@ def test_gram_round_matches_full_matrix_sum(tau_c, kind, scale):
 @pytest.mark.parametrize("tau_c", [1, 2, 24, 60, 164])
 @pytest.mark.parametrize("kind", ["complex", "real", "zero-heavy"])
 @pytest.mark.parametrize("scale", [0.0, 1.3, 5e-324])
-def test_eig_of_the_unpacked_sum_matches_eigh_of_its_hermitized_copy(tau_c, kind, scale):
-    """hermitian_eig reads the lower triangle `unpack_lower` writes of the packed sum, as
-    `svdmc.cpu_topk` hands it over, and its eigenpairs equal, byte for byte, those of eigh on
-    a hermitized copy of the full unpacked sum, ordered and phased as hermitian_eig orders and
-    phases them."""
+def test_eig_of_the_packed_sum_matches_eigh_of_its_hermitized_copy(tau_c, kind, scale):
+    """top_eigenpairs solves the lower triangle `unpack_lower` writes of the packed sum.  At k > 1
+    its eigenpairs equal, byte for byte, those of eigh on a hermitized copy of the full unpacked
+    sum, ordered by a stable sort on minus the values and each vector rotated by
+    `canonical_phase`; at k = 1 the pair is scipy's subset `evr` pair on that copy, as FW's
+    straight-line oracle takes it."""
     p = grid_round(tau_c, kind, scale)[1]
-    vals, vecs = np.linalg.eigh(hermitize(unpack_hermitian(p)))
+    h = hermitize(unpack_hermitian(p))
+    vals, vecs = np.linalg.eigh(h)
     for k in sorted({1, tau_c}):
+        got_vals, got_vecs = top_eigenpairs(p, k)
+        if k == 1:
+            value, v = evr_pair(h)
+            assert got_vals.tobytes() == np.array([value]).tobytes()
+            assert got_vecs.tobytes() == v.tobytes()
+            continue
         order = np.argsort(-vals, kind="stable")[:k]
         want = np.column_stack([canonical_phase(vecs[:, i]) for i in order])
-        got_vals, got_vecs = hermitian_eig(unpack_lower(p), k)
         assert got_vals.tobytes() == vals[order].tobytes()
         assert got_vecs.tobytes() == want.tobytes()
 

@@ -55,7 +55,7 @@ def _send_one(net, verb, kind):
     """The messages one call of a verb records for PAYLOADS[kind] in round 1, AP 0 sending."""
     if verb == "broadcast":
         return [net.broadcast(kind, 1, PAYLOADS[kind])]
-    return net.send_aps(kind, 0, 1, [PAYLOADS[kind]])
+    return net.send_aps(kind, 0, 1, PAYLOADS[kind], 1)
 
 
 @pytest.mark.parametrize("kind", list(MessageKind), ids=lambda kind: kind.value)
@@ -119,7 +119,7 @@ def test_broadcast_byte_ratio():
 def test_ledger_accounting():
     net = Backhaul()
     for rnd in (1, 2):
-        net.send_aps(MessageKind.GRAM_RELEASE, 0, rnd, np.stack([packed(4)] * 3))
+        net.send_aps(MessageKind.GRAM_RELEASE, 0, rnd, packed(4), 3)
         net.broadcast(MessageKind.EIG_BROADCAST, rnd, (np.ones(4, dtype=complex), 1.0))
     led = net.ledger
     assert kind_count(net.transcript, MessageKind.GRAM_RELEASE) == 6
@@ -132,8 +132,8 @@ def test_ledger_accounting():
 
 def test_send_records_metadata_only():
     net = Backhaul()
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(5)])
-    net.send_aps(MessageKind.LOCAL_DETECTION, 1, 0, [np.zeros((2, 6), dtype=complex)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(5), 1)
+    net.send_aps(MessageKind.LOCAL_DETECTION, 1, 0, np.zeros((2, 6), dtype=complex), 1)
     net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
     gram, detection, basis = net.transcript
     assert (gram.shape, gram.hermitian, gram.nbytes) == ((25,), True, 25 * 8)
@@ -145,7 +145,7 @@ def test_send_records_metadata_only():
 def test_message_records_are_immutable_and_compare_by_value():
     """A record cannot be edited after it is made, and two records are equal when every field is."""
     net = Backhaul()
-    (msg,) = net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3)])
+    (msg,) = net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(3), 1)
     with pytest.raises(AttributeError):
         msg.hermitian = False
     with pytest.raises(AttributeError):
@@ -154,14 +154,14 @@ def test_message_records_are_immutable_and_compare_by_value():
     assert msg == Message(MessageKind.GRAM_RELEASE, "ap0", CPU, 1, 9 * 8, (9,), True)
     assert msg != Message(MessageKind.GRAM_RELEASE, "ap0", CPU, 2, 9 * 8, (9,), True)
     other = Backhaul()
-    other.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3, seed=1)])
+    other.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(3, seed=1), 1)
     assert other.transcript == net.transcript
 
 
 def test_audit_passes_on_clean_transcript():
     net = Backhaul()
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(5)])
-    net.send_aps(MessageKind.LOCAL_DETECTION, 0, 0, [np.zeros((2, 6), dtype=complex)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(5), 1)
+    net.send_aps(MessageKind.LOCAL_DETECTION, 0, 0, np.zeros((2, 6), dtype=complex), 1)
     net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
     report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert report.ok
@@ -170,9 +170,9 @@ def test_audit_passes_on_clean_transcript():
 def test_audit_flags_injected_raw_signal():
     """A raw observation block sent as a Gram release must be caught."""
     net = Backhaul()
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(5)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(5), 1)
     raw = np.ones((2, 5), dtype=complex)  # antennas x slots, not a Gram
-    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, [raw])
+    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, raw, 1)
     report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert not report.ok
     assert [i for i, _ in report.failures] == [1]
@@ -185,8 +185,8 @@ def test_audit_flags_non_hermitian_and_wrong_side():
     net = Backhaul()
     skewed = hermitian(5)
     skewed[0, 1] += 1.0  # break the symmetry only
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [skewed])
-    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, [packed(4)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, skewed, 1)
+    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, packed(4), 1)
     report = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
     assert not report.ok
     (i_skew, skew_reason), (i_side, side_reason) = report.failures
@@ -207,7 +207,7 @@ def test_audit_flags_non_hermitian_and_wrong_side():
 )
 def test_send_records_only_the_packed_form_as_hermitian(payload, why):
     net = Backhaul()
-    (msg,) = net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [payload])
+    (msg,) = net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, payload, 1)
     assert not msg.hermitian, why
     assert not is_packed_hermitian(payload)
     report = audit_privacy_surface(net.transcript, tau_c=4, n_users=2, n_payload=6)
@@ -217,8 +217,8 @@ def test_send_records_only_the_packed_form_as_hermitian(payload, why):
 
 def test_audit_checks_packed_length_against_tau_c():
     net = Backhaul()
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(4)])
-    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, [packed(5)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(4), 1)
+    net.send_aps(MessageKind.GRAM_RELEASE, 1, 1, packed(5), 1)
     assert all(msg.hermitian for msg in net.transcript)
     report = audit_privacy_surface(net.transcript, tau_c=4, n_users=2, n_payload=6)
     assert report.failures == [(1, "gram release side 5 != 4")]
@@ -226,7 +226,7 @@ def test_audit_checks_packed_length_against_tau_c():
 
 def test_audit_flags_wrong_detection_shape():
     net = Backhaul()
-    net.send_aps(MessageKind.LOCAL_DETECTION, 0, 0, [np.zeros((3, 6), dtype=complex)])
+    net.send_aps(MessageKind.LOCAL_DETECTION, 0, 0, np.zeros((3, 6), dtype=complex), 1)
     ok = audit_privacy_surface(net.transcript, tau_c=5, n_users=3, n_payload=6)
     assert ok.ok
     bad = audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
@@ -238,7 +238,7 @@ def test_audit_flags_hand_built_records():
     """Records that bypass the two verbs: a wrong direction, a wrong kind,
     and a release with no recorded shape or verdict are all flagged."""
     net = Backhaul()
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(3), 1)
     net.transcript += [
         Message(MessageKind.GRAM_RELEASE, "ap0", "ap1", 1, 9 * 8, (9,), True),
         Message(MessageKind.EIG_BROADCAST, "ap0", CPU, 1, 3 * 16 + 8, (3,)),
@@ -256,7 +256,7 @@ def test_audit_flags_hand_built_records():
 
 def test_transcript_dump_and_load(tmp_path):
     net = Backhaul()
-    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, [packed(3)])
+    net.send_aps(MessageKind.GRAM_RELEASE, 0, 1, packed(3), 1)
     net.broadcast(MessageKind.EIG_BROADCAST, 1, (np.ones(3, dtype=complex), 1.0))
     path = tmp_path / "transcript.jsonl"
     dump_transcript(net.transcript, path)
@@ -287,41 +287,52 @@ def _detections(n, seed=0):
         (MessageKind.LOCAL_DETECTION, np.zeros((2, 3, 6), dtype=complex)),  # wrong shape: audit fails
     ],
 )
-def test_send_aps_equals_one_send_per_row(kind, stack):
-    """One call for a stack leaves the transcript, ledger and audit of one single-row call per row."""
-    one_call, per_row = Backhaul(), Backhaul()
-    for net in (one_call, per_row):
+def test_send_aps_equals_one_send_per_ap(kind, stack):
+    """One call with the first AP's payload and the AP count leaves the transcript, ledger and
+    audit of one single-AP call per payload, each payload sharing the first's dtype and shape."""
+    one_call, per_ap = Backhaul(), Backhaul()
+    for net in (one_call, per_ap):
         net.broadcast(MessageKind.BASIS_BROADCAST, 1, np.zeros((5, 2), dtype=complex))
-    msgs = one_call.send_aps(kind, 4, 2, stack)
+    msgs = one_call.send_aps(kind, 4, 2, stack[0], len(stack))
     for i, payload in enumerate(stack):
-        per_row.send_aps(kind, 4 + i, 2, payload[None])
+        per_ap.send_aps(kind, 4 + i, 2, payload, 1)
     assert msgs == one_call.transcript[1:]
-    assert one_call.transcript == per_row.transcript
+    assert one_call.transcript == per_ap.transcript
     assert [m.sender for m in msgs] == [ap_name(4 + i) for i in range(len(stack))]
-    assert one_call.ledger == per_row.ledger
+    assert one_call.ledger == per_ap.ledger
     audits = [audit_privacy_surface(net.transcript, tau_c=5, n_users=2, n_payload=6)
-              for net in (one_call, per_row)]
+              for net in (one_call, per_ap)]
     assert audits[0] == audits[1]
 
 
 @pytest.mark.parametrize(
-    "kind, first_ap, payloads",
+    "kind, first_ap, count",
     [
-        (MessageKind.EIG_BROADCAST, 0, np.stack([packed(4)] * 2)),  # a CPU-only kind
-        (MessageKind.BASIS_BROADCAST, 0, np.stack([packed(4)] * 2)),
-        (MessageKind.GRAM_RELEASE, -1, np.stack([packed(4)] * 2)),
-        (MessageKind.GRAM_RELEASE, 1.0, np.stack([packed(4)] * 2)),
-        (MessageKind.GRAM_RELEASE, True, np.stack([packed(4)] * 2)),
-        (MessageKind.GRAM_RELEASE, 0, np.zeros((0, 16))),  # an empty stack
-        (MessageKind.LOCAL_DETECTION, 0, []),
-        (MessageKind.LOCAL_DETECTION, 0, np.float64(1.0)),  # not a stack
+        (MessageKind.EIG_BROADCAST, 0, 2),  # a CPU-only kind
+        (MessageKind.BASIS_BROADCAST, 0, 2),
+        (MessageKind.GRAM_RELEASE, -1, 2),
+        (MessageKind.GRAM_RELEASE, 1.0, 2),
+        (MessageKind.GRAM_RELEASE, True, 2),
+        (MessageKind.GRAM_RELEASE, 0, 0),  # no AP
+        (MessageKind.GRAM_RELEASE, 0, -1),
         (MessageKind.LOCAL_DETECTION, 0, 2.0),
+        (MessageKind.LOCAL_DETECTION, 0, True),
+        (MessageKind.LOCAL_DETECTION, 0, None),
+        (MessageKind.LOCAL_DETECTION, 0, np.int64(0)),
+        (MessageKind.LOCAL_DETECTION, 0, "3"),
     ],
 )
-def test_send_aps_rejects_before_recording(kind, first_ap, payloads):
+def test_send_aps_rejects_before_recording(kind, first_ap, count):
+    """A kind the APs may not send, a first AP that is not an integer >= 0 or a count that is
+    not an integer >= 1 is a ProtocolError, and nothing is recorded."""
+    payload = packed(4) if kind is MessageKind.GRAM_RELEASE else np.zeros((2, 6), dtype=complex)
     net = Backhaul()
     with pytest.raises(ProtocolError):
-        net.send_aps(kind, first_ap, 1, payloads)
+        net.send_aps(kind, first_ap, 1, payload, count)
     assert net.transcript == []
     assert net.ledger == Backhaul().ledger
 
+
+def test_send_aps_takes_a_numpy_integer_count():
+    msgs = Backhaul().send_aps(MessageKind.GRAM_RELEASE, np.int32(2), 1, packed(4), np.int64(3))
+    assert [m.sender for m in msgs] == [ap_name(2), ap_name(3), ap_name(4)]

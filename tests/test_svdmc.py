@@ -171,7 +171,7 @@ def test_run_rejects_a_gram_of_the_wrong_length():
 )
 def test_sweep_records_are_the_same_through_zheevds_stages_as_through_eigh(profile, axis, values, trials, monkeypatch):
     """`svd` and `npsvd` sweeps give the same per-trial NMSE and SER bytes whether the CPU's
-    top-K basis comes through zheevd's stages or, with the stages unbound, through eigh."""
+    top-K basis comes through zheevd's stages or, with LAPACK unbound, through eigh."""
     exp = with_overrides(
         load_experiment(Path(__file__).resolve().parent.parent / "configs" / f"{profile}.yaml"),
         sweep=axis, values=values, trials=trials,
@@ -181,8 +181,8 @@ def test_sweep_records_are_the_same_through_zheevds_stages_as_through_eigh(profi
         records = run_sweep(exp, ("svd", "npsvd"))
         return [(r.method, r.axis_value, r.trial_nmse.tobytes(), r.trial_ser.tobytes()) for r in records]
 
-    linalg._heevd_stages.cache_clear()
+    linalg._held.cache_clear()
     staged = sweep()
-    assert linalg._STAGES is None or linalg._heevd_stages.cache_info().misses > 0
-    monkeypatch.setattr(linalg, "_STAGES", None)
+    assert linalg._LAPACK is None or linalg._held.cache_info().misses > 0
+    monkeypatch.setattr(linalg, "_LAPACK", None)
     assert sweep() == staged

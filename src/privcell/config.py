@@ -41,8 +41,8 @@ TUNABLE = ("nuc_bound", "fw_iters")  # RunConfig keys cross-validation can searc
 
 
 def method_spec(name):
-    """The METHODS entry of `name`; a ConfigError for an unknown method."""
-    if name not in METHODS:
+    """The METHODS entry of `name`; a ConfigError for an unknown method, a name that is not a string included."""
+    if not isinstance(name, str) or name not in METHODS:
         raise ConfigError(f"unknown method {name!r}, pick from {sorted(METHODS)}")
     return METHODS[name]
 
@@ -122,7 +122,7 @@ def experiment_from_mapping(mapping):
         raise ConfigError(f"config root must be a mapping, got {type(mapping).__name__}")
     unknown = set(mapping) - SCENARIO_KEYS - RUN_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=repr)}")
     missing = {"M", "K", "N_a", "N_r", "tau_p", "tau_d"} - set(mapping)
     if missing:
         raise ConfigError(f"missing required scenario keys: {sorted(missing)}")

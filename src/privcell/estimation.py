@@ -10,18 +10,15 @@ antennas observed, indexed by a counting pass and solved by one batched
 Cholesky (`linalg.cholesky_solve`).  The channel estimates multiply every AP's
 block by the shared pilot matrix in one GEMM (`linalg.shared_matmul`).
 
-Both detectors run in two stages.  The solve (`detect_factors`,
-`pilot_only_factors`) gives each AP's detection as factors (h, small): its
-channel estimate H_hat and the (N_a, tau_d) solution of its small system, to be
-lifted as H_hat^H @ small, or, where the solve forms the (K, tau_d) detection
-itself, None and that.  `lifted` multiplies them out, so a caller can solve
-many APs at once and lift a few at a time, and `combine` sums detections in AP
-order by one reduction.  A stack of APs in which some Gram fails
-`detect_factors`' certificate is left unsolved, (None, None); `detect_local`,
-the one split rule, detects such a stack one AP at a time, and only a single
-2-D AP falls back to `linalg.pinv`.
+Both detectors (`detect_local`, `pilot_only_detect`) give one AP's (K, tau_d)
+detection or, for a stack of APs, the sum of theirs alone, the one thing the
+CPU reads of them: one GEMM (K, n r) @ (n r, tau_d) over the APs' factors
+stacked side by side (each AP's detector matrix and its payload block, or
+H_hat^H and the pilot-only solve's block), or one reduction where the solve
+forms the detections itself, with no per-AP detection formed.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -40,68 +37,46 @@ def estimate_channel(x_pilot, pilot_pinv):
     return shared_matmul(x_pilot, pilot_pinv)
 
 
-def detect_factors(h_hat, x_data):
-    """`detect_local`'s detections as factors (h, small): AP m's is h[m]^H @ small[m], or small[m]
-    where h is None.  Each AP is solved through the smaller Gram G by one batched inverse: h is H
-    and small G^-1 X_d, G = H H^H, when N_a <= K; else h is None and small the detection
-    G^-1 H^H X_d, G = H^H H.  Where some G is singular or has ||G||_F ||G^-1||_F >= 1e8, a stack
-    of APs, even of one, is left unsolved, (None, None), for `detect_local` to split, and a 2-D AP
-    is detected in full, as pinv(H) @ X_d with pinv's cutoff (h None)."""
-    h_hat, x_data = np.asarray(h_hat), np.asarray(x_data)
-    if h_hat.shape[-2] != x_data.shape[-2]:
-        raise ShapeError(f"row mismatch {h_hat.shape} vs {x_data.shape}")
+def _detectors(h_hat):
+    """Each AP's least-squares detector A = pinv(H_hat), (..., K, N_a), through the smaller Gram G,
+    inverted for every AP of the stack at once: A = H^H G^-1 with G = H H^H when N_a <= K, else
+    G^-1 H^H with G = H^H H.  An AP whose G is singular or has ||G||_F ||G^-1||_F >= 1e8 gets
+    `linalg.pinv`(H_hat), with pinv's cutoff; only such an AP reaches pinv."""
     hh = np.swapaxes(h_hat.conj(), -1, -2)
     wide = h_hat.shape[-2] <= h_hat.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the certificate
         g = h_hat @ hh if wide else hh @ h_hat
         try:
             gi = np.linalg.inv(g)
-            trusted = (np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(gi, axis=(-2, -1)) < 1e8).all()
-        except np.linalg.LinAlgError:  # an exactly singular G
-            trusted = False
-    if trusted:
-        return (h_hat, gi @ x_data) if wide else (None, gi @ (hh @ x_data))
-    if h_hat.ndim > 2:
-        return None, None
-    return None, pinv(h_hat) @ x_data
+        except np.linalg.LinAlgError:  # some G exactly singular: invert AP by AP, NaN where it fails
+            gi = np.full_like(g, np.nan)
+            for i in np.ndindex(g.shape[:-2]):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    gi[i] = np.linalg.inv(g[i])
+        trusted = np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(gi, axis=(-2, -1)) < 1e8
+        a = hh @ gi if wide else gi @ hh
+    for i in map(tuple, np.argwhere(~trusted)):
+        a[i] = pinv(h_hat[i])
+    return a
+
+
+def _summed(a, c):
+    """The (K, tau_d) sum over every leading AP axis of the detections a @ c, or of c itself where
+    a is None, with no per-AP detection formed: one GEMM (K, n r) @ (n r, tau_d) over the n APs'
+    factors stacked side by side, or one `np.add.reduce`.  For a 2-D AP it is that AP's a @ c."""
+    if a is None:
+        return np.add.reduce(c, axis=tuple(range(c.ndim - 2)))
+    k, r = a.shape[-2:]
+    return np.moveaxis(a.reshape(-1, k, r), 0, 1).reshape(k, -1) @ c.reshape(-1, c.shape[-1])
 
 
 def detect_local(h_hat, x_data):
-    """Least-squares payload estimate pinv(H_hat) @ X_d, per AP of a stack: `detect_factors`, then
-    `lifted`, one leading index at a time where the stack is left unsolved, down to 2-D APs.  Each
-    AP's result is its own 2-D call's, bit for bit, whatever stack it arrives in."""
-    h, small = detect_factors(h_hat, x_data)
-    if small is None:
-        return np.stack([detect_local(h, x) for h, x in zip(h_hat, x_data)])
-    return lifted(h, small)
-
-
-def lifted(h, small, out=None):
-    """The detections of factors (h, small): h^H @ small, or small itself when h is None; written
-    into out when it is given."""
-    if h is not None:
-        return np.matmul(np.swapaxes(h.conj(), -1, -2), small, out=out)
-    if out is None:
-        return small
-    out[...] = small
-    return out
-
-
-def combine(d_locals):
-    """The sum of an (m, K, tau_d) stack of detections, added in AP order, by one reduction.
-
-    numpy adds the rows of a leading-axis reduction one at a time, so a stack
-    whose row 0 is the sum of the APs before it continues that sum, and the sum
-    over all M APs, divided by M, is np.mean(stack, axis=0) bit for bit.  Rows of
-    one entry, which numpy would sum pairwise, are added one at a time as well, so
-    the sum never depends on how the APs were split.
-    """
-    d_locals = np.asarray(d_locals)
-    if len(d_locals) == 0:
-        raise ShapeError("no local detections to combine")
-    if d_locals[0].size == 1:
-        return sum(d_locals[1:], d_locals[0].copy())
-    return np.add.reduce(d_locals, axis=0)
+    """Least-squares payload estimate pinv(H_hat) @ X_d of a 2-D AP, (K, tau_d), as `_detectors`'
+    A @ X_d; for a stack of APs, the sum of theirs over every leading AP axis, by one GEMM."""
+    h_hat, x_data = np.asarray(h_hat), np.asarray(x_data)
+    if h_hat.shape[-2] != x_data.shape[-2]:
+        raise ShapeError(f"row mismatch {h_hat.shape} vs {x_data.shape}")
+    return _summed(_detectors(h_hat), x_data)
 
 
 def slice_qpsk(soft):
@@ -175,11 +150,10 @@ def observed_first(omega, n_rf):
     return pos % n_ant
 
 
-def pilot_only_factors(h_hat, y, omega, sigma2, tau_p, n_rf):
-    """Regularised LS detection of all payload slots of each AP at once, as factors (h, small), as
-    `detect_factors` gives them; it never leaves a stack unsolved.  Leading AP axes of h_hat
-    (..., N_a, K), y and omega (..., N_a, tau_c) broadcast; `lifted` gives the (..., K, tau_d)
-    detections.
+def pilot_only_detect(h_hat, y, omega, sigma2, tau_p, n_rf):
+    """Regularised LS detection of all payload slots of an AP, (K, tau_d), or for a stack of APs the
+    sum of theirs over every leading AP axis, as `detect_local` gives it, every AP solved at once.
+    Leading AP axes of h_hat (..., N_a, K), y and omega (..., N_a, tau_c) broadcast.
 
     Per slot only the N_r observed antennas enter, in ascending index
     order (`observed_first`); F is their N_r rows of H_hat.  With noise
@@ -189,9 +163,9 @@ def pilot_only_factors(h_hat, y, omega, sigma2, tau_p, n_rf):
     with `linalg.pinv`'s cutoff.
     In the push-through branch each slot's F F^H is gathered from the
     AP's N_a x N_a Gram C = H_hat H_hat^H, and the solutions, scattered to
-    their antennas' rows of an (N_a, tau_d) zero block, are small, with
-    h = H_hat; the other branches return None and the (..., K, tau_d)
-    detections.
+    their antennas' rows of an (N_a, tau_d) zero block X, give the
+    detection H_hat^H X, summed over APs by one GEMM; the other branches
+    form each AP's detection in their solve and add them.
     """
     lead = np.broadcast_shapes(*(np.shape(a)[:-2] for a in (h_hat, y, omega)))
     h_hat, y, omega = (np.broadcast_to(a, lead + np.shape(a)[-2:]) for a in (h_hat, y, omega))
@@ -208,12 +182,14 @@ def pilot_only_factors(h_hat, y, omega, sigma2, tau_p, n_rf):
         del g, yv  # freed before the (N_a, tau_d) blocks are made, which may take their place
         x = np.zeros(lead + (n_ant, len(t)), dtype=z.dtype)
         x.reshape(-1)[rows * len(t) + t] = z
-        return h_hat, x
+        return _summed(np.swapaxes(h_hat.conj(), -1, -2), x)
     slots = np.moveaxis(idx, 0, -1)  # (..., tau_d, N_r)
     f = np.take_along_axis(h_hat[..., None, :, :], slots[..., None], axis=-2)  # (..., tau_d, N_r, K)
     yv = np.moveaxis(yv, 0, -1)[..., None]  # (..., tau_d, N_r, 1)
     if sigma2 > 0:
         fh = np.swapaxes(f.conj(), -1, -2)  # (..., tau_d, K, N_r)
         a = np.moveaxis(fh @ f + sigma2 * np.eye(n_users), (-2, -1), (0, 1))  # (K, K, ..., tau_d)
-        return None, np.moveaxis(cholesky_solve(a, np.moveaxis((fh @ yv)[..., 0], -1, 0)), 0, -2)
-    return None, np.swapaxes((pinv(f) @ yv)[..., 0], -1, -2)  # (..., K, tau_d)
+        d = np.moveaxis(cholesky_solve(a, np.moveaxis((fh @ yv)[..., 0], -1, 0)), 0, -2)
+    else:
+        d = np.swapaxes((pinv(f) @ yv)[..., 0], -1, -2)  # (..., K, tau_d)
+    return _summed(None, d)

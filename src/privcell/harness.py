@@ -12,10 +12,9 @@ block's packed Gram (`privacy.stacked_gram`), formed by the first
 one-shot trial on the block: every one-shot round on it (`svd` at each
 epsilon, `npsvd`) adds its noise to that one Gram.
 
-A trial detects in two stages (`_detect`): one solve of every AP's small
-system, then a lift to (K, tau_d) detections, sent and summed by one
-reduction per chunk; a solve that an ill-conditioned Gram leaves unsolved
-falls back to `estimation.detect_local` a chunk at a time.
+A trial's detection (`_detect`) forms only what the CPU reads: the sum of
+every AP's (K, tau_d) detection, one GEMM over the APs' stacked factors per
+solve chunk, sent as every AP's LocalDetection in one call.
 """
 
 import csv
@@ -43,7 +42,7 @@ from .svdmc import SvdConfig, run_svd
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("method", "axis", "axis_value", "nmse", "ser", "trials", "failures", "seed", "seconds")
-_DETECT_BYTES = 1 << 19  # budget on the largest temporary of a detection chunk, solve or lift
+_DETECT_BYTES = 1 << 19  # budget on the largest temporary of a detection solve chunk
 
 
 @dataclass
@@ -159,43 +158,25 @@ def _block(scenario, prepared, master_seed, trial, gram=False):
 
 
 def _detect(s, net, solve, *stacks):
-    """The soft output of scenario s, the mean of every AP's detection, each sent as that AP's
-    LocalDetection; solve(*(x[aps] for x in stacks)) gives the factors (h, small) of the APs of
-    slice aps, as `estimation.detect_factors` and `pilot_only_factors` do.
+    """The soft output of scenario s, the mean of every AP's detection; solve(*(x[aps] for x in
+    stacks)) gives the sum of the detections of the APs of slice aps, as `estimation.detect_local`
+    and `pilot_only_detect` do, with no per-AP detection formed.
 
     The solve runs on as many consecutive APs as keep its largest per-AP temporary, the (N_a, tau_d)
-    small factor or po's (N_r, N_r, tau_d) gathered Grams, within _DETECT_BYTES (all of them on
-    every shipped profile; po's noiseless branch with N_r < K takes more).  The lift runs on chunks
-    whose (K, tau_d) detections keep within it (17 APs at m100_k25): each chunk is lifted into rows
-    1.. of one buffer whose row 0 holds the running sum, sent in one call, and summed in AP order by
-    one reduction into the new running sum, so no (M, K, tau_d) stack is held.  A solve left unsolved
-    (an ill-conditioned Gram) has each lift chunk detected by `estimation.detect_local` instead,
-    which splits a failing chunk down to single APs, so its full detections keep within it too.
+    payload block, po's (N_r, N_r, tau_d) gathered Grams or the (K, N_a) detector, within
+    _DETECT_BYTES (all 100 APs at m100_k25, 86 at m100_k5; po's noiseless branch with N_r < K takes
+    more), and the chunks' sums are added.  Every AP's LocalDetection goes out in one call whose
+    payload is that sum, the one thing the CPU reads of them.
     """
-    row = 16 * s.tau_d  # bytes of one complex row of tau_d slots
-    solve_step = max(1, _DETECT_BYTES // (row * max(s.N_a, s.N_r * s.N_r)))
-    step = max(1, _DETECT_BYTES // (row * max(s.K, s.N_a, s.N_r * s.N_r)))
-    buf = None  # made after the first solve, so that the solve's temporaries do not meet it
-    for lo in range(0, s.M, solve_step):
-        hi = min(lo + solve_step, s.M)
-        h, small = solve(*(x[lo:hi] for x in stacks))
-        if buf is None:
-            buf = np.empty((min(step, s.M) + 1, s.K, s.tau_d), dtype=complex)
-        for a in range(0, hi - lo, step):
-            n = min(step, hi - lo - a)
-            d = buf[1:n + 1]
-            if small is None:
-                d[...] = estimation.detect_local(*(x[lo + a:lo + a + n] for x in stacks))
-            else:
-                estimation.lifted(None if h is None else h[a:a + n], small[a:a + n], out=d)
-            net.send_aps(MessageKind.LOCAL_DETECTION, lo + a, 0, d[0], n)
-            first = 1 if lo + a == 0 else 0  # no running sum before the first chunk
-            buf[0] = estimation.combine(buf[first:n + 1])
-    return buf[0] / s.M
+    step = max(1, _DETECT_BYTES // (16 * max(s.tau_d * max(s.N_a, s.N_r * s.N_r), s.K * s.N_a)))
+    total = sum(solve(*(x[lo:lo + step] for x in stacks)) for lo in range(0, s.M, step))
+    net.send_aps(MessageKind.LOCAL_DETECTION, 0, 0, total, s.M)
+    return total / s.M
 
 
 def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None):
-    """One end-to-end trial on (M, ·, ·) AP stacks, detected in two stages (`_detect`); returns a TrialResult."""
+    """One end-to-end trial on (M, ·, ·) AP stacks, its detections summed for the CPU (`_detect`); returns a
+    TrialResult."""
     spec = method_spec(method)
     block, gram = _block(scenario, prepared, master_seed, trial, gram=spec.completion == ONE_SHOT)
     net = Backhaul() if net is None else net
@@ -203,7 +184,7 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
     if spec.completion is None:  # pilot-only: no completion traffic at all
         h_hat = estimation.pilot_only_ls(block.Y, prepared.pilots)
         stacks = h_hat, block.Y, block.omega
-        solve = functools.partial(estimation.pilot_only_factors, sigma2=prepared.sigma2, tau_p=tau_p, n_rf=scenario.N_r)
+        solve = functools.partial(estimation.pilot_only_detect, sigma2=prepared.sigma2, tau_p=tau_p, n_rf=scenario.N_r)
     else:
         cfg = completion_config(method, prepared, scenario, run, eps)
         entropy = entropy_for(master_seed, spec.stage, trial)
@@ -212,7 +193,7 @@ def run_trial(scenario, run, method, prepared, master_seed, trial, eps, net=None
         else:  # every one-shot round on this block reads its one held Gram
             res = run_svd(block.Y, block.omega, cfg, entropy, net=net, gram=gram)
         h_hat = estimation.estimate_channel(res.x_hat[..., :tau_p], prepared.pilot_pinv)
-        solve, stacks = estimation.detect_factors, (h_hat, res.x_hat[..., tau_p:])
+        solve, stacks = estimation.detect_local, (h_hat, res.x_hat[..., tau_p:])
     out = TrialResult(
         nmse=estimation.nmse(h_hat, block.H),
         ser=estimation.ser(estimation.slice_qpsk(_detect(scenario, net, solve, *stacks)), block.D),

@@ -18,8 +18,10 @@ once, at sqrt(M) times the per-AP scale, and never forms a per-AP
 release, so only the sum-only (secure aggregation) trust model can be
 simulated: each AP's Gram release message carries the round's packed
 sum, and the verdict describes that declared release, not a vector the
-AP formed.  The transcript holds this metadata only: no payload outlives
-the call that sent it.
+AP formed.  Likewise each AP's LocalDetection message carries the sum of
+every AP's (K, tau_d) detection, the one thing the CPU reads of them, with
+one AP's shape and byte count.  The transcript holds this metadata only: no
+payload outlives the call that sent it.
 `audit_privacy_surface` checks a finished transcript against those
 recorded shapes and verdicts (packed Gram releases of length tau_c^2;
 detection blocks of the expected shape), so a raw observation matrix, or

@@ -14,7 +14,7 @@ from privcell.config import METHODS
 from privcell.errors import ConfigError
 from privcell.harness import CSV_HEADER
 from privcell.privacy import calibrate, gram_round, stacked_gram
-from privcell.protocol import Backhaul, MessageKind
+from privcell.protocol import Backhaul
 
 
 def read_csv(path):
@@ -38,11 +38,9 @@ class RecordingBackhaul(Backhaul):
     """A Backhaul that also keeps every payload it accepts, in transcript order.
 
     payloads[i] is the payload of transcript[i]: the very object sent by
-    `broadcast`, or the one payload of the `send_aps` call that recorded it
-    (each AP's Gram release carries the round's packed sum); for a
-    LocalDetection, which `harness.run_trial` lifts into one reused buffer,
-    a copy of the chunk's first row taken when it was sent.  The detections
-    of the chunk's other APs are only read by the CPU's `estimation.combine`.
+    `broadcast`, or the one payload of the `send_aps` call that recorded it:
+    each AP's Gram release carries the round's packed sum, and each AP's
+    LocalDetection the CPU's (K, tau_d) sum of every AP's detection.
     """
 
     def __init__(self):
@@ -56,7 +54,7 @@ class RecordingBackhaul(Backhaul):
 
     def send_aps(self, kind, first_ap, round_index, payload, count):
         msgs = super().send_aps(kind, first_ap, round_index, payload, count)
-        self.payloads.extend([np.array(payload) if kind is MessageKind.LOCAL_DETECTION else payload] * count)
+        self.payloads.extend([payload] * count)
         return msgs
 
 

@@ -295,6 +295,21 @@ def test_a_budget_whose_noise_overflows_exits_2(tmp_path, capsys, method, eps):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [("1: 2\nfoo: 3", "unknown config keys: ['foo', 1]"), ("method: {a: 1}", "unknown method {'a': 1}")],
+)
+def test_keys_and_methods_of_the_wrong_type_exit_2(tmp_path, capsys, lines, message):
+    """audit on a config with a non-string unknown key or a mapping-valued method: exit 2 with one
+    line on stderr, not a traceback."""
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(TOY + lines + "\n")
+    rc = cli.main(["audit", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("line", ["values: 1", "values: abc", "values: {a: 1}"])
 def test_scalar_values_in_yaml_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.yaml"

@@ -40,6 +40,21 @@ def test_unknown_key_rejected():
         experiment_from_mapping(dict(BASE, trails=50))
 
 
+def test_unknown_keys_of_any_type_are_named():
+    """A non-string key among unknown keys is named with them, not a TypeError from sorting."""
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['foo', 1\]"):
+        experiment_from_mapping({**BASE, "foo": 3, 1: 2})
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[None\]"):
+        experiment_from_mapping({**BASE, None: 1})
+
+
+@pytest.mark.parametrize("method", [{"a": 1}, ["fw"], 1, None])
+def test_a_method_that_is_not_a_name_is_rejected(method):
+    """A mapping-valued method is a ConfigError, not an unhashable-type TypeError."""
+    with pytest.raises(ConfigError, match="unknown method"):
+        experiment_from_mapping(dict(BASE, method=method))
+
+
 def test_missing_scenario_keys():
     with pytest.raises(ConfigError, match="missing required"):
         experiment_from_mapping({"M": 2, "K": 2})

@@ -1,3 +1,5 @@
+import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +14,11 @@ from privcell.channel import crandn, gen_pilots, make_block
 from privcell.config import load_experiment
 from privcell.errors import MetricUndefinedError, ShapeError
 from privcell.estimation import (
-    combine,
     detect_local,
     estimate_channel,
-    lifted,
     nmse,
     observed_first,
-    pilot_only_factors,
+    pilot_only_detect,
     pilot_only_ls,
     ser,
     slice_qpsk,
@@ -86,25 +86,35 @@ def test_detect_local_matches_pinv(lead, n_ant, n_users, tau_d, seed):
 
     Tolerance: ||d - pinv(h) x||_F <= 1e-6 ||pinv(h)||_F ||x||_F.  The Gram route's error is
     about cond(G) eps ||pinv(h)|| ||x||, and the certificate admits cond(G) up to 1e8, so
-    about 2e-8 of that scale; pinv's own error, cond(h) eps of it, is smaller.  Each AP's
-    output is also its own 2-D call's, byte for byte."""
+    about 2e-8 of that scale; pinv's own error, cond(h) eps of it, is smaller.  A stack's
+    result is the sum of its APs' 2-D calls within 1e-12 of the sum of those scales: one GEMM
+    adds the same products in another order."""
     rng = np.random.default_rng(seed)
     h = crandn(rng, lead + (n_ant, n_users))
     x = crandn(rng, lead + (n_ant, tau_d))
     got = detect_local(h, x)
-    assert got.shape == lead + (n_users, tau_d)
+    assert got.shape == (n_users, tau_d)
+    want, scale = 0.0, 0.0
     for i in np.ndindex(lead):
-        p = pinv(h[i])
-        assert fro(got[i] - p @ x[i]) <= 1e-6 * fro(p) * fro(x[i])
-        assert got[i].tobytes() == detect_local(h[i], x[i]).tobytes()
+        p, d = pinv(h[i]), detect_local(h[i], x[i])
+        assert d.shape == (n_users, tau_d)
+        assert fro(d - p @ x[i]) <= 1e-6 * fro(p) * fro(x[i])
+        want, scale = want + d, scale + fro(p) * fro(x[i])
+    assert fro(got - want) <= 1e-12 * scale
 
 
 def gram_route(h, x):
-    """The fast path of detect_local written out for one AP."""
+    """detect_local's Gram route written out for one AP: its detector matrix, then that times x."""
     hh = h.conj().T
     if len(h) <= h.shape[1]:
-        return hh @ (np.linalg.inv(h @ hh) @ x)
-    return np.linalg.inv(hh @ h) @ (hh @ x)
+        return (hh @ np.linalg.inv(h @ hh)) @ x
+    return (np.linalg.inv(hh @ h) @ hh) @ x
+
+
+def close_to_sum(got, ds):
+    """got is the sum of the detections ds within 1e-12 of the largest of them."""
+    want = np.sum(ds, axis=0)
+    return got.shape == want.shape and np.abs(got - want).max() <= 1e-12 * np.abs(ds).max()
 
 
 @pytest.mark.parametrize("fault", ["repeated", "zero", "ill-conditioned"])
@@ -114,8 +124,9 @@ def test_detect_local_sends_only_the_rank_deficient_ap_to_pinv(fault, n_ant, n_u
     is tall) or all zeros, or ill conditioned, with singular values 1 and 1e-6.  A zero AP's
     Gram, and here a repeated row's unless H is square, is exactly singular and stops the
     batched inverse; the square repeated-row and the ill-conditioned Grams fail the
-    certificate instead.  Either way that AP is pinv(h) @ x byte for byte and is the only
-    matrix pinv sees; every other AP is the Gram route's bytes and its own 2-D call's."""
+    certificate instead.  Either way the stack's call gives that AP's estimate, and only it, to
+    pinv, and sums to its APs' 2-D calls within rounding: pinv(h) @ x byte for byte for that AP,
+    the Gram route's bytes for every other."""
     rng = np.random.default_rng(5)
     h = crandn(rng, (2, 3, n_ant, n_users))
     x = crandn(rng, (2, 3, n_ant, 7))
@@ -132,63 +143,61 @@ def test_detect_local_sends_only_the_rank_deficient_ap_to_pinv(fault, n_ant, n_u
     seen = []
 
     def spy(a):
-        seen.append(np.asarray(a))
+        seen.append(np.array(a))
         return pinv(a)
 
     monkeypatch.setattr(estimation, "pinv", spy)
     got = detect_local(h, x)
-    assert got[bad].tobytes() == (pinv(h[bad]) @ x[bad]).tobytes()
     assert seen and all(a.reshape(h[bad].shape).tobytes() == h[bad].tobytes() for a in seen)
-    for i in np.ndindex(2, 3):
-        if i != bad:
-            assert got[i].tobytes() == gram_route(h[i], x[i]).tobytes() == detect_local(h[i], x[i]).tobytes()
+    ds = [detect_local(h[i], x[i]) for i in np.ndindex(2, 3)]
+    for i, d in zip(np.ndindex(2, 3), ds):
+        want = pinv(h[i]) @ x[i] if i == bad else gram_route(h[i], x[i])
+        assert d.tobytes() == want.tobytes()
+    assert close_to_sum(got, ds)
 
 
-def test_only_a_2d_ap_falls_back_to_pinv(rng):
-    """A stack whose Gram fails the certificate is left unsolved even when it holds one AP; the
-    same AP as a 2-D call is pinv(h) @ x byte for byte, with no lift."""
+def test_a_one_ap_stack_falls_back_to_pinv_as_its_2d_call(rng, monkeypatch):
+    """An AP whose Gram fails the certificate gets pinv(h) @ x byte for byte, in a stack of one AP
+    as in a 2-D call, and pinv sees that AP alone."""
     h = crandn(rng, (4, 6))
     h[1] = h[0]
     x = crandn(rng, (4, 5))
-    assert estimation.detect_factors(h[None], x[None]) == (None, None)
-    lift, d = estimation.detect_factors(h, x)
-    assert lift is None and d.tobytes() == (pinv(h) @ x).tobytes()
-    assert detect_local(h[None], x[None])[0].tobytes() == d.tobytes()
+    seen = []
+    monkeypatch.setattr(estimation, "pinv", lambda a: seen.append(np.array(a)) or pinv(a))
+    want = (pinv(h) @ x).tobytes()
+    assert detect_local(h[None], x[None]).tobytes() == detect_local(h, x).tobytes() == want
+    assert len(seen) == 2 and all(a.tobytes() == h.tobytes() for a in seen)
 
 
-def test_combine(rng):
-    """The sum over M APs, divided by M, is the stack's mean bit for bit, in one call or in chunks
-    whose first row is the sum before them, as run_trial's fan-in sums them."""
-    d = crandn(rng, (2, 4))
-    want = np.mean(np.stack([d, d, d]), axis=0)
-    assert (combine([d, d, d]) / 3).tobytes() == want.tobytes()
-    assert np.all(combine([d, -d]) == 0)
-    for m in (1, 20, 100):
-        stack = crandn(rng, (m, 25, 75))
-        want = np.mean(stack, axis=0)
-        assert (combine(stack) / m).tobytes() == want.tobytes()
-        total = combine(stack[:7])
-        for lo in range(7, m, 7):
-            total = combine(np.concatenate([total[None], stack[lo:lo + 7]]))
-        assert (total / m).tobytes() == want.tobytes()
-    with pytest.raises(ShapeError):
-        combine([])
+def summed_cases():
+    """(detector, its stacked arguments), named: detect_local on wide, tall and pinv-fallback APs,
+    and pilot_only_detect on its push-through, K x K and noiseless branches, 6 APs each."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for name, n_ant, n_users in (("wide", 4, 25), ("tall", 6, 3), ("pinv-fallback", 4, 6)):
+        h, x = crandn(rng, (6, n_ant, n_users)), crandn(rng, (6, n_ant, 9))
+        if name == "pinv-fallback":
+            h[2, 1] = h[2, 0]
+        cases.append(pytest.param(detect_local, (h, x), id=name))
+    for name, n_users, sigma2 in (("po-push-through", 5, 0.3), ("po-kxk", 2, 0.3), ("po-noiseless", 5, 0.0)):
+        n_ant, n_rf, tau_p = 4, 2, 2
+        omega = np.zeros((6, n_ant, tau_p + 9), dtype=bool)
+        for m, t in np.ndindex(6, tau_p + 9):
+            omega[m, rng.choice(n_ant, n_rf, replace=False), t] = True
+        y = np.where(omega, crandn(rng, omega.shape), 0.0)
+        detect = functools.partial(pilot_only_detect, sigma2=sigma2, tau_p=tau_p, n_rf=n_rf)
+        cases.append(pytest.param(detect, (crandn(rng, (6, n_ant, n_users)), y, omega), id=name))
+    return cases
 
 
-def test_combine_adds_single_entry_rows_in_order(rng):
-    """Rows of one entry, which np.add.reduce sums pairwise from 8 rows on, are added one at a
-    time too, so the sum does not depend on the chunks: 100 rows spread over 12 decades."""
-    stack = crandn(rng, (100, 1, 1)) * 10.0 ** rng.uniform(-6, 6, (100, 1, 1))
-    want = stack[0].copy()
-    for d in stack[1:]:
-        want += d
-    assert combine(stack).tobytes() == want.tobytes()
-    total = combine(stack[:17])
-    for lo in range(17, 100, 17):
-        total = combine(np.concatenate([total[None], stack[lo:lo + 17]]))
-    assert total.tobytes() == want.tobytes()
-    one = stack[:1]
-    assert combine(one).tobytes() == one[0].tobytes() and not np.shares_memory(combine(one), one)
+@pytest.mark.parametrize("detect, stacks", summed_cases())
+def test_summed_detections_are_the_sum_of_the_per_ap_ones(detect, stacks):
+    """Each detector called on a stack of APs gives the (K, tau_d) sum of its APs' 2-D calls within
+    1e-12 of their largest entry, over one, six and a (2, 3) stack of APs, on every branch."""
+    for lead in ((1,), (6,), (2, 3)):
+        args = [a[:math.prod(lead)].reshape(lead + a.shape[1:]) for a in stacks]
+        ds = [detect(*(a[i] for a in args)) for i in np.ndindex(lead)]
+        assert close_to_sum(detect(*args), ds)
 
 
 def test_slicer_matches_sign_rule(rng):
@@ -326,7 +335,7 @@ def test_detect_block_matches_per_slot(sigma2, rng):
     for t in range(tau_p + tau_d):
         omega[rng.choice(n_ant, n_rf, replace=False), t] = True
     y = np.where(omega, y, 0.0)
-    got = lifted(*pilot_only_factors(h, y, omega, sigma2, tau_p, n_rf))
+    got = pilot_only_detect(h, y, omega, sigma2, tau_p, n_rf)
     assert got.shape == (n_users, tau_d)
     for t in range(tau_d):
         want = pilot_only_lmmse(h, y, omega, sigma2, t, tau_p)
@@ -341,7 +350,7 @@ def test_noiseless_detect_block_cuts_tiny_singular_values(rng):
     tau_p, tau_d = 2, 5
     y = crandn(rng, (2, tau_p + tau_d))
     omega = np.ones(y.shape, dtype=bool)
-    got = lifted(*pilot_only_factors(h, y, omega, 0.0, tau_p, 2))
+    got = pilot_only_detect(h, y, omega, 0.0, tau_p, 2)
     want = np.stack([pilot_only_lmmse(h, y, omega, 0.0, t, tau_p) for t in range(tau_d)], axis=1)
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert np.abs(got).max() < 10.0
@@ -387,7 +396,7 @@ def test_detect_block_matches_kxk_reference(n_rf, n_users, spare, tau_p, tau_d, 
         omega[rng.choice(n_ant, n_rf, replace=False), t] = True
     y = np.where(omega, crandn(rng, (n_ant, tau_c)), 0.0)
     sigma2 = 10.0**log_ratio * np.mean(np.abs(h) ** 2)
-    got = lifted(*pilot_only_factors(h, y, omega, sigma2, tau_p, n_rf))
+    got = pilot_only_detect(h, y, omega, sigma2, tau_p, n_rf)
     assert got.shape == (n_users, tau_d)
     assert_matches_reference(got, h, y, omega, sigma2, tau_p)
 
@@ -401,9 +410,9 @@ def test_detect_block_at_m100_k25_keeps_every_decision():
     gots, wants = [], []
     for y, omega in zip(block.Y, block.omega):
         h = pilot_only_ls(y, prep.pilots)
-        got = lifted(*pilot_only_factors(h, y, omega, prep.sigma2, scen.tau_p, scen.N_r))
+        got = pilot_only_detect(h, y, omega, prep.sigma2, scen.tau_p, scen.N_r)
         want = assert_matches_reference(got, h, y, omega, prep.sigma2, scen.tau_p)
         np.testing.assert_array_equal(slice_qpsk(got), slice_qpsk(want))
         gots.append(got)
         wants.append(want)
-    np.testing.assert_array_equal(slice_qpsk(combine(gots)), slice_qpsk(combine(wants)))
+    np.testing.assert_array_equal(slice_qpsk(np.sum(gots, axis=0)), slice_qpsk(np.sum(wants, axis=0)))

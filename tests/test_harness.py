@@ -10,18 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import RecordingBackhaul, kind_count, read_csv
+from support import RecordingBackhaul, read_csv
 from privcell import fw, harness, svdmc
 from privcell.channel import Scenario, make_block
 from privcell.config import METHODS, ExperimentConfig, RunConfig, load_experiment, with_overrides
 from privcell.errors import ArgumentError, ConfigError, DegenerateStepError, PrivCellError
 from privcell.estimation import (
-    combine,
     detect_local,
     estimate_channel,
-    lifted,
     nmse,
-    pilot_only_factors,
+    pilot_only_detect,
     pilot_only_ls,
     ser,
     slice_qpsk,
@@ -35,6 +33,7 @@ from privcell.harness import (
     run_sweep,
     run_trial,
 )
+from privcell.linalg import pinv
 from privcell.privacy import pack_hermitian
 from privcell.protocol import ALL_APS, CPU, Backhaul, MessageKind, ap_name, audit_privacy_surface
 
@@ -223,73 +222,6 @@ def test_scenario_edges_run_every_method(edge, method, others):
     ).ok
 
 
-def combined_detections(monkeypatch, net):
-    """A list that fills, as trials run on net, with every AP's LocalDetection in AP order, as the
-    CPU's `estimation.combine` sums them: the last rows of each call's stack, as many as the
-    LocalDetection send before it counted (a running sum may come first), copied when summed.
-    net's `send_aps` sees only the first AP's payload of each chunk."""
-    rows, counts, send = [], [], net.send_aps
-
-    def sending(kind, first_ap, round_index, payload, count):
-        if kind is MessageKind.LOCAL_DETECTION:
-            counts.append(count)
-        return send(kind, first_ap, round_index, payload, count)
-
-    def summing(d):
-        rows.extend(np.array(d[len(d) - counts[-1]:]))
-        return combine(d)
-
-    net.send_aps = sending
-    monkeypatch.setattr(harness.estimation, "combine", summing)
-    return rows
-
-
-@pytest.mark.parametrize("method", list(METHODS))
-def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
-    """The stacked estimate, detection and average give the per-AP loop's numbers bit for bit."""
-    run = RunConfig(trials=1, fw_iters=3, np_fw_iters=5)
-    completed = []
-
-    def record(fn):
-        def wrapped(*args, **kwargs):
-            completed.append(fn(*args, **kwargs))
-            return completed[-1]
-        return wrapped
-
-    monkeypatch.setattr(harness, "run_fw", record(harness.run_fw))
-    monkeypatch.setattr(harness, "run_svd", record(harness.run_svd))
-    # N_r < K, N_r = K, and no receiver noise: each branch of the pilot-only detector
-    for scen in (tiny, EDGE_SCENARIO, dataclasses.replace(EDGE_SCENARIO, sigma2=0.0)):
-        prep = prepare(scen, run, draw_beta(scen, scen.seed))
-        net = RecordingBackhaul()
-        sent = combined_detections(monkeypatch, net)
-        res = run_trial(scen, run, method, prep, 7, 0, 1.0, net=net)
-        block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
-        tp = scen.tau_p
-        h_hats, ds = [], []
-        for m in range(scen.M):
-            if method == "po":
-                h_hats.append(pilot_only_ls(block.Y[m], prep.pilots))
-                ds.append(lifted(*pilot_only_factors(
-                    h_hats[m], block.Y[m], block.omega[m], prep.sigma2, tp, scen.N_r
-                )))
-            else:
-                x = completed[-1].x_hat[m]
-                h_hats.append(estimate_channel(x[:, :tp], prep.pilot_pinv))
-                ds.append(detect_local(h_hats[m], x[:, tp:]))
-        acc = np.zeros_like(ds[0])
-        for d in ds:
-            acc = acc + d
-        assert kind_count(net.transcript, MessageKind.LOCAL_DETECTION) == len(sent) == scen.M
-        for got, want in zip(sent, ds):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(res.nmse, nmse(np.stack(h_hats), block.H))
-        assert res.ser == ser(slice_qpsk(acc / scen.M), block.D)
-
-
-# ---------------------------------------------------------------- detection in two stages
-
-
 def spy(fn, calls):
     """fn, appending (args, result) of each call to calls."""
     def wrapped(*args, **kwargs):
@@ -298,34 +230,77 @@ def spy(fn, calls):
     return wrapped
 
 
+def close_to(got, want):
+    """Whether got is want within 1e-12 of want's largest entry: the sum of the APs' detections
+    is formed by one GEMM over their stacked factors, so it differs from the per-AP detections'
+    sum by rounding alone."""
+    return got.shape == want.shape and np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def check_detection_records(net, scen, total):
+    """net's LocalDetection records: one per AP, from ap0 to ap{M-1}, each of shape (K, tau_d) and
+    its byte count, in one send whose payload, the CPU's sum, is close to total."""
+    msgs = [(i, m) for i, m in enumerate(net.transcript) if m.kind is MessageKind.LOCAL_DETECTION]
+    assert [m.sender for _, m in msgs] == [ap_name(m) for m in range(scen.M)]
+    assert {(m.receiver, m.round_index, m.shape, m.nbytes) for _, m in msgs} == {
+        (CPU, 0, (scen.K, scen.tau_d), 16 * scen.K * scen.tau_d)
+    }
+    sent = {id(net.payloads[i]) for i, _ in msgs}
+    assert len(sent) == 1 and close_to(net.payloads[msgs[0][0]], total)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_run_trial_matches_per_ap_detection(tiny, method, monkeypatch):
+    """The stacked estimate gives the per-AP loop's NMSE bit for bit; the summed detection gives
+    its soft output within rounding and its decisions and SER exactly, sent as one LocalDetection
+    per AP."""
+    run = RunConfig(trials=1, fw_iters=3, np_fw_iters=5)
+    completed, softs = [], []
+    monkeypatch.setattr(harness, "run_fw", spy(harness.run_fw, completed))
+    monkeypatch.setattr(harness, "run_svd", spy(harness.run_svd, completed))
+    monkeypatch.setattr(harness.estimation, "slice_qpsk", spy(slice_qpsk, softs))
+    # N_r < K, N_r = K, and no receiver noise: each branch of the pilot-only detector
+    for scen in (tiny, EDGE_SCENARIO, dataclasses.replace(EDGE_SCENARIO, sigma2=0.0)):
+        prep = prepare(scen, run, draw_beta(scen, scen.seed))
+        net = RecordingBackhaul()
+        res = run_trial(scen, run, method, prep, 7, 0, 1.0, net=net)
+        block = make_block(scen, prep.beta, prep.pilots, 7, 0, sigma2=prep.sigma2)
+        tp = scen.tau_p
+        h_hats, ds = [], []
+        for m in range(scen.M):
+            if method == "po":
+                h_hats.append(pilot_only_ls(block.Y[m], prep.pilots))
+                ds.append(pilot_only_detect(h_hats[m], block.Y[m], block.omega[m], prep.sigma2, tp, scen.N_r))
+            else:
+                x = completed[-1][1].x_hat[m]
+                h_hats.append(estimate_channel(x[:, :tp], prep.pilot_pinv))
+                ds.append(detect_local(h_hats[m], x[:, tp:]))
+        acc = np.zeros_like(ds[0])
+        for d in ds:
+            acc = acc + d
+        check_detection_records(net, scen, acc)
+        ((soft,), _) = softs[-1]
+        assert close_to(soft, acc / scen.M)
+        np.testing.assert_array_equal(slice_qpsk(soft), slice_qpsk(acc / scen.M))
+        np.testing.assert_array_equal(res.nmse, nmse(np.stack(h_hats), block.H))
+        assert res.ser == ser(slice_qpsk(acc / scen.M), block.D)
+
+
+# ---------------------------------------------------------------- summed detection
+
+
 def traced(fn, log):
-    """fn, appending (its name, the leading AP shape of its first argument, outcome) to log in the
-    order the calls start: a solve's outcome is (h is not None, small is not None), so (False,
-    False) is a stack left unsolved, and detect_local's is None.  No array is held, so a traced
-    trial's memory peak is its own."""
+    """fn, appending (its name, the leading AP shape of its first argument) to log for each call.
+    No array is held, so a traced trial's memory peak is its own."""
     def wrapped(*args, **kwargs):
-        log.append(None)
-        at = len(log) - 1
-        out = fn(*args, **kwargs)
-        outcome = tuple(part is not None for part in out) if isinstance(out, tuple) else None
-        log[at] = (fn.__name__, np.shape(args[0])[:-2], outcome)
-        return out
+        log.append((fn.__name__, np.shape(args[0])[:-2]))
+        return fn(*args, **kwargs)
     return wrapped
-
-
-def fallback(lead, aps, bad=1):
-    """The log of a solve of a stack of leading shape lead that an ill-conditioned AP bad leaves
-    unsolved: detect_local on the stack, whose own solve fails too, then on each AP of aps as a
-    2-D call, whose solve lifts (wide H) except AP bad's pinv."""
-    return [("detect_factors", lead, (False, False)), ("detect_local", lead, None),
-            ("detect_factors", lead, (False, False))] + [
-        e for m in aps for e in (("detect_local", (), None), ("detect_factors", (), (m != bad, True)))
-    ]
 
 
 def ill_conditioned_ap(estimate, bad=1):
     """estimate, with AP bad's channel estimate given singular values 1 and 1e-6, so its Gram
-    has ||G||_F ||G^-1||_F near 1e12 and fails detect_factors' certificate."""
+    has ||G||_F ||G^-1||_F near 1e12 and fails the detector's certificate."""
     def faulty(*args):
         h = estimate(*args)
         u, _, vh = np.linalg.svd(h[bad], full_matrices=False)
@@ -334,12 +309,13 @@ def ill_conditioned_ap(estimate, bad=1):
     return faulty
 
 
-def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
-    """One trial of scen, every AP's LocalDetection payload, the soft output, NMSE and SER checked
-    byte for byte against one whole-stack detector call on the trial's channel estimate and its
-    np.mean; the payloads must go out from ap0 to ap{M-1} in order.  budget, if given, replaces
-    _DETECT_BYTES; fault makes AP 1's channel estimate ill conditioned.  Returns the `traced` log
-    of the solver's and detect_local's calls and the sizes of the LOCAL_DETECTION sends."""
+def detect_summed(scen, run, method, budget, monkeypatch, fault=False):
+    """One trial of scen against the detector's 2-D call on each AP of the trial's channel estimate:
+    NMSE bit for bit, the soft output within 1e-12 of the largest entry of those detections'
+    np.mean, decisions and SER exactly, and the LocalDetection records of `check_detection_records`.
+    budget, if given, replaces _DETECT_BYTES; fault makes AP 1's channel estimate ill conditioned,
+    and then pinv must see that AP's estimate alone.  Returns the `traced` log of the detector's
+    calls and the AP counts of the trial's sends."""
     prep = prepare(scen, run, draw_beta(scen, scen.seed))
     if budget is not None:
         monkeypatch.setattr(harness, "_DETECT_BYTES", budget)
@@ -347,17 +323,17 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     estimator = "pilot_only_ls" if po else "estimate_channel"
     if fault:
         monkeypatch.setattr(harness.estimation, estimator, ill_conditioned_ap(getattr(harness.estimation, estimator)))
-    completions, estimates, log, softs, sends = [], [], [], [], []
+    completions, estimates, log, softs, sends, seen = [], [], [], [], [], []
     monkeypatch.setattr(harness, "run_svd", spy(harness.run_svd, completions))
     monkeypatch.setattr(harness.estimation, estimator, spy(getattr(harness.estimation, estimator), estimates))
-    for name in ("pilot_only_factors" if po else "detect_factors", "detect_local"):
-        monkeypatch.setattr(harness.estimation, name, traced(getattr(harness.estimation, name), log))
+    name = "pilot_only_detect" if po else "detect_local"
+    monkeypatch.setattr(harness.estimation, name, traced(getattr(harness.estimation, name), log))
     monkeypatch.setattr(harness.estimation, "slice_qpsk", spy(slice_qpsk, softs))
+    monkeypatch.setattr(harness.estimation, "pinv", spy(pinv, seen))
     net = RecordingBackhaul()
     net.send_aps = spy(net.send_aps, sends)
-    combined = combined_detections(monkeypatch, net)
     res = run_trial(scen, run, method, prep, scen.seed, 0, 1.0, net=net)
-    log = list(log)  # run_trial's, before the reference call below adds its own
+    log, seen = list(log), [np.array(args[0]) for args, _ in seen]  # run_trial's, before the reference
 
     block = make_block(scen, prep.beta, prep.pilots, scen.seed, 0, sigma2=prep.sigma2)
     (_, h_hat), = estimates
@@ -366,40 +342,33 @@ def detect_in_two_stages(scen, run, method, budget, monkeypatch, fault=False):
     want_h = pilot_only_ls(block.Y, prep.pilots) if po else estimate_channel(x_hat[..., :tp], prep.pilot_pinv)
     assert fault or h_hat.tobytes() == want_h.tobytes()
     if po:
-        d = lifted(*pilot_only_factors(h_hat, block.Y, block.omega, prep.sigma2, tp, scen.N_r))
+        d = np.stack([pilot_only_detect(*a, prep.sigma2, tp, scen.N_r) for a in zip(h_hat, block.Y, block.omega)])
     else:
-        d = detect_local(h_hat, x_hat[..., tp:])
+        d = np.stack([detect_local(h, x[:, tp:]) for h, x in zip(h_hat, x_hat)])
+        assert [a.tobytes() for a in seen] == ([h_hat[1].tobytes()] if fault else [])
     soft = np.mean(d, axis=0)
     ((got,), _), = softs
-    assert got.tobytes() == soft.tobytes()
+    assert close_to(got, soft)
+    np.testing.assert_array_equal(slice_qpsk(got), slice_qpsk(soft))
     assert res.nmse == nmse(h_hat, block.H)
     assert res.ser == ser(slice_qpsk(soft), block.D)
-    senders = [msg.sender for msg in net.transcript if msg.kind is MessageKind.LOCAL_DETECTION]
-    assert senders == [ap_name(m) for m in range(scen.M)] and len(combined) == scen.M
-    for got_m, want_m in zip(combined, d):
-        assert got_m.tobytes() == want_m.tobytes()
-    return log, [args[4] for args, _ in sends if args[0] is MessageKind.LOCAL_DETECTION]
+    check_detection_records(net, scen, scen.M * soft)
+    return log, [args[4] for args, _ in sends]
 
 
 @pytest.mark.parametrize("method", ["po", "npsvd"])
 @pytest.mark.parametrize("n_aps, budget", [(1, None), (5, None), (100, None), (5, 1)])
 def test_chunked_detection_matches_the_whole_stack(method, n_aps, budget, monkeypatch):
-    """At the m100_k25 shape, detection in two stages gives the whole-stack payloads, soft output,
-    NMSE and SER bit for bit.  The solve takes every AP in one call, and the lift chunks hold 17
-    APs.  Cases: M = 1; M below one chunk; M = 100, not a multiple of the chunk; and one AP per
-    solve and per lift chunk."""
+    """At the m100_k25 shape, the summed detection gives the per-AP detector calls' NMSE, soft
+    output within rounding, decisions and SER.  The solve takes every AP in one chunk, or one AP
+    per chunk under a one-byte budget, and every AP's LocalDetection goes out in one send.  Cases:
+    M = 1; M = 5; M = 100, the profile; and one AP per solve chunk."""
     exp = load_experiment(M100_K25)
     scen = dataclasses.replace(exp.scenario, M=n_aps)
-    log, sends = detect_in_two_stages(scen, exp.run, method, budget, monkeypatch)
-    solver = "pilot_only_factors" if method == "po" else "detect_factors"
-    # every solve lifts (po's push-through, detect_factors' wide branch) and none is left unsolved,
-    # so detect_local never runs, at M = 100 a normal m100_k25 trial
-    if budget == 1:
-        assert log == [(solver, (1,), (True, True))] * n_aps
-        assert sends == [1] * n_aps
-    else:
-        assert log == [(solver, (n_aps,), (True, True))]
-        assert sends == ([17] * 5 + [15] if n_aps == 100 else [n_aps])
+    log, sends = detect_summed(scen, exp.run, method, budget, monkeypatch)
+    name = "pilot_only_detect" if method == "po" else "detect_local"
+    assert log == ([(name, (1,))] * n_aps if budget == 1 else [(name, (n_aps,))])
+    assert sends == ([n_aps] if method == "po" else [n_aps, n_aps])  # npsvd's Gram release first
 
 
 BRANCHES = {  # name: (method, changes to a 5-AP scenario with K = 4, N_a = 4, N_r = 2, fault)
@@ -415,62 +384,47 @@ BRANCHES = {  # name: (method, changes to a 5-AP scenario with K = 4, N_a = 4, N
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "one-ap-chunks"])
 @pytest.mark.parametrize("branch", list(BRANCHES))
 def test_two_stage_detection_matches_the_whole_stack_on_every_branch(branch, budget, monkeypatch):
-    """Every branch of both detectors, solved and lifted in two stages, gives the whole-stack
-    detector call's payloads, soft output, NMSE and SER byte for byte, in one chunk and in one-AP
-    chunks.  Branches that form the (K, tau_d) detection in their solve (po's K x K and noiseless
-    ones, detect_local's tall one, and an ill-conditioned AP's pinv) return it with no lift; po's
-    push-through and detect_local's wide branch return H_hat, whose conjugate transpose lifts their
-    small factor.  A solve left unsolved by an ill-conditioned AP, and only that, sends its chunk
-    to detect_local, which splits it down to 2-D APs."""
+    """Every branch of both detectors, summed in one solve chunk or in one-AP chunks, gives the
+    per-AP detector calls' NMSE, soft output within rounding, decisions and SER.  po's
+    push-through and the completion detector sum their stacked factors by one GEMM; po's K x K and
+    noiseless branches form their detections and sum them; an ill-conditioned AP, and only it,
+    gets pinv, in the same solve as the others."""
     method, changes, fault = BRANCHES[branch]
     scen = dataclasses.replace(
         Scenario(M=5, K=4, N_a=4, N_r=2, tau_p=4, tau_d=6, R_km=0.5, seed=7), **changes
     )
-    log, sends = detect_in_two_stages(scen, RunConfig(), method, budget, monkeypatch, fault)
-    solver = "pilot_only_factors" if method == "po" else "detect_factors"
-    lifts = branch in ("po-push-through", "wide")
-    if not fault:
-        assert (log, sends) == (
-            ([(solver, (1,), (lifts, True))] * scen.M, [1] * scen.M) if budget == 1
-            else ([(solver, (scen.M,), (lifts, True))], [scen.M])
-        )
-    elif budget == 1:  # AP 1's one-AP stack alone is left unsolved
-        want = [
-            e for m in range(scen.M)
-                for e in (fallback((1,), [1]) if m == 1 else [(solver, (1,), (True, True))])
-        ]
-        assert (log, sends) == (want, [1] * scen.M)
-    else:  # the 5-AP solve and lift chunk
-        assert (log, sends) == (fallback((scen.M,), range(scen.M)), [scen.M])
+    log, sends = detect_summed(scen, RunConfig(), method, budget, monkeypatch, fault)
+    name = "pilot_only_detect" if method == "po" else "detect_local"
+    assert log == ([(name, (1,))] * scen.M if budget == 1 else [(name, (scen.M,))])
+    assert sends == ([scen.M] if method == "po" else [scen.M, scen.M])
 
 
 def test_m100_k25_ill_conditioned_ap_keeps_detection_in_budget(monkeypatch):
-    """At m100_k25, npsvd with AP 1's Gram ill conditioned: the 100-AP solve is left unsolved, so
-    each 17-AP lift chunk is detected by detect_local, which splits the chunk holding AP 1 down to
-    2-D APs, and the trial's traced peak stays within 4 MB; detecting all 100 APs in full on that
-    path peaked at 8.0 MB."""
+    """At m100_k25, npsvd with AP 1's Gram ill conditioned: the 100-AP solve gives AP 1, and only
+    it, pinv's detector, sums in the same GEMM, and the trial's traced peak stays within 4 MB;
+    detecting all 100 APs in full peaked at 8.0 MB."""
     exp = load_experiment(M100_K25)
     scen = exp.scenario
     prep = prepare(scen, exp.run, draw_beta(scen, scen.seed))
-    monkeypatch.setattr(harness.estimation, "estimate_channel", ill_conditioned_ap(estimate_channel))
-    log = []
-    for name in ("detect_factors", "detect_local"):
-        monkeypatch.setattr(harness.estimation, name, traced(getattr(harness.estimation, name), log))
+    estimates, log, seen = [], [], []
+    monkeypatch.setattr(harness.estimation, "estimate_channel", spy(ill_conditioned_ap(estimate_channel), estimates))
+    monkeypatch.setattr(harness.estimation, "detect_local", traced(detect_local, log))
+    monkeypatch.setattr(harness.estimation, "pinv", lambda a: seen.append(a.tobytes()) or pinv(a))
     run_trial(scen, exp.run, "npsvd", prep, scen.seed, 0, 1.0)  # first-call set-up outside the count
     net, sends = Backhaul(), []
     send = net.send_aps
     net.send_aps = lambda kind, first, r, payload, count: sends.append(count) or send(kind, first, r, payload, count)
-    log.clear()
+    estimates.clear(), log.clear(), seen.clear()
     tracemalloc.start()
     try:
         run_trial(scen, exp.run, "npsvd", prep, scen.seed, 1, 1.0, net=net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sends == [scen.M] + [17] * 5 + [15]  # the Gram release, then the detections
-    assert log == [("detect_factors", (scen.M,), (False, False))] + fallback((17,), range(17))[1:] + [
-        e for n in [17] * 4 + [15] for e in (("detect_local", (n,), None), ("detect_factors", (n,), (True, True)))
-    ]
+    (_, h_hat), = estimates
+    assert sends == [scen.M, scen.M]  # the Gram release, then the detections
+    assert log == [("detect_local", (scen.M,))]
+    assert seen == [h_hat[1].tobytes()]
     assert peak <= 4e6
 
 
@@ -769,16 +723,15 @@ def test_run_point_counts_a_non_finite_aggregate_as_a_failure(
     assert caplog.text.count("LinAlgError") == 3
 
 
-@pytest.mark.parametrize("method, target", [("npsvd", "detect_factors"), ("po", "pilot_only_ls")])
+@pytest.mark.parametrize("method, target", [("npsvd", "detect_local"), ("po", "pilot_only_ls")])
 def test_run_point_counts_non_finite_detections_as_failures(method, target, monkeypatch):
     """A NaN soft detection fails its trial instead of slicing to -1-1j: desk at 3 trials.
     po's NaN channel estimate already fails in the detector's Cholesky."""
     exp = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "desk.yaml")
     real = getattr(harness.estimation, target)
 
-    def poisoned(*args):
-        out = real(*args)
-        return (out[0], out[1] * np.nan) if isinstance(out, tuple) else out * np.nan
+    def poisoned(*args, **kwargs):
+        return real(*args, **kwargs) * np.nan
 
     monkeypatch.setattr(harness.estimation, target, poisoned)
     rec = run_point(exp, method, "epsilon", 1.0, 3, exp.scenario.seed)
